@@ -38,7 +38,7 @@ if [ "$rc" -ne 3 ]; then
     cat "$workdir/interrupted.txt"
     exit 1
 fi
-grep -q "interrupted; checkpoint written" "$workdir/interrupted.txt" || {
+grep -q "interrupted (checkpoint written to" "$workdir/interrupted.txt" || {
     echo "FAIL: interrupted run did not report its checkpoint"
     cat "$workdir/interrupted.txt"
     exit 1

@@ -197,6 +197,10 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
 	}
+	// The coordinator's own search work — the merge (pruned DPOR
+	// reversals) and the confirmation pass — counts into its registry.
+	// (SearchSpec carries no registry, so workers are unaffected.)
+	cfg.Options.Metrics = cfg.Metrics
 
 	c := &Coordinator{
 		cfg:       cfg,
@@ -435,9 +439,7 @@ func (c *Coordinator) checkDoneLocked() {
 	c.checkDrainedLocked()
 	rep := c.merger.Finish(c.prevElapsed+time.Since(c.start), c.failures)
 	go func() {
-		opts := c.cfg.Options
-		opts.Metrics = c.cfg.Metrics
-		search.ConfirmFindings(c.cfg.Prog, opts, rep)
+		search.ConfirmFindings(c.cfg.Prog, c.cfg.Options, rep)
 		c.mu.Lock()
 		c.sealLocked(rep)
 		c.saveStateLocked()

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"fairmc/internal/dist"
+	"fairmc/internal/obs"
 	"fairmc/internal/search"
 )
 
@@ -28,16 +29,25 @@ var dporOpts = search.Options{
 // workers draining that growing frontier must reproduce the sequential
 // DPOR report field for field — and byte for byte as a run report.
 func TestDistDPORMatchesSequential(t *testing.T) {
+	distMetrics := obs.NewMetrics()
 	coord, srv := startCoordinator(t, dist.CoordinatorConfig{
 		Prog:           racyIncrement,
 		Program:        "racy",
 		Options:        dporOpts,
 		RefParallelism: 2,
+		Metrics:        distMetrics,
 	})
 	runWorkers(t, srv.URL, 2)
 	got := coord.Wait()
 
-	want := search.Explore(racyIncrement, dporOpts)
+	localOpts := dporOpts
+	localOpts.Metrics = obs.NewMetrics()
+	want := search.Explore(racyIncrement, localOpts)
+	// Pruned reversals are counted by the merge, which runs on the
+	// coordinator: its registry must see what a local run's does.
+	if l, d := localOpts.Metrics.Snapshot().DporUnitsPruned, distMetrics.Snapshot().DporUnitsPruned; l == 0 || l != d {
+		t.Fatalf("dporUnitsPruned: local %d, distributed %d; want equal and nonzero", l, d)
+	}
 	if !reflect.DeepEqual(normalize(want), normalize(got)) {
 		t.Fatalf("distributed DPOR report differs from sequential:\n%+v\nvs\n%+v", want, got)
 	}

@@ -146,6 +146,9 @@ func startService(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	}
 	srv := httptest.NewServer(s.Handler())
 	t.Cleanup(srv.Close)
+	// Close waits out the job goroutines, which log through t.Logf; it
+	// is idempotent, so tests that close (and restart) themselves may.
+	t.Cleanup(func() { s.Close() })
 	return s, srv
 }
 

@@ -75,6 +75,9 @@ func RunPoolWorker(cfg PoolConfig) error {
 		httpc.Transport = cfg.Transport
 	}
 
+	// One worker — and so one set of engine pools — serves every job.
+	var worker dist.Worker
+	defer worker.Close()
 	failures := 0
 	for {
 		select {
@@ -108,7 +111,7 @@ func RunPoolWorker(cfg PoolConfig) error {
 			workDir = filepath.Join(cfg.WorkDir, asn.JobID)
 		}
 		logf("pool: assigned to %s", asn.JobID)
-		err = dist.RunWorker(dist.WorkerConfig{
+		err = worker.Run(dist.WorkerConfig{
 			URL:         cfg.URL + asn.Path,
 			Capacity:    cfg.Capacity,
 			WorkDir:     workDir,

@@ -26,6 +26,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -94,9 +95,14 @@ type Config struct {
 }
 
 // job is the server-side state of one submission: the replayed core
-// plus runtime wiring while running.
+// plus runtime wiring while running. State is what clients see, and
+// each value promises its effect: StateQueued until the coordinator is
+// mounted — including the window where the job already holds an active
+// slot and runJob is planning — and StateRunning only once a pool
+// worker asking /v1/assign can be pointed at it.
 type job struct {
 	jobState
+	shards          int // planned shards, once a terminal job has dropped its Plan
 	decided         int // shards decided this incarnation + replayed
 	cancelRequested bool
 	coord           *dist.Coordinator
@@ -170,6 +176,9 @@ func New(cfg Config) (*Server, error) {
 	for _, id := range st.order {
 		js := st.jobs[id]
 		j := &job{jobState: *js, decided: len(js.Completed)}
+		if js.State != StateQueued && js.State != StateRunning {
+			j.release()
+		}
 		s.jobs[id] = j
 		s.order = append(s.order, id)
 	}
@@ -181,7 +190,7 @@ func New(cfg Config) (*Server, error) {
 		s.nonTerminal++
 		if len(j.Completed) > 0 {
 			cfg.Logf("jobs: %s re-queued with %d/%d shards already committed",
-				js.ID, len(j.Completed), planShardCount(j.Plan))
+				js.ID, len(j.Completed), j.shardCount())
 		}
 	}
 	if _, err := led.Append(recServerStart, serverStartRec{Jobs: len(pend)}, true); err != nil {
@@ -192,13 +201,6 @@ func New(cfg Config) (*Server, error) {
 	s.scheduleLocked()
 	s.mu.Unlock()
 	return s, nil
-}
-
-func planShardCount(p *search.Plan) int {
-	if p == nil {
-		return 0
-	}
-	return len(p.Shards)
 }
 
 // commit appends one WAL record, with the crash hook around it.
@@ -225,9 +227,9 @@ func (s *Server) scheduleLocked() {
 		if j == nil || j.State != StateQueued {
 			continue
 		}
-		j.State = StateRunning
 		// Reserve the slot before the goroutine mounts, so the loop
-		// cannot over-promote.
+		// cannot over-promote. The job stays StateQueued until runJob
+		// has mounted its coordinator.
 		s.activeIDs = append(s.activeIDs, id)
 		s.wg.Add(1)
 		go s.runJob(j)
@@ -335,13 +337,14 @@ func (s *Server) runJob(j *job) {
 	}
 	j.coord = coord
 	j.handler = http.StripPrefix(PathJobPrefix+id, coord.Handler())
+	j.State = StateRunning // mounted: assignable from this instant
 	cancelled := j.cancelRequested
 	s.mu.Unlock()
 	if cancelled {
 		coord.Interrupt()
 	}
 	s.cfg.Logf("jobs: %s running (%d shards, %d already committed)",
-		id, planShardCount(j.Plan), len(j.Completed))
+		id, j.shardCount(), len(j.Completed))
 
 	rep := coord.Wait()
 
@@ -391,6 +394,7 @@ func (s *Server) finishJob(j *job, rep *search.Report, state, errMsg string) {
 	j.Error = errMsg
 	j.Report = rep
 	j.RunReport = runReport
+	j.release()
 	s.nonTerminal--
 	if m := s.cfg.Metrics; m != nil {
 		switch state {
@@ -415,6 +419,22 @@ func (s *Server) finishJob(j *job, rep *search.Report, state, errMsg string) {
 	s.unmountLocked(id)
 	s.scheduleLocked()
 	s.mu.Unlock()
+}
+
+// release drops what only an unfinished job needs — the (grown) plan
+// and every decided shard's report. A terminal job is served from its
+// Report and RunReport; status keeps the counts.
+func (j *job) release() {
+	j.shards = j.shardCount()
+	j.Plan, j.Completed, j.Abandoned = nil, nil, nil
+}
+
+// shardCount is how many shards the job's plan holds (or held).
+func (j *job) shardCount() int {
+	if j.Plan != nil {
+		return len(j.Plan.Shards)
+	}
+	return j.shards
 }
 
 // failJob records an infrastructure failure (unknown program, planning
@@ -592,7 +612,7 @@ func (s *Server) statusLocked(j *job) JobStatus {
 		State:          j.State,
 		Error:          j.Error,
 		RefParallelism: j.RefParallelism,
-		Shards:         planShardCount(j.Plan),
+		Shards:         j.shardCount(),
 		Decided:        j.decided,
 		HasReport:      len(j.RunReport) > 0,
 	}
@@ -648,26 +668,23 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleCancel(w http.ResponseWriter, j *job) {
 	s.mu.Lock()
-	switch j.State {
-	case StateDone, StateFailed, StateCancelled:
+	qi := slices.Index(s.queue, j.ID)
+	switch {
+	case j.State == StateDone || j.State == StateFailed || j.State == StateCancelled:
 		st := j.State
 		s.mu.Unlock()
 		writeJSON(w, CancelResponse{JobID: j.ID, State: st})
 		return
-	case StateQueued:
+	case qi >= 0: // still waiting for a slot
 		if err := s.commit("done:"+j.ID, recDone, doneRec{Job: j.ID, State: StateCancelled}, true); err != nil {
 			s.mu.Unlock()
 			http.Error(w, "cannot record cancellation: "+err.Error(), http.StatusServiceUnavailable)
 			return
 		}
 		j.State = StateCancelled
+		j.release()
 		s.nonTerminal--
-		for i, id := range s.queue {
-			if id == j.ID {
-				s.queue = append(s.queue[:i], s.queue[i+1:]...)
-				break
-			}
-		}
+		s.queue = slices.Delete(s.queue, qi, qi+1)
 		if m := s.cfg.Metrics; m != nil {
 			m.JobsCancelled.Inc()
 		}
@@ -675,7 +692,7 @@ func (s *Server) handleCancel(w http.ResponseWriter, j *job) {
 		s.cfg.Logf("jobs: %s cancelled while queued", j.ID)
 		writeJSON(w, CancelResponse{JobID: j.ID, State: StateCancelled})
 		return
-	default: // running
+	default: // running, or promoted and mounting: runJob sees the request
 		j.cancelRequested = true
 		coord := j.coord
 		s.mu.Unlock()

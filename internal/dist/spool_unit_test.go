@@ -16,7 +16,7 @@ func writeTestSpool(t *testing.T, fsys fsx.FS, dir string, shard int, hash uint6
 		OptionsHash: hash,
 		Program:     "prog",
 		Shard:       shard,
-		Report:      &search.Report{Executions: 1},
+		Report:      &search.Report{Counters: search.Counters{Executions: 1}},
 	})
 	if err != nil {
 		t.Fatalf("spoolWrite shard %d: %v", shard, err)

@@ -94,17 +94,42 @@ type hbState struct {
 	seq  int
 }
 
+// Worker is a shard executor that outlives the searches it serves: it
+// holds one engine pool per capacity slot for its whole lifetime, so a
+// worker that runs many shards — or, as a jobs-service pool worker,
+// many searches — keeps reusing the same engines (the pool takes the
+// program per run). The zero value is ready; Close it when done. Run
+// must not be called concurrently with itself.
+type Worker struct {
+	pools []engine.Pool
+}
+
+// Close retires the pooled engines.
+func (w *Worker) Close() {
+	for i := range w.pools {
+		w.pools[i].Close()
+	}
+}
+
+// RunWorker is Worker.Run on a one-search Worker.
+func RunWorker(cfg WorkerConfig) error {
+	var w Worker
+	defer w.Close()
+	return w.Run(cfg)
+}
+
 // worker is the per-session state of one join: one worker ID, one set
-// of leases. RunWorker builds a fresh session after every rejoin.
+// of leases. Run builds a fresh session after every rejoin.
 type worker struct {
-	cfg  WorkerConfig
-	tc   *transport.Client
-	hb   *hbState
-	id   string
-	spec SearchSpec
-	opts search.Options
-	prog func(*engine.T)
-	ttl  time.Duration
+	cfg   WorkerConfig
+	pools []engine.Pool // one per capacity slot, owned by the Worker
+	tc    *transport.Client
+	hb    *hbState
+	id    string
+	spec  SearchSpec
+	opts  search.Options
+	prog  func(*engine.T)
+	ttl   time.Duration
 
 	mu     sync.Mutex
 	active map[string]chan struct{} // lease id -> shard stop channel
@@ -116,19 +141,22 @@ type worker struct {
 	once sync.Once
 }
 
-// RunWorker joins the coordinator at cfg.URL and runs shards until the
+// Run joins the coordinator at cfg.URL and runs shards until the
 // coordinator reports the search done (returning nil) or cfg.Stop is
 // closed (nil). If the coordinator becomes unreachable mid-session the
 // worker spools any completed-but-unposted shard reports to -workdir,
 // rejoins within cfg.JoinTimeout, replays the spool under its new
 // identity, and continues; only an exhausted join budget (or a
 // configuration rejection) is an error.
-func RunWorker(cfg WorkerConfig) error {
+func (w *Worker) Run(cfg WorkerConfig) error {
 	if cfg.Lookup == nil {
 		return errors.New("dist: worker needs a program Lookup")
 	}
 	if cfg.Capacity < 1 {
 		cfg.Capacity = 1
+	}
+	if len(w.pools) < cfg.Capacity {
+		w.pools = append(w.pools, make([]engine.Pool, cfg.Capacity-len(w.pools))...)
 	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
@@ -179,6 +207,7 @@ func RunWorker(cfg WorkerConfig) error {
 			}
 			return err
 		}
+		wk.pools = w.pools
 		err = wk.runSession()
 		if err == nil {
 			return nil // done or stopped
@@ -373,7 +402,7 @@ func (wk *worker) runSession() error {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			errs <- wk.shardLoop()
+			errs <- wk.shardLoop(&wk.pools[i])
 		}()
 	}
 	wg.Wait()
@@ -478,10 +507,10 @@ func (wk *worker) heartbeat(extra []string) {
 	}
 }
 
-// shardLoop is one capacity slot: lease, run, post, repeat. It declares
-// the coordinator unreachable when the breaker opens or two lease calls
-// in a row fail after full retries.
-func (wk *worker) shardLoop() error {
+// shardLoop is one capacity slot: lease, run (on the slot's engine
+// pool), post, repeat. It declares the coordinator unreachable when the
+// breaker opens or two lease calls in a row fail after full retries.
+func (wk *worker) shardLoop(pool *engine.Pool) error {
 	consecutiveErrs := 0
 	for {
 		if wk.stopped() {
@@ -522,7 +551,7 @@ func (wk *worker) shardLoop() error {
 			wk.sleep(iv)
 			continue
 		case LeaseWork:
-			wk.runShard(resp.LeaseID, *resp.Shard)
+			wk.runShard(pool, resp.LeaseID, *resp.Shard)
 		default:
 			return fmt.Errorf("dist: unknown lease status %q", resp.Status)
 		}
@@ -554,7 +583,7 @@ func (wk *worker) sleep(d time.Duration) {
 // the program (or the engine) is posted as a structured failure so the
 // coordinator can retry the shard elsewhere. A completed report whose
 // upload fails outright is spooled to -workdir for replay on rejoin.
-func (wk *worker) runShard(leaseID string, sh search.Shard) {
+func (wk *worker) runShard(pool *engine.Pool, leaseID string, sh search.Shard) {
 	stop := make(chan struct{})
 	wk.mu.Lock()
 	wk.active[leaseID] = stop
@@ -584,8 +613,8 @@ func (wk *worker) runShard(leaseID string, sh search.Shard) {
 
 	opts := wk.opts
 	ckptPath := ""
-	if wk.cfg.WorkDir != "" && sh.Prefix == nil && sh.Unit == nil {
-		// Per-shard checkpointing (stride shards only: a prefix
+	if wk.cfg.WorkDir != "" && sh.Hi > 0 {
+		// Per-shard checkpointing (range shards only: a prefix
 		// subtree reruns from scratch, and a DPOR unit is a single
 		// execution). A stale or foreign checkpoint is discarded,
 		// never trusted.
@@ -611,7 +640,7 @@ func (wk *worker) runShard(leaseID string, sh search.Shard) {
 				failure = fmt.Sprintf("panic: %v\n%s", r, debug.Stack())
 			}
 		}()
-		rep = search.RunShard(wk.prog, opts, sh, shardStop)
+		rep = search.RunShardOn(pool, wk.prog, opts, sh, shardStop)
 	}()
 
 	if failure == "" && rep != nil && rep.Interrupted {

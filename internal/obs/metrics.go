@@ -242,11 +242,10 @@ type Metrics struct {
 	DporRaces       Counter
 	DporUnitsPruned Counter
 	DporUnitQueue   Gauge
-	// Frontier is the per-strategy frontier depth: the DFS stack depth
-	// (sequential systematic search), the number of unmerged frontier
-	// prefixes (prefix-parallel search), the number of unmerged work
-	// units (DPOR), or the next unmerged execution index (random
-	// strategies).
+	// Frontier is how much planned work is open: the DFS stack depth or
+	// next execution index of a sequential search, the number of
+	// planned-but-unmerged shards of a sharded one (-p N, DPOR, a
+	// coordinator).
 	Frontier Gauge
 	// ExecSteps is the distribution of execution lengths in steps.
 	ExecSteps Hist

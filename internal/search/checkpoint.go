@@ -10,26 +10,26 @@ import (
 	"fairmc/internal/core"
 	"fairmc/internal/engine"
 	"fairmc/internal/fsx"
+	"fairmc/internal/obs"
 )
 
 // This file implements checkpoint/resume: a long-running search
 // periodically serializes its progress to a JSON file so that a crash,
 // an eviction, or a deliberate SIGINT loses at most one checkpoint
 // interval of work. A checkpoint captures (a) the accumulated Report
-// counters and findings, and (b) the strategy-specific frontier —
-// enough to restart the search at exactly the same point in its
-// deterministic enumeration:
+// counters and findings, and (b) the position in the deterministic
+// enumeration — enough to restart the search at exactly the same point:
 //
-//   - Random strategies (RandomWalk, PCT): executions are seeded by
-//     global index (rng.Mix(Seed, i)), so the frontier is a single
-//     integer — the next index to run. This holds sequentially and in
-//     stride-parallel mode (NextIndex is then the next round base).
+//   - Sequential random strategies (RandomWalk, PCT): executions are
+//     seeded by global index (rng.Mix(Seed, i)), so the position is the
+//     executions counter; NextIndex records the next index to run.
 //   - Sequential systematic search: the DFS stack (alternatives and
 //     the index taken at each frame), restored verbatim so the next
 //     execution replays the saved prefix and explores below it.
-//   - Prefix-parallel systematic search: the DFS-ordered frontier of
-//     schedule prefixes plus how many of them have been merged;
-//     resuming re-runs only the unmerged suffix.
+//   - Every sharded search (Parallelism > 1, DPOR): one Frontier — how
+//     many shards of the plan are merged and the unmerged shards in plan
+//     order, whatever their kind. Resuming re-runs only those (results
+//     that were in flight at checkpoint time are recomputed).
 //
 // Findings (FirstBug, Divergence, FirstWedge) are stored as their full
 // engine.Result: replay cannot regenerate a wedge (the wedged step is
@@ -44,32 +44,12 @@ import (
 // a reason resuming cannot continue past, e.g. a first finding —
 // rerunning it would double-count the finding's execution).
 
-// CheckpointVersion is the on-disk format version; bump on any
-// incompatible change to the Checkpoint schema. Version 2 added the
-// conformance digests (per-frame and per-prefix), the Quarantined
-// counter, and the NondeterminismReports; version-1 checkpoints lack
-// the digests the resumed search would verify replays against, so
-// they are rejected rather than silently resumed unverified.
-// Version 3 added the fair-scheduler counters (Yields, EdgeAdds,
-// EdgeErases, FairBlocked); resuming a version-2 checkpoint would
-// zero them and break run-report determinism across a resume, so old
-// checkpoints are rejected.
-// Version 4 added the DPOR work-unit frontier (Dpor: pending units in
-// spawn order plus consumed-unit trace records) and the pruning
-// counters (PrunedVisited, PrunedSleep). It is purely additive, so
-// version-3 checkpoints remain readable.
-// Version 5 added the weak-memory counters (BufferedStores, Flushes,
-// Fences, Forwards). Also purely additive — versions 3 and 4 remain
-// readable (their wm counters resume as zero, which is exact: those
-// searches could not have run under TSO, whose options fold into the
-// options hash) — and this build always writes version 5.
-const CheckpointVersion = 5
-
-// checkpointVersionReadable reports the on-disk format versions this
-// build can resume from.
-func checkpointVersionReadable(v int) bool {
-	return v >= 3 && v <= CheckpointVersion
-}
+// CheckpointVersion is the on-disk format version; bump on any change
+// to the Checkpoint schema. This build reads exactly the version it
+// writes: a checkpoint is a short-lived artifact of one search, and a
+// resumed search must reproduce the uninterrupted report byte for byte,
+// which no partially understood older format can promise.
+const CheckpointVersion = 6
 
 // defaultCheckpointInterval is used when CheckpointPath is set but
 // CheckpointInterval is zero.
@@ -91,30 +71,6 @@ type CheckpointMeta struct {
 	Parallelism int    `json:"parallelism"`
 }
 
-// CheckpointCounters is the accumulated Report state.
-type CheckpointCounters struct {
-	Executions     int64 `json:"executions"`
-	TotalSteps     int64 `json:"totalSteps"`
-	MaxDepth       int64 `json:"maxDepth"`
-	Yields         int64 `json:"yields"`
-	EdgeAdds       int64 `json:"edgeAdds"`
-	EdgeErases     int64 `json:"edgeErases"`
-	FairBlocked    int64 `json:"fairBlocked"`
-	NonTerminating int64 `json:"nonTerminating"`
-	PrunedVisited  int64 `json:"prunedVisited,omitempty"`
-	PrunedSleep    int64 `json:"prunedSleep,omitempty"`
-	Deadlocks      int64 `json:"deadlocks"`
-	Violations     int64 `json:"violations"`
-	Wedges         int64 `json:"wedges"`
-	Skipped        int64 `json:"skipped"`
-	Quarantined    int64 `json:"quarantined,omitempty"`
-	BufferedStores int64 `json:"bufferedStores,omitempty"`
-	Flushes        int64 `json:"flushes,omitempty"`
-	Fences         int64 `json:"fences,omitempty"`
-	Forwards       int64 `json:"forwards,omitempty"`
-	ElapsedNS      int64 `json:"elapsedNs"`
-}
-
 // savedFrame is one DFS stack frame of the sequential systematic
 // searcher, including its conformance digest so a resumed search
 // keeps verifying replays of the saved prefix.
@@ -126,31 +82,38 @@ type savedFrame struct {
 	Ops    []engine.OpInfo `json:"ops,omitempty"`
 }
 
-// SeqState is the sequential systematic searcher's frontier.
+// SeqState is the sequential systematic searcher's position.
 type SeqState struct {
 	Stack []savedFrame `json:"stack"`
 }
 
-// StrideState is the random strategies' frontier: the next execution
-// index (sequential) or next round base (stride-parallel).
+// StrideState is the sequential random searcher's position: the next
+// global execution index.
 type StrideState struct {
 	NextIndex int64 `json:"nextIndex"`
 }
 
-// SavedPrefix is one frontier prefix of the prefix-parallel search.
+// SavedPrefix is one frontier prefix of a systematic search's plan.
 type SavedPrefix struct {
 	Sched []engine.Alt        `json:"sched"`
 	Digs  []engine.StepDigest `json:"digs,omitempty"`
 	Leaf  bool                `json:"leaf,omitempty"`
 }
 
-// PrefixState is the prefix-parallel searcher's frontier.
-type PrefixState struct {
-	Frontier []SavedPrefix `json:"frontier"`
-	// Merged counts frontier prefixes whose subtree reports have been
-	// merged; resume re-runs prefixes [Merged, len(Frontier)).
-	Merged       int  `json:"merged"`
+// Frontier is the sharded driver's position in its plan, for every
+// shard kind.
+type Frontier struct {
+	// Merged counts the plan's shards consumed by the merge across all
+	// sessions of the search; Shards[0] has plan index Merged.
+	Merged int `json:"merged"`
+	// AllExhausted is false once any shard was skipped, quarantined, or
+	// otherwise left part of its space unexplored.
 	AllExhausted bool `json:"allExhausted"`
+	// Shards are the planned-but-unmerged shards in plan order.
+	Shards []Shard `json:"shards,omitempty"`
+	// Traces records every consumed DPOR unit, in consumption order (the
+	// merge's dedup set is rebuilt from them).
+	Traces []DporTraceRec `json:"traces,omitempty"`
 }
 
 // Checkpoint is a resumable snapshot of search progress.
@@ -161,8 +124,11 @@ type Checkpoint struct {
 	// finding or exhausted the tree. Resuming it would re-count work,
 	// so Validate rejects it; resumable stops are ExecBounded,
 	// TimedOut, and Interrupted.
-	Done     bool               `json:"done,omitempty"`
-	Counters CheckpointCounters `json:"counters"`
+	Done bool `json:"done,omitempty"`
+	// Counters is the accumulated Report.Counters; ElapsedNS the
+	// accumulated wall-clock time.
+	Counters  Counters `json:"counters"`
+	ElapsedNS int64    `json:"elapsedNs"`
 
 	FirstBug            *engine.Result `json:"firstBug,omitempty"`
 	FirstBugExecution   int64          `json:"firstBugExecution,omitempty"`
@@ -177,10 +143,11 @@ type Checkpoint struct {
 	// resume).
 	Nondeterminism []NondeterminismReport `json:"nondeterminism,omitempty"`
 
-	Stride *StrideState `json:"stride,omitempty"`
-	Seq    *SeqState    `json:"seq,omitempty"`
-	Prefix *PrefixState `json:"prefix,omitempty"`
-	Dpor   *DporState   `json:"dpor,omitempty"`
+	// Exactly one position is set: Stride or Seq by the sequential
+	// searcher, Frontier by the sharded driver.
+	Stride   *StrideState `json:"stride,omitempty"`
+	Seq      *SeqState    `json:"seq,omitempty"`
+	Frontier *Frontier    `json:"frontier,omitempty"`
 }
 
 // LoadCheckpoint reads and decodes a checkpoint file.
@@ -193,8 +160,8 @@ func LoadCheckpoint(path string) (*Checkpoint, error) {
 	if err := json.Unmarshal(data, ck); err != nil {
 		return nil, fmt.Errorf("search: decoding checkpoint %s: %w", path, err)
 	}
-	if !checkpointVersionReadable(ck.Version) {
-		return nil, fmt.Errorf("search: checkpoint %s has format version %d, this build reads versions 3 through %d",
+	if ck.Version != CheckpointVersion {
+		return nil, fmt.Errorf("search: checkpoint %s has format version %d, this build reads version %d",
 			path, ck.Version, CheckpointVersion)
 	}
 	return ck, nil
@@ -284,9 +251,10 @@ func optionsHash(o *Options) uint64 {
 	// change across a resume — as is NoFastPath, which by construction
 	// does not change any explored schedule or report byte.
 	b(o.DisableConformance)
-	// The memory model folds in only when it is not the default, so
-	// every pre-weak-memory checkpoint (necessarily an SC search) keeps
-	// its hash and stays resumable.
+	// The memory model folds in only when it is not the default: an SC
+	// search hashes the same whether or not it named its model (the hash
+	// also fingerprints plans in coordinator state files and job
+	// ledgers).
 	if m := o.memModel(); m != core.MemSC {
 		i(int64(m))
 		i(int64(o.TSOBufCap))
@@ -294,8 +262,8 @@ func optionsHash(o *Options) uint64 {
 	return h.Sum64()
 }
 
-// buildCheckpoint captures the strategy-independent progress; the
-// caller attaches the strategy state (Stride/Seq/Prefix).
+// buildCheckpoint captures the position-independent progress; the
+// caller attaches the position (Stride, Seq or Frontier).
 func buildCheckpoint(opts *Options, rep *Report, elapsed time.Duration, done bool) *Checkpoint {
 	return &Checkpoint{
 		Version: CheckpointVersion,
@@ -306,29 +274,9 @@ func buildCheckpoint(opts *Options, rep *Report, elapsed time.Duration, done boo
 			OptionsHash: optionsHash(opts),
 			Parallelism: opts.Parallelism,
 		},
-		Done: done,
-		Counters: CheckpointCounters{
-			Executions:     rep.Executions,
-			TotalSteps:     rep.TotalSteps,
-			MaxDepth:       rep.MaxDepth,
-			Yields:         rep.Yields,
-			EdgeAdds:       rep.EdgeAdds,
-			EdgeErases:     rep.EdgeErases,
-			FairBlocked:    rep.FairBlocked,
-			NonTerminating: rep.NonTerminating,
-			PrunedVisited:  rep.PrunedVisited,
-			PrunedSleep:    rep.PrunedSleep,
-			Deadlocks:      rep.Deadlocks,
-			Violations:     rep.Violations,
-			Wedges:         rep.Wedges,
-			Skipped:        rep.Skipped,
-			Quarantined:    rep.Quarantined,
-			BufferedStores: rep.BufferedStores,
-			Flushes:        rep.Flushes,
-			Fences:         rep.Fences,
-			Forwards:       rep.Forwards,
-			ElapsedNS:      int64(elapsed),
-		},
+		Done:                done,
+		Counters:            rep.Counters,
+		ElapsedNS:           int64(elapsed),
 		FirstBug:            rep.FirstBug,
 		FirstBugExecution:   rep.FirstBugExecution,
 		Divergence:          rep.Divergence,
@@ -340,34 +288,65 @@ func buildCheckpoint(opts *Options, rep *Report, elapsed time.Duration, done boo
 	}
 }
 
-// applyCheckpoint seeds a fresh Report with a checkpoint's accumulated
-// progress.
-func applyCheckpoint(rep *Report, ck *Checkpoint) {
-	rep.Executions = ck.Counters.Executions
-	rep.TotalSteps = ck.Counters.TotalSteps
-	rep.MaxDepth = ck.Counters.MaxDepth
-	rep.Yields = ck.Counters.Yields
-	rep.EdgeAdds = ck.Counters.EdgeAdds
-	rep.EdgeErases = ck.Counters.EdgeErases
-	rep.FairBlocked = ck.Counters.FairBlocked
-	rep.NonTerminating = ck.Counters.NonTerminating
-	rep.PrunedVisited = ck.Counters.PrunedVisited
-	rep.PrunedSleep = ck.Counters.PrunedSleep
-	rep.Deadlocks = ck.Counters.Deadlocks
-	rep.Violations = ck.Counters.Violations
-	rep.Wedges = ck.Counters.Wedges
-	rep.Skipped = ck.Counters.Skipped
-	rep.Quarantined = ck.Counters.Quarantined
-	rep.BufferedStores = ck.Counters.BufferedStores
-	rep.Flushes = ck.Counters.Flushes
-	rep.Fences = ck.Counters.Fences
-	rep.Forwards = ck.Counters.Forwards
-	rep.Nondeterminism = ck.Nondeterminism
-	rep.FirstBug = ck.FirstBug
-	rep.FirstBugExecution = ck.FirstBugExecution
-	rep.Divergence = ck.Divergence
-	rep.DivergenceExecution = ck.DivergenceExecution
-	rep.FirstWedge = ck.FirstWedge
-	rep.FirstWedgeExecution = ck.FirstWedgeExecution
-	rep.WorkerFailures = ck.WorkerFailures
+// report is the Report a search resumed from ck starts with: the
+// checkpoint's accumulated progress.
+func (ck *Checkpoint) report() Report {
+	return Report{
+		Counters:            ck.Counters,
+		FirstBug:            ck.FirstBug,
+		FirstBugExecution:   ck.FirstBugExecution,
+		Divergence:          ck.Divergence,
+		DivergenceExecution: ck.DivergenceExecution,
+		FirstWedge:          ck.FirstWedge,
+		FirstWedgeExecution: ck.FirstWedgeExecution,
+		WorkerFailures:      ck.WorkerFailures,
+		Nondeterminism:      ck.Nondeterminism,
+	}
+}
+
+// write persists ck at opts.CheckpointPath and publishes the write to
+// the observability layer. A failure is recorded on rep (first one
+// wins), not fatal: losing resumability is better than losing the run.
+func (ck *Checkpoint) write(opts *Options, rep *Report) {
+	if err := ck.WriteFile(opts.CheckpointPath); err != nil {
+		if rep.CheckpointError == "" {
+			rep.CheckpointError = err.Error()
+		}
+		return
+	}
+	if m := opts.Metrics; m != nil {
+		m.Checkpoints.Inc()
+	}
+	if sink := opts.EventSink; sink != nil {
+		sink.Emit(obs.Event{Type: "checkpoint", Checkpoint: &obs.CheckpointEvent{
+			Path:       opts.CheckpointPath,
+			Executions: rep.Executions,
+		}})
+	}
+}
+
+// checkpointDue reports whether a periodic checkpoint is due, advancing
+// *last when it is. The first call only starts the clock.
+func (o *Options) checkpointDue(last *time.Time) bool {
+	iv := o.CheckpointInterval
+	if iv <= 0 {
+		iv = defaultCheckpointInterval
+	}
+	now := time.Now()
+	if !last.IsZero() && now.Sub(*last) < iv {
+		return false
+	}
+	due := !last.IsZero()
+	*last = now
+	return due
+}
+
+// observeResume publishes a resume-from-checkpoint to the event stream.
+func observeResume(opts *Options, ck *Checkpoint) {
+	if sink := opts.EventSink; sink != nil {
+		sink.Emit(obs.Event{Type: "resume", Checkpoint: &obs.CheckpointEvent{
+			Path:       opts.CheckpointPath,
+			Executions: ck.Counters.Executions,
+		}})
+	}
 }

@@ -16,10 +16,10 @@ package search
 // children are spawned in proposal-discovery order, so the explored
 // tree, every counter, and every finding are functions of the program
 // alone — independent of worker count and timing. That one property
-// buys everything downstream: exploreDpor runs the identical
-// enumeration at any Parallelism, the ShardMerger replays the identical
-// enumeration across distributed workers (Shard.Unit), and checkpoints
-// (DporState, format v4) capture the frontier as plain data.
+// buys everything downstream: a unit is one more shard kind
+// (Shard.Unit), so the one driver runs the identical enumeration at any
+// Parallelism, across distributed workers, and from a checkpoint, whose
+// Frontier captures the pending units as plain data.
 //
 // The race analysis itself (por.Analyze) is the conservative variant:
 // every dependent pair proposes a reversal at the earlier step, with
@@ -32,23 +32,19 @@ package search
 // sets, whose state rides inside the units (Unit.Sleep).
 
 import (
-	"fmt"
-	"runtime/debug"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"fairmc/internal/engine"
-	"fairmc/internal/obs"
 	"fairmc/internal/por"
 )
 
 // DporResult is the unit-exploration payload a DPOR work-unit report
 // carries back to the merge: how the unit's execution continued past
 // its prefix, and the race reversals its trace proposes. It rides on
-// Report only for unit runs (RunShard with Shard.Unit, the internal
-// workers of exploreDpor); merged reports never carry one.
+// Report only for unit runs (shards with Shard.Unit); merged reports
+// never carry one.
 type DporResult struct {
 	// ContIdx are the filtered-candidate indices chosen at the steps
 	// past the unit's prefix, and Cont the corresponding alternatives;
@@ -98,23 +94,6 @@ type DporProposal struct {
 type DporTraceRec struct {
 	Path []int `json:"path,omitempty"`
 	Cont []int `json:"cont,omitempty"`
-}
-
-// DporState is the DPOR frontier of a checkpoint (format v4): the
-// consumed-unit count, the pending units in spawn order, and the
-// consumed-unit trace records the dedup set is rebuilt from.
-type DporState struct {
-	// Merged counts work units consumed by the merge across all
-	// sessions of the search.
-	Merged int64 `json:"merged"`
-	// AllExhausted is false once any unit was skipped or quarantined.
-	AllExhausted bool `json:"allExhausted"`
-	// Units are the spawned-but-unmerged units in spawn order; resume
-	// re-runs exactly these (results in flight at checkpoint time are
-	// recomputed).
-	Units []por.Unit `json:"units,omitempty"`
-	// Traces records every consumed unit, in consumption order.
-	Traces []DporTraceRec `json:"traces,omitempty"`
 }
 
 // unitChooser executes one DPOR work unit: it replays the unit's
@@ -261,35 +240,16 @@ func (c *unitChooser) Choose(ctx *engine.ChooseContext) (engine.Alt, bool) {
 }
 
 // runDporUnit executes one work unit to completion and returns its
-// report, ready for dporMerger.offer (or, distributed, for
-// ShardMerger.Offer). It mirrors the sequential execution loop
-// exactly: divergence retry then quarantine, unconditional counter
-// accounting, classify semantics per outcome.
+// report, ready for ShardMerger.Offer. It mirrors the sequential
+// execution loop exactly: divergence retry then quarantine,
+// unconditional counter accounting, classify semantics per outcome.
 func runDporUnit(prog func(*engine.T), opts *Options, pool *engine.Pool, unit *por.Unit, deadline time.Time) *Report {
+	rep := &Report{}
 	var r *engine.Result
 	var c *unitChooser
 	for attempt := 1; ; attempt++ {
 		c = &unitChooser{opts: opts, unit: unit}
-		cfg := engine.Config{
-			Fair:        opts.Fair,
-			FairK:       opts.FairK,
-			MaxSteps:    opts.MaxSteps,
-			MemModel:    opts.memModel(),
-			TSOBufCap:   opts.TSOBufCap,
-			RecordTrace: opts.RecordTrace,
-			Monitor:     opts.Monitor,
-			Watchdog:    opts.Watchdog,
-			Deadline:    deadline,
-			Metrics:     opts.Metrics,
-			EventSink:   opts.EventSink,
-			ExecIndex:   1,
-			NoFastPath:  opts.NoFastPath,
-		}
-		if opts.NoFastPath {
-			r = engine.Run(prog, c, cfg)
-		} else {
-			r = pool.Run(prog, c, cfg)
-		}
+		r = opts.runEngine(pool, prog, c, opts.engineConfig(deadline, 1))
 		if c.div == nil {
 			break
 		}
@@ -297,111 +257,30 @@ func runDporUnit(prog func(*engine.T), opts *Options, pool *engine.Pool, unit *p
 			m.ReplayDivergences.Inc()
 		}
 		if attempt > opts.divergenceRetries() {
-			return quarantineUnitReport(opts, unit, c.div, attempt)
-		}
-	}
-
-	rep := &Report{
-		Executions:     1,
-		TotalSteps:     r.Steps,
-		MaxDepth:       r.Steps,
-		Yields:         r.Yields,
-		EdgeAdds:       r.EdgeAdds,
-		EdgeErases:     r.EdgeErases,
-		FairBlocked:    r.FairBlocked,
-		BufferedStores: r.WM.BufferedStores,
-		Flushes:        r.WM.Flushes,
-		Fences:         r.WM.Fences,
-		Forwards:       r.WM.Forwards,
-		Exhausted:      true,
-	}
-	switch r.Outcome {
-	case engine.Terminated:
-	case engine.Deadlock:
-		rep.Deadlocks = 1
-		rep.FirstBug = reproduceStandalone(prog, *opts, r)
-		rep.FirstBugExecution = 1
-		emitUnitFinding(opts, "deadlock", r)
-	case engine.Violation:
-		rep.Violations = 1
-		rep.FirstBug = reproduceStandalone(prog, *opts, r)
-		rep.FirstBugExecution = 1
-		emitUnitFinding(opts, "violation", r)
-	case engine.Diverged:
-		// DPOR requires the unfair scheduler, where exceeding the step
-		// bound is an ordinary nonterminating execution, not a finding.
-		rep.NonTerminating = 1
-	case engine.Wedged:
-		rep.Wedges = 1
-		rep.FirstWedge = r
-		rep.FirstWedgeExecution = 1
-		emitUnitFinding(opts, "wedge", r)
-	case engine.Aborted:
-		if r.DeadlineExceeded {
-			// The shared deadline cut this unit; the merge discards the
-			// partial work so a resume re-runs the unit in full.
-			rep.TimedOut = true
+			k := c.div.Step + 1
+			if k > len(unit.Sched) {
+				k = len(unit.Sched)
+			}
+			quarantined(opts, rep, append([]engine.Alt(nil), unit.Sched[:k]...), c.div, attempt)
 			return rep
 		}
-		if !c.abortSleep {
-			panic("search: unexpected abort in DPOR unit run")
-		}
-		rep.PrunedSleep = 1
-	default:
-		panic("search: unknown outcome in DPOR unit run")
 	}
+	rep.addResult(r)
+	reason := abortNone
+	if c.abortSleep {
+		reason = abortSleep
+	}
+	// DPOR requires the unfair scheduler, where exceeding the step bound
+	// is an ordinary nonterminating execution, not a finding.
+	classify(prog, opts, rep, r, 1, reason)
+	if rep.TimedOut {
+		// The shared deadline cut this unit; the merge discards the
+		// partial work so a resume re-runs the unit in full.
+		return rep
+	}
+	rep.Exhausted = true
 	rep.Dpor = buildDporResult(opts, unit, c)
 	return rep
-}
-
-// quarantineUnitReport builds the report of a unit whose prefix replay
-// persistently stopped conforming, mirroring searcher.quarantine.
-func quarantineUnitReport(opts *Options, unit *por.Unit, div *engine.DivergenceError, attempts int) *Report {
-	k := div.Step + 1
-	if k > len(unit.Sched) {
-		k = len(unit.Sched)
-	}
-	prefix := append([]engine.Alt(nil), unit.Sched[:k]...)
-	rep := &Report{
-		Quarantined: 1,
-		Nondeterminism: []NondeterminismReport{{
-			Prefix:         prefix,
-			Step:           div.Step,
-			Want:           div.Want,
-			Expected:       div.Expected,
-			Observed:       div.Observed,
-			NotSchedulable: div.NotSchedulable,
-			Attempts:       attempts,
-		}},
-	}
-	if m := opts.Metrics; m != nil {
-		m.Quarantined.Inc()
-	}
-	if sink := opts.EventSink; sink != nil {
-		reason := "digest mismatch"
-		if div.NotSchedulable {
-			reason = "recorded alternative not schedulable"
-		}
-		sink.Emit(obs.Event{Type: "quarantine", Quarantine: &obs.QuarantineEvent{
-			PrefixLen: len(prefix),
-			Attempts:  attempts,
-			Reason:    reason,
-		}})
-	}
-	return rep
-}
-
-// emitUnitFinding publishes a finding classified by a unit run.
-func emitUnitFinding(opts *Options, kind string, r *engine.Result) {
-	sink := opts.EventSink
-	if sink == nil {
-		return
-	}
-	sink.Emit(obs.Event{Type: "finding", Exec: 1, Finding: &obs.FindingEvent{
-		Kind:    kind,
-		Steps:   int(r.Steps),
-		Message: findingMessage(kind, r),
-	}})
 }
 
 // buildDporResult runs the race analysis over the unit's trace and
@@ -445,73 +324,27 @@ func pathKey(path []int) string {
 	return b.String()
 }
 
-// dporMerger folds unit reports into a merged report in spawn order
-// and materializes child units from unseen reversal proposals. It is
-// the single merge definition shared by the in-process driver
-// (exploreDpor) and the distributed coordinator (ShardMerger), which
-// is what makes local and distributed DPOR reports byte-identical.
-type dporMerger struct {
-	opts *Options
-	rep  *Report
-	// seen holds the path keys of every spawned unit and every prefix
-	// of every consumed unit's full path: the Mazurkiewicz-trace dedup
-	// set that keeps reversals from re-spawning explored subtrees.
-	seen         map[string]bool
-	traces       []DporTraceRec
-	allExhausted bool
-}
-
-func newDporMerger(opts *Options, rep *Report) *dporMerger {
-	return &dporMerger{
-		opts:         opts,
-		rep:          rep,
-		seen:         map[string]bool{"": true}, // the root unit's path mark
-		allExhausted: true,
-	}
-}
-
-// markPath marks every prefix of path as seen (resume reconstruction;
-// prefixes of a spawned unit's path are provably already seen in the
-// original run, so over-marking cannot change the enumeration).
-func (dm *dporMerger) markPath(path []int) {
+// markPath marks every prefix of path as seen (prefixes of a spawned
+// unit's path are provably already seen in the original run, so
+// over-marking on a resume cannot change the enumeration).
+func (m *ShardMerger) markPath(path []int) {
 	for k := 1; k <= len(path); k++ {
-		dm.seen[pathKey(path[:k])] = true
+		m.seen[pathKey(path[:k])] = true
 	}
 }
 
-// restore re-seeds the merger from checkpointed trace records.
-func (dm *dporMerger) restore(traces []DporTraceRec, allExhausted bool) {
-	dm.traces = append(dm.traces, traces...)
-	dm.allExhausted = allExhausted
-	for _, tr := range traces {
-		full := make([]int, 0, len(tr.Path)+len(tr.Cont))
-		full = append(full, tr.Path...)
-		full = append(full, tr.Cont...)
-		dm.markPath(full)
-	}
-}
-
-// offer folds one unit's report into the merged report and returns the
-// child units its proposals spawn, in canonical (proposal-discovery)
-// order.
-//
-// Returns:
-//   - children: new units to enqueue, nil on any stop.
-//   - counted: the unit was consumed and the merge index advances.
-//     False only for a budget-cut unit, which a resume re-runs.
-//   - stopped: no further unit may be merged.
-//   - done: the stop is terminal (a finding), not a budget cut.
-func (dm *dporMerger) offer(unit *por.Unit, r *Report) (children []*por.Unit, counted, stopped, done bool) {
-	counted, stopped, done = mergeSubtree(dm.opts, dm.rep, r, &dm.allExhausted)
-	if !counted {
-		return nil, false, stopped, done
-	}
+// spawn follows the merge of one consumed unit's report r (nil: skipped
+// after repeated crashes): it records the unit's trace and, unless the
+// merge stopped, appends a child shard for every race reversal the
+// report proposes that no unit has covered yet, in canonical
+// (proposal-discovery) order. The append order is a pure function of
+// the reports merged so far.
+func (m *ShardMerger) spawn(unit *por.Unit, r *Report) {
 	if r == nil || r.Dpor == nil {
-		// Skipped after repeated crashes, or quarantined: the unit
-		// consumed its turn but spawns nothing. Record its path so a
-		// resume reconstructs the dedup set.
-		dm.traces = append(dm.traces, DporTraceRec{Path: append([]int(nil), unit.Path...)})
-		return nil, true, stopped, done
+		// Skipped or quarantined: the unit consumed its turn but spawns
+		// nothing. Record its path so a resume reconstructs the dedup set.
+		m.traces = append(m.traces, DporTraceRec{Path: append([]int(nil), unit.Path...)})
+		return
 	}
 	d := r.Dpor
 	fullPath := make([]int, 0, len(unit.Path)+len(d.ContIdx))
@@ -519,19 +352,19 @@ func (dm *dporMerger) offer(unit *por.Unit, r *Report) (children []*por.Unit, co
 	fullPath = append(fullPath, d.ContIdx...)
 	// Mark the taken path first: proposals matching a step the unit
 	// itself took (or any already-spawned sibling) are redundant.
-	dm.markPath(fullPath)
-	dm.traces = append(dm.traces, DporTraceRec{
+	m.markPath(fullPath)
+	m.traces = append(m.traces, DporTraceRec{
 		Path: append([]int(nil), unit.Path...),
 		Cont: append([]int(nil), d.ContIdx...),
 	})
-	if stopped {
-		return nil, true, stopped, done
+	if m.stopped {
+		return
 	}
 	fullSched := make([]engine.Alt, 0, len(unit.Sched)+len(d.Cont))
 	fullSched = append(fullSched, unit.Sched...)
 	fullSched = append(fullSched, d.Cont...)
 	var fullDigs []engine.StepDigest
-	if !dm.opts.DisableConformance {
+	if !m.opts.DisableConformance {
 		fullDigs = make([]engine.StepDigest, 0, len(unit.Digs)+len(d.ContDigs))
 		fullDigs = append(fullDigs, unit.Digs...)
 		fullDigs = append(fullDigs, d.ContDigs...)
@@ -549,13 +382,13 @@ func (dm *dporMerger) offer(unit *por.Unit, r *Report) (children []*por.Unit, co
 		childPath = append(childPath, fullPath[:pr.Pos]...)
 		childPath = append(childPath, pr.Idx)
 		key := pathKey(childPath)
-		if dm.seen[key] {
-			if m := dm.opts.Metrics; m != nil {
-				m.DporUnitsPruned.Inc()
+		if m.seen[key] {
+			if mt := m.opts.Metrics; mt != nil {
+				mt.DporUnitsPruned.Inc()
 			}
 			continue
 		}
-		dm.seen[key] = true
+		m.seen[key] = true
 		child := &por.Unit{
 			Path:  childPath,
 			Sched: append(append(make([]engine.Alt, 0, pr.Pos+1), fullSched[:pr.Pos]...), node.Alts[pr.Idx]),
@@ -564,7 +397,7 @@ func (dm *dporMerger) offer(unit *por.Unit, r *Report) (children []*por.Unit, co
 			child.Digs = append(append(make([]engine.StepDigest, 0, pr.Pos+1), fullDigs[:pr.Pos]...),
 				engine.StepDigest{Hash: node.Hash, Tid: node.Alts[pr.Idx].Tid, Op: node.Moves[pr.Idx].Info})
 		}
-		if dm.opts.SleepSets {
+		if m.opts.SleepSets {
 			// The child inherits the parent's installed sleep entries
 			// along the shared prefix, and at the branch point puts every
 			// already-covered sibling to sleep. Spawn order makes the
@@ -580,324 +413,18 @@ func (dm *dporMerger) offer(unit *por.Unit, r *Report) (children []*por.Unit, co
 					continue
 				}
 				sib := append(append(make([]int, 0, pr.Pos+1), fullPath[:pr.Pos]...), j)
-				if dm.seen[pathKey(sib)] {
+				if m.seen[pathKey(sib)] {
 					sl = append(sl, node.Moves[j])
 				}
 			}
 			sleep[pr.Pos] = sl
 			child.Sleep = sleep
 		}
-		children = append(children, child)
-	}
-	return children, true, false, false
-}
-
-// dporQueue hands work units to workers: fresh units in spawn order,
-// crashed units requeued for one retry. Unlike the prefix queue, the
-// unit list grows while workers run (the merge enqueues children), so
-// idle workers block on the condition variable until more work arrives
-// or the queue is sealed.
-type dporQueue struct {
-	mu       sync.Mutex
-	cond     *sync.Cond
-	units    []*por.Unit
-	next     int
-	requeued []int
-	attempts map[int]int
-	sealed   bool
-}
-
-func newDporQueue() *dporQueue {
-	q := &dporQueue{attempts: map[int]int{}}
-	q.cond = sync.NewCond(&q.mu)
-	return q
-}
-
-// add enqueues units (spawn order = merge order).
-func (q *dporQueue) add(units []*por.Unit) {
-	q.mu.Lock()
-	q.units = append(q.units, units...)
-	q.cond.Broadcast()
-	q.mu.Unlock()
-}
-
-// get claims the next unit, retries first; ok=false means the queue is
-// sealed and drained.
-func (q *dporQueue) get() (idx int, unit *por.Unit, attempt int, ok bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	for {
-		if len(q.requeued) > 0 {
-			i := q.requeued[0]
-			q.requeued = q.requeued[1:]
-			return i, q.units[i], q.attempts[i] + 1, true
+		// A resumed coordinator re-offers completed shards over an
+		// already grown plan: the child is then present, not appended.
+		if m.spawnNext >= len(m.plan.Shards) {
+			m.plan.Shards = append(m.plan.Shards, Shard{Index: m.spawnNext, Unit: child})
 		}
-		if q.next < len(q.units) {
-			i := q.next
-			q.next++
-			return i, q.units[i], 1, true
-		}
-		if q.sealed {
-			return 0, nil, 0, false
-		}
-		q.cond.Wait()
+		m.spawnNext++
 	}
-}
-
-// fail records a crashed attempt; true means the unit was requeued.
-func (q *dporQueue) fail(i int) bool {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	q.attempts[i]++
-	if q.attempts[i] >= workerAttempts {
-		return false
-	}
-	q.requeued = append(q.requeued, i)
-	q.cond.Broadcast()
-	return true
-}
-
-// seal marks the queue closed: blocked getters drain and exit.
-func (q *dporQueue) seal() {
-	q.mu.Lock()
-	q.sealed = true
-	q.cond.Broadcast()
-	q.mu.Unlock()
-}
-
-// total is the number of units ever enqueued.
-func (q *dporQueue) total() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return len(q.units)
-}
-
-// unitAt returns the unit at spawn index i.
-func (q *dporQueue) unitAt(i int) *por.Unit {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.units[i]
-}
-
-// pendingUnits copies the unmerged units in spawn order (checkpoints).
-func (q *dporQueue) pendingUnits(merged int) []por.Unit {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	out := make([]por.Unit, 0, len(q.units)-merged)
-	for _, u := range q.units[merged:] {
-		out = append(out, *u)
-	}
-	return out
-}
-
-// runDporUnitRecover executes one unit under recover: a crash anywhere
-// below becomes a recorded WorkerFailure, not a process abort.
-func runDporUnitRecover(prog func(*engine.T), opts Options, pool *engine.Pool,
-	unit *por.Unit, deadline time.Time, idx, attempt int, fails *failSink) (rep *Report, failed bool) {
-	defer func() {
-		if p := recover(); p != nil {
-			fails.add(WorkerFailure{Mode: "dpor", Unit: int64(idx), Attempt: attempt,
-				Panic: fmt.Sprint(p), Stack: string(debug.Stack())})
-			observeWorkerRetry(&opts)
-			rep, failed = nil, true
-		}
-	}()
-	if h := workerFaultHook; h != nil {
-		h("dpor", int64(idx))
-	}
-	return runDporUnit(prog, &opts, pool, unit, deadline), false
-}
-
-// exploreDpor is the DPOR driver for every local Parallelism (1..N):
-// P workers execute units from a shared FIFO queue while the merge
-// consumes reports strictly in spawn order, enqueueing children as
-// proposals arrive. Because both the spawn order and the merge order
-// are functions of the unit reports alone, the merged report is
-// byte-identical at any P — and to a distributed run, which feeds the
-// same units through ShardMerger.
-func exploreDpor(prog func(*engine.T), opts Options) *Report {
-	p := opts.Parallelism
-	if p < 1 {
-		p = 1
-	}
-	start := time.Now()
-	var deadline time.Time
-	if opts.TimeLimit > 0 {
-		deadline = start.Add(opts.TimeLimit)
-	}
-
-	rep := &Report{}
-	dm := newDporMerger(&opts, rep)
-	q := newDporQueue()
-	var prevElapsed time.Duration
-	var consumed int64
-	if ck := opts.Resume; ck != nil {
-		applyCheckpoint(rep, ck)
-		prevElapsed = time.Duration(ck.Counters.ElapsedNS)
-		observeResume(&opts, ck)
-		st := ck.Dpor
-		consumed = st.Merged
-		dm.restore(st.Traces, st.AllExhausted)
-		units := make([]*por.Unit, len(st.Units))
-		for i := range st.Units {
-			u := st.Units[i]
-			units[i] = &u
-			dm.markPath(u.Path)
-		}
-		q.add(units)
-	} else {
-		q.add([]*por.Unit{{}}) // the root unit: the search's first execution
-	}
-	fails := &failSink{list: rep.WorkerFailures}
-
-	type dporRes struct {
-		idx int
-		rep *Report // nil: skipped after repeated worker crashes
-	}
-	results := make(chan dporRes, 64)
-	var wg sync.WaitGroup
-	subOpts := opts
-	subOpts.Parallelism = 1
-	subOpts.TimeLimit = 0       // the shared deadline is passed explicitly
-	subOpts.CheckpointPath = "" // the driver checkpoints at merge granularity
-	subOpts.Resume = nil
-	subOpts.Stop = nil
-	for w := 0; w < p; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var pool engine.Pool
-			defer pool.Close()
-			for {
-				i, unit, attempt, ok := q.get()
-				if !ok {
-					return
-				}
-				r, failed := runDporUnitRecover(prog, subOpts, &pool, unit, deadline, i, attempt, fails)
-				if failed {
-					if q.fail(i) {
-						continue // requeued for one retry
-					}
-					results <- dporRes{i, nil}
-					continue
-				}
-				results <- dporRes{i, r}
-			}
-		}()
-	}
-
-	lastCkpt := start
-	done := false
-	merged := 0
-	writeCkpt := func(d bool) {
-		if opts.CheckpointPath == "" {
-			return
-		}
-		rep.WorkerFailures = fails.sorted()
-		ck := buildCheckpoint(&opts, rep, prevElapsed+time.Since(start), d)
-		ck.Dpor = &DporState{
-			Merged:       consumed,
-			AllExhausted: dm.allExhausted,
-			Units:        q.pendingUnits(merged),
-			Traces:       dm.traces,
-		}
-		if err := ck.WriteFile(opts.CheckpointPath); err != nil {
-			if rep.CheckpointError == "" {
-				rep.CheckpointError = err.Error()
-			}
-			return
-		}
-		observeCheckpoint(&opts, rep.Executions)
-	}
-
-	pending := make(map[int]*Report)
-	stopped := false
-merge:
-	for merged < q.total() {
-		// The same pre-execution budget checks the sequential loop makes:
-		// they run only while a next unit is pending, so the stop flags
-		// land on the identical execution boundary.
-		if opts.MaxExecutions > 0 && rep.Executions >= opts.MaxExecutions {
-			rep.ExecBounded = true
-			stopped = true
-			break
-		}
-		if !deadline.IsZero() && time.Now().After(deadline) {
-			rep.TimedOut = true
-			stopped = true
-			break
-		}
-		if opts.Stop != nil {
-			select {
-			case <-opts.Stop:
-				rep.Interrupted = true
-				stopped = true
-				break merge
-			default:
-			}
-		}
-		r, ok := pending[merged]
-		if !ok {
-			if opts.Stop != nil {
-				select {
-				case pr := <-results:
-					pending[pr.idx] = pr.rep
-				case <-opts.Stop:
-					rep.Interrupted = true
-					stopped = true
-					break merge
-				}
-			} else {
-				pr := <-results
-				pending[pr.idx] = pr.rep
-			}
-			continue
-		}
-		delete(pending, merged)
-		children, counted, st, dn := dm.offer(q.unitAt(merged), r)
-		if counted {
-			if len(children) > 0 {
-				q.add(children)
-			}
-			merged++
-			consumed++
-			if m := opts.Metrics; m != nil {
-				n := int64(q.total() - merged)
-				m.DporUnitQueue.Set(n)
-				m.Frontier.Set(n) // unmerged units, like the prefix driver
-			}
-			if opts.CheckpointPath != "" {
-				iv := opts.CheckpointInterval
-				if iv <= 0 {
-					iv = defaultCheckpointInterval
-				}
-				if time.Since(lastCkpt) >= iv {
-					lastCkpt = time.Now()
-					writeCkpt(false)
-				}
-			}
-		}
-		if st {
-			stopped = true
-			done = done || dn
-			break
-		}
-	}
-	q.seal()
-	go func() {
-		wg.Wait()
-		close(results)
-	}()
-	for range results {
-		// Drain in-flight results so workers never block on send.
-	}
-
-	rep.Exhausted = !stopped && merged == q.total() && dm.allExhausted
-	if rep.Exhausted {
-		done = true
-	}
-	rep.WorkerFailures = fails.sorted()
-	rep.Elapsed = prevElapsed + time.Since(start)
-	writeCkpt(done)
-	return rep
 }

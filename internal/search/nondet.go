@@ -104,28 +104,26 @@ func (r *Reproducibility) String() string {
 	return fmt.Sprintf("flaky (%d/%d)", r.Successes, r.Runs)
 }
 
-// reproduceResult re-runs r's schedule with trace and digest recording
-// to produce a self-contained repro. ok=false means the replay did not
-// conform (or reached a different outcome): the program is
-// nondeterministic under its own schedule, and the caller should keep
-// the original result — the confirmation pass will mark it flaky.
-func reproduceResult(prog func(*engine.T), opts *Options, r *engine.Result) (*engine.Result, bool) {
-	ch := &engine.ReplayChooser{Schedule: r.Schedule, Strict: true}
-	rr := engine.Run(prog, ch, engine.Config{
-		Fair:          opts.Fair,
-		FairK:         opts.FairK,
-		MaxSteps:      opts.MaxSteps,
-		MemModel:      opts.memModel(),
-		TSOBufCap:     opts.TSOBufCap,
-		RecordTrace:   true,
-		RecordDigests: true,
-		Watchdog:      opts.Watchdog,
-		NoFastPath:    opts.NoFastPath,
-	})
-	if ch.Err != nil || ch.Div != nil || rr.Outcome != r.Outcome {
-		return r, false
+// reproduce re-runs r's schedule with trace and digest recording to
+// produce a self-contained repro, unless r already carries a trace. A
+// schedule the search itself just ran should replay; when it does not
+// (non-conforming replay, or a different outcome) the program is
+// nondeterministic under its own schedule — the original (traceless)
+// result is kept and the confirmation pass will mark the finding flaky
+// rather than crashing the search.
+func reproduce(prog func(*engine.T), opts *Options, r *engine.Result) *engine.Result {
+	if len(r.Trace) > 0 {
+		return r
 	}
-	return rr, true
+	ch := &engine.ReplayChooser{Schedule: r.Schedule, Strict: true}
+	cfg := opts.replayConfig()
+	cfg.RecordTrace = true
+	cfg.RecordDigests = true
+	rr := engine.Run(prog, ch, cfg)
+	if ch.Err != nil || ch.Div != nil || rr.Outcome != r.Outcome {
+		return r
+	}
+	return rr
 }
 
 // confirmReport runs the post-search confirmation pass: every
@@ -154,15 +152,7 @@ func confirmResult(prog func(*engine.T), opts *Options, r *engine.Result, n int)
 	rep := &Reproducibility{Runs: n}
 	for i := 0; i < n; i++ {
 		ch := &engine.ReplayChooser{Schedule: r.Schedule, Digests: r.Digests, Strict: true}
-		rr := engine.Run(prog, ch, engine.Config{
-			Fair:       opts.Fair,
-			FairK:      opts.FairK,
-			MaxSteps:   opts.MaxSteps,
-			MemModel:   opts.memModel(),
-			TSOBufCap:  opts.TSOBufCap,
-			Watchdog:   opts.Watchdog,
-			NoFastPath: opts.NoFastPath,
-		})
+		rr := engine.Run(prog, ch, opts.replayConfig())
 		var fail string
 		switch {
 		case ch.Div != nil:

@@ -58,8 +58,9 @@ func TestSearchWatchdogWedge(t *testing.T) {
 }
 
 // TestStrideWorkerPanicRetried: a worker that crashes once on one
-// execution index is retried inline; the final report is identical to
-// the uninjected run, with the crash recorded as history.
+// range shard (64 executions at -p 4 plan as two shards of 32) has the
+// shard requeued; the final report is identical to the uninjected run,
+// with the crash recorded as history.
 func TestStrideWorkerPanicRetried(t *testing.T) {
 	opts := search.Options{
 		Fair:                   true,
@@ -74,7 +75,7 @@ func TestStrideWorkerPanicRetried(t *testing.T) {
 
 	var fired atomic.Bool
 	search.SetWorkerFaultHook(func(mode string, unit int64) {
-		if mode == "stride" && unit == 5 && fired.CompareAndSwap(false, true) {
+		if mode == "stride" && unit == 1 && fired.CompareAndSwap(false, true) {
 			panic("injected stride fault")
 		}
 	})
@@ -88,7 +89,7 @@ func TestStrideWorkerPanicRetried(t *testing.T) {
 		t.Fatalf("worker failures = %+v, want exactly one", injected.WorkerFailures)
 	}
 	wf := injected.WorkerFailures[0]
-	if wf.Mode != "stride" || wf.Unit != 5 || wf.Attempt != 1 || wf.Panic != "injected stride fault" {
+	if wf.Mode != "stride" || wf.Unit != 1 || wf.Attempt != 1 || wf.Panic != "injected stride fault" {
 		t.Fatalf("failure record = %+v", wf)
 	}
 	if wf.Stack == "" {
@@ -99,9 +100,10 @@ func TestStrideWorkerPanicRetried(t *testing.T) {
 	}
 }
 
-// TestStrideWorkerPanicSkipped: an execution index that crashes on
-// every attempt is abandoned after the retry budget — reported as
-// Skipped with both attempts on record, never a hang or a silent gap.
+// TestStrideWorkerPanicSkipped: a range shard that crashes on every
+// attempt is abandoned after the retry budget — every index of it
+// reported as Skipped with both attempts on record, never a hang or a
+// silent gap.
 func TestStrideWorkerPanicSkipped(t *testing.T) {
 	opts := search.Options{
 		Fair:                   true,
@@ -113,25 +115,25 @@ func TestStrideWorkerPanicSkipped(t *testing.T) {
 		ContinueAfterViolation: true,
 	}
 	search.SetWorkerFaultHook(func(mode string, unit int64) {
-		if mode == "stride" && unit == 5 {
+		if mode == "stride" && unit == 1 {
 			panic("persistent stride fault")
 		}
 	})
 	defer search.SetWorkerFaultHook(nil)
 	rep := search.Explore(racyIncrement, opts)
 
-	if rep.Skipped != 1 {
-		t.Fatalf("skipped = %d, want 1", rep.Skipped)
+	if rep.Skipped != 32 {
+		t.Fatalf("skipped = %d, want 32 (the shard's indices 33..64)", rep.Skipped)
 	}
-	if rep.Executions != 63 {
-		t.Fatalf("executions = %d, want 63 (64 minus the skipped index)", rep.Executions)
+	if rep.Executions != 32 {
+		t.Fatalf("executions = %d, want 32 (64 minus the skipped shard)", rep.Executions)
 	}
 	if len(rep.WorkerFailures) != 2 {
 		t.Fatalf("worker failures = %+v, want both attempts", rep.WorkerFailures)
 	}
 	for i, wf := range rep.WorkerFailures {
-		if wf.Unit != 5 || wf.Attempt != i+1 {
-			t.Fatalf("failure %d = %+v, want unit 5 attempt %d", i, wf, i+1)
+		if wf.Unit != 1 || wf.Attempt != i+1 {
+			t.Fatalf("failure %d = %+v, want unit 1 attempt %d", i, wf, i+1)
 		}
 	}
 }
@@ -206,7 +208,7 @@ func TestPrefixWorkerPanicSkipped(t *testing.T) {
 func TestWedgePlusWorkerPanicTerminates(t *testing.T) {
 	var fired atomic.Bool
 	search.SetWorkerFaultHook(func(mode string, unit int64) {
-		if mode == "stride" && unit == 2 && fired.CompareAndSwap(false, true) {
+		if mode == "stride" && unit == 0 && fired.CompareAndSwap(false, true) {
 			panic("injected worker crash")
 		}
 	})
@@ -223,7 +225,7 @@ func TestWedgePlusWorkerPanicTerminates(t *testing.T) {
 	if rep.FirstWedge == nil || rep.FirstWedgeExecution != 1 {
 		t.Fatalf("wedge not reported: %+v", rep)
 	}
-	if len(rep.WorkerFailures) != 1 || rep.WorkerFailures[0].Unit != 2 {
+	if len(rep.WorkerFailures) != 1 || rep.WorkerFailures[0].Unit != 0 {
 		t.Fatalf("worker crash not reported: %+v", rep.WorkerFailures)
 	}
 	// Give the leaked wedged goroutines their store/park attempts so

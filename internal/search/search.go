@@ -101,8 +101,8 @@ type Options struct {
 	// a terminating program (no DepthBound / RandomTail / RandomWalk /
 	// PCT). Because the units are serializable and merged in a
 	// canonical order, DPOR runs at any Parallelism, distributed
-	// (Shard.Unit), and under checkpoint/resume (format v4), always
-	// with a byte-identical report.
+	// (Shard.Unit), and under checkpoint/resume, always with a
+	// byte-identical report.
 	DPOR bool
 	// SleepSets enables sleep-set partial-order reduction
 	// (internal/por): redundant interleavings of independent
@@ -114,12 +114,13 @@ type Options struct {
 	SleepSets bool
 	// Parallelism runs the search on this many worker goroutines, each
 	// with its own engine; 0 or 1 is the sequential searcher. The
-	// random strategies (RandomWalk, PCT) stride-partition execution
-	// indices across workers, so the explored schedule set is identical
-	// to the sequential run for any Parallelism; the systematic
-	// strategies split the schedule tree into prefixes at shallow
-	// choice points and explore the subtrees concurrently. Reports
-	// merge deterministically (see internal/search/parallel.go).
+	// search is split into an ordered plan of shards — execution-index
+	// ranges for the random strategies (RandomWalk, PCT: seeded per
+	// index, so the explored schedule set is identical to the
+	// sequential run for any Parallelism), schedule-tree prefixes at
+	// shallow choice points for the systematic ones, race-reversal work
+	// units for DPOR — and the shard reports merge in plan order (see
+	// internal/search/driver.go).
 	// Caveat: RandomTail seeds tails by subtree-local execution index,
 	// so a parallel depth-bounded search is deterministic for a given
 	// Parallelism but explores different tails than the sequential one.
@@ -188,7 +189,7 @@ type Options struct {
 	// interrupted search can be resumed with a larger budget.
 	Resume *Checkpoint
 	// Stop, when non-nil, is polled between executions (sequential) or
-	// at round/merge boundaries (parallel): closing it interrupts the
+	// by the merge loop (parallel): closing it interrupts the
 	// search, which writes a final checkpoint (when configured) and
 	// returns with Report.Interrupted set. This is how cmd/fairmc
 	// turns SIGINT/SIGTERM into a clean, resumable stop.
@@ -217,8 +218,12 @@ type Options struct {
 	EventSink *obs.Recorder
 }
 
-// Report summarizes a search.
-type Report struct {
+// Counters are the additive statistics of a search: everything a
+// merge sums (MaxDepth: maximizes). They are embedded in Report, so
+// rep.Executions and friends read as before; keeping them in one struct
+// is what lets the sequential loop, the shard merge and the checkpoint
+// each say "all the counters" once.
+type Counters struct {
 	// Executions is the number of executions explored.
 	Executions int64
 	// TotalSteps is the sum of execution lengths.
@@ -255,6 +260,70 @@ type Report struct {
 	// Deadlocks and Violations count erroneous executions found.
 	Deadlocks  int64
 	Violations int64
+	// Wedges counts executions that ended with outcome Wedged: a model
+	// thread blocked or spun outside the conc API past the watchdog
+	// interval.
+	Wedges int64
+	// Quarantined counts subtrees abandoned because a prefix replay
+	// persistently stopped conforming to the recorded schedule: the
+	// program is nondeterministic outside the scheduler's control
+	// there, and exploring further would search a wrong tree. Each
+	// quarantined subtree has a NondeterminismReport. Like Skipped,
+	// this is explicit coverage loss: a search with quarantines never
+	// claims Exhausted.
+	Quarantined int64
+	// Skipped counts coverage abandoned after a worker crashed on a
+	// shard twice — one subtree or DPOR unit, or every execution index
+	// of a range shard. Explicit coverage loss, never silent; details
+	// are in WorkerFailures.
+	Skipped int64
+}
+
+// addResult accounts one finished execution.
+func (c *Counters) addResult(r *engine.Result) {
+	c.Executions++
+	c.TotalSteps += r.Steps
+	if r.Steps > c.MaxDepth {
+		c.MaxDepth = r.Steps
+	}
+	c.Yields += r.Yields
+	c.EdgeAdds += r.EdgeAdds
+	c.EdgeErases += r.EdgeErases
+	c.FairBlocked += r.FairBlocked
+	c.BufferedStores += r.WM.BufferedStores
+	c.Flushes += r.WM.Flushes
+	c.Fences += r.WM.Fences
+	c.Forwards += r.WM.Forwards
+}
+
+// merge folds another report's counters in.
+func (c *Counters) merge(o *Counters) {
+	c.Executions += o.Executions
+	c.TotalSteps += o.TotalSteps
+	if o.MaxDepth > c.MaxDepth {
+		c.MaxDepth = o.MaxDepth
+	}
+	c.Yields += o.Yields
+	c.EdgeAdds += o.EdgeAdds
+	c.EdgeErases += o.EdgeErases
+	c.FairBlocked += o.FairBlocked
+	c.BufferedStores += o.BufferedStores
+	c.Flushes += o.Flushes
+	c.Fences += o.Fences
+	c.Forwards += o.Forwards
+	c.NonTerminating += o.NonTerminating
+	c.PrunedVisited += o.PrunedVisited
+	c.PrunedSleep += o.PrunedSleep
+	c.Deadlocks += o.Deadlocks
+	c.Violations += o.Violations
+	c.Wedges += o.Wedges
+	c.Quarantined += o.Quarantined
+	c.Skipped += o.Skipped
+}
+
+// Report summarizes a search.
+type Report struct {
+	Counters
 	// FirstBug is the first safety violation or deadlock found, with
 	// a full repro trace, and FirstBugExecution the 1-based index of
 	// the execution that found it.
@@ -264,23 +333,12 @@ type Report struct {
 	// the candidate liveness error the paper's outcome 2/3 describes.
 	Divergence          *engine.Result
 	DivergenceExecution int64
-	// Wedges counts executions that ended with outcome Wedged: a model
-	// thread blocked or spun outside the conc API past the watchdog
-	// interval. FirstWedge is the first such execution's result (its
-	// schedule is the wedge-free prefix) and FirstWedgeExecution its
-	// 1-based index. A wedge stops the search like a violation unless
+	// FirstWedge is the first execution that ended Wedged (its schedule
+	// is the wedge-free prefix) and FirstWedgeExecution its 1-based
+	// index. A wedge stops the search like a violation unless
 	// ContinueAfterViolation is set.
-	Wedges              int64
 	FirstWedge          *engine.Result
 	FirstWedgeExecution int64
-	// Quarantined counts subtrees abandoned because a prefix replay
-	// persistently stopped conforming to the recorded schedule: the
-	// program is nondeterministic outside the scheduler's control
-	// there, and exploring further would search a wrong tree. Each
-	// quarantined subtree has a NondeterminismReport. Like Skipped,
-	// this is explicit coverage loss: a search with quarantines never
-	// claims Exhausted.
-	Quarantined int64
 	// Nondeterminism describes each quarantined subtree, in the order
 	// the (sequential or merged-parallel) search encountered them.
 	Nondeterminism []NondeterminismReport
@@ -298,14 +356,9 @@ type Report struct {
 	// was closed (e.g. SIGINT in cmd/fairmc). Interrupted searches are
 	// resumable from their final checkpoint.
 	Interrupted bool
-	// Skipped counts work units (stride executions or frontier
-	// subtrees) abandoned after a worker crashed on them twice —
-	// explicit coverage loss, never silent. Details are in
-	// WorkerFailures.
-	Skipped int64
 	// WorkerFailures records every recovered parallel-worker crash,
-	// sorted by (Unit, Attempt). A unit appears once per failed
-	// attempt; a unit whose retry succeeded contributes its results
+	// sorted by (Unit, Attempt). A shard appears once per failed
+	// attempt; a shard whose retry succeeded contributes its results
 	// normally and appears here only as history.
 	WorkerFailures []WorkerFailure
 	// CheckpointError records the first failed checkpoint write; the
@@ -364,7 +417,10 @@ const (
 	abortDiverged
 )
 
-// searcher runs the exploration; it implements engine.Chooser.
+// searcher runs the exploration; it implements engine.Chooser. It is
+// the one shard executor: a whole sequential search is the unrestricted
+// shard, a frontier subtree pins the stack's first frames, a range
+// shard offsets and caps the execution index.
 type searcher struct {
 	prog func(*engine.T)
 	opts Options
@@ -384,26 +440,34 @@ type searcher struct {
 
 	// pool reuses one engine (threads, buffers, worker goroutines)
 	// across this searcher's executions; unused when opts.NoFastPath.
-	// Owners must call pool.Close when the searcher is done.
-	pool engine.Pool
+	// It belongs to whoever runs the searcher (the sequential search, a
+	// driver worker, a dist worker) and outlives it.
+	pool *engine.Pool
 	// execHits / execMisses are this execution's prefix-memo counters,
 	// flushed to opts.Metrics after every engine run (searcher-local so
 	// the hot path costs no atomics).
 	execHits   int64
 	execMisses int64
 
+	// execBase offsets the execution index: execution number n of this
+	// searcher has global index execBase+n (range shards start past 1).
+	// execLimit, when positive, is the last index to run.
+	execBase  int64
+	execLimit int64
+
 	// cancelled, when non-nil, is polled between executions; a true
-	// return abandons the search (the parallel driver cancels subtree
-	// workers whose results will be discarded).
+	// return abandons the shard with Interrupted set (the driver cancels
+	// shards whose results the merge will discard). Non-nil marks a
+	// shard run: the owner, not the searcher, publishes the Frontier
+	// gauge.
 	cancelled func() bool
 
 	report   Report
 	start    time.Time
 	deadline time.Time
 
-	// Checkpoint bookkeeping (sequential searcher only; the parallel
-	// drivers checkpoint at their own round/merge boundaries).
-	nextExec    int64         // execution index the next engine.Run would get
+	// Checkpoint bookkeeping (the parallel driver checkpoints at its own
+	// merge boundaries and runs its shards without a CheckpointPath).
 	ckptDone    bool          // the stop reason is terminal (non-resumable)
 	prevElapsed time.Duration // elapsed time carried over from a resumed checkpoint
 	lastCkpt    time.Time
@@ -428,38 +492,62 @@ func Explore(prog func(*engine.T), opts Options) *Report {
 		panic(err)
 	}
 	var rep *Report
-	if opts.DPOR {
-		// DPOR has its own driver at every Parallelism: exploration is
-		// an expanding queue of serializable work units merged in spawn
-		// order, so the report is byte-identical at any worker count.
-		rep = exploreDpor(prog, opts)
-	} else if opts.Parallelism > 1 {
-		rep = exploreParallel(prog, opts)
+	if opts.DPOR || opts.Parallelism > 1 {
+		// One driver for every sharded search: plan, run shards on P
+		// workers, merge in plan order (driver.go). DPOR takes it at
+		// P = 1 too — its schedule space only exists as a growing plan.
+		rep = exploreSharded(prog, opts)
 	} else {
-		rep = exploreSequential(prog, opts)
+		// The sequential search is the shard executor run over the whole
+		// schedule space.
+		var pool engine.Pool
+		rep = runSearcher(prog, &opts, Shard{}, &pool, opts.deadlineFrom(time.Now()), nil)
+		pool.Close()
 	}
 	confirmReport(prog, &opts, rep)
 	return rep
 }
 
-// exploreSequential is the single-goroutine searcher.
-func exploreSequential(prog func(*engine.T), opts Options) *Report {
-	s := &searcher{prog: prog, opts: opts, start: time.Now()}
-	if opts.TimeLimit > 0 {
-		s.deadline = s.start.Add(opts.TimeLimit)
+// deadlineFrom is the absolute deadline TimeLimit sets for a search
+// started at start; zero when there is none.
+func (o *Options) deadlineFrom(start time.Time) time.Time {
+	if o.TimeLimit <= 0 {
+		return time.Time{}
 	}
+	return start.Add(o.TimeLimit)
+}
+
+// runSearcher runs the sequential searcher over one shard of the
+// schedule space — the zero Shard is all of it — honoring
+// opts.CheckpointPath, opts.Resume and opts.Stop when set.
+func runSearcher(prog func(*engine.T), opts *Options, sh Shard, pool *engine.Pool,
+	deadline time.Time, cancelled func() bool) *Report {
+	s := &searcher{prog: prog, opts: *opts, pool: pool, start: time.Now(),
+		deadline: deadline, cancelled: cancelled, execLimit: opts.MaxExecutions}
 	if opts.StatefulPrune {
 		s.visited = make(map[visitKey]struct{})
 	}
-	if ck := opts.Resume; ck != nil {
-		applyCheckpoint(&s.report, ck)
-		s.prevElapsed = time.Duration(ck.Counters.ElapsedNS)
-		if sink := opts.EventSink; sink != nil {
-			sink.Emit(obs.Event{Type: "resume", Checkpoint: &obs.CheckpointEvent{
-				Path:       opts.CheckpointPath,
-				Executions: ck.Counters.Executions,
-			}})
+	if sh.Hi > 0 {
+		s.execBase, s.execLimit = sh.Lo-1, sh.Hi
+	}
+	if sh.Prefix != nil {
+		// The prefix decisions become single-alternative frames, so
+		// backtracking exhausts exactly the subtree below them.
+		for i, a := range sh.Prefix.Sched {
+			fr := frame{alts: []engine.Alt{a}}
+			if i < len(sh.Prefix.Digs) {
+				d := sh.Prefix.Digs[i]
+				fr.dig = d.Hash
+				fr.hasDig = !opts.DisableConformance
+				fr.ops = []engine.OpInfo{d.Op}
+			}
+			s.stack = append(s.stack, fr)
 		}
+	}
+	if ck := opts.Resume; ck != nil {
+		s.report = ck.report()
+		s.prevElapsed = time.Duration(ck.ElapsedNS)
+		observeResume(opts, ck)
 		if ck.Seq != nil && !(opts.RandomWalk || opts.PCT) {
 			for _, fr := range ck.Seq.Stack {
 				s.stack = append(s.stack, frame{
@@ -470,11 +558,10 @@ func exploreSequential(prog func(*engine.T), opts Options) *Report {
 					ops:    append([]engine.OpInfo(nil), fr.Ops...),
 				})
 			}
-			s.fixed = len(s.stack)
 		}
 	}
+	s.fixed = len(s.stack)
 	s.run()
-	s.pool.Close()
 	s.report.Elapsed = s.prevElapsed + time.Since(s.start)
 	if opts.CheckpointPath != "" {
 		s.writeCheckpoint(s.ckptDone)
@@ -496,12 +583,12 @@ func (s *searcher) flushMemoCounters() {
 	s.execMisses = 0
 }
 
-// writeCheckpoint persists the searcher's current frontier and
+// writeCheckpoint persists the searcher's current position and
 // counters. Failures are recorded, not fatal.
 func (s *searcher) writeCheckpoint(done bool) {
 	ck := buildCheckpoint(&s.opts, &s.report, s.prevElapsed+time.Since(s.start), done)
 	if s.opts.RandomWalk || s.opts.PCT {
-		ck.Stride = &StrideState{NextIndex: s.nextExec}
+		ck.Stride = &StrideState{NextIndex: s.execBase + s.report.Executions + 1}
 	} else {
 		st := &SeqState{Stack: make([]savedFrame, len(s.stack))}
 		for i, fr := range s.stack {
@@ -515,56 +602,27 @@ func (s *searcher) writeCheckpoint(done bool) {
 		}
 		ck.Seq = st
 	}
-	if err := ck.WriteFile(s.opts.CheckpointPath); err != nil {
-		if s.report.CheckpointError == "" {
-			s.report.CheckpointError = err.Error()
-		}
-		return
-	}
-	if m := s.opts.Metrics; m != nil {
-		m.Checkpoints.Inc()
-	}
-	if sink := s.opts.EventSink; sink != nil {
-		sink.Emit(obs.Event{Type: "checkpoint", Checkpoint: &obs.CheckpointEvent{
-			Path:       s.opts.CheckpointPath,
-			Executions: s.report.Executions,
-		}})
-	}
+	ck.write(&s.opts, &s.report)
 }
 
 // maybeCheckpoint writes a periodic checkpoint when the interval has
 // elapsed. Called at the top of the execution loop, where the stack /
 // next index describe exactly the work that has not run yet.
 func (s *searcher) maybeCheckpoint() {
-	if s.opts.CheckpointPath == "" {
-		return
+	if s.opts.CheckpointPath != "" && s.opts.checkpointDue(&s.lastCkpt) {
+		s.writeCheckpoint(false)
 	}
-	iv := s.opts.CheckpointInterval
-	if iv <= 0 {
-		iv = defaultCheckpointInterval
-	}
-	now := time.Now()
-	if s.lastCkpt.IsZero() {
-		s.lastCkpt = now
-		return
-	}
-	if now.Sub(s.lastCkpt) < iv {
-		return
-	}
-	s.lastCkpt = now
-	s.writeCheckpoint(false)
 }
 
 func (s *searcher) run() {
-	// Execution indices are global across resumes: a resumed search
-	// continues the same enumeration (and, for the random strategies,
-	// the same per-index seeding) the uninterrupted search would run.
-	// Quarantined replays do not consume an index, so the index is
-	// re-derived from the executions counter each iteration.
+	// Execution indices are global across resumes and shards: a resumed
+	// search continues the same enumeration (and, for the random
+	// strategies, the same per-index seeding) the uninterrupted search
+	// would run. Quarantined replays do not consume an index, so the
+	// index is re-derived from the executions counter each iteration.
 	for {
-		exec := s.report.Executions + 1
-		s.nextExec = exec
-		if s.opts.MaxExecutions > 0 && exec > s.opts.MaxExecutions {
+		exec := s.execBase + s.report.Executions + 1
+		if s.execLimit > 0 && exec > s.execLimit {
 			s.report.ExecBounded = true
 			return
 		}
@@ -572,43 +630,16 @@ func (s *searcher) run() {
 			s.report.TimedOut = true
 			return
 		}
-		if s.opts.Stop != nil {
-			select {
-			case <-s.opts.Stop:
-				s.report.Interrupted = true
-				return
-			default:
-			}
-		}
-		if s.cancelled != nil && s.cancelled() {
-			return // result will be discarded by the parallel driver
+		if isClosed(s.opts.Stop) || (s.cancelled != nil && s.cancelled()) {
+			s.report.Interrupted = true
+			return
 		}
 		s.maybeCheckpoint()
 
 		var r *engine.Result
-		quarantined := false
 		for attempt := 1; ; attempt++ {
 			s.resetExec(exec)
-			cfg := engine.Config{
-				Fair:        s.opts.Fair,
-				FairK:       s.opts.FairK,
-				MaxSteps:    s.opts.MaxSteps,
-				MemModel:    s.opts.memModel(),
-				TSOBufCap:   s.opts.TSOBufCap,
-				RecordTrace: s.opts.RecordTrace,
-				Monitor:     s.opts.Monitor,
-				Watchdog:    s.opts.Watchdog,
-				Deadline:    s.deadline,
-				Metrics:     s.opts.Metrics,
-				EventSink:   s.opts.EventSink,
-				ExecIndex:   exec,
-				NoFastPath:  s.opts.NoFastPath,
-			}
-			if s.opts.NoFastPath {
-				r = engine.Run(s.prog, s, cfg)
-			} else {
-				r = s.pool.Run(s.prog, s, cfg)
-			}
+			r = s.opts.runEngine(s.pool, s.prog, s, s.opts.engineConfig(s.deadline, exec))
 			s.flushMemoCounters()
 			if s.reason != abortDiverged {
 				break
@@ -618,44 +649,29 @@ func (s *searcher) run() {
 			}
 			if attempt > s.opts.divergenceRetries() {
 				s.quarantine(attempt)
-				quarantined = true
+				r = nil
 				break
 			}
 		}
-		if quarantined {
-			// The divergent replay is not an execution; prune the
-			// quarantined subtree and continue with the rest of the tree.
+		if r == nil {
+			// The divergent replay is not an execution; the quarantined
+			// subtree is pruned, continue with the rest of the tree.
 			if !s.backtrack() {
 				s.ckptDone = true
 				return
 			}
 			continue
 		}
-		s.report.Executions++
-		s.report.TotalSteps += r.Steps
-		s.report.Yields += r.Yields
-		s.report.EdgeAdds += r.EdgeAdds
-		s.report.EdgeErases += r.EdgeErases
-		s.report.FairBlocked += r.FairBlocked
-		s.report.BufferedStores += r.WM.BufferedStores
-		s.report.Flushes += r.WM.Flushes
-		s.report.Fences += r.WM.Fences
-		s.report.Forwards += r.WM.Forwards
-		if r.Steps > s.report.MaxDepth {
-			s.report.MaxDepth = r.Steps
-		}
-
-		stop := s.classify(r, exec)
-		if stop {
+		s.report.addResult(r)
+		if classify(s.prog, &s.opts, &s.report, r, exec, s.reason) {
 			// A deadline abort (TimedOut) is resumable; stops on a
 			// finding are terminal — resuming would re-run and
 			// re-count the finding's execution.
 			s.ckptDone = !r.DeadlineExceeded
-			s.nextExec = exec + 1
 			return
 		}
 		if s.opts.RandomWalk || s.opts.PCT {
-			if m := s.opts.Metrics; m != nil {
+			if m := s.opts.Metrics; m != nil && s.cancelled == nil {
 				m.Frontier.Set(exec + 1) // next execution index
 			}
 			continue // no schedule tree to backtrack over
@@ -663,19 +679,62 @@ func (s *searcher) run() {
 		if !s.backtrack() {
 			// Quarantined subtrees are explicit coverage loss: the tree
 			// was not fully explored, so it is not Exhausted (mirrors
-			// Skipped in the parallel merge).
+			// Skipped in the shard merge).
 			s.report.Exhausted = s.report.Quarantined == 0
 			s.ckptDone = true
-			s.nextExec = exec + 1
 			return
 		}
-		// Subtree workers of the prefix-parallel driver (cancelled !=
-		// nil) skip the gauge: the driver publishes the number of
-		// unmerged prefixes instead.
 		if m := s.opts.Metrics; m != nil && s.cancelled == nil {
 			m.Frontier.Set(int64(len(s.stack))) // DFS stack depth
 		}
 	}
+}
+
+// isClosed polls a stop channel; a nil channel is never closed.
+func isClosed(stop <-chan struct{}) bool {
+	select {
+	case <-stop:
+		return true
+	default:
+		return false
+	}
+}
+
+// engineConfig is the engine configuration of execution exec of this
+// search: the one place the search options map onto engine.Config.
+func (o *Options) engineConfig(deadline time.Time, exec int64) engine.Config {
+	cfg := o.replayConfig()
+	cfg.RecordTrace = o.RecordTrace
+	cfg.Monitor = o.Monitor
+	cfg.Deadline = deadline
+	cfg.Metrics = o.Metrics
+	cfg.EventSink = o.EventSink
+	cfg.ExecIndex = exec
+	return cfg
+}
+
+// replayConfig is engineConfig for the runs that are bookkeeping, not
+// explored executions (frontier expansion, repro, confirmation): the
+// program semantics without telemetry, monitor or deadline.
+func (o *Options) replayConfig() engine.Config {
+	return engine.Config{
+		Fair:       o.Fair,
+		FairK:      o.FairK,
+		MaxSteps:   o.MaxSteps,
+		MemModel:   o.memModel(),
+		TSOBufCap:  o.TSOBufCap,
+		Watchdog:   o.Watchdog,
+		NoFastPath: o.NoFastPath,
+	}
+}
+
+// runEngine runs one execution on the pooled engine, or on a fresh one
+// when the fast path (and with it pooling) is off.
+func (o *Options) runEngine(pool *engine.Pool, prog func(*engine.T), ch engine.Chooser, cfg engine.Config) *engine.Result {
+	if o.NoFastPath {
+		return engine.Run(prog, ch, cfg)
+	}
+	return pool.Run(prog, ch, cfg)
 }
 
 // resetExec resets the per-execution state ahead of one engine.Run;
@@ -707,8 +766,7 @@ func (s *searcher) resetExec(exec int64) {
 // below) the divergent choice point is abandoned. The caller
 // backtracks from the truncated stack.
 func (s *searcher) quarantine(attempts int) {
-	div := s.divErr
-	k := div.Step
+	k := s.divErr.Step
 	if k > len(s.stack) {
 		k = len(s.stack)
 	}
@@ -717,8 +775,17 @@ func (s *searcher) quarantine(attempts int) {
 		fr := &s.stack[i]
 		prefix = append(prefix, fr.alts[fr.idx])
 	}
-	s.report.Quarantined++
-	s.report.Nondeterminism = append(s.report.Nondeterminism, NondeterminismReport{
+	quarantined(&s.opts, &s.report, prefix, s.divErr, attempts)
+	s.divErr = nil
+	s.stack = s.stack[:k]
+}
+
+// quarantined records on rep one replay prefix (up to and including the
+// first divergent step) that stopped conforming on every attempt, and
+// publishes it to the metrics registry and the event stream.
+func quarantined(opts *Options, rep *Report, prefix []engine.Alt, div *engine.DivergenceError, attempts int) {
+	rep.Quarantined++
+	rep.Nondeterminism = append(rep.Nondeterminism, NondeterminismReport{
 		Prefix:         prefix,
 		Step:           div.Step,
 		Want:           div.Want,
@@ -727,10 +794,10 @@ func (s *searcher) quarantine(attempts int) {
 		NotSchedulable: div.NotSchedulable,
 		Attempts:       attempts,
 	})
-	if m := s.opts.Metrics; m != nil {
+	if m := opts.Metrics; m != nil {
 		m.Quarantined.Inc()
 	}
-	if sink := s.opts.EventSink; sink != nil {
+	if sink := opts.EventSink; sink != nil {
 		reason := "digest mismatch"
 		if div.NotSchedulable {
 			reason = "recorded alternative not schedulable"
@@ -741,64 +808,67 @@ func (s *searcher) quarantine(attempts int) {
 			Reason:    reason,
 		}})
 	}
-	s.divErr = nil
-	s.stack = s.stack[:k]
 }
 
-// classify accounts one finished execution and reports whether the
-// search should stop.
-func (s *searcher) classify(r *engine.Result, exec int64) bool {
+// classify accounts one finished execution's outcome on rep and reports
+// whether the search should stop. reason is why the chooser aborted the
+// execution, when it did.
+func classify(prog func(*engine.T), opts *Options, rep *Report, r *engine.Result, exec int64, reason abortReason) bool {
 	switch r.Outcome {
 	case engine.Terminated:
 		return false
-	case engine.Deadlock:
-		s.report.Deadlocks++
-		s.recordBug(r, exec)
-		s.emitFinding("deadlock", r, exec)
-		return !s.opts.ContinueAfterViolation
-	case engine.Violation:
-		s.report.Violations++
-		s.recordBug(r, exec)
-		s.emitFinding("violation", r, exec)
-		return !s.opts.ContinueAfterViolation
+	case engine.Deadlock, engine.Violation:
+		kind := "violation"
+		if r.Outcome == engine.Deadlock {
+			rep.Deadlocks++
+			kind = "deadlock"
+		} else {
+			rep.Violations++
+		}
+		if rep.FirstBug == nil {
+			rep.FirstBug = reproduce(prog, opts, r)
+			rep.FirstBugExecution = exec
+		}
+		emitFinding(opts, kind, r, exec)
+		return !opts.ContinueAfterViolation
 	case engine.Diverged:
-		s.report.NonTerminating++
-		if s.opts.Fair {
-			if s.report.Divergence == nil {
-				s.report.Divergence = s.reproduce(r)
-				s.report.DivergenceExecution = exec
+		rep.NonTerminating++
+		if opts.Fair {
+			if rep.Divergence == nil {
+				rep.Divergence = reproduce(prog, opts, r)
+				rep.DivergenceExecution = exec
 			}
-			s.emitFinding("livelock", r, exec)
-			return !s.opts.ContinueAfterDivergence
+			emitFinding(opts, "livelock", r, exec)
+			return !opts.ContinueAfterDivergence
 		}
 		return false
 	case engine.Aborted:
 		if r.DeadlineExceeded {
 			// The engine-level deadline (TimeLimit threaded down) cut a
 			// runaway execution: account it and stop like a timeout.
-			s.report.TimedOut = true
+			rep.TimedOut = true
 			return true
 		}
-		switch s.reason {
+		switch reason {
 		case abortDepthBound:
-			s.report.NonTerminating++
+			rep.NonTerminating++
 		case abortVisited:
-			s.report.PrunedVisited++
+			rep.PrunedVisited++
 		case abortSleep:
-			s.report.PrunedSleep++
+			rep.PrunedSleep++
 		}
 		return false
 	case engine.Wedged:
 		// A wedge is a finding: the program escaped the checker's
 		// control. No reproduce run — replaying the schedule would
 		// only reach the wedge-free prefix (and wedge again).
-		s.report.Wedges++
-		if s.report.FirstWedge == nil {
-			s.report.FirstWedge = r
-			s.report.FirstWedgeExecution = exec
+		rep.Wedges++
+		if rep.FirstWedge == nil {
+			rep.FirstWedge = r
+			rep.FirstWedgeExecution = exec
 		}
-		s.emitFinding("wedge", r, exec)
-		return !s.opts.ContinueAfterViolation
+		emitFinding(opts, "wedge", r, exec)
+		return !opts.ContinueAfterViolation
 	default:
 		panic("search: unknown outcome")
 	}
@@ -806,8 +876,8 @@ func (s *searcher) classify(r *engine.Result, exec int64) bool {
 
 // emitFinding publishes one finding to the event stream, with the
 // one-line message findingMessage derives from the result.
-func (s *searcher) emitFinding(kind string, r *engine.Result, exec int64) {
-	sink := s.opts.EventSink
+func emitFinding(opts *Options, kind string, r *engine.Result, exec int64) {
+	sink := opts.EventSink
 	if sink == nil {
 		return
 	}
@@ -837,27 +907,6 @@ func findingMessage(kind string, r *engine.Result) string {
 	default:
 		return ""
 	}
-}
-
-func (s *searcher) recordBug(r *engine.Result, exec int64) {
-	if s.report.FirstBug == nil {
-		s.report.FirstBug = s.reproduce(r)
-		s.report.FirstBugExecution = exec
-	}
-}
-
-// reproduce re-runs r's schedule with trace and digest recording to
-// produce a self-contained repro, unless r already carries a trace. A
-// schedule the searcher itself just ran should replay; when it does
-// not, the program is nondeterministic under its own schedule — the
-// original (traceless) result is kept and the confirmation pass will
-// mark the finding flaky rather than crashing the search.
-func (s *searcher) reproduce(r *engine.Result) *engine.Result {
-	if len(r.Trace) > 0 {
-		return r
-	}
-	rr, _ := reproduceResult(s.prog, &s.opts, r)
-	return rr
 }
 
 // backtrack advances the deepest frame with an untried alternative and

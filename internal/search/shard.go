@@ -1,23 +1,36 @@
 package search
 
-// This file exports the sharding layer the distributed coordinator
-// (internal/dist) is built on. A search is split into an ordered list
-// of shards — contiguous execution-index ranges for the random
-// strategies, frontier prefixes for the systematic ones — that can be
-// run by independent processes and merged back in index order. The
-// shard boundaries and the merge are the exact code paths the
-// in-process parallel driver uses (splitFrontier, exploreSubtree,
-// mergeSubtree, and the sequential stride searcher), which is what
-// makes a distributed run's merged report byte-identical to a local
-// Parallelism=N run of the same seed and configuration.
+// This file is the sharding layer every parallel search runs on: local
+// -p N and DPOR (driver.go), the distributed coordinator (internal/dist)
+// and the jobs service above it. A search is an ordered Plan of shards —
+// contiguous execution-index ranges for the random strategies, frontier
+// prefixes for the systematic ones, race-reversal work units for DPOR —
+// each run by the sequential searcher (or, for a unit, one execution),
+// possibly in another process, and merged back strictly in plan order by
+// the ShardMerger. Because planning, running and merging are the same
+// code wherever the shards execute, a distributed run's merged report is
+// byte-identical to a local Parallelism=N run of the same seed and
+// configuration.
 
 import (
 	"errors"
 	"fmt"
+	"sort"
 	"time"
 
 	"fairmc/internal/engine"
 	"fairmc/internal/por"
+)
+
+const (
+	// rangeBatch is the smallest range shard, in executions: small
+	// enough to stop soon after a finding, large enough to amortize the
+	// hand-off.
+	rangeBatch = 32
+	// planTargetFactor sizes a plan at planTargetFactor×P shards (and an
+	// open-ended walk's lookahead at as many unmerged ones), bounding
+	// idle tail time when shard sizes are skewed.
+	planTargetFactor = 8
 )
 
 // Shard is one unit of distributable work.
@@ -43,6 +56,18 @@ type Shard struct {
 	Unit *por.Unit `json:"unit,omitempty"`
 }
 
+// kind names the shard's kind, as WorkerFailure.Mode reports it.
+func (sh *Shard) kind() string {
+	switch {
+	case sh.Unit != nil:
+		return "dpor"
+	case sh.Prefix != nil:
+		return "prefix"
+	default:
+		return "stride"
+	}
+}
+
 // Plan is the full, ordered shard list for one search. It is
 // JSON-serializable so a coordinator can persist it in its state file
 // and hand shards to remote workers.
@@ -66,7 +91,9 @@ type Plan struct {
 // work-unit granularity the local driver uses for that parallelism.
 //
 // The random strategies require MaxExecutions: a wall-clock budget
-// cannot be partitioned into deterministic index ranges.
+// cannot be partitioned into deterministic index ranges. (The local
+// driver can run such a walk — its plan grows as the merge advances —
+// but a plan that depends on when the clock struck cannot be shared.)
 func PlanShards(prog func(*engine.T), opts Options, refParallelism int) (*Plan, error) {
 	if refParallelism < 1 {
 		refParallelism = 1
@@ -78,146 +105,138 @@ func PlanShards(prog func(*engine.T), opts Options, refParallelism int) (*Plan, 
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
-	plan := &Plan{
-		Strategy:       strategyOf(&opts),
-		RefParallelism: refParallelism,
-		OptionsHash:    optionsHash(&opts),
+	if opts.random() && opts.MaxExecutions <= 0 {
+		return nil, errors.New("search: a distributed random/pct search needs MaxExecutions (a wall-clock budget cannot be sharded deterministically)")
 	}
-	if opts.DPOR {
-		// DPOR plans start with the single root unit; the merge appends
-		// a child shard per undiscovered race reversal as unit reports
-		// come in (ShardMerger.drain), in an order that is a function
-		// of the reports alone — every coordinator derives the same
-		// grown plan.
-		plan.Shards = append(plan.Shards, Shard{Index: 0, Unit: &por.Unit{}})
-		return plan, nil
-	}
-	if opts.RandomWalk || opts.PCT {
-		m := opts.MaxExecutions
-		if m <= 0 {
-			return nil, errors.New("search: a distributed random/pct search needs MaxExecutions (a wall-clock budget cannot be sharded deterministically)")
-		}
-		// Aim for the same work-unit count the frontier split targets,
-		// but never shards smaller than a stride round batch.
-		target := int64(prefixTargetFactor * refParallelism)
-		chunk := (m + target - 1) / target
-		if chunk < strideBatch {
-			chunk = strideBatch
-		}
-		for lo := int64(1); lo <= m; lo += chunk {
-			hi := lo + chunk - 1
-			if hi > m {
-				hi = m
-			}
-			plan.Shards = append(plan.Shards, Shard{Index: len(plan.Shards), Lo: lo, Hi: hi})
-		}
-		return plan, nil
-	}
-	frontier := splitFrontier(prog, opts, prefixTargetFactor*refParallelism)
-	for i, pfx := range frontier {
-		plan.Shards = append(plan.Shards, Shard{Index: i, Prefix: &SavedPrefix{
-			Sched: pfx.sched, Digs: pfx.digs, Leaf: pfx.leaf,
-		}})
-	}
-	return plan, nil
+	return planShards(prog, &opts, refParallelism), nil
 }
 
-// RunShard executes one shard to completion with the sequential
-// engine and returns its report, ready for ShardMerger.Offer.
+// planShards is PlanShards on validated single-shard options
+// (Parallelism 1, no checkpoint, no Stop).
+func planShards(prog func(*engine.T), opts *Options, refParallelism int) *Plan {
+	plan := &Plan{
+		Strategy:       strategyOf(opts),
+		RefParallelism: refParallelism,
+		OptionsHash:    optionsHash(opts),
+	}
+	switch {
+	case opts.DPOR:
+		// DPOR plans start with the single root unit; the merge appends
+		// a child shard per undiscovered race reversal as unit reports
+		// come in, in an order that is a function of the reports alone —
+		// every merger derives the same grown plan.
+		plan.Shards = []Shard{{Unit: &por.Unit{}}}
+	case opts.random():
+		plan.growRanges(opts.MaxExecutions, 0, 0)
+	default:
+		for i, pfx := range splitFrontier(prog, opts, planTargetFactor*refParallelism) {
+			plan.Shards = append(plan.Shards, Shard{Index: i, Prefix: pfx})
+		}
+	}
+	return plan
+}
+
+// growRanges appends range shards after the plan's last one (after
+// index covered when nothing past merged is planned): through limit
+// when there is an execution budget — in chunks aiming at the frontier
+// split's shard count but never below rangeBatch — else, for a walk only
+// the clock bounds, until a lookahead of unmerged shards is planned.
+func (p *Plan) growRanges(limit int64, merged int, covered int64) {
+	target := int64(planTargetFactor * p.RefParallelism)
+	chunk := int64(rangeBatch)
+	if c := (limit + target - 1) / target; c > chunk {
+		chunk = c
+	}
+	if n := len(p.Shards); n > merged {
+		covered = p.Shards[n-1].Hi
+	}
+	for (limit > 0 && covered < limit) || (limit <= 0 && int64(len(p.Shards)-merged) < target) {
+		hi := covered + chunk
+		if limit > 0 && hi > limit {
+			hi = limit
+		}
+		p.Shards = append(p.Shards, Shard{Index: len(p.Shards), Lo: covered + 1, Hi: hi})
+		covered = hi
+	}
+}
+
+// runShard executes one shard on the caller's engine pool and returns
+// its report, ready for ShardMerger.Offer. It is the single shard
+// executor: the local driver's workers, RunShard and the distributed
+// worker all end up here.
 //
-// Stride shards run as a resumed sequential search whose executions
-// counter starts at Lo-1 and whose budget ends at Hi, so every
-// execution gets its global index (and therefore the same per-index
-// seed as a local run); the returned Executions counter is then
-// reduced to the shard's own count, while finding indices
-// (FirstBugExecution etc.) stay global. Stride shards honor
-// opts.CheckpointPath/opts.Resume for worker-local per-shard
-// checkpointing; prefix shards ignore them (a prefix subtree reruns
-// from scratch).
+// A range shard runs the sequential searcher over its global index
+// range, so every execution gets the same per-index seed as in a
+// sequential run; its counters are the shard's own, its finding indices
+// (FirstBugExecution etc.) global. A prefix shard runs the searcher over
+// the subtree below the prefix, a unit shard runs one execution.
+//
+// deadline, when nonzero, is the search's shared wall-clock bound;
+// cancelled, when non-nil, is polled between executions. A shard cut by
+// either returns with TimedOut or Interrupted set.
+func runShard(prog func(*engine.T), opts *Options, sh Shard, pool *engine.Pool,
+	deadline time.Time, cancelled func() bool) *Report {
+	if sh.Unit == nil {
+		return runSearcher(prog, opts, sh, pool, deadline, cancelled)
+	}
+	if cancelled != nil && cancelled() {
+		return &Report{Interrupted: true}
+	}
+	return runDporUnit(prog, opts, pool, sh.Unit, deadline)
+}
+
+// RunShard executes one shard to completion on a fresh engine and
+// returns its report, ready for ShardMerger.Offer.
+//
+// Range shards honor opts.CheckpointPath/opts.Resume for worker-local
+// per-shard checkpointing; prefix and unit shards ignore them (a prefix
+// subtree reruns from scratch, a unit is one execution).
 //
 // stop, when non-nil, cancels the shard between executions; a
 // cancelled shard returns with Interrupted set and must not be merged.
 func RunShard(prog func(*engine.T), opts Options, sh Shard, stop <-chan struct{}) *Report {
+	var pool engine.Pool
+	defer pool.Close()
+	return RunShardOn(&pool, prog, opts, sh, stop)
+}
+
+// RunShardOn is RunShard on a caller-owned engine pool, which a
+// long-lived worker reuses across shards (and searches: the pool takes
+// the program per run). The pool must not be shared between goroutines.
+func RunShardOn(pool *engine.Pool, prog func(*engine.T), opts Options, sh Shard, stop <-chan struct{}) *Report {
 	opts.Parallelism = 1
 	opts.TimeLimit = 0
 	opts.ConfirmRuns = 0 // the coordinator confirms the merged findings
-	if sh.Unit != nil {
+	opts.Stop = nil
+	if sh.Hi == 0 {
 		opts.CheckpointPath = ""
 		opts.Resume = nil
-		opts.Stop = nil
-		if stop != nil {
-			select {
-			case <-stop:
-				return &Report{Interrupted: true}
-			default:
-			}
-		}
-		var pool engine.Pool
-		defer pool.Close()
-		return runDporUnit(prog, &opts, &pool, sh.Unit, time.Time{})
-	}
-	if sh.Prefix != nil {
-		opts.CheckpointPath = ""
-		opts.Resume = nil
-		opts.Stop = nil
-		var cancelled func() bool
-		if stop != nil {
-			cancelled = func() bool {
-				select {
-				case <-stop:
-					return true
-				default:
-					return false
-				}
-			}
-		}
-		pfx := &prefixNode{
-			sched: append([]engine.Alt(nil), sh.Prefix.Sched...),
-			digs:  append([]engine.StepDigest(nil), sh.Prefix.Digs...),
-			leaf:  sh.Prefix.Leaf,
-		}
-		rep := exploreSubtree(prog, opts, pfx, time.Time{}, cancelled)
-		if cancelled != nil && cancelled() {
-			rep.Interrupted = true
-		}
-		return rep
-	}
-	opts.Stop = stop
-	opts.MaxExecutions = sh.Hi
-	if opts.Resume == nil {
-		// Synthetic checkpoint: position the sequential searcher at
-		// global index Lo with zeroed counters, so the shard report is
-		// a pure delta.
-		ck := buildCheckpoint(&opts, &Report{Executions: sh.Lo - 1}, 0, false)
-		ck.Stride = &StrideState{NextIndex: sh.Lo - 1}
-		opts.Resume = ck
 	}
 	if err := opts.Validate(); err != nil {
 		// Internal misuse or a corrupt worker-local checkpoint the
 		// caller should have validated; fail loudly.
 		panic(fmt.Sprintf("search: RunShard: %v", err))
 	}
-	rep := exploreSequential(prog, opts)
-	rep.Executions -= sh.Lo - 1
-	return rep
+	var cancelled func() bool
+	if stop != nil {
+		cancelled = func() bool { return isClosed(stop) }
+	}
+	return runShard(prog, &opts, sh, pool, time.Time{}, cancelled)
 }
 
 // ValidateShardResume reports whether a worker-local checkpoint can
-// resume the given stride shard: it must belong to the same search
+// resume the given range shard: it must belong to the same search
 // (program, strategy, seed, options hash), be non-terminal, and sit
 // inside the shard's index range.
 func ValidateShardResume(opts *Options, sh Shard, ck *Checkpoint) error {
-	if sh.Prefix != nil {
-		return errors.New("search: prefix shards do not support checkpoint resume")
-	}
-	if sh.Unit != nil {
-		return errors.New("search: dpor unit shards do not support checkpoint resume")
+	if sh.Hi == 0 {
+		return errors.New("search: only range shards support checkpoint resume")
 	}
 	if ck.Done {
 		return errors.New("search: shard checkpoint is terminal")
 	}
 	if ck.Stride == nil {
-		return errors.New("search: shard checkpoint lacks stride state")
+		return errors.New("search: shard checkpoint lacks the random-strategy position")
 	}
 	o := *opts
 	o.Parallelism = 1
@@ -225,17 +244,22 @@ func ValidateShardResume(opts *Options, sh Shard, ck *Checkpoint) error {
 		ck.Meta.OptionsHash != optionsHash(&o) || ck.Meta.Program != o.ProgramName {
 		return errors.New("search: shard checkpoint belongs to a different search")
 	}
-	if ck.Counters.Executions < sh.Lo-1 || ck.Counters.Executions > sh.Hi {
-		return fmt.Errorf("search: shard checkpoint at execution %d is outside shard [%d,%d]",
-			ck.Counters.Executions, sh.Lo, sh.Hi)
+	// The checkpoint's counters are the shard's own, so its position is
+	// Lo plus the executions it has run.
+	if next := ck.Stride.NextIndex; next != sh.Lo+ck.Counters.Executions || next > sh.Hi+1 {
+		return fmt.Errorf("search: shard checkpoint at execution %d (%d run) does not fit shard [%d,%d]",
+			next, ck.Counters.Executions, sh.Lo, sh.Hi)
 	}
 	return nil
 }
 
-// ShardMerger folds shard reports into one merged report in shard
-// order, applying the same classify/stop semantics as the in-process
-// parallel drivers. It is not safe for concurrent use; the caller
-// serializes Offer calls.
+// ShardMerger folds shard reports into one merged report in plan
+// order, applying the classify/stop semantics of the sequential search
+// at shard granularity, and grows the plan where the search's shape is
+// only discovered by running it (DPOR units, open-ended random walks).
+// Everything after a stop is discarded, so the merged report is
+// independent of worker timing. It is not safe for concurrent use; the
+// caller serializes Offer calls.
 type ShardMerger struct {
 	opts    Options
 	plan    *Plan
@@ -243,17 +267,22 @@ type ShardMerger struct {
 	pending map[int]*Report
 	next    int
 
+	// allExhausted is false once any shard was skipped, quarantined or
+	// otherwise left part of its space unexplored.
 	allExhausted bool
-	stride       bool
 	stopped      bool
-	done         bool
+	done         bool // the stop is terminal (a finding), not a budget cut
 
-	// DPOR mode: dpor folds unit reports and materializes child units;
-	// spawnNext is the plan index the next spawned child receives.
-	// Because children regenerate deterministically from the reports,
-	// a resume that re-offers completed shards re-derives the already
+	// DPOR: seen holds the path keys of every spawned unit and every
+	// prefix of every consumed unit's full path — the
+	// Mazurkiewicz-trace dedup set that keeps reversals from re-spawning
+	// explored subtrees; traces is its checkpointable form. spawnNext is
+	// the plan index the next spawned child receives: children
+	// regenerate deterministically from the reports, so a coordinator
+	// resume that re-offers completed shards re-derives the already
 	// grown plan instead of appending duplicates.
-	dpor      *dporMerger
+	seen      map[string]bool
+	traces    []DporTraceRec
 	spawnNext int
 }
 
@@ -266,13 +295,54 @@ func NewShardMerger(opts Options, plan *Plan) *ShardMerger {
 		rep:          &Report{},
 		pending:      make(map[int]*Report),
 		allExhausted: true,
-		stride:       opts.RandomWalk || opts.PCT,
 	}
 	if opts.DPOR {
-		m.dpor = newDporMerger(&m.opts, m.rep)
-		m.spawnNext = 1 // DPOR plans start with the single root shard
+		m.seen = map[string]bool{"": true} // the root unit's path mark
+		m.spawnNext = 1                    // DPOR plans start with the single root shard
 	}
 	return m
+}
+
+// restore re-seeds a fresh merger (over an empty plan) from a
+// checkpoint: the merged report so far and the unmerged rest of the
+// plan, at its original indices. Range shards are not stored — they are
+// re-planned from the first index the checkpoint does not cover, against
+// the resumed search's own budget.
+func (m *ShardMerger) restore(ck *Checkpoint) {
+	*m.rep = ck.report()
+	f := ck.Frontier
+	m.plan.Shards = append(make([]Shard, f.Merged), f.Shards...)
+	m.next = f.Merged
+	m.allExhausted = f.AllExhausted
+	m.spawnNext = len(m.plan.Shards)
+	m.traces = f.Traces
+	for _, tr := range f.Traces {
+		m.markPath(append(append([]int(nil), tr.Path...), tr.Cont...))
+	}
+	for _, sh := range f.Shards {
+		if sh.Unit != nil {
+			m.markPath(sh.Unit.Path)
+		}
+	}
+	m.growRanges()
+}
+
+// frontier is the merger's checkpointable position (see restore).
+func (m *ShardMerger) frontier() *Frontier {
+	f := &Frontier{Merged: m.next, AllExhausted: m.allExhausted, Traces: m.traces}
+	if !m.opts.random() {
+		f.Shards = m.plan.Shards[m.next:]
+	}
+	return f
+}
+
+// growRanges keeps a random search's plan ahead of the merge. Every
+// index below the first unmerged shard was either executed or skipped,
+// which is where planning resumes when nothing unmerged is left.
+func (m *ShardMerger) growRanges() {
+	if m.opts.random() && !m.stopped {
+		m.plan.growRanges(m.opts.MaxExecutions, m.next, m.rep.Executions+m.rep.Skipped)
+	}
 }
 
 // Offer hands the merger shard idx's report; nil records a shard
@@ -288,14 +358,12 @@ func (m *ShardMerger) Offer(idx int, r *Report) {
 		return
 	}
 	m.pending[idx] = r
-	m.drain()
-}
-
-func (m *ShardMerger) drain() {
 	for !m.stopped && m.next < len(m.plan.Shards) {
-		if !m.stride && m.opts.MaxExecutions > 0 && m.rep.Executions >= m.opts.MaxExecutions {
-			// Same pre-merge budget check the in-process prefix driver
-			// makes before consuming the next subtree.
+		sh := &m.plan.Shards[m.next]
+		if sh.Hi == 0 && m.opts.MaxExecutions > 0 && m.rep.Executions >= m.opts.MaxExecutions {
+			// The pre-execution budget check of the sequential loop, at
+			// shard granularity. (Range shards carry the budget in their
+			// bounds.)
 			m.rep.ExecBounded = true
 			m.stopped = true
 			return
@@ -305,103 +373,86 @@ func (m *ShardMerger) drain() {
 			return
 		}
 		delete(m.pending, m.next)
-		if m.stride {
-			m.mergeStride(m.plan.Shards[m.next], r)
-			if !m.stopped {
-				m.next++
-			}
-			continue
+		if !m.merge(sh, r) {
+			return
 		}
-		if m.dpor != nil {
-			m.mergeDporShard(r)
-			continue
+		if sh.Unit != nil {
+			m.spawn(sh.Unit, r)
 		}
-		counted, stopped, done := mergeSubtree(&m.opts, m.rep, r, &m.allExhausted)
-		if counted {
-			m.next++
-		}
-		if stopped {
-			m.stopped = true
-			m.done = m.done || done
-		}
-	}
-}
-
-// mergeDporShard folds one DPOR unit report in and grows the plan with
-// the child shards its race reversals spawn. The append order is the
-// proposal-discovery order of the reports merged so far — a pure
-// function of the reports — so a coordinator resume that re-offers the
-// completed shards regenerates the identical plan and skips the
-// already-present entries.
-func (m *ShardMerger) mergeDporShard(r *Report) {
-	sh := m.plan.Shards[m.next]
-	children, counted, stopped, done := m.dpor.offer(sh.Unit, r)
-	for _, child := range children {
-		if m.spawnNext >= len(m.plan.Shards) {
-			m.plan.Shards = append(m.plan.Shards, Shard{Index: m.spawnNext, Unit: child})
-		}
-		m.spawnNext++
-	}
-	if counted {
 		m.next++
-	}
-	if stopped {
-		m.stopped = true
-		m.done = m.done || done
+		m.growRanges()
 	}
 }
 
-// mergeStride folds one stride-shard report in. The shard ran the
-// sequential searcher over its global index range, so its counters are
-// deltas and its finding indices are global; a shard that stopped
-// before exhausting its range stopped on a finding, which ends the
-// merge exactly where the sequential search would have stopped.
-func (m *ShardMerger) mergeStride(sh Shard, r *Report) {
+// merge folds one shard report into the merged report, mirroring the
+// sequential classify/stop semantics at shard granularity. It reports
+// whether the shard was consumed; false only for a shard cut short by a
+// budget, the deadline or a cancellation, which stops the merge
+// resumably: a subtree's or unit's partial coverage is discarded so a
+// resume re-explores it in full, while a range's completed executions
+// are kept (a resume re-plans from the first index not yet run).
+//
+// r == nil records a shard abandoned after repeated worker crashes: the
+// coverage loss is explicit (Skipped) and the tree can no longer be
+// called exhausted.
+func (m *ShardMerger) merge(sh *Shard, r *Report) bool {
+	rep, ranged := m.rep, sh.Hi > 0
 	if r == nil {
-		m.rep.Skipped += sh.Hi - sh.Lo + 1
-		return
+		rep.Skipped++
+		if ranged {
+			rep.Skipped += sh.Hi - sh.Lo
+		}
+		m.allExhausted = false
+		return true
 	}
-	if r.FirstBug != nil && m.rep.FirstBug == nil {
-		m.rep.FirstBug = r.FirstBug
-		m.rep.FirstBugExecution = r.FirstBugExecution
+	// A finished range is ExecBounded by construction (its budget is Hi).
+	cut := r.TimedOut || r.Interrupted || (r.ExecBounded && !ranged)
+	if cut {
+		rep.TimedOut = rep.TimedOut || r.TimedOut
+		rep.Interrupted = rep.Interrupted || r.Interrupted
+		rep.ExecBounded = rep.ExecBounded || (r.ExecBounded && !ranged)
+		m.stopped = true
+		if !ranged {
+			return false
+		}
 	}
-	if r.Divergence != nil && m.rep.Divergence == nil {
-		m.rep.Divergence = r.Divergence
-		m.rep.DivergenceExecution = r.DivergenceExecution
+	// A subtree counts its executions from 1; a range by global index.
+	base := rep.Executions
+	if ranged {
+		base = 0
 	}
-	if r.FirstWedge != nil && m.rep.FirstWedge == nil {
-		m.rep.FirstWedge = r.FirstWedge
-		m.rep.FirstWedgeExecution = r.FirstWedgeExecution
+	if r.FirstBug != nil && rep.FirstBug == nil {
+		rep.FirstBug, rep.FirstBugExecution = r.FirstBug, base+r.FirstBugExecution
 	}
-	m.rep.Executions += r.Executions
-	m.rep.TotalSteps += r.TotalSteps
-	m.rep.Yields += r.Yields
-	m.rep.EdgeAdds += r.EdgeAdds
-	m.rep.EdgeErases += r.EdgeErases
-	m.rep.FairBlocked += r.FairBlocked
-	m.rep.BufferedStores += r.BufferedStores
-	m.rep.Flushes += r.Flushes
-	m.rep.Fences += r.Fences
-	m.rep.Forwards += r.Forwards
-	if r.MaxDepth > m.rep.MaxDepth {
-		m.rep.MaxDepth = r.MaxDepth
+	if r.Divergence != nil && rep.Divergence == nil {
+		rep.Divergence, rep.DivergenceExecution = r.Divergence, base+r.DivergenceExecution
 	}
-	m.rep.NonTerminating += r.NonTerminating
-	m.rep.Deadlocks += r.Deadlocks
-	m.rep.Violations += r.Violations
-	m.rep.Wedges += r.Wedges
-	m.rep.Skipped += r.Skipped
-	m.rep.Quarantined += r.Quarantined
-	m.rep.Nondeterminism = append(m.rep.Nondeterminism, r.Nondeterminism...)
-	if !r.ExecBounded {
-		// The shard stopped before its budget: a finding ended it.
+	if r.FirstWedge != nil && rep.FirstWedge == nil {
+		rep.FirstWedge, rep.FirstWedgeExecution = r.FirstWedge, base+r.FirstWedgeExecution
+	}
+	rep.Counters.merge(&r.Counters)
+	// Quarantined subtrees merge in plan order, so the nondeterminism
+	// reports are deterministic regardless of worker timing.
+	rep.Nondeterminism = append(rep.Nondeterminism, r.Nondeterminism...)
+	if !r.Exhausted {
+		m.allExhausted = false
+	}
+	// A finding the shard's searcher stopped on stops the merge where
+	// the sequential search would have stopped.
+	if ((r.FirstBug != nil || r.FirstWedge != nil) && !m.opts.ContinueAfterViolation) ||
+		(r.Divergence != nil && !m.opts.ContinueAfterDivergence) {
 		m.stopped, m.done = true, true
 	}
+	return !cut
 }
 
-// Stopped reports that no further shard can contribute: shards at or
-// past Horizon are dead work and should be cancelled.
-func (m *ShardMerger) Stopped() bool { return m.stopped }
+// interrupt stops the merge where it stands; the search stays resumable.
+func (m *ShardMerger) interrupt() {
+	if !m.stopped {
+		m.rep.Interrupted = true
+		m.stopped = true
+	}
+}
 
 // Merged returns how many shards have been consumed.
 func (m *ShardMerger) Merged() int { return m.next }
@@ -422,31 +473,29 @@ func (m *ShardMerger) Done() bool {
 }
 
 // Finish seals the merge and returns the final report, applying the
-// same end-of-search classification as the in-process drivers.
-// failures (in any order) become the report's sorted WorkerFailures.
+// end-of-search classification of the sequential search. failures (in
+// any order) become the report's WorkerFailures, sorted by (Unit,
+// Attempt) so the report is deterministic regardless of worker timing.
 func (m *ShardMerger) Finish(elapsed time.Duration, failures []WorkerFailure) *Report {
-	switch {
-	case m.stride:
-		if !m.stopped && m.next == len(m.plan.Shards) {
-			// Every index in [1, MaxExecutions] has been merged (or
-			// explicitly skipped): the execution budget is spent.
-			m.rep.ExecBounded = true
-		}
-	case m.dpor != nil:
-		m.rep.Exhausted = !m.stopped && m.next == len(m.plan.Shards) && m.dpor.allExhausted
-	default:
-		m.rep.Exhausted = !m.stopped && m.next == len(m.plan.Shards) && m.allExhausted
+	complete := !m.stopped && m.next == len(m.plan.Shards)
+	if m.opts.random() {
+		// Every index in [1, MaxExecutions] has been merged (or
+		// explicitly skipped): the execution budget is spent.
+		m.rep.ExecBounded = m.rep.ExecBounded || complete
+	} else {
+		m.rep.Exhausted = complete && m.allExhausted
 	}
-	fs := &failSink{list: append([]WorkerFailure(nil), failures...)}
-	m.rep.WorkerFailures = fs.sorted()
+	fs := append([]WorkerFailure(nil), failures...)
+	sort.Slice(fs, func(i, j int) bool {
+		if fs[i].Unit != fs[j].Unit {
+			return fs[i].Unit < fs[j].Unit
+		}
+		return fs[i].Attempt < fs[j].Attempt
+	})
+	m.rep.WorkerFailures = fs
 	m.rep.Elapsed = elapsed
 	return m.rep
 }
-
-// Snapshot exposes the merged-so-far report (for coordinator state
-// files and status endpoints). The returned report is live; callers
-// must not retain it across further Offers.
-func (m *ShardMerger) Snapshot() *Report { return m.rep }
 
 // OptionsHash exposes the semantic-options fingerprint checkpoints
 // carry (budget and operational fields excluded). The distributed

@@ -33,8 +33,9 @@ func runPlan(t *testing.T, prog func(*engine.T), opts search.Options, refP int) 
 }
 
 // TestShardPlanMatchesParallelPrefix: planning, running, and merging
-// the shards of a systematic search reproduces the local parallel
-// report exactly.
+// the shards of a systematic search by hand — the path the local
+// driver, the coordinator and the jobs service all run — reproduces the
+// sequential report exactly.
 func TestShardPlanMatchesParallelPrefix(t *testing.T) {
 	progs := map[string]func(*engine.T){
 		"racy": racyIncrement,
@@ -50,10 +51,9 @@ func TestShardPlanMatchesParallelPrefix(t *testing.T) {
 				ConfirmRuns:            2,
 			}
 			got := runPlan(t, prog, opts, 2)
-			opts.Parallelism = 2
 			ref := search.Explore(prog, opts)
 			if !reflect.DeepEqual(normalize(ref), normalize(got)) {
-				t.Fatalf("%s cont=%v: sharded run differs from local -p 2:\n%+v\nvs\n%+v",
+				t.Fatalf("%s cont=%v: sharded run differs from the sequential search:\n%+v\nvs\n%+v",
 					name, cont, ref, got)
 			}
 		}
@@ -76,10 +76,9 @@ func TestShardPlanMatchesParallelStride(t *testing.T) {
 				ConfirmRuns:            2,
 			}
 			got := runPlan(t, racyIncrement, opts, 2)
-			opts.Parallelism = 2
 			ref := search.Explore(racyIncrement, opts)
 			if !reflect.DeepEqual(normalize(ref), normalize(got)) {
-				t.Fatalf("pct=%v cont=%v: sharded run differs from local -p 2:\n%+v\nvs\n%+v",
+				t.Fatalf("pct=%v cont=%v: sharded run differs from the sequential search:\n%+v\nvs\n%+v",
 					pct, cont, ref, got)
 			}
 		}

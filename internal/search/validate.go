@@ -67,6 +67,10 @@ func (o *Options) Validate() error {
 	return nil
 }
 
+// random reports whether a random strategy replaces the systematic
+// search: no schedule tree, executions seeded by global index.
+func (o *Options) random() bool { return o.RandomWalk || o.PCT }
+
 // memModel returns the parsed memory model the options select. Unknown
 // names have been rejected by Validate; internal callers reaching this
 // with an unvalidated string get the backstop panic.
@@ -81,10 +85,8 @@ func (o *Options) memModel() core.MemModel {
 // validateResume checks that a checkpoint belongs to this exact search
 // so a resume silently exploring the wrong tree is impossible.
 func (o *Options) validateResume(ck *Checkpoint) error {
-	if !checkpointVersionReadable(ck.Version) {
-		// v3 (pre-DPOR) and v4 (pre-weak-memory) checkpoints remain
-		// readable: each later version only adds fields.
-		return fmt.Errorf("search: resume: checkpoint format version %d, this build reads versions 3 through %d",
+	if ck.Version != CheckpointVersion {
+		return fmt.Errorf("search: resume: checkpoint format version %d, this build reads version %d",
 			ck.Version, CheckpointVersion)
 	}
 	if ck.Done {
@@ -112,19 +114,15 @@ func (o *Options) validateResume(ck *Checkpoint) error {
 		return fmt.Errorf("search: resume: checkpoint counts %d quarantined subtrees but carries %d nondeterminism reports (corrupted checkpoint)",
 			ck.Counters.Quarantined, len(ck.Nondeterminism))
 	}
-	// Strategy state must be present for the mode that will run.
+	// The position must be the one the path that will run restores.
 	switch {
+	case o.DPOR || o.Parallelism > 1:
+		if ck.Frontier == nil {
+			return errors.New("search: resume: checkpoint is missing the shard frontier")
+		}
 	case o.RandomWalk || o.PCT:
 		if ck.Stride == nil {
-			return errors.New("search: resume: checkpoint is missing the random-strategy frontier")
-		}
-	case o.DPOR:
-		if ck.Dpor == nil {
-			return errors.New("search: resume: checkpoint is missing the DPOR unit frontier")
-		}
-	case o.Parallelism > 1:
-		if ck.Prefix == nil {
-			return errors.New("search: resume: checkpoint is missing the prefix frontier")
+			return errors.New("search: resume: checkpoint is missing the random-strategy position")
 		}
 	default:
 		if ck.Seq == nil {

@@ -47,8 +47,8 @@ const MaxVars = 1<<AuxOwnerShift - 2
 
 // Memory is a block of shared int64 variables governed by a memory
 // model. Create one per program with New (model from the engine
-// configuration) or NewWithModel (model forced by the caller, used by
-// the internal/tso compatibility adapter).
+// configuration) or NewWithModel (model forced by the caller, as the
+// store-buffer tests do).
 type Memory struct {
 	id   engine.ObjID
 	name string
@@ -193,10 +193,9 @@ func (m *Memory) Fence(t *engine.T) {
 	t.Do(&fenceOp{m: m, tid: t.ID()})
 }
 
-// Drain blocks until every thread's store buffer is empty. The
-// internal/tso adapter's Close uses it to make all writes visible
-// before a harness inspects memory; unlike Fence it waits for all
-// buffers, not just the caller's.
+// Drain blocks until every thread's store buffer is empty, making all
+// writes visible before a harness inspects memory; unlike Fence it
+// waits for all buffers, not just the caller's.
 func (m *Memory) Drain(t *engine.T) {
 	t.Do(&drainOp{m: m})
 }

@@ -1,4 +1,4 @@
-package tso_test
+package wm_test
 
 import (
 	"testing"
@@ -6,29 +6,38 @@ import (
 
 	"fairmc"
 	"fairmc/conc"
-	"fairmc/internal/tso"
+	"fairmc/internal/core"
+	"fairmc/internal/wm"
 )
 
-// The adapter pins TSO regardless of the search's memory-model option,
-// so these tests run under default options; the searched-axis behaviour
-// (SC vs -mm=tso verdicts, strategy coverage) is asserted on the progs
-// fixtures in progs/weakmem_test.go.
+// These tests pin the store-buffer mechanics — forwarding, capacity
+// stalls, fences — on a memory forced to TSO with NewWithModel, so they
+// run under default search options; the searched-axis behaviour (SC vs
+// -mm=tso verdicts, strategy coverage) is asserted on the progs
+// fixtures in progs/weakmem_test.go. Buffers belong to the calling
+// thread, as on real hardware.
+
+// newTSO creates an nvars-cell TSO memory whose per-thread store
+// buffers hold bufCap entries.
+func newTSO(t *conc.T, nvars, bufCap int) *wm.Memory {
+	return wm.NewWithModel(t, "m", nvars, core.MemTSO, bufCap)
+}
 
 func TestStoreLoadForwarding(t *testing.T) {
-	// A client always sees its own buffered stores (newest wins),
+	// A thread always sees its own buffered stores (newest wins),
 	// while the world sees global memory until the buffer flushes.
 	prog := func(t *conc.T) {
-		m := tso.New(t, "m", 2, 1, 4)
-		m.Store(t, 0, 0, 7)
-		m.Store(t, 0, 0, 9)
-		t.Assert(m.Load(t, 0, 0) == 9, "forwarding returns newest own store")
-		// Client 1 reads global memory: 0, 7 or 9 depending on flush
-		// progress — but never anything else.
-		v := m.Load(t, 1, 0)
-		t.Assert(v == 0 || v == 7 || v == 9, "other client sees a real value")
-		m.Fence(t, 0)
-		t.Assert(m.Load(t, 1, 0) == 9, "after fence the store is global")
-		m.Close(t)
+		m := newTSO(t, 1, 4)
+		m.Store(t, 0, 7)
+		m.Store(t, 0, 9)
+		t.Assert(m.Load(t, 0) == 9, "forwarding returns newest own store")
+		// Global memory holds 0, 7 or 9 depending on flush progress —
+		// but never anything else.
+		v := m.Peek(0)
+		t.Assert(v == 0 || v == 7 || v == 9, "the world sees a real value")
+		m.Fence(t)
+		t.Assert(m.Peek(0) == 9, "after fence the store is global")
+		m.Drain(t)
 	}
 	res := mustCheck(t, prog, fairmc.Options{
 		Fair: true, ContextBound: 1, MaxSteps: 10000, TimeLimit: 20 * time.Second,
@@ -46,13 +55,13 @@ func TestStoreLoadForwarding(t *testing.T) {
 // a search that enumerates the stall/flush interleavings.
 func TestBufferStallCap1(t *testing.T) {
 	prog := func(t *conc.T) {
-		m := tso.New(t, "m", 1, 1, 1)
+		m := newTSO(t, 1, 1)
 		for i := int64(1); i <= 3; i++ {
-			m.Store(t, 0, 0, i)
+			m.Store(t, 0, i)
 		}
-		m.Fence(t, 0)
-		t.Assert(m.Load(t, 0, 0) == 3, "last store visible after drain")
-		m.Close(t)
+		m.Fence(t)
+		t.Assert(m.Load(t, 0) == 3, "last store visible after drain")
+		m.Drain(t)
 	}
 	res := mustCheck(t, prog, fairmc.Options{
 		Fair: true, ContextBound: -1, MaxSteps: 10000, TimeLimit: 20 * time.Second,
@@ -71,26 +80,28 @@ func TestBufferStallCap1(t *testing.T) {
 // variable.
 func TestBufferStallCapN(t *testing.T) {
 	prog := func(t *conc.T) {
-		m := tso.New(t, "m", 2, 2, 2)
+		m := newTSO(t, 2, 2)
 		wg := conc.NewWaitGroup(t, "wg", 2)
 		for c := 0; c < 2; c++ {
 			c := c
 			t.Go("storer", func(t *conc.T) {
 				for i := int64(1); i <= 4; i++ {
-					m.Store(t, c, c, i)
+					m.Store(t, c, i)
 				}
-				m.Fence(t, c)
-				t.Assert(m.Load(t, c, c) == 4, "own stores land in order")
+				m.Fence(t)
+				t.Assert(m.Load(t, c) == 4, "own stores land in order")
 				wg.Done(t)
 			})
 		}
 		wg.Wait(t)
-		m.Close(t)
-		t.Assert(m.Load(t, 0, 0) == 4 && m.Load(t, 0, 1) == 4,
+		m.Drain(t)
+		t.Assert(m.Load(t, 0) == 4 && m.Load(t, 1) == 4,
 			"both threads' stores fully drained")
 	}
+	// The tree is far too large to exhaust; a fixed execution budget
+	// (not the wall clock) keeps the covered part the same everywhere.
 	res := mustCheck(t, prog, fairmc.Options{
-		Fair: true, ContextBound: 1, MaxSteps: 20000, TimeLimit: 30 * time.Second,
+		Fair: true, ContextBound: 1, MaxSteps: 20000, MaxExecutions: 20000,
 	})
 	if !res.Ok() {
 		if res.FirstBug != nil {
@@ -106,12 +117,12 @@ func TestBufferStallCapN(t *testing.T) {
 // as a livelock or good-samaritan violation.
 func TestFenceWaitIsNotDivergence(t *testing.T) {
 	prog := func(t *conc.T) {
-		m := tso.New(t, "m", 1, 1, 8)
+		m := newTSO(t, 1, 8)
 		for i := int64(1); i <= 8; i++ {
-			m.Store(t, 0, 0, i)
+			m.Store(t, 0, i)
 		}
-		m.Fence(t, 0) // eight pending flushes; the fence must just wait
-		m.Close(t)
+		m.Fence(t) // eight pending flushes; the fence must just wait
+		m.Drain(t)
 	}
 	res := mustCheck(t, prog, fairmc.Options{
 		Fair: true, ContextBound: -1, MaxSteps: 200, TimeLimit: 20 * time.Second,
