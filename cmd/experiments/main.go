@@ -3,25 +3,19 @@
 //
 // Usage:
 //
-//	experiments [-run fig2|table1|table2|fig56|table3|liveness|strategies|parallel|conformance|obs|dist|engine|dpor|tso|all]
-//	            [-celltime 60s] [-dbounds 20,30,40,50,60] [-quick]
-//	            [-workers 1,2,4,8] [-parexecs 2000] [-json BENCH_parallel.json]
-//	            [-confexecs 2000] [-confreps 3] [-confjson BENCH_conformance.json]
-//	            [-obsexecs 5000] [-obsreps 5] [-obsjson BENCH_obs.json]
-//	            [-distworkers 1,2,4] [-distexecs 2000] [-distjson BENCH_dist.json]
-//	            [-engexecs 2000] [-engreps 5] [-engjson BENCH_engine.json]
-//	            [-dporworkers 1,2,4] [-dporjson BENCH_dpor.json]
-//	            [-tsojson BENCH_tso.json]
+//	experiments [-run fig2|table1|table2|fig56|table3|liveness|strategies|all]
+//	            [-celltime 60s] [-dbounds 20,30,40,50,60]
+//	            [-fig2bounds 8,10,12,14,16,18,20] [-quick] [-csv DIR]
 //
 // Absolute numbers differ from the paper's (different substrate,
 // different hardware); the shapes — exponential growth in Figure 2,
 // full coverage with fairness in Table 2, fairness finding every bug
 // faster in Table 3 — are the reproduction targets. EXPERIMENTS.md
-// records a reference run.
+// records a reference run. Performance is measured by the benchmark in
+// bench/ (see bench/README.md), not here.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -33,32 +27,18 @@ import (
 	"fairmc/internal/experiments"
 )
 
+// runValues is the -run vocabulary, as shown by -h and by the
+// unknown-value error.
+const runValues = "fig2|table1|table2|fig56|table3|liveness|strategies|all"
+
 func main() {
 	var (
-		run       = flag.String("run", "all", "experiment to run: fig2|table1|table2|fig56|table3|liveness|strategies|parallel|conformance|obs|dist|engine|dpor|tso|all")
-		cellTime  = flag.Duration("celltime", 60*time.Second, "time budget per experiment cell")
-		dbounds   = flag.String("dbounds", "20,30,40,50,60", "depth bounds for the unfair Table 2 runs")
-		fig2b     = flag.String("fig2bounds", "8,10,12,14,16,18,20", "depth bounds for Figure 2")
-		quick     = flag.Bool("quick", false, "small bounds and budgets for a fast smoke run")
-		csvDir    = flag.String("csv", "", "also write machine-readable CSVs into this directory")
-		workers   = flag.String("workers", "1,2,4,8", "worker counts for the parallel sweep")
-		parExecs  = flag.Int64("parexecs", 2000, "executions per parallel-sweep cell")
-		jsonOut   = flag.String("json", "BENCH_parallel.json", "output file for the parallel sweep (\"\" = stdout only)")
-		cfExecs   = flag.Int64("confexecs", 2000, "executions per conformance-overhead cell")
-		cfReps    = flag.Int("confreps", 3, "repetitions per conformance-overhead cell (best wall clock kept)")
-		cfJSON    = flag.String("confjson", "BENCH_conformance.json", "output file for the conformance sweep (\"\" = stdout only)")
-		obsExecs  = flag.Int64("obsexecs", 5000, "executions per observability-overhead configuration")
-		obsReps   = flag.Int("obsreps", 5, "repetitions per observability configuration (best wall clock kept)")
-		obsJSON   = flag.String("obsjson", "BENCH_obs.json", "output file for the observability sweep (\"\" = stdout only)")
-		distWkrs  = flag.String("distworkers", "1,2,4", "worker counts for the distributed sweep")
-		distExecs = flag.Int64("distexecs", 2000, "executions per distributed-sweep cell")
-		distJSON  = flag.String("distjson", "BENCH_dist.json", "output file for the distributed sweep (\"\" = stdout only)")
-		engExecs  = flag.Int64("engexecs", 2000, "executions per engine-speed cell")
-		engReps   = flag.Int("engreps", 5, "repetitions per engine-speed cell (best wall clock kept)")
-		engJSON   = flag.String("engjson", "BENCH_engine.json", "output file for the engine-speed sweep (\"\" = stdout only)")
-		dporWkrs  = flag.String("dporworkers", "1,2,4", "worker counts for the DPOR scaling sweep")
-		dporJSON  = flag.String("dporjson", "BENCH_dpor.json", "output file for the DPOR sweep (\"\" = stdout only)")
-		tsoJSON   = flag.String("tsojson", "BENCH_tso.json", "output file for the weak-memory sweep (\"\" = stdout only)")
+		run      = flag.String("run", "all", "experiment to run: "+runValues)
+		cellTime = flag.Duration("celltime", 60*time.Second, "time budget per experiment cell")
+		dbounds  = flag.String("dbounds", "20,30,40,50,60", "depth bounds for the unfair Table 2 runs")
+		fig2b    = flag.String("fig2bounds", "8,10,12,14,16,18,20", "depth bounds for Figure 2")
+		quick    = flag.Bool("quick", false, "small bounds and budgets for a fast smoke run")
+		csvDir   = flag.String("csv", "", "also write machine-readable CSVs into this directory")
 	)
 	flag.Parse()
 	if *csvDir != "" {
@@ -104,49 +84,8 @@ func main() {
 	if want("strategies") {
 		runStrategies(budget)
 	}
-	if want("parallel") {
-		execs := *parExecs
-		if *quick {
-			execs = 200
-		}
-		runParallel(parseInts(*workers), execs, *jsonOut)
-	}
-	if want("conformance") {
-		execs, reps := *cfExecs, *cfReps
-		if *quick {
-			execs, reps = 200, 1
-		}
-		runConformance(execs, reps, *cfJSON)
-	}
-	if want("obs") {
-		execs, reps := *obsExecs, *obsReps
-		if *quick {
-			execs, reps = 500, 2
-		}
-		runObs(execs, reps, *obsJSON)
-	}
-	if want("dist") {
-		execs := *distExecs
-		if *quick {
-			execs = 200
-		}
-		runDist(parseInts(*distWkrs), execs, *distJSON)
-	}
-	if want("engine") {
-		execs, reps := *engExecs, *engReps
-		if *quick {
-			execs, reps = 200, 2
-		}
-		runEngine(execs, reps, *engJSON)
-	}
-	if want("dpor") {
-		runDpor(parseInts(*dporWkrs), *quick, *dporJSON)
-	}
-	if want("tso") {
-		runTso(*quick, *tsoJSON)
-	}
 	if !ran {
-		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *run)
+		fmt.Fprintf(os.Stderr, "unknown experiment %q (want %s)\n", *run, runValues)
 		os.Exit(2)
 	}
 }
@@ -321,271 +260,6 @@ func runStrategies(budget experiments.Budget) {
 	for _, r := range experiments.CompareStrategies(experiments.Table3Bugs(), budget) {
 		fmt.Printf("%-32s %12s %12s %12s\n", r.Bug, show(r.FairDFS), show(r.RandomWalk), show(r.PCT))
 		csv.row(r.Bug, show(r.FairDFS), show(r.RandomWalk), show(r.PCT))
-	}
-	fmt.Println()
-}
-
-func runParallel(workers []int, execs int64, jsonPath string) {
-	fmt.Println("== Extension: parallel exploration throughput ==")
-	fmt.Println("   (stride-sharded random walk, wsq 2x2, identical schedules at every P)")
-	rep := experiments.ParallelSweep(workers, execs)
-	fmt.Printf("   gomaxprocs=%d numcpu=%d program=%s seed=%d\n",
-		rep.GOMAXPROCS, rep.NumCPU, rep.Program, rep.Seed)
-	if rep.Warning != "" {
-		fmt.Fprintf(os.Stderr, "warning: %s\n", rep.Warning)
-	}
-	fmt.Printf("%-14s %12s %12s %12s\n", "single-thread", "executions", "elapsed", "execs/s")
-	for _, r := range rep.SingleThread {
-		fmt.Printf("%-14s %12d %12s %12.0f\n",
-			r.Program, r.Executions, fmtDur(r.Elapsed), r.ExecsPerSec)
-	}
-	fmt.Printf("%-6s %12s %12s %12s %9s\n", "p", "executions", "elapsed", "execs/s", "speedup")
-	for _, r := range rep.Rows {
-		fmt.Printf("%-6d %12d %12s %12.0f %8.2fx\n",
-			r.Parallelism, r.Executions, fmtDur(r.Elapsed), r.ExecsPerSec, r.Speedup)
-	}
-	if jsonPath != "" {
-		buf, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		if err := os.WriteFile(jsonPath, append(buf, '\n'), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		fmt.Printf("   wrote %s\n", jsonPath)
-	}
-	fmt.Println()
-}
-
-func runConformance(execs int64, reps int, jsonPath string) {
-	fmt.Println("== Extension: conformance-checking overhead ==")
-	fmt.Println("   (execution-bounded DFS, digest checking on vs off, best of reps)")
-	rep := experiments.ConformanceSweep(execs, reps)
-	fmt.Printf("   gomaxprocs=%d numcpu=%d reps=%d\n", rep.GOMAXPROCS, rep.NumCPU, rep.Reps)
-	fmt.Printf("%-12s %12s %12s %12s %9s %10s\n",
-		"program", "executions", "on", "off", "overhead", "identical")
-	csv := newCSV("conformance", "program", "executions", "on_seconds", "off_seconds",
-		"overhead", "quarantined", "identical")
-	defer csv.close()
-	for _, r := range rep.Rows {
-		fmt.Printf("%-12s %12d %12s %12s %8.2fx %10v\n",
-			r.Program, r.Executions, fmtDur(r.ElapsedOn), fmtDur(r.ElapsedOff),
-			r.Overhead, r.Identical)
-		csv.row(r.Program, fmt.Sprint(r.Executions),
-			fmt.Sprintf("%.3f", r.ElapsedOn.Seconds()),
-			fmt.Sprintf("%.3f", r.ElapsedOff.Seconds()),
-			fmt.Sprintf("%.3f", r.Overhead),
-			fmt.Sprint(r.Quarantined), fmt.Sprint(r.Identical))
-	}
-	if jsonPath != "" {
-		buf, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		if err := os.WriteFile(jsonPath, append(buf, '\n'), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		fmt.Printf("   wrote %s\n", jsonPath)
-	}
-	fmt.Println()
-}
-
-func runObs(execs int64, reps int, jsonPath string) {
-	fmt.Println("== Extension: observability overhead ==")
-	fmt.Println("   (spinloop random walk, metrics registry and event stream vs bare, best of reps)")
-	rep := experiments.ObsSweep(execs, reps)
-	fmt.Printf("   gomaxprocs=%d numcpu=%d program=%s reps=%d\n",
-		rep.GOMAXPROCS, rep.NumCPU, rep.Program, rep.Reps)
-	fmt.Printf("%-16s %12s %12s %12s %9s\n", "config", "executions", "best", "execs/s", "overhead")
-	csv := newCSV("obs", "config", "executions", "best_seconds", "execs_per_sec", "overhead")
-	defer csv.close()
-	for _, r := range rep.Rows {
-		fmt.Printf("%-16s %12d %12s %12.0f %8.3fx\n",
-			r.Config, r.Executions, fmtDur(r.Best), r.ExecsPerSec, r.Overhead)
-		csv.row(r.Config, fmt.Sprint(r.Executions),
-			fmt.Sprintf("%.3f", r.Best.Seconds()),
-			fmt.Sprintf("%.0f", r.ExecsPerSec),
-			fmt.Sprintf("%.3f", r.Overhead))
-	}
-	if jsonPath != "" {
-		buf, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		if err := os.WriteFile(jsonPath, append(buf, '\n'), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		fmt.Printf("   wrote %s\n", jsonPath)
-	}
-	fmt.Println()
-}
-
-func runDist(workers []int, execs int64, jsonPath string) {
-	fmt.Println("== Extension: distributed exploration throughput ==")
-	fmt.Println("   (coordinator + workers over loopback HTTP, wsq 2x2, identical merged report at every W)")
-	rep := experiments.DistSweep(workers, execs)
-	fmt.Printf("   gomaxprocs=%d numcpu=%d program=%s seed=%d shards=%d (mirrors -p %d)\n",
-		rep.GOMAXPROCS, rep.NumCPU, rep.Program, rep.Seed, rep.Shards, rep.RefParallelism)
-	fmt.Printf("%-8s %6s %8s %12s %12s %12s %9s %10s\n",
-		"workers", "chaos", "faults", "executions", "elapsed", "execs/s", "speedup", "identical")
-	csv := newCSV("dist", "workers", "chaos", "faults", "executions", "elapsed_seconds", "execs_per_sec", "speedup", "identical")
-	defer csv.close()
-	for _, r := range rep.Rows {
-		fmt.Printf("%-8d %6v %8d %12d %12s %12.0f %8.2fx %10v\n",
-			r.Workers, r.Chaos, r.Faults, r.Executions, fmtDur(r.Elapsed), r.ExecsPerSec, r.Speedup, r.Identical)
-		csv.row(fmt.Sprint(r.Workers), fmt.Sprint(r.Chaos), fmt.Sprint(r.Faults),
-			fmt.Sprint(r.Executions),
-			fmt.Sprintf("%.3f", r.Elapsed.Seconds()),
-			fmt.Sprintf("%.0f", r.ExecsPerSec),
-			fmt.Sprintf("%.3f", r.Speedup), fmt.Sprint(r.Identical))
-	}
-	if jsonPath != "" {
-		buf, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		if err := os.WriteFile(jsonPath, append(buf, '\n'), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		fmt.Printf("   wrote %s\n", jsonPath)
-	}
-	fmt.Println()
-}
-
-func runEngine(execs int64, reps int, jsonPath string) {
-	fmt.Println("== Extension: engine fast-path throughput ==")
-	fmt.Println("   (single-thread run-to-completion executions, best of reps; speedup vs the")
-	fmt.Println("    same program's no-fastpath row; pre-PR baseline is a recorded constant)")
-	rep := experiments.EngineSweep(execs, reps)
-	fmt.Printf("   gomaxprocs=%d numcpu=%d reps=%d\n", rep.GOMAXPROCS, rep.NumCPU, rep.Reps)
-	fmt.Printf("   pre-PR baseline (%s @ %s): %.0f execs/s, %.0f allocs/exec\n",
-		rep.Baseline.Program, rep.Baseline.Commit,
-		rep.Baseline.ExecsPerSec, rep.Baseline.AllocsPerExec)
-	fmt.Printf("%-12s %-16s %12s %12s %12s %12s %9s\n",
-		"program", "config", "executions", "best", "execs/s", "allocs/exec", "speedup")
-	csv := newCSV("engine", "program", "config", "executions", "best_seconds",
-		"execs_per_sec", "allocs_per_exec", "speedup")
-	defer csv.close()
-	for _, r := range rep.Rows {
-		fmt.Printf("%-12s %-16s %12d %12s %12.0f %12.1f %8.2fx\n",
-			r.Program, r.Config, r.Executions, fmtDur(r.Best),
-			r.ExecsPerSec, r.AllocsPerExec, r.Speedup)
-		csv.row(r.Program, r.Config, fmt.Sprint(r.Executions),
-			fmt.Sprintf("%.3f", r.Best.Seconds()),
-			fmt.Sprintf("%.0f", r.ExecsPerSec),
-			fmt.Sprintf("%.1f", r.AllocsPerExec),
-			fmt.Sprintf("%.3f", r.Speedup))
-	}
-	fmt.Printf("   speedup vs pre-PR baseline: %.2fx   reports identical (fastpath on/off): %v\n",
-		rep.SpeedupVsPrePR, rep.ReportsIdentical)
-	if jsonPath != "" {
-		buf, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		if err := os.WriteFile(jsonPath, append(buf, '\n'), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		fmt.Printf("   wrote %s\n", jsonPath)
-	}
-	fmt.Println()
-}
-
-func runDpor(workers []int, quick bool, jsonPath string) {
-	fmt.Println("== Extension: DPOR work-unit reduction and scaling ==")
-	fmt.Println("   (unfair full-depth DFS vs DPOR vs DPOR+sleepsets; scaling drains the")
-	fmt.Println("    same unit frontier at each -p, reports byte-identical at every P)")
-	rep := experiments.DporSweep(workers, quick)
-	fmt.Printf("   gomaxprocs=%d numcpu=%d\n", rep.GOMAXPROCS, rep.NumCPU)
-	if rep.Warning != "" {
-		fmt.Fprintf(os.Stderr, "warning: %s\n", rep.Warning)
-	}
-	fmt.Printf("%-16s %12s %12s %12s %8s %8s %10s\n",
-		"program", "plain", "dpor", "dpor+sleep", "races", "pruned", "reduction")
-	csv := newCSV("dpor", "program", "plain_execs", "dpor_execs", "dpor_sleep_execs",
-		"races", "units_pruned", "reduction")
-	defer csv.close()
-	for _, r := range rep.Reduction {
-		fmt.Printf("%-16s %12d %12d %12d %8d %8d %9.1fx\n",
-			r.Program, r.PlainExecs, r.DporExecs, r.DporSleepExecs,
-			r.Races, r.UnitsPruned, r.Reduction)
-		csv.row(r.Program, fmt.Sprint(r.PlainExecs), fmt.Sprint(r.DporExecs),
-			fmt.Sprint(r.DporSleepExecs), fmt.Sprint(r.Races),
-			fmt.Sprint(r.UnitsPruned), fmt.Sprintf("%.3f", r.Reduction))
-	}
-	for _, r := range rep.Bug {
-		fmt.Printf("   first bug on %s: plain %d executions (found=%v), DPOR %d (found=%v)\n",
-			r.Program, r.PlainExecs, r.PlainFound, r.DporExecs, r.DporFound)
-	}
-	fmt.Printf("%-6s %12s %12s %12s %9s %10s   (scale: %s)\n",
-		"p", "executions", "elapsed", "execs/s", "speedup", "identical", rep.ScaleProgram)
-	for _, r := range rep.Scale {
-		fmt.Printf("%-6d %12d %12s %12.0f %8.2fx %10v\n",
-			r.Parallelism, r.Executions, fmtDur(r.Elapsed), r.ExecsPerSec, r.Speedup, r.Identical)
-	}
-	if jsonPath != "" {
-		buf, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		if err := os.WriteFile(jsonPath, append(buf, '\n'), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		fmt.Printf("   wrote %s\n", jsonPath)
-	}
-	fmt.Println()
-}
-
-func runTso(quick bool, jsonPath string) {
-	fmt.Println("== Extension: weak-memory verdict matrix (SC vs TSO) ==")
-	fmt.Println("   (each fixture searched under both models with its designated strategy;")
-	fmt.Println("    'find@' is the 1-based execution that produced the finding; clean* =")
-	fmt.Println("    randomized budget ran out with no finding)")
-	rep := experiments.TsoSweep(quick)
-	fmt.Printf("   gomaxprocs=%d numcpu=%d\n", rep.GOMAXPROCS, rep.NumCPU)
-	fmt.Printf("%-24s %-16s %-9s %9s %-10s %9s %9s %8s %6s\n",
-		"program", "strategy", "sc", "sc execs", "tso", "find@", "tso execs", "flushes", "match")
-	csv := newCSV("tso", "program", "strategy", "sc_verdict", "sc_executions",
-		"tso_verdict", "tso_finding_execution", "tso_executions",
-		"tso_buffered_stores", "tso_flushes", "tso_fences", "tso_forwards", "match")
-	defer csv.close()
-	for _, r := range rep.Rows {
-		find := "-"
-		if r.TSO.FindingExecution > 0 {
-			find = fmt.Sprint(r.TSO.FindingExecution)
-		}
-		fmt.Printf("%-24s %-16s %-9s %9d %-10s %9s %9d %8d %6v\n",
-			r.Program, r.Strategy, r.SC.Verdict, r.SC.Executions,
-			r.TSO.Verdict, find, r.TSO.Executions, r.TSO.Flushes, r.Match)
-		csv.row(r.Program, r.Strategy, r.SC.Verdict, fmt.Sprint(r.SC.Executions),
-			r.TSO.Verdict, fmt.Sprint(r.TSO.FindingExecution), fmt.Sprint(r.TSO.Executions),
-			fmt.Sprint(r.TSO.BufferedStores), fmt.Sprint(r.TSO.Flushes),
-			fmt.Sprint(r.TSO.Fences), fmt.Sprint(r.TSO.Forwards), fmt.Sprint(r.Match))
-	}
-	fmt.Printf("   all verdicts match the fixtures' documented matrix: %v\n", rep.AllMatch)
-	if jsonPath != "" {
-		buf, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		if err := os.WriteFile(jsonPath, append(buf, '\n'), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		fmt.Printf("   wrote %s\n", jsonPath)
 	}
 	fmt.Println()
 }

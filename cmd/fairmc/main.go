@@ -606,7 +606,13 @@ func finishSearch(res *fairmc.Result, program string, opts fairmc.Options, start
 	case res.Divergence != nil:
 		fmt.Printf("FOUND divergence at execution %d (after %d steps)\n",
 			res.DivergenceExecution, res.Divergence.Steps)
-		fmt.Printf("classification: %s\n", res.Liveness)
+		if opts.Fair {
+			fmt.Printf("classification: %s\n", res.Liveness)
+		} else {
+			// Only DPOR and sleep sets report an unfair divergence.
+			fmt.Println("the reduction's terminating-program precondition failed: an unfair execution ran past -maxsteps")
+			fmt.Println("rerun with the default fair search (without -dpor, -sleepsets and -fair=false)")
+		}
 		if out.printTrace {
 			fmt.Print(res.Divergence.FormatTrace())
 		}

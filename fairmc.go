@@ -189,9 +189,12 @@ type RunReport = obs.RunReport
 // divergence was found, its liveness classification.
 type Result struct {
 	*Report
-	// Liveness is non-nil when the search found a diverging fair
-	// execution; it says whether the divergence is a good-samaritan
-	// violation or a livelock.
+	// Liveness is non-nil when the search found a divergence; for a
+	// fair search it says whether the divergence is a good-samaritan
+	// violation or a livelock. (An unfair DPOR or sleep-set search
+	// reports a divergence when the program is outside the reduction's
+	// terminating-program precondition; its classification describes
+	// an unfair schedule and carries no liveness verdict.)
 	Liveness *LivenessReport
 	// Races holds the unsynchronized access pairs found when the
 	// check ran with CheckRaces.
@@ -279,15 +282,15 @@ func (r *Result) RunReport(program string, opts Options) *RunReport {
 			kind = "deadlock"
 		}
 		out.Findings = append(out.Findings,
-			runFinding(kind, rep.FirstBug, rep.FirstBugExecution, rep.BugReproducibility))
+			runFinding(&opts, kind, rep.FirstBug, rep.FirstBugExecution, rep.BugReproducibility))
 	}
 	if rep.Divergence != nil {
 		out.Findings = append(out.Findings,
-			runFinding("livelock", rep.Divergence, rep.DivergenceExecution, rep.DivergenceReproducibility))
+			runFinding(&opts, "livelock", rep.Divergence, rep.DivergenceExecution, rep.DivergenceReproducibility))
 	}
 	if rep.FirstWedge != nil {
 		out.Findings = append(out.Findings,
-			runFinding("wedge", rep.FirstWedge, rep.FirstWedgeExecution, nil))
+			runFinding(&opts, "wedge", rep.FirstWedge, rep.FirstWedgeExecution, nil))
 	}
 	// Execution order, which is deterministic; the assembly order above
 	// is not (a wedge can precede a bug).
@@ -299,27 +302,14 @@ func (r *Result) RunReport(program string, opts Options) *RunReport {
 	return out
 }
 
-// runFinding builds one report finding from a finding result. The
-// message is stack-free: goroutine stacks vary run to run and would
-// break report determinism.
-func runFinding(kind string, fr *ExecResult, exec int64, repro *Reproducibility) obs.RunFinding {
+// runFinding builds one report finding from a finding result.
+func runFinding(opts *Options, kind string, fr *ExecResult, exec int64, repro *Reproducibility) obs.RunFinding {
 	f := obs.RunFinding{
 		Kind:        kind,
 		Execution:   exec,
 		Steps:       fr.Steps,
 		ScheduleLen: len(fr.Schedule),
-	}
-	switch {
-	case fr.Violation != nil && !fr.Violation.IsPanic:
-		f.Message = fr.Violation.String()
-	case fr.Violation != nil:
-		f.Message = "thread panic"
-	case fr.Wedge != nil:
-		f.Message = fr.Wedge.String()
-	case kind == "livelock":
-		f.Message = "execution exceeded the step bound under the fair scheduler"
-	case kind == "deadlock":
-		f.Message = "no thread enabled with live threads remaining"
+		Message:     search.FindingMessage(opts, kind, fr),
 	}
 	if repro != nil {
 		f.Reproducibility = repro.String()

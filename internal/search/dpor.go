@@ -28,8 +28,10 @@ package search
 // its branch point; earlier pairs occurred identically in the parent's
 // trace. Guarantee (as for classic DPOR): on programs that terminate
 // under every schedule, all deadlocks and assertion violations are
-// found. It requires the unfair scheduler and composes with sleep
-// sets, whose state rides inside the units (Unit.Sleep).
+// found; a unit that reaches MaxSteps is outside that premise and is
+// reported as a divergence finding (classify), which stops the merge.
+// It requires the unfair scheduler and composes with sleep sets, whose
+// state rides inside the units (Unit.Sleep).
 
 import (
 	"strconv"
@@ -270,8 +272,6 @@ func runDporUnit(prog func(*engine.T), opts *Options, pool *engine.Pool, unit *p
 	if c.abortSleep {
 		reason = abortSleep
 	}
-	// DPOR requires the unfair scheduler, where exceeding the step bound
-	// is an ordinary nonterminating execution, not a finding.
 	classify(prog, opts, rep, r, 1, reason)
 	if rep.TimedOut {
 		// The shared deadline cut this unit; the merge discards the

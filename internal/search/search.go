@@ -99,10 +99,11 @@ type Options struct {
 	// executions than full DFS; it does NOT guarantee full state
 	// coverage (use SleepSets for that). Requires Fair to be false and
 	// a terminating program (no DepthBound / RandomTail / RandomWalk /
-	// PCT). Because the units are serializable and merged in a
-	// canonical order, DPOR runs at any Parallelism, distributed
-	// (Shard.Unit), and under checkpoint/resume, always with a
-	// byte-identical report.
+	// PCT): an execution that reaches MaxSteps is reported as a
+	// Divergence, never as exhaustion. Because the units are
+	// serializable and merged in a canonical order, DPOR runs at any
+	// Parallelism, distributed (Shard.Unit), and under
+	// checkpoint/resume, always with a byte-identical report.
 	DPOR bool
 	// SleepSets enables sleep-set partial-order reduction
 	// (internal/por): redundant interleavings of independent
@@ -110,7 +111,8 @@ type Options struct {
 	// visited. The reduction assumes transitions commute outright,
 	// which the fair scheduler's path-dependent state breaks, so it
 	// requires Fair to be false (the paper flags combining the two as
-	// future work).
+	// future work). Like DPOR it presumes a terminating program: an
+	// execution that reaches MaxSteps is reported as a Divergence.
 	SleepSets bool
 	// Parallelism runs the search on this many worker goroutines, each
 	// with its own engine; 0 or 1 is the sequential searcher. The
@@ -153,11 +155,12 @@ type Options struct {
 	// ContinueAfterViolation keeps searching after safety violations
 	// instead of stopping at the first one.
 	ContinueAfterViolation bool
-	// ContinueAfterDivergence keeps searching after a fair execution
-	// exceeds MaxSteps. In fair mode a divergence is a liveness-error
-	// candidate and stops the search by default; in unfair mode
-	// divergences are ordinary nonterminating executions and the
-	// search always continues.
+	// ContinueAfterDivergence keeps searching after a Divergence
+	// finding. An execution that exceeds MaxSteps is a liveness-error
+	// candidate in fair mode and voids the reduction's
+	// terminating-program precondition under DPOR or SleepSets; both
+	// stop the search by default. In plain unfair mode such executions
+	// are ordinary nonterminating ones and the search always continues.
 	ContinueAfterDivergence bool
 	// RecordTrace makes every execution record a full trace (slow;
 	// the searcher replays the offending schedule itself to produce
@@ -331,6 +334,9 @@ type Report struct {
 	FirstBugExecution int64
 	// Divergence is the first fair execution that exceeded MaxSteps:
 	// the candidate liveness error the paper's outcome 2/3 describes.
+	// Under DPOR or SleepSets (unfair) it is the first execution that
+	// exceeded MaxSteps at all: the program is outside the reduction's
+	// terminating-program precondition and the search proves nothing.
 	Divergence          *engine.Result
 	DivergenceExecution int64
 	// FirstWedge is the first execution that ended Wedged (its schedule
@@ -833,7 +839,12 @@ func classify(prog func(*engine.T), opts *Options, rep *Report, r *engine.Result
 		return !opts.ContinueAfterViolation
 	case engine.Diverged:
 		rep.NonTerminating++
-		if opts.Fair {
+		// Under the fair scheduler an execution past MaxSteps is a
+		// liveness-error candidate. Under DPOR or sleep sets it voids the
+		// reduction's terminating-program precondition — the unexplored
+		// suffix may hold the races that spawn the missing work — so it
+		// is a finding too, never folded into an exhausted "OK".
+		if opts.Fair || opts.DPOR || opts.SleepSets {
 			if rep.Divergence == nil {
 				rep.Divergence = reproduce(prog, opts, r)
 				rep.DivergenceExecution = exec
@@ -875,7 +886,7 @@ func classify(prog func(*engine.T), opts *Options, rep *Report, r *engine.Result
 }
 
 // emitFinding publishes one finding to the event stream, with the
-// one-line message findingMessage derives from the result.
+// one-line message FindingMessage derives from the result.
 func emitFinding(opts *Options, kind string, r *engine.Result, exec int64) {
 	sink := opts.EventSink
 	if sink == nil {
@@ -884,14 +895,14 @@ func emitFinding(opts *Options, kind string, r *engine.Result, exec int64) {
 	sink.Emit(obs.Event{Type: "finding", Exec: exec, Finding: &obs.FindingEvent{
 		Kind:    kind,
 		Steps:   int(r.Steps),
-		Message: findingMessage(kind, r),
+		Message: FindingMessage(opts, kind, r),
 	}})
 }
 
-// findingMessage is the one-line description of a finding, shared by
+// FindingMessage is the one-line description of a finding, shared by
 // the event stream and the run report. Deliberately stack-free:
 // goroutine stacks vary run to run and would break report determinism.
-func findingMessage(kind string, r *engine.Result) string {
+func FindingMessage(opts *Options, kind string, r *engine.Result) string {
 	switch {
 	case r.Violation != nil && !r.Violation.IsPanic:
 		return r.Violation.String()
@@ -900,8 +911,10 @@ func findingMessage(kind string, r *engine.Result) string {
 		return "thread panic"
 	case r.Wedge != nil:
 		return r.Wedge.String()
-	case kind == "livelock":
+	case kind == "livelock" && opts.Fair:
 		return "execution exceeded the step bound under the fair scheduler"
+	case kind == "livelock":
+		return "execution exceeded the step bound under a partial-order reduction: its terminating-program precondition failed"
 	case kind == "deadlock":
 		return "no thread enabled with live threads remaining"
 	default:
