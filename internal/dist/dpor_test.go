@@ -2,6 +2,8 @@ package dist_test
 
 import (
 	"bytes"
+	"encoding/json"
+	"os"
 	"reflect"
 	"strings"
 	"testing"
@@ -99,6 +101,24 @@ func TestDistDPORCoordinatorResume(t *testing.T) {
 		t.Fatalf("interrupted coordinator's report not marked Interrupted: %+v", rep)
 	}
 	srvA.Close()
+
+	// The merge released the two units it consumed, so the grown plan B
+	// adopts holds them empty: unit 1 must come back from re-offering
+	// unit 0's report, not from the file.
+	data, err := os.ReadFile(statePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st struct {
+		Plan *search.Plan `json:"plan"`
+	}
+	if err := json.Unmarshal(data, &st); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(st.Plan.Shards); n < 3 || st.Plan.Shards[1].Unit == nil || st.Plan.Shards[1].Unit.Sched != nil ||
+		st.Plan.Shards[n-1].Unit == nil || st.Plan.Shards[n-1].Unit.Sched == nil {
+		t.Fatalf("state file plan: want merged unit 1 released and the unmerged units whole: %s", data)
+	}
 
 	coordB, srvB := startCoordinator(t, cfg)
 	runWorkers(t, srvB.URL, 1)

@@ -50,7 +50,7 @@ type ExecStep struct {
 	// Chosen is the move that executed at this step.
 	Chosen Move
 	// Alts is the context-bound-filtered candidate list at the step's
-	// state (an owned copy, not the engine's reused buffer).
+	// state (owned by the recorder, not the engine's reused buffer).
 	Alts []engine.Alt
 	// Moves[i] is the Move of Alts[i] at that state.
 	Moves []Move
@@ -87,14 +87,18 @@ type Proposal struct {
 // not directly schedulable at the earlier state).
 func Analyze(branch int, steps []ExecStep) []Proposal {
 	var out []Proposal
-	seen := make(map[[2]int]bool)
+	// proposed[off[p]+i] records that alternative i of step p is already
+	// in out: two flat arrays, linear in the trace however many pairs race.
+	off := make([]int, len(steps)+1)
+	for p := range steps {
+		off[p+1] = off[p] + len(steps[p].Alts)
+	}
+	proposed := make([]bool, off[len(steps)])
 	propose := func(pos, idx int) {
-		key := [2]int{pos, idx}
-		if seen[key] {
-			return
+		if k := off[pos] + idx; !proposed[k] {
+			proposed[k] = true
+			out = append(out, Proposal{Pos: pos, Idx: idx})
 		}
-		seen[key] = true
-		out = append(out, Proposal{Pos: pos, Idx: idx})
 	}
 	lo := branch
 	if lo < 0 {

@@ -111,8 +111,8 @@ type Frontier struct {
 	AllExhausted bool `json:"allExhausted"`
 	// Shards are the planned-but-unmerged shards in plan order.
 	Shards []Shard `json:"shards,omitempty"`
-	// Traces records every consumed DPOR unit, in consumption order (the
-	// merge's dedup set is rebuilt from them).
+	// Traces are the maximal paths of a DPOR merge's dedup set, which is
+	// rebuilt from them (see DporTraceRec).
 	Traces []DporTraceRec `json:"traces,omitempty"`
 }
 

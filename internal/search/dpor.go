@@ -34,8 +34,7 @@ package search
 // state rides inside the units (Unit.Sleep).
 
 import (
-	"strconv"
-	"strings"
+	"sync"
 	"time"
 
 	"fairmc/internal/engine"
@@ -87,12 +86,11 @@ type DporProposal struct {
 	Idx int `json:"idx"`
 }
 
-// DporTraceRec is the compact history of one consumed work unit, kept
-// for checkpoint/resume: the unit's path, and the continuation indices
-// its run chose (empty for quarantined or skipped units). The merge's
-// dedup set is exactly the prefixes of Path+Cont over all consumed
-// units plus the paths of pending units, so a resume reconstructs it
-// from these records alone.
+// DporTraceRec is one maximal path of the merge's dedup set, kept for
+// checkpoint/resume: the set is prefix-closed, so inserting Path+Cont of
+// every record with all its prefixes rebuilds it. This build writes the
+// whole path in Path; Cont is read for checkpoints that recorded a
+// consumed unit's prefix and continuation apart.
 type DporTraceRec struct {
 	Path []int `json:"path,omitempty"`
 	Cont []int `json:"cont,omitempty"`
@@ -101,7 +99,8 @@ type DporTraceRec struct {
 // unitChooser executes one DPOR work unit: it replays the unit's
 // schedule under digest verification, then extends the execution with
 // leftmost-awake choices, recording the per-step candidate landscape
-// por.Analyze consumes.
+// por.Analyze consumes. Choosers are recycled through chooserPool, so
+// in the steady state a run's record costs no allocation.
 type unitChooser struct {
 	opts *Options
 	unit *por.Unit
@@ -110,7 +109,12 @@ type unitChooser struct {
 	preemptUsed int
 	sleep       por.Set
 
+	// steps[i].Alts/Moves/Awake are sub-slices of the three arenas below,
+	// one append per step instead of three allocations.
 	steps    []por.ExecStep
+	alts     []engine.Alt
+	moves    []por.Move
+	awake    []bool
 	hashes   []uint64 // unfiltered candidate-set digest per step (conformance on)
 	contIdx  []int
 	cont     []engine.Alt
@@ -118,6 +122,18 @@ type unitChooser struct {
 
 	div        *engine.DivergenceError
 	abortSleep bool
+}
+
+var chooserPool = sync.Pool{New: func() any { return new(unitChooser) }}
+
+// reset readies a recycled chooser for one attempt at unit, keeping the
+// buffers' capacity.
+func (c *unitChooser) reset(opts *Options, unit *por.Unit) {
+	*c = unitChooser{
+		opts: opts, unit: unit,
+		steps: c.steps[:0], alts: c.alts[:0], moves: c.moves[:0], awake: c.awake[:0],
+		hashes: c.hashes[:0], contIdx: c.contIdx[:0], cont: c.cont[:0], contDigs: c.contDigs[:0],
+	}
 }
 
 // Choose implements engine.Chooser for one unit execution.
@@ -169,18 +185,16 @@ func (c *unitChooser) Choose(ctx *engine.ChooseContext) (engine.Alt, bool) {
 	// The same frontier filtering as the sequential searcher: the
 	// preemption budget first (Path indices are relative to this list),
 	// then the sleep mask. ctx.Cands is the engine's reused buffer, so
-	// the recorded list must be an owned copy.
-	alts := ctx.Cands
-	owned := false
-	if c.opts.ContextBound >= 0 && c.preemptUsed >= c.opts.ContextBound {
-		alts = nonPreempting(ctx)
-		if len(alts) == 0 {
-			panic("search: empty alternative set under context bound")
+	// the recorded list is copied into the arena.
+	lo := len(c.alts)
+	bounded := c.opts.ContextBound >= 0 && c.preemptUsed >= c.opts.ContextBound
+	for _, a := range ctx.Cands {
+		if !bounded || !ctx.IsPreemption(a) {
+			c.alts = append(c.alts, a)
 		}
-		owned = true
 	}
-	if !owned {
-		alts = append([]engine.Alt(nil), alts...)
+	if len(c.alts) == lo {
+		panic("search: empty alternative set under context bound")
 	}
 	if c.opts.SleepSets && step < len(c.unit.Sleep) {
 		// Install the serialized sleep entries for this state — the
@@ -190,15 +204,13 @@ func (c *unitChooser) Choose(ctx *engine.ChooseContext) (engine.Alt, bool) {
 			c.sleep.Add(m)
 		}
 	}
-	rec := por.ExecStep{
-		Alts:  alts,
-		Moves: make([]por.Move, len(alts)),
-		Awake: make([]bool, len(alts)),
+	hi := len(c.alts)
+	alts := c.alts[lo:hi:hi]
+	for _, a := range alts {
+		c.moves = append(c.moves, por.MoveOf(e, a))
+		c.awake = append(c.awake, !c.opts.SleepSets || !c.sleep.Contains(e, a))
 	}
-	for i, a := range alts {
-		rec.Moves[i] = por.MoveOf(e, a)
-		rec.Awake[i] = !c.opts.SleepSets || !c.sleep.Contains(e, a)
-	}
+	rec := por.ExecStep{Alts: alts, Moves: c.moves[lo:hi:hi], Awake: c.awake[lo:hi:hi]}
 
 	var chosen engine.Alt
 	if replay {
@@ -248,9 +260,10 @@ func (c *unitChooser) Choose(ctx *engine.ChooseContext) (engine.Alt, bool) {
 func runDporUnit(prog func(*engine.T), opts *Options, pool *engine.Pool, unit *por.Unit, deadline time.Time) *Report {
 	rep := &Report{}
 	var r *engine.Result
-	var c *unitChooser
+	c := chooserPool.Get().(*unitChooser)
+	defer chooserPool.Put(c)
 	for attempt := 1; ; attempt++ {
-		c = &unitChooser{opts: opts, unit: unit}
+		c.reset(opts, unit)
 		r = opts.runEngine(pool, prog, c, opts.engineConfig(deadline, 1))
 		if c.div == nil {
 			break
@@ -279,122 +292,174 @@ func runDporUnit(prog func(*engine.T), opts *Options, pool *engine.Pool, unit *p
 		return rep
 	}
 	rep.Exhausted = true
-	rep.Dpor = buildDporResult(opts, unit, c)
+	if rep.Divergence == nil || opts.ContinueAfterDivergence {
+		// A divergence finding that stops the merge spawns nothing, so
+		// its MaxSteps-long trace is spared the quadratic race analysis.
+		rep.Dpor = buildDporResult(opts, unit, c)
+	}
 	return rep
 }
 
 // buildDporResult runs the race analysis over the unit's trace and
-// packages the result for the merge.
+// packages the result for the merge, copying what it reports out of the
+// chooser's recycled buffers.
 func buildDporResult(opts *Options, unit *por.Unit, c *unitChooser) *DporResult {
 	props := por.Analyze(len(unit.Sched)-1, c.steps)
 	if m := opts.Metrics; m != nil && len(props) > 0 {
 		m.DporRaces.Add(int64(len(props)))
 	}
-	d := &DporResult{ContIdx: c.contIdx, Cont: c.cont, ContDigs: c.contDigs}
+	d := &DporResult{
+		ContIdx:  append([]int(nil), c.contIdx...),
+		Cont:     append([]engine.Alt(nil), c.cont...),
+		ContDigs: append([]engine.StepDigest(nil), c.contDigs...),
+	}
 	if len(props) == 0 {
 		return d
 	}
+	// The steps that received a proposal, in first-proposal order, then
+	// their landscapes copied out into one backing array each.
 	d.Proposals = make([]DporProposal, len(props))
-	haveNode := make(map[int]bool)
+	have := make([]bool, len(c.steps))
+	width := 0
 	for i, pr := range props {
-		d.Proposals[i] = DporProposal{Pos: pr.Pos, Idx: pr.Idx}
-		if haveNode[pr.Pos] {
-			continue
+		d.Proposals[i] = DporProposal(pr)
+		if !have[pr.Pos] {
+			have[pr.Pos] = true
+			d.Nodes = append(d.Nodes, DporNodeRec{Pos: pr.Pos})
+			width += len(c.steps[pr.Pos].Alts)
 		}
-		haveNode[pr.Pos] = true
-		st := &c.steps[pr.Pos]
-		var hash uint64
-		if pr.Pos < len(c.hashes) {
-			hash = c.hashes[pr.Pos]
+	}
+	alts, moves := make([]engine.Alt, 0, width), make([]por.Move, 0, width)
+	for i := range d.Nodes {
+		n := &d.Nodes[i]
+		lo := len(alts)
+		alts, moves = append(alts, c.steps[n.Pos].Alts...), append(moves, c.steps[n.Pos].Moves...)
+		n.Alts, n.Moves = alts[lo:], moves[lo:]
+		if n.Pos < len(c.hashes) {
+			n.Hash = c.hashes[n.Pos]
 		}
-		d.Nodes = append(d.Nodes, DporNodeRec{Pos: pr.Pos, Alts: st.Alts, Moves: st.Moves, Hash: hash})
 	}
 	return d
 }
 
-// pathKey encodes a unit path as the merge's dedup-set key.
-func pathKey(path []int) string {
-	var b strings.Builder
-	for i, v := range path {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(strconv.Itoa(v))
+// pathTrie is the merge's dedup set: a prefix-closed set of unit paths,
+// one node per path, node 0 the empty path. Nodes link by index into
+// the one slice (0: none — the root is nobody's child or sibling), so
+// the set holds no pointers and the garbage collector never scans it,
+// however many million paths a search accumulates.
+type pathTrie []trieNode
+
+type trieNode struct{ child, sib, label int32 }
+
+// find returns the child of n labelled l, or 0.
+func (t pathTrie) find(n int32, l int) int32 {
+	c := t[n].child
+	for c != 0 && t[c].label != int32(l) {
+		c = t[c].sib
 	}
-	return b.String()
+	return c
 }
 
-// markPath marks every prefix of path as seen (prefixes of a spawned
-// unit's path are provably already seen in the original run, so
-// over-marking on a resume cannot change the enumeration).
-func (m *ShardMerger) markPath(path []int) {
-	for k := 1; k <= len(path); k++ {
-		m.seen[pathKey(path[:k])] = true
+// add returns the child of n labelled l and whether it had to be
+// inserted (at the head of n's children).
+func (t *pathTrie) add(n int32, l int) (int32, bool) {
+	if c := t.find(n, l); c != 0 {
+		return c, false
 	}
+	id := int32(len(*t))
+	*t = append(*t, trieNode{sib: (*t)[n].child, label: int32(l)})
+	(*t)[n].child = id
+	return id, true
+}
+
+// addPath inserts path and all its prefixes.
+func (t *pathTrie) addPath(path []int) {
+	n := int32(0)
+	for _, l := range path {
+		n, _ = t.add(n, l)
+	}
+}
+
+// leaves appends to out the set's maximal paths below node n, whose own
+// path is given, depth first. The set is prefix-closed, so the leaves
+// below the root determine it: addPath over them rebuilds it.
+func (t pathTrie) leaves(n int32, path []int, out []DporTraceRec) []DporTraceRec {
+	if n != 0 && t[n].child == 0 {
+		return append(out, DporTraceRec{Path: append([]int(nil), path...)})
+	}
+	for c := t[n].child; c != 0; c = t[c].sib {
+		out = t.leaves(c, append(path, int(t[c].label)), out)
+	}
+	return out
+}
+
+// childOf returns the first n elements of a followed by b, then last,
+// in a fresh slice: a child unit's prefix, cut from its parent's prefix
+// and continuation.
+func childOf[T any](a, b []T, n int, last T) []T {
+	out := make([]T, 0, n+1)
+	if n <= len(a) {
+		out = append(out, a[:n]...)
+	} else {
+		out = append(append(out, a...), b[:n-len(a)]...)
+	}
+	return append(out, last)
 }
 
 // spawn follows the merge of one consumed unit's report r (nil: skipped
-// after repeated crashes): it records the unit's trace and, unless the
-// merge stopped, appends a child shard for every race reversal the
-// report proposes that no unit has covered yet, in canonical
-// (proposal-discovery) order. The append order is a pure function of
-// the reports merged so far.
+// after repeated crashes): it adds the unit's full path to the dedup
+// set and, unless the merge stopped, plans a child shard for every race
+// reversal the report proposes that no unit has covered yet, in
+// canonical (proposal-discovery) order. The plan's growth is a pure
+// function of the reports merged so far.
 func (m *ShardMerger) spawn(unit *por.Unit, r *Report) {
 	if r == nil || r.Dpor == nil {
-		// Skipped or quarantined: the unit consumed its turn but spawns
-		// nothing. Record its path so a resume reconstructs the dedup set.
-		m.traces = append(m.traces, DporTraceRec{Path: append([]int(nil), unit.Path...)})
+		// Skipped, quarantined or stopped on a divergence: the unit
+		// consumed its turn but spawns nothing, and its own path joined
+		// the set when it was spawned.
 		return
 	}
 	d := r.Dpor
-	fullPath := make([]int, 0, len(unit.Path)+len(d.ContIdx))
-	fullPath = append(fullPath, unit.Path...)
-	fullPath = append(fullPath, d.ContIdx...)
-	// Mark the taken path first: proposals matching a step the unit
-	// itself took (or any already-spawned sibling) are redundant.
-	m.markPath(fullPath)
-	m.traces = append(m.traces, DporTraceRec{
-		Path: append([]int(nil), unit.Path...),
-		Cont: append([]int(nil), d.ContIdx...),
-	})
+	// Walk the taken path once, remembering the set's node before every
+	// step: a proposal at step p, or a sibling of one, is then a single
+	// child probe at at[p]. The taken path goes in first: proposals
+	// matching a step the unit itself took (or any already-spawned
+	// sibling) are redundant.
+	at := make([]int32, 1, 1+len(unit.Path)+len(d.ContIdx))
+	for _, part := range [2][]int{unit.Path, d.ContIdx} {
+		for _, l := range part {
+			n, _ := m.seen.add(at[len(at)-1], l)
+			at = append(at, n)
+		}
+	}
 	if m.stopped {
 		return
 	}
-	fullSched := make([]engine.Alt, 0, len(unit.Sched)+len(d.Cont))
-	fullSched = append(fullSched, unit.Sched...)
-	fullSched = append(fullSched, d.Cont...)
-	var fullDigs []engine.StepDigest
-	if !m.opts.DisableConformance {
-		fullDigs = make([]engine.StepDigest, 0, len(unit.Digs)+len(d.ContDigs))
-		fullDigs = append(fullDigs, unit.Digs...)
-		fullDigs = append(fullDigs, d.ContDigs...)
-	}
-	nodeAt := make(map[int]*DporNodeRec, len(d.Nodes))
+	steps := len(at) - 1
+	nodeAt := make([]*DporNodeRec, steps)
 	for i := range d.Nodes {
-		nodeAt[d.Nodes[i].Pos] = &d.Nodes[i]
+		if p := d.Nodes[i].Pos; p >= 0 && p < steps {
+			nodeAt[p] = &d.Nodes[i]
+		}
 	}
 	for _, pr := range d.Proposals {
-		node := nodeAt[pr.Pos]
-		if node == nil || pr.Pos >= len(fullPath) || pr.Idx >= len(node.Alts) {
+		if pr.Pos < 0 || pr.Pos >= steps || nodeAt[pr.Pos] == nil ||
+			pr.Idx < 0 || pr.Idx >= len(nodeAt[pr.Pos].Alts) {
 			continue // malformed payload (defensive; never produced by runDporUnit)
 		}
-		childPath := make([]int, 0, pr.Pos+1)
-		childPath = append(childPath, fullPath[:pr.Pos]...)
-		childPath = append(childPath, pr.Idx)
-		key := pathKey(childPath)
-		if m.seen[key] {
+		node := nodeAt[pr.Pos]
+		if _, fresh := m.seen.add(at[pr.Pos], pr.Idx); !fresh {
 			if mt := m.opts.Metrics; mt != nil {
 				mt.DporUnitsPruned.Inc()
 			}
 			continue
 		}
-		m.seen[key] = true
 		child := &por.Unit{
-			Path:  childPath,
-			Sched: append(append(make([]engine.Alt, 0, pr.Pos+1), fullSched[:pr.Pos]...), node.Alts[pr.Idx]),
+			Path:  childOf(unit.Path, d.ContIdx, pr.Pos, pr.Idx),
+			Sched: childOf(unit.Sched, d.Cont, pr.Pos, node.Alts[pr.Idx]),
 		}
-		if fullDigs != nil && len(fullDigs) >= pr.Pos {
-			child.Digs = append(append(make([]engine.StepDigest, 0, pr.Pos+1), fullDigs[:pr.Pos]...),
+		if !m.opts.DisableConformance && len(unit.Digs)+len(d.ContDigs) >= pr.Pos {
+			child.Digs = childOf(unit.Digs, d.ContDigs, pr.Pos,
 				engine.StepDigest{Hash: node.Hash, Tid: node.Alts[pr.Idx].Tid, Op: node.Moves[pr.Idx].Info})
 		}
 		if m.opts.SleepSets {
@@ -404,26 +469,22 @@ func (m *ShardMerger) spawn(unit *por.Unit, r *Report) {
 			// covered-by relation acyclic, which is what keeps the
 			// reduction sound.
 			sleep := make([][]por.Move, pr.Pos+1)
-			for k := 0; k < pr.Pos && k < len(unit.Sleep); k++ {
-				sleep[k] = unit.Sleep[k]
-			}
-			var sl []por.Move
+			copy(sleep[:pr.Pos], unit.Sleep)
 			for j := range node.Alts {
-				if j == pr.Idx {
-					continue
-				}
-				sib := append(append(make([]int, 0, pr.Pos+1), fullPath[:pr.Pos]...), j)
-				if m.seen[pathKey(sib)] {
-					sl = append(sl, node.Moves[j])
+				if j != pr.Idx && m.seen.find(at[pr.Pos], j) != 0 {
+					sleep[pr.Pos] = append(sleep[pr.Pos], node.Moves[j])
 				}
 			}
-			sleep[pr.Pos] = sl
 			child.Sleep = sleep
 		}
 		// A resumed coordinator re-offers completed shards over an
-		// already grown plan: the child is then present, not appended.
-		if m.spawnNext >= len(m.plan.Shards) {
-			m.plan.Shards = append(m.plan.Shards, Shard{Index: m.spawnNext, Unit: child})
+		// already grown plan whose merged units were released: the slot
+		// is then present and gets its regenerated unit back.
+		sh := Shard{Index: m.spawnNext, Unit: child}
+		if m.spawnNext < len(m.plan.Shards) {
+			m.plan.Shards[m.spawnNext] = sh
+		} else {
+			m.plan.Shards = append(m.plan.Shards, sh)
 		}
 		m.spawnNext++
 	}

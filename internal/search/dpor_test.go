@@ -1,12 +1,15 @@
 package search_test
 
 import (
+	"runtime"
 	"testing"
 
 	"fairmc/internal/engine"
 	"fairmc/internal/fuzzprog"
+	"fairmc/internal/obs"
 	"fairmc/internal/search"
 	"fairmc/internal/syncmodel"
+	"fairmc/progs"
 )
 
 func TestDPORFindsRace(t *testing.T) {
@@ -187,5 +190,38 @@ func TestDPORRequiresPlainSearch(t *testing.T) {
 			}()
 			search.Explore(parallel3, opts)
 		}()
+	}
+}
+
+// TestDPORDivergenceSkipsRaceAnalysis: a unit that runs into MaxSteps is
+// a divergence finding that stops the merge, so nothing will be spawned
+// from it — and its MaxSteps-long trace must not be paid for twice over:
+// no quadratic race analysis, no per-prefix record in the dedup set.
+// barrier-bug spins under the unfair scheduler; at 20 000 steps the
+// per-prefix string keys alone were over a gigabyte. The ceiling is on
+// bytes allocated, never on wall-clock time.
+func TestDPORDivergenceSkipsRaceAnalysis(t *testing.T) {
+	p, ok := progs.Lookup("barrier-bug")
+	if !ok {
+		t.Fatal("barrier-bug is not registered")
+	}
+	metrics := obs.NewMetrics()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	rep := search.Explore(p.Body, search.Options{
+		ContextBound: -1, MaxSteps: 20000, DPOR: true, Metrics: metrics,
+	})
+	runtime.ReadMemStats(&after)
+	if rep.Divergence == nil || rep.DivergenceExecution != 1 || rep.Exhausted || rep.Executions != 1 {
+		t.Fatalf("want the divergence finding at execution 1 and no exhaustion, got %+v", rep)
+	}
+	if races := metrics.Snapshot().DporRaces; races != 0 {
+		t.Fatalf("race analysis ran over the diverging trace: %d races", races)
+	}
+	const ceiling = 128 << 20
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("allocated %d MB", got>>20)
+	if got > ceiling {
+		t.Fatalf("the search allocated %d MB, ceiling %d MB", got>>20, ceiling>>20)
 	}
 }

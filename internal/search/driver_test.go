@@ -14,6 +14,7 @@ import (
 	"fairmc/internal/fuzzprog"
 	"fairmc/internal/rng"
 	"fairmc/internal/search"
+	"fairmc/progs"
 )
 
 // runPlanShuffled drives the shard path by hand — PlanShards, RunShard,
@@ -47,6 +48,13 @@ func runPlanShuffled(t *testing.T, prog func(*engine.T), opts search.Options, re
 			m.Offer(offered+i, reports[i])
 		}
 		offered += len(round)
+	}
+	// A merged unit is released: nothing reads it again, and a search
+	// must not hold every schedule it ever ran.
+	for i := 0; i < m.Merged(); i++ {
+		if u := plan.Shards[i].Unit; u != nil && (u.Path != nil || u.Sched != nil || u.Digs != nil || u.Sleep != nil) {
+			t.Fatalf("merged shard %d still holds its unit: %+v", i, u)
+		}
 	}
 	return m.Finish(0, nil)
 }
@@ -134,6 +142,20 @@ func TestParallelRandomWalkTimeLimitOnly(t *testing.T) {
 	}
 }
 
+// stopAfter wraps prog so that its nth execution to start closes the
+// returned Stop channel.
+func stopAfter(n int64, prog func(*engine.T)) (func(*engine.T), chan struct{}) {
+	stop := make(chan struct{})
+	var started atomic.Int64
+	var once sync.Once
+	return func(t *engine.T) {
+		if started.Add(1) >= n {
+			once.Do(func() { close(stop) })
+		}
+		prog(t)
+	}, stop
+}
+
 // TestStrideStopMidShardResumes: Stop closing while range shards are
 // mid-run interrupts the search with a checkpoint whose frontier a
 // resume continues to exactly the uninterrupted report.
@@ -152,15 +174,7 @@ func TestStrideStopMidShardResumes(t *testing.T) {
 
 	// The 50th execution to start closes Stop: with 32-execution shards
 	// on four workers every worker is inside a shard by then.
-	stop := make(chan struct{})
-	var started atomic.Int64
-	var once sync.Once
-	stopping := func(t *engine.T) {
-		if started.Add(1) >= 50 {
-			once.Do(func() { close(stop) })
-		}
-		racyIncrement(t)
-	}
+	stopping, stop := stopAfter(50, racyIncrement)
 	path := filepath.Join(t.TempDir(), "search.ckpt")
 	first := opts
 	first.CheckpointPath = path
@@ -184,6 +198,61 @@ func TestStrideStopMidShardResumes(t *testing.T) {
 	second := opts
 	second.Resume = ck
 	rep2 := search.Explore(racyIncrement, second)
+	if !reflect.DeepEqual(normalize(baseline), normalize(rep2)) {
+		t.Fatalf("resumed report differs from uninterrupted baseline:\n%+v\nvs\n%+v", baseline, rep2)
+	}
+}
+
+// TestDporStopMidMergeResumes: Stop closing in the middle of a DPOR
+// merge — over a thousand units consumed, workers mid-unit, reports
+// waiting their turn — leaves a checkpoint whose dedup set is written as
+// the trie's leaves; the search resumed from it spawns and prunes
+// exactly what the uninterrupted one does.
+func TestDporStopMidMergeResumes(t *testing.T) {
+	p, ok := progs.Lookup("boundedbuffer")
+	if !ok {
+		t.Fatal("boundedbuffer is not registered")
+	}
+	opts := search.Options{
+		ContextBound:  -1,
+		MaxSteps:      5000,
+		DPOR:          true,
+		MaxExecutions: 3000,
+		Parallelism:   4,
+		ProgramName:   "boundedbuffer",
+	}
+	baseline := search.Explore(p.Body, opts)
+	if !baseline.ExecBounded || baseline.Executions != opts.MaxExecutions {
+		t.Fatalf("baseline did not spend its budget: %+v", baseline)
+	}
+
+	stopping, stop := stopAfter(1500, p.Body)
+	path := filepath.Join(t.TempDir(), "search.ckpt")
+	first := opts
+	first.CheckpointPath = path
+	first.Stop = stop
+	rep1 := search.Explore(stopping, first)
+	if !rep1.Interrupted || rep1.Executions < 1000 || rep1.Executions >= opts.MaxExecutions {
+		t.Fatalf("first phase: interrupted=%v after %d executions, want a stop between 1000 and %d",
+			rep1.Interrupted, rep1.Executions, opts.MaxExecutions)
+	}
+
+	ck, err := search.LoadCheckpoint(path)
+	if err != nil {
+		t.Fatalf("loading checkpoint: %v", err)
+	}
+	if ck.Version != 6 || ck.Frontier == nil || ck.Done || len(ck.Frontier.Traces) == 0 {
+		t.Fatalf("checkpoint = version %d frontier %v done %v, want a resumable v6 frontier with traces",
+			ck.Version, ck.Frontier, ck.Done)
+	}
+	for _, tr := range ck.Frontier.Traces {
+		if len(tr.Path) == 0 || tr.Cont != nil {
+			t.Fatalf("trace record %+v: want a leaf path in Path alone", tr)
+		}
+	}
+	second := opts
+	second.Resume = ck
+	rep2 := search.Explore(p.Body, second)
 	if !reflect.DeepEqual(normalize(baseline), normalize(rep2)) {
 		t.Fatalf("resumed report differs from uninterrupted baseline:\n%+v\nvs\n%+v", baseline, rep2)
 	}

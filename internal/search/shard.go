@@ -273,16 +273,21 @@ type ShardMerger struct {
 	stopped      bool
 	done         bool // the stop is terminal (a finding), not a budget cut
 
-	// DPOR: seen holds the path keys of every spawned unit and every
-	// prefix of every consumed unit's full path — the
-	// Mazurkiewicz-trace dedup set that keeps reversals from re-spawning
-	// explored subtrees; traces is its checkpointable form. spawnNext is
-	// the plan index the next spawned child receives: children
-	// regenerate deterministically from the reports, so a coordinator
-	// resume that re-offers completed shards re-derives the already
-	// grown plan instead of appending duplicates.
-	seen      map[string]bool
-	traces    []DporTraceRec
+	// DPOR: seen holds the path of every spawned unit and every prefix of
+	// every consumed unit's full path — the Mazurkiewicz-trace dedup set
+	// that keeps reversals from re-spawning explored subtrees; its leaves
+	// are its checkpointable form. spawnNext is the plan index the next
+	// spawned child receives: children regenerate deterministically from
+	// the reports, so a coordinator resume that re-offers completed
+	// shards re-derives the already grown plan instead of appending
+	// duplicates.
+	//
+	// Offer empties a unit once it is merged (slot and kind stay). No owner
+	// reads it again: the local driver and a checkpoint hold only unmerged
+	// shards, a coordinator leases only undecided ones, and a coordinator
+	// or jobs restart that re-offers decided reports gets every unit but
+	// the (empty) root back from its parent's spawn before its own turn.
+	seen      pathTrie
 	spawnNext int
 }
 
@@ -297,8 +302,8 @@ func NewShardMerger(opts Options, plan *Plan) *ShardMerger {
 		allExhausted: true,
 	}
 	if opts.DPOR {
-		m.seen = map[string]bool{"": true} // the root unit's path mark
-		m.spawnNext = 1                    // DPOR plans start with the single root shard
+		m.seen = pathTrie{{}} // the root unit's (empty) path
+		m.spawnNext = 1       // DPOR plans start with the single root shard
 	}
 	return m
 }
@@ -315,13 +320,12 @@ func (m *ShardMerger) restore(ck *Checkpoint) {
 	m.next = f.Merged
 	m.allExhausted = f.AllExhausted
 	m.spawnNext = len(m.plan.Shards)
-	m.traces = f.Traces
 	for _, tr := range f.Traces {
-		m.markPath(append(append([]int(nil), tr.Path...), tr.Cont...))
+		m.seen.addPath(append(tr.Path[:len(tr.Path):len(tr.Path)], tr.Cont...))
 	}
 	for _, sh := range f.Shards {
 		if sh.Unit != nil {
-			m.markPath(sh.Unit.Path)
+			m.seen.addPath(sh.Unit.Path)
 		}
 	}
 	m.growRanges()
@@ -329,9 +333,12 @@ func (m *ShardMerger) restore(ck *Checkpoint) {
 
 // frontier is the merger's checkpointable position (see restore).
 func (m *ShardMerger) frontier() *Frontier {
-	f := &Frontier{Merged: m.next, AllExhausted: m.allExhausted, Traces: m.traces}
+	f := &Frontier{Merged: m.next, AllExhausted: m.allExhausted}
 	if !m.opts.random() {
 		f.Shards = m.plan.Shards[m.next:]
+	}
+	if m.opts.DPOR {
+		f.Traces = m.seen.leaves(0, nil, nil)
 	}
 	return f
 }
@@ -378,6 +385,7 @@ func (m *ShardMerger) Offer(idx int, r *Report) {
 		}
 		if sh.Unit != nil {
 			m.spawn(sh.Unit, r)
+			*sh.Unit = por.Unit{} // merged: release the schedule (see ShardMerger)
 		}
 		m.next++
 		m.growRanges()
