@@ -168,18 +168,14 @@ func TestDistDuplicateResultPost(t *testing.T) {
 
 	var join dist.JoinResponse
 	postJSON(t, srv.URL+dist.PathJoin, dist.JoinRequest{Capacity: 1}, &join)
-	var lr dist.LeaseResponse
-	postJSON(t, srv.URL+dist.PathLease, dist.LeaseRequest{WorkerID: join.WorkerID}, &lr)
-	if lr.Status != dist.LeaseWork {
-		t.Fatalf("lease status %q", lr.Status)
-	}
-	rep := search.RunShard(fig3, opts, *lr.Shard, nil)
-	req := dist.ResultRequest{WorkerID: join.WorkerID, LeaseID: lr.LeaseID, Shard: lr.Shard.Index, Report: rep}
+	lr := leaseWork(t, srv.URL, join.WorkerID)
+	rep := search.RunShard(fig3, opts, lr.Shard, nil)
+	req := oneResult(join.WorkerID, lr, rep)
 	key := "res-test-dup"
 
 	var first dist.ResultResponse
 	firstBytes := postJSONKey(t, srv.URL+dist.PathResult, key, req, &first)
-	if !first.Accepted {
+	if !first.Accepted[0] {
 		t.Fatal("first result not accepted")
 	}
 	// Retried submission with the same key: the exact original
@@ -193,7 +189,7 @@ func TestDistDuplicateResultPost(t *testing.T) {
 	// hits the late-result path: rejected, not merged twice.
 	var third dist.ResultResponse
 	postJSONKey(t, srv.URL+dist.PathResult, "", req, &third)
-	if third.Accepted {
+	if third.Accepted[0] {
 		t.Fatal("keyless duplicate of a decided shard was accepted")
 	}
 
@@ -220,12 +216,8 @@ func TestDistLateResultAfterRequeue(t *testing.T) {
 	// Doomed worker leases a shard and goes silent.
 	var join dist.JoinResponse
 	postJSON(t, srv.URL+dist.PathJoin, dist.JoinRequest{Capacity: 1}, &join)
-	var lr dist.LeaseResponse
-	postJSON(t, srv.URL+dist.PathLease, dist.LeaseRequest{WorkerID: join.WorkerID}, &lr)
-	if lr.Status != dist.LeaseWork {
-		t.Fatalf("lease status %q", lr.Status)
-	}
-	lateRep := search.RunShard(fig3, opts, *lr.Shard, nil)
+	lr := leaseWork(t, srv.URL, join.WorkerID)
+	lateRep := search.RunShard(fig3, opts, lr.Shard, nil)
 
 	// A healthy worker completes the whole search (the lease expires
 	// and the shard requeues to it).
@@ -234,10 +226,8 @@ func TestDistLateResultAfterRequeue(t *testing.T) {
 
 	// The doomed worker finally posts its result: too late.
 	var rr dist.ResultResponse
-	postJSON(t, srv.URL+dist.PathResult, dist.ResultRequest{
-		WorkerID: join.WorkerID, LeaseID: lr.LeaseID, Shard: lr.Shard.Index, Report: lateRep,
-	}, &rr)
-	if rr.Accepted {
+	postJSON(t, srv.URL+dist.PathResult, oneResult(join.WorkerID, lr, lateRep), &rr)
+	if rr.Accepted[0] {
 		t.Fatal("late result accepted after the shard was decided elsewhere")
 	}
 
@@ -262,11 +252,7 @@ func TestDistStaleWorkerID(t *testing.T) {
 	coordA, srvA := startCoordinator(t, cfg)
 	var join dist.JoinResponse
 	postJSON(t, srvA.URL+dist.PathJoin, dist.JoinRequest{Capacity: 1}, &join)
-	var lr dist.LeaseResponse
-	postJSON(t, srvA.URL+dist.PathLease, dist.LeaseRequest{WorkerID: join.WorkerID}, &lr)
-	if lr.Status != dist.LeaseWork {
-		t.Fatalf("lease status %q", lr.Status)
-	}
+	lr := leaseWork(t, srvA.URL, join.WorkerID)
 	coordA.Interrupt()
 	coordA.Wait()
 	srvA.Close()
@@ -283,17 +269,11 @@ func TestDistStaleWorkerID(t *testing.T) {
 		t.Fatalf("stale lease not cancelled: %+v", hb)
 	}
 	// It can still lease fresh work under the stale worker ID.
-	var lr2 dist.LeaseResponse
-	postJSON(t, srvB.URL+dist.PathLease, dist.LeaseRequest{WorkerID: join.WorkerID}, &lr2)
-	if lr2.Status != dist.LeaseWork {
-		t.Fatalf("stale-ID lease status %q", lr2.Status)
-	}
-	rep := search.RunShard(fig3, opts, *lr2.Shard, nil)
+	lr2 := leaseWork(t, srvB.URL, join.WorkerID)
+	rep := search.RunShard(fig3, opts, lr2.Shard, nil)
 	var rr dist.ResultResponse
-	postJSON(t, srvB.URL+dist.PathResult, dist.ResultRequest{
-		WorkerID: join.WorkerID, LeaseID: lr2.LeaseID, Shard: lr2.Shard.Index, Report: rep,
-	}, &rr)
-	if !rr.Accepted {
+	postJSON(t, srvB.URL+dist.PathResult, oneResult(join.WorkerID, lr2, rep), &rr)
+	if !rr.Accepted[0] {
 		t.Fatal("stale-ID result not accepted")
 	}
 

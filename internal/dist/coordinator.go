@@ -9,6 +9,7 @@ import (
 	"os"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"fairmc/internal/dist/transport"
@@ -30,8 +31,8 @@ const (
 	// served requests.
 	DefaultMaxInflight = 128
 	// idemCacheSize bounds the idempotency-key → response cache
-	// (FIFO); at one result per shard plus heartbeats in flight, 1024
-	// comfortably outlives any retry window.
+	// (FIFO); at one result per lease batch plus heartbeats in flight,
+	// 1024 comfortably outlives any retry window.
 	idemCacheSize = 1024
 )
 
@@ -76,18 +77,19 @@ type CoordinatorConfig struct {
 	// The caller is responsible for the plan matching Options (the
 	// jobs layer validates via OptionsHash before constructing it).
 	Prior *Prior
-	// OnShardGrant, when set, observes every lease grant (called under
-	// the coordinator lock). The jobs layer records grants in the
-	// ledger as an audit trail.
-	OnShardGrant func(shard int, worker string)
+	// OnShardGrant, when set, observes the shards one lease call
+	// granted (called under the coordinator lock). The jobs layer
+	// records grants in the ledger as an audit trail.
+	OnShardGrant func(shards []int, worker string)
 	// OnShardDone, when set, is called under the coordinator lock
-	// BEFORE a decided shard (completed report, or nil = abandoned) is
-	// applied to the merge — the write-ahead point. If it returns an
-	// error the decision is NOT applied: the jobs layer returns an
-	// error when its ledger can no longer commit, and a shard decision
-	// that isn't durable must not reach the merger, or a restart would
-	// disagree with what this process reported.
-	OnShardDone func(shard int, rep *search.Report, abandonedReason string) error
+	// BEFORE the decided shards of one result call (completed reports)
+	// or one abandonment are applied to the merge — the write-ahead
+	// point. If it returns an error NONE of the decisions is applied:
+	// the jobs layer returns an error when its ledger can no longer
+	// commit, and a shard decision that isn't durable must not reach
+	// the merger, or a restart would disagree with what this process
+	// reported.
+	OnShardDone func(decided []ShardDecision) error
 	// Metrics, when set, aggregates worker telemetry deltas and the
 	// coordinator's own confirmation-pass work.
 	Metrics *obs.Metrics
@@ -96,6 +98,14 @@ type CoordinatorConfig struct {
 	EventWriter io.Writer
 	// Logf, when set, receives one-line operational logs.
 	Logf func(format string, args ...any)
+}
+
+// ShardDecision is one decided shard as the write-ahead hook sees it:
+// a completed report, or (Report nil) an abandonment and its reason.
+type ShardDecision struct {
+	Shard     int
+	Report    *search.Report
+	Abandoned string
 }
 
 type shardStatus int
@@ -151,6 +161,14 @@ type Coordinator struct {
 	failures  []search.WorkerFailure
 	workers   map[string]time.Time // last contact
 	seq       int                  // id generator (workers and leases)
+
+	// wake is closed (and replaced) whenever a parked lease call should
+	// look again: the plan grew, a shard was requeued, the search
+	// finished.
+	wake chan struct{}
+	// planned mirrors len(plan.Shards) for readers that must not take
+	// mu (the jobs server's status handler, see Planned).
+	planned atomic.Int64
 
 	// Idempotency cache: key → marshaled response, FIFO-bounded. A
 	// retried (or chaos-duplicated) result/heartbeat POST replays the
@@ -209,6 +227,7 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 		completed: map[int]*search.Report{},
 		idem:      map[string][]byte{},
 		workers:   map[string]time.Time{},
+		wake:      make(chan struct{}),
 		start:     time.Now(),
 		done:      make(chan struct{}),
 		notified:  map[string]bool{},
@@ -252,10 +271,7 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 		c.plan = plan
 	}
 	c.merger = search.NewShardMerger(c.cfg.Options, c.plan)
-	c.shards = make([]shardState, len(c.plan.Shards))
-	for i := range c.shards {
-		c.shards[i].excluded = map[string]bool{}
-	}
+	c.growShardsLocked()
 	if len(c.completed) > 0 {
 		// Re-offer the persisted shard reports in index order; the
 		// merger reconstructs exactly the pre-crash merge state.
@@ -298,7 +314,7 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 }
 
 // Handler returns the coordinator's HTTP handler (the worker protocol
-// plus /metrics and /status), wrapped in the load-shedding middleware
+// plus /metrics and /status), wrapped in the load-shedding bound (Shed)
 // and, when configured, the server-side chaos injector (outermost, so
 // injected faults hit before any coordinator logic — like a real
 // network would).
@@ -311,35 +327,11 @@ func (c *Coordinator) Handler() http.Handler {
 	mux.HandleFunc(PathEvents, c.handleEvents)
 	mux.HandleFunc(PathMetrics, c.handleMetrics)
 	mux.HandleFunc(PathStatus, c.handleStatus)
-	var h http.Handler = c.shedMiddleware(mux)
+	h := Shed(c.cfg.MaxInflight, c.cfg.Metrics, "coordinator overloaded", mux)
 	if c.cfg.Chaos != nil {
 		h = c.cfg.Chaos.Middleware(h)
 	}
 	return h
-}
-
-// shedMiddleware refuses requests beyond MaxInflight with 429 and a
-// Retry-After the worker transport turns into its next backoff —
-// graceful degradation instead of queue collapse under overload.
-func (c *Coordinator) shedMiddleware(next http.Handler) http.Handler {
-	max := c.cfg.MaxInflight
-	if max <= 0 {
-		max = DefaultMaxInflight
-	}
-	sem := make(chan struct{}, max)
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		select {
-		case sem <- struct{}{}:
-			defer func() { <-sem }()
-			next.ServeHTTP(w, r)
-		default:
-			if m := c.cfg.Metrics; m != nil {
-				m.ShedRequests.Inc()
-			}
-			w.Header().Set("Retry-After", "1")
-			http.Error(w, "coordinator overloaded", http.StatusTooManyRequests)
-		}
-	})
 }
 
 // idemGetLocked returns the cached response for an idempotency key.
@@ -363,7 +355,8 @@ func (c *Coordinator) idemPutLocked(key string, data []byte) {
 	c.idem[key] = data
 }
 
-// replayJSON writes a cached idempotent response verbatim.
+// replayJSON writes an already-encoded response (a cached idempotent
+// one, or one encoded under the lock) verbatim.
 func replayJSON(w http.ResponseWriter, data []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.Write(data)
@@ -383,9 +376,11 @@ func (c *Coordinator) Done() <-chan struct{} { return c.done }
 
 // Drained is closed once the search is finished AND every joined
 // worker has been handed a done response (lease, heartbeat, or result
-// acknowledgement), so it can exit cleanly. A serving process should
-// wait on it with a timeout after Wait — a crashed worker never polls
-// again and would hold the drain open forever.
+// acknowledgement), so it can exit cleanly. Parked lease calls are
+// answered done the moment the search finishes, so with live workers
+// this follows at once. A serving process should wait on it with a
+// timeout after Wait — a crashed worker never asks again and would hold
+// the drain open forever.
 func (c *Coordinator) Drained() <-chan struct{} { return c.drained }
 
 // noteDoneLocked records that a worker has observed completion.
@@ -417,8 +412,7 @@ func (c *Coordinator) Interrupt() {
 	if c.finished {
 		return
 	}
-	c.finished = true
-	c.checkDrainedLocked()
+	c.finishLocked()
 	rep := c.merger.Finish(c.prevElapsed+time.Since(c.start), c.failures)
 	rep.Interrupted = true
 	c.sealLocked(rep)
@@ -428,6 +422,43 @@ func (c *Coordinator) Interrupt() {
 // Plan exposes the shard plan (for status displays and tests).
 func (c *Coordinator) Plan() *search.Plan { return c.plan }
 
+// Planned is how many shards the plan holds right now. It takes no
+// lock, so a caller holding locks of its own (the jobs server, whose
+// lock orders after the coordinator's) may call it.
+func (c *Coordinator) Planned() int { return int(c.planned.Load()) }
+
+// Grantable reports whether a lease call would be granted work right
+// now: the search is still going and a shard below the merge horizon is
+// waiting for a worker. The jobs service sends idle pool workers where
+// this holds.
+func (c *Coordinator) Grantable() bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.finished {
+		return false
+	}
+	for idx, horizon := c.merger.Merged(), c.merger.Horizon(); idx < horizon; idx++ {
+		if c.shards[idx].status == shardPending {
+			return true
+		}
+	}
+	return false
+}
+
+// finishLocked marks the search over and answers every parked lease
+// call.
+func (c *Coordinator) finishLocked() {
+	c.finished = true
+	c.wakeLocked()
+	c.checkDrainedLocked()
+}
+
+// wakeLocked makes every parked lease call look again.
+func (c *Coordinator) wakeLocked() {
+	close(c.wake)
+	c.wake = make(chan struct{})
+}
+
 // checkDoneLocked finalizes the search once the merge is complete.
 // The confirmation pass runs outside the lock (it executes the
 // program), then sealLocked publishes the report.
@@ -435,8 +466,7 @@ func (c *Coordinator) checkDoneLocked() {
 	if c.finished || !c.merger.Done() {
 		return
 	}
-	c.finished = true
-	c.checkDrainedLocked()
+	c.finishLocked()
 	rep := c.merger.Finish(c.prevElapsed+time.Since(c.start), c.failures)
 	go func() {
 		search.ConfirmFindings(c.cfg.Prog, c.cfg.Options, rep)
@@ -512,13 +542,13 @@ func (c *Coordinator) failShardLocked(idx int, worker, reason string) {
 	}
 	if sh.attempts >= c.cfg.MaxShardAttempts {
 		if c.cfg.OnShardDone != nil {
-			if err := c.cfg.OnShardDone(idx, nil, reason); err != nil {
+			if err := c.cfg.OnShardDone([]ShardDecision{{Shard: idx, Abandoned: reason}}); err != nil {
 				// The abandonment cannot be made durable; leave the shard
 				// pending rather than let memory outrun the ledger. (The
 				// jobs layer only fails the hook when its ledger is dead,
 				// at which point this coordinator is on its way out.)
 				c.cfg.Logf("dist: shard %d abandonment not committed: %v", idx, err)
-				sh.status = shardPending
+				c.requeueLocked(idx)
 				return
 			}
 		}
@@ -531,43 +561,30 @@ func (c *Coordinator) failShardLocked(idx int, worker, reason string) {
 		c.checkDoneLocked()
 		return
 	}
-	sh.status = shardPending
+	c.requeueLocked(idx)
 }
 
-// completeShardLocked accepts a shard report, persists it, and feeds
-// the merger. It reports whether the completion was applied: the
-// write-ahead hook (OnShardDone) can veto it when the decision cannot
-// be made durable.
-func (c *Coordinator) completeShardLocked(idx int, rep *search.Report) bool {
-	sh := &c.shards[idx]
-	if c.cfg.OnShardDone != nil {
-		if err := c.cfg.OnShardDone(idx, rep, ""); err != nil {
-			c.cfg.Logf("dist: shard %d completion not committed: %v", idx, err)
-			sh.status = shardPending
-			sh.leaseID = ""
-			return false
-		}
-	}
-	sh.status = shardCompleted
-	sh.leaseID = ""
-	c.completed[idx] = rep
-	c.merger.Offer(idx, rep)
-	c.growShardsLocked()
-	if m := c.cfg.Metrics; m != nil {
-		m.Frontier.Set(int64(len(c.plan.Shards) - c.merger.Merged()))
-	}
-	c.saveStateLocked()
-	c.checkDoneLocked()
-	return true
+// requeueLocked makes a shard grantable again and tells parked lease
+// calls.
+func (c *Coordinator) requeueLocked(idx int) {
+	c.shards[idx].status = shardPending
+	c.shards[idx].leaseID = ""
+	c.wakeLocked()
 }
 
 // growShardsLocked extends the per-shard lease state to cover shards
-// the merger appended to the plan (DPOR work-unit spawns). Must run
-// after every merger.Offer so newly planned shards become leasable.
+// the merger appended to the plan (DPOR work-unit spawns), publishes
+// the new plan size and wakes parked lease calls. Must run after
+// merger.Offer so newly planned shards become leasable.
 func (c *Coordinator) growShardsLocked() {
+	if len(c.shards) == len(c.plan.Shards) {
+		return
+	}
 	for len(c.shards) < len(c.plan.Shards) {
 		c.shards = append(c.shards, shardState{excluded: map[string]bool{}})
 	}
+	c.planned.Store(int64(len(c.plan.Shards)))
+	c.wakeLocked()
 }
 
 func (c *Coordinator) nextID(prefix string) string {
@@ -618,57 +635,78 @@ func (c *Coordinator) handleJoin(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// handleLease grants work, or — with nothing grantable yet — parks
+// the call (outside the load-shedding bound) until the plan grows, a
+// shard requeues or the search finishes, for at most LeaseHold.
 func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	var req LeaseRequest
 	if !readJSON(w, r, &req) {
 		return
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.workers[req.WorkerID] = time.Now()
-	c.expireLocked(time.Now())
-	if c.finished {
-		c.noteDoneLocked(req.WorkerID)
-		writeJSON(w, LeaseResponse{Status: LeaseDone})
+	var hold Hold
+	defer hold.Stop()
+	for {
+		c.mu.Lock()
+		data, wait := c.leaseLocked(req.WorkerID)
+		wake := c.wake
+		c.mu.Unlock()
+		if wait && hold.Wait(r, wake) {
+			continue
+		}
+		replayJSON(w, data)
 		return
 	}
-	horizon := c.merger.Horizon()
-	undecided := false
-	for idx := 0; idx < horizon; idx++ {
-		sh := &c.shards[idx]
-		switch sh.status {
-		case shardPending:
-			undecided = true
-			if sh.excluded[req.WorkerID] {
+}
+
+// leaseLocked answers one lease request as of now: the encoded
+// response (encoded under the lock — a granted DPOR unit is emptied in
+// place once it merges) and whether it is a "wait". It grants the first
+// grantable shard below the merge horizon, and when that is a
+// single-execution DPOR unit every further one up to LeaseBatch: a
+// wave of the frontier per round trip. Subtree and range shards go one
+// per call, so workers still share them.
+func (c *Coordinator) leaseLocked(worker string) (data []byte, wait bool) {
+	now := time.Now()
+	c.workers[worker] = now
+	c.expireLocked(now)
+	resp := LeaseResponse{Status: LeaseDone}
+	var granted []int
+	if !c.finished {
+		// Everything below Merged is decided; everything at or past the
+		// horizon never will be.
+		for idx, horizon := c.merger.Merged(), c.merger.Horizon(); idx < horizon; idx++ {
+			sh := &c.shards[idx]
+			if sh.status != shardPending && sh.status != shardLeased {
+				continue // decided
+			}
+			resp.Status = LeaseWait
+			if sh.status == shardLeased || sh.excluded[worker] {
 				continue
 			}
-			l := &lease{
-				id:      c.nextID("l"),
-				shard:   idx,
-				worker:  req.WorkerID,
-				expires: time.Now().Add(c.cfg.LeaseTTL),
-			}
+			l := &lease{id: c.nextID("l"), shard: idx, worker: worker, expires: now.Add(c.cfg.LeaseTTL)}
 			c.leases[l.id] = l
 			sh.status = shardLeased
 			sh.leaseID = l.id
-			if c.cfg.OnShardGrant != nil {
-				c.cfg.OnShardGrant(idx, req.WorkerID)
+			granted = append(granted, idx)
+			resp.Grants = append(resp.Grants, Grant{LeaseID: l.id, Shard: c.plan.Shards[idx]})
+			if c.plan.Shards[idx].Unit == nil || len(granted) == LeaseBatch {
+				break
 			}
-			shard := c.plan.Shards[idx]
-			writeJSON(w, LeaseResponse{Status: LeaseWork, Shard: &shard, LeaseID: l.id})
-			return
-		case shardLeased:
-			undecided = true
 		}
 	}
-	if undecided {
-		writeJSON(w, LeaseResponse{Status: LeaseWait})
-		return
+	switch {
+	case len(granted) > 0:
+		resp.Status = LeaseWork
+		if c.cfg.OnShardGrant != nil {
+			c.cfg.OnShardGrant(granted, worker)
+		}
+	case resp.Status == LeaseDone:
+		// Finished, or every shard below the horizon is decided and the
+		// merge is waiting on nothing.
+		c.noteDoneLocked(worker)
 	}
-	// Every shard below the horizon is decided; the merge either
-	// finished already or is waiting on nothing.
-	c.noteDoneLocked(req.WorkerID)
-	writeJSON(w, LeaseResponse{Status: LeaseDone})
+	data, _ = json.Marshal(resp) // plain data: cannot fail
+	return data, resp.Status == LeaseWait
 }
 
 func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
@@ -730,6 +768,53 @@ func (c *Coordinator) writeIdemLocked(w http.ResponseWriter, key string, v any) 
 	w.Write(data)
 }
 
+// resultKind is what the per-item rules make of one ShardResult.
+type resultKind int
+
+const (
+	// resultLate: the shard was requeued and decided by another attempt,
+	// or the search is over. Determinism is unaffected either way — the
+	// merge consumes exactly one report per shard.
+	resultLate resultKind = iota
+	// resultAdvisory: a failure without a lease, so nothing to requeue
+	// and nobody to blame — recorded for the report without charging a
+	// shard attempt or excluding the worker. This is how corrupt spool
+	// entries are surfaced (failing the replay, or livelocking a
+	// single-worker search by self-exclusion, would punish the
+	// messenger).
+	resultAdvisory
+	// resultFailed: the worker crashed on the shard (or posted nothing).
+	resultFailed
+	// resultInterrupted: a cancelled shard must not be merged; it goes
+	// back as if the lease had lapsed, without excluding the worker.
+	resultInterrupted
+	// resultComplete: a report for an undecided shard.
+	resultComplete
+)
+
+// advisory reports a failure posted without a lease (see
+// resultAdvisory); its Shard names no lease state and may be -1.
+func (it *ShardResult) advisory() bool { return it.LeaseID == "" && it.Failure != "" }
+
+func (c *Coordinator) classifyLocked(it *ShardResult) resultKind {
+	if it.advisory() {
+		return resultAdvisory
+	}
+	switch sh := &c.shards[it.Shard]; {
+	case sh.status == shardCompleted || sh.status == shardAbandoned || c.finished:
+		return resultLate
+	case it.Failure != "" || it.Report == nil:
+		return resultFailed
+	case it.Report.Interrupted:
+		return resultInterrupted
+	}
+	return resultComplete
+}
+
+// handleResult applies one result batch, item by item in order, under
+// one lock. The completions commit first, as one group through the
+// write-ahead hook (one fsync for the batch); only then does anything
+// reach the merger.
 func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 	var req ResultRequest
 	if !readJSON(w, r, &req) {
@@ -740,82 +825,107 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 	defer c.mu.Unlock()
 	if key != "" {
 		if data, ok := c.idemGetLocked(key); ok {
-			// A retried or chaos-duplicated submission of a result the
+			// A retried or chaos-duplicated submission of a batch the
 			// coordinator already processed: replay the original
-			// acknowledgement; the merge consumed exactly one report.
+			// acknowledgement; the merge consumed each report once.
 			replayJSON(w, data)
 			return
 		}
 	}
 	c.workers[req.WorkerID] = time.Now()
-	if req.LeaseID == "" && req.Failure != "" {
-		// Advisory failure: no lease, so nothing to requeue and nobody
-		// to blame — record it for the report without charging a shard
-		// attempt or excluding the worker. This is how corrupt spool
-		// entries are surfaced (failing the replay, or livelocking a
-		// single-worker search by self-exclusion, would punish the
-		// messenger).
-		c.failures = append(c.failures, search.WorkerFailure{
-			Mode:    "dist",
-			Unit:    int64(req.Shard),
-			Attempt: 0,
-			Panic:   req.Failure,
-		})
-		c.cfg.Logf("dist: advisory failure from worker %s: %.160s", req.WorkerID, req.Failure)
-		if c.finished {
-			c.noteDoneLocked(req.WorkerID)
+	for i := range req.Results {
+		if it := &req.Results[i]; !it.advisory() && (it.Shard < 0 || it.Shard >= len(c.shards)) {
+			http.Error(w, "unknown shard", http.StatusBadRequest)
+			return
 		}
-		c.writeIdemLocked(w, key, ResultResponse{Accepted: true, Done: c.finished})
-		return
 	}
-	if req.Shard < 0 || req.Shard >= len(c.shards) {
-		http.Error(w, "unknown shard", http.StatusBadRequest)
-		return
-	}
-	if l, ok := c.leases[req.LeaseID]; ok && l.shard == req.Shard {
-		delete(c.leases, req.LeaseID)
-	}
-	defer func() {
-		if c.finished {
-			c.noteDoneLocked(req.WorkerID)
+
+	// Classify, and claim the shards this batch completes (so a second
+	// report for the same shard later in the batch is late).
+	kinds := make([]resultKind, len(req.Results))
+	var decided []ShardDecision
+	for i := range req.Results {
+		it := &req.Results[i]
+		kinds[i] = c.classifyLocked(it)
+		if kinds[i] == resultComplete {
+			c.shards[it.Shard].status = shardCompleted
+			decided = append(decided, ShardDecision{Shard: it.Shard, Report: it.Report})
 		}
-	}()
-	sh := &c.shards[req.Shard]
-	if sh.status == shardCompleted || sh.status == shardAbandoned || c.finished {
-		// Late result: the shard was requeued and decided by another
-		// attempt, or the search is over. Determinism is unaffected
-		// either way — the merge consumed exactly one report.
-		c.writeIdemLocked(w, key, ResultResponse{Accepted: false, Done: c.finished})
-		return
 	}
-	if req.Failure != "" || req.Report == nil {
-		reason := req.Failure
-		if reason == "" {
-			reason = "worker posted an empty result"
+	if len(decided) > 0 && c.cfg.OnShardDone != nil {
+		if err := c.cfg.OnShardDone(decided); err != nil {
+			// The write-ahead hook refused (ledger can't commit): nothing
+			// of the batch is applied, its shards go back to pending. Not
+			// cached under the idempotency key: a retried upload may land
+			// after durability recovers.
+			c.cfg.Logf("dist: %d shard completions from worker %s not committed: %v", len(decided), req.WorkerID, err)
+			for i := range req.Results {
+				if it := &req.Results[i]; kinds[i] != resultAdvisory && kinds[i] != resultLate {
+					c.dropLeaseLocked(it)
+					c.requeueLocked(it.Shard)
+				}
+			}
+			http.Error(w, "shard completions not committed", http.StatusServiceUnavailable)
+			return
 		}
-		c.cfg.Logf("dist: shard %d failed on worker %s: %s", req.Shard, req.WorkerID, reason)
-		c.failShardLocked(req.Shard, req.WorkerID, reason)
-		c.writeIdemLocked(w, key, ResultResponse{Accepted: true, Done: c.finished})
-		return
 	}
-	if req.Report.Interrupted {
-		// A cancelled shard must not be merged; treat it as if the
-		// lease had lapsed, without excluding the worker.
-		sh.status = shardPending
-		sh.leaseID = ""
-		c.writeIdemLocked(w, key, ResultResponse{Accepted: false, Done: c.finished})
-		return
+
+	resp := ResultResponse{Accepted: make([]bool, len(req.Results))}
+	for i := range req.Results {
+		it := &req.Results[i]
+		c.dropLeaseLocked(it)
+		switch kinds[i] {
+		case resultAdvisory:
+			c.failures = append(c.failures, search.WorkerFailure{
+				Mode:    "dist",
+				Unit:    int64(it.Shard),
+				Attempt: 0,
+				Panic:   it.Failure,
+			})
+			c.cfg.Logf("dist: advisory failure from worker %s: %.160s", req.WorkerID, it.Failure)
+			resp.Accepted[i] = true
+		case resultFailed:
+			reason := it.Failure
+			if reason == "" {
+				reason = "worker posted an empty result"
+			}
+			c.cfg.Logf("dist: shard %d failed on worker %s: %s", it.Shard, req.WorkerID, reason)
+			c.failShardLocked(it.Shard, req.WorkerID, reason)
+			resp.Accepted[i] = true
+		case resultInterrupted:
+			if c.shards[it.Shard].status == shardLeased {
+				c.requeueLocked(it.Shard)
+			}
+		case resultComplete:
+			c.shards[it.Shard].leaseID = ""
+			c.completed[it.Shard] = it.Report
+			c.merger.Offer(it.Shard, it.Report)
+			resp.Accepted[i] = true
+		}
 	}
-	if !c.completeShardLocked(req.Shard, req.Report) {
-		// The write-ahead hook refused (ledger can't commit). Not
-		// cached under the idempotency key: a retried upload may land
-		// after durability recovers.
-		http.Error(w, "shard completion not committed", http.StatusServiceUnavailable)
-		return
+	if len(decided) > 0 {
+		c.growShardsLocked()
+		if m := c.cfg.Metrics; m != nil {
+			m.Frontier.Set(int64(len(c.plan.Shards) - c.merger.Merged()))
+		}
+		c.cfg.Logf("dist: %d shards (%d..%d) completed by worker %s (%d/%d merged)",
+			len(decided), decided[0].Shard, decided[len(decided)-1].Shard,
+			req.WorkerID, c.merger.Merged(), len(c.plan.Shards))
+		c.saveStateLocked()
+		c.checkDoneLocked()
 	}
-	c.cfg.Logf("dist: shard %d completed by worker %s (%d/%d merged)",
-		req.Shard, req.WorkerID, c.merger.Merged(), len(c.plan.Shards))
-	c.writeIdemLocked(w, key, ResultResponse{Accepted: true, Done: c.finished})
+	resp.Done = c.finished
+	if c.finished {
+		c.noteDoneLocked(req.WorkerID)
+	}
+	c.writeIdemLocked(w, key, resp)
+}
+
+// dropLeaseLocked forgets the lease a result item was posted under.
+func (c *Coordinator) dropLeaseLocked(it *ShardResult) {
+	if l, ok := c.leases[it.LeaseID]; ok && l.shard == it.Shard {
+		delete(c.leases, it.LeaseID)
+	}
 }
 
 func (c *Coordinator) handleEvents(w http.ResponseWriter, r *http.Request) {

@@ -185,6 +185,31 @@ func postJSON(t *testing.T, url string, in, out any) {
 	}
 }
 
+// leaseWork asks for work as workerID, requires a grant, and returns
+// the first one (the only one unless the plan is a DPOR wave).
+func leaseWork(t *testing.T, url, workerID string) dist.Grant {
+	t.Helper()
+	return leaseBatch(t, url, workerID)[0]
+}
+
+// leaseBatch is leaseWork returning everything the call granted.
+func leaseBatch(t *testing.T, url, workerID string) []dist.Grant {
+	t.Helper()
+	var lr dist.LeaseResponse
+	postJSON(t, url+dist.PathLease, dist.LeaseRequest{WorkerID: workerID}, &lr)
+	if lr.Status != dist.LeaseWork || len(lr.Grants) == 0 {
+		t.Fatalf("lease status %q with %d grants, want %q", lr.Status, len(lr.Grants), dist.LeaseWork)
+	}
+	return lr.Grants
+}
+
+// oneResult is the result batch a worker posts for one finished shard.
+func oneResult(workerID string, g dist.Grant, rep *search.Report) dist.ResultRequest {
+	return dist.ResultRequest{WorkerID: workerID, Results: []dist.ShardResult{
+		{LeaseID: g.LeaseID, Shard: g.Shard.Index, Report: rep},
+	}}
+}
+
 // TestDistWorkerDeathRequeues: a worker leases a shard and goes silent
 // (a crash, as the coordinator sees it). The lease expires, the shard
 // requeues excluding the dead worker, a healthy worker finishes the
@@ -203,11 +228,7 @@ func TestDistWorkerDeathRequeues(t *testing.T) {
 	// The doomed worker: joins, leases one shard, never speaks again.
 	var join dist.JoinResponse
 	postJSON(t, srv.URL+dist.PathJoin, dist.JoinRequest{Capacity: 1}, &join)
-	var lr dist.LeaseResponse
-	postJSON(t, srv.URL+dist.PathLease, dist.LeaseRequest{WorkerID: join.WorkerID}, &lr)
-	if lr.Status != dist.LeaseWork {
-		t.Fatalf("lease status %q, want %q", lr.Status, dist.LeaseWork)
-	}
+	lr := leaseWork(t, srv.URL, join.WorkerID)
 
 	runWorkers(t, srv.URL, 1)
 	got := coord.Wait()
@@ -254,17 +275,11 @@ func TestDistCoordinatorResume(t *testing.T) {
 	var join dist.JoinResponse
 	postJSON(t, srvA.URL+dist.PathJoin, dist.JoinRequest{Capacity: 1}, &join)
 	for i := 0; i < 2; i++ {
-		var lr dist.LeaseResponse
-		postJSON(t, srvA.URL+dist.PathLease, dist.LeaseRequest{WorkerID: join.WorkerID}, &lr)
-		if lr.Status != dist.LeaseWork {
-			t.Fatalf("lease %d: status %q", i, lr.Status)
-		}
-		rep := search.RunShard(fig3, opts, *lr.Shard, nil)
+		lr := leaseWork(t, srvA.URL, join.WorkerID)
+		rep := search.RunShard(fig3, opts, lr.Shard, nil)
 		var rr dist.ResultResponse
-		postJSON(t, srvA.URL+dist.PathResult, dist.ResultRequest{
-			WorkerID: join.WorkerID, LeaseID: lr.LeaseID, Shard: lr.Shard.Index, Report: rep,
-		}, &rr)
-		if !rr.Accepted {
+		postJSON(t, srvA.URL+dist.PathResult, oneResult(join.WorkerID, lr, rep), &rr)
+		if !rr.Accepted[0] {
 			t.Fatalf("result %d not accepted", i)
 		}
 	}

@@ -3,6 +3,7 @@ package dist_test
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"reflect"
 	"strings"
@@ -27,37 +28,44 @@ var dporOpts = search.Options{
 }
 
 // TestDistDPORMatchesSequential: DPOR's work-unit plan grows as units
-// merge, with the coordinator extending its lease state to match. Two
-// workers draining that growing frontier must reproduce the sequential
-// DPOR report field for field — and byte for byte as a run report.
+// merge, with the coordinator extending its lease state to match and
+// handing the growing frontier out a wave at a time. However many
+// workers drain it — one taking every wave, or three racing for them —
+// they must reproduce the sequential DPOR report field for field, and
+// byte for byte as a run report: merge order is plan order regardless
+// of who ran what.
 func TestDistDPORMatchesSequential(t *testing.T) {
-	distMetrics := obs.NewMetrics()
-	coord, srv := startCoordinator(t, dist.CoordinatorConfig{
-		Prog:           racyIncrement,
-		Program:        "racy",
-		Options:        dporOpts,
-		RefParallelism: 2,
-		Metrics:        distMetrics,
-	})
-	runWorkers(t, srv.URL, 2)
-	got := coord.Wait()
-
 	localOpts := dporOpts
 	localOpts.Metrics = obs.NewMetrics()
 	want := search.Explore(racyIncrement, localOpts)
-	// Pruned reversals are counted by the merge, which runs on the
-	// coordinator: its registry must see what a local run's does.
-	if l, d := localOpts.Metrics.Snapshot().DporUnitsPruned, distMetrics.Snapshot().DporUnitsPruned; l == 0 || l != d {
-		t.Fatalf("dporUnitsPruned: local %d, distributed %d; want equal and nonzero", l, d)
-	}
-	if !reflect.DeepEqual(normalize(want), normalize(got)) {
-		t.Fatalf("distributed DPOR report differs from sequential:\n%+v\nvs\n%+v", want, got)
-	}
-	if w, g := runReportBytes(t, want, "racy", dporOpts), runReportBytes(t, got, "racy", dporOpts); !bytes.Equal(w, g) {
-		t.Fatalf("run report not byte-identical:\n%s\nvs\n%s", w, g)
-	}
 	if want.Violations == 0 {
 		t.Fatal("fixture found no violations; test configuration is too weak")
+	}
+	for _, workers := range []int{1, 2, 3} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			distMetrics := obs.NewMetrics()
+			coord, srv := startCoordinator(t, dist.CoordinatorConfig{
+				Prog:           racyIncrement,
+				Program:        "racy",
+				Options:        dporOpts,
+				RefParallelism: 2,
+				Metrics:        distMetrics,
+			})
+			runWorkers(t, srv.URL, workers)
+			got := coord.Wait()
+
+			// Pruned reversals are counted by the merge, which runs on the
+			// coordinator: its registry must see what a local run's does.
+			if l, d := localOpts.Metrics.Snapshot().DporUnitsPruned, distMetrics.Snapshot().DporUnitsPruned; l == 0 || l != d {
+				t.Fatalf("dporUnitsPruned: local %d, distributed %d; want equal and nonzero", l, d)
+			}
+			if !reflect.DeepEqual(normalize(want), normalize(got)) {
+				t.Fatalf("distributed DPOR report differs from sequential:\n%+v\nvs\n%+v", want, got)
+			}
+			if w, g := runReportBytes(t, want, "racy", dporOpts), runReportBytes(t, got, "racy", dporOpts); !bytes.Equal(w, g) {
+				t.Fatalf("run report not byte-identical:\n%s\nvs\n%s", w, g)
+			}
+		})
 	}
 }
 
@@ -82,17 +90,11 @@ func TestDistDPORCoordinatorResume(t *testing.T) {
 	var join dist.JoinResponse
 	postJSON(t, srvA.URL+dist.PathJoin, dist.JoinRequest{Capacity: 1}, &join)
 	for i := 0; i < 2; i++ {
-		var lr dist.LeaseResponse
-		postJSON(t, srvA.URL+dist.PathLease, dist.LeaseRequest{WorkerID: join.WorkerID}, &lr)
-		if lr.Status != dist.LeaseWork {
-			t.Fatalf("lease %d: status %q", i, lr.Status)
-		}
-		rep := search.RunShard(racyIncrement, dporOpts, *lr.Shard, nil)
+		lr := leaseWork(t, srvA.URL, join.WorkerID)
+		rep := search.RunShard(racyIncrement, dporOpts, lr.Shard, nil)
 		var rr dist.ResultResponse
-		postJSON(t, srvA.URL+dist.PathResult, dist.ResultRequest{
-			WorkerID: join.WorkerID, LeaseID: lr.LeaseID, Shard: lr.Shard.Index, Report: rep,
-		}, &rr)
-		if !rr.Accepted {
+		postJSON(t, srvA.URL+dist.PathResult, oneResult(join.WorkerID, lr, rep), &rr)
+		if !rr.Accepted[0] {
 			t.Fatalf("result %d not accepted", i)
 		}
 	}
@@ -149,11 +151,7 @@ func TestDistDPORWorkerDeath(t *testing.T) {
 	// The doomed worker: joins, leases one unit, never speaks again.
 	var join dist.JoinResponse
 	postJSON(t, srv.URL+dist.PathJoin, dist.JoinRequest{Capacity: 1}, &join)
-	var lr dist.LeaseResponse
-	postJSON(t, srv.URL+dist.PathLease, dist.LeaseRequest{WorkerID: join.WorkerID}, &lr)
-	if lr.Status != dist.LeaseWork {
-		t.Fatalf("lease status %q, want %q", lr.Status, dist.LeaseWork)
-	}
+	lr := leaseWork(t, srv.URL, join.WorkerID)
 	if lr.Shard.Unit == nil {
 		t.Fatalf("leased shard %d carries no DPOR unit: %+v", lr.Shard.Index, lr.Shard)
 	}

@@ -3,6 +3,7 @@ package jobs
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -11,17 +12,37 @@ import (
 	"time"
 
 	"fairmc/internal/ledger"
+	"fairmc/internal/search"
 )
 
 // crashSubs is the multi-job workload the crash harness drives: one
-// job that decides every shard and one that seals early on a
-// violation, so crash points cover both completion shapes.
+// job that decides every shard, one that seals early on a violation,
+// and a DPOR job whose units are leased and committed a wave at a time
+// — so crash points cover both completion shapes and every position in
+// a commit group: before it, between two of its frames, between its
+// last frame and its fsync, after it. Jobs are numbered in this order.
 var crashSubs = []struct {
 	program string
+	opts    search.Options
 	refPar  int
 }{
-	{"fig3", 2},
-	{"racy", 1},
+	{"fig3", baseOpts, 2},
+	{"racy", baseOpts, 1},
+	{"racy", search.Options{ContextBound: -1, MaxSteps: 10000, DPOR: true, SleepSets: true}, 2},
+}
+
+// crashSubOf maps a job id back to its submission. Ids are handed out
+// in submission order and only to submissions that committed, and a
+// crash that refuses one submission refuses every later one, so "jN"
+// is always crashSubs[N-1].
+func crashSubOf(t *testing.T, id string) (program string, opts search.Options, refPar int) {
+	t.Helper()
+	var n int
+	if _, err := fmt.Sscanf(id, "j%d", &n); err != nil || n < 1 || n > len(crashSubs) {
+		t.Fatalf("job id %q is not one of the %d crash-run submissions", id, len(crashSubs))
+	}
+	sb := crashSubs[n-1]
+	return sb.program, sb.opts, sb.refPar
 }
 
 // driveCrashRun starts a service on dir with the given crash hook,
@@ -45,7 +66,7 @@ func driveCrashRun(t *testing.T, dir string, hook func(string) bool, until func(
 	srv := httptest.NewServer(s.Handler())
 
 	for _, sb := range crashSubs {
-		trySubmit(srv.URL, sb.program, baseOpts, sb.refPar)
+		trySubmit(srv.URL, sb.program, sb.opts, sb.refPar)
 	}
 
 	stopCh := make(chan struct{})
@@ -128,8 +149,10 @@ func auditLedger(t *testing.T, dir string) {
 			if err := json.Unmarshal(r.Data, &g); err != nil {
 				t.Fatalf("audit: seq %d: %v", r.Seq, err)
 			}
-			if done[key{g.Job, g.Shard}] {
-				t.Fatalf("audit: seq %d grants %s shard %d after its completion committed", r.Seq, g.Job, g.Shard)
+			for _, shard := range g.Shards {
+				if done[key{g.Job, shard}] {
+					t.Fatalf("audit: seq %d grants %s shard %d after its completion committed", r.Seq, g.Job, shard)
+				}
 			}
 		}
 	}
@@ -164,7 +187,8 @@ func verifyRecovered(t *testing.T, dir string, point string) {
 			t.Fatalf("crash at %q: %s recovered to %q (%s), want done", point, id, st.State, st.Error)
 		}
 		got := fetchReport(t, srv.URL, id)
-		want := localReportBytes(t, st.Program, baseOpts, st.RefParallelism)
+		program, opts, refPar := crashSubOf(t, id)
+		want := localReportBytes(t, program, opts, refPar)
 		if !bytes.Equal(got, want) {
 			t.Fatalf("crash at %q: %s artifact differs after recovery:\n%s\nvs\n%s", point, id, got, want)
 		}
@@ -177,10 +201,13 @@ func isGrantPoint(p string) bool {
 
 // TestJobsCrashAtEveryCommitPoint kills the service (by freezing its
 // ledger — the disk's view of kill -9) at every synchronous WAL
-// commit point of a two-job run, restarts it on the same directory,
-// and asserts full recovery: all surviving jobs complete, artifacts
-// are byte-identical to local reference runs, and no ledger-committed
-// shard is ever granted again.
+// commit point of a three-job run — around every commit group, between
+// the frames of a group, and between a group's last frame and its
+// fsync — restarts it on the same directory, and asserts full
+// recovery: all surviving jobs complete, artifacts are byte-identical
+// to local reference runs (a group cut short recovers to a prefix of
+// its decided shards), and no ledger-committed shard is ever granted
+// again.
 func TestJobsCrashAtEveryCommitPoint(t *testing.T) {
 	if testing.Short() {
 		t.Skip("crash matrix is slow")
@@ -205,7 +232,18 @@ func TestJobsCrashAtEveryCommitPoint(t *testing.T) {
 	if len(points) < 8 {
 		t.Fatalf("baseline hit only %d commit points: %v", len(points), points)
 	}
-	t.Logf("crash matrix: %d commit points", len(points))
+	// The DPOR job's wave must have committed as a group: two "pre:"
+	// points in a row are a kill between two frames of one group.
+	between := 0
+	for i := 1; i < len(points); i++ {
+		if strings.HasPrefix(points[i], "pre:shard_done:") && strings.HasPrefix(points[i-1], "pre:shard_done:") {
+			between++
+		}
+	}
+	if between == 0 {
+		t.Fatalf("baseline committed no group of more than one frame: %v", points)
+	}
+	t.Logf("crash matrix: %d commit points, %d of them between the frames of a group", len(points), between)
 	auditLedger(t, baseDir)
 
 	skipped := 0

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -20,6 +21,7 @@ import (
 	"fairmc/internal/search"
 	"fairmc/internal/syncmodel"
 	"fairmc/internal/wm"
+	"fairmc/progs"
 )
 
 // fig3 is the paper's Figure 3 spin-loop program.
@@ -85,6 +87,16 @@ var testProgs = map[string]func(*engine.T){
 	"fig3":   fig3,
 	"racy":   racyIncrement,
 	"sbweak": sbWeak,
+	// The service benchmark's subject, from the shipped catalog.
+	"boundedbuffer": catalog("boundedbuffer"),
+}
+
+func catalog(name string) func(*engine.T) {
+	p, ok := progs.Lookup(name)
+	if !ok {
+		panic("no catalog program " + name)
+	}
+	return p.Body
 }
 
 func testLookup(name string) (func(*engine.T), bool) {
@@ -367,10 +379,11 @@ func TestJobsServiceEndToEnd(t *testing.T) {
 func TestJobsRestartServesReportsWithoutReExploration(t *testing.T) {
 	dir := t.TempDir()
 	s1, srv1 := startService(t, Config{Dir: dir})
-	startPool(t, srv1.URL, t.TempDir(), 1)
+	stopPool := startPool(t, srv1.URL, t.TempDir(), 1)
 	id := submitJob(t, srv1.URL, "racy", baseOpts, 2)
 	waitState(t, srv1.URL, id, StateDone)
 	want := fetchReport(t, srv1.URL, id)
+	stopPool() // its idle assign call would hold srv1.Close for the hold
 	srv1.Close()
 	if err := s1.Close(); err != nil {
 		t.Fatalf("first close: %v", err)
@@ -444,8 +457,11 @@ func postProto(t *testing.T, url string, in, out any) {
 // plan grows as units merge). A restarted service must adopt those
 // records — re-offering them in index order regenerates the same
 // children — and finish with the artifact an uninterrupted run
-// produces. Two units are completed by hand so the crash point is
-// deterministic and strictly inside the grown region.
+// produces. The service is killed mid-batch: the root unit is completed
+// by hand, then the wave its merge spawned is leased in one call and
+// only the first two of its units are posted back — so the crash point
+// is deterministic, strictly inside the grown region, and leaves leases
+// of the batch outstanding.
 func TestJobsDPORRestartResumesMidSearch(t *testing.T) {
 	dir := t.TempDir()
 	s1, srv1 := startService(t, Config{Dir: dir})
@@ -471,22 +487,26 @@ func TestJobsDPORRestartResumesMidSearch(t *testing.T) {
 	opts := dist.SpecFromOptions("racy", dporJobOpts).Options()
 	var join dist.JoinResponse
 	postProto(t, base+dist.PathJoin, dist.JoinRequest{Capacity: 1}, &join)
-	for i := 0; i < 2; i++ {
+	for i, post := range []int{1, 2} {
 		var lr dist.LeaseResponse
 		postProto(t, base+dist.PathLease, dist.LeaseRequest{WorkerID: join.WorkerID}, &lr)
-		if lr.Status != dist.LeaseWork {
-			t.Fatalf("lease %d: status %q", i, lr.Status)
+		if lr.Status != dist.LeaseWork || len(lr.Grants) < post || (i == 1 && len(lr.Grants) <= post) {
+			t.Fatalf("lease %d: status %q with %d grants; want the root alone, then a wave of more than %d", i, lr.Status, len(lr.Grants), post)
 		}
-		if lr.Shard.Unit == nil {
-			t.Fatalf("lease %d: shard %d carries no DPOR unit", i, lr.Shard.Index)
+		req := dist.ResultRequest{WorkerID: join.WorkerID}
+		for _, g := range lr.Grants[:post] {
+			if g.Shard.Unit == nil {
+				t.Fatalf("lease %d: shard %d carries no DPOR unit", i, g.Shard.Index)
+			}
+			req.Results = append(req.Results, dist.ShardResult{
+				LeaseID: g.LeaseID, Shard: g.Shard.Index,
+				Report: search.RunShard(testProgs["racy"], opts, g.Shard, nil),
+			})
 		}
-		rep := search.RunShard(testProgs["racy"], opts, *lr.Shard, nil)
 		var rr dist.ResultResponse
-		postProto(t, base+dist.PathResult, dist.ResultRequest{
-			WorkerID: join.WorkerID, LeaseID: lr.LeaseID, Shard: lr.Shard.Index, Report: rep,
-		}, &rr)
-		if !rr.Accepted {
-			t.Fatalf("result %d not accepted", i)
+		postProto(t, base+dist.PathResult, req, &rr)
+		if len(rr.Accepted) != post || slices.Contains(rr.Accepted, false) {
+			t.Fatalf("result batch %d: %+v, want %d accepted", i, rr, post)
 		}
 	}
 	srv1.Close()

@@ -1,6 +1,7 @@
 package jobs
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -15,8 +16,10 @@ import (
 	"fairmc/internal/obs"
 )
 
-// DefaultPoll is how often an idle pool worker asks the service for an
-// assignment.
+// DefaultPoll is the fallback interval between an idle pool worker's
+// assign calls. The service holds an assign call open until a job
+// mounts (dist.LeaseHold), so the interval only paces calls that come
+// back at once: failures, and a service that is closing.
 const DefaultPoll = 200 * time.Millisecond
 
 // assignFailureBudget is how many consecutive assign failures a pool
@@ -53,9 +56,10 @@ type PoolConfig struct {
 	FS          fsx.FS
 }
 
-// RunPoolWorker serves a jobs service: it polls /v1/assign, joins
-// whichever job's coordinator the service points it at, explores until
-// that job completes, and comes back for the next one. It returns nil
+// RunPoolWorker serves a jobs service: it asks /v1/assign (a call the
+// service answers when it has a job), joins whichever job's coordinator
+// the service points it at, explores until that job completes, and
+// comes back for the next one. It returns nil
 // when cfg.Stop closes, and an error only when the service stays
 // unreachable past the failure budget or a job rejects this worker's
 // build (spec mismatch).
@@ -74,6 +78,9 @@ func RunPoolWorker(cfg PoolConfig) error {
 	if cfg.Transport != nil {
 		httpc.Transport = cfg.Transport
 	}
+	// Closing Stop hangs up an assign call the service is holding open.
+	ctx, cancel := transport.StopContext(cfg.Stop)
+	defer cancel()
 
 	// One worker — and so one set of engine pools — serves every job.
 	var worker dist.Worker
@@ -86,21 +93,18 @@ func RunPoolWorker(cfg PoolConfig) error {
 		default:
 		}
 
-		asn, err := assign(httpc, cfg.URL)
+		asked := time.Now()
+		asn, err := assign(ctx, httpc, cfg.URL)
 		if err != nil {
 			failures++
 			if failures >= assignFailureBudget {
 				return fmt.Errorf("jobs: service unreachable after %d assign attempts: %w", failures, err)
 			}
-			if !sleepStop(cfg.Poll, cfg.Stop) {
-				return nil
-			}
-			continue
+		} else {
+			failures = 0
 		}
-		failures = 0
-
-		if asn.Status != AssignWork {
-			if !sleepStop(cfg.Poll, cfg.Stop) {
+		if err != nil || asn.Status != AssignWork {
+			if !sleepStop(cfg.Poll-time.Since(asked), cfg.Stop) {
 				return nil
 			}
 			continue
@@ -144,8 +148,12 @@ func RunPoolWorker(cfg PoolConfig) error {
 }
 
 // assign asks the service which job this worker should serve.
-func assign(httpc *http.Client, base string) (*AssignResponse, error) {
-	resp, err := httpc.Get(base + PathAssign)
+func assign(ctx context.Context, httpc *http.Client, base string) (*AssignResponse, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+PathAssign, nil)
+	if err != nil {
+		return nil, err
+	}
+	resp, err := httpc.Do(req)
 	if err != nil {
 		return nil, err
 	}
@@ -160,8 +168,12 @@ func assign(httpc *http.Client, base string) (*AssignResponse, error) {
 	return &asn, nil
 }
 
-// sleepStop pauses for d, cut short (returning false) by stop.
+// sleepStop pauses for d (not at all when d <= 0), cut short
+// (returning false) by stop.
 func sleepStop(d time.Duration, stop <-chan struct{}) bool {
+	if d <= 0 {
+		return true
+	}
 	t := time.NewTimer(d)
 	defer t.Stop()
 	select {

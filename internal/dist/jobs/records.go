@@ -9,13 +9,15 @@ package jobs
 //   - recSubmitted, recPlan, recDone are commit points: the service
 //     must not acknowledge a submission, grant work against a plan, or
 //     report a job terminal unless the record is durable. All three
-//     append with sync=true.
-//   - recShardDone is THE commit point of the whole design: it is
-//     appended (sync) BEFORE the shard report reaches the merger, so
-//     a crash between the two costs at most re-exploration of shards
-//     whose completion never committed — never a shard the ledger
-//     calls complete (those are re-seeded via dist.Prior and not
-//     re-leased).
+//     are fsynced before anything acts on them.
+//   - recShardDone is THE commit point of the whole design: the
+//     records of one result batch are appended as a group and fsynced
+//     once BEFORE any of the batch's reports reaches the merger, so a
+//     crash in between costs at most re-exploration of shards whose
+//     completion never committed — never a shard the ledger calls
+//     complete (those are re-seeded via dist.Prior and not re-leased).
+//     A crash inside the group leaves a prefix of it, which replay
+//     adopts.
 //   - recGrant is an audit record (who was asked to explore what); it
 //     rides along unsynced and its loss is harmless.
 //   - recServerStart marks a process boundary so post-mortem audits
@@ -75,10 +77,11 @@ type planRec struct {
 	Plan        *search.Plan `json:"plan"`
 }
 
-// grantRec is the audit trail of one lease grant.
+// grantRec is the audit trail of one lease call: every shard it
+// granted, in plan order.
 type grantRec struct {
 	Job    string `json:"job"`
-	Shard  int    `json:"shard"`
+	Shards []int  `json:"shards"`
 	Worker string `json:"worker"`
 }
 

@@ -10,11 +10,12 @@
 // Concurrency and commit discipline:
 //
 //   - Every state transition is WAL-first: the ledger record is
-//     appended (fsynced for commit points) BEFORE the in-memory state
-//     changes, via the coordinator's OnShardDone veto hook and the
-//     server's own commit helper. A crash between commit and apply is
-//     repaired by replay; a crash between apply and commit cannot
-//     happen.
+//     appended and fsynced BEFORE the in-memory state changes, via the
+//     coordinator's OnShardDone veto hook and the server's own commit
+//     helper. The shard decisions of one result batch commit as one
+//     group under one fsync, and reach the merger only after it. A
+//     crash between commit and apply is repaired by replay; a crash
+//     between apply and commit cannot happen.
 //   - Lock order: a coordinator's internal lock may be taken before
 //     the server lock (the OnShardDone hook does this), NEVER the
 //     reverse — server code releases s.mu before calling into a
@@ -50,9 +51,12 @@ const (
 	// DefaultMaxJobs bounds admission: queued+running jobs beyond it
 	// are refused with 429 + Retry-After.
 	DefaultMaxJobs = 64
-	// DefaultDrainGrace is how long a finished job's coordinator
-	// lingers mounted so polling workers observe completion and move
-	// to their next assignment.
+	// DefaultDrainGrace bounds how long a finished job's coordinator
+	// stays mounted waiting for every joined worker to be told the job
+	// is done. Live workers are told at once (a parked lease call is
+	// answered the moment the search finishes), so this is a crash-only
+	// timeout: it runs out only for a worker that joined and died. The
+	// job's MaxActive slot is not held meanwhile.
 	DefaultDrainGrace = 2 * time.Second
 )
 
@@ -89,8 +93,10 @@ type Config struct {
 
 	// crashHook, when set (tests only), observes every WAL commit
 	// point; returning true freezes the ledger — the disk's view of
-	// kill -9 at exactly that point. Points are named "pre:<op>" and
-	// "post:<op>" around each append.
+	// kill -9 at exactly that point. Points are named "pre:<op>" before
+	// each frame of a commit group is written (for the second frame on,
+	// that is between two frames of the group), "sync:<op>" between the
+	// group's last frame and its fsync, and "post:<op>" after it.
 	crashHook func(point string) bool
 }
 
@@ -102,11 +108,12 @@ type Config struct {
 // worker asking /v1/assign can be pointed at it.
 type job struct {
 	jobState
-	shards          int // planned shards, once a terminal job has dropped its Plan
+	shards          int // planned shards while no coordinator is mounted to ask
 	decided         int // shards decided this incarnation + replayed
 	cancelRequested bool
 	coord           *dist.Coordinator
 	handler         http.Handler
+	claimed         time.Time // since when a worker has been on its way to lease here (pickJob)
 }
 
 // Server is the durable checking service. Create with New, mount
@@ -119,13 +126,17 @@ type Server struct {
 	jobs        map[string]*job
 	order       []string // submission order
 	queue       []string // queued job ids, FIFO
-	activeIDs   []string // mounted (running) job ids
+	activeIDs   []string // jobs holding a coordinator or about to: running, mounting, draining
 	nextJob     int
 	nonTerminal int
 	rr          int // round-robin cursor for assign
 	quarantined int
 	badRecs     []string
 	closed      bool
+	// wake is closed (and replaced) whenever a parked assign call should
+	// look again: a job mounted, a lease was granted, or the server is
+	// closing.
+	wake chan struct{}
 
 	wg sync.WaitGroup
 }
@@ -166,6 +177,7 @@ func New(cfg Config) (*Server, error) {
 		nextJob:     st.maxJob + 1,
 		quarantined: len(rec.Quarantined),
 		badRecs:     st.badRecs,
+		wake:        make(chan struct{}),
 	}
 	for _, q := range rec.Quarantined {
 		cfg.Logf("jobs: ledger segment %s quarantined (offset %d: %s)", q.Segment, q.Offset, q.Reason)
@@ -176,7 +188,10 @@ func New(cfg Config) (*Server, error) {
 	for _, id := range st.order {
 		js := st.jobs[id]
 		j := &job{jobState: *js, decided: len(js.Completed)}
-		if js.State != StateQueued && js.State != StateRunning {
+		if js.Plan != nil {
+			j.shards = len(js.Plan.Shards)
+		}
+		if j.terminal() {
 			j.release()
 		}
 		s.jobs[id] = j
@@ -193,7 +208,7 @@ func New(cfg Config) (*Server, error) {
 				js.ID, len(j.Completed), j.shardCount())
 		}
 	}
-	if _, err := led.Append(recServerStart, serverStartRec{Jobs: len(pend)}, true); err != nil {
+	if err := led.AppendAll(ledger.Entry{Type: recServerStart, Value: serverStartRec{Jobs: len(pend)}}); err != nil {
 		led.Close()
 		return nil, fmt.Errorf("jobs: recording server start: %w", err)
 	}
@@ -203,24 +218,72 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// commit appends one WAL record, with the crash hook around it.
-func (s *Server) commit(point, typ string, v any, sync bool) error {
-	if h := s.cfg.crashHook; h != nil && h("pre:"+point) {
-		s.led.Freeze()
+// commit appends WAL records as one group — every frame, then a single
+// fsync — with the crash hook around and inside it. points names the
+// entries' commit points, one each.
+func (s *Server) commit(points []string, entries ...ledger.Entry) error {
+	h := s.cfg.crashHook
+	if h == nil {
+		return s.led.AppendAll(entries...)
 	}
-	_, err := s.led.Append(typ, v, sync)
-	if h := s.cfg.crashHook; h != nil && h("post:"+point) {
+	// cut is how many frames of the group reach the log before the kill;
+	// -1: all of them, and the fsync too.
+	cut, last := -1, points[len(points)-1]
+	for i, p := range points {
+		if h("pre:" + p) {
+			cut = i
+			break
+		}
+	}
+	if cut < 0 && h("sync:"+last) {
+		cut = len(entries)
+	}
+	if cut >= 0 {
+		s.led.FreezeAfter(cut)
+	}
+	err := s.led.AppendAll(entries...)
+	if h("post:" + last) {
 		s.led.Freeze()
 	}
 	return err
 }
 
-// scheduleLocked promotes queued jobs into the free active slots.
+// audit appends an audit-trail record: unsynced (it rides along with
+// the next fsync) and its loss is harmless.
+func (s *Server) audit(point, typ string, v any) {
+	if h := s.cfg.crashHook; h != nil && h("pre:"+point) {
+		s.led.Freeze()
+	}
+	s.led.Append(typ, v, false) // an unrecorded grant changes nothing
+	if h := s.cfg.crashHook; h != nil && h("post:"+point) {
+		s.led.Freeze()
+	}
+}
+
+// wakeLocked makes every parked assign call look again.
+func (s *Server) wakeLocked() {
+	close(s.wake)
+	s.wake = make(chan struct{})
+}
+
+// commit1 is commit for a group of one.
+func (s *Server) commit1(point, typ string, v any) error {
+	return s.commit([]string{point}, ledger.Entry{Type: typ, Value: v})
+}
+
+// scheduleLocked promotes queued jobs into the free active slots. A
+// finished job still draining its workers holds no slot.
 func (s *Server) scheduleLocked() {
 	if s.closed {
 		return
 	}
-	for len(s.activeIDs) < s.cfg.MaxActive && len(s.queue) > 0 {
+	free := s.cfg.MaxActive
+	for _, id := range s.activeIDs {
+		if !s.jobs[id].terminal() {
+			free--
+		}
+	}
+	for free > 0 && len(s.queue) > 0 {
 		id := s.queue[0]
 		s.queue = s.queue[1:]
 		j := s.jobs[id]
@@ -231,6 +294,7 @@ func (s *Server) scheduleLocked() {
 		// cannot over-promote. The job stays StateQueued until runJob
 		// has mounted its coordinator.
 		s.activeIDs = append(s.activeIDs, id)
+		free--
 		s.wg.Add(1)
 		go s.runJob(j)
 	}
@@ -245,6 +309,9 @@ func (s *Server) unmountLocked(id string) {
 		}
 	}
 	if j := s.jobs[id]; j != nil {
+		if j.coord != nil {
+			j.shards = j.coord.Planned()
+		}
 		j.coord = nil
 		j.handler = nil
 	}
@@ -277,15 +344,16 @@ func (s *Server) runJob(j *job) {
 			s.failJob(j, fmt.Sprintf("planning: %v", err))
 			return
 		}
-		if err := s.commit("plan:"+id, recPlan, planRec{
+		if err := s.commit1("plan:"+id, recPlan, planRec{
 			Job: id, OptionsHash: plan.OptionsHash, Plan: plan,
-		}, true); err != nil {
+		}); err != nil {
 			s.abortIncarnation(j, fmt.Errorf("committing plan: %w", err))
 			return
 		}
 		s.mu.Lock()
 		j.Plan = plan
 		j.OptionsHash = plan.OptionsHash
+		j.shards = len(plan.Shards)
 		s.mu.Unlock()
 	}
 
@@ -298,23 +366,38 @@ func (s *Server) runJob(j *job) {
 		MaxShardAttempts: s.cfg.MaxShardAttempts,
 		MaxInflight:      s.cfg.MaxInflight,
 		Prior:            j.prior(),
-		OnShardGrant: func(shard int, worker string) {
-			// Audit trail; unsynced, loss is harmless.
-			s.commit(fmt.Sprintf("grant:%s#%d", id, shard), recGrant,
-				grantRec{Job: id, Shard: shard, Worker: worker}, false)
+		OnShardGrant: func(shards []int, worker string) {
+			s.audit(fmt.Sprintf("grant:%s#%d", id, shards[0]), recGrant,
+				grantRec{Job: id, Shards: shards, Worker: worker})
+			// The worker sent here has arrived and taken its share: what
+			// the coordinator calls grantable is true again (pickJob).
+			s.mu.Lock()
+			j.claimed = time.Time{}
+			s.wakeLocked()
+			s.mu.Unlock()
 		},
-		OnShardDone: func(shard int, rep *search.Report, abandoned string) error {
-			// THE commit point: a shard decision reaches the merger
-			// only after it is durable. An error here vetoes the
-			// decision in the coordinator.
-			if err := s.commit(fmt.Sprintf("shard_done:%s#%d", id, shard), recShardDone, shardDoneRec{
-				Job: id, OptionsHash: j.OptionsHash, Shard: shard,
-				Report: rep, Abandoned: abandoned,
-			}, true); err != nil {
+		OnShardDone: func(decided []dist.ShardDecision) error {
+			// THE commit point: shard decisions reach the merger only
+			// after they are durable — every shard_done frame of the
+			// batch, then one fsync. An error here vetoes them all in
+			// the coordinator.
+			points := make([]string, len(decided))
+			entries := make([]ledger.Entry, len(decided))
+			for i, d := range decided {
+				points[i] = fmt.Sprintf("shard_done:%s#%d", id, d.Shard)
+				entries[i] = ledger.Entry{Type: recShardDone, Value: shardDoneRec{
+					Job: id, OptionsHash: j.OptionsHash, Shard: d.Shard,
+					Report: d.Report, Abandoned: d.Abandoned,
+				}}
+			}
+			if err := s.commit(points, entries...); err != nil {
 				return err
 			}
 			s.mu.Lock()
-			j.decided++
+			j.decided += len(decided)
+			// The worker that posted this batch is on its way back for
+			// whatever the batch is about to add to the plan (pickJob).
+			j.claimed = time.Now()
 			s.mu.Unlock()
 			return nil
 		},
@@ -338,13 +421,15 @@ func (s *Server) runJob(j *job) {
 	j.coord = coord
 	j.handler = http.StripPrefix(PathJobPrefix+id, coord.Handler())
 	j.State = StateRunning // mounted: assignable from this instant
+	s.wakeLocked()
 	cancelled := j.cancelRequested
+	shards := j.shardCount()
 	s.mu.Unlock()
 	if cancelled {
 		coord.Interrupt()
 	}
 	s.cfg.Logf("jobs: %s running (%d shards, %d already committed)",
-		id, j.shardCount(), len(j.Completed))
+		id, shards, len(j.Completed))
 
 	rep := coord.Wait()
 
@@ -367,8 +452,10 @@ func (s *Server) runJob(j *job) {
 	}
 }
 
-// finishJob commits a job's terminal record, updates memory, lingers
-// for the drain grace, and frees the slot.
+// finishJob commits a job's terminal record, updates memory — which
+// frees the job's slot for the next queued one — and unmounts the
+// coordinator once its workers have been told (or the drain grace runs
+// out).
 func (s *Server) finishJob(j *job, rep *search.Report, state, errMsg string) {
 	id := j.ID
 	var runReport []byte
@@ -383,9 +470,9 @@ func (s *Server) finishJob(j *job, rep *search.Report, state, errMsg string) {
 			runReport = data
 		}
 	}
-	if err := s.commit("done:"+id, recDone, doneRec{
+	if err := s.commit1("done:"+id, recDone, doneRec{
 		Job: id, State: state, Error: errMsg, Report: rep, RunReport: runReport,
-	}, true); err != nil {
+	}); err != nil {
 		s.abortIncarnation(j, fmt.Errorf("committing terminal state: %w", err))
 		return
 	}
@@ -404,20 +491,23 @@ func (s *Server) finishJob(j *job, rep *search.Report, state, errMsg string) {
 			m.JobsDone.Inc()
 		}
 	}
-	coordMounted := j.coord != nil
+	coord := j.coord
+	s.scheduleLocked()
 	s.mu.Unlock()
 	s.cfg.Logf("jobs: %s %s", id, state)
 
-	if coordMounted {
-		// Linger so polling workers observe Done and move on.
+	if coord != nil {
+		// Stay mounted until every joined worker has been answered
+		// "done" and moved on.
+		grace := time.NewTimer(s.cfg.DrainGrace)
 		select {
-		case <-j.coord.Drained():
-		case <-time.After(s.cfg.DrainGrace):
+		case <-coord.Drained():
+		case <-grace.C:
 		}
+		grace.Stop()
 	}
 	s.mu.Lock()
 	s.unmountLocked(id)
-	s.scheduleLocked()
 	s.mu.Unlock()
 }
 
@@ -425,14 +515,21 @@ func (s *Server) finishJob(j *job, rep *search.Report, state, errMsg string) {
 // and every decided shard's report. A terminal job is served from its
 // Report and RunReport; status keeps the counts.
 func (j *job) release() {
-	j.shards = j.shardCount()
 	j.Plan, j.Completed, j.Abandoned = nil, nil, nil
 }
 
-// shardCount is how many shards the job's plan holds (or held).
+// terminal reports whether the job has reached a final state.
+func (j *job) terminal() bool {
+	return j.State == StateDone || j.State == StateFailed || j.State == StateCancelled
+}
+
+// shardCount is how many shards the job's plan holds (or held). The
+// plan itself belongs to the mounted coordinator, whose merger grows it
+// under the coordinator's lock; the server only ever asks for the
+// published count.
 func (j *job) shardCount() int {
-	if j.Plan != nil {
-		return len(j.Plan.Shards)
+	if j.coord != nil {
+		return j.coord.Planned()
 	}
 	return j.shards
 }
@@ -465,6 +562,7 @@ func (s *Server) Close() error {
 		return nil
 	}
 	s.closed = true
+	s.wakeLocked()
 	var coords []*dist.Coordinator
 	for _, id := range s.activeIDs {
 		if j := s.jobs[id]; j != nil && j.coord != nil {
@@ -492,31 +590,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc(PathJobPrefix, s.handleJobProxy)
 	mux.HandleFunc(PathStatus, s.handleStatus)
 	mux.HandleFunc(PathMetrics, s.handleMetrics)
-	return s.shedMiddleware(mux)
-}
-
-// shedMiddleware bounds concurrently served requests, refusing the
-// excess with 429 + Retry-After (the same degradation contract as the
-// coordinator's).
-func (s *Server) shedMiddleware(next http.Handler) http.Handler {
-	max := s.cfg.MaxInflight
-	if max <= 0 {
-		max = dist.DefaultMaxInflight
-	}
-	sem := make(chan struct{}, max)
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		select {
-		case sem <- struct{}{}:
-			defer func() { <-sem }()
-			next.ServeHTTP(w, r)
-		default:
-			if m := s.cfg.Metrics; m != nil {
-				m.ShedRequests.Inc()
-			}
-			w.Header().Set("Retry-After", "1")
-			http.Error(w, "service overloaded", http.StatusTooManyRequests)
-		}
-	})
+	return dist.Shed(s.cfg.MaxInflight, s.cfg.Metrics, "service overloaded", mux)
 }
 
 func writeJSON(w http.ResponseWriter, v any) {
@@ -574,10 +648,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// The submission is acknowledged only after it is durable; the
 	// ledger append happens under s.mu so replayed submission order
 	// always matches s.order.
-	if err := s.commit("submit:"+id, recSubmitted, submittedRec{
+	if err := s.commit1("submit:"+id, recSubmitted, submittedRec{
 		Job: id, Spec: req.Spec, RefParallelism: req.RefParallelism,
 		ConfirmRuns: req.ConfirmRuns,
-	}, true); err != nil {
+	}); err != nil {
 		s.mu.Unlock()
 		http.Error(w, "cannot record submission: "+err.Error(), http.StatusServiceUnavailable)
 		return
@@ -670,13 +744,13 @@ func (s *Server) handleCancel(w http.ResponseWriter, j *job) {
 	s.mu.Lock()
 	qi := slices.Index(s.queue, j.ID)
 	switch {
-	case j.State == StateDone || j.State == StateFailed || j.State == StateCancelled:
+	case j.terminal():
 		st := j.State
 		s.mu.Unlock()
 		writeJSON(w, CancelResponse{JobID: j.ID, State: st})
 		return
 	case qi >= 0: // still waiting for a slot
-		if err := s.commit("done:"+j.ID, recDone, doneRec{Job: j.ID, State: StateCancelled}, true); err != nil {
+		if err := s.commit1("done:"+j.ID, recDone, doneRec{Job: j.ID, State: StateCancelled}); err != nil {
 			s.mu.Unlock()
 			http.Error(w, "cannot record cancellation: "+err.Error(), http.StatusServiceUnavailable)
 			return
@@ -707,28 +781,77 @@ func (s *Server) handleCancel(w http.ResponseWriter, j *job) {
 	}
 }
 
-// handleAssign round-robins pool workers over running jobs.
+// handleAssign sends a pool worker to a mounted job that has work for
+// it (pickJob). While no job has — none is mounted, or the workers
+// already on or on their way to the mounted ones take everything
+// grantable — it parks the call (outside the load-shedding bound) until
+// a job mounts or a lease is granted, for at most dist.LeaseHold.
 func (s *Server) handleAssign(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		http.Error(w, "GET required", http.StatusMethodNotAllowed)
 		return
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	// Only jobs whose coordinator is actually mounted are assignable.
-	var ready []string
-	for _, id := range s.activeIDs {
-		if j := s.jobs[id]; j != nil && j.handler != nil {
-			ready = append(ready, id)
+	var hold dist.Hold
+	defer hold.Stop()
+	for {
+		s.mu.Lock()
+		wake, closed := s.wake, s.closed
+		s.mu.Unlock()
+		if id, ok := s.pickJob(); ok {
+			writeJSON(w, AssignResponse{Status: AssignWork, JobID: id, Path: PathJobPrefix + id})
+			return
 		}
-	}
-	if len(ready) == 0 {
+		if !closed && hold.Wait(r, wake) {
+			continue
+		}
 		writeJSON(w, AssignResponse{Status: AssignWait})
 		return
 	}
-	id := ready[s.rr%len(ready)]
+}
+
+// pickJob chooses, round-robin, a mounted job a worker sent there now
+// would find work at: its coordinator has a shard to lease, and no
+// other worker is already on its way to take it. A worker that joined a
+// job with nothing to lease would sit out that job's whole life parked
+// on its lease call, while the next submission waits for a worker.
+//
+// "On its way" is the job's claim: set here when a worker is sent, and
+// when a worker posts a result batch (it comes straight back for what
+// the batch added to the plan), and cleared by the job's next lease
+// grant (OnShardGrant) — until then the coordinator still counts as
+// grantable what that worker is about to take. A claim whose worker
+// died before leasing lapses after dist.LeaseHold.
+func (s *Server) pickJob() (id string, ok bool) {
+	s.mu.Lock()
+	var cands []*job
+	var coords []*dist.Coordinator
+	for _, id := range s.activeIDs {
+		if j := s.jobs[id]; j.coord != nil && time.Since(j.claimed) >= dist.LeaseHold {
+			cands, coords = append(cands, j), append(coords, j.coord)
+		}
+	}
+	rr := s.rr
 	s.rr++
-	writeJSON(w, AssignResponse{Status: AssignWork, JobID: id, Path: PathJobPrefix + id})
+	s.mu.Unlock()
+
+	for i := range cands {
+		k := (rr + i) % len(cands)
+		// Outside s.mu: a coordinator's lock orders before the server's.
+		if !coords[k].Grantable() {
+			continue
+		}
+		s.mu.Lock()
+		j := cands[k]
+		free := j.coord == coords[k] && time.Since(j.claimed) >= dist.LeaseHold
+		if free {
+			j.claimed = time.Now()
+		}
+		s.mu.Unlock()
+		if free {
+			return j.ID, true
+		}
+	}
+	return "", false
 }
 
 // handleJobProxy routes /job/<id>/... into that job's coordinator.

@@ -17,6 +17,9 @@
 //   - Work items are leases with a TTL. Workers extend their leases by
 //     heartbeating; a lease that expires (worker crashed, wedged, or
 //     partitioned) requeues its shard with the failed worker excluded.
+//     One lease call grants a whole wave of single-execution shards
+//     (LeaseBatch) and one result call posts them back, so the protocol
+//     costs round trips per wave of the frontier, not per execution.
 //   - Retries are bounded (CoordinatorConfig.MaxShardAttempts); a
 //     shard that keeps failing is abandoned and surfaces in the merged
 //     report as Skipped work plus structured WorkerFailures — explicit
@@ -147,7 +150,8 @@ func (s SearchSpec) Options() search.Options {
 // JoinRequest registers a worker with the coordinator.
 type JoinRequest struct {
 	// Capacity is how many shards the worker runs concurrently
-	// (informational; the worker pulls leases one at a time per slot).
+	// (informational; each slot pulls its own lease batches and runs a
+	// batch's shards one after another).
 	Capacity int `json:"capacity"`
 }
 
@@ -168,27 +172,45 @@ type JoinResponse struct {
 	WantEvents bool `json:"wantEvents,omitempty"`
 }
 
-// LeaseRequest asks for one shard of work.
+// LeaseBatch bounds how many single-execution shards (DPOR units) one
+// lease call grants. Subtree and range shards are granted one per call
+// so workers keep sharing them.
+const LeaseBatch = 32
+
+// LeaseHold bounds how long a lease call with nothing grantable (and,
+// in the jobs service, an assign call with no mounted job) is held open
+// waiting for that to change before it is answered "wait". It stays
+// well below the callers' per-attempt deadlines.
+const LeaseHold = 2 * time.Second
+
+// LeaseRequest asks for work: one shard, or a batch of units.
 type LeaseRequest struct {
 	WorkerID string `json:"workerId"`
 }
 
 // Lease statuses.
 const (
-	// LeaseWork: Shard and LeaseID are set; run it.
+	// LeaseWork: Grants is non-empty; run them in order.
 	LeaseWork = "work"
-	// LeaseWait: nothing grantable right now (all pending shards are
-	// excluded for this worker, or everything is leased); poll again.
+	// LeaseWait: nothing became grantable within LeaseHold (all pending
+	// shards are excluded for this worker, or everything is leased); ask
+	// again.
 	LeaseWait = "wait"
 	// LeaseDone: the search is complete; the worker should exit.
 	LeaseDone = "done"
 )
 
-// LeaseResponse grants a shard (or tells the worker to wait/exit).
+// Grant is one leased shard.
+type Grant struct {
+	LeaseID string       `json:"leaseId"`
+	Shard   search.Shard `json:"shard"`
+}
+
+// LeaseResponse grants shards in plan order (or tells the worker to
+// wait/exit).
 type LeaseResponse struct {
-	Status  string        `json:"status"`
-	Shard   *search.Shard `json:"shard,omitempty"`
-	LeaseID string        `json:"leaseId,omitempty"`
+	Status string  `json:"status"`
+	Grants []Grant `json:"grants,omitempty"`
 }
 
 // HeartbeatRequest keeps a worker's leases alive and piggybacks its
@@ -209,22 +231,30 @@ type HeartbeatResponse struct {
 	Done      bool     `json:"done,omitempty"`
 }
 
-// ResultRequest posts a finished shard: either a report or a failure
-// description (worker-side panic), never both.
-type ResultRequest struct {
-	WorkerID string         `json:"workerId"`
-	LeaseID  string         `json:"leaseId"`
-	Shard    int            `json:"shard"`
-	Report   *search.Report `json:"report,omitempty"`
-	Failure  string         `json:"failure,omitempty"`
+// ShardResult is one finished shard: either a report or a failure
+// description (worker-side panic), never both. A failure without a
+// lease is advisory: recorded for the report, charged to no shard.
+type ShardResult struct {
+	LeaseID string         `json:"leaseId"`
+	Shard   int            `json:"shard"`
+	Report  *search.Report `json:"report,omitempty"`
+	Failure string         `json:"failure,omitempty"`
 }
 
-// ResultResponse acknowledges a shard result. Accepted is false when
-// the shard was already decided (a late result after the lease expired
-// and a retry finished first); the worker just moves on.
+// ResultRequest posts the finished shards of one lease batch, in the
+// order they were granted.
+type ResultRequest struct {
+	WorkerID string        `json:"workerId"`
+	Results  []ShardResult `json:"results"`
+}
+
+// ResultResponse acknowledges a result batch; Accepted[i] answers
+// Results[i]. An entry is false when the shard was already decided (a
+// late result after the lease expired and a retry finished first) or
+// was cancelled; the worker just moves on.
 type ResultResponse struct {
-	Accepted bool `json:"accepted"`
-	Done     bool `json:"done,omitempty"`
+	Accepted []bool `json:"accepted"`
+	Done     bool   `json:"done,omitempty"`
 }
 
 // StatusResponse is the coordinator's public progress summary.

@@ -320,9 +320,32 @@ type Client struct {
 	OnRetry func(path string, attempt int, err error)
 	// Sleep replaces time.Sleep for backoff pauses (tests).
 	Sleep func(time.Duration)
-	// Stop, when closed, aborts in-flight backoff sleeps so workers shut
-	// down promptly.
-	Stop <-chan struct{}
+	// Ctx, when set and cancelled, aborts the attempt in flight (a
+	// lease call the coordinator is holding open, most of the time) and
+	// any backoff sleep, so workers shut down promptly.
+	Ctx context.Context
+}
+
+// StopContext returns a context cancelled when stop is closed (a nil
+// stop never is) or cancel is called; call cancel when done with it, or
+// the goroutine watching stop outlives the caller.
+func StopContext(stop <-chan struct{}) (ctx context.Context, cancel context.CancelFunc) {
+	ctx, cancel = context.WithCancel(context.Background())
+	go func() {
+		select {
+		case <-stop:
+			cancel()
+		case <-ctx.Done():
+		}
+	}()
+	return ctx, cancel
+}
+
+func (c *Client) ctx() context.Context {
+	if c.Ctx != nil {
+		return c.Ctx
+	}
+	return context.Background()
 }
 
 func (c *Client) sleep(d time.Duration) bool {
@@ -338,7 +361,7 @@ func (c *Client) sleep(d time.Duration) bool {
 	select {
 	case <-t.C:
 		return true
-	case <-c.Stop:
+	case <-c.ctx().Done():
 		return false
 	}
 }
@@ -417,6 +440,9 @@ func (c *Client) postRetry(path string, in, out any, call Call) error {
 		if lastErr == nil {
 			return nil
 		}
+		if c.ctx().Err() != nil {
+			return fmt.Errorf("%s: %w", path, errStopped)
+		}
 		if !Classify(lastErr) {
 			return lastErr
 		}
@@ -426,17 +452,12 @@ func (c *Client) postRetry(path string, in, out any, call Call) error {
 		if maxElapsed > 0 && time.Since(start) >= maxElapsed {
 			break
 		}
-		select {
-		case <-c.Stop:
-			return fmt.Errorf("%s: %w", path, errStopped)
-		default:
-		}
 	}
 	return lastErr
 }
 
 func (c *Client) postOnce(path string, body []byte, out any, key string) error {
-	ctx, cancel := context.WithTimeout(context.Background(), c.deadline(path))
+	ctx, cancel := context.WithTimeout(c.ctx(), c.deadline(path))
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.Base+path, bytes.NewReader(body))
 	if err != nil {

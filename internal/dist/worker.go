@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime/debug"
+	"slices"
 	"sync"
 	"time"
 
@@ -171,6 +172,11 @@ func (w *Worker) Run(cfg WorkerConfig) error {
 		cfg.FS = fsx.OS
 	}
 
+	// Closing Stop hangs up whatever call is in flight — most of the time
+	// a lease call the coordinator is holding open.
+	ctx, cancel := transport.StopContext(cfg.Stop)
+	defer cancel()
+
 	breaker := &transport.Breaker{}
 	if cfg.Metrics != nil {
 		breaker.OnOpen = func() { cfg.Metrics.BreakerOpens.Inc() }
@@ -185,7 +191,7 @@ func (w *Worker) Run(cfg WorkerConfig) error {
 		Policy:    cfg.Retry,
 		Deadlines: workerDeadlines,
 		Breaker:   breaker,
-		Stop:      cfg.Stop,
+		Ctx:       ctx,
 	}
 	if cfg.Metrics != nil {
 		tc.OnRetry = func(string, int, error) { cfg.Metrics.DistRetries.Inc() }
@@ -356,11 +362,10 @@ func (wk *worker) replaySpool(optionsHash uint64) {
 	// it is reported once, not on every rejoin.
 	for _, bad := range corrupt {
 		wk.cfg.Logf("dist: spool: corrupt entry %s (%s)", bad.Name, bad.Reason)
-		req := ResultRequest{
-			WorkerID: wk.id,
-			Shard:    bad.Shard,
-			Failure:  fmt.Sprintf("corrupt spool entry %s: %s", bad.Name, bad.Reason),
-		}
+		req := ResultRequest{WorkerID: wk.id, Results: []ShardResult{{
+			Shard:   bad.Shard,
+			Failure: fmt.Sprintf("corrupt spool entry %s: %s", bad.Name, bad.Reason),
+		}}}
 		key := fmt.Sprintf("res-%s-spoolbad-%s", wk.id, bad.Name)
 		if err := wk.tc.PostJSON(PathResult, req, &ResultResponse{}, transport.Call{Key: key}); err != nil {
 			wk.cfg.Logf("dist: reporting corrupt spool entry %s: %v", bad.Name, err)
@@ -374,7 +379,7 @@ func (wk *worker) replaySpool(optionsHash uint64) {
 	}
 	for _, e := range entries {
 		resp := &ResultResponse{}
-		req := ResultRequest{WorkerID: wk.id, LeaseID: "spool-replay", Shard: e.Shard, Report: e.Report}
+		req := ResultRequest{WorkerID: wk.id, Results: []ShardResult{{LeaseID: "spool-replay", Shard: e.Shard, Report: e.Report}}}
 		key := fmt.Sprintf("res-%s-spool-%d", wk.id, e.Shard)
 		if err := wk.tc.PostJSON(PathResult, req, resp, transport.Call{Key: key}); err != nil {
 			wk.cfg.Logf("dist: replaying spooled shard %d: %v", e.Shard, err)
@@ -383,7 +388,7 @@ func (wk *worker) replaySpool(optionsHash uint64) {
 		if rerr := spoolRemove(wk.cfg.FS, wk.cfg.WorkDir, e.Shard); rerr != nil {
 			wk.cfg.Logf("dist: removing spooled shard %d: %v", e.Shard, rerr)
 		}
-		wk.cfg.Logf("dist: replayed spooled shard %d (accepted=%v)", e.Shard, resp.Accepted)
+		wk.cfg.Logf("dist: replayed spooled shard %d (accepted=%v)", e.Shard, slices.Contains(resp.Accepted, true))
 		if resp.Done {
 			wk.finish()
 		}
@@ -432,7 +437,8 @@ func (wk *worker) finish() { wk.once.Do(func() { close(wk.done) }) }
 func (wk *worker) stopped() bool { return isStopped(wk.cfg.Stop) }
 
 // heartbeatLoop extends leases and forwards telemetry until the worker
-// finishes.
+// finishes. It is also the session's one watcher of cfg.Stop: a stopped
+// worker abandons whatever shards it holds.
 func (wk *worker) heartbeatLoop(stop <-chan struct{}) {
 	iv := wk.ttl / 3
 	if iv < 20*time.Millisecond {
@@ -446,9 +452,26 @@ func (wk *worker) heartbeatLoop(stop <-chan struct{}) {
 			return
 		case <-wk.done:
 			return
+		case <-wk.cfg.Stop:
+			wk.mu.Lock()
+			for id := range wk.active {
+				wk.cancelLocked(id)
+			}
+			wk.mu.Unlock()
+			return
 		case <-t.C:
 			wk.heartbeat(nil)
 		}
+	}
+}
+
+// cancelLocked stops the shard running or waiting under a lease.
+// Closing and forgetting the lease happen together under mu, so no stop
+// channel closes twice.
+func (wk *worker) cancelLocked(leaseID string) {
+	if ch, ok := wk.active[leaseID]; ok {
+		close(ch)
+		delete(wk.active, leaseID)
 	}
 }
 
@@ -496,10 +519,7 @@ func (wk *worker) heartbeat(extra []string) {
 	}
 	wk.mu.Lock()
 	for _, id := range resp.Cancelled {
-		if ch, ok := wk.active[id]; ok {
-			close(ch)
-			delete(wk.active, id)
-		}
+		wk.cancelLocked(id)
 	}
 	wk.mu.Unlock()
 	if resp.Done {
@@ -522,6 +542,7 @@ func (wk *worker) shardLoop(pool *engine.Pool) error {
 		default:
 		}
 		resp := &LeaseResponse{}
+		asked := time.Now()
 		err := wk.tc.PostJSON(PathLease, LeaseRequest{WorkerID: wk.id}, resp,
 			transport.Call{MaxAttempts: 3})
 		if err != nil {
@@ -541,17 +562,16 @@ func (wk *worker) shardLoop(pool *engine.Pool) error {
 			wk.finish()
 			return nil
 		case LeaseWait:
-			// Poll briskly: an idle worker is also how completion is
-			// observed, and the coordinator only lingers a short grace
-			// period after the search finishes.
+			// The coordinator held the call open for LeaseHold before
+			// saying so; the timer only paces one that answers at once.
 			iv := wk.ttl / 4
 			if iv > 500*time.Millisecond {
 				iv = 500 * time.Millisecond
 			}
-			wk.sleep(iv)
+			wk.sleep(iv - time.Since(asked))
 			continue
 		case LeaseWork:
-			wk.runShard(pool, resp.LeaseID, *resp.Shard)
+			wk.runBatch(pool, resp.Grants)
 		default:
 			return fmt.Errorf("dist: unknown lease status %q", resp.Status)
 		}
@@ -560,8 +580,8 @@ func (wk *worker) shardLoop(pool *engine.Pool) error {
 
 // sleep waits without outliving a stop or done signal.
 func (wk *worker) sleep(d time.Duration) {
-	if d < 10*time.Millisecond {
-		d = 10 * time.Millisecond
+	if d <= 0 {
+		return
 	}
 	t := time.NewTimer(d)
 	defer t.Stop()
@@ -579,112 +599,129 @@ func (wk *worker) sleep(d time.Duration) {
 	}
 }
 
-// runShard executes one leased shard and posts the outcome. A panic in
-// the program (or the engine) is posted as a structured failure so the
-// coordinator can retry the shard elsewhere. A completed report whose
-// upload fails outright is spooled to -workdir for replay on rejoin.
-func (wk *worker) runShard(pool *engine.Pool, leaseID string, sh search.Shard) {
-	stop := make(chan struct{})
+// runBatch runs the shards of one lease call in plan order on the
+// slot's engine pool and posts their outcomes as one result batch.
+// Every lease of the batch is registered for heartbeats up front and
+// stays registered until the batch is posted, so the ones still waiting
+// their turn are kept alive too. Completed reports whose upload fails
+// outright are spooled to -workdir for replay on rejoin.
+func (wk *worker) runBatch(pool *engine.Pool, grants []Grant) {
+	stops := make([]chan struct{}, len(grants))
 	wk.mu.Lock()
-	wk.active[leaseID] = stop
+	for i, g := range grants {
+		stops[i] = make(chan struct{})
+		wk.active[g.LeaseID] = stops[i]
+	}
 	wk.mu.Unlock()
 	defer func() {
 		wk.mu.Lock()
-		if _, ok := wk.active[leaseID]; ok {
-			delete(wk.active, leaseID)
+		for _, g := range grants {
+			delete(wk.active, g.LeaseID)
 		}
 		wk.mu.Unlock()
 	}()
 
-	// The shard must stop when the lease is cancelled OR the whole
-	// worker is stopped; fold both into one channel.
-	shardStop := stop
-	if wk.cfg.Stop != nil {
-		merged := make(chan struct{})
-		go func() {
-			select {
-			case <-stop:
-			case <-wk.cfg.Stop:
-			}
-			close(merged)
-		}()
-		shardStop = merged
+	results := make([]ShardResult, 0, len(grants))
+	ckpts := make([]string, 0, len(grants))
+	for i, g := range grants {
+		if wk.stopped() {
+			break // a lease registered after Stop fired was not cancelled
+		}
+		if res, ckpt, ok := wk.runShard(pool, g, stops[i]); ok {
+			results = append(results, res)
+			ckpts = append(ckpts, ckpt)
+		}
+	}
+	if len(results) == 0 {
+		return
 	}
 
+	resp := &ResultResponse{}
+	key := fmt.Sprintf("res-%s-%s", wk.id, results[0].LeaseID)
+	if err := wk.tc.PostJSON(PathResult, ResultRequest{WorkerID: wk.id, Results: results}, resp, transport.Call{Key: key}); err != nil {
+		wk.cfg.Logf("dist: posting %d shard results (%d..): %v", len(results), results[0].Shard, err)
+		if wk.cfg.WorkDir == "" {
+			return
+		}
+		// The work is done; don't lose it to a dead link. Failure reports
+		// are not spooled — lease expiry already requeues the shard
+		// elsewhere.
+		for _, res := range results {
+			if res.Report == nil {
+				continue
+			}
+			e := spoolEntry{
+				OptionsHash: search.OptionsHash(&wk.opts),
+				Program:     wk.spec.Program,
+				Shard:       res.Shard,
+				Report:      res.Report,
+			}
+			if serr := spoolWrite(wk.cfg.FS, wk.cfg.WorkDir, e); serr != nil {
+				wk.cfg.Logf("dist: spooling shard %d: %v", res.Shard, serr)
+				continue
+			}
+			if wk.cfg.Metrics != nil {
+				wk.cfg.Metrics.SpooledResults.Inc()
+			}
+			wk.cfg.Logf("dist: spooled shard %d result for replay", res.Shard)
+		}
+		return
+	}
+	for i, ok := range resp.Accepted {
+		if ok && i < len(ckpts) && ckpts[i] != "" && results[i].Report != nil {
+			os.Remove(ckpts[i])
+		}
+	}
+	if resp.Done {
+		wk.finish()
+	}
+}
+
+// runShard executes one leased shard and returns its outcome for the
+// batch. A panic in the program (or the engine) becomes a structured
+// failure so the coordinator can retry the shard elsewhere. ok is false
+// for a shard cancelled before or while it ran (lease lost or worker
+// stopping): the partial report must not be merged, and the coordinator
+// has already requeued or cut the shard. ckpt is the shard's checkpoint
+// file, if it keeps one.
+func (wk *worker) runShard(pool *engine.Pool, g Grant, stop <-chan struct{}) (res ShardResult, ckpt string, ok bool) {
+	sh := g.Shard
 	opts := wk.opts
-	ckptPath := ""
 	if wk.cfg.WorkDir != "" && sh.Hi > 0 {
 		// Per-shard checkpointing (range shards only: a prefix
 		// subtree reruns from scratch, and a DPOR unit is a single
 		// execution). A stale or foreign checkpoint is discarded,
 		// never trusted.
-		ckptPath = filepath.Join(wk.cfg.WorkDir, fmt.Sprintf("shard-%04d.ckpt", sh.Index))
-		opts.CheckpointPath = ckptPath
-		if ck, err := search.LoadCheckpoint(ckptPath); err == nil {
+		ckpt = filepath.Join(wk.cfg.WorkDir, fmt.Sprintf("shard-%04d.ckpt", sh.Index))
+		opts.CheckpointPath = ckpt
+		if ck, err := search.LoadCheckpoint(ckpt); err == nil {
 			if verr := search.ValidateShardResume(&opts, sh, ck); verr == nil {
 				opts.Resume = ck
 				wk.cfg.Logf("dist: shard %d resuming from %s (execution %d)",
-					sh.Index, ckptPath, ck.Counters.Executions)
+					sh.Index, ckpt, ck.Counters.Executions)
 			} else {
-				wk.cfg.Logf("dist: shard %d ignoring checkpoint %s: %v", sh.Index, ckptPath, verr)
-				os.Remove(ckptPath)
+				wk.cfg.Logf("dist: shard %d ignoring checkpoint %s: %v", sh.Index, ckpt, verr)
+				os.Remove(ckpt)
 			}
 		}
 	}
 
-	var rep *search.Report
-	failure := ""
+	res = ShardResult{LeaseID: g.LeaseID, Shard: sh.Index}
 	func() {
 		defer func() {
 			if r := recover(); r != nil {
-				failure = fmt.Sprintf("panic: %v\n%s", r, debug.Stack())
+				res.Report = nil
+				res.Failure = fmt.Sprintf("panic: %v\n%s", r, debug.Stack())
 			}
 		}()
-		rep = search.RunShardOn(pool, wk.prog, opts, sh, shardStop)
+		res.Report = search.RunShardOn(pool, wk.prog, opts, sh, stop)
 	}()
-
-	if failure == "" && rep != nil && rep.Interrupted {
-		// Cancelled mid-shard (lease lost or worker stopping): the
-		// partial report must not be merged, and the coordinator has
-		// already requeued or cut the shard.
-		return
+	if res.Failure != "" {
+		wk.cfg.Logf("dist: shard %d crashed: %.120s", sh.Index, res.Failure)
+	} else if res.Report != nil && res.Report.Interrupted {
+		return res, ckpt, false
 	}
-	resp := &ResultResponse{}
-	req := ResultRequest{WorkerID: wk.id, LeaseID: leaseID, Shard: sh.Index, Report: rep, Failure: failure}
-	if failure != "" {
-		req.Report = nil
-		wk.cfg.Logf("dist: shard %d crashed: %.120s", sh.Index, failure)
-	}
-	key := fmt.Sprintf("res-%s-%s-%d", wk.id, leaseID, sh.Index)
-	if err := wk.tc.PostJSON(PathResult, req, resp, transport.Call{Key: key}); err != nil {
-		wk.cfg.Logf("dist: posting shard %d result: %v", sh.Index, err)
-		if failure == "" && rep != nil && wk.cfg.WorkDir != "" {
-			// The work is done; don't lose it to a dead link. Failure
-			// reports are not spooled — lease expiry already requeues
-			// the shard elsewhere.
-			e := spoolEntry{
-				OptionsHash: search.OptionsHash(&wk.opts),
-				Program:     wk.spec.Program,
-				Shard:       sh.Index,
-				Report:      rep,
-			}
-			if serr := spoolWrite(wk.cfg.FS, wk.cfg.WorkDir, e); serr != nil {
-				wk.cfg.Logf("dist: spooling shard %d: %v", sh.Index, serr)
-			} else {
-				if wk.cfg.Metrics != nil {
-					wk.cfg.Metrics.SpooledResults.Inc()
-				}
-				wk.cfg.Logf("dist: spooled shard %d result for replay", sh.Index)
-			}
-		}
-		return
-	}
-	if resp.Accepted && failure == "" && ckptPath != "" {
-		os.Remove(ckptPath)
-	}
-	if resp.Done {
-		wk.finish()
-	}
+	return res, ckpt, true
 }
 
 // eventForwarder batches the recorder's JSONL output and posts it to

@@ -36,6 +36,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -124,6 +125,9 @@ type Ledger struct {
 	segSize int64    // bytes written to the current segment
 	nextSeq uint64
 	frozen  bool
+	// freezeIn, when positive, counts the frames still to be written
+	// before the ledger freezes (FreezeAfter).
+	freezeIn int
 }
 
 // Open opens (or creates) the ledger in dir, replaying existing
@@ -359,66 +363,121 @@ func (l *Ledger) newSegmentLocked() error {
 	return nil
 }
 
+// Entry is one record of an AppendAll group: its type and the value
+// JSON-encoded into the record's data field (nil: no data).
+type Entry struct {
+	Type  string
+	Value any
+}
+
 // Append durably adds a record. The payload v is JSON-encoded into the
 // record's data field; sync forces an fsync before returning (commit
-// points — shard completions, job state transitions — must sync;
-// advisory records like grants may ride along with the next sync).
-// The assigned sequence number is returned.
+// points — job state transitions — must sync; advisory records like
+// grants may ride along with the next sync). The assigned sequence
+// number is returned.
 func (l *Ledger) Append(recType string, v any, sync bool) (uint64, error) {
-	var data json.RawMessage
-	if v != nil {
-		b, err := json.Marshal(v)
-		if err != nil {
-			return 0, fmt.Errorf("ledger: marshal %s: %w", recType, err)
+	return l.appendAll(sync, Entry{recType, v})
+}
+
+// AppendAll adds the entries as one group commit: every frame is
+// written in order, then a single fsync covers them all. A failure
+// part-way freezes the ledger with a prefix of the group in the log, so
+// recovery sees the first k records of the group for some k — the
+// caller must treat a failed group as not committed and a replayed
+// prefix as committed.
+func (l *Ledger) AppendAll(entries ...Entry) error {
+	_, err := l.appendAll(true, entries...)
+	return err
+}
+
+// appendAll returns the sequence number of the first entry.
+func (l *Ledger) appendAll(sync bool, entries ...Entry) (uint64, error) {
+	datas := make([][]byte, len(entries))
+	for i, e := range entries {
+		if e.Value == nil {
+			continue
 		}
-		data = b
+		b, err := json.Marshal(e.Value)
+		if err != nil {
+			return 0, fmt.Errorf("ledger: marshal %s: %w", e.Type, err)
+		}
+		datas[i] = b
 	}
 
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.frozen {
-		return 0, fmt.Errorf("ledger: frozen")
-	}
-	if l.f == nil {
-		return 0, fmt.Errorf("ledger: closed")
-	}
-
-	seq := l.nextSeq
-	payload, err := json.Marshal(Record{Seq: seq, Type: recType, Data: data})
-	if err != nil {
-		return 0, fmt.Errorf("ledger: marshal record: %w", err)
-	}
-	frame := make([]byte, 8+len(payload))
-	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(payload, crcTable))
-	copy(frame[8:], payload)
-
-	// One Write call per frame: a crash mid-write leaves a prefix of
-	// the frame, which recovery recognizes as a torn tail.
-	if _, err := l.f.Write(frame); err != nil {
-		// The tail may now hold a partial frame; recovery will truncate
-		// it. Refuse further appends so the caller fails loudly.
-		l.frozen = true
-		return 0, fmt.Errorf("ledger: append %s: %w", recType, err)
-	}
-	l.segSize += int64(len(frame))
-	if sync {
-		if err := l.f.Sync(); err != nil {
+	first := l.nextSeq
+	for i, e := range entries {
+		if l.frozen {
+			return 0, fmt.Errorf("ledger: frozen")
+		}
+		if l.f == nil {
+			return 0, fmt.Errorf("ledger: closed")
+		}
+		frame, err := encodeFrame(l.nextSeq, e.Type, datas[i])
+		if err != nil {
+			return 0, err
+		}
+		// One Write call per frame: a crash mid-write leaves a prefix of
+		// the frame, which recovery recognizes as a torn tail.
+		if _, err := l.f.Write(frame); err != nil {
+			// The tail may now hold a partial frame; recovery will truncate
+			// it. Refuse further appends so the caller fails loudly.
 			l.frozen = true
-			return 0, fmt.Errorf("ledger: sync %s: %w", recType, err)
+			return 0, fmt.Errorf("ledger: append %s: %w", e.Type, err)
+		}
+		l.segSize += int64(len(frame))
+		l.nextSeq++
+		if m := l.opts.Metrics; m != nil {
+			m.LedgerAppends.Inc()
+		}
+		if l.freezeIn > 0 {
+			if l.freezeIn--; l.freezeIn == 0 {
+				l.frozen = true
+			}
 		}
 	}
-	l.nextSeq = seq + 1
-	if m := l.opts.Metrics; m != nil {
-		m.LedgerAppends.Inc()
+	if sync {
+		if l.frozen {
+			return 0, fmt.Errorf("ledger: frozen")
+		}
+		if err := l.f.Sync(); err != nil {
+			l.frozen = true
+			return 0, fmt.Errorf("ledger: sync %s: %w", entries[len(entries)-1].Type, err)
+		}
 	}
-
 	if l.segSize >= l.opts.SegmentBytes {
 		if err := l.rotateLocked(); err != nil {
 			return 0, err
 		}
 	}
-	return seq, nil
+	return first, nil
+}
+
+// encodeFrame builds [u32 length][u32 CRC32C][payload] around the
+// already-encoded data in one pass. The payload is byte-for-byte what
+// json.Marshal(Record{seq, recType, data}) produces — json.Marshal
+// output is compact and HTML-escaped already, so embedding it needs no
+// second validating pass.
+func encodeFrame(seq uint64, recType string, data []byte) ([]byte, error) {
+	typ, err := json.Marshal(recType)
+	if err != nil {
+		return nil, fmt.Errorf("ledger: marshal record type: %w", err)
+	}
+	frame := make([]byte, 8, 8+len(`{"seq":,"type":,"data":}`)+20+len(typ)+len(data))
+	frame = append(frame, `{"seq":`...)
+	frame = strconv.AppendUint(frame, seq, 10)
+	frame = append(frame, `,"type":`...)
+	frame = append(frame, typ...)
+	if len(data) > 0 {
+		frame = append(frame, `,"data":`...)
+		frame = append(frame, data...)
+	}
+	frame = append(frame, '}')
+	payload := frame[8:]
+	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(payload, crcTable))
+	return frame, nil
 }
 
 // rotateLocked seals the current segment (fsync) and starts the next.
@@ -452,9 +511,18 @@ func (l *Ledger) Sync() error {
 // Freeze makes every future Append fail without touching the file —
 // from the disk's perspective, the process is dead. The crash-recovery
 // harness uses it to simulate kill -9 at a precise point.
-func (l *Ledger) Freeze() {
+func (l *Ledger) Freeze() { l.FreezeAfter(0) }
+
+// FreezeAfter is Freeze once frames more frames have been written: the
+// kill -9 that lands between the frames of an AppendAll group, or after
+// its last frame and before its fsync.
+func (l *Ledger) FreezeAfter(frames int) {
 	l.mu.Lock()
-	l.frozen = true
+	if frames <= 0 {
+		l.frozen = true
+	} else {
+		l.freezeIn = frames
+	}
 	l.mu.Unlock()
 }
 

@@ -1,8 +1,11 @@
 package ledger
 
 import (
+	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
@@ -409,5 +412,153 @@ func TestCrashAtEveryAppendBoundary(t *testing.T) {
 				t.Fatalf("append: seq=%d err=%v", seq, err)
 			}
 		})
+	}
+}
+
+// TestFrameGolden pins the frame bytes: the one-pass encoder must write
+// exactly what marshaling a Record around the marshaled payload wrote —
+// same key order, same compaction and HTML escaping, data omitted for a
+// nil value — so logs written before and after it replay alike.
+func TestFrameGolden(t *testing.T) {
+	type rich struct {
+		Job  string         `json:"job"`
+		HTML string         `json:"html"`
+		Raw  map[string]int `json:"raw,omitempty"`
+		Ptr  *payload       `json:"ptr"`
+	}
+	cases := []struct {
+		typ string
+		v   any
+	}{
+		{"shard_done", rich{Job: "j1", HTML: "<a href=\"x\">& </a>", Raw: map[string]int{"b": 2, "a": 1}}},
+		{"server_start", payload{N: 3}},
+		{"bare", nil},
+		{"null-pointer", (*payload)(nil)},
+		{"odd \"type\" <&>", payload{S: "é\n"}},
+	}
+	for i, c := range cases {
+		seq := uint64(i*1000 + 7)
+		var data []byte
+		if c.v != nil {
+			data, _ = json.Marshal(c.v)
+		}
+		got, err := encodeFrame(seq, c.typ, data)
+		if err != nil {
+			t.Fatalf("%s: %v", c.typ, err)
+		}
+		payload, err := json.Marshal(Record{Seq: seq, Type: c.typ, Data: data})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := make([]byte, 8+len(payload))
+		binary.LittleEndian.PutUint32(want[0:4], uint32(len(payload)))
+		binary.LittleEndian.PutUint32(want[4:8], crc32.Checksum(payload, crcTable))
+		copy(want[8:], payload)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s: frame\n%q\nwant\n%q", c.typ, got, want)
+		}
+	}
+	// And one literal, so the reference above cannot drift with it.
+	frame, _ := encodeFrame(42, "job_done", []byte(`{"job":"j1"}`))
+	if got, want := string(frame[8:]), `{"seq":42,"type":"job_done","data":{"job":"j1"}}`; got != want {
+		t.Fatalf("payload %s, want %s", got, want)
+	}
+}
+
+// countingFS counts fsyncs of ledger segment files.
+type countingFS struct {
+	fsx.FS
+	syncs *int
+}
+
+type countingFile struct {
+	fsx.File
+	syncs *int
+}
+
+func (f countingFile) Sync() error { *f.syncs++; return f.File.Sync() }
+
+func (c countingFS) OpenFile(name string, flag int, perm os.FileMode) (fsx.File, error) {
+	f, err := c.FS.OpenFile(name, flag, perm)
+	if err != nil {
+		return nil, err
+	}
+	return countingFile{f, c.syncs}, nil
+}
+
+// TestAppendAllGroupCommit: a group lands as consecutive records under
+// one fsync, in order, and replays like records appended one by one.
+func TestAppendAllGroupCommit(t *testing.T) {
+	dir := t.TempDir()
+	syncs := 0
+	m := &obs.Metrics{}
+	l, _ := open(t, dir, Options{FS: countingFS{fsx.OS, &syncs}, Metrics: m})
+	appendN(t, l, 2, "single")
+	before := syncs
+	var group []Entry
+	for i := 0; i < 5; i++ {
+		group = append(group, Entry{Type: "grouped", Value: payload{N: i}})
+	}
+	if err := l.AppendAll(group...); err != nil {
+		t.Fatalf("AppendAll: %v", err)
+	}
+	if got := syncs - before; got != 1 {
+		t.Fatalf("group of 5 cost %d fsyncs, want 1", got)
+	}
+	if seq, err := l.Append("test", payload{N: 9}, true); err != nil || seq != 8 {
+		t.Fatalf("append after the group: seq=%d err=%v, want 8", seq, err)
+	}
+	if got := m.Snapshot().LedgerAppends; got != 8 {
+		t.Fatalf("ledgerAppends = %d, want 8 (one per frame)", got)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	l2, rec := open(t, dir, Options{})
+	defer l2.Close()
+	if len(rec.Records) != 8 {
+		t.Fatalf("replayed %d records, want 8", len(rec.Records))
+	}
+	for i, r := range rec.Records[2:7] {
+		var p payload
+		if err := json.Unmarshal(r.Data, &p); err != nil || r.Type != "grouped" || p.N != i || r.Seq != uint64(3+i) {
+			t.Fatalf("group record %d: %+v (%v)", i, r, err)
+		}
+	}
+}
+
+// TestFreezeAfterCutsGroup: a kill -9 between the frames of a group
+// leaves exactly the frames before it, the caller is refused, and the
+// survivors replay as a prefix of the group — for every cut, including
+// the one after the last frame and before the fsync.
+func TestFreezeAfterCutsGroup(t *testing.T) {
+	const n = 4
+	for cut := 0; cut <= n; cut++ {
+		dir := t.TempDir()
+		l, _ := open(t, dir, Options{})
+		appendN(t, l, 1, "before")
+		var group []Entry
+		for i := 0; i < n; i++ {
+			group = append(group, Entry{Type: "grouped", Value: payload{N: i}})
+		}
+		l.FreezeAfter(cut)
+		if err := l.AppendAll(group...); err == nil {
+			t.Fatalf("cut=%d: a group cut short by a freeze reported success", cut)
+		}
+		if _, err := l.Append("test", payload{N: 99}, true); err == nil {
+			t.Fatalf("cut=%d: append after the freeze succeeded", cut)
+		}
+		l.Close()
+		l2, rec := open(t, dir, Options{})
+		if len(rec.Records) != 1+cut {
+			t.Fatalf("cut=%d: replayed %d records, want %d", cut, len(rec.Records), 1+cut)
+		}
+		for i, r := range rec.Records[1:] {
+			var p payload
+			if err := json.Unmarshal(r.Data, &p); err != nil || p.N != i {
+				t.Fatalf("cut=%d: survivor %d is %+v, want group entry %d", cut, i, r, i)
+			}
+		}
+		l2.Close()
 	}
 }
