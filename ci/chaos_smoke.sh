@@ -9,11 +9,12 @@
 #      suites. Each test asserts the merged report equals a fault-free
 #      local run, byte for byte.
 #
-#   2. A CLI-level run: coordinator + two workers started with
-#      -chaos-scenario standard (different -chaos-seed each), with the
-#      merged run report diffed against a fault-free local -p 2
-#      baseline. Faults here hit real loopback HTTP, not an in-process
-#      handler.
+#   2. A CLI-level run: `-serve -prog` (the jobs service running one
+#      job) + two pool workers started with -chaos-scenario standard
+#      (different -chaos-seed each) — faults on their assign calls and
+#      on every job-protocol call — with the merged run report diffed
+#      against a fault-free local -p 2 baseline. Faults here hit real
+#      loopback HTTP, not an in-process handler.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -46,19 +47,20 @@ done
 rc=0
 wait "$coord" || rc=$?
 if [ "$rc" -ne 0 ]; then
-    echo "FAIL: chaos coordinator exited $rc, want 0"
+    echo "FAIL: chaos -serve run exited $rc, want 0"
     cat "$workdir/coord.txt"
     exit 1
 fi
-# Chaos workers may exit nonzero after the coordinator is gone (their
-# last retry window can outlive the drain); only a hang is a failure.
+# Chaos workers may exit nonzero after the service is gone (an injected
+# fault can eat the "closing" answer and the drain grace with it); only a
+# hang is a failure: -join-timeout bounds how long they look for it.
 for pid in "$w1" "$w2"; do
     for _ in $(seq 200); do
         kill -0 "$pid" 2>/dev/null || break
         sleep 0.1
     done
     if kill -0 "$pid" 2>/dev/null; then
-        echo "FAIL: chaos worker still running 20s after the coordinator exited"
+        echo "FAIL: chaos worker still running 20s after the service exited"
         cat "$workdir/w1.txt" "$workdir/w2.txt"
         kill "$pid" 2>/dev/null || true
         exit 1
@@ -66,6 +68,11 @@ for pid in "$w1" "$w2"; do
     wait "$pid" 2>/dev/null || true
 done
 
+if ! grep -q "chaos: [1-9][0-9]* faults injected" "$workdir/w1.txt" "$workdir/w2.txt"; then
+    echo "FAIL: neither worker reports an injected fault: is -chaos-scenario wired into the pool worker?"
+    cat "$workdir/w1.txt" "$workdir/w2.txt"
+    exit 1
+fi
 if ! cmp -s "$workdir/local.json" "$workdir/chaos.json"; then
     echo "FAIL: run report differs between fault-free local -p 2 and chaos run"
     diff "$workdir/local.json" "$workdir/chaos.json" || true

@@ -1,30 +1,25 @@
 #!/usr/bin/env bash
-# Distributed-search smoke test: run a coordinator with two worker
-# processes over loopback HTTP and require the final run report to be
-# byte-identical to a local run with the same -p (the determinism
-# contract of docs/DISTRIBUTED.md), both on a clean search and on one
-# that stops at a finding. Reports are validated against the
-# checked-in JSON Schema.
+# Distributed-search smoke test: run `fairmc -serve -prog` (the jobs
+# service running one job) with two worker processes over loopback HTTP
+# and require the final run report to be byte-identical to a local run
+# with the same -p (the determinism contract of docs/DISTRIBUTED.md), on
+# a clean search, on one that stops at a finding and on a DPOR search;
+# then the same over -ledger across kill -9 and rerun. Reports are
+# validated against the checked-in JSON Schema.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 workdir=$(mktemp -d)
-trap 'rm -rf "$workdir"' EXIT
+trap 'kill $(jobs -p) 2>/dev/null || true; rm -rf "$workdir"' EXIT
 
 go build -o "$workdir/fairmc" ./cmd/fairmc
 fairmc="$workdir/fairmc"
 port=$((20000 + RANDOM % 20000))
 url="http://127.0.0.1:$port"
 
-# finish_worker PID LOG: a worker that joined normally exits 0 after
-# the coordinator's drain. Two nonzero exits are correct behavior, not
-# smoke failures: a worker that never joined (it lost the startup race
-# against a search that finished first), and a worker that missed the
-# coordinator's bounded post-drain grace window — on a loaded host a
-# session can blip mid-search, and the rejoin loop then finds the
-# finished coordinator gone and gives up once its budget expires.
-# Both paths end with the worker bounding its own lifetime ("giving up
-# rejoin"); nothing gets killed. Anything else nonzero is a failure.
+# finish_worker PID LOG: the service stays up after its job until every
+# worker it sent somewhere has come back and been told it is closing, so
+# a worker exits 0, and within seconds of the service.
 finish_worker() {
     local pid=$1 log=$2 wrc=0
     for _ in $(seq 80); do
@@ -32,39 +27,41 @@ finish_worker() {
         sleep 0.1
     done
     if kill -0 "$pid" 2>/dev/null; then
-        echo "FAIL: worker still running 8s after the coordinator exited (join timeout is 5s)"
+        echo "FAIL: worker still running 8s after the service exited"
         cat "$log"
         kill "$pid" 2>/dev/null || true
         exit 1
     fi
     wait "$pid" || wrc=$?
-    if [ "$wrc" -ne 0 ] && grep -q "joined" "$log" \
-        && ! grep -q "giving up rejoin" "$log"; then
-        echo "FAIL: joined worker exited $wrc"
+    if [ "$wrc" -ne 0 ]; then
+        echo "FAIL: worker exited $wrc, want 0 (it was not told the service is closing?)"
         cat "$log"
         exit 1
     fi
 }
 
-# distrun PROG EXPECTED_EXIT OUT.json [EXTRA_FLAGS...]: coordinator +
-# 2 workers. Workers retry joining, so start order does not matter.
+# start_workers TAG: two pool workers. They ride out connection-refused
+# until the service listens, so they may start before it.
+start_workers() {
+    local i
+    for i in 1 2; do
+        "$fairmc" -worker "$url" -p 1 -join-timeout 5s -retry-base 25ms -retry-max 400ms \
+            > "$workdir/w$i-$1.txt" 2>&1 &
+        eval "w$i=\$!"
+    done
+}
+
+# distrun PROG EXPECTED_EXIT OUT.json [EXTRA_FLAGS...]: 2 workers, then
+# the service running PROG as its one job.
 distrun() {
     local prog=$1 want=$2 out=$3 rc=0
     shift 3
+    start_workers "$prog"
     "$fairmc" -prog "$prog" -p 2 -serve "127.0.0.1:$port" \
-        -dist-state "$workdir/state-$prog.json" \
-        -metrics-out "$out" "$@" > "$workdir/coord-$prog.txt" 2>&1 &
-    local coord=$!
-    "$fairmc" -worker "$url" -p 1 -join-timeout 5s -retry-base 25ms -retry-max 400ms \
-        > "$workdir/w1-$prog.txt" 2>&1 &
-    local w1=$!
-    "$fairmc" -worker "$url" -p 1 -join-timeout 5s -retry-base 25ms -retry-max 400ms \
-        > "$workdir/w2-$prog.txt" 2>&1 &
-    local w2=$!
-    wait "$coord" || rc=$?
+        -metrics-out "$out" "$@" > "$workdir/serve-$prog.txt" 2>&1 || rc=$?
     if [ "$rc" -ne "$want" ]; then
-        echo "FAIL: $prog coordinator exited $rc, want $want"
-        cat "$workdir/coord-$prog.txt"
+        echo "FAIL: $prog -serve run exited $rc, want $want"
+        cat "$workdir/serve-$prog.txt"
         exit 1
     fi
     finish_worker "$w1" "$workdir/w1-$prog.txt"
@@ -116,4 +113,54 @@ if ! cmp -s "$workdir/local-dpor.json" "$workdir/dist-dpor.json"; then
 fi
 go run ./ci/validate_report.go docs/run-report.schema.json "$workdir/dist-dpor.json"
 
-echo "OK: distributed run reports are byte-identical to local runs and validate"
+# Restart: the same command over -ledger, killed -9 mid-run and run
+# again, adopts the unfinished job from the WAL and ends with the report
+# of an uninterrupted local -p 2 run. (If the kill lands after the job
+# finished, the rerun serves the recorded report — also a valid case.)
+ledger="$workdir/ledger"
+start_workers restart
+"$fairmc" -prog spinloop -p 2 -serve "127.0.0.1:$port" -ledger "$ledger" \
+    -metrics-out "$workdir/killed.json" > "$workdir/serve-killed.txt" 2>&1 &
+svc=$!
+for _ in $(seq 100); do
+    grep -q "completed by worker" "$workdir/serve-killed.txt" && break
+    sleep 0.01
+done
+kill -9 "$svc"
+wait "$svc" 2>/dev/null || true
+"$fairmc" -prog spinloop -p 2 -serve "127.0.0.1:$port" -ledger "$ledger" \
+    -metrics-out "$workdir/resumed.json" > "$workdir/serve-resumed.txt" 2>&1
+finish_worker "$w1" "$workdir/w1-restart.txt"
+finish_worker "$w2" "$workdir/w2-restart.txt"
+if ! cmp -s "$workdir/local-clean.json" "$workdir/resumed.json"; then
+    echo "FAIL: spinloop run report after kill -9 + rerun differs from local -p 2"
+    diff "$workdir/local-clean.json" "$workdir/resumed.json" || true
+    cat "$workdir/serve-resumed.txt"
+    exit 1
+fi
+
+# The ledger belongs to that search: another spec is refused (exit 2)...
+rc=0
+"$fairmc" -prog spinloop -p 3 -serve "127.0.0.1:$port" -ledger "$ledger" \
+    > "$workdir/serve-other.txt" 2>&1 || rc=$?
+if [ "$rc" -ne 2 ]; then
+    echo "FAIL: -serve -p 3 over a -p 2 ledger exited $rc, want 2"
+    cat "$workdir/serve-other.txt"
+    exit 1
+fi
+# ...and the finished search is reported again without exploring: no
+# worker is running, and none is needed.
+"$fairmc" -prog spinloop -p 2 -serve "127.0.0.1:$port" -ledger "$ledger" \
+    -metrics-out "$workdir/again.json" > "$workdir/serve-again.txt" 2>&1
+if ! cmp -s "$workdir/local-clean.json" "$workdir/again.json"; then
+    echo "FAIL: a finished ledger's rerun report differs from local -p 2"
+    diff "$workdir/local-clean.json" "$workdir/again.json" || true
+    exit 1
+fi
+if grep -q "completed by worker\|joined" "$workdir/serve-again.txt"; then
+    echo "FAIL: rerun over a finished ledger explored again"
+    cat "$workdir/serve-again.txt"
+    exit 1
+fi
+
+echo "OK: distributed run reports are byte-identical to local runs, across kill -9 and rerun too, and validate"

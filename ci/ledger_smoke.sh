@@ -27,12 +27,6 @@ for i in 0 1 2; do
         -metrics-out "$workdir/local-$i.json" > /dev/null || true
 done
 
-submit_all() {
-    for i in 0 1 2; do
-        "$fairmc" -submit "$url" -prog "${progs[$i]}" -p "${pars[$i]}" > /dev/null
-    done
-}
-
 # wait_done LABEL: poll -status until every job reports done+[report].
 wait_done() {
     local label=$1
@@ -69,29 +63,46 @@ check_against_local() {
     done
 }
 
-# --- Pass 1: uninterrupted service run ---
+# submit_all retries its first submission until the service listens;
+# nothing else waits for it — a worker rides out connection-refused.
+submit_all() {
+    for i in 0 1 2; do
+        for _ in $(seq 100); do
+            "$fairmc" -submit "$url" -prog "${progs[$i]}" -p "${pars[$i]}" > /dev/null 2>&1 && break
+            sleep 0.05
+        done
+    done
+}
+
+# --- Pass 1: uninterrupted service run, the worker started first ---
 mkdir -p "$workdir/ledger1" "$workdir/wd1"
-"$fairmc" -serve "127.0.0.1:$port" -ledger "$workdir/ledger1" \
-    > "$workdir/svc1.txt" 2>&1 &
-svc=$!
-sleep 0.3
 "$fairmc" -worker "$url" -workdir "$workdir/wd1" -retry-base 25ms -retry-max 400ms \
     > "$workdir/pool1.txt" 2>&1 &
 pool=$!
+"$fairmc" -serve "127.0.0.1:$port" -ledger "$workdir/ledger1" \
+    > "$workdir/svc1.txt" 2>&1 &
+svc=$!
 submit_all
 wait_done "pass 1"
 fetch_all base
 check_against_local base "pass 1"
-kill "$pool" 2>/dev/null || true
-kill "$svc" 2>/dev/null || true
-wait "$pool" "$svc" 2>/dev/null || true
+# A graceful stop tells the worker the service is closing: it exits 0 on
+# its own.
+kill "$svc"
+wait "$svc" 2>/dev/null || true
+rc=0
+wait "$pool" || rc=$?
+if [ "$rc" -ne 0 ]; then
+    echo "FAIL: pass 1: worker exited $rc after the service shut down, want 0"
+    cat "$workdir/pool1.txt"
+    exit 1
+fi
 
 # --- Pass 2: kill -9 the service mid-run, restart, same artifacts ---
 mkdir -p "$workdir/ledger2" "$workdir/wd2"
 "$fairmc" -serve "127.0.0.1:$port" -ledger "$workdir/ledger2" \
     > "$workdir/svc2a.txt" 2>&1 &
 svc=$!
-sleep 0.3
 "$fairmc" -worker "$url" -workdir "$workdir/wd2" -retry-base 25ms -retry-max 400ms \
     > "$workdir/pool2a.txt" 2>&1 &
 pool=$!
@@ -107,7 +118,6 @@ wait "$pool" 2>/dev/null || true
 "$fairmc" -serve "127.0.0.1:$port" -ledger "$workdir/ledger2" \
     > "$workdir/svc2b.txt" 2>&1 &
 svc=$!
-sleep 0.3
 "$fairmc" -worker "$url" -workdir "$workdir/wd2" -retry-base 25ms -retry-max 400ms \
     > "$workdir/pool2b.txt" 2>&1 &
 pool=$!

@@ -33,25 +33,23 @@
 // structured JSONL trace events, and -pprof ADDR serves net/http/pprof.
 // See docs/OBSERVABILITY.md.
 //
-// Distributed mode (docs/DISTRIBUTED.md): -serve ADDR runs the search
-// as a coordinator handing lease-based shards to workers started with
-// -worker URL on any machine with the same build. The final report is
-// byte-identical to a local run with the same -p; -dist-state FILE
-// makes the coordinator resumable after a crash. Worker↔coordinator
-// calls retry with exponential backoff (-retry-base, -retry-max,
-// -retry-attempts), joins and rejoins are bounded by -join-timeout,
-// and -chaos-scenario NAME with -chaos-seed N injects a deterministic
-// fault schedule (drops, delays, duplicates, truncations, resets,
-// partitions) for resilience testing — the merged report stays
-// byte-identical under chaos.
-//
-// Service mode (docs/SERVICE.md): -serve ADDR -ledger DIR runs the
-// durable multi-job checking service — submissions, shard progress
-// and final reports are committed to a write-ahead ledger, so a
-// killed service restarts with the same artifacts and never re-runs
-// committed work. -submit/-status/-cancel (with -job) are its
-// clients; -worker pointed at a service URL automatically becomes a
-// pool worker shared across jobs.
+// Distributed search (docs/DISTRIBUTED.md, docs/SERVICE.md): -serve
+// ADDR starts the jobs service, which hands lease-based shards to
+// workers started with -worker URL on any machine with the same build.
+// With -prog it runs that one search as the service's job and reports
+// it like a local run — the final report is byte-identical to a local
+// run with the same -p. Submissions, shard decisions and final reports
+// are committed to a write-ahead ledger (-ledger DIR; a temporary one
+// without it), so rerunning a killed -serve command over the same
+// ledger resumes the search and never re-runs committed work. -serve
+// -ledger DIR without -prog serves whatever -submit sends it;
+// -status/-cancel (with -job) are its other clients. Worker calls retry
+// with exponential backoff (-retry-base, -retry-max, -retry-attempts),
+// joins and rejoins are bounded by -join-timeout, and -chaos-scenario
+// NAME with -chaos-seed N injects a deterministic fault schedule
+// (drops, delays, duplicates, truncations, resets, partitions) for
+// resilience testing — the merged report stays byte-identical under
+// chaos.
 //
 // Exit status: codes 0–4, defined once on the fairmc facade
 // (fairmc.ExitStatusHelp, printed by -h) and summarized in the
@@ -59,10 +57,8 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
-	"net"
 	"net/http"
 	_ "net/http/pprof"
 	"os"
@@ -74,8 +70,8 @@ import (
 
 	"fairmc"
 	"fairmc/internal/dist"
+	"fairmc/internal/dist/jobs"
 	"fairmc/internal/dist/transport"
-	"fairmc/internal/engine"
 	"fairmc/internal/faultinject"
 	"fairmc/internal/trace"
 	"fairmc/progs"
@@ -125,18 +121,17 @@ func main() {
 		metricsOut = flag.String("metrics-out", "", "write the final deterministic run report (JSON) to this file")
 		eventsOut  = flag.String("events-out", "", "stream structured trace events (JSONL) to this file")
 		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
-		serveAddr  = flag.String("serve", "", "run as a distributed-search coordinator on this address (e.g. 127.0.0.1:7171); -p sets the local run the merged report mirrors")
-		workerURL  = flag.String("worker", "", "run as a distributed-search worker against this coordinator URL (e.g. http://host:7171); -p sets the concurrent shard capacity")
-		distState  = flag.String("dist-state", "", "coordinator state file: progress survives a coordinator crash/restart (with -serve)")
+		serveAddr  = flag.String("serve", "", "serve the jobs service on this address (e.g. 127.0.0.1:7171): with -prog, run that search as its job and exit with its status (-p sets the local run the merged report mirrors); with -ledger and no -prog, serve submitted jobs until signalled")
+		workerURL  = flag.String("worker", "", "run as a pool worker for the jobs service at this URL (e.g. http://host:7171) until it closes; -p sets the concurrent shard capacity")
 		leaseTTL   = flag.Duration("lease-ttl", dist.DefaultLeaseTTL, "shard lease duration; a worker silent this long loses its shard (with -serve)")
 		workDir    = flag.String("workdir", "", "worker scratch directory for per-shard checkpoints and spooled results (with -worker)")
-		chaosName  = flag.String("chaos-scenario", "", "inject a deterministic fault schedule from this preset scenario (with -worker or -serve; see docs/DISTRIBUTED.md)")
+		chaosName  = flag.String("chaos-scenario", "", "inject a deterministic fault schedule from this preset scenario: with -worker into its calls to the service, with -serve into the job protocol it serves (see docs/DISTRIBUTED.md)")
 		chaosSeed  = flag.Uint64("chaos-seed", 1, "seed for the deterministic fault schedule (with -chaos-scenario)")
 		retryBase  = flag.Duration("retry-base", 100*time.Millisecond, "initial backoff between retries of a worker-to-coordinator call (with -worker)")
 		retryMax   = flag.Duration("retry-max", 5*time.Second, "backoff ceiling for worker-to-coordinator retries (with -worker)")
 		retryTries = flag.Int("retry-attempts", 8, "attempts per worker-to-coordinator call before it counts as a failure (with -worker)")
 		joinWait   = flag.Duration("join-timeout", dist.DefaultJoinTimeout, "give up joining (or rejoining) the coordinator after this long (with -worker)")
-		ledgerDir  = flag.String("ledger", "", "service ledger directory: with -serve, run the durable multi-job checking service instead of a single-search coordinator (docs/SERVICE.md)")
+		ledgerDir  = flag.String("ledger", "", "service ledger directory (with -serve): submissions, shard decisions and reports are committed here, so a killed service resumes when restarted over it; without it a -serve -prog run keeps its ledger in a temporary directory (docs/SERVICE.md)")
 		maxJobs    = flag.Int("max-jobs", 0, "admission bound on queued+running jobs; excess submissions get 429 (with -serve -ledger); 0 = default")
 		maxActive  = flag.Int("max-active", 0, "how many jobs explore concurrently (with -serve -ledger); 0 = default")
 		submitURL  = flag.String("submit", "", "submit this search as a job to the service at this URL and exit; -p sets the local run the report mirrors")
@@ -182,28 +177,20 @@ func main() {
 		return
 	}
 
-	// Worker mode: the coordinator supplies the program and every
+	// Worker mode: the service's jobs supply the program and every
 	// search option, so all search flags are ignored; only -p
 	// (capacity), -workdir, the retry/join tuning and the chaos flags
-	// apply. The URL is probed once: a jobs service gets a pool worker
-	// that hops between jobs, a single-search coordinator gets the
-	// classic worker.
+	// apply.
 	if *workerURL != "" {
 		if *serveAddr != "" {
 			fatalUsage("-worker and -serve are mutually exclusive")
 		}
-		retry := transport.Policy{
+		runWorker(*workerURL, *parallel, *workDir, transport.Policy{
 			MaxAttempts: *retryTries,
 			BaseDelay:   *retryBase,
 			MaxDelay:    *retryMax,
 			Seed:        *chaosSeed,
-		}
-		if urlIsService(*workerURL) {
-			runPoolWorkerMode(*workerURL, *parallel, *workDir, retry, *joinWait)
-		} else {
-			runWorkerMode(*workerURL, *parallel, *workDir, retry, *joinWait,
-				chaosInjector(*chaosName, *chaosSeed))
-		}
+		}, *joinWait, chaosInjector(*chaosName, *chaosSeed))
 		return
 	}
 
@@ -216,9 +203,16 @@ func main() {
 		clientCancel(*cancelURL, *jobID)
 		return
 	}
-	if *serveAddr != "" && *ledgerDir != "" {
-		runService(*serveAddr, *ledgerDir, *maxJobs, *maxActive, *leaseTTL)
-		return
+	service := jobs.Config{Dir: *ledgerDir, MaxJobs: *maxJobs, MaxActive: *maxActive}
+	if *serveAddr != "" {
+		service.Coordinator = dist.CoordinatorConfig{LeaseTTL: *leaseTTL, Chaos: chaosInjector(*chaosName, *chaosSeed)}
+		if *prog == "" {
+			if *ledgerDir == "" {
+				fatalUsage("-serve needs -prog (run that search as the service's one job) or -ledger DIR (serve submitted jobs)")
+			}
+			runService(*serveAddr, service, *eventsOut, *progress, nil)
+			return
+		}
 	}
 	// A checkpoint records the identity of the search it belongs to, so
 	// -resume can supply the program, strategy, seed and worker count
@@ -301,9 +295,15 @@ func main() {
 	}
 	opts.Resume = resumeCkpt
 
-	// Submission client: ship the search flags to a service as one job.
-	// The program must exist in this build too — same-build is already
-	// the distributed-mode contract, and it catches typos locally.
+	// The search as a job: what -submit ships to a service and what
+	// -serve -prog gives its own. The program must exist in this build
+	// too — same-build is already the distributed-mode contract, and it
+	// catches typos locally.
+	req := jobs.SubmitRequest{
+		Spec:           dist.SpecFromOptions(p.Name, opts),
+		RefParallelism: max(1, *parallel),
+		ConfirmRuns:    opts.ConfirmRuns,
+	}
 	if *submitURL != "" {
 		if *timeLimit != 0 {
 			fatalUsage("-submit needs a deterministic budget: use -maxexec (-timelimit cannot be sharded)")
@@ -311,15 +311,15 @@ func main() {
 		if *ckptFile != "" || resumeCkpt != nil {
 			fatalUsage("-submit jobs persist in the service ledger, not -checkpoint/-resume")
 		}
-		clientSubmit(*submitURL, *prog, opts, *parallel)
+		clientSubmit(*submitURL, req)
 		return
 	}
 
-	// Coordinator mode: plan the search, serve the worker protocol,
-	// and report the merged result through the same path as a local
-	// run. The merged report is byte-identical to a local run with
-	// the same -p, so everything downstream (run report, exit status)
-	// behaves as if the search had run in this process.
+	// -serve -prog: start the service, submit the search as its job, and
+	// report the merged result through the same path as a local run. The
+	// merged report is byte-identical to a local run with the same -p,
+	// so everything downstream (run report, exit status) behaves as if
+	// the search had run in this process.
 	if *serveAddr != "" {
 		if *replayFile != "" || *iterative >= 0 || *raceDetect || (*sleepSets && !*dpor) {
 			fatalUsage("-serve is incompatible with -replay, -iterative, -race, and -sleepsets without -dpor (their state cannot be sharded)")
@@ -328,11 +328,10 @@ func main() {
 			fatalUsage("-serve needs a deterministic budget: use -maxexec (-timelimit cannot be sharded)")
 		}
 		if *ckptFile != "" || resumeCkpt != nil {
-			fatalUsage("-serve persists progress in -dist-state, not -checkpoint/-resume")
+			fatalUsage("-serve persists progress in -ledger, not -checkpoint/-resume")
 		}
-		serveCoordinator(p, opts, *parallel, *serveAddr, *distState, *leaseTTL,
-			*progress, *metricsOut, *eventsOut, *printTrace, *saveFile,
-			chaosInjector(*chaosName, *chaosSeed))
+		runService(*serveAddr, service, *eventsOut, *progress, &oneJob{req: req, opts: opts,
+			out: outputConfig{printTrace: *printTrace, saveFile: *saveFile, metricsOut: *metricsOut}})
 		return
 	}
 
@@ -503,7 +502,7 @@ func main() {
 }
 
 // outputConfig is the reporting configuration finishSearch needs; the
-// local and coordinator paths both end here.
+// local and -serve paths both end here.
 type outputConfig struct {
 	printTrace    bool
 	saveFile      string
@@ -667,107 +666,6 @@ func startProgress(metrics *fairmc.Metrics) (stop func()) {
 	return func() { close(done) }
 }
 
-// serveCoordinator runs the search as a distributed coordinator and
-// reports the merged result exactly like a local run with -p
-// refParallelism.
-func serveCoordinator(p progs.Program, opts fairmc.Options, refParallelism int,
-	addr, statePath string, leaseTTL time.Duration,
-	progress bool, metricsOut, eventsOut string, printTrace bool, saveFile string,
-	chaos *faultinject.Injector) {
-	// The coordinator always keeps a registry: worker heartbeat deltas
-	// merge into it and it is served at /metrics; -progress reads it
-	// like a local run.
-	metrics := fairmc.NewMetrics()
-	var eventsFile *os.File
-	if eventsOut != "" {
-		f, err := os.Create(eventsOut)
-		if err != nil {
-			fatalUsage(err)
-		}
-		eventsFile = f
-	}
-	cfg := dist.CoordinatorConfig{
-		Prog:           p.Body,
-		Program:        p.Name,
-		Options:        opts,
-		RefParallelism: refParallelism,
-		LeaseTTL:       leaseTTL,
-		StatePath:      statePath,
-		Metrics:        metrics,
-		Chaos:          chaos,
-		Logf: func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, "coordinator: "+format+"\n", args...)
-		},
-	}
-	if chaos != nil {
-		chaos.OnFault = func(string) { metrics.DistFaultsInjected.Inc() }
-	}
-	if eventsFile != nil {
-		cfg.EventWriter = eventsFile
-	}
-	coord, err := dist.NewCoordinator(cfg)
-	if err != nil {
-		fatalUsage(err)
-	}
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		fatalUsage(err)
-	}
-	plan := coord.Plan()
-	fmt.Fprintf(os.Stderr, "coordinator: serving %s on http://%s (%s strategy, %d shards, report mirrors -p %d)\n",
-		p.Name, ln.Addr(), plan.Strategy, len(plan.Shards), plan.RefParallelism)
-	srv := &http.Server{Handler: coord.Handler()}
-	go func() {
-		if serr := srv.Serve(ln); serr != nil && serr != http.ErrServerClosed {
-			fmt.Fprintf(os.Stderr, "coordinator: serve: %v\n", serr)
-		}
-	}()
-	// A first SIGINT/SIGTERM seals the merge at the current horizon and
-	// reports an interrupted (but, with -dist-state, resumable) search;
-	// a second signal kills the process the classic way.
-	sigs := make(chan os.Signal, 2)
-	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
-	go func() {
-		<-sigs
-		coord.Interrupt()
-		<-sigs
-		os.Exit(130)
-	}()
-	start := time.Now()
-	var stopProgress func()
-	if progress {
-		stopProgress = startProgress(metrics)
-	}
-	rep := coord.Wait()
-	if stopProgress != nil {
-		stopProgress()
-	}
-	// Keep serving briefly so every worker observes the done response
-	// and exits cleanly; a crashed worker would hold the drain open, so
-	// bound the grace period.
-	select {
-	case <-coord.Drained():
-	case <-time.After(2 * time.Second):
-	}
-	srv.Close()
-	if eventsFile != nil {
-		if cerr := eventsFile.Close(); cerr != nil {
-			fmt.Fprintf(os.Stderr, "event stream: %v\n", cerr)
-		}
-	}
-	hint := "no -dist-state set; progress lost"
-	if statePath != "" {
-		hint = fmt.Sprintf("state written to %s (resume by restarting the coordinator with -dist-state %s)",
-			statePath, statePath)
-	}
-	finishSearch(fairmc.ResultFromReport(rep), p.Name, opts, start, outputConfig{
-		printTrace:    printTrace,
-		saveFile:      saveFile,
-		metricsOut:    metricsOut,
-		interruptHint: hint,
-	})
-}
-
 // chaosInjector resolves the -chaos-scenario/-chaos-seed flags into a
 // deterministic fault injector, or nil when chaos is off.
 func chaosInjector(name string, seed uint64) *faultinject.Injector {
@@ -780,66 +678,4 @@ func chaosInjector(name string, seed uint64) *faultinject.Injector {
 			name, strings.Join(faultinject.Names(), ", ")))
 	}
 	return faultinject.New(seed, sc)
-}
-
-// runWorkerMode runs this process as a distributed-search worker: the
-// coordinator supplies the program name and every search option.
-func runWorkerMode(url string, capacity int, workDir string,
-	retry transport.Policy, joinTimeout time.Duration, chaos *faultinject.Injector) {
-	cleanup := func() {}
-	if workDir == "" {
-		// A scratch directory still helps within one worker process: a
-		// cancelled shard that comes back keeps its checkpoint and a
-		// spooled result survives until replay. Survive restarts by
-		// passing -workdir explicitly.
-		d, err := os.MkdirTemp("", "fairmc-worker-")
-		if err != nil {
-			fatalUsage(err)
-		}
-		workDir = d
-		cleanup = func() { os.RemoveAll(d) }
-	}
-	stop := make(chan struct{})
-	sigs := make(chan os.Signal, 2)
-	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
-	go func() {
-		<-sigs
-		close(stop)
-		<-sigs
-		os.Exit(130)
-	}()
-	metrics := fairmc.NewMetrics()
-	var rt http.RoundTripper
-	if chaos != nil {
-		chaos.OnFault = func(string) { metrics.DistFaultsInjected.Inc() }
-		rt = chaos.RoundTripper(nil)
-	}
-	err := dist.RunWorker(dist.WorkerConfig{
-		URL:      url,
-		Capacity: capacity,
-		WorkDir:  workDir,
-		Lookup: func(name string) (func(*engine.T), bool) {
-			p, ok := progs.Lookup(name)
-			if !ok {
-				return nil, false
-			}
-			return p.Body, true
-		},
-		Metrics:     metrics,
-		Retry:       retry,
-		JoinTimeout: joinTimeout,
-		Transport:   rt,
-		Logf: func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, "worker: "+format+"\n", args...)
-		},
-		Stop: stop,
-	})
-	cleanup()
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "worker: %v\n", err)
-		if errors.Is(err, dist.ErrSpecMismatch) {
-			os.Exit(fairmc.ExitUsage)
-		}
-		os.Exit(1)
-	}
 }

@@ -240,14 +240,14 @@ func TestDistLateResultAfterRequeue(t *testing.T) {
 }
 
 // TestDistStaleWorkerID: a worker keeps using its pre-restart identity
-// against a resumed coordinator. Its stale leases are cancelled, fresh
-// leases are granted, and the search completes unchanged.
+// against a second coordinator incarnation over the same plan (Prior,
+// as a restarted jobs service builds it). Its stale leases are
+// cancelled, fresh leases are granted, and the search completes
+// unchanged.
 func TestDistStaleWorkerID(t *testing.T) {
-	statePath := filepath.Join(t.TempDir(), "state.json")
 	opts := search.Options{Fair: true, ContextBound: -1, MaxSteps: 10000}
 	cfg := dist.CoordinatorConfig{
 		Prog: fig3, Program: "fig3", Options: opts, RefParallelism: 2,
-		StatePath: statePath,
 	}
 	coordA, srvA := startCoordinator(t, cfg)
 	var join dist.JoinResponse
@@ -257,6 +257,7 @@ func TestDistStaleWorkerID(t *testing.T) {
 	coordA.Wait()
 	srvA.Close()
 
+	cfg.Prior = &dist.Prior{Plan: coordA.Plan()}
 	coordB, srvB := startCoordinator(t, cfg)
 	// The stale worker heartbeats with its A-era identity and lease:
 	// the resumed coordinator cancels the unknown lease instead of
@@ -267,6 +268,14 @@ func TestDistStaleWorkerID(t *testing.T) {
 	}, &hb)
 	if len(hb.Cancelled) != 1 || hb.Cancelled[0] != lr.LeaseID {
 		t.Fatalf("stale lease not cancelled: %+v", hb)
+	}
+	// B's names are its own: the stale worker builds its idempotency
+	// keys from A's, and a key B had already answered under would have
+	// its result replayed instead of applied.
+	var joinB dist.JoinResponse
+	postJSON(t, srvB.URL+dist.PathJoin, dist.JoinRequest{Capacity: 1}, &joinB)
+	if joinB.WorkerID == join.WorkerID {
+		t.Fatalf("second incarnation reissued worker id %s", join.WorkerID)
 	}
 	// It can still lease fresh work under the stale worker ID.
 	lr2 := leaseWork(t, srvB.URL, join.WorkerID)

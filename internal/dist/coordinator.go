@@ -6,8 +6,8 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"os"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -36,9 +36,6 @@ const (
 	idemCacheSize = 1024
 )
 
-// stateVersion is the coordinator state file format version.
-const stateVersion = 1
-
 // CoordinatorConfig configures a distributed search.
 type CoordinatorConfig struct {
 	// Prog is the program under test; Program its registry name (sent
@@ -57,11 +54,6 @@ type CoordinatorConfig struct {
 	// zero values use the defaults above.
 	LeaseTTL         time.Duration
 	MaxShardAttempts int
-	// StatePath, when set, makes the coordinator durable: the state
-	// file is rewritten (atomically, with a directory fsync) after
-	// every shard completion, and a coordinator restarted with the
-	// same config and StatePath resumes from it.
-	StatePath string
 	// MaxInflight bounds concurrently served requests; excess requests
 	// are shed with 429 + Retry-After (which the worker transport's
 	// backoff honors). 0 means DefaultMaxInflight.
@@ -70,12 +62,12 @@ type CoordinatorConfig struct {
 	// every request before it reaches the protocol handlers — the
 	// deterministic chaos harness's server half.
 	Chaos *faultinject.Injector
-	// Prior, when set (and no StatePath state file is adopted), seeds
-	// the coordinator with an existing plan and already-decided shards
-	// — how the jobs layer hands WAL-replayed progress to a restarted
-	// coordinator so ledger-completed shards are never re-explored.
-	// The caller is responsible for the plan matching Options (the
-	// jobs layer validates via OptionsHash before constructing it).
+	// Prior, when set, seeds the coordinator with an existing plan and
+	// already-decided shards — how the jobs layer hands WAL-replayed
+	// progress to a restarted coordinator so ledger-completed shards are
+	// never re-explored. The caller is responsible for the plan matching
+	// Options (the jobs layer validates via OptionsHash before
+	// constructing it).
 	Prior *Prior
 	// OnShardGrant, when set, observes the shards one lease call
 	// granted (called under the coordinator lock). The jobs layer
@@ -120,15 +112,15 @@ const (
 // Prior is pre-decided progress injected into a new coordinator (see
 // CoordinatorConfig.Prior).
 type Prior struct {
-	// Plan is the shard plan the progress belongs to.
+	// Plan is the shard plan the progress belongs to, as planned: a DPOR
+	// plan is its single root shard, regrown from Completed — never the
+	// plan a previous coordinator grew.
 	Plan *search.Plan
 	// Completed maps shard index → report; a nil report marks a shard
 	// abandoned in a previous incarnation.
 	Completed map[int]*search.Report
 	// Failures carries forward prior worker failures (report context).
 	Failures []search.WorkerFailure
-	// Elapsed is exploration time already spent.
-	Elapsed time.Duration
 }
 
 type shardState struct {
@@ -157,10 +149,12 @@ type Coordinator struct {
 	merger    *search.ShardMerger
 	shards    []shardState
 	leases    map[string]*lease
-	completed map[int]*search.Report // nil entry: abandoned
+	completed int // decided shards with a report ...
+	abandoned int // ... and without one
 	failures  []search.WorkerFailure
 	workers   map[string]time.Time // last contact
-	seq       int                  // id generator (workers and leases)
+	seq       int                  // id generator (workers and leases) ...
+	epoch     string               // ... and the suffix that makes the ids this incarnation's own
 
 	// wake is closed (and replaced) whenever a parked lease call should
 	// look again: the plan grew, a shard was requeued, the search
@@ -177,9 +171,7 @@ type Coordinator struct {
 	idem      map[string][]byte
 	idemOrder []string
 
-	start       time.Time
-	prevElapsed time.Duration
-	stateErr    string
+	start time.Time
 
 	finished bool
 	done     chan struct{}
@@ -193,9 +185,8 @@ type Coordinator struct {
 	drainOnce sync.Once
 }
 
-// NewCoordinator plans the search (or resumes the plan from
-// cfg.StatePath if a matching state file exists) and returns a
-// coordinator ready to serve.
+// NewCoordinator plans the search (or adopts cfg.Prior's plan and
+// decided shards) and returns a coordinator ready to serve.
 func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	if cfg.Prog == nil || cfg.Program == "" {
 		return nil, errors.New("dist: coordinator needs Prog and Program")
@@ -220,50 +211,29 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	// (SearchSpec carries no registry, so workers are unaffected.)
 	cfg.Options.Metrics = cfg.Metrics
 
+	now := time.Now()
 	c := &Coordinator{
-		cfg:       cfg,
-		spec:      SpecFromOptions(cfg.Program, cfg.Options),
-		leases:    map[string]*lease{},
-		completed: map[int]*search.Report{},
-		idem:      map[string][]byte{},
-		workers:   map[string]time.Time{},
-		wake:      make(chan struct{}),
-		start:     time.Now(),
-		done:      make(chan struct{}),
-		notified:  map[string]bool{},
-		drained:   make(chan struct{}),
+		cfg:      cfg,
+		spec:     SpecFromOptions(cfg.Program, cfg.Options),
+		leases:   map[string]*lease{},
+		idem:     map[string][]byte{},
+		workers:  map[string]time.Time{},
+		wake:     make(chan struct{}),
+		start:    now,
+		epoch:    "-" + strconv.FormatInt(now.UnixNano(), 36),
+		done:     make(chan struct{}),
+		notified: map[string]bool{},
+		drained:  make(chan struct{}),
 	}
 
-	var st *coordState
-	if cfg.StatePath != "" {
-		loaded, err := loadState(cfg.StatePath)
-		if err == nil {
-			st = loaded
-		} else if !errors.Is(err, errNoState) {
-			return nil, err
-		}
-	}
-	switch {
-	case st != nil:
-		if err := c.resumeFrom(st); err != nil {
-			return nil, err
-		}
-	case cfg.Prior != nil && cfg.Prior.Plan != nil:
+	var decided map[int]*search.Report
+	if cfg.Prior != nil && cfg.Prior.Plan != nil {
 		// WAL-replayed progress from the jobs layer: adopt the recorded
 		// plan (never re-plan — the plan is part of what was committed)
-		// and the already-decided shards. A DPOR plan is recorded at its
-		// single root shard and grows deterministically as decided
-		// reports are re-offered, so decided indices beyond the recorded
-		// plan are adopted too — the regrown plan will contain them.
-		c.plan = cfg.Prior.Plan
-		for idx, rep := range cfg.Prior.Completed {
-			if idx >= 0 && (idx < len(c.plan.Shards) || cfg.Options.DPOR) {
-				c.completed[idx] = rep
-			}
-		}
+		// and the already-decided shards.
+		c.plan, decided = cfg.Prior.Plan, cfg.Prior.Completed
 		c.failures = append(c.failures, cfg.Prior.Failures...)
-		c.prevElapsed = cfg.Prior.Elapsed
-	default:
+	} else {
 		plan, err := search.PlanShards(cfg.Prog, cfg.Options, cfg.RefParallelism)
 		if err != nil {
 			return nil, err
@@ -272,39 +242,30 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	}
 	c.merger = search.NewShardMerger(c.cfg.Options, c.plan)
 	c.growShardsLocked()
-	if len(c.completed) > 0 {
-		// Re-offer the persisted shard reports in index order; the
-		// merger reconstructs exactly the pre-crash merge state.
-		idxs := make([]int, 0, len(c.completed))
-		for idx := range c.completed {
+	if len(decided) > 0 {
+		// Re-offer the recorded shard reports in index order; the merger
+		// reconstructs exactly the pre-crash merge state.
+		idxs := make([]int, 0, len(decided))
+		for idx := range decided {
 			idxs = append(idxs, idx)
 		}
 		sort.Ints(idxs)
 		for _, idx := range idxs {
-			// Each re-offer may grow a DPOR plan; extend the lease state
-			// first so the next index is in range. A shard's children
-			// always spawn at higher indices, so index order re-offers
-			// every decided shard after the offer that planned it.
+			// Each re-offer may grow a DPOR plan — recorded at its single
+			// root shard, so decided indices lie beyond it — and the lease
+			// state is extended first so the next index is in range. A
+			// shard's children always spawn at higher indices, so index
+			// order re-offers every decided shard after the offer that
+			// planned it.
 			c.growShardsLocked()
-			if idx >= len(c.shards) {
-				delete(c.completed, idx) // not part of the (re)derived plan
-				continue
+			if idx < 0 || idx >= len(c.shards) {
+				continue // not part of the (re)derived plan
 			}
-			rep := c.completed[idx]
-			if rep == nil {
-				c.shards[idx].status = shardAbandoned
-			} else {
-				c.shards[idx].status = shardCompleted
-			}
-			c.merger.Offer(idx, rep)
+			c.decideLocked(idx, decided[idx])
 		}
 		c.growShardsLocked()
-		source := "prior progress"
-		if st != nil {
-			source = cfg.StatePath
-		}
-		c.cfg.Logf("dist: resumed from %s: %d/%d shards already decided",
-			source, len(idxs), len(c.plan.Shards))
+		c.cfg.Logf("dist: resumed from prior progress: %d/%d shards already decided",
+			c.completed+c.abandoned, len(c.plan.Shards))
 	}
 	go c.sweep()
 	c.mu.Lock()
@@ -314,10 +275,10 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 }
 
 // Handler returns the coordinator's HTTP handler (the worker protocol
-// plus /metrics and /status), wrapped in the load-shedding bound (Shed)
-// and, when configured, the server-side chaos injector (outermost, so
-// injected faults hit before any coordinator logic — like a real
-// network would).
+// plus /status; its owner serves the registry), wrapped in the
+// load-shedding bound (Shed) and, when configured, the server-side
+// chaos injector (outermost, so injected faults hit before any
+// coordinator logic — like a real network would).
 func (c *Coordinator) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc(PathJoin, c.handleJoin)
@@ -325,19 +286,12 @@ func (c *Coordinator) Handler() http.Handler {
 	mux.HandleFunc(PathHeartbeat, c.handleHeartbeat)
 	mux.HandleFunc(PathResult, c.handleResult)
 	mux.HandleFunc(PathEvents, c.handleEvents)
-	mux.HandleFunc(PathMetrics, c.handleMetrics)
 	mux.HandleFunc(PathStatus, c.handleStatus)
 	h := Shed(c.cfg.MaxInflight, c.cfg.Metrics, "coordinator overloaded", mux)
 	if c.cfg.Chaos != nil {
 		h = c.cfg.Chaos.Middleware(h)
 	}
 	return h
-}
-
-// idemGetLocked returns the cached response for an idempotency key.
-func (c *Coordinator) idemGetLocked(key string) ([]byte, bool) {
-	data, ok := c.idem[key]
-	return data, ok
 }
 
 // idemPutLocked caches a response under a key, evicting FIFO.
@@ -371,9 +325,6 @@ func (c *Coordinator) Wait() *search.Report {
 	return c.finalRep
 }
 
-// Done exposes completion to selects (e.g. alongside a signal channel).
-func (c *Coordinator) Done() <-chan struct{} { return c.done }
-
 // Drained is closed once the search is finished AND every joined
 // worker has been handed a done response (lease, heartbeat, or result
 // acknowledgement), so it can exit cleanly. Parked lease calls are
@@ -382,6 +333,14 @@ func (c *Coordinator) Done() <-chan struct{} { return c.done }
 // timeout after Wait — a crashed worker never asks again and would hold
 // the drain open forever.
 func (c *Coordinator) Drained() <-chan struct{} { return c.drained }
+
+// Workers is how many workers this coordinator has served: the ones
+// Drained waits for.
+func (c *Coordinator) Workers() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.workers)
+}
 
 // noteDoneLocked records that a worker has observed completion.
 func (c *Coordinator) noteDoneLocked(workerID string) {
@@ -404,8 +363,9 @@ func (c *Coordinator) checkDrainedLocked() {
 }
 
 // Interrupt stops the search at the current merge point, marking the
-// report Interrupted. Completed shards are already persisted (when
-// StatePath is set), so a later coordinator run resumes from them.
+// report Interrupted. Decided shards have already been through
+// OnShardDone, so an owner that recorded them there can seed a later
+// coordinator with them (Prior).
 func (c *Coordinator) Interrupt() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -413,10 +373,9 @@ func (c *Coordinator) Interrupt() {
 		return
 	}
 	c.finishLocked()
-	rep := c.merger.Finish(c.prevElapsed+time.Since(c.start), c.failures)
+	rep := c.merger.Finish(time.Since(c.start), c.failures)
 	rep.Interrupted = true
 	c.sealLocked(rep)
-	c.saveStateLocked()
 }
 
 // Plan exposes the shard plan (for status displays and tests).
@@ -467,21 +426,17 @@ func (c *Coordinator) checkDoneLocked() {
 		return
 	}
 	c.finishLocked()
-	rep := c.merger.Finish(c.prevElapsed+time.Since(c.start), c.failures)
+	rep := c.merger.Finish(time.Since(c.start), c.failures)
 	go func() {
 		search.ConfirmFindings(c.cfg.Prog, c.cfg.Options, rep)
 		c.mu.Lock()
 		c.sealLocked(rep)
-		c.saveStateLocked()
 		c.mu.Unlock()
 	}()
 }
 
 // sealLocked publishes the final report and releases Wait.
 func (c *Coordinator) sealLocked(rep *search.Report) {
-	if rep.CheckpointError == "" && c.stateErr != "" {
-		rep.CheckpointError = c.stateErr
-	}
 	c.finalRep = rep
 	close(c.done)
 }
@@ -552,16 +507,28 @@ func (c *Coordinator) failShardLocked(idx int, worker, reason string) {
 				return
 			}
 		}
-		sh.status = shardAbandoned
-		c.completed[idx] = nil
-		c.merger.Offer(idx, nil)
+		c.decideLocked(idx, nil)
 		c.growShardsLocked()
 		c.cfg.Logf("dist: shard %d abandoned after %d attempts", idx, sh.attempts)
-		c.saveStateLocked()
 		c.checkDoneLocked()
 		return
 	}
 	c.requeueLocked(idx)
+}
+
+// decideLocked marks a shard decided — by its report, or abandoned when
+// rep is nil — and hands the decision to the merge.
+func (c *Coordinator) decideLocked(idx int, rep *search.Report) {
+	sh := &c.shards[idx]
+	sh.leaseID = ""
+	if rep == nil {
+		sh.status = shardAbandoned
+		c.abandoned++
+	} else {
+		sh.status = shardCompleted
+		c.completed++
+	}
+	c.merger.Offer(idx, rep)
 }
 
 // requeueLocked makes a shard grantable again and tells parked lease
@@ -587,9 +554,14 @@ func (c *Coordinator) growShardsLocked() {
 	c.wakeLocked()
 }
 
+// nextID names a worker or a lease. The name carries this coordinator's
+// start time (epoch): a worker that outlives a restart keeps using the
+// names the previous incarnation gave it — in heartbeats and in the
+// idempotency keys of its result posts — and they must not meet this
+// one's.
 func (c *Coordinator) nextID(prefix string) string {
 	c.seq++
-	return fmt.Sprintf("%s%d", prefix, c.seq)
+	return prefix + strconv.Itoa(c.seq) + c.epoch
 }
 
 // --- HTTP handlers ---
@@ -718,7 +690,7 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if key != "" {
-		if data, ok := c.idemGetLocked(key); ok {
+		if data, ok := c.idem[key]; ok {
 			// Retried or duplicated delivery: the metrics delta was
 			// already merged once; replay the original answer.
 			replayJSON(w, data)
@@ -824,7 +796,7 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if key != "" {
-		if data, ok := c.idemGetLocked(key); ok {
+		if data, ok := c.idem[key]; ok {
 			// A retried or chaos-duplicated submission of a batch the
 			// coordinator already processed: replay the original
 			// acknowledgement; the merge consumed each report once.
@@ -897,9 +869,7 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 				c.requeueLocked(it.Shard)
 			}
 		case resultComplete:
-			c.shards[it.Shard].leaseID = ""
-			c.completed[it.Shard] = it.Report
-			c.merger.Offer(it.Shard, it.Report)
+			c.decideLocked(it.Shard, it.Report)
 			resp.Accepted[i] = true
 		}
 	}
@@ -911,7 +881,6 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 		c.cfg.Logf("dist: %d shards (%d..%d) completed by worker %s (%d/%d merged)",
 			len(decided), decided[0].Shard, decided[len(decided)-1].Shard,
 			req.WorkerID, c.merger.Merged(), len(c.plan.Shards))
-		c.saveStateLocked()
 		c.checkDoneLocked()
 	}
 	resp.Done = c.finished
@@ -951,23 +920,17 @@ func (c *Coordinator) handleEvents(w http.ResponseWriter, r *http.Request) {
 }
 
 func (c *Coordinator) statusLocked() StatusResponse {
-	st := StatusResponse{
-		Program:  c.cfg.Program,
-		Strategy: c.plan.Strategy,
-		Shards:   len(c.plan.Shards),
-		Merged:   c.merger.Merged(),
-		Leased:   len(c.leases),
-		Workers:  len(c.workers),
-		Done:     c.finished,
+	return StatusResponse{
+		Program:   c.cfg.Program,
+		Strategy:  c.plan.Strategy,
+		Shards:    len(c.plan.Shards),
+		Merged:    c.merger.Merged(),
+		Completed: c.completed,
+		Abandoned: c.abandoned,
+		Leased:    len(c.leases),
+		Workers:   len(c.workers),
+		Done:      c.finished,
 	}
-	for _, rep := range c.completed {
-		if rep == nil {
-			st.Abandoned++
-		} else {
-			st.Completed++
-		}
-	}
-	return st
 }
 
 func (c *Coordinator) handleStatus(w http.ResponseWriter, r *http.Request) {
@@ -975,139 +938,4 @@ func (c *Coordinator) handleStatus(w http.ResponseWriter, r *http.Request) {
 	st := c.statusLocked()
 	c.mu.Unlock()
 	writeJSON(w, st)
-}
-
-func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	var snap obs.Snapshot
-	if c.cfg.Metrics != nil {
-		snap = c.cfg.Metrics.Snapshot()
-	}
-	c.mu.Lock()
-	st := c.statusLocked()
-	c.mu.Unlock()
-	writeJSON(w, MetricsResponse{Metrics: snap, Status: st})
-}
-
-// --- durable state ---
-
-// coordState is the coordinator's durable progress: the plan plus
-// every decided shard. It deliberately rides on the checkpoint
-// machinery's identity fields so a resume with a different program,
-// seed, or options is rejected exactly like a checkpoint mismatch.
-type coordState struct {
-	Version        int                    `json:"version"`
-	Program        string                 `json:"program"`
-	Strategy       string                 `json:"strategy"`
-	Seed           uint64                 `json:"seed"`
-	OptionsHash    uint64                 `json:"optionsHash"`
-	RefParallelism int                    `json:"refParallelism"`
-	Plan           *search.Plan           `json:"plan"`
-	Results        []shardResult          `json:"results,omitempty"`
-	Failures       []search.WorkerFailure `json:"failures,omitempty"`
-	ElapsedNS      int64                  `json:"elapsedNs"`
-	Done           bool                   `json:"done,omitempty"`
-}
-
-// shardResult is one decided shard; a nil Report marks abandonment.
-type shardResult struct {
-	Index  int            `json:"index"`
-	Report *search.Report `json:"report,omitempty"`
-}
-
-var errNoState = errors.New("dist: no state file")
-
-func loadState(path string) (*coordState, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, errNoState
-		}
-		return nil, fmt.Errorf("dist: reading state file: %w", err)
-	}
-	st := &coordState{}
-	if err := json.Unmarshal(data, st); err != nil {
-		return nil, fmt.Errorf("dist: decoding state file %s: %w", path, err)
-	}
-	if st.Version != stateVersion {
-		return nil, fmt.Errorf("dist: state file %s has version %d, this build reads %d",
-			path, st.Version, stateVersion)
-	}
-	return st, nil
-}
-
-// resumeFrom validates a loaded state file against the configuration
-// and adopts its plan and decided shards.
-func (c *Coordinator) resumeFrom(st *coordState) error {
-	if st.Done {
-		return fmt.Errorf("dist: state file records a completed search; delete it to start over")
-	}
-	opts := c.cfg.Options
-	if st.Program != c.cfg.Program ||
-		st.Seed != opts.Seed ||
-		st.OptionsHash != search.OptionsHash(&opts) ||
-		st.Strategy != search.StrategyName(&opts) {
-		return fmt.Errorf("dist: state file belongs to a different search (program %q strategy %s seed %d)",
-			st.Program, st.Strategy, st.Seed)
-	}
-	if st.RefParallelism != c.cfg.RefParallelism {
-		return fmt.Errorf("dist: state file was planned for -p %d, got -p %d (the shard plan depends on it)",
-			st.RefParallelism, c.cfg.RefParallelism)
-	}
-	if st.Plan == nil || len(st.Plan.Shards) == 0 {
-		return errors.New("dist: state file has no shard plan")
-	}
-	c.plan = st.Plan
-	for _, sr := range st.Results {
-		if sr.Index >= 0 && sr.Index < len(c.plan.Shards) {
-			c.completed[sr.Index] = sr.Report
-		}
-	}
-	c.failures = append(c.failures, st.Failures...)
-	c.prevElapsed = time.Duration(st.ElapsedNS)
-	return nil
-}
-
-// saveStateLocked persists progress; failures are recorded (and
-// surfaced as the report's CheckpointError), not fatal — losing
-// resumability is better than losing the run.
-func (c *Coordinator) saveStateLocked() {
-	if c.cfg.StatePath == "" {
-		return
-	}
-	opts := c.cfg.Options
-	st := coordState{
-		Version:        stateVersion,
-		Program:        c.cfg.Program,
-		Strategy:       search.StrategyName(&opts),
-		Seed:           opts.Seed,
-		OptionsHash:    search.OptionsHash(&opts),
-		RefParallelism: c.cfg.RefParallelism,
-		Plan:           c.plan,
-		Failures:       c.failures,
-		ElapsedNS:      int64(c.prevElapsed + time.Since(c.start)),
-		// An interrupted search stays resumable; only a genuine
-		// completion seals the state file.
-		Done: c.finalRep != nil && !c.finalRep.Interrupted,
-	}
-	idxs := make([]int, 0, len(c.completed))
-	for idx := range c.completed {
-		idxs = append(idxs, idx)
-	}
-	sort.Ints(idxs)
-	for _, idx := range idxs {
-		st.Results = append(st.Results, shardResult{Index: idx, Report: c.completed[idx]})
-	}
-	data, err := json.Marshal(&st)
-	if err == nil {
-		err = search.AtomicWriteFile(c.cfg.StatePath, data)
-	}
-	if err != nil && c.stateErr == "" {
-		c.stateErr = fmt.Sprintf("dist: writing state file: %v", err)
-		c.cfg.Logf("%s", c.stateErr)
-	}
-	if err == nil {
-		if m := c.cfg.Metrics; m != nil {
-			m.Checkpoints.Inc()
-		}
-	}
 }

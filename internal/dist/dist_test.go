@@ -3,7 +3,6 @@ package dist_test
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -252,93 +251,6 @@ func TestDistWorkerDeathRequeues(t *testing.T) {
 	want := search.Explore(fig3, ref)
 	if w, g := runReportBytes(t, want, "fig3", opts), runReportBytes(t, got, "fig3", opts); !bytes.Equal(w, g) {
 		t.Fatalf("run report not byte-identical after worker death:\n%s\nvs\n%s", w, g)
-	}
-}
-
-// TestDistCoordinatorResume: a coordinator with a state file is killed
-// mid-search; a new coordinator with the same configuration resumes
-// from the file (completed shards are not re-run) and the final report
-// is byte-identical to the local run.
-func TestDistCoordinatorResume(t *testing.T) {
-	statePath := t.TempDir() + "/coord-state.json"
-	opts := search.Options{Fair: true, ContextBound: -1, MaxSteps: 10000}
-	cfg := dist.CoordinatorConfig{
-		Prog:           fig3,
-		Program:        "fig3",
-		Options:        opts,
-		RefParallelism: 2,
-		StatePath:      statePath,
-	}
-	coordA, srvA := startCoordinator(t, cfg)
-
-	// Complete two shards through the protocol, then kill A.
-	var join dist.JoinResponse
-	postJSON(t, srvA.URL+dist.PathJoin, dist.JoinRequest{Capacity: 1}, &join)
-	for i := 0; i < 2; i++ {
-		lr := leaseWork(t, srvA.URL, join.WorkerID)
-		rep := search.RunShard(fig3, opts, lr.Shard, nil)
-		var rr dist.ResultResponse
-		postJSON(t, srvA.URL+dist.PathResult, oneResult(join.WorkerID, lr, rep), &rr)
-		if !rr.Accepted[0] {
-			t.Fatalf("result %d not accepted", i)
-		}
-	}
-	coordA.Interrupt()
-	if rep := coordA.Wait(); !rep.Interrupted {
-		t.Fatalf("interrupted coordinator's report not marked Interrupted: %+v", rep)
-	}
-	srvA.Close()
-
-	// B resumes from the state file.
-	var logs []string
-	var logMu sync.Mutex
-	cfg.Logf = func(format string, args ...any) {
-		logMu.Lock()
-		logs = append(logs, fmt.Sprintf(format, args...))
-		logMu.Unlock()
-	}
-	coordB, srvB := startCoordinator(t, cfg)
-	logMu.Lock()
-	resumed := false
-	for _, l := range logs {
-		if strings.Contains(l, "resumed from") && strings.Contains(l, "2/") {
-			resumed = true
-		}
-	}
-	logMu.Unlock()
-	if !resumed {
-		t.Fatalf("coordinator B did not resume 2 decided shards; logs: %q", logs)
-	}
-
-	runWorkers(t, srvB.URL, 1)
-	got := coordB.Wait()
-
-	ref := opts
-	ref.Parallelism = 2
-	want := search.Explore(fig3, ref)
-	if !reflect.DeepEqual(normalize(want), normalize(got)) {
-		t.Fatalf("resumed report differs from local -p 2:\n%+v\nvs\n%+v", want, got)
-	}
-	if w, g := runReportBytes(t, want, "fig3", opts), runReportBytes(t, got, "fig3", opts); !bytes.Equal(w, g) {
-		t.Fatalf("run report not byte-identical after coordinator resume:\n%s\nvs\n%s", w, g)
-	}
-}
-
-// TestDistDoneStateRejected: a finished search's state file must not be
-// resumed into a fresh coordinator silently.
-func TestDistDoneStateRejected(t *testing.T) {
-	statePath := t.TempDir() + "/coord-state.json"
-	opts := search.Options{Fair: true, ContextBound: -1, MaxSteps: 10000}
-	cfg := dist.CoordinatorConfig{
-		Prog: fig3, Program: "fig3", Options: opts,
-		RefParallelism: 2, StatePath: statePath,
-	}
-	coord, srv := startCoordinator(t, cfg)
-	runWorkers(t, srv.URL, 1)
-	coord.Wait()
-
-	if _, err := dist.NewCoordinator(cfg); err == nil {
-		t.Fatal("NewCoordinator resumed a completed search's state file")
 	}
 }
 

@@ -2,9 +2,7 @@ package dist_test
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
-	"os"
 	"reflect"
 	"strings"
 	"testing"
@@ -66,72 +64,6 @@ func TestDistDPORMatchesSequential(t *testing.T) {
 				t.Fatalf("run report not byte-identical:\n%s\nvs\n%s", w, g)
 			}
 		})
-	}
-}
-
-// TestDistDPORCoordinatorResume: a coordinator with a state file is
-// killed after two DPOR units merged (so its plan has already grown
-// past the initial root unit); a new coordinator resumes from the
-// file, regrows the plan by re-offering the decided units in index
-// order, and the final report is byte-identical to the sequential run.
-func TestDistDPORCoordinatorResume(t *testing.T) {
-	statePath := t.TempDir() + "/coord-state.json"
-	cfg := dist.CoordinatorConfig{
-		Prog:           racyIncrement,
-		Program:        "racy",
-		Options:        dporOpts,
-		RefParallelism: 2,
-		StatePath:      statePath,
-	}
-	coordA, srvA := startCoordinator(t, cfg)
-
-	// Complete units 0 and 1 through the protocol, then kill A. Unit 1
-	// exists only because unit 0's merge grew the plan.
-	var join dist.JoinResponse
-	postJSON(t, srvA.URL+dist.PathJoin, dist.JoinRequest{Capacity: 1}, &join)
-	for i := 0; i < 2; i++ {
-		lr := leaseWork(t, srvA.URL, join.WorkerID)
-		rep := search.RunShard(racyIncrement, dporOpts, lr.Shard, nil)
-		var rr dist.ResultResponse
-		postJSON(t, srvA.URL+dist.PathResult, oneResult(join.WorkerID, lr, rep), &rr)
-		if !rr.Accepted[0] {
-			t.Fatalf("result %d not accepted", i)
-		}
-	}
-	coordA.Interrupt()
-	if rep := coordA.Wait(); !rep.Interrupted {
-		t.Fatalf("interrupted coordinator's report not marked Interrupted: %+v", rep)
-	}
-	srvA.Close()
-
-	// The merge released the two units it consumed, so the grown plan B
-	// adopts holds them empty: unit 1 must come back from re-offering
-	// unit 0's report, not from the file.
-	data, err := os.ReadFile(statePath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var st struct {
-		Plan *search.Plan `json:"plan"`
-	}
-	if err := json.Unmarshal(data, &st); err != nil {
-		t.Fatal(err)
-	}
-	if n := len(st.Plan.Shards); n < 3 || st.Plan.Shards[1].Unit == nil || st.Plan.Shards[1].Unit.Sched != nil ||
-		st.Plan.Shards[n-1].Unit == nil || st.Plan.Shards[n-1].Unit.Sched == nil {
-		t.Fatalf("state file plan: want merged unit 1 released and the unmerged units whole: %s", data)
-	}
-
-	coordB, srvB := startCoordinator(t, cfg)
-	runWorkers(t, srvB.URL, 1)
-	got := coordB.Wait()
-
-	want := search.Explore(racyIncrement, dporOpts)
-	if !reflect.DeepEqual(normalize(want), normalize(got)) {
-		t.Fatalf("resumed DPOR report differs from sequential:\n%+v\nvs\n%+v", want, got)
-	}
-	if w, g := runReportBytes(t, want, "racy", dporOpts), runReportBytes(t, got, "racy", dporOpts); !bytes.Equal(w, g) {
-		t.Fatalf("run report not byte-identical after coordinator resume:\n%s\nvs\n%s", w, g)
 	}
 }
 

@@ -2,7 +2,9 @@ package jobs
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"os"
 	"runtime"
@@ -163,7 +165,7 @@ func TestJobsPoolWorkerGoroutinesFlat(t *testing.T) {
 // against MaxInflight.
 func TestJobsAssignLongPoll(t *testing.T) {
 	m := &obs.Metrics{}
-	_, srv := startService(t, Config{Dir: t.TempDir(), MaxInflight: 8, Metrics: m})
+	_, srv := startService(t, Config{Dir: t.TempDir(), Coordinator: dist.CoordinatorConfig{MaxInflight: 8}, Metrics: m})
 
 	const parked = 200
 	type answer struct {
@@ -241,6 +243,78 @@ func TestJobsAssignLongPoll(t *testing.T) {
 	}
 	if shed := m.Snapshot().ShedRequests; shed != 0 {
 		t.Fatalf("%d requests shed with %d assign calls parked and MaxInflight 8", shed, parked)
+	}
+}
+
+// TestJobsAssignAnswersOnce: an assign answer is a claim. With one
+// mounted job holding one grantable shard, the first call is sent to it
+// at once and a second one parks — the shard is spoken for until the
+// first caller leases it — so nothing may spend an assign call as a
+// probe: it would send the next real caller to wait behind itself.
+func TestJobsAssignAnswersOnce(t *testing.T) {
+	_, srv := startService(t, Config{Dir: t.TempDir()})
+	id := submitJob(t, srv.URL, "racy", dporJobOpts, 2)
+	waitState(t, srv.URL, id, StateRunning)
+
+	var asn AssignResponse
+	resp, err := http.Get(srv.URL + PathAssign)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = json.NewDecoder(resp.Body).Decode(&asn)
+	resp.Body.Close()
+	if err != nil || asn.Status != AssignWork || asn.JobID != id {
+		t.Fatalf("first assign = %+v (%v), want work on %s", asn, err, id)
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
+	defer cancel()
+	req, _ := http.NewRequestWithContext(ctx, http.MethodGet, srv.URL+PathAssign, nil)
+	if resp, err := http.DefaultClient.Do(req); err == nil {
+		json.NewDecoder(resp.Body).Decode(&asn)
+		resp.Body.Close()
+		t.Fatalf("second assign answered %+v while the job's one shard was claimed, want it parked", asn)
+	} else if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatal(err)
+	}
+}
+
+// TestJobsClosedServerSendsWorkersHome: a closed server answers every
+// assign call "closing" — a parked one the moment it closes — and a pool
+// worker returns nil on that answer instead of riding out a restart that
+// is not coming.
+func TestJobsClosedServerSendsWorkersHome(t *testing.T) {
+	s, srv := startService(t, Config{Dir: t.TempDir()})
+	done := make(chan error, 1)
+	go func() {
+		done <- RunPoolWorker(PoolConfig{URL: srv.URL, Lookup: testLookup, Retry: fastPolicy(1)})
+	}()
+	// Let the worker park, then close under it.
+	time.Sleep(50 * time.Millisecond)
+	closed := time.Now()
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("pool worker on a closing service: %v, want nil", err)
+		}
+		if d := time.Since(closed); d > dist.LeaseHold/2 {
+			t.Fatalf("pool worker left %s after Close, want at once (its parked call woken)", d)
+		}
+	case <-time.After(dist.LeaseHold + 2*time.Second):
+		t.Fatal("pool worker still polling a closed server")
+	}
+
+	var asn AssignResponse
+	resp, err := http.Get(srv.URL + PathAssign)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if err := json.NewDecoder(resp.Body).Decode(&asn); err != nil || asn.Status != AssignClosing {
+		t.Fatalf("assign on a closed server = %+v (%v), want closing", asn, err)
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"fairmc/internal/dist"
 	"fairmc/internal/ledger"
 	"fairmc/internal/search"
 )
@@ -53,12 +54,12 @@ func crashSubOf(t *testing.T, id string) (program string, opts search.Options, r
 func driveCrashRun(t *testing.T, dir string, hook func(string) bool, until func(url string) bool) {
 	t.Helper()
 	s, err := New(Config{
-		Dir:        dir,
-		Lookup:     testLookup,
-		LeaseTTL:   5 * time.Second,
-		DrainGrace: 50 * time.Millisecond,
-		Logf:       func(string, ...any) {},
-		crashHook:  hook,
+		Dir:         dir,
+		Lookup:      testLookup,
+		Coordinator: dist.CoordinatorConfig{LeaseTTL: 5 * time.Second},
+		DrainGrace:  50 * time.Millisecond,
+		Logf:        func(string, ...any) {},
+		crashHook:   hook,
 	})
 	if err != nil {
 		t.Fatalf("New: %v", err)
@@ -76,7 +77,7 @@ func driveCrashRun(t *testing.T, dir string, hook func(string) bool, until func(
 		defer wg.Done()
 		RunPoolWorker(PoolConfig{
 			URL: srv.URL, WorkDir: t.TempDir(), Lookup: testLookup,
-			Retry: fastPolicy(7), Poll: 10 * time.Millisecond, Stop: stopCh,
+			Retry: fastPolicy(7), Stop: stopCh,
 		})
 	}()
 
@@ -92,10 +93,12 @@ func driveCrashRun(t *testing.T, dir string, hook func(string) bool, until func(
 		case <-time.After(10 * time.Millisecond):
 		}
 	}
+	// Close first: the worker comes back from its last job, is told the
+	// service is closing and leaves — no drain grace to sit out.
+	s.Close() // ledger may be frozen; the unclean-close error is the point
 	close(stopCh)
 	wg.Wait()
 	srv.Close()
-	s.Close() // ledger may be frozen; the unclean-close error is the point
 }
 
 // allTerminal reports whether the service lists at least one job and

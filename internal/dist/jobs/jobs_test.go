@@ -143,8 +143,8 @@ func startService(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	if cfg.Lookup == nil {
 		cfg.Lookup = testLookup
 	}
-	if cfg.LeaseTTL == 0 {
-		cfg.LeaseTTL = 5 * time.Second
+	if cfg.Coordinator.LeaseTTL == 0 {
+		cfg.Coordinator.LeaseTTL = 5 * time.Second
 	}
 	if cfg.DrainGrace == 0 {
 		cfg.DrainGrace = 250 * time.Millisecond
@@ -180,7 +180,6 @@ func startPool(t *testing.T, url, workDir string, n int) (stop func()) {
 				WorkDir: workDir,
 				Lookup:  testLookup,
 				Retry:   fastPolicy(uint64(i)),
-				Poll:    20 * time.Millisecond,
 				Stop:    stopCh,
 			})
 		}(i)
@@ -426,6 +425,50 @@ func TestJobsRestartResumesUnfinished(t *testing.T) {
 	got := fetchReport(t, srv2.URL, id)
 	if want := localReportBytes(t, "fig3", baseOpts, 2); !bytes.Equal(got, want) {
 		t.Fatalf("resumed artifact differs:\n%s\nvs\n%s", got, want)
+	}
+}
+
+// TestJobsOneJobRun: the in-process API a -serve -prog run drives.
+// Submit records the search; Close under the unfinished job makes Wait
+// hand back the interrupted merge, not a terminal state; a second
+// incarnation over the same ledger finds the submission as it was made,
+// and Wait on it returns the report an uninterrupted local run produces
+// — at once, when asked again after it finished.
+func TestJobsOneJobRun(t *testing.T) {
+	dir := t.TempDir()
+	req := SubmitRequest{Spec: dist.SpecFromOptions("fig3", baseOpts), RefParallelism: 2}
+	s1, srv1 := startService(t, Config{Dir: dir})
+	id, err := s1.Submit(req)
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	if _, err := s1.Submit(SubmitRequest{Spec: dist.SearchSpec{Program: "nope"}}); err == nil {
+		t.Fatal("Submit accepted an unknown program")
+	}
+	waitState(t, srv1.URL, id, StateRunning)
+	go s1.Close() // no workers: the job never finishes here
+	if st, rep := s1.Wait(id); st.State == StateDone || rep == nil || !rep.Interrupted {
+		t.Fatalf("Wait on a job the server closed under: state %q report %+v, want unfinished and interrupted", st.State, rep)
+	}
+
+	s2, srv2 := startService(t, Config{Dir: dir})
+	if ids := s2.JobIDs(); len(ids) != 1 || ids[0] != id {
+		t.Fatalf("second incarnation's jobs = %v, want [%s]", ids, id)
+	}
+	if got, ok := s2.Submission(id); !ok || got != req {
+		t.Fatalf("Submission(%s) = %+v, want %+v", id, got, req)
+	}
+	startPool(t, srv2.URL, t.TempDir(), 2)
+	want := localReportBytes(t, "fig3", baseOpts, 2)
+	for i := 0; i < 2; i++ {
+		st, rep := s2.Wait(id)
+		if st.State != StateDone || rep == nil {
+			t.Fatalf("Wait %d: state %q report %v", i, st.State, rep)
+		}
+		got, err := fairmc.ResultFromReport(rep).RunReport("fig3", req.Spec.Options()).Encode()
+		if err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("Wait %d: report differs from local -p 2 (%v):\n%s\nvs\n%s", i, err, got, want)
+		}
 	}
 }
 

@@ -16,16 +16,6 @@ import (
 	"fairmc/internal/obs"
 )
 
-// DefaultPoll is the fallback interval between an idle pool worker's
-// assign calls. The service holds an assign call open until a job
-// mounts (dist.LeaseHold), so the interval only paces calls that come
-// back at once: failures, and a service that is closing.
-const DefaultPoll = 200 * time.Millisecond
-
-// assignFailureBudget is how many consecutive assign failures a pool
-// worker rides out (a restarting service) before giving up.
-const assignFailureBudget = 100
-
 // PoolConfig configures RunPoolWorker.
 type PoolConfig struct {
 	// URL is the service base URL (e.g. http://host:7171).
@@ -45,11 +35,13 @@ type PoolConfig struct {
 	// Stop, when closed, makes the worker finish its current leases and
 	// return nil.
 	Stop <-chan struct{}
-	// Poll overrides DefaultPoll.
-	Poll time.Duration
 
 	// Retry / JoinTimeout / Transport / FS pass through to each job's
-	// dist.RunWorker session (Transport also carries assign polls).
+	// dist.RunWorker session. The assign calls use them too: Transport
+	// carries them, Retry paces the ones that fail (and the way back from
+	// a failed session), and JoinTimeout (0: dist.DefaultJoinTimeout) is
+	// how long the service may stay unreachable — not started yet, or
+	// restarting — before the worker gives up.
 	Retry       transport.Policy
 	JoinTimeout time.Duration
 	Transport   http.RoundTripper
@@ -59,16 +51,17 @@ type PoolConfig struct {
 // RunPoolWorker serves a jobs service: it asks /v1/assign (a call the
 // service answers when it has a job), joins whichever job's coordinator
 // the service points it at, explores until that job completes, and
-// comes back for the next one. It returns nil
-// when cfg.Stop closes, and an error only when the service stays
-// unreachable past the failure budget or a job rejects this worker's
-// build (spec mismatch).
+// comes back for the next one. It returns nil when cfg.Stop closes or
+// the service says it is closing, and an error only when the service
+// stays unreachable for cfg.JoinTimeout — what a worker started before
+// its service rides out — or a job rejects this worker's build (spec
+// mismatch).
 func RunPoolWorker(cfg PoolConfig) error {
 	if cfg.Lookup == nil {
 		return errors.New("jobs: pool worker needs a program Lookup")
 	}
-	if cfg.Poll <= 0 {
-		cfg.Poll = DefaultPoll
+	if cfg.JoinTimeout <= 0 {
+		cfg.JoinTimeout = dist.DefaultJoinTimeout
 	}
 	logf := cfg.Logf
 	if logf == nil {
@@ -85,7 +78,8 @@ func RunPoolWorker(cfg PoolConfig) error {
 	// One worker — and so one set of engine pools — serves every job.
 	var worker dist.Worker
 	defer worker.Close()
-	failures := 0
+	failures, down := 0, time.Time{} // the current run of failed assign calls, and when it began
+	left := ""                       // the job this worker is back from and has yet to tell the service so
 	for {
 		select {
 		case <-cfg.Stop:
@@ -94,17 +88,30 @@ func RunPoolWorker(cfg PoolConfig) error {
 		}
 
 		asked := time.Now()
-		asn, err := assign(ctx, httpc, cfg.URL)
-		if err != nil {
-			failures++
-			if failures >= assignFailureBudget {
-				return fmt.Errorf("jobs: service unreachable after %d assign attempts: %w", failures, err)
-			}
-		} else {
-			failures = 0
+		url := cfg.URL + PathAssign
+		if left != "" {
+			url += "?" + assignLeft + "=" + left
 		}
-		if err != nil || asn.Status != AssignWork {
-			if !sleepStop(cfg.Poll-time.Since(asked), cfg.Stop) {
+		asn, err := assign(ctx, httpc, url)
+		if err != nil {
+			if failures++; failures == 1 {
+				down = asked
+			}
+			if time.Since(down) >= cfg.JoinTimeout {
+				return fmt.Errorf("jobs: service unreachable for %s (%d assign attempts): %w", cfg.JoinTimeout, failures, err)
+			}
+			if !dist.SleepStop(cfg.Retry.Backoff(PathAssign, failures), cfg.Stop) {
+				return nil
+			}
+			continue
+		}
+		failures, left = 0, ""
+		if asn.Status == AssignClosing {
+			logf("pool: service is closing")
+			return nil
+		}
+		if asn.Status != AssignWork {
+			if !dist.SleepStop(cfg.Retry.Backoff(PathAssign, 1)-time.Since(asked), cfg.Stop) {
 				return nil
 			}
 			continue
@@ -128,6 +135,7 @@ func RunPoolWorker(cfg PoolConfig) error {
 			Transport:   cfg.Transport,
 			FS:          cfg.FS,
 		})
+		left = asn.JobID
 		switch {
 		case err == nil:
 			// Job finished (or Stop closed); ask for the next one.
@@ -140,7 +148,7 @@ func RunPoolWorker(cfg PoolConfig) error {
 			// restarted) looks like an unreachable coordinator; the
 			// worker is still healthy — go get another assignment.
 			logf("pool: session on %s ended: %v", asn.JobID, err)
-			if !sleepStop(cfg.Poll, cfg.Stop) {
+			if !dist.SleepStop(cfg.Retry.Backoff(PathAssign, 1), cfg.Stop) {
 				return nil
 			}
 		}
@@ -148,8 +156,8 @@ func RunPoolWorker(cfg PoolConfig) error {
 }
 
 // assign asks the service which job this worker should serve.
-func assign(ctx context.Context, httpc *http.Client, base string) (*AssignResponse, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+PathAssign, nil)
+func assign(ctx context.Context, httpc *http.Client, url string) (*AssignResponse, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -166,20 +174,4 @@ func assign(ctx context.Context, httpc *http.Client, base string) (*AssignRespon
 		return nil, fmt.Errorf("assign: decoding response: %w", err)
 	}
 	return &asn, nil
-}
-
-// sleepStop pauses for d (not at all when d <= 0), cut short
-// (returning false) by stop.
-func sleepStop(d time.Duration, stop <-chan struct{}) bool {
-	if d <= 0 {
-		return true
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-stop:
-		return false
-	case <-t.C:
-		return true
-	}
 }

@@ -9,7 +9,7 @@ import (
 // under PathJobPrefix + "<id>" (e.g. /job/j1/v1/lease).
 const (
 	PathJobs      = "/v1/jobs"   // POST submit, GET list; /v1/jobs/<id>[/cancel|/report]
-	PathAssign    = "/v1/assign" // GET: which job should this worker serve?
+	PathAssign    = "/v1/assign" // GET: which job should this worker serve? (?left=<id>: it is back from that one)
 	PathJobPrefix = "/job/"
 	PathStatus    = "/status"
 	PathMetrics   = "/metrics"
@@ -70,7 +70,15 @@ const (
 	AssignWork = "work"
 	// AssignWait: no running job right now; poll again.
 	AssignWait = "wait"
+	// AssignClosing: the service has shut down and will mount no more
+	// jobs; the worker is done. What a closed Server always answers.
+	AssignClosing = "closing"
 )
+
+// assignLeft is the query parameter naming the job a pool worker has
+// just left, on its first assign call after the session. A job stays
+// mounted until the workers its coordinator served have all said so.
+const assignLeft = "left"
 
 // AssignResponse points a pool worker at a running job's coordinator.
 type AssignResponse struct {

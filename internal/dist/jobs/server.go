@@ -72,12 +72,11 @@ type Config struct {
 	MaxActive int
 	// MaxJobs bounds queued+running jobs; 0 means DefaultMaxJobs.
 	MaxJobs int
-	// LeaseTTL / MaxShardAttempts / MaxInflight tune each job's
-	// coordinator (see dist.CoordinatorConfig); zero values use the
-	// dist defaults.
-	LeaseTTL         time.Duration
-	MaxShardAttempts int
-	MaxInflight      int
+	// Coordinator is the template of each job's coordinator: its
+	// LeaseTTL, MaxShardAttempts, MaxInflight (which also bounds the
+	// service's own endpoints), Chaos and EventWriter are every job's,
+	// zero values meaning the dist defaults; the rest is set per job.
+	Coordinator dist.CoordinatorConfig
 	// SegmentBytes overrides the ledger segment rotation threshold
 	// (tests use small values to exercise rotation).
 	SegmentBytes int64
@@ -114,6 +113,7 @@ type job struct {
 	coord           *dist.Coordinator
 	handler         http.Handler
 	claimed         time.Time // since when a worker has been on its way to lease here (pickJob)
+	left            int       // workers that came back to /v1/assign from this job (drain)
 }
 
 // Server is the durable checking service. Create with New, mount
@@ -133,9 +133,9 @@ type Server struct {
 	quarantined int
 	badRecs     []string
 	closed      bool
-	// wake is closed (and replaced) whenever a parked assign call should
-	// look again: a job mounted, a lease was granted, or the server is
-	// closing.
+	// wake is closed (and replaced) whenever a parked assign call or a
+	// Wait should look again: a job mounted, ended or left the active
+	// set, a lease was granted, or the server is closing.
 	wake chan struct{}
 
 	wg sync.WaitGroup
@@ -315,6 +315,7 @@ func (s *Server) unmountLocked(id string) {
 		j.coord = nil
 		j.handler = nil
 	}
+	s.wakeLocked()
 }
 
 // runJob plans (first incarnation), builds the coordinator seeded
@@ -357,14 +358,17 @@ func (s *Server) runJob(j *job) {
 		s.mu.Unlock()
 	}
 
+	tmpl := s.cfg.Coordinator
 	coord, err := dist.NewCoordinator(dist.CoordinatorConfig{
 		Prog:             prog,
 		Program:          j.Spec.Program,
 		Options:          opts,
 		RefParallelism:   j.RefParallelism,
-		LeaseTTL:         s.cfg.LeaseTTL,
-		MaxShardAttempts: s.cfg.MaxShardAttempts,
-		MaxInflight:      s.cfg.MaxInflight,
+		LeaseTTL:         tmpl.LeaseTTL,
+		MaxShardAttempts: tmpl.MaxShardAttempts,
+		MaxInflight:      tmpl.MaxInflight,
+		Chaos:            tmpl.Chaos,
+		EventWriter:      tmpl.EventWriter,
 		Prior:            j.prior(),
 		OnShardGrant: func(shards []int, worker string) {
 			s.audit(fmt.Sprintf("grant:%s#%d", id, shards[0]), recGrant,
@@ -413,6 +417,7 @@ func (s *Server) runJob(j *job) {
 
 	s.mu.Lock()
 	if s.closed {
+		s.unmountLocked(id)
 		s.mu.Unlock()
 		coord.Interrupt()
 		coord.Wait()
@@ -444,9 +449,11 @@ func (s *Server) runJob(j *job) {
 	case rep.Interrupted || closed:
 		// Service shutdown, not job completion: leave the job's WAL
 		// state as-is; the next incarnation re-queues and resumes it.
+		// Wait hands this incarnation's interrupted merge to its caller.
 		s.mu.Lock()
-		s.unmountLocked(id)
+		j.Report = rep
 		s.mu.Unlock()
+		s.unmount(j)
 	default:
 		s.finishJob(j, rep, StateDone, "")
 	}
@@ -454,8 +461,7 @@ func (s *Server) runJob(j *job) {
 
 // finishJob commits a job's terminal record, updates memory — which
 // frees the job's slot for the next queued one — and unmounts the
-// coordinator once its workers have been told (or the drain grace runs
-// out).
+// coordinator once it has drained.
 func (s *Server) finishJob(j *job, rep *search.Report, state, errMsg string) {
 	id := j.ID
 	var runReport []byte
@@ -491,24 +497,52 @@ func (s *Server) finishJob(j *job, rep *search.Report, state, errMsg string) {
 			m.JobsDone.Inc()
 		}
 	}
-	coord := j.coord
 	s.scheduleLocked()
+	s.wakeLocked()
 	s.mu.Unlock()
 	s.cfg.Logf("jobs: %s %s", id, state)
+	s.unmount(j)
+}
 
+// unmount takes a job whose search is over out of the active set, once
+// its coordinator has drained: every worker it served has been answered
+// "done" and has come back to /v1/assign saying so — where a closing
+// service tells it to go — or the drain grace has run out on one that
+// died.
+func (s *Server) unmount(j *job) {
+	s.mu.Lock()
+	coord := j.coord
+	s.mu.Unlock()
 	if coord != nil {
-		// Stay mounted until every joined worker has been answered
-		// "done" and moved on.
 		grace := time.NewTimer(s.cfg.DrainGrace)
+		defer grace.Stop()
 		select {
 		case <-coord.Drained():
+			s.awaitLeft(j, coord.Workers(), grace.C)
 		case <-grace.C:
 		}
-		grace.Stop()
 	}
 	s.mu.Lock()
-	s.unmountLocked(id)
+	s.unmountLocked(j.ID)
 	s.mu.Unlock()
+}
+
+// awaitLeft blocks until n workers have come back to /v1/assign from j,
+// or expired fires.
+func (s *Server) awaitLeft(j *job, n int, expired <-chan time.Time) {
+	for {
+		s.mu.Lock()
+		wake, back := s.wake, j.left >= n
+		s.mu.Unlock()
+		if back {
+			return
+		}
+		select {
+		case <-wake:
+		case <-expired:
+			return
+		}
+	}
 }
 
 // release drops what only an unfinished job needs — the (grown) plan
@@ -552,9 +586,10 @@ func (s *Server) abortIncarnation(j *job, err error) {
 	s.mu.Unlock()
 }
 
-// Close interrupts running jobs (they stay resumable in the ledger)
-// and closes the ledger. The crash harness skips Close — that is the
-// point.
+// Close interrupts running jobs (they stay resumable in the ledger),
+// waits for every mounted job to drain — so each worker on one has come
+// back to /v1/assign, which from now on answers AssignClosing — and
+// closes the ledger. The crash harness skips Close — that is the point.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -577,6 +612,42 @@ func (s *Server) Close() error {
 	return s.led.Close()
 }
 
+// Wait blocks until the job is terminal or this incarnation is done
+// with it (the server closed, or its ledger can no longer commit), and
+// returns its status and report: the merged report of a finished or
+// cancelled job, the interrupted merge of one the server closed under,
+// nil for a job that failed or never ran.
+func (s *Server) Wait(id string) (JobStatus, *search.Report) {
+	for {
+		s.mu.Lock()
+		j := s.jobs[id]
+		if j == nil {
+			s.mu.Unlock()
+			return JobStatus{}, nil
+		}
+		waiting := slices.Contains(s.activeIDs, id) || (!s.closed && slices.Contains(s.queue, id))
+		if j.terminal() || !waiting {
+			st, rep := s.statusLocked(j), j.Report
+			s.mu.Unlock()
+			return st, rep
+		}
+		wake := s.wake
+		s.mu.Unlock()
+		<-wake
+	}
+}
+
+// Submission returns the request job id was admitted with.
+func (s *Server) Submission(id string) (SubmitRequest, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	j := s.jobs[id]
+	if j == nil {
+		return SubmitRequest{}, false
+	}
+	return SubmitRequest{Spec: j.Spec, RefParallelism: j.RefParallelism, ConfirmRuns: j.ConfirmRuns}, true
+}
+
 // --- HTTP API ---
 
 // Handler returns the service's HTTP handler: the jobs API, the
@@ -590,7 +661,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc(PathJobPrefix, s.handleJobProxy)
 	mux.HandleFunc(PathStatus, s.handleStatus)
 	mux.HandleFunc(PathMetrics, s.handleMetrics)
-	return dist.Shed(s.cfg.MaxInflight, s.cfg.Metrics, "service overloaded", mux)
+	return dist.Shed(s.cfg.Coordinator.MaxInflight, s.cfg.Metrics, "service overloaded", mux)
 }
 
 func writeJSON(w http.ResponseWriter, v any) {
@@ -622,13 +693,31 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	if req.Spec.Program == "" {
-		http.Error(w, "spec.program is required", http.StatusBadRequest)
+	id, code, err := s.submit(req)
+	if err != nil {
+		if code == http.StatusTooManyRequests {
+			w.Header().Set("Retry-After", "5")
+		}
+		http.Error(w, err.Error(), code)
 		return
 	}
+	writeJSON(w, SubmitResponse{JobID: id})
+}
+
+// Submit admits one job, as POST /v1/jobs does, and returns its id once
+// the submission is durable.
+func (s *Server) Submit(req SubmitRequest) (string, error) {
+	id, _, err := s.submit(req)
+	return id, err
+}
+
+// submit is Submit with the HTTP status a refusal maps to.
+func (s *Server) submit(req SubmitRequest) (id string, code int, err error) {
+	if req.Spec.Program == "" {
+		return "", http.StatusBadRequest, errors.New("spec.program is required")
+	}
 	if _, ok := s.cfg.Lookup(req.Spec.Program); !ok {
-		http.Error(w, fmt.Sprintf("unknown program %q", req.Spec.Program), http.StatusBadRequest)
-		return
+		return "", http.StatusBadRequest, fmt.Errorf("unknown program %q", req.Spec.Program)
 	}
 	if req.RefParallelism < 1 {
 		req.RefParallelism = 1
@@ -640,11 +729,9 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		if m := s.cfg.Metrics; m != nil {
 			m.JobsShed.Inc()
 		}
-		w.Header().Set("Retry-After", "5")
-		http.Error(w, "job queue full", http.StatusTooManyRequests)
-		return
+		return "", http.StatusTooManyRequests, errors.New("job queue full")
 	}
-	id := fmt.Sprintf("j%d", s.nextJob)
+	id = fmt.Sprintf("j%d", s.nextJob)
 	// The submission is acknowledged only after it is durable; the
 	// ledger append happens under s.mu so replayed submission order
 	// always matches s.order.
@@ -653,8 +740,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		ConfirmRuns: req.ConfirmRuns,
 	}); err != nil {
 		s.mu.Unlock()
-		http.Error(w, "cannot record submission: "+err.Error(), http.StatusServiceUnavailable)
-		return
+		return "", http.StatusServiceUnavailable, fmt.Errorf("cannot record submission: %w", err)
 	}
 	s.nextJob++
 	j := &job{jobState: jobState{
@@ -676,7 +762,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.scheduleLocked()
 	s.mu.Unlock()
 	s.cfg.Logf("jobs: %s submitted (program %s, ref -p %d)", id, req.Spec.Program, req.RefParallelism)
-	writeJSON(w, SubmitResponse{JobID: id})
+	return id, http.StatusOK, nil
 }
 
 func (s *Server) statusLocked(j *job) JobStatus {
@@ -762,6 +848,7 @@ func (s *Server) handleCancel(w http.ResponseWriter, j *job) {
 		if m := s.cfg.Metrics; m != nil {
 			m.JobsCancelled.Inc()
 		}
+		s.wakeLocked()
 		s.mu.Unlock()
 		s.cfg.Logf("jobs: %s cancelled while queued", j.ID)
 		writeJSON(w, CancelResponse{JobID: j.ID, State: StateCancelled})
@@ -785,11 +872,20 @@ func (s *Server) handleCancel(w http.ResponseWriter, j *job) {
 // it (pickJob). While no job has — none is mounted, or the workers
 // already on or on their way to the mounted ones take everything
 // grantable — it parks the call (outside the load-shedding bound) until
-// a job mounts or a lease is granted, for at most dist.LeaseHold.
+// a job mounts or a lease is granted, for at most dist.LeaseHold. A
+// closed server answers AssignClosing, always and at once.
 func (s *Server) handleAssign(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		http.Error(w, "GET required", http.StatusMethodNotAllowed)
 		return
+	}
+	if id := r.URL.Query().Get(assignLeft); id != "" {
+		s.mu.Lock()
+		if j := s.jobs[id]; j != nil {
+			j.left++
+			s.wakeLocked()
+		}
+		s.mu.Unlock()
 	}
 	var hold dist.Hold
 	defer hold.Stop()
@@ -797,11 +893,15 @@ func (s *Server) handleAssign(w http.ResponseWriter, r *http.Request) {
 		s.mu.Lock()
 		wake, closed := s.wake, s.closed
 		s.mu.Unlock()
+		if closed {
+			writeJSON(w, AssignResponse{Status: AssignClosing})
+			return
+		}
 		if id, ok := s.pickJob(); ok {
 			writeJSON(w, AssignResponse{Status: AssignWork, JobID: id, Path: PathJobPrefix + id})
 			return
 		}
-		if !closed && hold.Wait(r, wake) {
+		if hold.Wait(r, wake) {
 			continue
 		}
 		writeJSON(w, AssignResponse{Status: AssignWait})

@@ -10,7 +10,7 @@
 // a distributed search is byte-identical to a local run with
 // Parallelism = RefParallelism of the same program, seed, and options
 // — regardless of worker count, worker crashes, lease expiries, or a
-// coordinator restart from its state file.
+// restart that re-seeds the coordinator with recorded progress (Prior).
 //
 // Robustness model:
 //
@@ -24,10 +24,11 @@
 //     shard that keeps failing is abandoned and surfaces in the merged
 //     report as Skipped work plus structured WorkerFailures — explicit
 //     coverage loss, never a silent gap.
-//   - The coordinator persists a state file (search.AtomicWriteFile,
-//     the checkpoint machinery's durable write) after every shard
-//     completion, so a killed coordinator resumes without re-running
-//     completed shards.
+//   - The coordinator itself keeps nothing on disk. Its owner — the
+//     jobs service (internal/dist/jobs), the only thing that serves one —
+//     records every shard decision through the OnShardDone write-ahead
+//     hook and hands the record back as Prior after a restart, so
+//     decided shards are never re-run.
 //
 // See docs/DISTRIBUTED.md for the protocol walkthrough.
 package dist
@@ -39,16 +40,15 @@ import (
 	"fairmc/internal/search"
 )
 
-// Protocol endpoints, all rooted at the coordinator's address.
-// join/lease/heartbeat/result/events are POST with JSON bodies
-// (events: raw JSONL); metrics and status are GET.
+// Protocol endpoints, all rooted at the coordinator's mount point
+// (the jobs service's /job/<id>). join/lease/heartbeat/result/events
+// are POST with JSON bodies (events: raw JSONL); status is GET.
 const (
 	PathJoin      = "/v1/join"
 	PathLease     = "/v1/lease"
 	PathHeartbeat = "/v1/heartbeat"
 	PathResult    = "/v1/result"
 	PathEvents    = "/v1/events"
-	PathMetrics   = "/metrics"
 	PathStatus    = "/status"
 )
 
@@ -268,12 +268,4 @@ type StatusResponse struct {
 	Leased    int    `json:"leased"`
 	Workers   int    `json:"workers"`
 	Done      bool   `json:"done"`
-}
-
-// MetricsResponse is the coordinator's aggregated telemetry: its own
-// registry (which includes every worker delta merged so far) plus the
-// shard-level progress.
-type MetricsResponse struct {
-	Metrics obs.Snapshot   `json:"metrics"`
-	Status  StatusResponse `json:"status"`
 }

@@ -303,7 +303,7 @@ func joinLoop(cfg WorkerConfig, tc *transport.Client) (*JoinResponse, error) {
 			return nil, fmt.Errorf("dist: coordinator %s unreachable after %s: %w",
 				cfg.URL, cfg.JoinTimeout, lastErr)
 		}
-		if !sleepStop(backoff, cfg.Stop) {
+		if !SleepStop(backoff, cfg.Stop) {
 			return nil, errors.New("dist: stopped before joining")
 		}
 	}
@@ -321,14 +321,14 @@ func isStopped(stop <-chan struct{}) bool {
 	}
 }
 
-// sleepStop pauses for d, cut short (returning false) by stop.
-func sleepStop(d time.Duration, stop <-chan struct{}) bool {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	if stop == nil {
-		<-t.C
+// SleepStop pauses for d (not at all when d <= 0), cut short
+// (returning false) by stop; a nil stop never cuts it.
+func SleepStop(d time.Duration, stop <-chan struct{}) bool {
+	if d <= 0 {
 		return true
 	}
+	t := time.NewTimer(d)
+	defer t.Stop()
 	select {
 	case <-t.C:
 		return true
@@ -585,16 +585,9 @@ func (wk *worker) sleep(d time.Duration) {
 	}
 	t := time.NewTimer(d)
 	defer t.Stop()
-	if wk.cfg.Stop != nil {
-		select {
-		case <-t.C:
-		case <-wk.cfg.Stop:
-		case <-wk.done:
-		}
-		return
-	}
 	select {
 	case <-t.C:
+	case <-wk.cfg.Stop: // nil: never
 	case <-wk.done:
 	}
 }

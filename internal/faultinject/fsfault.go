@@ -2,8 +2,8 @@ package faultinject
 
 // The filesystem half of the chaos layer: a deterministic disk-fault
 // injector behind the fsx.FS seam, the counterpart of the HTTP
-// injector for the durability code paths (checkpoints, coordinator
-// state, worker spool, job ledger).
+// injector for the durability code paths (checkpoints, worker spool,
+// job ledger).
 //
 // The scheduling discipline is the HTTP injector's, transplanted:
 // every fault decision is a pure function of (seed, rule path pattern,

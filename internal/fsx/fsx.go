@@ -4,8 +4,8 @@
 // chaos layer can wrap with injected disk faults.
 //
 // Every component that persists state — search checkpoints, the
-// distributed coordinator's state file, the worker result spool, and
-// the job ledger's write-ahead log — goes through this package, so the
+// worker result spool and the job ledger's write-ahead log — goes
+// through this package, so the
 // crash-safety argument ("a crash at any point leaves either the
 // previous file or the new one, never a mix") is made exactly once,
 // and internal/faultinject can prove it under torn writes, lost
@@ -99,9 +99,8 @@ func SyncDir(fsys FS, dir string) error {
 // leaves either the previous file or the new one, never a mix: write
 // to a temp file in the destination directory, fsync it, rename over
 // the target, then fsync the parent directory. This is the single
-// durable-write implementation behind search checkpoints, the
-// distributed coordinator's state file, the worker result spool, and
-// the job ledger's segment rotation.
+// durable-write implementation behind search checkpoints, the worker
+// result spool and the job ledger's segment rotation.
 func WriteFileAtomic(fsys FS, path string, data []byte) error {
 	dir := filepath.Dir(path)
 	tmp := filepath.Join(dir, fmt.Sprintf(".%s.tmp-%d-%d",

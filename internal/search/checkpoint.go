@@ -168,26 +168,16 @@ func LoadCheckpoint(path string) (*Checkpoint, error) {
 }
 
 // WriteFile atomically and durably persists the checkpoint; see
-// AtomicWriteFile for the exact guarantees.
+// fsx.WriteFileAtomic for the exact guarantees.
 func (ck *Checkpoint) WriteFile(path string) error {
 	data, err := json.Marshal(ck)
 	if err != nil {
 		return fmt.Errorf("search: encoding checkpoint: %w", err)
 	}
-	if err := AtomicWriteFile(path, data); err != nil {
+	if err := fsx.WriteFileAtomic(fsx.OS, path, data); err != nil {
 		return fmt.Errorf("search: writing checkpoint: %w", err)
 	}
 	return nil
-}
-
-// AtomicWriteFile persists data at path so that a crash at any point
-// leaves either the previous file or the new one, never a mix; it is
-// a thin wrapper over fsx.WriteFileAtomic (the single temp-write +
-// fsync + rename + parent-dir-fsync implementation shared with the
-// distributed coordinator's state file, the worker result spool, and
-// the job ledger).
-func AtomicWriteFile(path string, data []byte) error {
-	return fsx.WriteFileAtomic(fsx.OS, path, data)
 }
 
 // strategyOf names the enumeration strategy for checkpoint Meta.
@@ -253,8 +243,7 @@ func optionsHash(o *Options) uint64 {
 	b(o.DisableConformance)
 	// The memory model folds in only when it is not the default: an SC
 	// search hashes the same whether or not it named its model (the hash
-	// also fingerprints plans in coordinator state files and job
-	// ledgers).
+	// also fingerprints plans in job ledgers).
 	if m := o.memModel(); m != core.MemSC {
 		i(int64(m))
 		i(int64(o.TSOBufCap))

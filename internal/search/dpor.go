@@ -477,15 +477,6 @@ func (m *ShardMerger) spawn(unit *por.Unit, r *Report) {
 			}
 			child.Sleep = sleep
 		}
-		// A resumed coordinator re-offers completed shards over an
-		// already grown plan whose merged units were released: the slot
-		// is then present and gets its regenerated unit back.
-		sh := Shard{Index: m.spawnNext, Unit: child}
-		if m.spawnNext < len(m.plan.Shards) {
-			m.plan.Shards[m.spawnNext] = sh
-		} else {
-			m.plan.Shards = append(m.plan.Shards, sh)
-		}
-		m.spawnNext++
+		m.plan.Shards = append(m.plan.Shards, Shard{Index: len(m.plan.Shards), Unit: child})
 	}
 }

@@ -69,8 +69,8 @@ func (sh *Shard) kind() string {
 }
 
 // Plan is the full, ordered shard list for one search. It is
-// JSON-serializable so a coordinator can persist it in its state file
-// and hand shards to remote workers.
+// JSON-serializable so the jobs service can record it in its ledger and
+// a coordinator can hand shards to remote workers.
 type Plan struct {
 	// Strategy is the canonical strategy name (StrategyName).
 	Strategy string `json:"strategy"`
@@ -276,19 +276,16 @@ type ShardMerger struct {
 	// DPOR: seen holds the path of every spawned unit and every prefix of
 	// every consumed unit's full path — the Mazurkiewicz-trace dedup set
 	// that keeps reversals from re-spawning explored subtrees; its leaves
-	// are its checkpointable form. spawnNext is the plan index the next
-	// spawned child receives: children regenerate deterministically from
-	// the reports, so a coordinator resume that re-offers completed
-	// shards re-derives the already grown plan instead of appending
-	// duplicates.
+	// are its checkpointable form. A spawned child is appended to the
+	// plan: no owner offers reports over a plan that already grew — the
+	// local driver plans afresh, a checkpoint resume restores only the
+	// unmerged rest, and a jobs restart re-offers decided reports over
+	// the recorded root plan (dist.Prior), which regrows the same way.
 	//
-	// Offer empties a unit once it is merged (slot and kind stay). No owner
-	// reads it again: the local driver and a checkpoint hold only unmerged
-	// shards, a coordinator leases only undecided ones, and a coordinator
-	// or jobs restart that re-offers decided reports gets every unit but
-	// the (empty) root back from its parent's spawn before its own turn.
-	seen      pathTrie
-	spawnNext int
+	// Offer empties a unit once it is merged (slot and kind stay). No
+	// owner reads it again: the local driver and a checkpoint hold only
+	// unmerged shards, and a coordinator leases only undecided ones.
+	seen pathTrie
 }
 
 // NewShardMerger prepares a merger for the given plan. opts must be
@@ -303,7 +300,6 @@ func NewShardMerger(opts Options, plan *Plan) *ShardMerger {
 	}
 	if opts.DPOR {
 		m.seen = pathTrie{{}} // the root unit's (empty) path
-		m.spawnNext = 1       // DPOR plans start with the single root shard
 	}
 	return m
 }
@@ -319,7 +315,6 @@ func (m *ShardMerger) restore(ck *Checkpoint) {
 	m.plan.Shards = append(make([]Shard, f.Merged), f.Shards...)
 	m.next = f.Merged
 	m.allExhausted = f.AllExhausted
-	m.spawnNext = len(m.plan.Shards)
 	for _, tr := range f.Traces {
 		m.seen.addPath(append(tr.Path[:len(tr.Path):len(tr.Path)], tr.Cont...))
 	}
