@@ -263,14 +263,19 @@ func TestDistBatchVeto(t *testing.T) {
 }
 
 // TestDistLeaseLongPoll: a lease call with nothing grantable is held
-// open and answered the moment the plan grows — not on the next tick of
-// a timer; with nothing happening it comes back "wait" within the hold;
-// and parked calls do not count against MaxInflight.
+// open and answered when the plan grows — by the wake, not by its hold
+// running out; with nothing happening it comes back "wait" within the
+// hold; and parked calls do not count against MaxInflight. Nothing here
+// depends on how fast the box is: the calls start at most MaxInflight
+// at a time, each wave waits until the coordinator shows it parked, and
+// "at once" is an ordering (answered before the call's own hold could
+// have ended), not a number of milliseconds.
 func TestDistLeaseLongPoll(t *testing.T) {
+	const maxInflight = 8
 	m := &obs.Metrics{}
 	coord, srv := startCoordinator(t, dist.CoordinatorConfig{
 		Prog: racyIncrement, Program: "racy", Options: dporOpts, RefParallelism: 2,
-		MaxInflight: 8, Metrics: m,
+		MaxInflight: maxInflight, Metrics: m,
 	})
 	var join dist.JoinResponse
 	postJSON(t, srv.URL+dist.PathJoin, dist.JoinRequest{Capacity: 1}, &join)
@@ -281,100 +286,99 @@ func TestDistLeaseLongPoll(t *testing.T) {
 	// lease call parks. Far more of them than MaxInflight.
 	const parked = 200
 	type answer struct {
-		lr   dist.LeaseResponse
-		code int
-		at   time.Time
+		lr       dist.LeaseResponse
+		code     int
+		sent, at time.Time
 	}
-	answers := make(chan answer, parked)
+	answers := make(chan answer, parked+1)
+	var answered atomic.Int64
 	body, _ := json.Marshal(dist.LeaseRequest{WorkerID: join.WorkerID})
 	tr := &http.Transport{MaxConnsPerHost: parked}
 	defer tr.CloseIdleConnections()
 	client := &http.Client{Transport: tr}
-	for i := 0; i < parked; i++ {
-		go func() {
-			var a answer
-			resp, err := client.Post(srv.URL+dist.PathLease, "application/json", bytes.NewReader(body))
-			if err == nil {
-				a.code = resp.StatusCode
-				json.NewDecoder(resp.Body).Decode(&a.lr)
-				resp.Body.Close()
+	lease := func() {
+		a := answer{sent: time.Now()}
+		resp, err := client.Post(srv.URL+dist.PathLease, "application/json", bytes.NewReader(body))
+		if err == nil {
+			a.code = resp.StatusCode
+			json.NewDecoder(resp.Body).Decode(&a.lr)
+			resp.Body.Close()
+		}
+		a.at = time.Now()
+		answered.Add(1)
+		answers <- a
+	}
+	// awaitParked waits until every call started so far is parked (or,
+	// on a box slow enough for a hold to run out meanwhile, answered).
+	awaitParked := func(started int) {
+		t.Helper()
+		deadline := time.Now().Add(30 * time.Second)
+		for coord.ParkedLeases()+int(answered.Load()) < started {
+			if time.Now().After(deadline) {
+				t.Fatalf("%d lease calls started, %d parked, %d answered", started, coord.ParkedLeases(), answered.Load())
 			}
-			a.at = time.Now()
-			answers <- a
-		}()
+			time.Sleep(time.Millisecond)
+		}
+	}
+	for started := 0; started < parked; {
+		for i := 0; i < maxInflight && started < parked; i++ {
+			go lease()
+			started++
+		}
+		awaitParked(started)
 	}
 	// Parked calls hold no slot: an ordinary request still gets in.
-	time.Sleep(100 * time.Millisecond)
-	select {
-	case a := <-answers:
-		t.Fatalf("a lease call with nothing grantable came straight back: HTTP %d %+v", a.code, a.lr)
-	default:
-	}
 	coordStatus(t, srv.URL)
 	if shed := m.Snapshot().ShedRequests; shed != 0 {
-		t.Fatalf("%d requests shed with %d lease calls parked and MaxInflight 8", shed, parked)
+		t.Fatalf("%d requests shed with %d lease calls parked and MaxInflight %d", shed, parked, maxInflight)
 	}
 
-	// The plan grows: one parked call gets the wave, at once.
+	// The plan grows: one parked call gets the wave — woken, so after
+	// the growth began and before its own hold could have ended.
+	growing := time.Now()
 	var rr dist.ResultResponse
 	postJSON(t, srv.URL+dist.PathResult, oneResult(join.WorkerID, root[0], rep), &rr)
-	grown := time.Now()
 	var wave []dist.Grant
-	for wave == nil {
+	for got := 0; got < parked; got++ {
+		var a answer
 		select {
-		case a := <-answers:
-			if a.code != http.StatusOK {
-				t.Fatalf("parked lease call answered HTTP %d", a.code)
+		case a = <-answers:
+		case <-time.After(dist.LeaseHold + 5*time.Second):
+			t.Fatalf("%d parked lease calls still open after the hold", parked-got)
+		}
+		switch {
+		case a.code != http.StatusOK:
+			t.Fatalf("parked lease call answered HTTP %d", a.code)
+		case a.lr.Status == dist.LeaseWork && wave == nil:
+			if a.at.Before(growing) || !a.at.Before(a.sent.Add(dist.LeaseHold)) {
+				t.Fatalf("wave granted to a call sent %s before the plan grew and answered %s after: not a woken parked call",
+					growing.Sub(a.sent), a.at.Sub(growing))
 			}
-			if a.lr.Status == dist.LeaseWork {
-				if d := a.at.Sub(grown); d > 50*time.Millisecond {
-					t.Fatalf("parked lease call answered %s after the plan grew, want within 50ms", d)
-				}
-				wave = a.lr.Grants
-			}
-		case <-time.After(5 * time.Second):
-			t.Fatal("no parked lease call was granted the wave")
+			wave = a.lr.Grants
+		case a.lr.Status != dist.LeaseWait:
+			// Nothing more happens (the wave is leased, never run): the
+			// rest come back "wait" within the hold.
+			t.Fatalf("parked lease call: %+v, want wait", a.lr)
 		}
 	}
-
-	// Nothing more happens (the wave is leased, never run): the rest
-	// come back "wait" within the hold.
-	for i := 1; i < parked; i++ {
-		select {
-		case a := <-answers:
-			if a.code != http.StatusOK || a.lr.Status != dist.LeaseWait {
-				t.Fatalf("parked lease call: HTTP %d %+v, want wait", a.code, a.lr)
-			}
-		case <-time.After(dist.LeaseHold + 2*time.Second):
-			t.Fatalf("%d parked lease calls still open after the hold", parked-i)
-		}
+	if wave == nil {
+		t.Fatal("no parked lease call was granted the wave")
 	}
 	if shed := m.Snapshot().ShedRequests; shed != 0 {
 		t.Fatalf("%d requests shed by parked lease calls", shed)
 	}
 
-	// The search finishes: a parked call is answered done at once.
-	doneAt := make(chan time.Time, 1)
-	go func() {
-		var lr dist.LeaseResponse
-		resp, err := client.Post(srv.URL+dist.PathLease, "application/json", bytes.NewReader(body))
-		if err == nil {
-			json.NewDecoder(resp.Body).Decode(&lr)
-			resp.Body.Close()
-		}
-		if lr.Status == dist.LeaseDone {
-			doneAt <- time.Now()
-		}
-	}()
-	time.Sleep(50 * time.Millisecond)
+	// The search finishes: a parked call is answered done, again by the
+	// wake: a hold that ran out would have answered "wait".
+	go lease()
+	awaitParked(parked + 1)
 	coord.Interrupt()
-	interrupted := time.Now()
 	select {
-	case at := <-doneAt:
-		if d := at.Sub(interrupted); d > 50*time.Millisecond {
-			t.Fatalf("parked lease call answered done %s after the search finished", d)
+	case a := <-answers:
+		if a.lr.Status != dist.LeaseDone || !a.at.Before(a.sent.Add(dist.LeaseHold)) {
+			t.Fatalf("parked lease call answered %+v %s after it was sent, want done within the hold", a.lr, a.at.Sub(a.sent))
 		}
-	case <-time.After(dist.LeaseHold):
-		t.Fatal("parked lease call not answered done when the search finished")
+	case <-time.After(dist.LeaseHold + 5*time.Second):
+		t.Fatal("parked lease call not answered when the search finished")
 	}
 }

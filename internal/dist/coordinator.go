@@ -160,6 +160,8 @@ type Coordinator struct {
 	// look again: the plan grew, a shard was requeued, the search
 	// finished.
 	wake chan struct{}
+	// parked counts the lease calls held open right now (Hold).
+	parked atomic.Int64
 	// planned mirrors len(plan.Shards) for readers that must not take
 	// mu (the jobs server's status handler, see Planned).
 	planned atomic.Int64
@@ -615,7 +617,7 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	if !readJSON(w, r, &req) {
 		return
 	}
-	var hold Hold
+	hold := Hold{parked: &c.parked}
 	defer hold.Stop()
 	for {
 		c.mu.Lock()

@@ -3,6 +3,7 @@ package dist
 import (
 	"context"
 	"net/http"
+	"sync/atomic"
 	"time"
 
 	"fairmc/internal/obs"
@@ -67,7 +68,13 @@ func unshed(ctx context.Context) {
 // Hold is the state of one held-open call — a lease call with nothing
 // grantable, an assign call with no job to serve. The zero value is
 // ready; Stop it when the handler returns.
-type Hold struct{ timer *time.Timer }
+type Hold struct {
+	timer *time.Timer
+	// parked, when set, counts this call from the moment it has given
+	// its slots back until Stop: what a test waits on instead of
+	// sleeping until "they must all be parked by now".
+	parked *atomic.Int64
+}
 
 // Wait parks the request until wake is closed, and reports whether it
 // was: true means look again, false that the hold (LeaseHold, counted
@@ -78,6 +85,9 @@ func (h *Hold) Wait(r *http.Request, wake <-chan struct{}) bool {
 	if h.timer == nil {
 		unshed(r.Context())
 		h.timer = time.NewTimer(LeaseHold)
+		if h.parked != nil {
+			h.parked.Add(1)
+		}
 	}
 	select {
 	case <-wake:
@@ -93,5 +103,8 @@ func (h *Hold) Wait(r *http.Request, wake <-chan struct{}) bool {
 func (h *Hold) Stop() {
 	if h.timer != nil {
 		h.timer.Stop()
+		if h.parked != nil {
+			h.parked.Add(-1)
+		}
 	}
 }

@@ -11,11 +11,17 @@ import (
 // engine spent 122 heap allocations per spinloop execution; the
 // fast-path work (buffer reuse, fair-state reset, engine pooling)
 // brought that to 84/28 (plain/pooled), and reusing the fair
-// scheduler's yield-window H buffer took it to 81/24. CI fails these
+// scheduler's yield-window H buffer took it to 81/24. Since model
+// threads run on coroutines the plain figure is 115: a single-use
+// engine makes its three worker coroutines anew in every Run, and a
+// coroutine costs 13 allocations (iter.Pull's closures and captured
+// variables) where a go statement and a resume channel cost two. That
+// is the price of replay and confirmation runs, not of the search
+// loop, which runs pooled and still measures 24. CI fails these
 // tests if a change creeps back over the measured numbers plus a small
 // jitter margin.
 const (
-	spinloopAllocBudget       = 88
+	spinloopAllocBudget       = 122
 	spinloopAllocBudgetPooled = 28
 )
 

@@ -113,9 +113,13 @@ type Config struct {
 	// operation or exit. A thread that exceeds it is blocked or
 	// spinning outside the conc API — uncontrolled code the engine can
 	// neither schedule nor unwind — so the execution ends with outcome
-	// Wedged and the thread's goroutine is leaked (it self-destructs if
-	// it ever reaches a scheduling point again). 0 disables the
-	// watchdog; then a non-cooperative thread hangs the engine forever.
+	// Wedged and the thread is leaked, together with the hub goroutine
+	// blocked in the switch to it (both end if the thread ever reaches
+	// a scheduling point again). A hub switched into a thread cannot
+	// watch a timer, so a nonzero Watchdog runs the hub on a goroutine
+	// of its own, one per execution, and the watchdog on the caller's.
+	// 0 disables the watchdog: the caller's goroutine is the hub, and a
+	// non-cooperative thread hangs it forever.
 	Watchdog time.Duration
 	// Deadline, when nonzero, is an absolute wall-clock bound on the
 	// whole execution, checked between steps: a search TimeLimit
@@ -136,11 +140,13 @@ type Config struct {
 	// ExecIndex tags emitted events with the execution's index within
 	// its search, for correlating the event stream with the report.
 	ExecIndex int64
-	// NoFastPath disables the baton-passing fast path (fastpath.go) and
-	// forces the historical engine-mediated handshake for every step.
-	// The two paths make the identical decide/commit sequence in the
-	// identical order, so results are byte-for-byte the same; the flag
-	// exists as a bisection escape hatch and for the determinism suite.
+	// NoFastPath disables the baton-passing fast path (fastpath.go):
+	// no thread decides a step for itself, each hands every scheduling
+	// point to the hub, which decides and switches to the grantee. It
+	// is the identical decide/commit sequence in the identical order,
+	// so results are byte-for-byte the same; the flag exists as a
+	// bisection escape hatch, for the determinism suite and for the
+	// benchmark's engine.step_handoff_ns probe.
 	NoFastPath bool
 	// MemModel selects the memory model (internal/wm) this execution
 	// runs under: core.MemSC (the default) or core.MemTSO. Under TSO
@@ -160,19 +166,6 @@ type Config struct {
 // the maximum number of steps the user expects".
 const DefaultMaxSteps = 1 << 20
 
-type eventKind int8
-
-const (
-	evParked  eventKind = iota
-	evExited            // thread's body returned (or unwound)
-	evStashed           // fast path: thread decided a terminal outcome inline
-)
-
-type event struct {
-	kind eventKind
-	th   *thread
-}
-
 // Engine drives one execution of a model program. Create one per
 // execution with Run, or reuse one across executions through a Pool
 // (pool.go); outside a Pool an Engine must not be reused.
@@ -182,23 +175,21 @@ type Engine struct {
 	fair    *core.Fair
 	threads []*thread
 	thFree  []*thread // exited thread records recycled across pooled runs
-	// idleWorkers holds worker goroutines parked between jobs (pooled
-	// engines only). Pushes happen at evExited processing and pops at
-	// thread launch — both on the logical scheduler timeline, so no
+	// idleWorkers holds the coroutines parked between thread bodies.
+	// Pushes happen when the hub processes a thread's exit and pops when
+	// it starts an embryo — both inside a section (fastpath.go), so no
 	// locking is needed (same ownership discipline as e.threads).
 	idleWorkers []*worker
 	objects     []Object
 	objMeta     []ObjMeta
-	ready       chan event
-	// aborting is read by model goroutines at scheduling points to
-	// unwind themselves. It is atomic because after a wedge the stuck
-	// goroutine runs concurrently with the scheduler and may observe
-	// the flag without a happens-before edge from a channel handoff.
+	// aborting is read by model threads at scheduling points to unwind
+	// themselves. It is atomic because after a wedge the stuck thread
+	// runs concurrently with the caller's teardown and may observe the
+	// flag without a happens-before edge from a coroutine switch.
 	aborting atomic.Bool
 
 	violation   *ViolationInfo
 	wedge       *WedgeInfo
-	wdTimer     *time.Timer
 	deadlineHit bool
 	stepCount   int64
 	yieldCnt    int64
@@ -221,20 +212,25 @@ type Engine struct {
 	prevYielded bool
 	lastInfo    OpInfo // OpInfo of the last executed transition
 
-	// Fast-path state (fastpath.go). The granted-but-uncommitted step is
+	// Scheduling state (fastpath.go). The granted-but-uncommitted step is
 	// the "pending" step: its commit runs when the granted thread reaches
 	// its next scheduling point (or exits).
 	fast      bool
 	pooled    bool         // drawn from a Pool: Result must own its slices
-	schedGate atomic.Int64 // 0 free, 1 inline section active, 2 watchdog poison
-	progress  atomic.Int64 // scheduling points completed (watchdog signal)
+	schedGate atomic.Int64 // 0 user code running, 1 section active, 2 watchdog poison
+	progress  atomic.Int64 // sections completed (watchdog signal)
 	pendTh    *thread      // thread the pending step was granted to
 	pendAlt   Alt
 	pendYield bool
 	pendDig   StepDigest // pre-step digest of the pending step (RecordDigests)
-	stashOut  Outcome    // terminal outcome decided inline by a thread
-	inlineCnt int64      // steps granted without any goroutine handoff
-	handoffs  int64      // direct thread-to-thread baton handoffs
+	stashed   bool       // a thread decided the terminal outcome stashOut inline
+	stashOut  Outcome
+	inlineCnt int64 // steps a thread granted itself: no switch at all
+	handoffs  int64 // fast-path steps granted to a thread other than the one that ran last
+	// hubDone carries the hub's return (or its panic) to the watchdog
+	// when Config.Watchdog puts the hub on its own goroutine (watch).
+	hubDone chan hubExit
+	wdTimer *time.Timer
 
 	// Hot-path scratch: one execution makes one scheduling decision per
 	// step, so the per-step working storage is engine-owned and reused
@@ -256,7 +252,10 @@ type Engine struct {
 // nondeterminism through chooser, and returns the execution's Result.
 func Run(body func(*T), chooser Chooser, cfg Config) *Result {
 	normalize(&cfg)
-	return newEngine(chooser, cfg).run(body)
+	e := newEngine(chooser, cfg)
+	r := e.run(body)
+	e.releaseWorkers()
+	return r
 }
 
 // normalize fills the Config defaults both Run and Pool.Run apply.
@@ -273,7 +272,6 @@ func newEngine(chooser Chooser, cfg Config) *Engine {
 	e := &Engine{
 		cfg:     cfg,
 		chooser: chooser,
-		ready:   make(chan event, 1),
 		prevTid: tidset.None,
 		fast:    !cfg.NoFastPath,
 	}
@@ -283,15 +281,20 @@ func newEngine(chooser Chooser, cfg Config) *Engine {
 	return e
 }
 
-// run drives one execution on a prepared engine.
+// run drives one execution on a prepared engine. The caller's goroutine
+// is the hub (loop) unless the watchdog is armed: a hub switched into a
+// thread cannot watch a timer, so then the hub gets a goroutine of its
+// own and the caller's watches it (watch).
 func (e *Engine) run(body func(*T)) *Result {
+	// The hub holds the gate until it first switches to a thread.
+	e.schedGate.Store(1)
 	e.newThread("main", body, nil)
 	if e.cfg.Monitor != nil {
 		e.cfg.Monitor.AfterInit(e)
 	}
 	var outcome Outcome
-	if e.fast {
-		outcome = e.loopFast()
+	if e.cfg.Watchdog > 0 {
+		outcome = e.watch()
 	} else {
 		outcome = e.loop()
 	}
@@ -312,12 +315,9 @@ func (e *Engine) allocThread(name string) *thread {
 		th = e.thFree[n-1]
 		e.thFree[n-1] = nil
 		e.thFree = e.thFree[:n-1]
-		// The resume channel is empty by construction (every grant was
-		// consumed before the previous run's abort returned), so only
-		// the channel survives the wipe.
-		*th = thread{resume: th.resume}
+		*th = thread{}
 	} else {
-		th = &thread{resume: make(chan struct{}, 1)}
+		th = &thread{}
 	}
 	th.id = tidset.Tid(len(e.threads))
 	th.name = name
@@ -346,7 +346,7 @@ func (e *Engine) newThread(name string, body func(*T), parent *thread) *thread {
 }
 
 // AddAgent registers a scheduler agent: a thread record with no
-// goroutine whose pending op the engine executes inline (decideLoop)
+// coroutine whose pending op the engine executes inline (decideLoop)
 // when the search schedules it. The weak-memory subsystem registers
 // one agent per store buffer, which makes buffer flushes schedulable
 // transitions: they appear in the candidate set, in schedules and
@@ -414,37 +414,13 @@ func (e *Engine) liveCount() int {
 	return n
 }
 
-// loop is the legacy scheduler (Config.NoFastPath): Algorithm 1's main
-// loop with the Choose made explicit through the Chooser. The fast
-// path (fastpath.go) runs the same decide/commit sequence; only who
-// drives it differs.
-func (e *Engine) loop() Outcome {
-	for {
-		alt, out, terminal := e.decideLoop()
-		if terminal {
-			return out
-		}
-		_, wasYield := e.prepare(alt)
-		e.executeStep(alt)
-		if e.wedge != nil {
-			// The granted step never completed: the thread is stuck in
-			// uncontrolled code. Do not record the step — a replay of
-			// the schedule so far reproduces the wedge-free prefix.
-			return Wedged
-		}
-		if out, done := e.commit(alt, wasYield); done {
-			return out
-		}
-	}
-}
-
 // decideLoop wraps decide, running agent steps inline: when the
-// chooser grants an agent (a flush step), there is no goroutine to
-// hand the baton to, so the engine executes the step on the spot —
-// the same prepare/Execute/commit sequence a thread step runs, just
-// without the handoff — and decides again, until a real thread is
-// granted or the execution ends. Every decide call site on both
-// scheduler paths goes through decideLoop, so agent steps land in
+// chooser grants an agent (a flush step), there is no coroutine to
+// switch to, so the engine executes the step on the spot — the same
+// prepare/Execute/commit sequence a thread step runs, just without
+// the switch — and decides again, until a real thread is granted or
+// the execution ends. Every decide call site, on a thread or on the
+// hub, goes through decideLoop, so agent steps land in
 // schedules, digests, traces, and fair-scheduler bookkeeping
 // identically with the fast path on or off.
 func (e *Engine) decideLoop() (alt Alt, out Outcome, terminal bool) {
@@ -580,9 +556,9 @@ func (e *Engine) prepare(alt Alt) (th *thread, wasYield bool) {
 	}
 	wasYield = op.Yielding()
 	e.lastInfo = op.Info()
-	// Per-thread accounting happens here, on the scheduler side of the
-	// handoff, so that result() never reads counters a wedged thread's
-	// goroutine might still be writing.
+	// Per-thread accounting happens here, inside the granting section,
+	// so that result() never reads counters a wedged thread might still
+	// be writing.
 	th.steps++
 	th.sinceLabel++
 	if wasYield {
@@ -688,73 +664,13 @@ func altLess(a, b Alt) bool {
 	return a.Arg < b.Arg
 }
 
-// executeStep (legacy path) wakes alt's prepared thread and waits
-// until it parks again or exits.
-func (e *Engine) executeStep(alt Alt) {
-	th := e.threads[alt.Tid]
-	e.launch(th)
-	var ev event
-	if e.cfg.Watchdog > 0 {
-		if e.wdTimer == nil {
-			e.wdTimer = time.NewTimer(e.cfg.Watchdog)
-		} else {
-			e.wdTimer.Reset(e.cfg.Watchdog)
-		}
-		select {
-		case ev = <-e.ready:
-			if !e.wdTimer.Stop() {
-				<-e.wdTimer.C
-			}
-		case <-e.wdTimer.C:
-			// The thread neither parked nor exited within the interval:
-			// it is wedged in uncontrolled code. Flag abort first so
-			// that, should the thread ever wake, it unwinds itself at
-			// its next scheduling point instead of touching engine
-			// state that is being torn down concurrently.
-			e.aborting.Store(true)
-			e.wedge = &WedgeInfo{
-				Tid:    th.id,
-				Name:   th.name,
-				LastOp: e.lastInfo,
-				Step:   e.stepCount,
-			}
-			return
-		}
-	} else {
-		ev = <-e.ready
-	}
-	switch ev.kind {
-	case evParked:
-		ev.th.status = statusParked
-	case evExited:
-		ev.th.status = statusExited
-		e.recycleWorker(ev.th)
-	}
-	if ev.th != th {
-		panic("engine: event from thread that was not scheduled")
-	}
-}
-
-// launch wakes a prepared thread: starts its goroutine (embryo) or
-// sends its resume token (parked).
-func (e *Engine) launch(th *thread) {
-	switch th.status {
-	case statusEmbryo:
-		th.status = statusRunning
-		e.startThread(th)
-	case statusParked:
-		th.status = statusRunning
-		th.resume <- struct{}{}
-	default:
-		panic(fmt.Sprintf("engine: scheduling thread %d in status %s", th.id, th.status))
-	}
-}
-
-// park publishes op as th's pending transition and blocks until the
-// scheduler grants it, then executes it (and any continuations).
-// Called from the thread's own goroutine via T.Do.
+// park publishes op as th's pending transition and returns once the
+// scheduler has granted it and it (with any continuations) has
+// executed. Called on the thread's own coroutine via T.Do.
 func (e *Engine) park(th *thread, op Op) {
 	if e.aborting.Load() {
+		// Covers a wedged thread reaching a scheduling point after the
+		// engine gave up on it.
 		panic(killSentinel{})
 	}
 	th.pending = op
@@ -762,19 +678,13 @@ func (e *Engine) park(th *thread, op Op) {
 		e.parkFast(th)
 		return
 	}
+	// NoFastPath: the thread decides nothing. It opens the section and
+	// hands it to the hub, which commits, decides and resumes the grantee.
 	for {
-		if e.aborting.Load() {
-			// Covers a wedged thread completing a continuation after the
-			// engine gave up on it: unwind instead of re-parking.
-			panic(killSentinel{})
-		}
-		e.ready <- event{kind: evParked, th: th}
-		<-th.resume
-		if e.aborting.Load() {
-			panic(killSentinel{})
-		}
-		cur := th.pending
-		cont := cur.Execute()
+		e.enterSection()
+		th.status = statusParked
+		e.yieldToHub(th)
+		cont := th.pending.Execute()
 		if cont == nil {
 			return
 		}
@@ -782,30 +692,42 @@ func (e *Engine) park(th *thread, op Op) {
 	}
 }
 
-// runThread is the top of a single-use model goroutine: it runs the
-// body, converts panics into violations or clean unwinds, and always
-// reports exit to the scheduler. Pooled engines run bodies on reusable
-// worker goroutines instead (worker.go), which share this defer via
-// finishThread.
+// runThread runs one thread body on its worker coroutine: it converts
+// panics into violations or clean unwinds and marks the thread exited.
+// The worker then switches back to the hub (worker.go), which runs the
+// exit's scheduling point.
 func (e *Engine) runThread(th *thread) {
+	returned := false
 	defer func() {
-		if r := recover(); r != nil {
-			e.recoverBody(th, r)
+		r := recover()
+		goexit := r == nil && !returned
+		// The exit opens a section the hub finishes. It cannot be opened
+		// when the engine is aborting — an unwind, or a wedged thread
+		// waking after the engine gave up on it — and then the thread
+		// touches no engine state: the teardown owns it.
+		if e.tryEnterSection() {
+			switch {
+			case r != nil:
+				e.recoverBody(th, r)
+			case goexit && e.violation == nil:
+				e.violation = &ViolationInfo{Tid: th.id, Msg: fmt.Sprintf(
+					"%s called runtime.Goexit (testing.T.FailNow, Fatal or SkipNow?)", th.name)}
+			}
+			th.status = statusExited
 		}
-		e.finishThread(th)
+		if goexit {
+			// iter.Pull re-raises a coroutine's Goexit in whoever resumes
+			// it, which would kill the caller of Run. So this coroutine
+			// never finishes: it is retired here, parked for good, and is
+			// the one goroutine such a body leaks.
+			th.w.dead = true
+			for {
+				th.w.yield(struct{}{})
+			}
+		}
 	}()
 	th.body(&T{e: e, th: th})
-}
-
-// finishThread reports a completed body to the scheduler. On the fast
-// path the dying goroutine runs the scheduling point itself (exitFast);
-// when that is not possible — legacy path, abort in progress, poisoned
-// gate — it falls back to the engine-mediated exit event.
-func (e *Engine) finishThread(th *thread) {
-	if e.fast && e.exitFast(th) {
-		return
-	}
-	e.ready <- event{kind: evExited, th: th}
+	returned = true
 }
 
 // recoverBody converts a panic that unwound a thread body into a
@@ -826,7 +748,7 @@ func (e *Engine) recoverBody(th *thread, r any) {
 }
 
 // fail records a safety violation on behalf of th and unwinds its
-// goroutine. It does not return.
+// body. It does not return.
 func (e *Engine) fail(th *thread, msg string) {
 	if e.violation == nil {
 		e.violation = &ViolationInfo{Tid: th.id, Msg: msg}
@@ -834,18 +756,20 @@ func (e *Engine) fail(th *thread, msg string) {
 	panic(killSentinel{})
 }
 
-// abort unwinds every remaining model goroutine so Run leaks nothing.
-// The one exception is a wedged thread: it is stuck in uncontrolled
-// code, cannot be unwound, and is leaked (it self-destructs at its
-// next scheduling point, should it ever reach one).
+// abort unwinds every remaining model thread so Run leaks nothing: each
+// parked thread is resumed once, observes aborting and unwinds back to
+// its worker's idle loop. The one exception is a wedged thread: it is
+// stuck in uncontrolled code, cannot be unwound, and is leaked with the
+// hub that resumed it (it self-destructs at its next scheduling point,
+// should it ever reach one).
 func (e *Engine) abort() {
 	e.aborting.Store(true)
 	for _, th := range e.threads {
 		switch th.status {
 		case statusParked:
-			th.resume <- struct{}{}
-			e.drainUntilExit(th)
+			th.w.next()
 			th.status = statusExited
+			e.recycleWorker(th)
 		case statusEmbryo, statusAgent:
 			th.status = statusExited
 		case statusRunning:
@@ -854,31 +778,6 @@ func (e *Engine) abort() {
 			}
 			panic("engine: thread still running at abort")
 		}
-	}
-}
-
-// drainUntilExit consumes ready events until th reports exit. After a
-// wedge the stuck thread may wake at any moment and interleave its own
-// unwind events with the abort handshake; those are absorbed here.
-func (e *Engine) drainUntilExit(th *thread) {
-	for {
-		ev := <-e.ready
-		if ev.th == th && ev.kind == evExited {
-			e.recycleWorker(th)
-			return
-		}
-		if e.wedge != nil && ev.th.id == e.wedge.Tid {
-			switch ev.kind {
-			case evExited:
-				ev.th.status = statusExited
-			case evParked:
-				// It reached a scheduling point after all: grant one
-				// resume so the park loop observes aborting and unwinds.
-				ev.th.resume <- struct{}{}
-			}
-			continue
-		}
-		panic("engine: unexpected event during abort")
 	}
 }
 

@@ -325,24 +325,146 @@ func TestReplayAbortsWhenScheduleExhausted(t *testing.T) {
 	}
 }
 
-func TestNoGoroutineLeaks(t *testing.T) {
-	before := runtime.NumGoroutine()
-	for i := 0; i < 50; i++ {
-		// Mix of outcomes, including aborts with threads mid-flight.
-		engine.Run(fig3, &engine.ReplayChooser{
-			Schedule: []engine.Alt{{Tid: 0, Arg: -1}, {Tid: 0, Arg: -1}, {Tid: 1, Arg: -1}},
-			Mode:     engine.ReplayThenAbort,
-		}, cfg())
-		engine.Run(fig3, engine.FirstChooser{}, cfg())
-	}
-	// Allow the runtime a moment to retire exiting goroutines.
+// settleGoroutines polls until at most max goroutines are left or a
+// deadline passes (the runtime retires exiting goroutines on its own
+// time) and returns the last count.
+func settleGoroutines(max int) int {
 	deadline := time.Now().Add(2 * time.Second)
-	for runtime.NumGoroutine() > before+2 && time.Now().Before(deadline) {
+	for runtime.NumGoroutine() > max && time.Now().Before(deadline) {
 		runtime.Gosched()
 	}
-	after := runtime.NumGoroutine()
-	if after > before+2 {
+	return runtime.NumGoroutine()
+}
+
+// deadlockProg deadlocks under every schedule: the child blocks on the
+// mutex main holds while main joins it.
+func deadlockProg(t *engine.T) {
+	m := syncmodel.NewMutex(t, "m")
+	m.Lock(t)
+	h := t.Go("child", func(t *engine.T) { m.Lock(t) })
+	h.Join(t)
+}
+
+func TestNoGoroutineLeaks(t *testing.T) {
+	before := runtime.NumGoroutine()
+	abortMidFlight := func() engine.Chooser {
+		return &engine.ReplayChooser{
+			Schedule: []engine.Alt{{Tid: 0, Arg: -1}, {Tid: 0, Arg: -1}, {Tid: 1, Arg: -1}},
+			Mode:     engine.ReplayThenAbort,
+		}
+	}
+	for i := 0; i < 50; i++ {
+		// Mix of outcomes, including aborts with threads mid-flight.
+		engine.Run(fig3, abortMidFlight(), cfg())
+		engine.Run(fig3, engine.FirstChooser{}, cfg())
+	}
+	if after := settleGoroutines(before + 2); after > before+2 {
 		t.Fatalf("goroutines leaked: before %d, after %d", before, after)
+	}
+
+	// A pool keeps its worker coroutines (goroutines, to the runtime)
+	// between runs, whatever the outcome; Close retires all of them.
+	before = runtime.NumGoroutine()
+	var pool engine.Pool
+	for i := 0; i < 20; i++ {
+		for _, run := range []struct {
+			prog func(*engine.T)
+			ch   engine.Chooser
+			want engine.Outcome
+		}{
+			{fig3, engine.FirstChooser{}, engine.Terminated},
+			{func(t *engine.T) { t.Go("bad", func(t *engine.T) { t.Failf("boom") }) }, maxTidChooser{}, engine.Violation},
+			{deadlockProg, engine.FirstChooser{}, engine.Deadlock},
+			{fig3, abortMidFlight(), engine.Aborted},
+		} {
+			if r := pool.Run(run.prog, run.ch, cfg()); r.Outcome != run.want {
+				t.Fatalf("pooled run %d: outcome = %v, want %v", i, r.Outcome, run.want)
+			}
+		}
+	}
+	if during := runtime.NumGoroutine(); during <= before {
+		t.Fatalf("pool holds no worker between runs: %d goroutines, %d before", during, before)
+	}
+	pool.Close()
+	if after := settleGoroutines(before); after > before {
+		t.Fatalf("goroutines leaked past Pool.Close: before %d, after %d", before, after)
+	}
+}
+
+// TestGoexitInBody: runtime.Goexit in a thread body — what
+// testing.T.FailNow does — must not kill the goroutine that called Run
+// (iter.Pull re-raises a coroutine's Goexit in its resumer). The
+// execution ends with a violation naming the thread, at the price of
+// one leaked coroutine, and a Pool stays usable.
+func TestGoexitInBody(t *testing.T) {
+	prog := func(t *engine.T) {
+		v := syncmodel.NewIntVar(t, "v", 0)
+		h := t.Go("quitter", func(t *engine.T) {
+			v.Store(t, 1)
+			runtime.Goexit()
+		})
+		h.Join(t)
+	}
+	// run calls f on a goroutine of its own: a Goexit that escapes the
+	// engine closes the channel without a result instead of ending the
+	// test goroutine.
+	run := func(f func() *engine.Result) *engine.Result {
+		ch := make(chan *engine.Result, 1)
+		go func() {
+			defer close(ch)
+			ch <- f()
+		}()
+		return <-ch
+	}
+	check := func(what string, r *engine.Result) {
+		t.Helper()
+		if r == nil {
+			t.Fatalf("%s: Goexit in a body killed Run's caller", what)
+		}
+		if r.Outcome != engine.Violation || r.Violation == nil || r.Violation.Tid != 1 ||
+			!strings.Contains(r.Violation.Msg, "quitter") || !strings.Contains(r.Violation.Msg, "Goexit") {
+			t.Fatalf("%s: outcome %v, violation %v; want a violation naming thread 1 (quitter) and Goexit",
+				what, r.Outcome, r.Violation)
+		}
+	}
+	before := runtime.NumGoroutine()
+	for _, wd := range []time.Duration{0, time.Second} {
+		c := cfg()
+		c.Watchdog = wd
+		check("single-use", run(func() *engine.Result { return engine.Run(prog, engine.FirstChooser{}, c) }))
+	}
+	var pool engine.Pool
+	check("pooled", run(func() *engine.Result { return pool.Run(prog, engine.FirstChooser{}, cfg()) }))
+	for i := 0; i < 3; i++ {
+		if r := run(func() *engine.Result { return pool.Run(fig3, engine.FirstChooser{}, cfg()) }); r == nil || r.Outcome != engine.Terminated {
+			t.Fatalf("pool unusable after a Goexit run: %+v", r)
+		}
+	}
+	pool.Close()
+	// Three executions called Goexit: at most three coroutines stay.
+	if after := settleGoroutines(before + 3); after > before+3 {
+		t.Fatalf("goroutines leaked: before %d, after %d, want at most 3 more", before, after)
+	}
+}
+
+// TestHubPanicReachesCaller: a panic on the hub — here a chooser's, at
+// the first decision — surfaces in the goroutine that called Run, where
+// the search's recover can see it, also when the watchdog has put the
+// hub on a goroutine of its own.
+func TestHubPanicReachesCaller(t *testing.T) {
+	for _, wd := range []time.Duration{0, time.Second} {
+		c := cfg()
+		c.Watchdog = wd
+		func() {
+			defer func() {
+				if p := recover(); p != "chooser boom" {
+					t.Fatalf("watchdog %v: recovered %v, want the chooser's panic", wd, p)
+				}
+			}()
+			engine.Run(fig3, engine.FuncChooser(func(*engine.ChooseContext) (engine.Alt, bool) {
+				panic("chooser boom")
+			}), c)
+		}()
 	}
 }
 

@@ -1,59 +1,92 @@
 package engine
 
 import (
+	"fmt"
 	"runtime"
 	"time"
 )
 
-// The fast path removes the engine goroutine from the per-step hot
-// path. In the legacy handshake every scheduling point costs two
-// channel handoffs and two goroutine context switches: the thread
-// parks (ready <-), the engine decides, the engine wakes someone
-// (resume <-). But exactly one model goroutine logically runs at a
-// time, so the running thread can carry the scheduling baton itself:
-// at its own park it commits the step it just finished, decides the
-// next one, and
+// Exactly one model thread logically runs at a time, so the engine
+// needs no parallelism from its threads, only separate stacks: every
+// thread body runs on a coroutine (worker.go), and the goroutine inside
+// Engine.run — the hub — switches to the granted thread directly. A
+// switch is a register swap on the same OS thread; the Go scheduler has
+// no part in it.
 //
-//   - keeps running when it granted itself the next step (zero
-//     handoffs — the batching win: a thread with the only schedulable
+// The fast path keeps even the hub out of most steps. The running
+// thread carries the scheduling baton itself: at its own park it
+// commits the step it just finished, decides the next one, and
+//
+//   - keeps running when it granted itself the next step (no switch at
+//     all — the batching win: a thread with the only schedulable
 //     transition executes a whole run of steps inline),
-//   - hands the baton directly to the next thread (one handoff
-//     instead of two), or
-//   - stashes a terminal outcome and wakes the engine goroutine.
+//   - switches back to the hub when it granted another thread; the hub
+//     switches to the grantee (two coroutine switches), or
+//   - stashes a terminal outcome and switches back to the hub.
 //
-// The engine goroutine only participates at spawn-free boundaries:
-// thread exits (the dying goroutine cannot decide on behalf of the
-// program) and terminal outcomes. Both paths execute the identical
-// decide/prepare/commit sequence in the identical order, so
-// schedules, digests, traces, events, and counters are byte-for-byte
-// the same with the fast path on or off.
+// A thread returns to the hub in one more place: when its body
+// finishes. The hub then runs that scheduling point (the finished
+// coroutine cannot decide on behalf of the program and keep running).
+// Under Config.NoFastPath the thread decides nothing and hands every
+// scheduling point to the hub. Thread or hub, it is the identical
+// decide/prepare/commit sequence in the identical order, so schedules,
+// digests, traces, events and counters are byte-for-byte the same with
+// the fast path on or off.
 //
-// Concurrency protocol. Engine state is only touched inside "inline
-// sections" guarded by e.schedGate (a tiny CAS lock): the baton holder
-// holds it for the duration of one commit/decide/grant and never
-// across user code, and baton handoffs (channel send/receive pairs and
-// go statements) give the happens-before edges that order one
-// section after the previous one. The only concurrent party is the
-// watchdog in e.await: it watches e.progress, and on a stall poisons
-// the gate (CAS 0→2) so no further section can start, which makes
-// declaring the wedge race-free. A genuine wedge always happens in
-// user code — never inside a section — so the poison CAS succeeds
-// exactly when the baton holder is stuck.
+// Concurrency protocol. Engine state is only touched inside "sections"
+// guarded by e.schedGate. A thread opens a section when it reaches a
+// scheduling point or finishes (CAS 0→1); whoever ends it — the thread
+// granting itself, or the hub about to switch to the grantee — bumps
+// e.progress and stores 0 immediately before user code runs. A section
+// travels with the coroutine switch: a thread that switches to the hub
+// hands it the open section, and the switch is the happens-before edge
+// that orders one section after the previous one. The hub never opens a
+// section: it starts with one (run) and afterwards only inherits them.
+// The only concurrent party is the watchdog (watch), which runs on the
+// caller's goroutine while the hub runs on its own: it watches
+// e.progress, and on a stall poisons the gate (CAS 0→2) so no further
+// section can open, which makes declaring the wedge race-free. A
+// genuine wedge always happens in user code — never inside a section —
+// so the poison CAS succeeds exactly when the running thread is stuck.
+// From then on the engine belongs to the caller's goroutine; the stuck
+// thread and the hub blocked in the switch to it touch nothing but
+// e.aborting and their own coroutine (switchTo).
 
-// enterSection acquires the scheduling gate for an inline section.
-// Model threads never contend with each other for it (one baton); the
-// loop only spins when the watchdog poisoned the gate, in which case
-// the thread unwinds as soon as the abort flag is up.
+// enterSection opens a section from a model thread. Threads never
+// contend with each other for the gate (one runs at a time); the loop
+// only spins when the watchdog poisoned it, in which case the thread
+// unwinds as soon as the abort flag is up.
 func (e *Engine) enterSection() {
 	if !e.tryEnterSection() {
 		panic(killSentinel{})
 	}
 }
 
-// Sections end with e.progress.Add(1) followed by e.schedGate.Store(0)
-// at each site; the progress bump must precede the release because the
-// watchdog re-checks progress after poisoning the gate and must see
-// the bump of any section that completed first.
+// tryEnterSection is enterSection for callers that cannot unwind: it
+// reports failure instead of panicking when the engine is aborting.
+func (e *Engine) tryEnterSection() bool {
+	for {
+		// aborting is checked before the CAS: a section must never open
+		// concurrently with the teardown.
+		if e.aborting.Load() {
+			return false
+		}
+		if e.schedGate.CompareAndSwap(0, 1) {
+			return true
+		}
+		runtime.Gosched()
+	}
+}
+
+// yieldToHub switches from th's coroutine to the hub, handing it the
+// open section, and returns when th is resumed: granted again, or by
+// the abort teardown, which unwinds it.
+func (e *Engine) yieldToHub(th *thread) {
+	th.w.yield(struct{}{})
+	if e.aborting.Load() {
+		panic(killSentinel{})
+	}
+}
 
 // parkFast is the fast-path park loop: the running thread, arriving at
 // its next scheduling point with th.pending already published, drives
@@ -63,7 +96,7 @@ func (e *Engine) parkFast(th *thread) {
 		e.enterSection()
 		// From here the thread is logically parked at its scheduling
 		// point — observable state (fingerprints encode thread status)
-		// must match the slow path's evParked handling exactly.
+		// must not depend on who runs the section.
 		th.status = statusParked
 		// Commit the step that granted us this window: its
 		// enabled-set-after must see our newly published pending op.
@@ -76,34 +109,16 @@ func (e *Engine) parkFast(th *thread) {
 				target, wasYield := e.prepare(alt)
 				e.setPending(target, alt, wasYield)
 				if target == th {
-					// Self-grant: continue executing with no handoff.
+					// Self-grant: continue executing with no switch.
 					th.status = statusRunning
 					e.inlineCnt++
 					e.progress.Add(1)
 					e.schedGate.Store(0)
-					cur := th.pending
-					cont := cur.Execute()
-					if cont == nil {
-						return
-					}
-					th.pending = cont
-					continue
-				}
-				// Direct baton handoff to another thread. All engine
-				// state is settled before the gate is released; the
-				// wake itself happens outside the section (a buffered
-				// send or a go statement — never blocking).
-				e.handoffs++
-				embryo := target.status == statusEmbryo
-				target.status = statusRunning
-				e.progress.Add(1)
-				e.schedGate.Store(0)
-				if embryo {
-					e.startThread(target)
 				} else {
-					target.resume <- struct{}{}
+					// A change of thread: the hub switches to the grantee.
+					e.handoffs++
+					e.yieldToHub(th)
 				}
-				e.waitResume(th)
 				cur := th.pending
 				cont := cur.Execute()
 				if cont == nil {
@@ -113,90 +128,12 @@ func (e *Engine) parkFast(th *thread) {
 				continue
 			}
 		}
-		// Terminal outcome decided on a thread: stash it for the
-		// engine goroutine and park for good (only abort wakes us).
+		// Terminal outcome decided on a thread: stash it for the hub and
+		// park for good (only abort resumes us).
+		e.stashed = true
 		e.stashOut = out
-		e.progress.Add(1)
-		e.schedGate.Store(0)
-		e.ready <- event{kind: evStashed, th: th}
-		e.waitResume(th)
+		e.yieldToHub(th)
 		panic("engine: stashed thread resumed outside abort")
-	}
-}
-
-// exitFast is parkFast's counterpart at a thread's death: the dying
-// goroutine — still perfectly able to run one more inline section —
-// carries the baton across its own exit instead of bouncing through
-// the engine goroutine. It commits the step that was granted to the
-// thread, decides the next one, and either hands the baton to the next
-// thread or stashes the terminal outcome. Returns false when the
-// section cannot be entered (abort in progress or gate poisoned); the
-// caller then falls back to the engine-mediated evExited handshake,
-// which the abort drain expects.
-func (e *Engine) exitFast(th *thread) bool {
-	if !e.tryEnterSection() {
-		return false
-	}
-	th.status = statusExited
-	if e.pendTh != th {
-		panic("engine: exiting thread was not the scheduled thread")
-	}
-	// Requeue this goroutine's worker before deciding: a spawn granted
-	// below may reuse it (its job channel is buffered, so handing a
-	// body to a worker that is still unwinding here never blocks).
-	e.recycleWorker(th)
-	out, done := e.commit(e.pendAlt, e.pendYield)
-	if !done {
-		var alt Alt
-		var terminal bool
-		alt, out, terminal = e.decideLoop()
-		if !terminal {
-			// th is exited and never a candidate, so target != th.
-			target, wasYield := e.prepare(alt)
-			e.setPending(target, alt, wasYield)
-			e.handoffs++
-			embryo := target.status == statusEmbryo
-			target.status = statusRunning
-			e.progress.Add(1)
-			e.schedGate.Store(0)
-			if embryo {
-				e.startThread(target)
-			} else {
-				target.resume <- struct{}{}
-			}
-			return true
-		}
-	}
-	e.stashOut = out
-	e.progress.Add(1)
-	e.schedGate.Store(0)
-	e.ready <- event{kind: evStashed, th: th}
-	return true
-}
-
-// tryEnterSection is enterSection for callers that cannot unwind: it
-// reports failure instead of panicking when the engine is aborting.
-func (e *Engine) tryEnterSection() bool {
-	for {
-		// aborting is checked before the CAS: during the final abort the
-		// gate is free, and a section must never start concurrently with
-		// the teardown.
-		if e.aborting.Load() {
-			return false
-		}
-		if e.schedGate.CompareAndSwap(0, 1) {
-			return true
-		}
-		runtime.Gosched()
-	}
-}
-
-// waitResume blocks until this thread is granted again (by a baton
-// handoff, the engine goroutine, or the abort teardown).
-func (e *Engine) waitResume(th *thread) {
-	<-th.resume
-	if e.aborting.Load() {
-		panic(killSentinel{})
 	}
 }
 
@@ -208,101 +145,152 @@ func (e *Engine) setPending(th *thread, alt Alt, wasYield bool) {
 	e.pendYield = wasYield
 }
 
-// loopFast is the engine goroutine's half of the fast path: grant the
-// first step, then absorb thread exits and stashed terminal outcomes
-// while the threads schedule each other.
-func (e *Engine) loopFast() Outcome {
-	alt, out, terminal := e.decideLoop()
-	if terminal {
-		return out
-	}
-	th, wasYield := e.prepare(alt)
-	e.setPending(th, alt, wasYield)
-	e.progress.Add(1)
-	e.launch(th)
-	for {
-		ev, wedged := e.await()
-		if wedged {
-			return Wedged
+// loop is the hub: Algorithm 1's main loop with the Choose made
+// explicit through the Chooser. It decides the first step and every
+// scheduling point a thread hands back undecided — each one under
+// NoFastPath, only thread exits on the fast path — and in between
+// switches to whichever thread holds the pending step. It runs inside a
+// section except while switched away.
+func (e *Engine) loop() Outcome {
+	for first := true; ; first = false {
+		alt, out, terminal := e.decideLoop()
+		if terminal {
+			return out
 		}
-		switch ev.kind {
-		case evStashed:
-			// The stashing goroutine already settled ev.th's status:
-			// parked (parkFast) or exited (exitFast).
-			return e.stashOut
-		case evExited:
-			ev.th.status = statusExited
-			e.recycleWorker(ev.th)
-			if ev.th != e.pendTh {
-				panic("engine: exit event from thread that was not scheduled")
+		th, wasYield := e.prepare(alt)
+		e.setPending(th, alt, wasYield)
+		if e.fast && !first {
+			// A fast-path thread hands a scheduling point back only by
+			// exiting, so this grant changes thread. (The first grant and
+			// NoFastPath's count as neither handoff nor inline step.)
+			e.handoffs++
+		}
+		// Run the grantee and then whoever the threads grant inline,
+		// until one hands its scheduling point back or ends the execution.
+		for {
+			if !e.switchTo(th) {
+				return Wedged
 			}
-			if out, done := e.commit(e.pendAlt, e.pendYield); done {
-				return out
+			if e.stashed {
+				return e.stashOut
 			}
-			alt, out, terminal := e.decideLoop()
-			if terminal {
-				return out
+			if e.pendTh == th {
+				break
 			}
-			th, wasYield := e.prepare(alt)
-			e.setPending(th, alt, wasYield)
-			e.progress.Add(1)
-			e.launch(th)
-		default:
-			panic("engine: unexpected park event on fast path")
+			th = e.pendTh
+		}
+		if th.status == statusExited {
+			e.recycleWorker(th)
+		}
+		if out, done := e.commit(e.pendAlt, e.pendYield); done {
+			return out
 		}
 	}
 }
 
-// await waits for the next thread event, running the watchdog. A
-// single baton handoff is invisible to the engine goroutine, so the
-// fast-path watchdog watches the progress counter instead: when no
-// scheduling point completes for a full interval, the thread holding
-// the baton is stuck in uncontrolled code. Poisoning the gate before
-// declaring the wedge closes the race with a section that is just
-// starting or just finished.
-func (e *Engine) await() (event, bool) {
-	if e.cfg.Watchdog <= 0 {
-		return <-e.ready, false
+// switchTo ends the hub's section and runs th until a thread switches
+// back with the next one open. It reports false when instead the
+// watchdog declared th wedged while it ran and th, waking later, unwound
+// without opening a section: this hub was abandoned along with th, the
+// engine belongs to the caller's goroutine, and all that is left to do
+// is retire th's coroutine.
+func (e *Engine) switchTo(th *thread) bool {
+	switch th.status {
+	case statusEmbryo:
+		e.startThread(th)
+	case statusParked:
+	default:
+		panic(fmt.Sprintf("engine: scheduling thread %d in status %s", th.id, th.status))
 	}
-	if e.wdTimer == nil {
+	th.status = statusRunning
+	w := th.w
+	e.progress.Add(1)
+	e.schedGate.Store(0)
+	w.next()
+	if e.aborting.Load() {
+		if !w.dead {
+			w.stop()
+		}
+		return false
+	}
+	return true
+}
+
+// hubExit is what a hub on its own goroutine leaves behind: its
+// outcome, or the panic that ended it (an invalid chooser answer, a
+// failed invariant), which watch re-raises in Run's caller.
+type hubExit struct {
+	out      Outcome
+	panicked any
+}
+
+// hub runs loop on a goroutine of its own, for watch.
+func (e *Engine) hub() {
+	var x hubExit
+	defer func() {
+		x.panicked = recover()
+		e.hubDone <- x
+	}()
+	x.out = e.loop()
+}
+
+// watch runs the hub on its own goroutine and the watchdog on the
+// caller's. A switch between threads is invisible from outside, so the
+// watchdog watches the progress counter: when no section completes for
+// a full interval, the thread holding the pending step is stuck in
+// uncontrolled code. Poisoning the gate before declaring the wedge
+// closes the race with a section that is just opening or just ended.
+func (e *Engine) watch() Outcome {
+	// Channel and timer are the engine's, not the run's: a pooled engine
+	// under the CLI's default watchdog runs hundreds of thousands of
+	// short executions. (A wedged engine, whose abandoned hub may still
+	// send, is never run again.)
+	if e.hubDone == nil {
+		e.hubDone = make(chan hubExit, 1) // an abandoned hub's send must not block
 		e.wdTimer = time.NewTimer(e.cfg.Watchdog)
 	} else {
 		e.wdTimer.Reset(e.cfg.Watchdog)
 	}
+	go e.hub()
+	timer := e.wdTimer
 	last := e.progress.Load()
 	for {
 		select {
-		case ev := <-e.ready:
-			if !e.wdTimer.Stop() {
-				<-e.wdTimer.C
+		case x := <-e.hubDone:
+			if !timer.Stop() {
+				select {
+				case <-timer.C:
+				default:
+				}
 			}
-			return ev, false
-		case <-e.wdTimer.C:
+			if x.panicked != nil {
+				panic(x.panicked)
+			}
+			return x.out
+		case <-timer.C:
+			timer.Reset(e.cfg.Watchdog)
 			p := e.progress.Load()
 			if p != last {
 				// Steps completed during the interval: not stuck.
 				last = p
-				e.wdTimer.Reset(e.cfg.Watchdog)
 				continue
 			}
 			if !e.schedGate.CompareAndSwap(0, 2) {
-				// A thread is inside an inline section right now, so
-				// progress is imminent; check again next interval.
-				e.wdTimer.Reset(e.cfg.Watchdog)
+				// A section is open right now, so progress is imminent;
+				// check again next interval.
 				continue
 			}
 			if e.progress.Load() != p {
-				// A section completed between the progress check and
-				// the poison CAS: un-poison and keep waiting.
+				// A section completed between the progress check and the
+				// poison CAS: un-poison and keep waiting.
 				e.schedGate.Store(0)
 				last = e.progress.Load()
-				e.wdTimer.Reset(e.cfg.Watchdog)
 				continue
 			}
 			// Quiescent and poisoned: the pending step's thread never
-			// reached its next scheduling point. Flag abort first so
-			// the stuck goroutine unwinds itself if it ever wakes.
-			e.aborting.Store(true)
+			// reached its next scheduling point. The wedge is written
+			// before the abort flag goes up: whoever observes the flag
+			// may read it.
 			th := e.pendTh
 			e.wedge = &WedgeInfo{
 				Tid:    th.id,
@@ -310,7 +298,8 @@ func (e *Engine) await() (event, bool) {
 				LastOp: e.lastInfo,
 				Step:   e.stepCount,
 			}
-			return event{}, true
+			e.aborting.Store(true)
+			return Wedged
 		}
 	}
 }

@@ -3,10 +3,12 @@
 //
 // CHESS controls a real program by intercepting every Win32/.NET
 // synchronization API. We obtain the same control by construction:
-// model threads are goroutines that perform every shared-state access
-// through an Op published at a scheduling point, where the goroutine
-// parks until the checker grants it the step. Exactly one model
-// goroutine runs at a time, so execution is fully deterministic and an
+// model threads are coroutines that perform every shared-state access
+// through an Op published at a scheduling point, where the thread
+// parks until the checker grants it the step and switches to it.
+// Exactly one model thread runs at a time — the engine does all the
+// scheduling, the Go scheduler none — so execution is fully
+// deterministic and an
 // execution is replayable from its schedule (the sequence of
 // (thread, choice) decisions) alone — the essence of stateless model
 // checking.
@@ -20,15 +22,15 @@ import (
 
 // Op is one pending operation of a parked thread: the thread's next
 // transition. The engine queries Enabled to build the enabled set ES
-// and runs Execute (in the owning goroutine) when the scheduler grants
-// the step.
+// and runs Execute (on the owning thread's coroutine) when the
+// scheduler grants the step.
 type Op interface {
 	// Enabled reports whether the transition can currently fire.
 	// A thread whose pending op is disabled is blocked.
 	Enabled() bool
 
-	// Execute applies the transition's effect. It runs in the owning
-	// thread's goroutine, strictly serialized with all other model
+	// Execute applies the transition's effect. It runs on the owning
+	// thread's coroutine, strictly serialized with all other model
 	// code. A non-nil return value is a continuation: the thread
 	// re-parks with that op instead of resuming user code (used for
 	// multi-phase operations such as condition-variable wait, which
@@ -117,7 +119,7 @@ const noChoice = -1
 // running (before the parent's spawn transition is scheduled), so the
 // start transition is enabled only once the parent's spawn op has
 // actually executed (th.armed). Execute is never called; the engine
-// starts the goroutine instead.
+// starts the body on a worker instead.
 type startOp struct {
 	th *thread
 }

@@ -9,16 +9,16 @@ import (
 // search performs. It is a single-slot freelist: a sequential driver
 // (a searcher, or one worker goroutine of a parallel driver) runs one
 // execution at a time, so one retained engine — with its thread
-// records, resume channels, step buffers, and scratch space — captures
-// all the reuse there is. A Pool must not be shared between goroutines
-// without external synchronization.
+// records, worker coroutines, step buffers, and scratch space —
+// captures all the reuse there is. A Pool must not be shared between
+// goroutines without external synchronization.
 type Pool struct {
 	free *Engine
 }
 
 // Run is engine.Run drawing the Engine from the pool and returning it
-// afterwards. Engines that end wedged are discarded: the wedged
-// goroutine is leaked and may still touch the engine if it ever wakes.
+// afterwards. Engines that end wedged are discarded: the wedged thread
+// and the hub that resumed it are leaked and still hold the engine.
 // The Result owns its Schedule/Trace/Digests slices (unlike a
 // single-use engine's Result, which aliases buffers that die with the
 // engine), so callers may retain it across executions.
@@ -40,16 +40,16 @@ func (p *Pool) Run(body func(*T), chooser Chooser, cfg Config) *Result {
 		p.free = e
 	} else {
 		// Discarded engine: retire its idle workers so only the stuck
-		// goroutine itself is leaked.
+		// thread (and its hub) is leaked.
 		e.releaseWorkers()
 	}
 	return r
 }
 
-// Close retires the pooled engine's idle worker goroutines. Callers
+// Close retires the pooled engine's idle worker coroutines. Callers
 // that created a Pool should Close it when their search finishes; a
-// dropped pool without Close leaks one parked goroutine per reused
-// thread record until process exit.
+// dropped pool without Close leaks one parked coroutine (a goroutine,
+// to the runtime) per worker until process exit.
 func (p *Pool) Close() {
 	if e := p.free; e != nil {
 		p.free = nil
@@ -59,9 +59,9 @@ func (p *Pool) Close() {
 
 // reset returns a finished engine to its pre-run state, keeping every
 // allocation that can be kept. It must only run after run() returned:
-// by then abort has unwound every goroutine (wedged engines never get
-// here), every resume token and ready event has been consumed, and no
-// other goroutine can touch the engine.
+// by then abort has unwound every thread (wedged engines never get
+// here), every worker idles, and no other goroutine can touch the
+// engine.
 func (e *Engine) reset(chooser Chooser, cfg Config) {
 	if e.wedge != nil {
 		panic("engine: resetting a wedged engine")
@@ -78,8 +78,7 @@ func (e *Engine) reset(chooser Chooser, cfg Config) {
 	} else {
 		e.fair = nil
 	}
-	// Recycle thread records (with their resume channels) through the
-	// freelist newThread pops from.
+	// Recycle thread records through the freelist allocThread pops from.
 	e.thFree = append(e.thFree, e.threads...)
 	for i := range e.threads {
 		e.threads[i] = nil
@@ -106,12 +105,12 @@ func (e *Engine) reset(chooser Chooser, cfg Config) {
 	e.prevYielded = false
 	e.lastInfo = OpInfo{}
 	e.esReady = false
-	e.schedGate.Store(0)
 	e.progress.Store(0)
 	e.pendTh = nil
 	e.pendAlt = Alt{}
 	e.pendYield = false
 	e.pendDig = StepDigest{}
+	e.stashed = false
 	e.stashOut = 0
 	e.inlineCnt = 0
 	e.handoffs = 0

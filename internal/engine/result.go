@@ -31,8 +31,8 @@ const (
 	// Wedged: the scheduled thread failed to reach its next scheduling
 	// point within Config.Watchdog — it is blocked or spinning outside
 	// the checker's API, so the engine can neither continue nor unwind
-	// it. The execution ends, the offending thread's goroutine is
-	// leaked, and Result.Wedge identifies it.
+	// it. The execution ends, the offending thread is leaked (with the
+	// hub that resumed it), and Result.Wedge identifies it.
 	Wedged
 )
 

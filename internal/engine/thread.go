@@ -9,12 +9,12 @@ import (
 type threadStatus int8
 
 const (
-	statusEmbryo  threadStatus = iota // spawned, goroutine not yet started
-	statusParked                      // goroutine parked at a scheduling point
-	statusRunning                     // goroutine executing between scheduling points
+	statusEmbryo  threadStatus = iota // spawned, body not yet started
+	statusParked                      // parked at a scheduling point
+	statusRunning                     // executing between scheduling points
 	statusExited                      // body returned (or was killed during abort)
 	// statusAgent marks a scheduler agent (Engine.AddAgent): a thread
-	// record with no goroutine whose pending op the engine executes
+	// record with no coroutine whose pending op the engine executes
 	// inline when the search schedules it. Agents hold this status for
 	// the whole execution (abort retires them to statusExited). The
 	// value comes after statusExited so the status bytes of ordinary
@@ -46,10 +46,9 @@ type thread struct {
 	body   func(*T)
 	status threadStatus
 
-	pending Op   // valid while status is embryo or parked
-	armed   bool // spawn transition executed; start is schedulable
-	resume  chan struct{}
-	w       *worker // pooled engines: goroutine running this body
+	pending Op      // valid while status is embryo or parked
+	armed   bool    // spawn transition executed; start is schedulable
+	w       *worker // coroutine running this body, from start to exit
 
 	pc         int   // last Label() value, for state fingerprints
 	sinceLabel int   // transitions since the last Label (intra-label pc)
@@ -61,7 +60,7 @@ type thread struct {
 	parent     tidset.Tid
 }
 
-// killSentinel is panicked through a model goroutine to unwind it when
+// killSentinel is panicked through a model thread to unwind it when
 // the engine aborts an execution. User code must not recover it; the
 // run wrapper re-checks and re-panics if it leaks into user recovery.
 type killSentinel struct{}
@@ -71,7 +70,11 @@ type killSentinel struct{}
 // synchronization objects in internal/syncmodel, which call T.Do).
 //
 // A T is only valid inside its own thread body, during the execution
-// that created it.
+// that created it. A body runs on a coroutine, not on a goroutine of
+// its own, and must end by returning or panicking: one that calls
+// runtime.Goexit — which is what testing.T's FailNow, Fatal and
+// SkipNow do — ends the execution with a Violation naming the thread,
+// and leaks its coroutine.
 type T struct {
 	e  *Engine
 	th *thread

@@ -1,72 +1,57 @@
 package engine
 
-// Goroutine creation is not free: a fresh goroutine starts on a 2 KiB
-// stack, and the fast path's inline sections run the whole scheduler on
-// the model thread's stack, so every new goroutine pays runtime stack
-// growth (copystack) before it reaches steady state — per thread, per
-// execution. Pooled engines therefore reuse worker goroutines across
-// executions: a worker runs one thread body, requeues itself, and
-// parks on its job channel until the engine hands it the next body.
-// Single-use engines keep spawning plain goroutines (runThread).
-
-// worker is a reusable goroutine for running thread bodies. Its job
-// channel is buffered so handing over a body never blocks the
-// scheduler; closing it retires the worker.
+// worker is a coroutine for running thread bodies (newWorker). The hub
+// switches to it with next; it runs th's body and switches back with
+// yield — mid-body, whenever the thread hands the hub a section
+// (yieldToHub), and once more when the body has finished, after which
+// it idles in that yield until the hub gives it the next body. Workers
+// outlive executions: a coroutine starts on a small stack and the fast
+// path's sections run the whole scheduler on it, so a fresh one pays
+// stack growth before it reaches steady state, and making one costs a
+// dozen allocations. Pooled engines keep their idle workers from run to
+// run; a single-use engine reuses them within its run and retires them
+// when Run returns.
 type worker struct {
-	job chan *thread
+	next  func() (struct{}, bool)
+	yield func(struct{}) bool
+	stop  func() // retires an idle worker: its yield returns false
+	th    *thread
+	// dead marks a worker whose body called runtime.Goexit: it is parked
+	// for good (runThread) and must never be resumed, reused or stopped.
+	dead bool
 }
 
-// startThread begins executing an embryo thread's body: on a pooled
-// engine it hands the body to an idle worker (or starts a new one), on
-// a single-use engine it spawns a plain goroutine. Callers have already
-// moved th to statusRunning.
+// startThread gives an embryo thread a worker to run its body on — an
+// idle one if there is one. The body starts at the next switch to it.
 func (e *Engine) startThread(th *thread) {
-	if !e.pooled {
-		go e.runThread(th)
-		return
-	}
+	var w *worker
 	if n := len(e.idleWorkers); n > 0 {
-		w := e.idleWorkers[n-1]
+		w = e.idleWorkers[n-1]
 		e.idleWorkers[n-1] = nil
 		e.idleWorkers = e.idleWorkers[:n-1]
-		th.w = w
-		w.job <- th
-		return
+	} else {
+		w = e.newWorker()
 	}
-	w := &worker{job: make(chan *thread, 1)}
+	w.th = th
 	th.w = w
-	w.job <- th
-	go e.workerLoop(w)
-}
-
-// workerLoop runs thread bodies until the worker is retired. Each body
-// run ends by reporting evExited (inside runThread's defer), and the
-// engine requeues the worker while processing that event — so by the
-// time the next job can arrive here, the previous one is fully
-// accounted for.
-func (e *Engine) workerLoop(w *worker) {
-	for th := range w.job {
-		e.runThread(th)
-	}
 }
 
 // recycleWorker detaches th's worker and returns it to the idle list.
-// Called while processing th's exit event; must not be called for a
-// wedged thread (its worker is stuck in user code and is leaked with
-// it).
+// Called once th's body has finished and switched back; must not be
+// called for a wedged thread (its worker is stuck in user code and is
+// leaked with it).
 func (e *Engine) recycleWorker(th *thread) {
-	if th.w != nil {
-		e.idleWorkers = append(e.idleWorkers, th.w)
-		th.w = nil
+	if w := th.w; w != nil && !w.dead {
+		e.idleWorkers = append(e.idleWorkers, w)
 	}
+	th.w = nil
 }
 
-// releaseWorkers retires every idle worker goroutine. A wedged engine's
-// stuck worker is not idle and stays leaked (same as its single-use
-// counterpart).
+// releaseWorkers retires every idle worker. A wedged engine's stuck
+// worker is not idle and stays leaked.
 func (e *Engine) releaseWorkers() {
 	for i, w := range e.idleWorkers {
-		close(w.job)
+		w.stop()
 		e.idleWorkers[i] = nil
 	}
 	e.idleWorkers = e.idleWorkers[:0]

@@ -167,10 +167,12 @@ type Metrics struct {
 	// WorkerRetries counts recovered parallel-worker crashes (each
 	// failed attempt counts once, whether or not the retry succeeded).
 	WorkerRetries Counter
-	// InlineSteps counts steps the engine fast path granted without any
-	// goroutine handoff (the running thread granted itself the next
-	// step); Handoffs counts direct thread-to-thread baton handoffs.
-	// Steps - InlineSteps - Handoffs is the engine-mediated remainder.
+	// InlineSteps counts steps the engine fast path granted without a
+	// switch (the running thread granted itself the next step);
+	// Handoffs counts fast-path steps that changed thread (two coroutine
+	// switches, through the hub). Steps - InlineSteps - Handoffs is the
+	// remainder: each execution's first grant, and every step when the
+	// hub decides them all (NoFastPath).
 	InlineSteps Counter
 	Handoffs    Counter
 	// EngineReuses counts executions that drew a recycled engine from a

@@ -444,7 +444,7 @@ type searcher struct {
 
 	visited map[visitKey]struct{}
 
-	// pool reuses one engine (threads, buffers, worker goroutines)
+	// pool reuses one engine (threads, buffers, worker coroutines)
 	// across this searcher's executions; unused when opts.NoFastPath.
 	// It belongs to whoever runs the searcher (the sequential search, a
 	// driver worker, a dist worker) and outlives it.
