@@ -9,7 +9,7 @@
 #      suites. Each test asserts the merged report equals a fault-free
 #      local run, byte for byte.
 #
-#   2. A CLI-level run: `-serve -prog` (the jobs service running one
+#   2. A CLI-level run: `serve -prog` (the jobs service running one
 #      job) + two pool workers started with -chaos-scenario standard
 #      (different -chaos-seed each) — faults on their assign calls and
 #      on every job-protocol call — with the merged run report diffed
@@ -32,13 +32,13 @@ url="http://127.0.0.1:$port"
 
 # Fault-free baseline: spinloop is exhausted without findings, so the
 # merge must cover every shard for the reports to match.
-"$fairmc" -prog spinloop -p 2 -metrics-out "$workdir/local.json" > /dev/null
+"$fairmc" check -prog spinloop -p 2 -metrics-out "$workdir/local.json" > /dev/null
 
-"$fairmc" -prog spinloop -p 2 -serve "127.0.0.1:$port" \
+"$fairmc" serve -addr "127.0.0.1:$port" -prog spinloop -p 2  \
     -metrics-out "$workdir/chaos.json" > "$workdir/coord.txt" 2>&1 &
 coord=$!
 for i in 1 2; do
-    "$fairmc" -worker "$url" -p 1 \
+    "$fairmc" worker -url "$url" -p 1 \
         -chaos-scenario standard -chaos-seed "$((6 + i))" \
         -retry-base 25ms -retry-max 400ms -join-timeout 15s \
         > "$workdir/w$i.txt" 2>&1 &

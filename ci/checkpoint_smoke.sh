@@ -12,12 +12,12 @@ go build -o "$workdir/fairmc" ./cmd/fairmc
 fairmc="$workdir/fairmc"
 
 # Uninterrupted baseline.
-"$fairmc" -prog bakery-2 -random -seed 9 -p 1 -maxexec 30000 \
+"$fairmc" check -prog bakery-2 -random -seed 9 -p 1 -maxexec 30000 \
     > "$workdir/baseline.txt"
 
 # Same search with a much larger budget so it cannot finish on its own,
 # checkpointed frequently; kill it with SIGINT once a checkpoint lands.
-"$fairmc" -prog bakery-2 -random -seed 9 -p 1 -maxexec 2000000 \
+"$fairmc" check -prog bakery-2 -random -seed 9 -p 1 -maxexec 2000000 \
     -checkpoint "$workdir/ck.json" -ckpt-interval 100ms \
     > "$workdir/interrupted.txt" 2>&1 &
 pid=$!
@@ -46,7 +46,7 @@ grep -q "interrupted (checkpoint written to" "$workdir/interrupted.txt" || {
 
 # Resume with the baseline's budget; program/strategy/seed/parallelism
 # come from the checkpoint. The finished report must match the baseline.
-"$fairmc" -resume "$workdir/ck.json" -maxexec 30000 > "$workdir/resumed.txt"
+"$fairmc" check -resume "$workdir/ck.json" -maxexec 30000 > "$workdir/resumed.txt"
 
 normalize() { sed -E 's/\([0-9.]+s,/(TIME,/' "$1"; }
 if ! diff <(normalize "$workdir/baseline.txt") <(normalize "$workdir/resumed.txt"); then

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Distributed-search smoke test: run `fairmc -serve -prog` (the jobs
+# Distributed-search smoke test: run `fairmc serve -prog` (the jobs
 # service running one job) with two worker processes over loopback HTTP
 # and require the final run report to be byte-identical to a local run
 # with the same -p (the determinism contract of docs/DISTRIBUTED.md), on
@@ -45,7 +45,7 @@ finish_worker() {
 start_workers() {
     local i
     for i in 1 2; do
-        "$fairmc" -worker "$url" -p 1 -join-timeout 5s -retry-base 25ms -retry-max 400ms \
+        "$fairmc" worker -url "$url" -p 1 -join-timeout 5s -retry-base 25ms -retry-max 400ms \
             > "$workdir/w$i-$1.txt" 2>&1 &
         eval "w$i=\$!"
     done
@@ -57,7 +57,7 @@ distrun() {
     local prog=$1 want=$2 out=$3 rc=0
     shift 3
     start_workers "$prog"
-    "$fairmc" -prog "$prog" -p 2 -serve "127.0.0.1:$port" \
+    "$fairmc" serve -addr "127.0.0.1:$port" -prog "$prog" -p 2  \
         -metrics-out "$out" "$@" > "$workdir/serve-$prog.txt" 2>&1 || rc=$?
     if [ "$rc" -ne "$want" ]; then
         echo "FAIL: $prog -serve run exited $rc, want $want"
@@ -69,7 +69,7 @@ distrun() {
 }
 
 # Clean search: spinloop is exhausted without findings (exit 0).
-"$fairmc" -prog spinloop -p 2 -metrics-out "$workdir/local-clean.json" > /dev/null
+"$fairmc" check -prog spinloop -p 2 -metrics-out "$workdir/local-clean.json" > /dev/null
 distrun spinloop 0 "$workdir/dist-clean.json"
 if ! cmp -s "$workdir/local-clean.json" "$workdir/dist-clean.json"; then
     echo "FAIL: spinloop run report differs between local -p 2 and distributed"
@@ -81,7 +81,7 @@ go run ./ci/validate_report.go docs/run-report.schema.json "$workdir/dist-clean.
 # Finding search: peterson-bug stops at a confirmed violation (exit 1),
 # and the distributed merge must stop at the same execution.
 rc=0
-"$fairmc" -prog peterson-bug -p 2 -metrics-out "$workdir/local-bug.json" > /dev/null || rc=$?
+"$fairmc" check -prog peterson-bug -p 2 -metrics-out "$workdir/local-bug.json" > /dev/null || rc=$?
 if [ "$rc" -ne 1 ]; then
     echo "FAIL: local peterson-bug exited $rc, want 1"
     exit 1
@@ -99,7 +99,7 @@ go run ./ci/validate_report.go docs/run-report.schema.json "$workdir/dist-bug.js
 # DPOR.md's determinism contract — the distributed merge consumes units
 # in spawn order). msqueue-bug stops at a confirmed violation (exit 1).
 rc=0
-"$fairmc" -prog msqueue-bug -fair=false -dpor -maxsteps 5000 \
+"$fairmc" check -prog msqueue-bug -fair=false -dpor -maxsteps 5000 \
     -metrics-out "$workdir/local-dpor.json" > /dev/null || rc=$?
 if [ "$rc" -ne 1 ]; then
     echo "FAIL: local sequential DPOR msqueue-bug exited $rc, want 1"
@@ -119,7 +119,7 @@ go run ./ci/validate_report.go docs/run-report.schema.json "$workdir/dist-dpor.j
 # finished, the rerun serves the recorded report — also a valid case.)
 ledger="$workdir/ledger"
 start_workers restart
-"$fairmc" -prog spinloop -p 2 -serve "127.0.0.1:$port" -ledger "$ledger" \
+"$fairmc" serve -addr "127.0.0.1:$port" -prog spinloop -p 2  -ledger "$ledger" \
     -metrics-out "$workdir/killed.json" > "$workdir/serve-killed.txt" 2>&1 &
 svc=$!
 for _ in $(seq 100); do
@@ -128,7 +128,7 @@ for _ in $(seq 100); do
 done
 kill -9 "$svc"
 wait "$svc" 2>/dev/null || true
-"$fairmc" -prog spinloop -p 2 -serve "127.0.0.1:$port" -ledger "$ledger" \
+"$fairmc" serve -addr "127.0.0.1:$port" -prog spinloop -p 2  -ledger "$ledger" \
     -metrics-out "$workdir/resumed.json" > "$workdir/serve-resumed.txt" 2>&1
 finish_worker "$w1" "$workdir/w1-restart.txt"
 finish_worker "$w2" "$workdir/w2-restart.txt"
@@ -141,7 +141,7 @@ fi
 
 # The ledger belongs to that search: another spec is refused (exit 2)...
 rc=0
-"$fairmc" -prog spinloop -p 3 -serve "127.0.0.1:$port" -ledger "$ledger" \
+"$fairmc" serve -addr "127.0.0.1:$port" -prog spinloop -p 3  -ledger "$ledger" \
     > "$workdir/serve-other.txt" 2>&1 || rc=$?
 if [ "$rc" -ne 2 ]; then
     echo "FAIL: -serve -p 3 over a -p 2 ledger exited $rc, want 2"
@@ -150,7 +150,7 @@ if [ "$rc" -ne 2 ]; then
 fi
 # ...and the finished search is reported again without exploring: no
 # worker is running, and none is needed.
-"$fairmc" -prog spinloop -p 2 -serve "127.0.0.1:$port" -ledger "$ledger" \
+"$fairmc" serve -addr "127.0.0.1:$port" -prog spinloop -p 2  -ledger "$ledger" \
     -metrics-out "$workdir/again.json" > "$workdir/serve-again.txt" 2>&1
 if ! cmp -s "$workdir/local-clean.json" "$workdir/again.json"; then
     echo "FAIL: a finished ledger's rerun report differs from local -p 2"

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Durable-service smoke test with real processes: run the multi-job
-# checking service (-serve -ledger) with a pool worker, submit three
+# checking service (serve -ledger) with a pool worker, submit three
 # jobs, and require every artifact to be byte-identical to the local
 # run it mirrors. Then do it again on a fresh ledger, kill -9 the
 # service mid-run, restart it on the same ledger, and require the
@@ -23,30 +23,30 @@ pars=(2 1 1)
 
 # Local references, through the same reporting path.
 for i in 0 1 2; do
-    "$fairmc" -prog "${progs[$i]}" -p "${pars[$i]}" \
+    "$fairmc" check -prog "${progs[$i]}" -p "${pars[$i]}" \
         -metrics-out "$workdir/local-$i.json" > /dev/null || true
 done
 
-# wait_done LABEL: poll -status until every job reports done+[report].
+# wait_done LABEL: poll job status until every job reports done+[report].
 wait_done() {
     local label=$1
     for _ in $(seq 300); do
         local out
-        out=$("$fairmc" -status "$url" 2>/dev/null) || { sleep 0.2; continue; }
+        out=$("$fairmc" job status -url "$url" 2>/dev/null) || { sleep 0.2; continue; }
         local done_count
         done_count=$(echo "$out" | grep -c 'done.*\[report\]' || true)
         [ "$done_count" -eq 3 ] && return 0
         sleep 0.2
     done
     echo "FAIL: $label: jobs never finished"
-    "$fairmc" -status "$url" || true
+    "$fairmc" job status -url "$url" || true
     exit 1
 }
 
 fetch_all() {
     local prefix=$1
     for i in 0 1 2; do
-        "$fairmc" -status "$url" -job "j$((i + 1))" \
+        "$fairmc" job status -url "$url" -job "j$((i + 1))" \
             -metrics-out "$workdir/$prefix-$i.json" > /dev/null
     done
 }
@@ -68,7 +68,7 @@ check_against_local() {
 submit_all() {
     for i in 0 1 2; do
         for _ in $(seq 100); do
-            "$fairmc" -submit "$url" -prog "${progs[$i]}" -p "${pars[$i]}" > /dev/null 2>&1 && break
+            "$fairmc" job submit -url "$url" -prog "${progs[$i]}" -p "${pars[$i]}" > /dev/null 2>&1 && break
             sleep 0.05
         done
     done
@@ -76,10 +76,10 @@ submit_all() {
 
 # --- Pass 1: uninterrupted service run, the worker started first ---
 mkdir -p "$workdir/ledger1" "$workdir/wd1"
-"$fairmc" -worker "$url" -workdir "$workdir/wd1" -retry-base 25ms -retry-max 400ms \
+"$fairmc" worker -url "$url" -workdir "$workdir/wd1" -retry-base 25ms -retry-max 400ms \
     > "$workdir/pool1.txt" 2>&1 &
 pool=$!
-"$fairmc" -serve "127.0.0.1:$port" -ledger "$workdir/ledger1" \
+"$fairmc" serve -addr "127.0.0.1:$port" -ledger "$workdir/ledger1" \
     > "$workdir/svc1.txt" 2>&1 &
 svc=$!
 submit_all
@@ -100,10 +100,10 @@ fi
 
 # --- Pass 2: kill -9 the service mid-run, restart, same artifacts ---
 mkdir -p "$workdir/ledger2" "$workdir/wd2"
-"$fairmc" -serve "127.0.0.1:$port" -ledger "$workdir/ledger2" \
+"$fairmc" serve -addr "127.0.0.1:$port" -ledger "$workdir/ledger2" \
     > "$workdir/svc2a.txt" 2>&1 &
 svc=$!
-"$fairmc" -worker "$url" -workdir "$workdir/wd2" -retry-base 25ms -retry-max 400ms \
+"$fairmc" worker -url "$url" -workdir "$workdir/wd2" -retry-base 25ms -retry-max 400ms \
     > "$workdir/pool2a.txt" 2>&1 &
 pool=$!
 submit_all
@@ -115,10 +115,10 @@ kill -9 "$svc"
 kill "$pool" 2>/dev/null || true
 wait "$pool" 2>/dev/null || true
 
-"$fairmc" -serve "127.0.0.1:$port" -ledger "$workdir/ledger2" \
+"$fairmc" serve -addr "127.0.0.1:$port" -ledger "$workdir/ledger2" \
     > "$workdir/svc2b.txt" 2>&1 &
 svc=$!
-"$fairmc" -worker "$url" -workdir "$workdir/wd2" -retry-base 25ms -retry-max 400ms \
+"$fairmc" worker -url "$url" -workdir "$workdir/wd2" -retry-base 25ms -retry-max 400ms \
     > "$workdir/pool2b.txt" 2>&1 &
 pool=$!
 wait_done "pass 2 (after kill -9 + restart)"

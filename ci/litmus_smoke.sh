@@ -22,7 +22,7 @@ for case in $cases; do
     want=${case##*:}
     for p in 1 4; do
         rc=0
-        "$fairmc" -prog "$prog" -mm tso -maxsteps 10000 -p "$p" \
+        "$fairmc" check -prog "$prog" -mm tso -maxsteps 10000 -p "$p" \
             -metrics-out "$workdir/$prog-p$p.json" \
             > "$workdir/$prog-p$p.txt" 2>&1 || rc=$?
         if [ "$rc" -ne "$want" ]; then
@@ -41,7 +41,7 @@ done
 # The weak outcome must be a memory-model finding, not a logic bug: the
 # same binary under the default SC model exhausts SB clean.
 rc=0
-"$fairmc" -prog litmus-sb -maxsteps 10000 -p 1 \
+"$fairmc" check -prog litmus-sb -maxsteps 10000 -p 1 \
     > "$workdir/sb-sc.txt" 2>&1 || rc=$?
 if [ "$rc" -ne 0 ]; then
     echo "FAIL: litmus-sb under SC exited $rc, want 0"
@@ -53,7 +53,7 @@ fi
 # contract: cap 1 forces eager flushes and SB still finds the weak
 # outcome (one buffered store per thread is all it takes).
 rc=0
-"$fairmc" -prog litmus-sb -mm tso -tso-buf 1 -maxsteps 10000 -p 1 \
+"$fairmc" check -prog litmus-sb -mm tso -tso-buf 1 -maxsteps 10000 -p 1 \
     -metrics-out "$workdir/sb-cap1.json" > "$workdir/sb-cap1.txt" 2>&1 || rc=$?
 if [ "$rc" -ne 1 ]; then
     echo "FAIL: litmus-sb -mm tso -tso-buf 1 exited $rc, want 1"

@@ -13,7 +13,7 @@ go build -o "$workdir/fairmc" ./cmd/fairmc
 fairmc="$workdir/fairmc"
 
 rc=0
-"$fairmc" -prog nondet-counter -maxexec 300 -maxsteps 2000 \
+"$fairmc" check -prog nondet-counter -maxexec 300 -maxsteps 2000 \
     > "$workdir/out.txt" 2>&1 || rc=$?
 cat "$workdir/out.txt"
 
@@ -33,7 +33,7 @@ grep -q "nondeterminism:" "$workdir/out.txt" || {
 # The defense can be switched off: without conformance digests the
 # fixture's hidden counter goes unnoticed and nothing is quarantined.
 rc=0
-"$fairmc" -prog nondet-counter -maxexec 300 -maxsteps 2000 -no-conformance \
+"$fairmc" check -prog nondet-counter -maxexec 300 -maxsteps 2000 -no-conformance \
     > "$workdir/off.txt" 2>&1 || rc=$?
 if [ "$rc" -ne 0 ]; then
     echo "FAIL: -no-conformance run exited $rc, want 0"

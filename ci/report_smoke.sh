@@ -13,7 +13,7 @@ trap 'rm -rf "$workdir"' EXIT
 go build -o "$workdir/fairmc" ./cmd/fairmc
 fairmc="$workdir/fairmc"
 
-"$fairmc" -prog spinloop -p 1 -progress \
+"$fairmc" check -prog spinloop -p 1 -progress \
     -metrics-out "$workdir/report-p1.json" \
     -events-out "$workdir/events.jsonl" > "$workdir/run.txt"
 grep -q "run report written" "$workdir/run.txt" || {
@@ -38,7 +38,7 @@ if missing:
 print("OK: event stream is valid JSONL with", types)
 EOF
 
-"$fairmc" -prog spinloop -p 4 -metrics-out "$workdir/report-p4.json" > /dev/null
+"$fairmc" check -prog spinloop -p 4 -metrics-out "$workdir/report-p4.json" > /dev/null
 if ! cmp -s "$workdir/report-p1.json" "$workdir/report-p4.json"; then
     echo "FAIL: run report differs between -p 1 and -p 4"
     diff "$workdir/report-p1.json" "$workdir/report-p4.json" || true
@@ -46,7 +46,7 @@ if ! cmp -s "$workdir/report-p1.json" "$workdir/report-p4.json"; then
 fi
 
 # A finding run must validate too (findings entries, reproducibility).
-"$fairmc" -prog peterson-bug -metrics-out "$workdir/report-bug.json" > /dev/null || rc=$?
+"$fairmc" check -prog peterson-bug -metrics-out "$workdir/report-bug.json" > /dev/null || rc=$?
 if [ "${rc:-0}" -ne 1 ]; then
     echo "FAIL: peterson-bug exited ${rc:-0}, want 1"
     exit 1

@@ -1,8 +1,8 @@
-// The jobs service and its clients: -serve starts the one server there
+// The jobs service and its clients: serve starts the one server there
 // is (internal/dist/jobs) — with -prog it submits that search as the
-// service's job and reports it like a local run, without it serves
-// whatever is submitted; -submit, -status and -cancel talk to one;
-// -worker is a pool worker for one. See docs/SERVICE.md.
+// service's job and reports it like check, without it serves whatever
+// is submitted; job submit, status and cancel talk to one; worker is a
+// pool worker for one. See docs/SERVICE.md.
 package main
 
 import (
@@ -15,16 +15,12 @@ import (
 	"net"
 	"net/http"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	"fairmc"
 	"fairmc/internal/dist"
 	"fairmc/internal/dist/jobs"
-	"fairmc/internal/dist/transport"
 	"fairmc/internal/engine"
-	"fairmc/internal/faultinject"
 	"fairmc/progs"
 )
 
@@ -40,127 +36,180 @@ func progLookup(name string) (func(*engine.T), bool) {
 
 // scratchDir returns dir and, when that is empty, a new temporary
 // directory instead; cleanup removes what scratchDir made.
-func scratchDir(dir, pattern string) (_ string, cleanup func()) {
+func scratchDir(dir, pattern string) (_ string, cleanup func(), err error) {
 	if dir != "" {
-		return dir, func() {}
+		return dir, func() {}, nil
 	}
 	d, err := os.MkdirTemp("", pattern)
+	return d, func() { os.RemoveAll(d) }, err
+}
+
+// jobRequest is the search in o as a job: what job submit ships to a
+// service and what serve -prog gives its own. The program must exist in
+// this build too — same-build is already the distributed-mode contract,
+// and it catches typos locally.
+func jobRequest(o fairmc.Options) (req jobs.SubmitRequest, err error) {
+	p, err := lookup(o.ProgramName)
 	if err != nil {
-		fatalUsage(err)
+		return req, err
 	}
-	return d, func() { os.RemoveAll(d) }
+	if (o.RandomWalk || o.PCT) && o.MaxExecutions <= 0 {
+		return req, errors.New("a random or PCT job needs a deterministic budget: use -maxexec (a wall-clock budget cannot be sharded)")
+	}
+	// A job's shards run beside each other whatever -p says, so what a
+	// parallel search cannot do (plain -sleepsets) a job cannot either.
+	par := o
+	par.Parallelism = max(2, o.Parallelism)
+	if err := par.Validate(); err != nil {
+		return req, err
+	}
+	return jobs.SubmitRequest{
+		Spec:           dist.SpecFromOptions(p.Name, o),
+		RefParallelism: max(1, o.Parallelism),
+		ConfirmRuns:    o.ConfirmRuns,
+	}, nil
 }
 
-// oneJob is the search a -serve -prog run gives its service, and how
-// the result is reported.
-type oneJob struct {
-	req  jobs.SubmitRequest
-	opts fairmc.Options // what req.Spec was made from
-	out  outputConfig
-}
-
-// adopt returns the id of job's submission in the service's ledger: a
+// adopt returns the id of req's submission in the service's ledger: a
 // new one in an empty ledger, the recorded one when the ledger holds
 // exactly this search (unfinished: it resumes; finished: its report is
 // served without re-exploring), and an error for any other ledger.
-func (job *oneJob) adopt(s *jobs.Server) (string, error) {
+func adopt(s *jobs.Server, req jobs.SubmitRequest) (string, error) {
 	ids := s.JobIDs()
 	if len(ids) == 0 {
-		return s.Submit(job.req)
+		return s.Submit(req)
 	}
-	if prev, _ := s.Submission(ids[0]); len(ids) > 1 || prev != job.req {
+	if prev, _ := s.Submission(ids[0]); len(ids) > 1 || prev != req {
 		return "", fmt.Errorf("the ledger holds a different search (%d job(s), the first %s at -p %d): rerun that command, or name a new -ledger directory",
 			len(ids), prev.Spec.Program, prev.RefParallelism)
 	}
 	return ids[0], nil
 }
 
-// runService serves the jobs service on addr until the first
-// SIGINT/SIGTERM (unfinished jobs stay resumable in the ledger; a
-// second signal exits hard) or, given a job, until that job is over —
-// then reports it through finishSearch, so output and exit status are
-// those of a local run at the same -p. Either way it stops listening
-// only when its workers have been told that the service is closing.
-// cfg carries the flags; without a ledger directory the service gets a
-// temporary one, removed on exit.
-func runService(addr string, cfg jobs.Config, eventsOut string, progress bool, job *oneJob) {
-	ledger := cfg.Dir
-	var cleanup func()
-	cfg.Dir, cleanup = scratchDir(ledger, "fairmc-serve-")
-	fail := func(v any) {
-		cleanup()
-		fatalUsage(v)
+// serve serves the jobs service until the first SIGINT/SIGTERM
+// (unfinished jobs stay resumable in the ledger) or, given -prog, until
+// that search — its one job — is over; then it reports it through
+// finishSearch, so output and exit status are those of check at the
+// same -p. Either way it stops listening only when its workers have
+// been told that the service is closing. Without -ledger the service
+// gets a temporary one, removed on exit.
+func (c *cli) serve(args []string) int {
+	var (
+		addr string
+		cfg  jobs.Config
+		live liveConfig
+		opts fairmc.Options // with -prog: the one job
+		out  outputConfig
+	)
+	fs := c.flagSet("serve", "")
+	fs.StringVar(&addr, "addr", "", "listen on this address (e.g. 127.0.0.1:7171)")
+	fs.StringVar(&cfg.Dir, "ledger", "", "service ledger directory: submissions, shard decisions and reports are committed here, so a killed service resumes when restarted over it; without it a serve -prog run keeps its ledger in a temporary directory (docs/SERVICE.md)")
+	fs.IntVar(&cfg.MaxJobs, "max-jobs", 0, "admission bound on queued+running jobs; excess submissions get 429; 0 = default")
+	fs.IntVar(&cfg.MaxActive, "max-active", 0, "how many jobs explore concurrently; 0 = default")
+	fs.DurationVar(&cfg.Coordinator.LeaseTTL, "lease-ttl", dist.DefaultLeaseTTL, "shard lease duration; a worker silent this long loses its shard")
+	chaos := chaosFlags(fs, new(uint64), "the job protocol served")
+	liveFlags(fs, &live)
+	finish := searchFlags(fs, &opts)
+	outputFlags(fs, &out)
+	if status, stop := c.parseFlags(fs, args, 0, "addr"); stop {
+		return status
 	}
+	finish()
+	oneJob, ledger := opts.ProgramName != "", cfg.Dir
+	if !oneJob && ledger == "" {
+		return c.usageError("fairmc serve needs -prog (run that search as the service's one job) or -ledger DIR (serve submitted jobs)")
+	}
+	var err error
+	if cfg.Coordinator.Chaos, err = chaos(); err != nil {
+		return c.usageError(err)
+	}
+	if c.parseOnly {
+		return fairmc.ExitOK
+	}
+
+	var req jobs.SubmitRequest
+	if oneJob {
+		if req, err = jobRequest(opts); err != nil {
+			return c.usageError(err)
+		}
+	}
+	var cleanup func()
+	if cfg.Dir, cleanup, err = scratchDir(ledger, "fairmc-serve-"); err != nil {
+		return c.usageError(err)
+	}
+	defer cleanup()
 	// Worker heartbeat deltas merge into this registry; it is served at
 	// /metrics and read by -progress like a local run's.
 	metrics := fairmc.NewMetrics()
 	if chaos := cfg.Coordinator.Chaos; chaos != nil {
 		chaos.OnFault = func(string) { metrics.DistFaultsInjected.Inc() }
 	}
-	var events *os.File
-	if eventsOut != "" {
-		var err error
-		if events, err = os.Create(eventsOut); err != nil {
-			fail(err)
+	if live.eventsOut != "" {
+		events, err := os.Create(live.eventsOut)
+		if err != nil {
+			return c.usageError(err)
 		}
+		defer func() {
+			if cerr := events.Close(); cerr != nil {
+				fmt.Fprintf(c.stderr, "event stream: %v\n", cerr)
+			}
+		}()
 		cfg.Coordinator.EventWriter = events
 	}
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
-		fail(err)
+		return c.usageError(err)
 	}
 	cfg.Lookup, cfg.Metrics = progLookup, metrics
 	cfg.Logf = func(format string, args ...any) {
-		fmt.Fprintf(os.Stderr, format+"\n", args...)
+		fmt.Fprintf(c.stderr, format+"\n", args...)
 	}
 	s, err := jobs.New(cfg)
 	if err != nil {
-		fail(err)
+		ln.Close()
+		return c.usageError(err)
 	}
 	var (
 		start    = time.Now()
-		finished = make(chan struct{}) // closed when job is over; never without one
+		finished = make(chan struct{}) // closed when the one job is over; never without one
 		status   jobs.JobStatus
 		rep      *fairmc.Report
 	)
-	if job != nil {
-		id, err := job.adopt(s)
+	if oneJob {
+		id, err := adopt(s, req)
 		if err != nil {
 			s.Close()
-			fail(err)
+			ln.Close()
+			return c.usageError(err)
 		}
-		fmt.Fprintf(os.Stderr, "service: %s is job %s (report mirrors -p %d)\n", job.req.Spec.Program, id, job.req.RefParallelism)
+		fmt.Fprintf(c.stderr, "service: %s is job %s (report mirrors -p %d)\n", req.Spec.Program, id, req.RefParallelism)
 		go func() {
 			status, rep = s.Wait(id)
 			close(finished)
 		}()
 	}
-	fmt.Fprintf(os.Stderr, "service: serving jobs on http://%s (ledger %s)\n", ln.Addr(), cfg.Dir)
+	fmt.Fprintf(c.stderr, "service: serving jobs on http://%s (ledger %s)\n", ln.Addr(), cfg.Dir)
 	srv := &http.Server{Handler: s.Handler()}
-	go func() {
-		if serr := srv.Serve(ln); serr != nil && serr != http.ErrServerClosed {
-			fmt.Fprintf(os.Stderr, "service: serve: %v\n", serr)
-			os.Exit(1)
-		}
-	}()
-	sigs := make(chan os.Signal, 2)
-	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
+	serveErr := make(chan error, 1)
+	go func() { serveErr <- srv.Serve(ln) }()
+	stop, release := stopOnSignal()
+	defer release()
 	stopProgress := func() {}
-	if progress {
-		stopProgress = startProgress(metrics)
+	if live.progress {
+		stopProgress = c.startProgress(metrics)
 	}
+	var serveFailed bool
 	select {
-	case <-sigs:
-		fmt.Fprintln(os.Stderr, "service: shutting down (unfinished jobs resume on restart over the same -ledger)")
-		go func() {
-			<-sigs
-			os.Exit(130)
-		}()
+	case <-stop:
+		fmt.Fprintln(c.stderr, "service: shutting down (unfinished jobs resume on restart over the same -ledger)")
 	case <-finished:
+	case err := <-serveErr: // before Shutdown, so not http.ErrServerClosed
+		fmt.Fprintf(c.stderr, "service: serve: %v\n", err)
+		serveFailed = true
 	}
 	stopProgress()
 	if cerr := s.Close(); cerr != nil {
-		fmt.Fprintf(os.Stderr, "service: close: %v\n", cerr)
+		fmt.Fprintf(c.stderr, "service: close: %v\n", cerr)
 	}
 	// Close has waited for the workers on its jobs to come back and be
 	// told the service is closing; Shutdown lets the answers still being
@@ -168,33 +217,88 @@ func runService(addr string, cfg jobs.Config, eventsOut string, progress bool, j
 	grace, cancel := context.WithTimeout(context.Background(), jobs.DefaultDrainGrace)
 	srv.Shutdown(grace) // past the grace the process is exiting anyway
 	cancel()
-	if events != nil {
-		if cerr := events.Close(); cerr != nil {
-			fmt.Fprintf(os.Stderr, "event stream: %v\n", cerr)
-		}
-	}
-	cleanup()
-	if job == nil {
-		return
+	switch {
+	case serveFailed:
+		return exitFailed
+	case !oneJob:
+		return fairmc.ExitOK
 	}
 	<-finished // Close ended the job's incarnation, so Wait has returned
 	if rep == nil {
 		if status.State == jobs.StateFailed {
-			fatalUsage("job failed: " + status.Error)
+			return c.usageError("job failed: " + status.Error)
 		}
 		rep = &fairmc.Report{Interrupted: true} // closed before the job ran
 	}
-	job.out.interruptHint = "no -ledger set; progress lost"
+	out.interruptHint = "no -ledger set; progress lost"
 	if ledger != "" {
-		job.out.interruptHint = fmt.Sprintf("rerun with -ledger %s to resume", ledger)
+		out.interruptHint = fmt.Sprintf("rerun with -ledger %s to resume", ledger)
 	}
-	finishSearch(fairmc.ResultFromReport(rep), job.req.Spec.Program, job.opts, start, job.out)
+	return c.finishSearch(fairmc.ResultFromReport(rep), req.Spec.Program, opts, start, out)
 }
 
-// httpJSON performs one request and decodes the JSON reply into out
-// (skipped when out is nil), surfacing non-2xx replies as errors with
-// the body text.
-func httpJSON(method, url string, body []byte, out any) error {
+// worker serves a jobs service with this process until SIGINT/SIGTERM
+// or until the service says it is closing. The service's jobs supply the
+// program and every search option.
+func (c *cli) worker(args []string) int {
+	cfg := jobs.PoolConfig{Lookup: progLookup}
+	fs := c.flagSet("worker", "")
+	urlFlag(fs, &cfg.URL)
+	parallelFlag(fs, &cfg.Capacity, "how many shards to run at a time")
+	fs.StringVar(&cfg.WorkDir, "workdir", "", "scratch directory for per-shard checkpoints and spooled results; name one to survive a restart")
+	fs.DurationVar(&cfg.Retry.BaseDelay, "retry-base", 100*time.Millisecond, "initial backoff between retries of a call to the service")
+	fs.DurationVar(&cfg.Retry.MaxDelay, "retry-max", 5*time.Second, "backoff ceiling for retries")
+	fs.IntVar(&cfg.Retry.MaxAttempts, "retry-attempts", 8, "attempts per call to the service before it counts as a failure")
+	fs.DurationVar(&cfg.JoinTimeout, "join-timeout", dist.DefaultJoinTimeout, "give up joining (or rejoining) the service after this long")
+	injector := chaosFlags(fs, &cfg.Retry.Seed, "this worker's calls to the service")
+	if status, stop := c.parseFlags(fs, args, 0, "url"); stop {
+		return status
+	}
+	chaos, err := injector()
+	if err != nil {
+		return c.usageError(err)
+	}
+	if c.parseOnly {
+		return fairmc.ExitOK
+	}
+	// A scratch directory still helps within one worker process: a
+	// cancelled shard that comes back keeps its checkpoint and a spooled
+	// result survives until replay.
+	var cleanup func()
+	if cfg.WorkDir, cleanup, err = scratchDir(cfg.WorkDir, "fairmc-worker-"); err != nil {
+		return c.usageError(err)
+	}
+	defer cleanup()
+	stop, release := stopOnSignal()
+	defer release()
+	cfg.Stop = stop
+	cfg.Metrics = fairmc.NewMetrics()
+	if chaos != nil {
+		chaos.OnFault = func(string) { cfg.Metrics.DistFaultsInjected.Inc() }
+		cfg.Transport = chaos.RoundTripper(nil)
+	}
+	cfg.Logf = func(format string, args ...any) {
+		fmt.Fprintf(c.stderr, "worker: "+format+"\n", args...)
+	}
+	fmt.Fprintf(c.stderr, "worker: serving jobs service %s\n", cfg.URL)
+	err = jobs.RunPoolWorker(cfg)
+	if chaos != nil {
+		fmt.Fprintf(c.stderr, "worker: chaos: %d faults injected\n", chaos.Total())
+	}
+	if err == nil {
+		return fairmc.ExitOK
+	}
+	fmt.Fprintf(c.stderr, "worker: %v\n", err)
+	if errors.Is(err, dist.ErrSpecMismatch) {
+		return fairmc.ExitUsage
+	}
+	return exitFailed
+}
+
+// httpDo performs one request, surfacing non-2xx replies as errors with
+// the body text. A *[]byte out receives the reply body as it is, any
+// other non-nil out what the JSON in it decodes to.
+func httpDo(method, url string, body []byte, out any) error {
 	var rd io.Reader
 	if body != nil {
 		rd = bytes.NewReader(body)
@@ -218,78 +322,116 @@ func httpJSON(method, url string, body []byte, out any) error {
 	if resp.StatusCode != http.StatusOK {
 		return fmt.Errorf("%s: HTTP %d: %s", url, resp.StatusCode, bytes.TrimSpace(data))
 	}
-	if out == nil {
+	switch out := out.(type) {
+	case nil:
+		return nil
+	case *[]byte:
+		*out = data
 		return nil
 	}
 	return json.Unmarshal(data, out)
 }
 
-// clientSubmit submits the job built from the search flags and prints
-// its id.
-func clientSubmit(url string, req jobs.SubmitRequest) {
-	body, err := json.Marshal(req)
-	if err != nil {
-		fatalUsage(err)
+// job is the service's clients: submit ships the search the search
+// flags describe and prints its id; status prints the job table, or one
+// job — and with -metrics-out downloads its run report; cancel cancels
+// one.
+func (c *cli) job(args []string) int {
+	const jobUsage = "usage: fairmc job submit|status|cancel -url URL [flags]"
+	if len(args) == 0 {
+		return c.usageError(jobUsage)
 	}
-	var sr jobs.SubmitResponse
-	if err := httpJSON(http.MethodPost, url+jobs.PathJobs, body, &sr); err != nil {
-		fmt.Fprintf(os.Stderr, "submit: %v\n", err)
-		os.Exit(1)
+	var (
+		verb                   = args[0]
+		fs                     = c.flagSet("job "+verb, "")
+		required               = []string{"url"}
+		opts                   fairmc.Options
+		finish                 = func() {}
+		url, jobID, metricsOut string
+	)
+	urlFlag(fs, &url)
+	switch verb {
+	case "submit":
+		finish = searchFlags(fs, &opts)
+		required = append(required, "prog")
+	case "status":
+		jobFlag(fs, &jobID, "print this job only")
+		metricsOutFlag(fs, &metricsOut, "with -job: download the job's run report to this file")
+	case "cancel":
+		jobFlag(fs, &jobID, "the job to cancel")
+		required = append(required, "job")
+	default:
+		return c.usageError(fmt.Sprintf("unknown command %q\n%s", "job "+verb, jobUsage))
 	}
-	fmt.Printf("submitted %s (program %s, report mirrors -p %d)\n", sr.JobID, req.Spec.Program, req.RefParallelism)
-}
-
-// clientStatus prints the job table, or one job's status; with -job
-// and -metrics-out it also downloads the artifact.
-func clientStatus(url, jobID, metricsOut string) {
-	if jobID == "" {
-		var list jobs.ListResponse
-		if err := httpJSON(http.MethodGet, url+jobs.PathJobs, nil, &list); err != nil {
-			fmt.Fprintf(os.Stderr, "status: %v\n", err)
-			os.Exit(1)
-		}
-		if len(list.Jobs) == 0 {
-			fmt.Println("no jobs")
-			return
-		}
-		for _, js := range list.Jobs {
-			printJob(js)
-		}
-		return
+	if status, stop := c.parseFlags(fs, args[1:], 0, required...); stop || c.parseOnly {
+		return status
 	}
-	var js jobs.JobStatus
-	if err := httpJSON(http.MethodGet, url+jobs.PathJobs+"/"+jobID, nil, &js); err != nil {
-		fmt.Fprintf(os.Stderr, "status: %v\n", err)
-		os.Exit(1)
+	finish()
+	failed := func(what string, err error) int {
+		fmt.Fprintf(c.stderr, "%s: %v\n", what, err)
+		return exitFailed
 	}
-	printJob(js)
-	if metricsOut != "" {
-		if !js.HasReport {
-			fmt.Fprintf(os.Stderr, "status: %s has no report yet\n", jobID)
-			os.Exit(1)
-		}
-		resp, err := http.Get(url + jobs.PathJobs + "/" + jobID + "/report")
-		if err == nil && resp.StatusCode != http.StatusOK {
-			err = fmt.Errorf("HTTP %d", resp.StatusCode)
-		}
+	jobURL := url + jobs.PathJobs + "/" + jobID
+	switch verb {
+	case "submit":
+		req, err := jobRequest(opts)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "artifact: %v\n", err)
-			os.Exit(1)
+			return c.usageError(err)
 		}
-		defer resp.Body.Close()
-		data, err := io.ReadAll(resp.Body)
+		body, err := json.Marshal(req)
+		if err != nil {
+			return c.usageError(err)
+		}
+		var sr jobs.SubmitResponse
+		if err := httpDo(http.MethodPost, url+jobs.PathJobs, body, &sr); err != nil {
+			return failed("submit", err)
+		}
+		fmt.Fprintf(c.stdout, "submitted %s (program %s, report mirrors -p %d)\n", sr.JobID, req.Spec.Program, req.RefParallelism)
+	case "cancel":
+		var cr jobs.CancelResponse
+		if err := httpDo(http.MethodPost, jobURL+"/cancel", nil, &cr); err != nil {
+			return failed("cancel", err)
+		}
+		fmt.Fprintf(c.stdout, "%s: %s\n", cr.JobID, cr.State)
+	case "status":
+		if jobID == "" {
+			var list jobs.ListResponse
+			if err := httpDo(http.MethodGet, url+jobs.PathJobs, nil, &list); err != nil {
+				return failed("status", err)
+			}
+			if len(list.Jobs) == 0 {
+				fmt.Fprintln(c.stdout, "no jobs")
+			}
+			for _, js := range list.Jobs {
+				c.printJob(js)
+			}
+			break
+		}
+		var js jobs.JobStatus
+		if err := httpDo(http.MethodGet, jobURL, nil, &js); err != nil {
+			return failed("status", err)
+		}
+		c.printJob(js)
+		if metricsOut == "" {
+			break
+		}
+		if !js.HasReport {
+			return failed("status", fmt.Errorf("%s has no report yet", jobID))
+		}
+		var data []byte
+		err := httpDo(http.MethodGet, jobURL+"/report", nil, &data)
 		if err == nil {
 			err = os.WriteFile(metricsOut, data, 0o644)
 		}
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "artifact: %v\n", err)
-			os.Exit(1)
+			return failed("artifact", err)
 		}
-		fmt.Printf("run report written to %s\n", metricsOut)
+		fmt.Fprintf(c.stdout, "run report written to %s\n", metricsOut)
 	}
+	return fairmc.ExitOK
 }
 
-func printJob(js jobs.JobStatus) {
+func (c *cli) printJob(js jobs.JobStatus) {
 	extra := ""
 	if js.Shards > 0 {
 		extra = fmt.Sprintf(" %d/%d shards", js.Decided, js.Shards)
@@ -300,71 +442,5 @@ func printJob(js jobs.JobStatus) {
 	if js.HasReport {
 		extra += " [report]"
 	}
-	fmt.Printf("%-8s %-32s %-10s%s\n", js.JobID, js.Program, js.State, extra)
-}
-
-// clientCancel asks the service to cancel one job.
-func clientCancel(url, jobID string) {
-	if jobID == "" {
-		fatalUsage("-cancel needs -job ID")
-	}
-	var cr jobs.CancelResponse
-	if err := httpJSON(http.MethodPost, url+jobs.PathJobs+"/"+jobID+"/cancel", nil, &cr); err != nil {
-		fmt.Fprintf(os.Stderr, "cancel: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Printf("%s: %s\n", cr.JobID, cr.State)
-}
-
-// runWorker serves the jobs service at url with this process until
-// SIGINT/SIGTERM or until the service says it is closing. The service's
-// jobs supply the program and every search option.
-func runWorker(url string, capacity int, workDir string,
-	retry transport.Policy, joinTimeout time.Duration, chaos *faultinject.Injector) {
-	// A scratch directory still helps within one worker process: a
-	// cancelled shard that comes back keeps its checkpoint and a spooled
-	// result survives until replay. Survive restarts by passing -workdir
-	// explicitly.
-	workDir, cleanup := scratchDir(workDir, "fairmc-worker-")
-	stop := make(chan struct{})
-	sigs := make(chan os.Signal, 2)
-	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
-	go func() {
-		<-sigs
-		close(stop)
-		<-sigs
-		os.Exit(130)
-	}()
-	metrics := fairmc.NewMetrics()
-	var rt http.RoundTripper
-	if chaos != nil {
-		chaos.OnFault = func(string) { metrics.DistFaultsInjected.Inc() }
-		rt = chaos.RoundTripper(nil)
-	}
-	fmt.Fprintf(os.Stderr, "worker: serving jobs service %s\n", url)
-	err := jobs.RunPoolWorker(jobs.PoolConfig{
-		URL:         url,
-		Capacity:    capacity,
-		WorkDir:     workDir,
-		Lookup:      progLookup,
-		Metrics:     metrics,
-		Retry:       retry,
-		JoinTimeout: joinTimeout,
-		Transport:   rt,
-		Stop:        stop,
-		Logf: func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, "worker: "+format+"\n", args...)
-		},
-	})
-	cleanup()
-	if chaos != nil {
-		fmt.Fprintf(os.Stderr, "worker: chaos: %d faults injected\n", chaos.Total())
-	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "worker: %v\n", err)
-		if errors.Is(err, dist.ErrSpecMismatch) {
-			os.Exit(fairmc.ExitUsage)
-		}
-		os.Exit(1)
-	}
+	fmt.Fprintf(c.stdout, "%-8s %-32s %-10s%s\n", js.JobID, js.Program, js.State, extra)
 }

@@ -2,7 +2,7 @@ package fairmc
 
 import "fairmc/internal/liveness"
 
-// Exit status codes shared by the CLI, a -serve run and its workers;
+// Exit status codes shared by fairmc check, a fairmc serve run and its workers;
 // ExitStatusHelp is the canonical human-readable definition (printed by
 // fairmc -h and quoted in the README). Classify a finished check with
 // Result.ExitStatus instead of re-deriving these from report fields.
@@ -18,7 +18,7 @@ const (
 	// option combination, protocol/config mismatch).
 	ExitUsage = 2
 	// ExitInterrupted: stopped by SIGINT/SIGTERM before completion;
-	// resumable when a checkpoint was written or a -serve run kept its
+	// resumable when a checkpoint was written or a serve run kept its
 	// ledger (-ledger).
 	ExitInterrupted = 3
 	// ExitFlaky: findings exist but every one failed its confirmation
@@ -38,8 +38,8 @@ const ExitStatusHelp = `exit status:
      confirmed reproducible)
   2  usage error (bad flags, unknown program, invalid option combination)
   3  interrupted by SIGINT/SIGTERM (a final checkpoint is written first
-     when -checkpoint is set, resume with -resume; a -serve run over
-     -ledger DIR resumes when the same command is run again)
+     when -checkpoint is set, resume with check -resume; a serve run
+     over -ledger DIR resumes when the same command is run again)
   4  findings exist but every one failed its confirmation replays
      (flaky — likely program nondeterminism, not a trustworthy
      counterexample)`
@@ -73,7 +73,7 @@ func (r *Result) ExitStatus() int {
 
 // ResultFromReport wraps an already-merged search report as a Result,
 // running the same divergence classification Check performs. The jobs
-// service and a -serve run use it to turn a job's merged report into
+// service and a fairmc serve run use it to turn a job's merged report into
 // the Result the CLI's reporting path (and ExitStatus) consumes.
 func ResultFromReport(rep *Report) *Result {
 	res := &Result{Report: rep}

@@ -400,21 +400,13 @@ func Replay(prog func(*conc.T), schedule []engine.Alt, opts Options) (*ExecResul
 // the scheduled thread runnable — but changes what it is about to do —
 // is still detected and pinpointed.
 func ReplayVerified(prog func(*conc.T), schedule []engine.Alt, digests []StepDigest, opts Options) (*ExecResult, error) {
-	mm, err := core.ParseMemModel(opts.MemModel)
-	if err != nil {
+	if _, err := core.ParseMemModel(opts.MemModel); err != nil {
 		return nil, err
 	}
 	ch := &engine.ReplayChooser{Schedule: schedule, Digests: digests, Strict: true}
-	r := engine.Run(prog, ch, engine.Config{
-		Fair:          opts.Fair,
-		FairK:         opts.FairK,
-		MaxSteps:      opts.MaxSteps,
-		MemModel:      mm,
-		TSOBufCap:     opts.TSOBufCap,
-		RecordTrace:   true,
-		RecordDigests: true,
-		NoFastPath:    opts.NoFastPath,
-	})
+	cfg := opts.ReplayConfig()
+	cfg.RecordTrace, cfg.RecordDigests = true, true
+	r := engine.Run(prog, ch, cfg)
 	// A not-schedulable step sets both diagnostics; keep returning the
 	// legacy *ReplayError for that case so existing errors.As callers
 	// still match. Digest mismatches only set Div.
@@ -434,19 +426,11 @@ func ReplayVerified(prog func(*conc.T), schedule []engine.Alt, digests []StepDig
 // run-to-completion policy — the quickest way to smoke-test a model
 // program before a full check.
 func RunOnce(prog func(*conc.T), opts Options) *ExecResult {
-	mm, err := core.ParseMemModel(opts.MemModel)
-	if err != nil {
-		panic(err) // Check surfaces this as an error; RunOnce has no error path
-	}
-	return engine.Run(prog, engine.RunToCompletionChooser{}, engine.Config{
-		Fair:        opts.Fair,
-		FairK:       opts.FairK,
-		MaxSteps:    opts.MaxSteps,
-		MemModel:    mm,
-		TSOBufCap:   opts.TSOBufCap,
-		RecordTrace: true,
-		NoFastPath:  opts.NoFastPath,
-	})
+	// An unknown memory model panics here (in ReplayConfig): Check
+	// surfaces it as an error, RunOnce has no error path.
+	cfg := opts.ReplayConfig()
+	cfg.RecordTrace = true
+	return engine.Run(prog, engine.RunToCompletionChooser{}, cfg)
 }
 
 // Engine is the running execution a Pred's Eval observes (rarely

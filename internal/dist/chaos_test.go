@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -95,7 +96,22 @@ func TestDistChaosByteIdentical(t *testing.T) {
 	ref := opts
 	ref.Parallelism = 2
 	want := search.Explore(racyIncrement, ref)
-	if !reflect.DeepEqual(normalize(want), normalize(got)) {
+	// Whether a lease outlives a loaded machine is wall-clock luck, and
+	// an expiry is an operational record, not part of the determinism
+	// contract (the run report compared below leaves it out). What the
+	// contract does promise: expiries only requeue — no shard is given
+	// up on, and no worker crashed.
+	gotN := normalize(got)
+	for _, wf := range gotN.WorkerFailures {
+		if !strings.HasPrefix(wf.Panic, "lease expired") {
+			t.Errorf("worker failure other than a lease expiry: %+v", wf)
+		}
+	}
+	gotN.WorkerFailures = nil
+	if got.Skipped != 0 {
+		t.Errorf("%d shard(s) abandoned under chaos", got.Skipped)
+	}
+	if !reflect.DeepEqual(normalize(want), gotN) {
 		t.Fatalf("chaotic distributed report differs from local -p 2:\n%+v\nvs\n%+v", want, got)
 	}
 	if w, g := runReportBytes(t, want, "racy", opts), runReportBytes(t, got, "racy", opts); !bytes.Equal(w, g) {

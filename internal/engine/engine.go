@@ -225,8 +225,12 @@ type Engine struct {
 	pendDig   StepDigest // pre-step digest of the pending step (RecordDigests)
 	stashed   bool       // a thread decided the terminal outcome stashOut inline
 	stashOut  Outcome
-	inlineCnt int64 // steps a thread granted itself: no switch at all
-	handoffs  int64 // fast-path steps granted to a thread other than the one that ran last
+	// stashPanic, set with stashed, is a panic that unwound a thread out
+	// of a section it was running (a chooser's, a monitor's, a failed
+	// invariant); the hub re-raises it in Run's caller.
+	stashPanic any
+	inlineCnt  int64 // steps a thread granted itself: no switch at all
+	handoffs   int64 // fast-path steps granted to a thread other than the one that ran last
 	// hubDone carries the hub's return (or its panic) to the watchdog
 	// when Config.Watchdog puts the hub on its own goroutine (watch).
 	hubDone chan hubExit
@@ -700,6 +704,16 @@ func (e *Engine) runThread(th *thread) {
 	returned := false
 	defer func() {
 		r := recover()
+		if _, kill := r.(killSentinel); r != nil && !kill && th.status == statusParked {
+			// A thread is parked from opening a section until it is granted
+			// a step, so this panic is not the body's: it came out of the
+			// scheduler code the thread was running for the engine, and the
+			// thread still holds the section. It goes to the hub like a
+			// terminal outcome; opening a section here would spin on the
+			// gate this thread holds.
+			e.stashed, e.stashPanic = true, r
+			return
+		}
 		goexit := r == nil && !returned
 		// The exit opens a section the hub finishes. It cannot be opened
 		// when the engine is aborting — an unwind, or a wedged thread

@@ -468,6 +468,47 @@ func TestHubPanicReachesCaller(t *testing.T) {
 	}
 }
 
+// TestThreadSidePanicReachesCaller: from step 1 on the fast path runs
+// the chooser on the model thread, inside a section that thread holds.
+// A panic there must reach Run's caller exactly like a hub-side one —
+// with and without the watchdog, on a single-use engine and on a pooled
+// one, and the pool must be usable afterwards — instead of hanging the
+// thread's exit path on its own gate.
+func TestThreadSidePanicReachesCaller(t *testing.T) {
+	boomAtThird := func() engine.Chooser {
+		calls := 0
+		return engine.FuncChooser(func(ctx *engine.ChooseContext) (engine.Alt, bool) {
+			if calls++; calls == 3 {
+				panic("chooser boom")
+			}
+			return ctx.Cands[0], true
+		})
+	}
+	var pool engine.Pool
+	defer pool.Close()
+	runs := map[string]func(engine.Chooser, engine.Config) *engine.Result{
+		"single-use": func(ch engine.Chooser, c engine.Config) *engine.Result { return engine.Run(fig3, ch, c) },
+		"pooled":     func(ch engine.Chooser, c engine.Config) *engine.Result { return pool.Run(fig3, ch, c) },
+	}
+	for name, run := range runs {
+		for _, wd := range []time.Duration{0, time.Second} {
+			c := cfg()
+			c.Watchdog = wd
+			func() {
+				defer func() {
+					if p := recover(); p != "chooser boom" {
+						t.Fatalf("%s, watchdog %v: recovered %v, want the chooser's panic", name, wd, p)
+					}
+				}()
+				run(boomAtThird(), c)
+			}()
+			if r := run(engine.FirstChooser{}, c); r.Outcome != engine.Terminated {
+				t.Fatalf("%s, watchdog %v: run after the panic: outcome %v", name, wd, r.Outcome)
+			}
+		}
+	}
+}
+
 func TestFingerprintStability(t *testing.T) {
 	// The same schedule must produce the same fingerprint sequence.
 	collect := func() []engine.Fingerprint {

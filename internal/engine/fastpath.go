@@ -27,6 +27,8 @@ import (
 // A thread returns to the hub in one more place: when its body
 // finishes. The hub then runs that scheduling point (the finished
 // coroutine cannot decide on behalf of the program and keep running).
+// A panic inside a thread-run section takes the same road: runThread
+// stashes it and the hub re-raises it, so it reaches Run's caller.
 // Under Config.NoFastPath the thread decides nothing and hands every
 // scheduling point to the hub. Thread or hub, it is the identical
 // decide/prepare/commit sequence in the identical order, so schedules,
@@ -172,6 +174,9 @@ func (e *Engine) loop() Outcome {
 				return Wedged
 			}
 			if e.stashed {
+				if e.stashPanic != nil {
+					panic(e.stashPanic)
+				}
 				return e.stashOut
 			}
 			if e.pendTh == th {

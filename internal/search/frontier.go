@@ -129,7 +129,7 @@ func splitFrontier(prog func(*engine.T), opts *Options, target int) []*SavedPref
 		pfx := frontier[idx]
 		replays++
 		c := &expandChooser{opts: opts, sched: pfx.Sched, digs: pfx.Digs}
-		r := opts.runEngine(&pool, prog, c, opts.replayConfig())
+		r := opts.runEngine(&pool, prog, c, opts.ReplayConfig())
 		if c.div != nil || r.Outcome != engine.Aborted || c.ended || len(c.alts) == 0 {
 			// Either the expansion replay stopped conforming — splitting
 			// below a state the program does not reproduce would

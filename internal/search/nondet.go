@@ -116,7 +116,7 @@ func reproduce(prog func(*engine.T), opts *Options, r *engine.Result) *engine.Re
 		return r
 	}
 	ch := &engine.ReplayChooser{Schedule: r.Schedule, Strict: true}
-	cfg := opts.replayConfig()
+	cfg := opts.ReplayConfig()
 	cfg.RecordTrace = true
 	cfg.RecordDigests = true
 	rr := engine.Run(prog, ch, cfg)
@@ -152,7 +152,7 @@ func confirmResult(prog func(*engine.T), opts *Options, r *engine.Result, n int)
 	rep := &Reproducibility{Runs: n}
 	for i := 0; i < n; i++ {
 		ch := &engine.ReplayChooser{Schedule: r.Schedule, Digests: r.Digests, Strict: true}
-		rr := engine.Run(prog, ch, opts.replayConfig())
+		rr := engine.Run(prog, ch, opts.ReplayConfig())
 		var fail string
 		switch {
 		case ch.Div != nil:

@@ -709,7 +709,7 @@ func isClosed(stop <-chan struct{}) bool {
 // engineConfig is the engine configuration of execution exec of this
 // search: the one place the search options map onto engine.Config.
 func (o *Options) engineConfig(deadline time.Time, exec int64) engine.Config {
-	cfg := o.replayConfig()
+	cfg := o.ReplayConfig()
 	cfg.RecordTrace = o.RecordTrace
 	cfg.Monitor = o.Monitor
 	cfg.Deadline = deadline
@@ -719,10 +719,12 @@ func (o *Options) engineConfig(deadline time.Time, exec int64) engine.Config {
 	return cfg
 }
 
-// replayConfig is engineConfig for the runs that are bookkeeping, not
-// explored executions (frontier expansion, repro, confirmation): the
-// program semantics without telemetry, monitor or deadline.
-func (o *Options) replayConfig() engine.Config {
+// ReplayConfig is engineConfig for the runs that are bookkeeping, not
+// explored executions (frontier expansion, repro, confirmation, and the
+// facade's Replay and RunOnce): the program semantics without
+// telemetry, monitor or deadline. It panics on a memory-model name
+// Validate would have rejected.
+func (o *Options) ReplayConfig() engine.Config {
 	return engine.Config{
 		Fair:       o.Fair,
 		FairK:      o.FairK,
