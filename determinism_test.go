@@ -173,6 +173,14 @@ func TestFastPathCheckpointResume(t *testing.T) {
 			MaxSteps:      10000,
 			MaxExecutions: 300,
 		}},
+		// A deep, wide stack: the checkpoint is cut out of the searcher's
+		// frame arenas mid-backtrack and the slow path rebuilds them.
+		{"ticketlock", lookupBody(t, "ticketlock"), fairmc.Options{
+			Fair:          true,
+			ContextBound:  -1,
+			MaxSteps:      10000,
+			MaxExecutions: 9000,
+		}},
 		// TSO searches checkpoint like any other: the options hash folds
 		// the memory model in, frontier alternatives include flush
 		// steps, and the v5 wm counters ride the counter block.

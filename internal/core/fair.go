@@ -81,7 +81,14 @@ func NewFair(nthreads, k int) *Fair {
 	if k < 1 {
 		panic(fmt.Sprintf("core: yield parameter k = %d, want >= 1", k))
 	}
-	f := &Fair{k: k}
+	// Room for a few threads up front: five slices growing one thread at
+	// a time is most of what a fresh scheduler state allocates.
+	n := max(nthreads, 8)
+	f := &Fair{k: k,
+		p: make([]tidset.Set, 0, n), e: make([]tidset.Set, 0, n),
+		d: make([]tidset.Set, 0, n), s: make([]tidset.Set, 0, n),
+		yieldSeen: make([]int, 0, n),
+	}
 	for i := 0; i < nthreads; i++ {
 		f.AddThread(tidset.Tid(i))
 	}

@@ -127,6 +127,14 @@ type Config struct {
 	// cannot blow past the search budget. Exceeding it ends the
 	// execution with outcome Aborted and Result.DeadlineExceeded set.
 	Deadline time.Time
+	// Stop, when non-nil, interrupts the execution once it is closed. It
+	// is polled on the tick Deadline is checked on, every 64 steps, so a
+	// search's Stop reaches into an execution that would otherwise run to
+	// MaxSteps. The execution ends with outcome Aborted and
+	// Result.Interrupted set, and is not counted: Metrics gets no flush
+	// and EventSink no exec_end for it (the step events already emitted
+	// stay), because the search that resumes runs that index again.
+	Stop <-chan struct{}
 	// Metrics, if non-nil, receives this execution's telemetry in one
 	// atomic flush when the execution ends (internal/obs). The per-step
 	// hot path accumulates in plain engine-local counters, so metrics
@@ -191,11 +199,13 @@ type Engine struct {
 	violation   *ViolationInfo
 	wedge       *WedgeInfo
 	deadlineHit bool
+	interrupted bool // Config.Stop was found closed
 	stepCount   int64
 	yieldCnt    int64
 	schedule    []Alt
 	trace       []Step
 	digests     []StepDigest
+	res         *Result // what result fills and returns, run after run
 
 	// Per-execution observability accumulators (plain locals flushed to
 	// Config.Metrics once, in result): scheduling decisions made,
@@ -216,7 +226,6 @@ type Engine struct {
 	// the "pending" step: its commit runs when the granted thread reaches
 	// its next scheduling point (or exits).
 	fast      bool
-	pooled    bool         // drawn from a Pool: Result must own its slices
 	schedGate atomic.Int64 // 0 user code running, 1 section active, 2 watchdog poison
 	progress  atomic.Int64 // sections completed (watchdog signal)
 	pendTh    *thread      // thread the pending step was granted to
@@ -278,6 +287,20 @@ func newEngine(chooser Chooser, cfg Config) *Engine {
 		chooser: chooser,
 		prevTid: tidset.None,
 		fast:    !cfg.NoFastPath,
+		// Room for a short execution up front, so that a single-use engine
+		// does not pay append's doublings one by one. (A pooled engine's
+		// buffers are as long as its longest execution.)
+		threads:     make([]*thread, 0, 8),
+		idleWorkers: make([]*worker, 0, 8),
+		candsBuf:    make([]Alt, 0, 8),
+		schedule:    make([]Alt, 0, 64),
+		res:         new(Result),
+	}
+	if cfg.RecordTrace {
+		e.trace = make([]Step, 0, 64)
+	}
+	if cfg.RecordDigests {
+		e.digests = make([]StepDigest, 0, 64)
 	}
 	if cfg.Fair {
 		e.fair = core.NewFair(0, cfg.FairK)
@@ -319,7 +342,7 @@ func (e *Engine) allocThread(name string) *thread {
 		th = e.thFree[n-1]
 		e.thFree[n-1] = nil
 		e.thFree = e.thFree[:n-1]
-		*th = thread{}
+		*th = thread{slots: th.slots}
 	} else {
 		th = &thread{}
 	}
@@ -340,7 +363,10 @@ func (e *Engine) newThread(name string, body func(*T), parent *thread) *thread {
 	th.body = body
 	th.status = statusEmbryo
 	th.armed = parent == nil // the main thread starts immediately
-	th.pending = startOp{th: th}
+	th.t = T{e: e, th: th}
+	th.handle = Handle{th: th}
+	th.start = startOp{th: th}
+	th.pending = &th.start
 	if parent != nil {
 		th.parent = parent.id
 		th.spawnSeq = parent.childCount
@@ -462,10 +488,9 @@ func (e *Engine) decide() (alt Alt, out Outcome, terminal bool) {
 	if e.stepCount >= e.cfg.MaxSteps {
 		return alt, Diverged, true
 	}
-	// Wall-clock deadline, amortized: one time.Now every 64 steps.
-	if !e.cfg.Deadline.IsZero() && e.stepCount&63 == 0 &&
-		time.Now().After(e.cfg.Deadline) {
-		e.deadlineHit = true
+	// The outside world, amortized: one time.Now and one channel poll
+	// every 64 steps.
+	if e.stepCount&63 == 0 && e.cut() {
 		return alt, Aborted, true
 	}
 	var es tidset.Set
@@ -546,6 +571,22 @@ func (e *Engine) decide() (alt Alt, out Outcome, terminal bool) {
 		e.pendDig = e.StepDigest(cands, alt)
 	}
 	return alt, 0, false
+}
+
+// cut reports whether the wall-clock deadline has passed or Stop has
+// been closed, recording which.
+func (e *Engine) cut() bool {
+	if !e.cfg.Deadline.IsZero() && time.Now().After(e.cfg.Deadline) {
+		e.deadlineHit = true
+		return true
+	}
+	select {
+	case <-e.cfg.Stop: // nil: never
+		e.interrupted = true
+		return true
+	default:
+		return false
+	}
 }
 
 // prepare applies the granted alternative to its thread's pending op
@@ -740,7 +781,7 @@ func (e *Engine) runThread(th *thread) {
 			}
 		}
 	}()
-	th.body(&T{e: e, th: th})
+	th.body(&th.t)
 	returned = true
 }
 
@@ -795,8 +836,12 @@ func (e *Engine) abort() {
 	}
 }
 
+// result fills the engine's Result for the execution that just ended.
+// The Result and its slices are the engine's own storage, written anew
+// by the engine's next run (see Result).
 func (e *Engine) result(outcome Outcome) *Result {
-	r := &Result{
+	r := e.res
+	*r = Result{
 		Outcome:     outcome,
 		Steps:       e.stepCount,
 		Schedule:    e.schedule,
@@ -805,20 +850,16 @@ func (e *Engine) result(outcome Outcome) *Result {
 		Threads:     len(e.threads),
 		Yields:      e.yieldCnt,
 		FairBlocked: e.fairBlockedCnt,
-	}
-	if e.pooled {
-		// A pooled engine reuses its step buffers on the next run, so
-		// the Result must own copies. A single-use engine keeps the
-		// historical aliasing: the buffers die with it.
-		r.Schedule = append([]Alt(nil), e.schedule...)
-		r.Trace = append([]Step(nil), e.trace...)
-		r.Digests = append([]StepDigest(nil), e.digests...)
+		PerThread:   r.PerThread[:0],
+		Blocked:     r.Blocked[:0],
 	}
 	if e.fair != nil {
 		r.EdgeAdds, r.EdgeErases = e.fair.EdgeStats()
 	}
 	r.WM = e.wm
-	if m := e.cfg.Metrics; m != nil {
+	// An interrupted run is dropped by every caller and its index rerun
+	// on resume: counting it here would count it twice.
+	if m := e.cfg.Metrics; m != nil && !e.interrupted {
 		m.FlushExec(obs.ExecFlush{
 			Steps:          e.stepCount,
 			Yields:         e.yieldCnt,
@@ -836,7 +877,7 @@ func (e *Engine) result(outcome Outcome) *Result {
 			Outcome:        outcome.String(),
 		})
 	}
-	if sink := e.cfg.EventSink; sink != nil {
+	if sink := e.cfg.EventSink; sink != nil && !e.interrupted {
 		sink.Emit(obs.Event{
 			Type: "exec_end",
 			Exec: e.cfg.ExecIndex,
@@ -846,6 +887,9 @@ func (e *Engine) result(outcome Outcome) *Result {
 				Yields:  int(e.yieldCnt),
 			},
 		})
+	}
+	if cap(r.PerThread) < len(e.threads) {
+		r.PerThread = make([]ThreadStat, 0, len(e.threads))
 	}
 	for _, th := range e.threads {
 		r.PerThread = append(r.PerThread, ThreadStat{
@@ -864,6 +908,7 @@ func (e *Engine) result(outcome Outcome) *Result {
 		r.Wedge = e.wedge
 	}
 	r.DeadlineExceeded = e.deadlineHit
+	r.Interrupted = e.interrupted
 	if outcome == Deadlock {
 		// Agents are omitted: a deadlock means no agent was enabled
 		// either (drained buffers), and an agent is never "blocked" in

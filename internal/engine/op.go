@@ -24,6 +24,14 @@ import (
 // transition. The engine queries Enabled to build the enabled set ES
 // and runs Execute (on the owning thread's coroutine) when the
 // scheduler grants the step.
+//
+// Lifetime: a thread has exactly one published op at a time, and the
+// engine is its only holder — from T.Do (or the Execute that returned
+// it as a continuation) until its own Execute returns. Everything else
+// that looks at an op (traces, digests, fingerprints, results) copies
+// the OpInfo value out. So the op's storage may be reused by the same
+// thread as soon as T.Do returns; OpSlot is that reuse, and every op
+// of the model objects lives in one.
 type Op interface {
 	// Enabled reports whether the transition can currently fire.
 	// A thread whose pending op is disabled is blocked.
@@ -34,7 +42,9 @@ type Op interface {
 	// code. A non-nil return value is a continuation: the thread
 	// re-parks with that op instead of resuming user code (used for
 	// multi-phase operations such as condition-variable wait, which
-	// must release, block, and reacquire).
+	// must release, block, and reacquire). A continuation must not be
+	// the op returning it: when both live in slots, they are of
+	// different kinds.
 	Execute() Op
 
 	// Yielding reports whether this transition is a yield in the
@@ -75,6 +85,67 @@ func (i OpInfo) String() string {
 	default:
 		return fmt.Sprintf("%s(#%d,%d)", i.Kind, i.Obj, i.Aux)
 	}
+}
+
+// OpSlot is a reusable per-thread op of type O: every thread record
+// holds at most one O for the slot, made when the thread first asks
+// and kept as the record is recycled from execution to execution. A
+// model-object method publishes the thread's op and reads its results
+// back, so a step allocates no op:
+//
+//	var loadSlot = engine.NewOpSlot[loadOp]()
+//
+//	return loadSlot.Do(t, loadOp{v: v}).res
+//
+// One slot per op type is enough because a thread publishes one op at
+// a time and a continuation is of another type than the op returning
+// it (see Op). An object that must outlive the Do — a waiter queued on
+// a condition variable — may live inside the op only if it is unlinked
+// before the thread can publish that type again.
+type OpSlot[O any, P interface {
+	*O
+	Op
+}] struct{ idx int }
+
+// opSlots counts the registered slots. Written during package
+// initialization only (NewOpSlot), read-only once executions run.
+var opSlots int
+
+// NewOpSlot registers a slot for ops of type O (P is inferred: *O,
+// which must implement Op). Call it from a package-level variable
+// initializer: the slot table's size is fixed by the time the first
+// thread asks for an op.
+func NewOpSlot[O any, P interface {
+	*O
+	Op
+}]() OpSlot[O, P] {
+	s := OpSlot[O, P]{idx: opSlots}
+	opSlots++
+	return s
+}
+
+// Set overwrites t's op for the slot with op and returns it, for an
+// Execute that returns it as its continuation.
+func (s OpSlot[O, P]) Set(t *T, op O) P {
+	th := t.th
+	if th.slots == nil {
+		th.slots = make([]any, opSlots)
+	}
+	p, ok := th.slots[s.idx].(P)
+	if !ok {
+		p = new(O)
+		th.slots[s.idx] = p
+	}
+	*p = op
+	return p
+}
+
+// Do is T.Do on t's op for the slot, set to op. The returned op holds
+// the results until t's next Do on the slot.
+func (s OpSlot[O, P]) Do(t *T, op O) P {
+	p := s.Set(t, op)
+	t.Do(p)
+	return p
 }
 
 // ObjID identifies a registered synchronization object or shared
@@ -124,12 +195,12 @@ type startOp struct {
 	th *thread
 }
 
-func (o startOp) Enabled() bool { return o.th.armed }
-func (o startOp) Execute() Op   { panic("engine: startOp.Execute must not be called") }
-func (o startOp) Yielding() bool {
+func (o *startOp) Enabled() bool { return o.th.armed }
+func (o *startOp) Execute() Op   { panic("engine: startOp.Execute must not be called") }
+func (o *startOp) Yielding() bool {
 	return false
 }
-func (o startOp) Info() OpInfo { return OpInfo{Kind: "start", Obj: NoObj} }
+func (o *startOp) Info() OpInfo { return OpInfo{Kind: "start", Obj: NoObj} }
 
 // yieldOp implements T.Yield and T.Sleep: always enabled, no effect,
 // and yielding — the good-samaritan signal the fair scheduler keys on.
@@ -138,10 +209,10 @@ type yieldOp struct {
 	aux  int64
 }
 
-func (yieldOp) Enabled() bool  { return true }
-func (yieldOp) Execute() Op    { return nil }
-func (yieldOp) Yielding() bool { return true }
-func (o yieldOp) Info() OpInfo { return OpInfo{Kind: o.kind, Obj: NoObj, Aux: o.aux} }
+func (*yieldOp) Enabled() bool  { return true }
+func (*yieldOp) Execute() Op    { return nil }
+func (*yieldOp) Yielding() bool { return true }
+func (o *yieldOp) Info() OpInfo { return OpInfo{Kind: o.kind, Obj: NoObj, Aux: o.aux} }
 
 // chooseOp implements T.Choose(n): a data-nondeterminism point with n
 // alternatives, resolved by the search.

@@ -19,9 +19,11 @@ type Pool struct {
 // Run is engine.Run drawing the Engine from the pool and returning it
 // afterwards. Engines that end wedged are discarded: the wedged thread
 // and the hub that resumed it are leaked and still hold the engine.
-// The Result owns its Schedule/Trace/Digests slices (unlike a
-// single-use engine's Result, which aliases buffers that die with the
-// engine), so callers may retain it across executions.
+//
+// The Result belongs to the pool: it and its Schedule, Trace, Digests,
+// PerThread and Blocked slices are the pooled engine's own buffers,
+// valid until the next Run on this pool, which overwrites them. A
+// caller that keeps a result longer — a finding — keeps r.Clone().
 func (p *Pool) Run(body func(*T), chooser Chooser, cfg Config) *Result {
 	normalize(&cfg)
 	e := p.free
@@ -34,7 +36,6 @@ func (p *Pool) Run(body func(*T), chooser Chooser, cfg Config) *Result {
 	} else {
 		e = newEngine(chooser, cfg)
 	}
-	e.pooled = true
 	r := e.run(body)
 	if e.wedge == nil {
 		p.free = e
@@ -92,6 +93,7 @@ func (e *Engine) reset(chooser Chooser, cfg Config) {
 	e.aborting.Store(false)
 	e.violation = nil
 	e.deadlineHit = false
+	e.interrupted = false
 	e.stepCount = 0
 	e.yieldCnt = 0
 	e.schedule = e.schedule[:0]

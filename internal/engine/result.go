@@ -132,7 +132,11 @@ type WMCounters struct {
 	Forwards       int64
 }
 
-// Result reports one complete execution.
+// Result reports one complete execution. Its slices alias the buffers
+// of the engine that ran it. After Run that engine is gone and the
+// Result is the caller's to keep; after Pool.Run the engine runs again,
+// so the Result is valid until the pool's next Run and Clone makes the
+// copy that outlives it.
 type Result struct {
 	Outcome  Outcome
 	Steps    int64
@@ -150,8 +154,14 @@ type Result struct {
 	// wall-clock Config.Deadline passed (outcome Aborted). The searcher
 	// translates this into its TimeLimit accounting.
 	DeadlineExceeded bool
-	Threads          int   // threads created
-	Yields           int64 // yielding transitions taken
+	// Interrupted reports that the execution was cut because Config.Stop
+	// was closed (outcome Aborted). The cut execution is not part of the
+	// search: the engine leaves it out of Config.Metrics and emits no
+	// exec_end for it, the searcher drops it and stops, resumably — so no
+	// kept Result has it set, and the serialized form of one is unchanged.
+	Interrupted bool  `json:",omitempty"`
+	Threads     int   // threads created
+	Yields      int64 // yielding transitions taken
 	// Priority-graph churn under the fair scheduler (zero without it):
 	// EdgeAdds counts insertions by P := P ∪ {t}×H at yield-window
 	// boundaries, EdgeErases removals by line 13's P := P \ (Tid × {t}),
@@ -168,6 +178,19 @@ type Result struct {
 	// good-samaritan discipline is visible here: a thread with many
 	// steps and no yields in a diverging execution is the §4.3.1 bug.
 	PerThread []ThreadStat
+}
+
+// Clone returns a copy of r that shares no slice with it (nor with the
+// pooled engine r came from). Violation and Wedge are made per
+// execution and never rewritten, so the copy shares them.
+func (r *Result) Clone() *Result {
+	c := *r
+	c.Schedule = append([]Alt(nil), r.Schedule...)
+	c.Trace = append([]Step(nil), r.Trace...)
+	c.Digests = append([]StepDigest(nil), r.Digests...)
+	c.PerThread = append([]ThreadStat(nil), r.PerThread...)
+	c.Blocked = append([]BlockedInfo(nil), r.Blocked...)
+	return &c
 }
 
 // FormatTrace renders the recorded trace (or, without trace recording,

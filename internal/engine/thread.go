@@ -39,7 +39,11 @@ func (s threadStatus) String() string {
 	}
 }
 
-// thread is the engine-side record of one model thread.
+// thread is the engine-side record of one model thread. Records are
+// recycled across a pooled engine's executions (allocThread), and
+// everything a thread needs per step lives in its record rather than on
+// the heap: the handles handed to user code, the engine's own ops, and
+// the slots model objects keep their ops in (OpSlot).
 type thread struct {
 	id     tidset.Tid
 	name   string
@@ -49,6 +53,20 @@ type thread struct {
 	pending Op      // valid while status is embryo or parked
 	armed   bool    // spawn transition executed; start is schedulable
 	w       *worker // coroutine running this body, from start to exit
+
+	t      T      // the handle the body receives
+	handle Handle // the handle the parent's Go returns
+
+	// The engine's own ops. One of each suffices because a thread has
+	// exactly one published op at a time.
+	start  startOp
+	spawn  spawnOp
+	join   joinOp
+	yield  yieldOp
+	choose chooseOp
+	// slots[i] is this thread's op for OpSlot i, made on first use. The
+	// one field that survives recycling.
+	slots []any
 
 	pc         int   // last Label() value, for state fingerprints
 	sinceLabel int   // transitions since the last Label (intra-label pc)
@@ -90,6 +108,10 @@ func (t *T) Name() string { return t.th.name }
 // scheduler grants and executes it. Synchronization objects use Do to
 // implement their operations; test programs normally use the
 // higher-level API.
+//
+// The engine holds op until Do returns and not a moment longer (see
+// Op), so the caller may read results out of it and then reuse it for
+// this thread's next Do; OpSlot packages exactly that.
 func (t *T) Do(op Op) {
 	t.e.park(t.th, op)
 }
@@ -101,8 +123,10 @@ func (t *T) Do(op Op) {
 // first instruction.
 func (t *T) Go(name string, body func(*T)) *Handle {
 	nt := t.e.newThread(name, body, t.th)
-	t.Do(&spawnOp{child: nt})
-	return &Handle{th: nt}
+	op := &t.th.spawn
+	op.child = nt
+	t.Do(op)
+	return &nt.handle
 }
 
 // spawnOp makes thread creation itself a transition.
@@ -120,7 +144,8 @@ func (o *spawnOp) Info() OpInfo {
 	return OpInfo{Kind: "spawn", Obj: NoObj, Aux: int64(o.child.id)}
 }
 
-// Handle refers to a spawned thread.
+// Handle refers to a spawned thread. Like a T it is valid during the
+// execution that created it.
 type Handle struct {
 	th *thread
 }
@@ -130,21 +155,29 @@ func (h *Handle) ID() tidset.Tid { return h.th.id }
 
 // Join parks t until the target thread has exited.
 func (h *Handle) Join(t *T) {
-	t.Do(&joinOp{target: h.th})
+	op := &t.th.join
+	op.target = h.th
+	t.Do(op)
 }
 
 // Yield is an explicit processor yield: the good-samaritan signal. It
 // is always enabled and has no effect on program state, but it closes
 // the thread's fairness window (Algorithm 1, lines 23–29).
 func (t *T) Yield() {
-	t.Do(yieldOp{kind: "yield"})
+	t.yield("yield", 0)
 }
 
 // Sleep models sleeping for a finite duration d (an opaque number of
 // model ticks). Per the paper (§4), any synchronization operation with
 // a finite timeout is treated as a yield; Sleep is exactly that.
 func (t *T) Sleep(d int64) {
-	t.Do(yieldOp{kind: "sleep", aux: d})
+	t.yield("sleep", d)
+}
+
+func (t *T) yield(kind string, aux int64) {
+	op := &t.th.yield
+	*op = yieldOp{kind: kind, aux: aux}
+	t.Do(op)
 }
 
 // Choose introduces data nondeterminism: the checker explores all
@@ -153,7 +186,8 @@ func (t *T) Choose(n int) int {
 	if n < 1 {
 		t.Failf("Choose(%d): arity must be >= 1", n)
 	}
-	op := &chooseOp{n: n}
+	op := &t.th.choose
+	*op = chooseOp{n: n}
 	t.Do(op)
 	return op.choice
 }

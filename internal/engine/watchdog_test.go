@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"fairmc/internal/engine"
+	"fairmc/internal/obs"
 	"fairmc/internal/syncmodel"
 )
 
@@ -113,6 +114,56 @@ func TestDeadlineAborts(t *testing.T) {
 	}
 	if !r.DeadlineExceeded {
 		t.Fatal("DeadlineExceeded not set")
+	}
+}
+
+// TestStopInterruptsExecution: closing Config.Stop cuts an execution
+// that would otherwise run to MaxSteps, within one poll interval (64
+// steps), with outcome Aborted and Interrupted set — on the fast path
+// and off, single-use and pooled — and leaves it out of the metrics,
+// since whoever resumes runs it again. No sleeps: the chooser closes
+// Stop at step 100 of a spin nothing ever ends.
+func TestStopInterruptsExecution(t *testing.T) {
+	spin := func(t *engine.T) {
+		flag := syncmodel.NewIntVar(t, "flag", 0)
+		t.Go("spinner", func(t *engine.T) {
+			for flag.Load(t) == 0 {
+			}
+		})
+		for flag.Load(t) == 0 {
+		}
+	}
+	var pool engine.Pool
+	defer pool.Close()
+	m := obs.NewMetrics()
+	for _, noFast := range []bool{false, true} {
+		for name, run := range map[string]func(func(*engine.T), engine.Chooser, engine.Config) *engine.Result{
+			"run": engine.Run, "pool": pool.Run,
+		} {
+			stop := make(chan struct{})
+			r := run(spin, engine.FuncChooser(func(ctx *engine.ChooseContext) (engine.Alt, bool) {
+				if ctx.Step == 100 {
+					close(stop)
+				}
+				return ctx.Cands[ctx.Step%len(ctx.Cands)], true
+			}), engine.Config{MaxSteps: 1 << 20, Stop: stop, NoFastPath: noFast, Metrics: m})
+			if r.Outcome != engine.Aborted || !r.Interrupted || r.DeadlineExceeded {
+				t.Fatalf("%s noFast=%v: outcome %v interrupted %v deadline %v, want an interrupted abort",
+					name, noFast, r.Outcome, r.Interrupted, r.DeadlineExceeded)
+			}
+			if r.Steps <= 100 || r.Steps > 164 {
+				t.Fatalf("%s noFast=%v: cut at step %d, want within 64 steps of 100", name, noFast, r.Steps)
+			}
+		}
+	}
+	// An open Stop changes nothing, and the flag does not survive into
+	// the pool's next run.
+	r := pool.Run(spin, engine.FirstChooser{}, engine.Config{MaxSteps: 300, Stop: make(chan struct{}), Metrics: m})
+	if r.Outcome != engine.Diverged || r.Interrupted {
+		t.Fatalf("open Stop: outcome %v interrupted %v, want diverged", r.Outcome, r.Interrupted)
+	}
+	if n, steps := m.Executions.Load(), m.Steps.Load(); n != 1 || steps != 300 {
+		t.Fatalf("metrics count %d executions, %d steps; want only the uninterrupted run's 1 and 300", n, steps)
 	}
 }
 

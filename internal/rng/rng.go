@@ -15,6 +15,9 @@ func New(seed uint64) *Rand {
 	return &Rand{state: seed}
 }
 
+// Seed restarts r as the generator New(seed) returns.
+func (r *Rand) Seed(seed uint64) { r.state = seed }
+
 // Mix derives a new seed from two values; used to give every execution
 // an independent but reproducible tail-search stream.
 func Mix(a, b uint64) uint64 {

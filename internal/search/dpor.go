@@ -280,6 +280,12 @@ func runDporUnit(prog func(*engine.T), opts *Options, pool *engine.Pool, unit *p
 			return rep
 		}
 	}
+	if r.Interrupted {
+		// Cancelled mid-execution: the merge discards the report and a
+		// resume re-runs the unit in full.
+		rep.Interrupted = true
+		return rep
+	}
 	rep.addResult(r)
 	reason := abortNone
 	if c.abortSleep {

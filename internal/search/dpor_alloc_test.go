@@ -46,7 +46,7 @@ func TestDporUnitAllocBudget(t *testing.T) {
 			search.RunShardOn(&pool, p.Body, opts, sh, nil)
 		}
 	}) / units
-	const budget = 121
+	const budget = 51
 	t.Logf("%.1f allocations per unit run (budget %d)", perUnit, budget)
 	if perUnit > budget {
 		t.Fatalf("%.1f allocations per unit run, budget %d", perUnit, budget)

@@ -179,7 +179,7 @@ func TestDporParentShapeFrontierRestores(t *testing.T) {
 	for i := 0; i < consumed; i++ {
 		sh := plan.Shards[i]
 		rec := DporTraceRec{Path: append([]int(nil), sh.Unit.Path...)}
-		rep := runShard(p.Body, &single, sh, &pool, time.Time{}, nil)
+		rep := runShard(p.Body, &single, sh, &pool, time.Time{})
 		if rep.Dpor != nil {
 			rec.Cont = rep.Dpor.ContIdx
 		}

@@ -127,7 +127,7 @@ type shardResult struct {
 // program, engine or searcher — becomes a recorded WorkerFailure instead
 // of a process abort.
 func runShardRecover(prog func(*engine.T), opts *Options, sh Shard, pool *engine.Pool,
-	deadline time.Time, cancelled func() bool) (res shardResult) {
+	deadline time.Time) (res shardResult) {
 	res.idx = sh.Index
 	defer func() {
 		if p := recover(); p != nil {
@@ -138,7 +138,7 @@ func runShardRecover(prog func(*engine.T), opts *Options, sh Shard, pool *engine
 	if h := workerFaultHook; h != nil {
 		h(sh.kind(), int64(sh.Index))
 	}
-	res.rep = runShard(prog, opts, sh, pool, deadline, cancelled)
+	res.rep = runShard(prog, opts, sh, pool, deadline)
 	return res
 }
 
@@ -161,7 +161,6 @@ func exploreSharded(prog func(*engine.T), opts Options) *Report {
 	sub.TimeLimit = 0       // the shared deadline is passed explicitly
 	sub.CheckpointPath = "" // the driver checkpoints at merge granularity
 	sub.Resume = nil
-	sub.Stop = nil // cancellation reaches shards through the queue
 
 	var m *ShardMerger
 	var prevElapsed time.Duration
@@ -179,7 +178,9 @@ func exploreSharded(prog func(*engine.T), opts Options) *Report {
 	q := &shardQueue{next: m.next, done: make(chan struct{})}
 	q.cond = sync.NewCond(&q.mu)
 	q.publish(m.plan.Shards)
-	cancelled := func() bool { return isClosed(q.done) }
+	// Stop reaches the shards, and the executions they are running,
+	// through the queue.
+	sub.Stop = q.done
 	results := make(chan shardResult, p) // one slot per sender: a worker never waits on the merge to start its next shard
 	var wg sync.WaitGroup
 	for w := 0; w < p; w++ {
@@ -193,7 +194,7 @@ func exploreSharded(prog func(*engine.T), opts Options) *Report {
 				if !ok {
 					return
 				}
-				res := runShardRecover(prog, &sub, sh, &pool, deadline, cancelled)
+				res := runShardRecover(prog, &sub, sh, &pool, deadline)
 				select {
 				case results <- res:
 				case <-q.done:

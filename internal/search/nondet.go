@@ -110,10 +110,12 @@ func (r *Reproducibility) String() string {
 // (non-conforming replay, or a different outcome) the program is
 // nondeterministic under its own schedule — the original (traceless)
 // result is kept and the confirmation pass will mark the finding flaky
-// rather than crashing the search.
+// rather than crashing the search. Either way the returned Result is
+// the report's to keep: r itself belongs to the engine pool that ran it
+// (engine.Pool.Run), so where r is what is kept, a copy is.
 func reproduce(prog func(*engine.T), opts *Options, r *engine.Result) *engine.Result {
 	if len(r.Trace) > 0 {
-		return r
+		return r.Clone()
 	}
 	ch := &engine.ReplayChooser{Schedule: r.Schedule, Strict: true}
 	cfg := opts.ReplayConfig()
@@ -121,7 +123,7 @@ func reproduce(prog func(*engine.T), opts *Options, r *engine.Result) *engine.Re
 	cfg.RecordDigests = true
 	rr := engine.Run(prog, ch, cfg)
 	if ch.Err != nil || ch.Div != nil || rr.Outcome != r.Outcome {
-		return r
+		return r.Clone()
 	}
 	return rr
 }

@@ -306,6 +306,83 @@ func TestCheckpointResumeRoundTrip(t *testing.T) {
 	})
 }
 
+// TestFrameArenaCheckpointResume: the DFS stack lives in two arenas that
+// backtracking truncates; a checkpoint copies frames out of them and a
+// resume pushes them back in. The fixture's executions run past
+// memoDepthCap (4096), where frames keep their alternatives but no
+// memo, and one thread's Choose makes a frame wider than its
+// neighbours'. (The deep, wide stack under the cap is the ticketlock
+// fixture of TestFastPathCheckpointResume.)
+func TestFrameArenaCheckpointResume(t *testing.T) {
+	deep := func(t *engine.T) {
+		x := syncmodel.NewIntVar(t, "x", 0)
+		h := t.Go("late", func(t *engine.T) { x.Store(t, int64(t.Choose(3))) })
+		for i := 0; i < 4200; i++ {
+			x.Add(t, 1)
+		}
+		h.Join(t)
+	}
+	roundTrip(t, deep, search.Options{ContextBound: -1, MaxSteps: 10000,
+		MaxExecutions: 40, ProgramName: "deep"}, 17)
+}
+
+// TestStopCutsRunningExecution: Options.Stop reaches into a running
+// execution (engine.Config.Stop). The cut execution is dropped whole,
+// frames included, so the checkpoint is the one a poll before the
+// execution would have written and the resumed search finishes exactly
+// like an uninterrupted one — whether the cut execution was the first,
+// with every frame on the stack its own, or a later one replaying a
+// long prefix. The program closes Stop itself, a third of the way into
+// the chosen one of its 300-step executions (a side effect the
+// scheduler does not see and the schedule does not depend on).
+func TestStopCutsRunningExecution(t *testing.T) {
+	// prog(n, stop) closes stop in its n-th run; n = 0 never does.
+	prog := func(n int, stop chan struct{}) func(*engine.T) {
+		runs := 0
+		return func(t *engine.T) {
+			runs++
+			x := syncmodel.NewIntVar(t, "x", 0)
+			h := t.Go("other", func(t *engine.T) {
+				for i := 0; i < 150; i++ {
+					x.Add(t, 1)
+				}
+			})
+			for i := 0; i < 148; i++ {
+				if i == 50 && runs == n {
+					close(stop)
+				}
+				x.Add(t, 1)
+			}
+			h.Join(t)
+		}
+	}
+	opts := search.Options{ContextBound: -1, MaxSteps: 10000, MaxExecutions: 30, ProgramName: "long"}
+	baseline := search.Explore(prog(0, nil), opts)
+	for _, exec := range []int{1, 12} {
+		path := filepath.Join(t.TempDir(), "search.ckpt")
+		stop := make(chan struct{})
+		first := opts
+		first.CheckpointPath = path
+		first.Stop = stop
+		rep1 := search.Explore(prog(exec, stop), first)
+		if !rep1.Interrupted || rep1.Executions != int64(exec-1) {
+			t.Fatalf("cut in execution %d: interrupted %v after %d executions, want the cut execution dropped",
+				exec, rep1.Interrupted, rep1.Executions)
+		}
+		ck, err := search.LoadCheckpoint(path)
+		if err != nil {
+			t.Fatalf("loading checkpoint: %v", err)
+		}
+		second := opts
+		second.Resume = ck
+		rep2 := search.Explore(prog(0, nil), second)
+		if !reflect.DeepEqual(normalize(baseline), normalize(rep2)) {
+			t.Fatalf("cut in execution %d: resumed report differs from uninterrupted baseline:\n%+v\nvs\n%+v",
+				exec, baseline, rep2)
+		}
+	}
+}
+
 // TestStopChannelInterrupt: closing Options.Stop interrupts the search
 // at an execution boundary, writes a resumable checkpoint, and the
 // resumed search finishes exactly like an uninterrupted one.

@@ -191,9 +191,12 @@ type Options struct {
 	// Options; budgets (MaxExecutions, TimeLimit) may differ, so an
 	// interrupted search can be resumed with a larger budget.
 	Resume *Checkpoint
-	// Stop, when non-nil, is polled between executions (sequential) or
-	// by the merge loop (parallel): closing it interrupts the
-	// search, which writes a final checkpoint (when configured) and
+	// Stop, when non-nil, is polled between executions and every 64
+	// steps inside one (engine.Config.Stop), and by the merge loop of a
+	// parallel search: closing it interrupts the search, which drops the
+	// execution it cut (from the report, and from Metrics' execution
+	// counts and the event stream's exec_end records; the cut run's
+	// step events stay), writes a final checkpoint (when configured) and
 	// returns with Report.Interrupted set. This is how cmd/fairmc
 	// turns SIGINT/SIGTERM into a clean, resumable stop.
 	Stop <-chan struct{}
@@ -381,29 +384,47 @@ type Report struct {
 	Elapsed time.Duration
 }
 
-// frame is one decision on the DFS stack.
+// frame is one decision on the DFS stack. Its alternatives and their
+// pending ops are windows of the searcher's two arenas (altArena,
+// opArena), not slices of its own: the stack is strictly LIFO, so a
+// frame's storage is the arenas' tail when it is pushed and is given
+// back when it is popped (truncate), and a push allocates nothing once
+// the arenas have grown to the search's depth. Whoever needs a frame's
+// contents past that — a checkpoint, a quarantine report — copies.
+//
+// A frame's region starts at alt0 / op0. It holds the unfiltered
+// candidate set first, when that is kept (it is the prefix memo, and
+// the alternatives themselves when nothing filtered them), then the
+// filtered alternatives, when a context bound or sleep sets removed
+// some. The two arenas are laid out alike: the op of the alternative at
+// altArena[alt0+i] is opArena[op0+i], for as many ops as were recorded.
 type frame struct {
-	alts []engine.Alt // alternatives to explore, in discovery order
-	idx  int          // alternative currently taken
+	idx int // alternative currently taken
 	// Conformance bookkeeping: dig is the candidate-set digest recorded
 	// when this choice point was first reached (hasDig gates it — a
 	// frame restored from an old checkpoint or with conformance
-	// disabled has none), and ops[i] is the pending op of alts[i] at
-	// that time. ops may be shorter than alts for frames restored from
-	// an old checkpoint; replay then verifies the digest only.
+	// disabled has none).
 	dig    uint64
 	hasDig bool
-	ops    []engine.OpInfo
-	// Prefix memo: an owned snapshot of the full unfiltered candidate
-	// set and each candidate's pending op, captured when this choice
-	// point was first expanded. A replay that matches it structurally
-	// has validated strictly more than the digest compare (CandsDigest
-	// is a pure function of exactly these values), so it skips the
-	// digest re-encoding. Empty when memoization is off (NoFastPath,
-	// DisableConformance), past memoDepthCap, or for frames restored
-	// from a checkpoint (the memo is never persisted).
-	memoCands []engine.Alt
-	memoOps   []engine.OpInfo
+
+	alt0, op0 int
+	// The alternatives to explore, in discovery order, are
+	// altArena[alt0+altOff:][:nAlts]; ops[i], the pending op of
+	// alternative i at that time, is opArena[op0+altOff:][:nOps]. nOps
+	// is 0 without a digest, and may be short of nAlts for frames
+	// restored from an old checkpoint; replay then verifies the digest
+	// only.
+	altOff, nAlts, nOps int
+	// Prefix memo: altArena[alt0:][:nMemo] and opArena[op0:][:nMemo] are
+	// the full unfiltered candidate set and each candidate's pending op,
+	// captured when this choice point was first expanded. A replay that
+	// matches it structurally has validated strictly more than the
+	// digest compare (CandsDigest is a pure function of exactly these
+	// values), so it skips the digest re-encoding. nMemo is 0 when
+	// memoization is off (NoFastPath, DisableConformance), past
+	// memoDepthCap, or for frames restored from a checkpoint (the memo
+	// is never persisted).
+	nMemo int
 }
 
 // memoDepthCap bounds the prefix memo by depth: frames deeper than
@@ -433,10 +454,14 @@ type searcher struct {
 
 	stack []frame
 	fixed int // frames [0, fixed) are replayed; the frame at fixed-1 carries the new branch
+	// altArena and opArena hold every stacked frame's alternatives and
+	// pending ops, in stack order (see frame).
+	altArena []engine.Alt
+	opArena  []engine.OpInfo
 
 	pos         int // frames consumed in the current execution
 	preemptUsed int
-	tailRand    *rng.Rand
+	tailRand    rng.Rand
 	reason      abortReason
 	divErr      *engine.DivergenceError // set when reason == abortDiverged
 	sleep       por.Set                 // current sleep set (when Options.SleepSets)
@@ -461,12 +486,10 @@ type searcher struct {
 	execBase  int64
 	execLimit int64
 
-	// cancelled, when non-nil, is polled between executions; a true
-	// return abandons the shard with Interrupted set (the driver cancels
-	// shards whose results the merge will discard). Non-nil marks a
-	// shard run: the owner, not the searcher, publishes the Frontier
-	// gauge.
-	cancelled func() bool
+	// whole marks the unrestricted shard, a search run by this searcher
+	// alone: it publishes the Frontier gauge itself. A real shard's owner
+	// does.
+	whole bool
 
 	report   Report
 	start    time.Time
@@ -507,7 +530,7 @@ func Explore(prog func(*engine.T), opts Options) *Report {
 		// The sequential search is the shard executor run over the whole
 		// schedule space.
 		var pool engine.Pool
-		rep = runSearcher(prog, &opts, Shard{}, &pool, opts.deadlineFrom(time.Now()), nil)
+		rep = runSearcher(prog, &opts, Shard{}, &pool, opts.deadlineFrom(time.Now()))
 		pool.Close()
 	}
 	confirmReport(prog, &opts, rep)
@@ -525,11 +548,12 @@ func (o *Options) deadlineFrom(start time.Time) time.Time {
 
 // runSearcher runs the sequential searcher over one shard of the
 // schedule space — the zero Shard is all of it — honoring
-// opts.CheckpointPath, opts.Resume and opts.Stop when set.
+// opts.CheckpointPath, opts.Resume and opts.Stop when set. (Stop is also
+// how a shard's owner cancels it.)
 func runSearcher(prog func(*engine.T), opts *Options, sh Shard, pool *engine.Pool,
-	deadline time.Time, cancelled func() bool) *Report {
+	deadline time.Time) *Report {
 	s := &searcher{prog: prog, opts: *opts, pool: pool, start: time.Now(),
-		deadline: deadline, cancelled: cancelled, execLimit: opts.MaxExecutions}
+		deadline: deadline, whole: sh == Shard{}, execLimit: opts.MaxExecutions}
 	if opts.StatefulPrune {
 		s.visited = make(map[visitKey]struct{})
 	}
@@ -539,15 +563,16 @@ func runSearcher(prog func(*engine.T), opts *Options, sh Shard, pool *engine.Poo
 	if sh.Prefix != nil {
 		// The prefix decisions become single-alternative frames, so
 		// backtracking exhausts exactly the subtree below them.
-		for i, a := range sh.Prefix.Sched {
-			fr := frame{alts: []engine.Alt{a}}
+		for i := range sh.Prefix.Sched {
+			fr := frame{}
+			var ops []engine.OpInfo
 			if i < len(sh.Prefix.Digs) {
-				d := sh.Prefix.Digs[i]
+				d := &sh.Prefix.Digs[i]
 				fr.dig = d.Hash
 				fr.hasDig = !opts.DisableConformance
-				fr.ops = []engine.OpInfo{d.Op}
+				ops = []engine.OpInfo{d.Op}
 			}
-			s.stack = append(s.stack, fr)
+			s.restoreFrame(fr, sh.Prefix.Sched[i:i+1], ops)
 		}
 	}
 	if ck := opts.Resume; ck != nil {
@@ -556,13 +581,11 @@ func runSearcher(prog func(*engine.T), opts *Options, sh Shard, pool *engine.Poo
 		observeResume(opts, ck)
 		if ck.Seq != nil && !(opts.RandomWalk || opts.PCT) {
 			for _, fr := range ck.Seq.Stack {
-				s.stack = append(s.stack, frame{
-					alts:   append([]engine.Alt(nil), fr.Alts...),
+				s.restoreFrame(frame{
 					idx:    fr.Idx,
 					dig:    fr.Dig,
 					hasDig: fr.HasDig && !opts.DisableConformance,
-					ops:    append([]engine.OpInfo(nil), fr.Ops...),
-				})
+				}, fr.Alts, fr.Ops)
 			}
 		}
 	}
@@ -597,13 +620,14 @@ func (s *searcher) writeCheckpoint(done bool) {
 		ck.Stride = &StrideState{NextIndex: s.execBase + s.report.Executions + 1}
 	} else {
 		st := &SeqState{Stack: make([]savedFrame, len(s.stack))}
-		for i, fr := range s.stack {
+		for i := range s.stack {
+			fr := &s.stack[i]
 			st.Stack[i] = savedFrame{
-				Alts:   append([]engine.Alt(nil), fr.alts...),
+				Alts:   append([]engine.Alt(nil), s.alts(fr)...),
 				Idx:    fr.idx,
 				Dig:    fr.dig,
 				HasDig: fr.hasDig,
-				Ops:    append([]engine.OpInfo(nil), fr.ops...),
+				Ops:    append([]engine.OpInfo(nil), s.ops(fr)...),
 			}
 		}
 		ck.Seq = st
@@ -636,13 +660,14 @@ func (s *searcher) run() {
 			s.report.TimedOut = true
 			return
 		}
-		if isClosed(s.opts.Stop) || (s.cancelled != nil && s.cancelled()) {
+		if isClosed(s.opts.Stop) {
 			s.report.Interrupted = true
 			return
 		}
 		s.maybeCheckpoint()
 
 		var r *engine.Result
+		depth := len(s.stack)
 		for attempt := 1; ; attempt++ {
 			s.resetExec(exec)
 			r = s.opts.runEngine(s.pool, s.prog, s, s.opts.engineConfig(s.deadline, exec))
@@ -668,6 +693,14 @@ func (s *searcher) run() {
 			}
 			continue
 		}
+		if r.Interrupted {
+			// Stop closed while the execution ran. It is dropped whole —
+			// its frames too — which leaves the search exactly where
+			// polling Stop before the execution would have.
+			s.truncate(depth)
+			s.report.Interrupted = true
+			return
+		}
 		s.report.addResult(r)
 		if classify(s.prog, &s.opts, &s.report, r, exec, s.reason) {
 			// A deadline abort (TimedOut) is resumable; stops on a
@@ -677,7 +710,7 @@ func (s *searcher) run() {
 			return
 		}
 		if s.opts.RandomWalk || s.opts.PCT {
-			if m := s.opts.Metrics; m != nil && s.cancelled == nil {
+			if m := s.opts.Metrics; m != nil && s.whole {
 				m.Frontier.Set(exec + 1) // next execution index
 			}
 			continue // no schedule tree to backtrack over
@@ -690,7 +723,7 @@ func (s *searcher) run() {
 			s.ckptDone = true
 			return
 		}
-		if m := s.opts.Metrics; m != nil && s.cancelled == nil {
+		if m := s.opts.Metrics; m != nil && s.whole {
 			m.Frontier.Set(int64(len(s.stack))) // DFS stack depth
 		}
 	}
@@ -713,6 +746,7 @@ func (o *Options) engineConfig(deadline time.Time, exec int64) engine.Config {
 	cfg.RecordTrace = o.RecordTrace
 	cfg.Monitor = o.Monitor
 	cfg.Deadline = deadline
+	cfg.Stop = o.Stop
 	cfg.Metrics = o.Metrics
 	cfg.EventSink = o.EventSink
 	cfg.ExecIndex = exec
@@ -754,7 +788,7 @@ func (s *searcher) resetExec(exec int64) {
 	s.reason = abortNone
 	s.divErr = nil
 	s.sleep = por.Set{}
-	s.tailRand = rng.New(rng.Mix(s.opts.Seed, uint64(exec)))
+	s.tailRand.Seed(rng.Mix(s.opts.Seed, uint64(exec)))
 	if s.opts.PCT {
 		depth := s.opts.PCTDepth
 		if depth <= 0 {
@@ -764,7 +798,7 @@ func (s *searcher) resetExec(exec int64) {
 		if horizon <= 0 {
 			horizon = engine.DefaultMaxSteps
 		}
-		s.pct = newPCTState(depth, horizon, s.tailRand)
+		s.pct = newPCTState(depth, horizon, &s.tailRand)
 	}
 }
 
@@ -781,11 +815,11 @@ func (s *searcher) quarantine(attempts int) {
 	prefix := make([]engine.Alt, 0, k+1)
 	for i := 0; i <= k && i < len(s.stack); i++ {
 		fr := &s.stack[i]
-		prefix = append(prefix, fr.alts[fr.idx])
+		prefix = append(prefix, s.alts(fr)[fr.idx])
 	}
 	quarantined(&s.opts, &s.report, prefix, s.divErr, attempts)
 	s.divErr = nil
-	s.stack = s.stack[:k]
+	s.truncate(k)
 }
 
 // quarantined records on rep one replay prefix (up to and including the
@@ -877,7 +911,7 @@ func classify(prog func(*engine.T), opts *Options, rep *Report, r *engine.Result
 		// only reach the wedge-free prefix (and wedge again).
 		rep.Wedges++
 		if rep.FirstWedge == nil {
-			rep.FirstWedge = r
+			rep.FirstWedge = r.Clone() // r is the engine pool's
 			rep.FirstWedgeExecution = exec
 		}
 		emitFinding(opts, "wedge", r, exec)
@@ -931,13 +965,46 @@ func (s *searcher) backtrack() bool {
 	for len(s.stack) > 0 {
 		last := &s.stack[len(s.stack)-1]
 		last.idx++
-		if last.idx < len(last.alts) {
+		if last.idx < last.nAlts {
 			s.fixed = len(s.stack)
 			return true
 		}
-		s.stack = s.stack[:len(s.stack)-1]
+		s.truncate(len(s.stack) - 1)
 	}
 	return false
+}
+
+// truncate pops the stack down to n frames, returning the popped
+// frames' storage to the arenas.
+func (s *searcher) truncate(n int) {
+	if n < len(s.stack) {
+		fr := &s.stack[n]
+		s.altArena = s.altArena[:fr.alt0]
+		s.opArena = s.opArena[:fr.op0]
+		s.stack = s.stack[:n]
+	}
+}
+
+// alts returns fr's alternatives: a window of the arena, valid until fr
+// is popped.
+func (s *searcher) alts(fr *frame) []engine.Alt {
+	return s.altArena[fr.alt0+fr.altOff:][:fr.nAlts]
+}
+
+// ops returns the pending ops recorded for fr's alternatives.
+func (s *searcher) ops(fr *frame) []engine.OpInfo {
+	return s.opArena[fr.op0+fr.altOff:][:fr.nOps]
+}
+
+// restoreFrame pushes a frame whose alternatives are given, not
+// observed: a step of a shard's prefix, or a checkpointed frame. fr
+// carries the rest (idx, digest); such a frame has no memo.
+func (s *searcher) restoreFrame(fr frame, alts []engine.Alt, ops []engine.OpInfo) {
+	fr.alt0, fr.op0 = len(s.altArena), len(s.opArena)
+	fr.nAlts, fr.nOps = len(alts), len(ops)
+	s.altArena = append(s.altArena, alts...)
+	s.opArena = append(s.opArena, ops...)
+	s.stack = append(s.stack, fr)
 }
 
 // Choose implements engine.Chooser: replay the stack, then explore.
@@ -972,7 +1039,7 @@ func (s *searcher) Choose(ctx *engine.ChooseContext) (engine.Alt, bool) {
 	if s.pos < len(s.stack) {
 		fr := &s.stack[s.pos]
 		s.pos++
-		alt := fr.alts[fr.idx]
+		alt := s.alts(fr)[fr.idx]
 		if err := altIn(alt, ctx.Cands); err != "" {
 			// The recorded alternative is not even schedulable anymore:
 			// the program is nondeterministic outside the scheduler's
@@ -990,7 +1057,7 @@ func (s *searcher) Choose(ctx *engine.ChooseContext) (engine.Alt, bool) {
 			return engine.Alt{}, false
 		}
 		if fr.hasDig {
-			if len(fr.memoCands) > 0 && s.memoMatches(ctx, fr) {
+			if fr.nMemo > 0 && s.memoMatches(ctx, fr) {
 				// Prefix-memo hit: the candidate set and every pending op
 				// match the snapshot taken when this choice point was
 				// first expanded. CandsDigest is a pure function of those
@@ -1002,8 +1069,8 @@ func (s *searcher) Choose(ctx *engine.ChooseContext) (engine.Alt, bool) {
 				obsHash := ctx.Engine.CandsDigest(ctx.Cands)
 				obsOp := ctx.Engine.PendingOpInfo(alt.Tid)
 				expOp := obsOp // old-checkpoint frames may lack recorded ops
-				if fr.idx < len(fr.ops) {
-					expOp = fr.ops[fr.idx]
+				if fr.idx < fr.nOps {
+					expOp = s.ops(fr)[fr.idx]
 				}
 				if obsHash != fr.dig || obsOp != expOp {
 					s.divErr = &engine.DivergenceError{
@@ -1041,115 +1108,108 @@ func (s *searcher) Choose(ctx *engine.ChooseContext) (engine.Alt, bool) {
 
 	// Frontier: compute the admissible alternatives under the
 	// preemption budget and push a new choice point. ctx.Cands is the
-	// engine's reused buffer, so any slice pushed onto the stack must
-	// be an owned copy (the filters below copy as they go). The
-	// conformance digest is taken over the unfiltered candidate set —
-	// the state property a later replay of any alternative must match.
-	var dig uint64
-	haveDig := false
+	// engine's reused buffer, so what the frame keeps is copied — into
+	// the arenas, at the frame's region. The conformance digest is taken
+	// over the unfiltered candidate set — the state property a later
+	// replay of any alternative must match.
+	fr := frame{alt0: len(s.altArena), op0: len(s.opArena)}
 	if !s.opts.DisableConformance {
-		dig = ctx.Engine.CandsDigest(ctx.Cands)
-		haveDig = true
+		fr.dig = ctx.Engine.CandsDigest(ctx.Cands)
+		fr.hasDig = true
 	}
-	memoCands, memoOps := s.memoSnapshot(ctx, haveDig)
-	alts := ctx.Cands
-	owned := false
-	if s.opts.ContextBound >= 0 && s.preemptUsed >= s.opts.ContextBound {
-		// The filtered set is never empty: if the previous thread is a
-		// candidate its alternatives do not preempt, and if it is not
-		// a candidate the switch is forced (or follows a voluntary
-		// yield), so IsPreemption is false for every alternative.
-		alts = nonPreempting(ctx)
-		if len(alts) == 0 {
+	// The memo does not apply with conformance off (nothing to validate
+	// against), under NoFastPath (one flag restores full legacy
+	// behavior), or past the depth cap.
+	memo := fr.hasDig && !s.opts.NoFastPath && len(s.stack) < memoDepthCap
+	bounded := s.opts.ContextBound >= 0 && s.preemptUsed >= s.opts.ContextBound
+	filtered := bounded || s.opts.SleepSets
+	if memo || !filtered {
+		// The unfiltered set, stored once: it is the memo, and when
+		// nothing filters it is the alternatives too.
+		for _, a := range ctx.Cands {
+			s.keep(ctx, a, fr.hasDig)
+		}
+		if memo {
+			fr.nMemo = len(ctx.Cands)
+		}
+	}
+	if filtered {
+		fr.altOff = len(s.altArena) - fr.alt0
+		admissible := 0
+		for _, a := range ctx.Cands {
+			if bounded && ctx.IsPreemption(a) {
+				continue
+			}
+			admissible++
+			if s.opts.SleepSets && s.sleep.Contains(ctx.Engine, a) {
+				continue
+			}
+			s.keep(ctx, a, fr.hasDig)
+		}
+		if admissible == 0 {
+			// Cannot happen: if the previous thread is a candidate its
+			// alternatives do not preempt, and if it is not a candidate
+			// the switch is forced (or follows a voluntary yield), so
+			// IsPreemption is false for every alternative.
 			panic("search: empty alternative set under context bound")
 		}
-		owned = true
 	}
-	if s.opts.SleepSets {
-		awake := make([]engine.Alt, 0, len(alts))
-		for _, a := range alts {
-			if !s.sleep.Contains(ctx.Engine, a) {
-				awake = append(awake, a)
-			}
-		}
-		if len(awake) == 0 {
-			// Every alternative is asleep: the state's successors are
-			// covered by sibling branches. Prune.
-			s.reason = abortSleep
-			return engine.Alt{}, false
-		}
-		alts = awake
-		owned = true
+	fr.nAlts = len(s.altArena) - fr.alt0 - fr.altOff
+	if fr.hasDig {
+		fr.nOps = fr.nAlts
 	}
-	if !owned {
-		alts = append([]engine.Alt(nil), alts...)
+	if fr.nAlts == 0 {
+		// Every alternative is asleep: the state's successors are
+		// covered by sibling branches. Prune.
+		s.altArena, s.opArena = s.altArena[:fr.alt0], s.opArena[:fr.op0]
+		s.reason = abortSleep
+		return engine.Alt{}, false
 	}
-	s.stack = append(s.stack, frame{alts: alts,
-		dig: dig, hasDig: haveDig, ops: s.frameOps(ctx, alts, haveDig),
-		memoCands: memoCands, memoOps: memoOps})
+	s.stack = append(s.stack, fr)
 	s.pos++
-	alt := alts[0]
+	top := &s.stack[len(s.stack)-1]
+	alt := s.alts(top)[0]
 	if ctx.IsPreemption(alt) {
 		s.preemptUsed++
 	}
-	s.advanceSleep(ctx, &s.stack[len(s.stack)-1], alt)
+	s.advanceSleep(ctx, top, alt)
 	return alt, true
 }
 
-// memoSnapshot captures the prefix memo for a fresh choice point: an
-// owned copy of the full unfiltered candidate set and each candidate's
-// pending op. Returns nil slices when memoization does not apply —
-// conformance off (nothing to validate against), NoFastPath (one flag
-// restores full legacy behavior), or past the depth cap.
-func (s *searcher) memoSnapshot(ctx *engine.ChooseContext, haveDig bool) ([]engine.Alt, []engine.OpInfo) {
-	if !haveDig || s.opts.NoFastPath || len(s.stack) >= memoDepthCap {
-		return nil, nil
+// keep appends alternative a, and with withOp its thread's pending op —
+// the per-alternative half of the conformance digest — to the arenas.
+func (s *searcher) keep(ctx *engine.ChooseContext, a engine.Alt, withOp bool) {
+	s.altArena = append(s.altArena, a)
+	if withOp {
+		s.opArena = append(s.opArena, ctx.Engine.PendingOpInfo(a.Tid))
 	}
-	cands := append([]engine.Alt(nil), ctx.Cands...)
-	ops := make([]engine.OpInfo, len(cands))
-	for i, a := range cands {
-		ops[i] = ctx.Engine.PendingOpInfo(a.Tid)
-	}
-	return cands, ops
 }
 
 // memoMatches validates a replayed scheduling point against the
 // frame's memo: same candidates in the same order, each with the same
 // pending op as when the choice point was first expanded.
 func (s *searcher) memoMatches(ctx *engine.ChooseContext, fr *frame) bool {
-	if len(ctx.Cands) != len(fr.memoCands) {
+	if len(ctx.Cands) != fr.nMemo {
 		return false
 	}
+	cands, ops := s.altArena[fr.alt0:][:fr.nMemo], s.opArena[fr.op0:][:fr.nMemo]
 	for i, c := range ctx.Cands {
-		if c != fr.memoCands[i] {
+		if c != cands[i] {
 			return false
 		}
-		if ctx.Engine.PendingOpInfo(c.Tid) != fr.memoOps[i] {
+		if ctx.Engine.PendingOpInfo(c.Tid) != ops[i] {
 			return false
 		}
 	}
 	return true
 }
 
-// frameOps records the pending op of each alternative at a fresh
-// choice point, the per-alternative half of the conformance digest.
-func (s *searcher) frameOps(ctx *engine.ChooseContext, alts []engine.Alt, haveDig bool) []engine.OpInfo {
-	if !haveDig {
-		return nil
-	}
-	ops := make([]engine.OpInfo, len(alts))
-	for i, a := range alts {
-		ops[i] = ctx.Engine.PendingOpInfo(a.Tid)
-	}
-	return ops
-}
-
 // expectedDigest reconstructs the digest recorded for the frame's
 // current alternative, for divergence diagnostics.
 func (s *searcher) expectedDigest(fr *frame, alt engine.Alt) engine.StepDigest {
 	d := engine.StepDigest{Hash: fr.dig, Tid: alt.Tid}
-	if fr.idx < len(fr.ops) {
-		d.Op = fr.ops[fr.idx]
+	if fr.idx < fr.nOps {
+		d.Op = s.ops(fr)[fr.idx]
 	}
 	return d
 }
@@ -1161,8 +1221,8 @@ func (s *searcher) advanceSleep(ctx *engine.ChooseContext, fr *frame, chosen eng
 	if !s.opts.SleepSets {
 		return
 	}
-	for i := 0; i < fr.idx; i++ {
-		s.sleep.Add(por.MoveOf(ctx.Engine, fr.alts[i]))
+	for _, a := range s.alts(fr)[:fr.idx] {
+		s.sleep.Add(por.MoveOf(ctx.Engine, a))
 	}
 	s.sleep.Step(por.MoveOf(ctx.Engine, chosen))
 }

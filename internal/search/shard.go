@@ -171,15 +171,16 @@ func (p *Plan) growRanges(limit int64, merged int, covered int64) {
 // (FirstBugExecution etc.) global. A prefix shard runs the searcher over
 // the subtree below the prefix, a unit shard runs one execution.
 //
-// deadline, when nonzero, is the search's shared wall-clock bound;
-// cancelled, when non-nil, is polled between executions. A shard cut by
-// either returns with TimedOut or Interrupted set.
+// deadline, when nonzero, is the search's shared wall-clock bound, and
+// opts.Stop, when non-nil, cancels the shard: both are polled between
+// executions and inside them. A shard cut by either returns with
+// TimedOut or Interrupted set.
 func runShard(prog func(*engine.T), opts *Options, sh Shard, pool *engine.Pool,
-	deadline time.Time, cancelled func() bool) *Report {
+	deadline time.Time) *Report {
 	if sh.Unit == nil {
-		return runSearcher(prog, opts, sh, pool, deadline, cancelled)
+		return runSearcher(prog, opts, sh, pool, deadline)
 	}
-	if cancelled != nil && cancelled() {
+	if isClosed(opts.Stop) {
 		return &Report{Interrupted: true}
 	}
 	return runDporUnit(prog, opts, pool, sh.Unit, deadline)
@@ -192,8 +193,14 @@ func runShard(prog func(*engine.T), opts *Options, sh Shard, pool *engine.Pool,
 // per-shard checkpointing; prefix and unit shards ignore them (a prefix
 // subtree reruns from scratch, a unit is one execution).
 //
-// stop, when non-nil, cancels the shard between executions; a
-// cancelled shard returns with Interrupted set and must not be merged.
+// stop, when non-nil, cancels the shard, between executions or inside
+// one; a cancelled shard returns with Interrupted set and must not be
+// merged.
+//
+// A shard never sets opts.Metrics' Frontier gauge, with or without a
+// stop channel: the gauge is the whole search's, published by whoever
+// sees every shard — the driver's merge loop — or by the unrestricted
+// sequential search.
 func RunShard(prog func(*engine.T), opts Options, sh Shard, stop <-chan struct{}) *Report {
 	var pool engine.Pool
 	defer pool.Close()
@@ -207,7 +214,7 @@ func RunShardOn(pool *engine.Pool, prog func(*engine.T), opts Options, sh Shard,
 	opts.Parallelism = 1
 	opts.TimeLimit = 0
 	opts.ConfirmRuns = 0 // the coordinator confirms the merged findings
-	opts.Stop = nil
+	opts.Stop = stop
 	if sh.Hi == 0 {
 		opts.CheckpointPath = ""
 		opts.Resume = nil
@@ -217,11 +224,7 @@ func RunShardOn(pool *engine.Pool, prog func(*engine.T), opts Options, sh Shard,
 		// caller should have validated; fail loudly.
 		panic(fmt.Sprintf("search: RunShard: %v", err))
 	}
-	var cancelled func() bool
-	if stop != nil {
-		cancelled = func() bool { return isClosed(stop) }
-	}
-	return runShard(prog, &opts, sh, pool, time.Time{}, cancelled)
+	return runShard(prog, &opts, sh, pool, time.Time{})
 }
 
 // ValidateShardResume reports whether a worker-local checkpoint can

@@ -5,6 +5,13 @@ import (
 	"fairmc/internal/tidset"
 )
 
+var (
+	sendSlot    = engine.NewOpSlot[sendOp]()
+	recvSlot    = engine.NewOpSlot[recvOp]()
+	tryRecvSlot = engine.NewOpSlot[tryRecvOp]()
+	closeSlot   = engine.NewOpSlot[closeOp]()
+)
+
 // Channel is a FIFO channel of int64 values with a fixed capacity.
 // Capacity zero gives rendezvous semantics: a send is enabled only
 // when a receiver is parked on the channel and delivers directly to
@@ -51,21 +58,19 @@ func (c *Channel) Closed() bool { return c.closed }
 // for capacity zero, until a receiver is waiting). Sending on a closed
 // channel is a detected error.
 func (c *Channel) Send(t *engine.T, v int64) {
-	t.Do(&sendOp{c: c, t: t, v: v})
+	sendSlot.Do(t, sendOp{c: c, t: t, v: v})
 }
 
 // TrySend attempts a non-blocking send and reports success.
 func (c *Channel) TrySend(t *engine.T, v int64) bool {
-	op := &sendOp{c: c, t: t, v: v, try: true}
-	t.Do(op)
-	return op.ok
+	return sendSlot.Do(t, sendOp{c: c, t: t, v: v, try: true}).ok
 }
 
 // Recv dequeues a value, blocking (disabled) while the channel is
 // empty and open. On a closed empty channel it returns (0, false).
 func (c *Channel) Recv(t *engine.T) (int64, bool) {
-	op := &recvOp{c: c, w: &recvWaiter{tid: t.ID()}}
-	c.recvQ = append(c.recvQ, op.w)
+	op := recvSlot.Set(t, recvOp{c: c, w: recvWaiter{tid: t.ID()}})
+	c.recvQ = append(c.recvQ, &op.w)
 	t.Do(op)
 	return op.val, op.ok
 }
@@ -74,14 +79,13 @@ func (c *Channel) Recv(t *engine.T) (int64, bool) {
 // on success, (0, false, true) if the channel is closed and drained,
 // and (0, _, false) if no value was available.
 func (c *Channel) TryRecv(t *engine.T) (v int64, open bool, got bool) {
-	op := &tryRecvOp{c: c}
-	t.Do(op)
+	op := tryRecvSlot.Do(t, tryRecvOp{c: c})
 	return op.val, op.open, op.got
 }
 
 // Close closes the channel. Closing twice is a detected error.
 func (c *Channel) Close(t *engine.T) {
-	t.Do(&closeOp{c: c, t: t})
+	closeSlot.Do(t, closeOp{c: c, t: t})
 }
 
 // AppendState implements engine.Object.
@@ -159,9 +163,11 @@ func (o *sendOp) Info() engine.OpInfo {
 	return engine.OpInfo{Kind: kind, Obj: o.c.id, Aux: o.v}
 }
 
+// recvOp holds the thread's entry in the receiver queue, which Execute
+// unlinks.
 type recvOp struct {
 	c   *Channel
-	w   *recvWaiter
+	w   recvWaiter
 	val int64
 	ok  bool
 }
@@ -180,7 +186,7 @@ func (o *recvOp) Execute() engine.Op {
 	default: // closed and empty
 		o.val, o.ok = 0, false
 	}
-	o.c.removeWaiter(o.w)
+	o.c.removeWaiter(&o.w)
 	return nil
 }
 func (o *recvOp) Yielding() bool { return false }

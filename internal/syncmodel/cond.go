@@ -5,6 +5,12 @@ import (
 	"fairmc/internal/tidset"
 )
 
+var (
+	condWaitSlot      = engine.NewOpSlot[condWaitOp]()
+	condReacquireSlot = engine.NewOpSlot[condReacquireOp]()
+	condSignalSlot    = engine.NewOpSlot[condSignalOp]()
+)
+
 // Cond is a condition variable bound to a Mutex. Wait atomically
 // releases the mutex and blocks until signaled, then reacquires the
 // mutex before returning — a two-phase transition in the model.
@@ -33,18 +39,18 @@ func (c *Cond) Wait(t *engine.T) {
 	if c.m.owner != t.ID() {
 		t.Failf("cond %q: Wait without holding mutex %q", c.name, c.m.name)
 	}
-	t.Do(&condWaitOp{c: c, t: t})
+	condWaitSlot.Do(t, condWaitOp{c: c, t: t})
 }
 
 // Signal marks the longest-waiting unsignaled waiter runnable. It may
 // be called with or without the mutex held.
 func (c *Cond) Signal(t *engine.T) {
-	t.Do(&condSignalOp{c: c, all: false})
+	condSignalSlot.Do(t, condSignalOp{c: c, all: false})
 }
 
 // Broadcast marks every waiter runnable.
 func (c *Cond) Broadcast(t *engine.T) {
-	t.Do(&condSignalOp{c: c, all: true})
+	condSignalSlot.Do(t, condSignalOp{c: c, all: true})
 }
 
 // NumWaiters returns the number of threads currently waiting.
@@ -69,20 +75,21 @@ type condWaitOp struct {
 func (o *condWaitOp) Enabled() bool { return true }
 func (o *condWaitOp) Execute() engine.Op {
 	o.c.m.owner = tidset.None
-	w := &condWaiter{tid: o.t.ID()}
-	o.c.waiters = append(o.c.waiters, w)
-	return &condReacquireOp{c: o.c, t: o.t, w: w}
+	re := condReacquireSlot.Set(o.t, condReacquireOp{c: o.c, t: o.t, w: condWaiter{tid: o.t.ID()}})
+	o.c.waiters = append(o.c.waiters, &re.w)
+	return re
 }
 func (o *condWaitOp) Yielding() bool { return false }
 func (o *condWaitOp) Info() engine.OpInfo {
 	return engine.OpInfo{Kind: "cond.wait", Obj: o.c.id}
 }
 
-// condReacquireOp is phase two: once signaled, reacquire the mutex.
+// condReacquireOp is phase two: once signaled, reacquire the mutex. It
+// holds the thread's entry in the wait queue, which Execute unlinks.
 type condReacquireOp struct {
 	c *Cond
 	t *engine.T
-	w *condWaiter
+	w condWaiter
 }
 
 func (o *condReacquireOp) Enabled() bool {
@@ -91,7 +98,7 @@ func (o *condReacquireOp) Enabled() bool {
 func (o *condReacquireOp) Execute() engine.Op {
 	o.c.m.owner = o.t.ID()
 	for i, w := range o.c.waiters {
-		if w == o.w {
+		if w == &o.w {
 			o.c.waiters = append(o.c.waiters[:i], o.c.waiters[i+1:]...)
 			break
 		}

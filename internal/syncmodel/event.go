@@ -2,6 +2,12 @@ package syncmodel
 
 import "fairmc/internal/engine"
 
+var (
+	eventWaitSlot    = engine.NewOpSlot[eventWaitOp]()
+	eventTimeoutSlot = engine.NewOpSlot[eventTimeoutOp]()
+	eventSetSlot     = engine.NewOpSlot[eventSetOp]()
+)
+
 // Event is a Win32-style event object. A manual-reset event stays
 // signaled until Reset; an auto-reset event releases exactly one
 // waiter per Set. The Dryad- and APE-style programs in progs use
@@ -25,25 +31,23 @@ func (e *Event) Signaled() bool { return e.signaled }
 // Wait blocks (disabled) until the event is signaled; an auto-reset
 // event is consumed.
 func (e *Event) Wait(t *engine.T) {
-	t.Do(&eventWaitOp{e: e})
+	eventWaitSlot.Do(t, eventWaitOp{e: e})
 }
 
 // WaitTimeout waits with a finite timeout: always enabled, yielding,
 // reports whether the event was signaled.
 func (e *Event) WaitTimeout(t *engine.T) bool {
-	op := &eventTimeoutOp{e: e}
-	t.Do(op)
-	return op.ok
+	return eventTimeoutSlot.Do(t, eventTimeoutOp{e: e}).ok
 }
 
 // Set signals the event.
 func (e *Event) Set(t *engine.T) {
-	t.Do(&eventSetOp{e: e, to: true})
+	eventSetSlot.Do(t, eventSetOp{e: e, to: true})
 }
 
 // Reset unsignals the event.
 func (e *Event) Reset(t *engine.T) {
-	t.Do(&eventSetOp{e: e, to: false})
+	eventSetSlot.Do(t, eventSetOp{e: e, to: false})
 }
 
 // AppendState implements engine.Object.

@@ -5,6 +5,16 @@ import (
 	"fairmc/internal/tidset"
 )
 
+var (
+	lockSlot    = engine.NewOpSlot[lockOp]()
+	tryLockSlot = engine.NewOpSlot[tryLockOp]()
+	unlockSlot  = engine.NewOpSlot[unlockOp]()
+	wLockSlot   = engine.NewOpSlot[wLockOp]()
+	wUnlockSlot = engine.NewOpSlot[wUnlockOp]()
+	rLockSlot   = engine.NewOpSlot[rLockOp]()
+	rUnlockSlot = engine.NewOpSlot[rUnlockOp]()
+)
+
 // Mutex is a non-reentrant mutual-exclusion lock. A thread blocked in
 // Lock is *disabled* until the lock is released (it does not spin), so
 // lock waits never trip the fair scheduler: only explicit yields and
@@ -36,25 +46,21 @@ func (m *Mutex) Lock(t *engine.T) {
 	if m.owner == t.ID() {
 		t.Failf("mutex %q: relock by owner thread %d", m.name, t.ID())
 	}
-	t.Do(&lockOp{m: m, t: t})
+	lockSlot.Do(t, lockOp{m: m, t: t})
 }
 
 // TryLock attempts to acquire the mutex without blocking and reports
 // success. It is always enabled (it is the TryAcquire of the paper's
 // Figure 1 dining-philosophers program).
 func (m *Mutex) TryLock(t *engine.T) bool {
-	op := &tryLockOp{m: m, t: t}
-	t.Do(op)
-	return op.ok
+	return tryLockSlot.Do(t, tryLockOp{m: m, t: t}).ok
 }
 
 // LockTimeout attempts to acquire the mutex, giving up if it is held.
 // Per the paper it models an acquire with a finite timeout and is
 // therefore a *yielding* transition.
 func (m *Mutex) LockTimeout(t *engine.T) bool {
-	op := &tryLockOp{m: m, t: t, timeout: true}
-	t.Do(op)
-	return op.ok
+	return tryLockSlot.Do(t, tryLockOp{m: m, t: t, timeout: true}).ok
 }
 
 // Unlock releases the mutex. Unlocking a mutex the caller does not
@@ -63,7 +69,7 @@ func (m *Mutex) Unlock(t *engine.T) {
 	if m.owner != t.ID() {
 		t.Failf("mutex %q: unlock by non-owner thread %d (owner %d)", m.name, t.ID(), m.owner)
 	}
-	t.Do(&unlockOp{m: m})
+	unlockSlot.Do(t, unlockOp{m: m})
 }
 
 // AppendState implements engine.Object.
@@ -159,7 +165,7 @@ func (m *RWMutex) Lock(t *engine.T) {
 	if m.hasReader(t.ID()) {
 		t.Failf("rwmutex %q: write lock while holding read lock, thread %d", m.name, t.ID())
 	}
-	t.Do(&wLockOp{m: m, t: t})
+	wLockSlot.Do(t, wLockOp{m: m, t: t})
 }
 
 // Unlock releases the exclusive lock.
@@ -167,7 +173,7 @@ func (m *RWMutex) Unlock(t *engine.T) {
 	if m.writer != t.ID() {
 		t.Failf("rwmutex %q: unlock by non-writer thread %d", m.name, t.ID())
 	}
-	t.Do(&wUnlockOp{m: m})
+	wUnlockSlot.Do(t, wUnlockOp{m: m})
 }
 
 // RLock acquires the lock shared, blocking while a writer holds it.
@@ -178,7 +184,7 @@ func (m *RWMutex) RLock(t *engine.T) {
 	if m.writer == t.ID() {
 		t.Failf("rwmutex %q: read lock while holding write lock, thread %d", m.name, t.ID())
 	}
-	t.Do(&rLockOp{m: m, t: t})
+	rLockSlot.Do(t, rLockOp{m: m, t: t})
 }
 
 // RUnlock releases a shared hold.
@@ -186,7 +192,7 @@ func (m *RWMutex) RUnlock(t *engine.T) {
 	if !m.hasReader(t.ID()) {
 		t.Failf("rwmutex %q: read unlock without read lock, thread %d", m.name, t.ID())
 	}
-	t.Do(&rUnlockOp{m: m, t: t})
+	rUnlockSlot.Do(t, rUnlockOp{m: m, t: t})
 }
 
 // AppendState implements engine.Object.

@@ -5,6 +5,13 @@ import (
 	"fairmc/internal/tidset"
 )
 
+var (
+	onceBeginSlot     = engine.NewOpSlot[onceBeginOp]()
+	onceCompleteSlot  = engine.NewOpSlot[onceCompleteOp]()
+	barrierArriveSlot = engine.NewOpSlot[barrierArriveOp]()
+	barrierWaitSlot   = engine.NewOpSlot[barrierWaitOp]()
+)
+
 // Once is a one-time initialization gate, like sync.Once: the first
 // thread to arrive wins the right to initialize and everyone else
 // blocks until it reports completion. Unlike a bare flag, Once
@@ -31,9 +38,7 @@ func (o *Once) Done() bool { return o.state == 2 }
 // winner, who must call Complete after initializing — and blocks
 // every other caller until Complete, then returns false.
 func (o *Once) Begin(t *engine.T) bool {
-	op := &onceBeginOp{o: o, t: t}
-	t.Do(op)
-	return op.won
+	return onceBeginSlot.Do(t, onceBeginOp{o: o, t: t}).won
 }
 
 // Complete marks initialization done; only the winner may call it.
@@ -42,7 +47,7 @@ func (o *Once) Complete(t *engine.T) {
 		t.Failf("once %q: Complete by thread %d (state %d, winner %d)",
 			o.name, t.ID(), o.state, o.winner)
 	}
-	t.Do(&onceCompleteOp{o: o})
+	onceCompleteSlot.Do(t, onceCompleteOp{o: o})
 }
 
 // Do runs f exactly once across all callers; losers block until the
@@ -128,7 +133,7 @@ func (b *Barrier) Phase() int64 { return b.phase }
 // Await arrives at the barrier and blocks until all parties have
 // arrived in this phase.
 func (b *Barrier) Await(t *engine.T) {
-	t.Do(&barrierArriveOp{b: b})
+	barrierArriveSlot.Do(t, barrierArriveOp{b: b, t: t})
 }
 
 // AppendState implements engine.Object.
@@ -139,7 +144,10 @@ func (b *Barrier) AppendState(buf []byte) []byte {
 
 // barrierArriveOp is a two-phase transition: arrive, then (if not the
 // last) wait for the phase to advance.
-type barrierArriveOp struct{ b *Barrier }
+type barrierArriveOp struct {
+	b *Barrier
+	t *engine.T
+}
 
 func (op *barrierArriveOp) Enabled() bool { return true }
 func (op *barrierArriveOp) Execute() engine.Op {
@@ -149,7 +157,7 @@ func (op *barrierArriveOp) Execute() engine.Op {
 		op.b.phase++
 		return nil
 	}
-	return &barrierWaitOp{b: op.b, phase: op.b.phase}
+	return barrierWaitSlot.Set(op.t, barrierWaitOp{b: op.b, phase: op.b.phase})
 }
 func (op *barrierArriveOp) Yielding() bool { return false }
 func (op *barrierArriveOp) Info() engine.OpInfo {

@@ -2,6 +2,12 @@ package syncmodel
 
 import "fairmc/internal/engine"
 
+var (
+	semAcquireSlot = engine.NewOpSlot[semAcquireOp]()
+	semTrySlot     = engine.NewOpSlot[semTryOp]()
+	semReleaseSlot = engine.NewOpSlot[semReleaseOp]()
+)
+
 // Semaphore is a counting semaphore with an optional maximum count.
 type Semaphore struct {
 	base
@@ -25,22 +31,18 @@ func (s *Semaphore) Count() int64 { return s.count }
 
 // Acquire decrements the count, blocking (disabled) while it is zero.
 func (s *Semaphore) Acquire(t *engine.T) {
-	t.Do(&semAcquireOp{s: s})
+	semAcquireSlot.Do(t, semAcquireOp{s: s})
 }
 
 // TryAcquire attempts a non-blocking decrement and reports success.
 func (s *Semaphore) TryAcquire(t *engine.T) bool {
-	op := &semTryOp{s: s}
-	t.Do(op)
-	return op.ok
+	return semTrySlot.Do(t, semTryOp{s: s}).ok
 }
 
 // AcquireTimeout attempts a decrement with a finite timeout; it is a
 // yielding transition per the paper's yield inference rule.
 func (s *Semaphore) AcquireTimeout(t *engine.T) bool {
-	op := &semTryOp{s: s, timeout: true}
-	t.Do(op)
-	return op.ok
+	return semTrySlot.Do(t, semTryOp{s: s, timeout: true}).ok
 }
 
 // Release increments the count by n, failing if the maximum would be
@@ -52,7 +54,7 @@ func (s *Semaphore) Release(t *engine.T, n int64) {
 	if s.max > 0 && s.count+n > s.max {
 		t.Failf("semaphore %q: release overflows max %d", s.name, s.max)
 	}
-	t.Do(&semReleaseOp{s: s, n: n})
+	semReleaseSlot.Do(t, semReleaseOp{s: s, n: n})
 }
 
 // AppendState implements engine.Object.

@@ -6,6 +6,21 @@ import (
 	"fairmc/internal/engine"
 )
 
+// Every operation in this package publishes its op from the calling
+// thread's slot for the op's type (engine.OpSlot) and reads the result
+// back out of it: a step allocates no op.
+var (
+	loadSlot     = engine.NewOpSlot[loadOp]()
+	storeSlot    = engine.NewOpSlot[storeOp]()
+	addSlot      = engine.NewOpSlot[addOp]()
+	casSlot      = engine.NewOpSlot[casOp]()
+	swapSlot     = engine.NewOpSlot[swapOp]()
+	arrGetSlot   = engine.NewOpSlot[arrGetOp]()
+	arrSetSlot   = engine.NewOpSlot[arrSetOp]()
+	anyLoadSlot  = engine.NewOpSlot[anyLoadOp]()
+	anyStoreSlot = engine.NewOpSlot[anyStoreOp]()
+)
+
 // IntVar is a shared integer variable. Every access is a scheduling
 // point, giving the variable "volatile" (sequentially consistent)
 // semantics: the checker explores all interleavings of accesses. The
@@ -31,38 +46,30 @@ func (v *IntVar) Peek() int64 { return v.v }
 
 // Load reads the variable (InterlockedRead).
 func (v *IntVar) Load(t *engine.T) int64 {
-	op := &loadOp{v: v}
-	t.Do(op)
-	return op.res
+	return loadSlot.Do(t, loadOp{v: v}).res
 }
 
 // Store writes the variable.
 func (v *IntVar) Store(t *engine.T, x int64) {
-	t.Do(&storeOp{v: v, x: x})
+	storeSlot.Do(t, storeOp{v: v, x: x})
 }
 
 // Add atomically adds delta and returns the new value
 // (InterlockedAdd).
 func (v *IntVar) Add(t *engine.T, delta int64) int64 {
-	op := &addOp{v: v, delta: delta}
-	t.Do(op)
-	return op.res
+	return addSlot.Do(t, addOp{v: v, delta: delta}).res
 }
 
 // CompareAndSwap atomically replaces old with new and reports success
 // (InterlockedCompareExchange).
 func (v *IntVar) CompareAndSwap(t *engine.T, old, new int64) bool {
-	op := &casOp{v: v, old: old, new: new}
-	t.Do(op)
-	return op.ok
+	return casSlot.Do(t, casOp{v: v, old: old, new: new}).ok
 }
 
 // Swap atomically stores x and returns the previous value
 // (InterlockedExchange).
 func (v *IntVar) Swap(t *engine.T, x int64) int64 {
-	op := &swapOp{v: v, x: x}
-	t.Do(op)
-	return op.res
+	return swapSlot.Do(t, swapOp{v: v, x: x}).res
 }
 
 // AppendState implements engine.Object.
@@ -181,9 +188,7 @@ func (a *IntArray) Get(t *engine.T, i int) int64 {
 	if i < 0 || i >= len(a.elems) {
 		t.Failf("intarray %q: index %d out of range [0,%d)", a.name, i, len(a.elems))
 	}
-	op := &arrGetOp{a: a, i: i}
-	t.Do(op)
-	return op.res
+	return arrGetSlot.Do(t, arrGetOp{a: a, i: i}).res
 }
 
 // Set writes element i.
@@ -191,7 +196,7 @@ func (a *IntArray) Set(t *engine.T, i int, x int64) {
 	if i < 0 || i >= len(a.elems) {
 		t.Failf("intarray %q: index %d out of range [0,%d)", a.name, i, len(a.elems))
 	}
-	t.Do(&arrSetOp{a: a, i: i, x: x})
+	arrSetSlot.Do(t, arrSetOp{a: a, i: i, x: x})
 }
 
 // AppendState implements engine.Object.
@@ -253,14 +258,12 @@ func NewAnyVar(t *engine.T, name string, initial any) *AnyVar {
 
 // Load reads the variable.
 func (v *AnyVar) Load(t *engine.T) any {
-	op := &anyLoadOp{v: v}
-	t.Do(op)
-	return op.res
+	return anyLoadSlot.Do(t, anyLoadOp{v: v}).res
 }
 
 // Store writes the variable.
 func (v *AnyVar) Store(t *engine.T, x any) {
-	t.Do(&anyStoreOp{v: v, x: x})
+	anyStoreSlot.Do(t, anyStoreOp{v: v, x: x})
 }
 
 // Peek returns the current value without a scheduling point (harness

@@ -2,6 +2,11 @@ package syncmodel
 
 import "fairmc/internal/engine"
 
+var (
+	wgAddSlot  = engine.NewOpSlot[wgAddOp]()
+	wgWaitSlot = engine.NewOpSlot[wgWaitOp]()
+)
+
 // WaitGroup counts outstanding work, like sync.WaitGroup.
 type WaitGroup struct {
 	base
@@ -24,7 +29,7 @@ func (w *WaitGroup) Count() int64 { return w.count }
 // Add adds delta (which may be negative) to the counter; driving the
 // counter negative is a detected error.
 func (w *WaitGroup) Add(t *engine.T, delta int64) {
-	t.Do(&wgAddOp{w: w, t: t, delta: delta})
+	wgAddSlot.Do(t, wgAddOp{w: w, t: t, delta: delta})
 }
 
 // Done decrements the counter by one.
@@ -32,7 +37,7 @@ func (w *WaitGroup) Done(t *engine.T) { w.Add(t, -1) }
 
 // Wait blocks (disabled) until the counter reaches zero.
 func (w *WaitGroup) Wait(t *engine.T) {
-	t.Do(&wgWaitOp{w: w})
+	wgWaitSlot.Do(t, wgWaitOp{w: w})
 }
 
 // AppendState implements engine.Object.

@@ -34,6 +34,16 @@ import (
 	"fairmc/internal/tidset"
 )
 
+// The calling thread's slots for the ops a Memory publishes (see
+// engine.OpSlot).
+var (
+	loadSlot     = engine.NewOpSlot[loadOp]()
+	scStoreSlot  = engine.NewOpSlot[scStoreOp]()
+	tsoStoreSlot = engine.NewOpSlot[tsoStoreOp]()
+	fenceSlot    = engine.NewOpSlot[fenceOp]()
+	drainSlot    = engine.NewOpSlot[drainOp]()
+)
+
 // AuxOwnerShift is the bit position of the owner tid in a "wm.flush"
 // OpInfo.Aux: Aux = owner<<AuxOwnerShift | (headVar+1), with headVar+1
 // == 0 encoding an empty buffer. The low bits identify the variable
@@ -60,11 +70,13 @@ type Memory struct {
 }
 
 // buffer is one thread's FIFO store buffer: ents[0] is the oldest
-// entry, the one the next flush writes to memory.
+// entry, the one the next flush writes to memory. flush is its agent's
+// pending op for the whole execution, so it lives with the buffer.
 type buffer struct {
 	owner tidset.Tid
 	agent tidset.Tid
 	ents  []entry
+	flush flushOp
 }
 
 type entry struct {
@@ -161,9 +173,7 @@ func (m *Memory) checkVar(t *engine.T, v int) {
 // such entry — store-to-load forwarding); otherwise it reads memory.
 func (m *Memory) Load(t *engine.T, v int) int64 {
 	m.checkVar(t, v)
-	op := &loadOp{m: m, tid: t.ID(), v: v}
-	t.Do(op)
-	return op.res
+	return loadSlot.Do(t, loadOp{m: m, tid: t.ID(), v: v}).res
 }
 
 // Store writes variable v. Under SC the store hits memory directly;
@@ -175,10 +185,10 @@ func (m *Memory) Load(t *engine.T, v int) int64 {
 func (m *Memory) Store(t *engine.T, v int, x int64) {
 	m.checkVar(t, v)
 	if m.mod != core.MemTSO {
-		t.Do(&scStoreOp{m: m, v: v, x: x})
+		scStoreSlot.Do(t, scStoreOp{m: m, v: v, x: x})
 		return
 	}
-	t.Do(&tsoStoreOp{m: m, tid: t.ID(), name: t.Name(), v: v, x: x})
+	tsoStoreSlot.Do(t, tsoStoreOp{m: m, tid: t.ID(), name: t.Name(), v: v, x: x})
 }
 
 // Fence drains the calling thread's store buffer: the fence transition
@@ -190,14 +200,14 @@ func (m *Memory) Store(t *engine.T, v int, x int64) {
 // the livelock detector. Under SC it is a no-op scheduling point with
 // the same yield semantics.
 func (m *Memory) Fence(t *engine.T) {
-	t.Do(&fenceOp{m: m, tid: t.ID()})
+	fenceSlot.Do(t, fenceOp{m: m, tid: t.ID()})
 }
 
 // Drain blocks until every thread's store buffer is empty, making all
 // writes visible before a harness inspects memory; unlike Fence it
 // waits for all buffers, not just the caller's.
 func (m *Memory) Drain(t *engine.T) {
-	t.Do(&drainOp{m: m})
+	drainSlot.Do(t, drainOp{m: m})
 }
 
 // Peek returns variable v's memory value without a scheduling point
@@ -281,8 +291,9 @@ func (o *tsoStoreOp) Execute() engine.Op {
 	b := m.bufFor(o.tid)
 	if b == nil {
 		b = &buffer{owner: o.tid}
+		b.flush = flushOp{m: m, b: b}
 		m.bufs = append(m.bufs, b)
-		b.agent = m.e.AddAgent("flush:"+o.name, &flushOp{m: m, b: b})
+		b.agent = m.e.AddAgent("flush:"+o.name, &b.flush)
 	}
 	b.ents = append(b.ents, entry{v: o.v, val: o.x})
 	m.e.WM().BufferedStores++
