@@ -69,17 +69,13 @@ type ExecResult = engine.Result
 // execution and is the unit of replay.
 type Alt = engine.Alt
 
-// ReplayError is the structured diagnostic Replay returns when a
-// schedule diverges from the program (corrupted, truncated, or
-// recorded elsewhere); match it with errors.As.
-type ReplayError = engine.ReplayError
-
-// DivergenceError is the structured diagnostic of a conformance
-// failure during replay: the program stopped being a deterministic
-// function of the schedule (wall-clock reads, unseeded randomness,
-// goroutines outside the conc API…). It pinpoints the first divergent
-// step with the expected and observed operations; match it with
-// errors.As.
+// DivergenceError is the structured diagnostic of a replay that stopped
+// conforming: the schedule is not this program's (corrupted, truncated,
+// recorded elsewhere — NotSchedulable when a step could not be taken at
+// all), or the program stopped being a deterministic function of the
+// schedule (wall-clock reads, unseeded randomness, goroutines outside
+// the conc API…). It pinpoints the first divergent step with the
+// expected and observed operations; match it with errors.As.
 type DivergenceError = engine.DivergenceError
 
 // StepDigest is the per-step conformance summary recorded by replays
@@ -386,10 +382,10 @@ func CheckIterative(prog func(*conc.T), maxBound int, opts Options) ([]BoundRepo
 // that diverges from the program (corrupted, truncated, recorded
 // against a different program or configuration — or a program that is
 // nondeterministic under its own schedule) is reported as an error
-// (*ReplayError or, with digests, *DivergenceError, both pinpointing
-// the first divergent step); the partial result is returned alongside
-// it for diagnosis. ReplayVerified additionally checks per-step
-// conformance digests.
+// (*DivergenceError, pinpointing the first divergent step; its
+// NotSchedulable marks a step the program could not take at all); the
+// partial result is returned alongside it for diagnosis. ReplayVerified
+// additionally checks per-step conformance digests.
 func Replay(prog func(*conc.T), schedule []engine.Alt, opts Options) (*ExecResult, error) {
 	return ReplayVerified(prog, schedule, nil, opts)
 }
@@ -403,16 +399,10 @@ func ReplayVerified(prog func(*conc.T), schedule []engine.Alt, digests []StepDig
 	if _, err := core.ParseMemModel(opts.MemModel); err != nil {
 		return nil, err
 	}
-	ch := &engine.ReplayChooser{Schedule: schedule, Digests: digests, Strict: true}
+	ch := &engine.ReplayChooser{Schedule: schedule, Digests: digests}
 	cfg := opts.ReplayConfig()
 	cfg.RecordTrace, cfg.RecordDigests = true, true
 	r := engine.Run(prog, ch, cfg)
-	// A not-schedulable step sets both diagnostics; keep returning the
-	// legacy *ReplayError for that case so existing errors.As callers
-	// still match. Digest mismatches only set Div.
-	if ch.Err != nil {
-		return r, ch.Err
-	}
 	if ch.Div != nil {
 		return r, ch.Div
 	}

@@ -289,9 +289,9 @@ func TestReplayBadSchedule(t *testing.T) {
 
 	// A schedule step naming a thread that cannot be scheduled.
 	_, err := fairmc.Replay(prog, []fairmc.Alt{{Tid: 42, Arg: -1}}, fairmc.Defaults())
-	var re *fairmc.ReplayError
-	if !errors.As(err, &re) {
-		t.Fatalf("diverging replay error = %v, want a *ReplayError", err)
+	var re *fairmc.DivergenceError
+	if !errors.As(err, &re) || !re.NotSchedulable {
+		t.Fatalf("diverging replay error = %v, want a not-schedulable *DivergenceError", err)
 	}
 	if re.Step != 0 {
 		t.Fatalf("divergence step = %d, want 0", re.Step)

@@ -45,7 +45,7 @@ func runSchedule(t *testing.T, prefix []engine.Alt) (raw, can engine.Fingerprint
 		return engine.Alt{}, false
 	})
 	_ = mon
-	ch := &engine.ReplayChooser{Schedule: prefix, Strict: true}
+	ch := &engine.ReplayChooser{Schedule: prefix}
 	r := engine.Run(symmetricCreators, engine.FuncChooser(func(ctx *engine.ChooseContext) (engine.Alt, bool) {
 		a, ok := ch.Choose(ctx)
 		if !ok {

@@ -1,10 +1,6 @@
 package engine
 
-import (
-	"fmt"
-
-	"fairmc/internal/tidset"
-)
+import "fairmc/internal/tidset"
 
 // FirstChooser always picks the first candidate: the lowest thread id
 // with the lowest choice value. Useful as a default continuation
@@ -34,121 +30,43 @@ func (RunToCompletionChooser) Choose(ctx *ChooseContext) (Alt, bool) {
 	return ctx.Cands[0], true
 }
 
-// ReplayMode selects what a ReplayChooser does when its schedule runs
-// out.
-type ReplayMode int8
-
-const (
-	// ReplayThenAbort ends the execution when the schedule is
-	// exhausted (outcome Aborted).
-	ReplayThenAbort ReplayMode = iota
-	// ReplayThenFirst continues with FirstChooser after the prefix.
-	ReplayThenFirst
-	// ReplayThenRun continues with RunToCompletionChooser.
-	ReplayThenRun
-)
-
-// ReplayError describes a replay divergence: the recorded schedule
-// asked for an alternative that is not schedulable at that step. The
-// schedule is corrupted or truncated, or was recorded for a different
-// program or engine configuration.
-type ReplayError struct {
-	// Step is the 0-based schedule index that failed to apply.
-	Step int
-	// Want is the alternative the schedule asked for.
-	Want Alt
-	// NumCands is how many alternatives were actually schedulable.
-	NumCands int
-}
-
-func (e *ReplayError) Error() string {
-	return fmt.Sprintf("replay divergence at step %d: %s not among the %d schedulable alternatives "+
-		"(corrupted or truncated schedule, or a schedule from a different program/configuration)",
-		e.Step, e.Want, e.NumCands)
-}
-
-// ReplayChooser replays a recorded schedule. Replay is the foundation
-// of stateless search: an execution is identified by its schedule and
-// can be reproduced at will.
+// ReplayChooser replays a recorded schedule and aborts the execution
+// when it runs out. Replay is the foundation of stateless search: an
+// execution is identified by its schedule and can be reproduced at will.
+// Every step is verified (Engine.Conform): a scheduled alternative that
+// is not among the candidates — a corrupted or truncated schedule, one
+// recorded for a different program or configuration, or a program that
+// is nondeterministic under its own schedule — aborts the execution and
+// is recorded in Div.
 type ReplayChooser struct {
 	Schedule []Alt
-	Mode     ReplayMode
-	// Strict makes a divergence — a scheduled alternative that is not
-	// among the candidates (schedule/program mismatch) — abort the
-	// execution and record the diagnostic in Err; otherwise the
-	// chooser falls back to its exhaustion mode.
-	Strict bool
-	// Digests, when non-empty in strict mode, are the per-step
-	// conformance digests recorded when the schedule was explored
-	// (Config.RecordDigests); each replayed step is verified against
-	// them and the first mismatch is recorded in Div. This catches
-	// nondeterminism that still happens to keep the scheduled
+	// Digests, when non-empty, are the per-step conformance digests
+	// recorded when the schedule was explored (Config.RecordDigests);
+	// each replayed step they cover is verified against them too. This
+	// catches nondeterminism that still happens to keep the scheduled
 	// alternative schedulable.
 	Digests []StepDigest
-	// Err is the structured diagnostic of the first strict-mode
-	// divergence; callers check it after Run.
-	Err *ReplayError
-	// Div is the structured diagnostic of the first conformance
-	// failure (digest mismatch, or not-schedulable when digests give
-	// the expected op); callers check it after Run alongside Err.
+	// Div is the structured diagnostic of the first step that did not
+	// conform; callers check it after Run.
 	Div *DivergenceError
 	pos int
 }
 
 // Choose implements Chooser.
 func (r *ReplayChooser) Choose(ctx *ChooseContext) (Alt, bool) {
-	if r.pos < len(r.Schedule) {
-		want := r.Schedule[r.pos]
-		step := r.pos
-		r.pos++
-		for _, a := range ctx.Cands {
-			if a == want {
-				if r.Strict && step < len(r.Digests) {
-					obs := ctx.Engine.StepDigest(ctx.Cands, want)
-					if exp := r.Digests[step]; obs != exp {
-						if r.Div == nil {
-							r.Div = &DivergenceError{
-								Step:     step,
-								Want:     want,
-								Expected: exp,
-								Observed: obs,
-								NumCands: len(ctx.Cands),
-							}
-						}
-						return Alt{}, false
-					}
-				}
-				return a, true
-			}
-		}
-		if r.Strict {
-			if r.Err == nil {
-				r.Err = &ReplayError{Step: step, Want: want, NumCands: len(ctx.Cands)}
-			}
-			if r.Div == nil {
-				div := &DivergenceError{
-					Step:           step,
-					Want:           want,
-					Observed:       ctx.Engine.StepDigest(ctx.Cands, want),
-					NumCands:       len(ctx.Cands),
-					NotSchedulable: true,
-				}
-				if step < len(r.Digests) {
-					div.Expected = r.Digests[step]
-				}
-				r.Div = div
-			}
-			return Alt{}, false
-		}
-	}
-	switch r.Mode {
-	case ReplayThenFirst:
-		return FirstChooser{}.Choose(ctx)
-	case ReplayThenRun:
-		return RunToCompletionChooser{}.Choose(ctx)
-	default:
+	if r.pos == len(r.Schedule) {
 		return Alt{}, false
 	}
+	step, want := r.pos, r.Schedule[r.pos]
+	r.pos++
+	var exp *StepDigest
+	if step < len(r.Digests) {
+		exp = &r.Digests[step]
+	}
+	if r.Div = ctx.Engine.Conform(step, ctx.Cands, want, exp, true); r.Div != nil {
+		return Alt{}, false
+	}
+	return want, true
 }
 
 // FuncChooser adapts a function to the Chooser interface.

@@ -15,11 +15,11 @@ import (
 // breaks on such programs; CHESS detects the break as *schedule
 // divergence* during replay. Here every scheduling point can be
 // summarized into a StepDigest (a fingerprint of the candidate set
-// plus the chosen thread's pending operation), and a replay compares
-// the digest it observes against the digest recorded when the
-// schedule was first explored. The first mismatch is reported as a
-// structured DivergenceError instead of an exploration of the wrong
-// tree.
+// plus the chosen thread's pending operation), and every replay, step
+// by step, asks Conform to compare the digest it observes against the
+// digest recorded when the schedule was first explored. The first
+// mismatch is reported as a structured DivergenceError instead of an
+// exploration of the wrong tree.
 
 // StepDigest is the conformance summary of one scheduling point: a
 // hash of the full candidate set (thread ids, choice values, and each
@@ -43,8 +43,11 @@ func (d StepDigest) String() string {
 // DivergenceError reports the first step at which a replayed schedule
 // stopped conforming to the program: either the scheduled alternative
 // was not schedulable at all (NotSchedulable), or the candidate set /
-// pending operation differed from what was recorded. Both mean the
-// program has nondeterminism outside the checker's control.
+// pending operation differed from what was recorded. Either the
+// schedule is not this program's (corrupted, truncated, recorded for a
+// different program or configuration) or the program has nondeterminism
+// outside the checker's control. It is the one replay error, built only
+// by Engine.Conform.
 type DivergenceError struct {
 	// Step is the 0-based schedule index that failed to conform.
 	Step int
@@ -65,12 +68,56 @@ type DivergenceError struct {
 func (e *DivergenceError) Error() string {
 	if e.NotSchedulable {
 		return fmt.Sprintf("schedule divergence at step %d: %s not among the %d schedulable alternatives "+
-			"(observed %s): the program is not a deterministic function of the schedule",
+			"(observed %s): the schedule is corrupted, truncated or from a different program or "+
+			"configuration, or the program is not a deterministic function of the schedule",
 			e.Step, e.Want, e.NumCands, e.Observed)
 	}
 	return fmt.Sprintf("schedule divergence at step %d: thread %d expected %s, observed %s "+
 		"(candidate-set digest %#x vs %#x): the program is not a deterministic function of the schedule",
 		e.Step, e.Want.Tid, e.Expected.Op, e.Observed.Op, e.Expected.Hash, e.Observed.Hash)
+}
+
+// Conform is the one verified replay step: it answers whether want, the
+// alternative recorded for schedule index step, is schedulable among
+// cands at this scheduling point, and whether the state still matches
+// what was recorded. exp is the recorded digest: nil when nothing was
+// recorded for the step (only schedulability is checked), compared as a
+// whole with withOp, and by its candidate-set hash alone without it
+// (the pending op was not recorded; Expected reports the observed one).
+// It returns nil for a conforming step, and is the only place a
+// DivergenceError is built, so every replayer — ReplayChooser and the
+// searcher's stack, DPOR-unit and frontier-expansion replays — reports
+// the same failure the same way.
+func (e *Engine) Conform(step int, cands []Alt, want Alt, exp *StepDigest, withOp bool) *DivergenceError {
+	schedulable := false
+	for _, c := range cands {
+		if c == want {
+			schedulable = true
+			break
+		}
+	}
+	if schedulable && exp == nil {
+		return nil
+	}
+	obs := e.StepDigest(cands, want)
+	var expected StepDigest
+	if exp != nil {
+		expected = *exp
+		if !withOp {
+			expected.Op = obs.Op
+		}
+	}
+	if schedulable && obs == expected {
+		return nil
+	}
+	return &DivergenceError{
+		Step:           step,
+		Want:           want,
+		Expected:       expected,
+		Observed:       obs,
+		NumCands:       len(cands),
+		NotSchedulable: !schedulable,
+	}
 }
 
 // PendingOpInfo returns the pending-operation description of thread t,

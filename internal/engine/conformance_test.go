@@ -45,16 +45,16 @@ func TestStrictReplayDetectsMutation(t *testing.T) {
 	}
 
 	// Unmutated strict replay conforms end to end.
-	ch := &engine.ReplayChooser{Schedule: r.Schedule, Digests: r.Digests, Strict: true}
+	ch := &engine.ReplayChooser{Schedule: r.Schedule, Digests: r.Digests}
 	rr := engine.Run(prog, ch, cfg)
-	if ch.Div != nil || ch.Err != nil || rr.Outcome != r.Outcome {
-		t.Fatalf("conforming replay failed: div=%v err=%v outcome=%v", ch.Div, ch.Err, rr.Outcome)
+	if ch.Div != nil || rr.Outcome != r.Outcome {
+		t.Fatalf("conforming replay failed: div=%v outcome=%v", ch.Div, rr.Outcome)
 	}
 
 	// Mutate and replay: the digest comparison must catch the change
 	// even though the same threads stay schedulable.
 	val = 2
-	ch = &engine.ReplayChooser{Schedule: r.Schedule, Digests: r.Digests, Strict: true}
+	ch = &engine.ReplayChooser{Schedule: r.Schedule, Digests: r.Digests}
 	rr = engine.Run(prog, ch, cfg)
 	if ch.Div == nil {
 		t.Fatalf("mutated replay not detected: outcome=%v", rr.Outcome)
@@ -113,18 +113,12 @@ func TestStrictReplayNotSchedulable(t *testing.T) {
 	}
 
 	spawn = false // the worker named by the schedule never exists
-	ch := &engine.ReplayChooser{Schedule: r.Schedule, Strict: true}
+	ch := &engine.ReplayChooser{Schedule: r.Schedule}
 	rr := engine.Run(prog, ch, cfg)
 	if ch.Div == nil {
 		t.Fatalf("missing-thread replay not detected: outcome=%v", rr.Outcome)
 	}
 	if !ch.Div.NotSchedulable {
 		t.Fatalf("divergence not flagged NotSchedulable: %+v", ch.Div)
-	}
-	if ch.Err == nil {
-		t.Fatal("legacy ReplayError not populated alongside DivergenceError")
-	}
-	if ch.Div.Step != ch.Err.Step {
-		t.Fatalf("divergence step %d != replay-error step %d", ch.Div.Step, ch.Err.Step)
 	}
 }

@@ -125,7 +125,8 @@ type Config struct {
 	// whole execution, checked between steps: a search TimeLimit
 	// threaded down so that one very long (but cooperative) execution
 	// cannot blow past the search budget. Exceeding it ends the
-	// execution with outcome Aborted and Result.DeadlineExceeded set.
+	// execution with outcome Aborted and Result.DeadlineExceeded set,
+	// and the execution is not counted, exactly as for Stop below.
 	Deadline time.Time
 	// Stop, when non-nil, interrupts the execution once it is closed. It
 	// is polled on the tick Deadline is checked on, every 64 steps, so a
@@ -857,9 +858,10 @@ func (e *Engine) result(outcome Outcome) *Result {
 		r.EdgeAdds, r.EdgeErases = e.fair.EdgeStats()
 	}
 	r.WM = e.wm
-	// An interrupted run is dropped by every caller and its index rerun
-	// on resume: counting it here would count it twice.
-	if m := e.cfg.Metrics; m != nil && !e.interrupted {
+	// A run cut by Stop or the deadline is dropped by every caller and its
+	// index rerun on resume: counting it here would count it twice.
+	cut := e.interrupted || e.deadlineHit
+	if m := e.cfg.Metrics; m != nil && !cut {
 		m.FlushExec(obs.ExecFlush{
 			Steps:          e.stepCount,
 			Yields:         e.yieldCnt,
@@ -877,7 +879,7 @@ func (e *Engine) result(outcome Outcome) *Result {
 			Outcome:        outcome.String(),
 		})
 	}
-	if sink := e.cfg.EventSink; sink != nil && !e.interrupted {
+	if sink := e.cfg.EventSink; sink != nil && !cut {
 		sink.Emit(obs.Event{
 			Type: "exec_end",
 			Exec: e.cfg.ExecIndex,

@@ -294,7 +294,6 @@ func TestReplayDeterminism(t *testing.T) {
 	}
 	replay := engine.Run(prog, &engine.ReplayChooser{
 		Schedule: first.Schedule,
-		Strict:   true,
 	}, cfg())
 	if replay.Outcome != engine.Terminated {
 		t.Fatalf("replay run: %v", replay.Outcome)
@@ -315,7 +314,6 @@ func TestReplayDeterminism(t *testing.T) {
 func TestReplayAbortsWhenScheduleExhausted(t *testing.T) {
 	r := engine.Run(fig3, &engine.ReplayChooser{
 		Schedule: []engine.Alt{{Tid: 0, Arg: -1}}, // just start main
-		Mode:     engine.ReplayThenAbort,
 	}, cfg())
 	if r.Outcome != engine.Aborted {
 		t.Fatalf("outcome = %v, want aborted", r.Outcome)
@@ -350,7 +348,6 @@ func TestNoGoroutineLeaks(t *testing.T) {
 	abortMidFlight := func() engine.Chooser {
 		return &engine.ReplayChooser{
 			Schedule: []engine.Alt{{Tid: 0, Arg: -1}, {Tid: 0, Arg: -1}, {Tid: 1, Arg: -1}},
-			Mode:     engine.ReplayThenAbort,
 		}
 	}
 	for i := 0; i < 50; i++ {

@@ -143,7 +143,7 @@ type Result struct {
 	Schedule []Alt  // the decisions taken, sufficient for replay
 	Trace    []Step // full trace if Config.RecordTrace
 	// Digests are the per-step conformance digests if
-	// Config.RecordDigests; a strict ReplayChooser given these verifies
+	// Config.RecordDigests; a ReplayChooser given these verifies
 	// the program still conforms to the schedule (see conformance.go).
 	Digests   []StepDigest
 	Violation *ViolationInfo
@@ -152,13 +152,14 @@ type Result struct {
 	Wedge *WedgeInfo
 	// DeadlineExceeded reports that the execution was cut because the
 	// wall-clock Config.Deadline passed (outcome Aborted). The searcher
-	// translates this into its TimeLimit accounting.
+	// drops it like an Interrupted one and stops with Report.TimedOut.
 	DeadlineExceeded bool
 	// Interrupted reports that the execution was cut because Config.Stop
-	// was closed (outcome Aborted). The cut execution is not part of the
-	// search: the engine leaves it out of Config.Metrics and emits no
-	// exec_end for it, the searcher drops it and stops, resumably — so no
-	// kept Result has it set, and the serialized form of one is unchanged.
+	// was closed (outcome Aborted). An execution cut either way is not
+	// part of the search: the engine leaves it out of Config.Metrics and
+	// emits no exec_end for it, the searcher drops it and stops, resumably
+	// — so no kept Result has either set, and the serialized form of one
+	// is unchanged.
 	Interrupted bool  `json:",omitempty"`
 	Threads     int   // threads created
 	Yields      int64 // yielding transitions taken

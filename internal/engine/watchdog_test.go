@@ -169,7 +169,7 @@ func TestStopInterruptsExecution(t *testing.T) {
 
 // TestReplayDivergenceReturnsError: a strict replay of a schedule that
 // names an unschedulable alternative must end with outcome Aborted and
-// a structured ReplayError — not a panic mid-engine.
+// a structured DivergenceError — not a panic mid-engine.
 func TestReplayDivergenceReturnsError(t *testing.T) {
 	prog := func(t *engine.T) {
 		v := syncmodel.NewIntVar(t, "v", 0)
@@ -179,19 +179,18 @@ func TestReplayDivergenceReturnsError(t *testing.T) {
 	// Thread 7 never exists: the schedule cannot apply at step 0.
 	ch := &engine.ReplayChooser{
 		Schedule: []engine.Alt{{Tid: 7}},
-		Strict:   true,
 	}
 	r := engine.Run(prog, ch, cfg())
 	if r.Outcome != engine.Aborted {
 		t.Fatalf("outcome = %v, want aborted", r.Outcome)
 	}
-	if ch.Err == nil {
-		t.Fatal("strict divergence did not populate ReplayChooser.Err")
+	if ch.Div == nil || !ch.Div.NotSchedulable {
+		t.Fatalf("divergence did not populate ReplayChooser.Div as not schedulable: %+v", ch.Div)
 	}
-	if ch.Err.Step != 0 {
-		t.Fatalf("Err.Step = %d, want 0", ch.Err.Step)
+	if ch.Div.Step != 0 {
+		t.Fatalf("Div.Step = %d, want 0", ch.Div.Step)
 	}
-	if ch.Err.Error() == "" {
+	if ch.Div.Error() == "" {
 		t.Fatal("empty error message")
 	}
 }

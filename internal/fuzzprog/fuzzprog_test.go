@@ -52,7 +52,7 @@ func TestReplayDeterminismOnGeneratedPrograms(t *testing.T) {
 		if first.Outcome != engine.Terminated {
 			t.Fatalf("seed %d: random run outcome %v", seed, first.Outcome)
 		}
-		replay := engine.Run(prog, &engine.ReplayChooser{Schedule: first.Schedule, Strict: true},
+		replay := engine.Run(prog, &engine.ReplayChooser{Schedule: first.Schedule},
 			engine.Config{Fair: true, MaxSteps: 4000, RecordTrace: true})
 		if replay.Outcome != engine.Terminated || replay.Steps != first.Steps {
 			t.Fatalf("seed %d: replay mismatch: %v/%d vs %v/%d",

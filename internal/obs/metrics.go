@@ -25,7 +25,11 @@
 // metric.
 package obs
 
-import "sync/atomic"
+import (
+	"math/bits"
+	"reflect"
+	"sync/atomic"
+)
 
 // Counter is a monotonically increasing atomic counter. The zero value
 // is ready to use. All methods are safe for concurrent use.
@@ -71,20 +75,9 @@ func (h *Hist) Observe(v int64) {
 	if v < 0 {
 		v = 0
 	}
-	h.buckets[bitLen(uint64(v))].Add(1)
+	h.buckets[bits.Len64(uint64(v))].Add(1)
 	h.count.Add(1)
 	h.sum.Add(v)
-}
-
-// bitLen is bits.Len64 without the import (the only use in this
-// package).
-func bitLen(v uint64) int {
-	n := 0
-	for v != 0 {
-		v >>= 1
-		n++
-	}
-	return n
 }
 
 // Count returns the number of observations.
@@ -119,7 +112,10 @@ type HistBucket struct {
 	Count int64 `json:"count"`
 }
 
-// Metrics is the registry of live search telemetry. One registry is
+// Metrics is the registry of live search telemetry, and this struct is
+// the list of metrics: Snapshot, Snapshot.Sub and Merge walk a table
+// built from its fields (see fields), so a Counter or Gauge added here
+// and, under the same name, to Snapshot is complete. One registry is
 // shared by every engine and worker of a check (Options.Metrics);
 // updates are atomic, so attaching it to a parallel search is safe.
 // The hot path is kept cheap by accumulation: the engine counts
@@ -365,59 +361,53 @@ type Snapshot struct {
 	ExecSteps          []HistBucket `json:"execSteps,omitempty"`
 }
 
+// field pairs one Counter or Gauge of Metrics with the int64 of the same
+// name in Snapshot, by field index.
+type field struct {
+	metric, snap int
+	gauge        bool
+}
+
+// fields is the registry's one table, built from the two struct
+// declarations: every Counter and Gauge of Metrics, in declaration
+// order. Snapshot, Sub and Merge walk it; a Counter subtracts and
+// merges, a Gauge is a level and is carried by Sub and skipped by Merge
+// (per-worker instantaneous values do not sum; the coordinator tracks
+// its own). The one Hist, ExecSteps, is handled by name. A metric
+// without a Snapshot twin is a bug caught at init.
+var fields = func() []field {
+	var tab []field
+	mt, st := reflect.TypeFor[Metrics](), reflect.TypeFor[Snapshot]()
+	for i := 0; i < mt.NumField(); i++ {
+		f := mt.Field(i)
+		gauge := f.Type == reflect.TypeFor[Gauge]()
+		if !gauge && f.Type != reflect.TypeFor[Counter]() {
+			continue
+		}
+		sf, ok := st.FieldByName(f.Name)
+		if !ok || sf.Type.Kind() != reflect.Int64 {
+			panic("obs: Metrics." + f.Name + " has no int64 field of that name in Snapshot")
+		}
+		tab = append(tab, field{metric: i, snap: sf.Index[0], gauge: gauge})
+	}
+	return tab
+}()
+
 // Sub returns the counter-wise difference s - prev: the work performed
 // between the two snapshots. Distributed workers post these deltas to
-// the coordinator so each increment is counted exactly once. The
-// Frontier gauge is not a counter and carries s's value unchanged;
-// histogram buckets subtract bucket-wise.
+// the coordinator so each increment is counted exactly once. A gauge is
+// not a counter and carries s's value unchanged; histogram buckets
+// subtract bucket-wise.
 func (s Snapshot) Sub(prev Snapshot) Snapshot {
-	d := Snapshot{
-		Executions:         s.Executions - prev.Executions,
-		Steps:              s.Steps - prev.Steps,
-		Choices:            s.Choices - prev.Choices,
-		Candidates:         s.Candidates - prev.Candidates,
-		Yields:             s.Yields - prev.Yields,
-		EdgeAdds:           s.EdgeAdds - prev.EdgeAdds,
-		EdgeErases:         s.EdgeErases - prev.EdgeErases,
-		FairBlocked:        s.FairBlocked - prev.FairBlocked,
-		Terminations:       s.Terminations - prev.Terminations,
-		Deadlocks:          s.Deadlocks - prev.Deadlocks,
-		Violations:         s.Violations - prev.Violations,
-		Diverged:           s.Diverged - prev.Diverged,
-		Aborts:             s.Aborts - prev.Aborts,
-		Wedges:             s.Wedges - prev.Wedges,
-		ReplayDivergences:  s.ReplayDivergences - prev.ReplayDivergences,
-		Quarantined:        s.Quarantined - prev.Quarantined,
-		WorkerRetries:      s.WorkerRetries - prev.WorkerRetries,
-		InlineSteps:        s.InlineSteps - prev.InlineSteps,
-		Handoffs:           s.Handoffs - prev.Handoffs,
-		EngineReuses:       s.EngineReuses - prev.EngineReuses,
-		WMBufferedStores:   s.WMBufferedStores - prev.WMBufferedStores,
-		WMFlushes:          s.WMFlushes - prev.WMFlushes,
-		WMFences:           s.WMFences - prev.WMFences,
-		WMForwards:         s.WMForwards - prev.WMForwards,
-		PrefixHits:         s.PrefixHits - prev.PrefixHits,
-		PrefixMisses:       s.PrefixMisses - prev.PrefixMisses,
-		Checkpoints:        s.Checkpoints - prev.Checkpoints,
-		DistRetries:        s.DistRetries - prev.DistRetries,
-		DistFaultsInjected: s.DistFaultsInjected - prev.DistFaultsInjected,
-		BreakerOpens:       s.BreakerOpens - prev.BreakerOpens,
-		SpooledResults:     s.SpooledResults - prev.SpooledResults,
-		ShedRequests:       s.ShedRequests - prev.ShedRequests,
-		LedgerAppends:      s.LedgerAppends - prev.LedgerAppends,
-		LedgerReplayed:     s.LedgerReplayed - prev.LedgerReplayed,
-		LedgerTornTails:    s.LedgerTornTails - prev.LedgerTornTails,
-		LedgerQuarantines:  s.LedgerQuarantines - prev.LedgerQuarantines,
-		FSFaultsInjected:   s.FSFaultsInjected - prev.FSFaultsInjected,
-		JobsSubmitted:      s.JobsSubmitted - prev.JobsSubmitted,
-		JobsDone:           s.JobsDone - prev.JobsDone,
-		JobsCancelled:      s.JobsCancelled - prev.JobsCancelled,
-		JobsShed:           s.JobsShed - prev.JobsShed,
-		DporRaces:          s.DporRaces - prev.DporRaces,
-		DporUnitsPruned:    s.DporUnitsPruned - prev.DporUnitsPruned,
-		DporUnitQueue:      s.DporUnitQueue,
-		Frontier:           s.Frontier,
+	d := s
+	dv, pv := reflect.ValueOf(&d).Elem(), reflect.ValueOf(&prev).Elem()
+	for _, f := range fields {
+		if !f.gauge {
+			v := dv.Field(f.snap)
+			v.SetInt(v.Int() - pv.Field(f.snap).Int())
+		}
 	}
+	d.ExecSteps = nil
 	prevAt := make(map[int64]int64, len(prev.ExecSteps))
 	for _, b := range prev.ExecSteps {
 		prevAt[b.Le] = b.Count
@@ -431,58 +421,19 @@ func (s Snapshot) Sub(prev Snapshot) Snapshot {
 }
 
 // Merge folds a snapshot delta (Snapshot.Sub) into the registry; the
-// distributed coordinator aggregates worker telemetry this way. The
-// Frontier gauge is skipped — per-worker instantaneous values do not
-// sum; the coordinator tracks its own frontier (unmerged shards).
+// distributed coordinator aggregates worker telemetry this way. Gauges
+// are skipped.
 func (m *Metrics) Merge(d Snapshot) {
-	m.Executions.Add(d.Executions)
-	m.Steps.Add(d.Steps)
-	m.Choices.Add(d.Choices)
-	m.Candidates.Add(d.Candidates)
-	m.Yields.Add(d.Yields)
-	m.EdgeAdds.Add(d.EdgeAdds)
-	m.EdgeErases.Add(d.EdgeErases)
-	m.FairBlocked.Add(d.FairBlocked)
-	m.Terminations.Add(d.Terminations)
-	m.Deadlocks.Add(d.Deadlocks)
-	m.Violations.Add(d.Violations)
-	m.Diverged.Add(d.Diverged)
-	m.Aborts.Add(d.Aborts)
-	m.Wedges.Add(d.Wedges)
-	m.ReplayDivergences.Add(d.ReplayDivergences)
-	m.Quarantined.Add(d.Quarantined)
-	m.WorkerRetries.Add(d.WorkerRetries)
-	m.InlineSteps.Add(d.InlineSteps)
-	m.Handoffs.Add(d.Handoffs)
-	m.EngineReuses.Add(d.EngineReuses)
-	m.WMBufferedStores.Add(d.WMBufferedStores)
-	m.WMFlushes.Add(d.WMFlushes)
-	m.WMFences.Add(d.WMFences)
-	m.WMForwards.Add(d.WMForwards)
-	m.PrefixHits.Add(d.PrefixHits)
-	m.PrefixMisses.Add(d.PrefixMisses)
-	m.Checkpoints.Add(d.Checkpoints)
-	m.DistRetries.Add(d.DistRetries)
-	m.DistFaultsInjected.Add(d.DistFaultsInjected)
-	m.BreakerOpens.Add(d.BreakerOpens)
-	m.SpooledResults.Add(d.SpooledResults)
-	m.ShedRequests.Add(d.ShedRequests)
-	m.LedgerAppends.Add(d.LedgerAppends)
-	m.LedgerReplayed.Add(d.LedgerReplayed)
-	m.LedgerTornTails.Add(d.LedgerTornTails)
-	m.LedgerQuarantines.Add(d.LedgerQuarantines)
-	m.FSFaultsInjected.Add(d.FSFaultsInjected)
-	m.JobsSubmitted.Add(d.JobsSubmitted)
-	m.JobsDone.Add(d.JobsDone)
-	m.JobsCancelled.Add(d.JobsCancelled)
-	m.DporRaces.Add(d.DporRaces)
-	m.DporUnitsPruned.Add(d.DporUnitsPruned)
-	// DporUnitQueue is a gauge and is skipped like Frontier.
-	m.JobsShed.Add(d.JobsShed)
+	mv, dv := reflect.ValueOf(m).Elem(), reflect.ValueOf(&d).Elem()
+	for _, f := range fields {
+		if !f.gauge {
+			mv.Field(f.metric).Addr().Interface().(*Counter).Add(dv.Field(f.snap).Int())
+		}
+	}
 	for _, b := range d.ExecSteps {
 		idx := 63 // open-ended overflow bucket
 		if b.Le >= 0 {
-			idx = bitLen(uint64(b.Le)+1) - 1
+			idx = bits.Len64(uint64(b.Le)+1) - 1
 		}
 		m.ExecSteps.buckets[idx].Add(b.Count)
 		m.ExecSteps.count.Add(b.Count)
@@ -496,52 +447,11 @@ func (m *Metrics) Merge(d Snapshot) {
 
 // Snapshot copies the current metric values.
 func (m *Metrics) Snapshot() Snapshot {
-	return Snapshot{
-		Executions:         m.Executions.Load(),
-		Steps:              m.Steps.Load(),
-		Choices:            m.Choices.Load(),
-		Candidates:         m.Candidates.Load(),
-		Yields:             m.Yields.Load(),
-		EdgeAdds:           m.EdgeAdds.Load(),
-		EdgeErases:         m.EdgeErases.Load(),
-		FairBlocked:        m.FairBlocked.Load(),
-		Terminations:       m.Terminations.Load(),
-		Deadlocks:          m.Deadlocks.Load(),
-		Violations:         m.Violations.Load(),
-		Diverged:           m.Diverged.Load(),
-		Aborts:             m.Aborts.Load(),
-		Wedges:             m.Wedges.Load(),
-		ReplayDivergences:  m.ReplayDivergences.Load(),
-		Quarantined:        m.Quarantined.Load(),
-		WorkerRetries:      m.WorkerRetries.Load(),
-		InlineSteps:        m.InlineSteps.Load(),
-		Handoffs:           m.Handoffs.Load(),
-		EngineReuses:       m.EngineReuses.Load(),
-		WMBufferedStores:   m.WMBufferedStores.Load(),
-		WMFlushes:          m.WMFlushes.Load(),
-		WMFences:           m.WMFences.Load(),
-		WMForwards:         m.WMForwards.Load(),
-		PrefixHits:         m.PrefixHits.Load(),
-		PrefixMisses:       m.PrefixMisses.Load(),
-		Checkpoints:        m.Checkpoints.Load(),
-		DistRetries:        m.DistRetries.Load(),
-		DistFaultsInjected: m.DistFaultsInjected.Load(),
-		BreakerOpens:       m.BreakerOpens.Load(),
-		SpooledResults:     m.SpooledResults.Load(),
-		ShedRequests:       m.ShedRequests.Load(),
-		LedgerAppends:      m.LedgerAppends.Load(),
-		LedgerReplayed:     m.LedgerReplayed.Load(),
-		LedgerTornTails:    m.LedgerTornTails.Load(),
-		LedgerQuarantines:  m.LedgerQuarantines.Load(),
-		FSFaultsInjected:   m.FSFaultsInjected.Load(),
-		JobsSubmitted:      m.JobsSubmitted.Load(),
-		JobsDone:           m.JobsDone.Load(),
-		JobsCancelled:      m.JobsCancelled.Load(),
-		JobsShed:           m.JobsShed.Load(),
-		DporRaces:          m.DporRaces.Load(),
-		DporUnitsPruned:    m.DporUnitsPruned.Load(),
-		DporUnitQueue:      m.DporUnitQueue.Load(),
-		Frontier:           m.Frontier.Load(),
-		ExecSteps:          m.ExecSteps.Buckets(),
+	s := Snapshot{ExecSteps: m.ExecSteps.Buckets()}
+	mv, sv := reflect.ValueOf(m).Elem(), reflect.ValueOf(&s).Elem()
+	for _, f := range fields {
+		v := mv.Field(f.metric).Addr().Interface().(interface{ Load() int64 })
+		sv.Field(f.snap).SetInt(v.Load())
 	}
+	return s
 }

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 )
@@ -116,27 +117,53 @@ func TestFlushExecConcurrent(t *testing.T) {
 // TestSnapshotSubMergeRoundtrip models the distributed telemetry path:
 // a worker's registry advances, the delta since the last heartbeat is
 // forwarded, and the coordinator merges it — totals must match a
-// single shared registry.
+// single shared registry. Every Counter and Gauge of Metrics is found
+// and set by reflection, so a metric added later is covered without
+// editing this test.
 func TestSnapshotSubMergeRoundtrip(t *testing.T) {
 	worker := NewMetrics()
 	coord := NewMetrics()
+	wv := reflect.ValueOf(worker).Elem()
 	prev := worker.Snapshot()
+	var last Snapshot
 	for round := 0; round < 3; round++ {
 		for j := 0; j <= round; j++ {
 			worker.FlushExec(ExecFlush{Steps: 5, Yields: 2, Choices: 4,
 				FairBlocked: 1, EdgeAdds: 2, EdgeErases: 1, Outcome: "terminated"})
 		}
-		worker.Quarantined.Inc()
+		for i := 0; i < wv.NumField(); i++ {
+			switch f := wv.Field(i).Addr().Interface().(type) {
+			case *Counter:
+				f.Add(int64((i + 1) * (round + 1)))
+			case *Gauge:
+				f.Set(int64(100*round + i + 1))
+			}
+		}
 		cur := worker.Snapshot()
-		coord.Merge(cur.Sub(prev))
+		last = cur.Sub(prev)
+		coord.Merge(last)
 		prev = cur
 	}
-	w, c := worker.Snapshot(), coord.Snapshot()
-	if c.Executions != w.Executions || c.Steps != w.Steps || c.Yields != w.Yields ||
-		c.Choices != w.Choices || c.FairBlocked != w.FairBlocked ||
-		c.EdgeAdds != w.EdgeAdds || c.EdgeErases != w.EdgeErases ||
-		c.Terminations != w.Terminations || c.Quarantined != w.Quarantined {
-		t.Fatalf("merged deltas diverge from source registry:\n%+v\nvs\n%+v", c, w)
+	w, c := reflect.ValueOf(worker.Snapshot()), reflect.ValueOf(coord.Snapshot())
+	for i := 0; i < wv.NumField(); i++ {
+		name := wv.Type().Field(i).Name
+		switch wv.Field(i).Addr().Interface().(type) {
+		case *Counter:
+			if got, want := c.FieldByName(name).Int(), w.FieldByName(name).Int(); got != want || want == 0 {
+				t.Errorf("counter %s: merged deltas give %d, source registry has %d", name, got, want)
+			}
+		case *Gauge:
+			// A level: Sub carries it, Merge leaves the coordinator's own.
+			if got, want := reflect.ValueOf(last).FieldByName(name).Int(), w.FieldByName(name).Int(); got != want || want == 0 {
+				t.Errorf("gauge %s: delta carries %d, source registry has %d", name, got, want)
+			}
+			if got := c.FieldByName(name).Int(); got != 0 {
+				t.Errorf("gauge %s: merged into the coordinator as %d, want it skipped", name, got)
+			}
+		case *Hist:
+		default:
+			t.Errorf("Metrics.%s is neither Counter, Gauge nor Hist: teach the field table and this test about it", name)
+		}
 	}
 	if got, want := coord.ExecSteps.Count(), worker.ExecSteps.Count(); got != want {
 		t.Fatalf("histogram count = %d, want %d", got, want)

@@ -7,10 +7,10 @@ package search
 // detected race spawns one self-contained unit — a schedule prefix
 // ending in the race reversal, plus the sleep-set entries the reversal
 // inherits. Units are independent: a worker replays the prefix
-// (digest-verified, with the same retry/quarantine protocol as every
-// other replay in this package), extends it with leftmost-awake
-// choices to a complete execution, and reports the races found along
-// the trace; the merge turns unseen reversals into child units.
+// (engine.Conform, under this package's one retry/quarantine protocol,
+// conformingRun), extends it with leftmost-awake choices to a complete
+// execution, and reports the races found along the trace; the merge
+// turns unseen reversals into child units.
 //
 // The merge consumes unit reports strictly in spawn (FIFO) order, and
 // children are spawned in proposal-discovery order, so the explored
@@ -140,46 +140,27 @@ func (c *unitChooser) reset(opts *Options, unit *por.Unit) {
 func (c *unitChooser) Choose(ctx *engine.ChooseContext) (engine.Alt, bool) {
 	e := ctx.Engine
 	step := c.pos
-	var hash uint64
 	haveDig := !c.opts.DisableConformance
-	if haveDig {
-		hash = e.CandsDigest(ctx.Cands)
-	}
 	replay := step < len(c.unit.Sched)
+	var exp *engine.StepDigest
 	if replay {
-		want := c.unit.Sched[step]
-		if err := altIn(want, ctx.Cands); err != "" {
-			// The recorded alternative is not schedulable anymore: the
-			// program is nondeterministic outside the scheduler's
-			// control. Abort for retry/quarantine.
-			exp := engine.StepDigest{}
-			if step < len(c.unit.Digs) {
-				exp = c.unit.Digs[step]
-			}
-			c.div = &engine.DivergenceError{
-				Step:           step,
-				Want:           want,
-				Expected:       exp,
-				Observed:       e.StepDigest(ctx.Cands, want),
-				NumCands:       len(ctx.Cands),
-				NotSchedulable: true,
-			}
+		// A step that does not conform means the program is
+		// nondeterministic outside the scheduler's control. Abort for
+		// retry/quarantine.
+		if haveDig && step < len(c.unit.Digs) {
+			exp = &c.unit.Digs[step]
+		}
+		if c.div = e.Conform(step, ctx.Cands, c.unit.Sched[step], exp, true); c.div != nil {
 			return engine.Alt{}, false
 		}
-		if haveDig && step < len(c.unit.Digs) {
-			obsOp := e.PendingOpInfo(want.Tid)
-			exp := c.unit.Digs[step]
-			if hash != exp.Hash || obsOp != exp.Op {
-				c.div = &engine.DivergenceError{
-					Step:     step,
-					Want:     want,
-					Expected: exp,
-					Observed: engine.StepDigest{Hash: hash, Tid: want.Tid, Op: obsOp},
-					NumCands: len(ctx.Cands),
-				}
-				return engine.Alt{}, false
-			}
-		}
+	}
+	// The unfiltered candidate-set digest of this state: the one just
+	// verified, when there was one.
+	var hash uint64
+	if exp != nil {
+		hash = exp.Hash
+	} else if haveDig {
+		hash = e.CandsDigest(ctx.Cands)
 	}
 
 	// The same frontier filtering as the sequential searcher: the
@@ -187,15 +168,7 @@ func (c *unitChooser) Choose(ctx *engine.ChooseContext) (engine.Alt, bool) {
 	// then the sleep mask. ctx.Cands is the engine's reused buffer, so
 	// the recorded list is copied into the arena.
 	lo := len(c.alts)
-	bounded := c.opts.ContextBound >= 0 && c.preemptUsed >= c.opts.ContextBound
-	for _, a := range ctx.Cands {
-		if !bounded || !ctx.IsPreemption(a) {
-			c.alts = append(c.alts, a)
-		}
-	}
-	if len(c.alts) == lo {
-		panic("search: empty alternative set under context bound")
-	}
+	c.alts = c.opts.admissible(c.alts, ctx, c.preemptUsed)
 	if c.opts.SleepSets && step < len(c.unit.Sleep) {
 		// Install the serialized sleep entries for this state — the
 		// siblings already covered when the unit was spawned — before
@@ -254,36 +227,27 @@ func (c *unitChooser) Choose(ctx *engine.ChooseContext) (engine.Alt, bool) {
 }
 
 // runDporUnit executes one work unit to completion and returns its
-// report, ready for ShardMerger.Offer. It mirrors the sequential
-// execution loop exactly: divergence retry then quarantine,
-// unconditional counter accounting, classify semantics per outcome.
+// report, ready for ShardMerger.Offer. It is the sequential execution
+// loop run once: the same retry-then-quarantine protocol, cut handling,
+// counter accounting and classify semantics per outcome.
 func runDporUnit(prog func(*engine.T), opts *Options, pool *engine.Pool, unit *por.Unit, deadline time.Time) *Report {
 	rep := &Report{}
 	var r *engine.Result
 	c := chooserPool.Get().(*unitChooser)
 	defer chooserPool.Put(c)
-	for attempt := 1; ; attempt++ {
+	div, attempts := opts.conformingRun(func() *engine.DivergenceError {
 		c.reset(opts, unit)
 		r = opts.runEngine(pool, prog, c, opts.engineConfig(deadline, 1))
-		if c.div == nil {
-			break
-		}
-		if m := opts.Metrics; m != nil {
-			m.ReplayDivergences.Inc()
-		}
-		if attempt > opts.divergenceRetries() {
-			k := c.div.Step + 1
-			if k > len(unit.Sched) {
-				k = len(unit.Sched)
-			}
-			quarantined(opts, rep, append([]engine.Alt(nil), unit.Sched[:k]...), c.div, attempt)
-			return rep
-		}
+		return c.div
+	})
+	if div != nil {
+		// div.Step indexes the replayed prefix, so it is within Sched.
+		quarantined(opts, rep, append([]engine.Alt(nil), unit.Sched[:div.Step+1]...), div, attempts)
+		return rep
 	}
-	if r.Interrupted {
-		// Cancelled mid-execution: the merge discards the report and a
-		// resume re-runs the unit in full.
-		rep.Interrupted = true
+	if rep.cutBy(r) {
+		// Cancelled or out of time mid-execution: the merge discards the
+		// report and a resume re-runs the unit in full.
 		return rep
 	}
 	rep.addResult(r)
@@ -292,11 +256,6 @@ func runDporUnit(prog func(*engine.T), opts *Options, pool *engine.Pool, unit *p
 		reason = abortSleep
 	}
 	classify(prog, opts, rep, r, 1, reason)
-	if rep.TimedOut {
-		// The shared deadline cut this unit; the merge discards the
-		// partial work so a resume re-runs the unit in full.
-		return rep
-	}
 	rep.Exhausted = true
 	if rep.Divergence == nil || opts.ContinueAfterDivergence {
 		// A divergence finding that stops the merge spawns nothing, so

@@ -48,31 +48,12 @@ func (c *expandChooser) Choose(ctx *engine.ChooseContext) (engine.Alt, bool) {
 		alt := c.sched[c.pos]
 		step := c.pos
 		c.pos++
-		if err := altIn(alt, ctx.Cands); err != "" {
-			c.div = &engine.DivergenceError{
-				Step:           step,
-				Want:           alt,
-				Observed:       ctx.Engine.StepDigest(ctx.Cands, alt),
-				NumCands:       len(ctx.Cands),
-				NotSchedulable: true,
-			}
-			if step < len(c.digs) {
-				c.div.Expected = c.digs[step]
-			}
-			return engine.Alt{}, false
-		}
+		var exp *engine.StepDigest
 		if step < len(c.digs) && !c.opts.DisableConformance {
-			got := ctx.Engine.StepDigest(ctx.Cands, alt)
-			if exp := c.digs[step]; got != exp {
-				c.div = &engine.DivergenceError{
-					Step:     step,
-					Want:     alt,
-					Expected: exp,
-					Observed: got,
-					NumCands: len(ctx.Cands),
-				}
-				return engine.Alt{}, false
-			}
+			exp = &c.digs[step]
+		}
+		if c.div = ctx.Engine.Conform(step, ctx.Cands, alt, exp, true); c.div != nil {
+			return engine.Alt{}, false
 		}
 		if ctx.IsPreemption(alt) {
 			c.preemptUsed++
@@ -85,14 +66,7 @@ func (c *expandChooser) Choose(ctx *engine.ChooseContext) (engine.Alt, bool) {
 		c.ended = true
 		return engine.Alt{}, false
 	}
-	alts := ctx.Cands
-	if c.opts.ContextBound >= 0 && c.preemptUsed >= c.opts.ContextBound {
-		alts = nonPreempting(ctx)
-		if len(alts) == 0 {
-			panic("search: empty alternative set under context bound")
-		}
-	}
-	c.alts = append([]engine.Alt(nil), alts...)
+	c.alts = c.opts.admissible(nil, ctx, c.preemptUsed)
 	if !c.opts.DisableConformance {
 		c.freshDig = ctx.Engine.CandsDigest(ctx.Cands)
 		c.freshOps = make([]engine.OpInfo, len(c.alts))

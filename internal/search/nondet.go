@@ -9,18 +9,19 @@ import (
 // This file is the search-level half of the nondeterminism defense
 // (see internal/engine/conformance.go for the digest machinery):
 //
-//   - Divergence quarantine: when a prefix replay stops conforming to
-//     the recorded digests, the searcher re-executes the prefix up to
-//     Options.DivergenceRetries times (attempts are plain deterministic
-//     re-runs — the per-execution seeding is reset identically each
-//     time, so the attempt ordering itself is deterministic) and then
-//     quarantines the subtree below the first divergent step: it is
-//     counted in Report.Quarantined with a NondeterminismReport, and
-//     the search moves on instead of exploring a wrong tree.
+//   - Divergence quarantine: when a prefix replay stops conforming
+//     (engine.Conform), the execution is re-run up to
+//     Options.DivergenceRetries times (conformingRun; attempts are plain
+//     deterministic re-runs — the per-execution seeding is reset
+//     identically each time, so the attempt ordering itself is
+//     deterministic) and then the subtree below the first divergent step
+//     is quarantined: it is counted in Report.Quarantined with a
+//     NondeterminismReport, and the search moves on instead of exploring
+//     a wrong tree.
 //
 //   - Confirmation pass: after the search, each schedule-backed
 //     finding (FirstBug, Divergence) is replayed Options.ConfirmRuns
-//     times under a strict, digest-verified ReplayChooser and tagged
+//     times under a digest-verified ReplayChooser and tagged
 //     with a Reproducibility verdict, so a flaky finding is reported
 //     but clearly marked. Wedges are excluded: the wedged step is
 //     deliberately absent from the schedule, so they cannot be
@@ -40,6 +41,28 @@ func (o *Options) divergenceRetries() int {
 		return defaultDivergenceRetries
 	default:
 		return o.DivergenceRetries
+	}
+}
+
+// conformingRun is the retry half of the quarantine protocol, shared by
+// every execution that replays a recorded prefix (the searcher's and a
+// DPOR unit's). attempt runs the execution once from a clean
+// per-execution state and returns the step that did not conform, nil
+// when the replay did. It is called until it conforms or the retries are
+// used up; a non-nil result is the last attempt's divergence, which the
+// caller quarantines, with the number of attempts made.
+func (o *Options) conformingRun(attempt func() *engine.DivergenceError) (*engine.DivergenceError, int) {
+	for n := 1; ; n++ {
+		div := attempt()
+		if div == nil {
+			return nil, n
+		}
+		if m := o.Metrics; m != nil {
+			m.ReplayDivergences.Inc()
+		}
+		if n > o.divergenceRetries() {
+			return div, n
+		}
 	}
 }
 
@@ -117,12 +140,12 @@ func reproduce(prog func(*engine.T), opts *Options, r *engine.Result) *engine.Re
 	if len(r.Trace) > 0 {
 		return r.Clone()
 	}
-	ch := &engine.ReplayChooser{Schedule: r.Schedule, Strict: true}
+	ch := &engine.ReplayChooser{Schedule: r.Schedule}
 	cfg := opts.ReplayConfig()
 	cfg.RecordTrace = true
 	cfg.RecordDigests = true
 	rr := engine.Run(prog, ch, cfg)
-	if ch.Err != nil || ch.Div != nil || rr.Outcome != r.Outcome {
+	if ch.Div != nil || rr.Outcome != r.Outcome {
 		return r.Clone()
 	}
 	return rr
@@ -147,20 +170,18 @@ func confirmReport(prog func(*engine.T), opts *Options, rep *Report) {
 	// prefix and can neither confirm nor refute the wedge.
 }
 
-// confirmResult replays r's schedule n times under a strict,
-// digest-verified ReplayChooser. A run succeeds when the replay
+// confirmResult replays r's schedule n times under a digest-verified
+// ReplayChooser. A run succeeds when the replay
 // conforms end to end and reaches r's outcome.
 func confirmResult(prog func(*engine.T), opts *Options, r *engine.Result, n int) *Reproducibility {
 	rep := &Reproducibility{Runs: n}
 	for i := 0; i < n; i++ {
-		ch := &engine.ReplayChooser{Schedule: r.Schedule, Digests: r.Digests, Strict: true}
+		ch := &engine.ReplayChooser{Schedule: r.Schedule, Digests: r.Digests}
 		rr := engine.Run(prog, ch, opts.ReplayConfig())
 		var fail string
 		switch {
 		case ch.Div != nil:
 			fail = ch.Div.Error()
-		case ch.Err != nil:
-			fail = ch.Err.Error()
 		case rr.Outcome != r.Outcome:
 			fail = fmt.Sprintf("replay reached outcome %s, finding was %s", rr.Outcome, r.Outcome)
 		default:

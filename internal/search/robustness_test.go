@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"fairmc/internal/engine"
+	"fairmc/internal/obs"
 	"fairmc/internal/search"
 	"fairmc/internal/syncmodel"
 )
@@ -336,8 +337,37 @@ func TestFrameArenaCheckpointResume(t *testing.T) {
 // the chosen one of its 300-step executions (a side effect the
 // scheduler does not see and the schedule does not depend on).
 func TestStopCutsRunningExecution(t *testing.T) {
-	// prog(n, stop) closes stop in its n-th run; n = 0 never does.
-	prog := func(n int, stop chan struct{}) func(*engine.T) {
+	cutRunningExecution(t, func(opts *search.Options) func() {
+		stop := make(chan struct{})
+		opts.Stop = stop
+		return func() { close(stop) }
+	}, func(rep *search.Report) bool { return rep.Interrupted && !rep.TimedOut })
+}
+
+// TestDeadlineCutsRunningExecution: a TimeLimit that runs out inside an
+// execution (engine.Config.Deadline, polled on the tick Stop is) drops
+// the cut execution exactly like Stop does, so a timed-out search
+// resumed reports the executions of an uninterrupted one, not one more
+// per cut. The program outlasts the limit itself, by sleeping for all
+// of it inside the chosen execution; the ones before it are a few
+// hundred steps each.
+func TestDeadlineCutsRunningExecution(t *testing.T) {
+	const limit = 500 * time.Millisecond
+	cutRunningExecution(t, func(opts *search.Options) func() {
+		opts.TimeLimit = limit
+		return func() { time.Sleep(limit) }
+	}, func(rep *search.Report) bool { return rep.TimedOut && !rep.Interrupted })
+}
+
+// cutRunningExecution runs a DFS that arm makes cuttable — it sets the
+// option under test and returns what the program does, a third of the
+// way into one execution, to trigger the cut — and checks that the cut
+// execution is dropped from the report and from Metrics, that stopped
+// recognises the report, and that the search resumed from the final
+// checkpoint finishes exactly like an uninterrupted one.
+func cutRunningExecution(t *testing.T, arm func(*search.Options) func(), stopped func(*search.Report) bool) {
+	// prog(n, trigger) calls trigger in its n-th run; n = 0 never does.
+	prog := func(n int, trigger func()) func(*engine.T) {
 		runs := 0
 		return func(t *engine.T) {
 			runs++
@@ -349,7 +379,7 @@ func TestStopCutsRunningExecution(t *testing.T) {
 			})
 			for i := 0; i < 148; i++ {
 				if i == 50 && runs == n {
-					close(stop)
+					trigger()
 				}
 				x.Add(t, 1)
 			}
@@ -360,14 +390,16 @@ func TestStopCutsRunningExecution(t *testing.T) {
 	baseline := search.Explore(prog(0, nil), opts)
 	for _, exec := range []int{1, 12} {
 		path := filepath.Join(t.TempDir(), "search.ckpt")
-		stop := make(chan struct{})
 		first := opts
 		first.CheckpointPath = path
-		first.Stop = stop
-		rep1 := search.Explore(prog(exec, stop), first)
-		if !rep1.Interrupted || rep1.Executions != int64(exec-1) {
-			t.Fatalf("cut in execution %d: interrupted %v after %d executions, want the cut execution dropped",
-				exec, rep1.Interrupted, rep1.Executions)
+		first.Metrics = obs.NewMetrics()
+		rep1 := search.Explore(prog(exec, arm(&first)), first)
+		if !stopped(rep1) || rep1.Executions != int64(exec-1) {
+			t.Fatalf("cut in execution %d: interrupted %v, timed out %v after %d executions, want the cut execution dropped",
+				exec, rep1.Interrupted, rep1.TimedOut, rep1.Executions)
+		}
+		if got := first.Metrics.Executions.Load(); got != rep1.Executions {
+			t.Fatalf("cut in execution %d: Metrics counts %d executions, the report %d", exec, got, rep1.Executions)
 		}
 		ck, err := search.LoadCheckpoint(path)
 		if err != nil {

@@ -392,11 +392,11 @@ type Report struct {
 // the arenas have grown to the search's depth. Whoever needs a frame's
 // contents past that — a checkpoint, a quarantine report — copies.
 //
-// A frame's region starts at alt0 / op0. It holds the unfiltered
-// candidate set first, when that is kept (it is the prefix memo, and
-// the alternatives themselves when nothing filtered them), then the
-// filtered alternatives, when a context bound or sleep sets removed
-// some. The two arenas are laid out alike: the op of the alternative at
+// A frame's region starts at alt0 / op0. It holds the alternatives to
+// explore first, then — when a memo is kept and a context bound or sleep
+// sets filtered some candidates out — the unfiltered candidate set (when
+// nothing was filtered the alternatives are the memo, stored once). The
+// two arenas are laid out alike: the op of the alternative at
 // altArena[alt0+i] is opArena[op0+i], for as many ops as were recorded.
 type frame struct {
 	idx int // alternative currently taken
@@ -409,22 +409,22 @@ type frame struct {
 
 	alt0, op0 int
 	// The alternatives to explore, in discovery order, are
-	// altArena[alt0+altOff:][:nAlts]; ops[i], the pending op of
-	// alternative i at that time, is opArena[op0+altOff:][:nOps]. nOps
-	// is 0 without a digest, and may be short of nAlts for frames
-	// restored from an old checkpoint; replay then verifies the digest
-	// only.
-	altOff, nAlts, nOps int
-	// Prefix memo: altArena[alt0:][:nMemo] and opArena[op0:][:nMemo] are
-	// the full unfiltered candidate set and each candidate's pending op,
-	// captured when this choice point was first expanded. A replay that
-	// matches it structurally has validated strictly more than the
-	// digest compare (CandsDigest is a pure function of exactly these
-	// values), so it skips the digest re-encoding. nMemo is 0 when
-	// memoization is off (NoFastPath, DisableConformance), past
-	// memoDepthCap, or for frames restored from a checkpoint (the memo
-	// is never persisted).
-	nMemo int
+	// altArena[alt0:][:nAlts]; ops[i], the pending op of alternative i at
+	// that time, is opArena[op0:][:nOps]. nOps is 0 without a digest, and
+	// may be short of nAlts for frames restored from an old checkpoint;
+	// replay then verifies the digest only.
+	nAlts, nOps int
+	// Prefix memo: altArena[alt0+memoOff:][:nMemo] and
+	// opArena[op0+memoOff:][:nMemo] are the full unfiltered candidate set
+	// and each candidate's pending op, captured when this choice point
+	// was first expanded. It is a cache in front of engine.Conform: a
+	// replay that matches it structurally has validated strictly more
+	// than the digest compare (CandsDigest is a pure function of exactly
+	// these values, and the frame's alternatives are among them), so it
+	// skips the call. nMemo is 0 when memoization is off (NoFastPath,
+	// DisableConformance), past memoDepthCap, or for frames restored from
+	// a checkpoint (the memo is never persisted).
+	memoOff, nMemo int
 }
 
 // memoDepthCap bounds the prefix memo by depth: frames deeper than
@@ -441,7 +441,6 @@ const (
 	abortDepthBound
 	abortVisited
 	abortSleep
-	abortDiverged
 )
 
 // searcher runs the exploration; it implements engine.Chooser. It is
@@ -463,7 +462,7 @@ type searcher struct {
 	preemptUsed int
 	tailRand    rng.Rand
 	reason      abortReason
-	divErr      *engine.DivergenceError // set when reason == abortDiverged
+	divErr      *engine.DivergenceError // the replayed step that did not conform, if any
 	sleep       por.Set                 // current sleep set (when Options.SleepSets)
 	pct         *pctState               // per-execution PCT assignment (when Options.PCT)
 
@@ -552,6 +551,19 @@ func (o *Options) deadlineFrom(start time.Time) time.Time {
 // how a shard's owner cancels it.)
 func runSearcher(prog func(*engine.T), opts *Options, sh Shard, pool *engine.Pool,
 	deadline time.Time) *Report {
+	s := newSearcher(prog, opts, sh, pool, deadline)
+	s.run()
+	s.report.Elapsed = s.prevElapsed + time.Since(s.start)
+	if opts.CheckpointPath != "" {
+		s.writeCheckpoint(s.ckptDone)
+	}
+	return &s.report
+}
+
+// newSearcher positions a searcher at the start of shard sh: the stack
+// pinned to the shard's prefix, or restored from opts.Resume.
+func newSearcher(prog func(*engine.T), opts *Options, sh Shard, pool *engine.Pool,
+	deadline time.Time) *searcher {
 	s := &searcher{prog: prog, opts: *opts, pool: pool, start: time.Now(),
 		deadline: deadline, whole: sh == Shard{}, execLimit: opts.MaxExecutions}
 	if opts.StatefulPrune {
@@ -590,12 +602,7 @@ func runSearcher(prog func(*engine.T), opts *Options, sh Shard, pool *engine.Poo
 		}
 	}
 	s.fixed = len(s.stack)
-	s.run()
-	s.report.Elapsed = s.prevElapsed + time.Since(s.start)
-	if opts.CheckpointPath != "" {
-		s.writeCheckpoint(s.ckptDone)
-	}
-	return &s.report
+	return s
 }
 
 // flushMemoCounters publishes one execution's prefix-memo hit/miss
@@ -668,45 +675,35 @@ func (s *searcher) run() {
 
 		var r *engine.Result
 		depth := len(s.stack)
-		for attempt := 1; ; attempt++ {
+		div, attempts := s.opts.conformingRun(func() *engine.DivergenceError {
 			s.resetExec(exec)
 			r = s.opts.runEngine(s.pool, s.prog, s, s.opts.engineConfig(s.deadline, exec))
 			s.flushMemoCounters()
-			if s.reason != abortDiverged {
-				break
-			}
-			if m := s.opts.Metrics; m != nil {
-				m.ReplayDivergences.Inc()
-			}
-			if attempt > s.opts.divergenceRetries() {
-				s.quarantine(attempt)
-				r = nil
-				break
-			}
-		}
-		if r == nil {
+			return s.divErr
+		})
+		if div != nil {
 			// The divergent replay is not an execution; the quarantined
 			// subtree is pruned, continue with the rest of the tree.
+			s.quarantine(div, attempts)
 			if !s.backtrack() {
 				s.ckptDone = true
 				return
 			}
 			continue
 		}
-		if r.Interrupted {
-			// Stop closed while the execution ran. It is dropped whole —
-			// its frames too — which leaves the search exactly where
-			// polling Stop before the execution would have.
+		if s.report.cutBy(r) {
+			// Stop closed or the deadline passed while the execution ran.
+			// It is dropped whole — its frames too — which leaves the
+			// search exactly where polling them before the execution
+			// would have.
 			s.truncate(depth)
-			s.report.Interrupted = true
 			return
 		}
 		s.report.addResult(r)
 		if classify(s.prog, &s.opts, &s.report, r, exec, s.reason) {
-			// A deadline abort (TimedOut) is resumable; stops on a
-			// finding are terminal — resuming would re-run and
-			// re-count the finding's execution.
-			s.ckptDone = !r.DeadlineExceeded
+			// Stops on a finding are terminal — resuming would re-run
+			// and re-count the finding's execution.
+			s.ckptDone = true
 			return
 		}
 		if s.opts.RandomWalk || s.opts.PCT {
@@ -727,6 +724,17 @@ func (s *searcher) run() {
 			m.Frontier.Set(int64(len(s.stack))) // DFS stack depth
 		}
 	}
+}
+
+// cutBy reports whether r was cut short by Options.Stop or the search
+// deadline, recording which on rep. A cut execution is not part of the
+// search (the engine has left it out of Metrics and the event stream's
+// exec_end records too): the caller drops it and stops, resumably, and
+// the resumed search runs it again.
+func (rep *Report) cutBy(r *engine.Result) bool {
+	rep.Interrupted = rep.Interrupted || r.Interrupted
+	rep.TimedOut = rep.TimedOut || r.DeadlineExceeded
+	return r.Interrupted || r.DeadlineExceeded
 }
 
 // isClosed polls a stop channel; a nil channel is never closed.
@@ -802,13 +810,13 @@ func (s *searcher) resetExec(exec int64) {
 	}
 }
 
-// quarantine records the persistent divergence at s.divErr and prunes
-// the subtree below the first divergent step: the recorded tree no
-// longer describes the program there, so every alternative at (and
-// below) the divergent choice point is abandoned. The caller
-// backtracks from the truncated stack.
-func (s *searcher) quarantine(attempts int) {
-	k := s.divErr.Step
+// quarantine records the persistent divergence div and prunes the
+// subtree below the first divergent step: the recorded tree no longer
+// describes the program there, so every alternative at (and below) the
+// divergent choice point is abandoned. The caller backtracks from the
+// truncated stack.
+func (s *searcher) quarantine(div *engine.DivergenceError, attempts int) {
+	k := div.Step
 	if k > len(s.stack) {
 		k = len(s.stack)
 	}
@@ -817,8 +825,7 @@ func (s *searcher) quarantine(attempts int) {
 		fr := &s.stack[i]
 		prefix = append(prefix, s.alts(fr)[fr.idx])
 	}
-	quarantined(&s.opts, &s.report, prefix, s.divErr, attempts)
-	s.divErr = nil
+	quarantined(&s.opts, &s.report, prefix, div, attempts)
 	s.truncate(k)
 }
 
@@ -890,12 +897,6 @@ func classify(prog func(*engine.T), opts *Options, rep *Report, r *engine.Result
 		}
 		return false
 	case engine.Aborted:
-		if r.DeadlineExceeded {
-			// The engine-level deadline (TimeLimit threaded down) cut a
-			// runaway execution: account it and stop like a timeout.
-			rep.TimedOut = true
-			return true
-		}
 		switch reason {
 		case abortDepthBound:
 			rep.NonTerminating++
@@ -988,12 +989,12 @@ func (s *searcher) truncate(n int) {
 // alts returns fr's alternatives: a window of the arena, valid until fr
 // is popped.
 func (s *searcher) alts(fr *frame) []engine.Alt {
-	return s.altArena[fr.alt0+fr.altOff:][:fr.nAlts]
+	return s.altArena[fr.alt0:][:fr.nAlts]
 }
 
 // ops returns the pending ops recorded for fr's alternatives.
 func (s *searcher) ops(fr *frame) []engine.OpInfo {
-	return s.opArena[fr.op0+fr.altOff:][:fr.nOps]
+	return s.opArena[fr.op0:][:fr.nOps]
 }
 
 // restoreFrame pushes a frame whose alternatives are given, not
@@ -1040,49 +1041,29 @@ func (s *searcher) Choose(ctx *engine.ChooseContext) (engine.Alt, bool) {
 		fr := &s.stack[s.pos]
 		s.pos++
 		alt := s.alts(fr)[fr.idx]
-		if err := altIn(alt, ctx.Cands); err != "" {
-			// The recorded alternative is not even schedulable anymore:
-			// the program is nondeterministic outside the scheduler's
-			// control. Abort for retry/quarantine instead of exploring a
-			// wrong tree (or crashing the worker).
-			s.divErr = &engine.DivergenceError{
-				Step:           s.pos - 1,
-				Want:           alt,
-				Expected:       s.expectedDigest(fr, alt),
-				Observed:       ctx.Engine.StepDigest(ctx.Cands, alt),
-				NumCands:       len(ctx.Cands),
-				NotSchedulable: true,
-			}
-			s.reason = abortDiverged
-			return engine.Alt{}, false
-		}
-		if fr.hasDig {
-			if fr.nMemo > 0 && s.memoMatches(ctx, fr) {
-				// Prefix-memo hit: the candidate set and every pending op
-				// match the snapshot taken when this choice point was
-				// first expanded. CandsDigest is a pure function of those
-				// values, so the digest compare would pass too; skip the
-				// re-encoding.
-				s.execHits++
-			} else {
+		if fr.nMemo > 0 && s.memoMatches(ctx, fr) {
+			// Prefix-memo hit: the candidate set and every pending op
+			// match the snapshot taken when this choice point was first
+			// expanded, so the step conforms; skip the digest re-encoding.
+			s.execHits++
+		} else {
+			// Without a digest only schedulability is verified; one from
+			// an old checkpoint may lack the recorded op.
+			var exp *engine.StepDigest
+			withOp := fr.idx < fr.nOps
+			if fr.hasDig {
 				s.execMisses++
-				obsHash := ctx.Engine.CandsDigest(ctx.Cands)
-				obsOp := ctx.Engine.PendingOpInfo(alt.Tid)
-				expOp := obsOp // old-checkpoint frames may lack recorded ops
-				if fr.idx < fr.nOps {
-					expOp = s.ops(fr)[fr.idx]
+				exp = &engine.StepDigest{Hash: fr.dig, Tid: alt.Tid}
+				if withOp {
+					exp.Op = s.ops(fr)[fr.idx]
 				}
-				if obsHash != fr.dig || obsOp != expOp {
-					s.divErr = &engine.DivergenceError{
-						Step:     s.pos - 1,
-						Want:     alt,
-						Expected: engine.StepDigest{Hash: fr.dig, Tid: alt.Tid, Op: expOp},
-						Observed: engine.StepDigest{Hash: obsHash, Tid: alt.Tid, Op: obsOp},
-						NumCands: len(ctx.Cands),
-					}
-					s.reason = abortDiverged
-					return engine.Alt{}, false
-				}
+			}
+			// A step that does not conform means the program is
+			// nondeterministic outside the scheduler's control. Abort for
+			// retry/quarantine instead of exploring a wrong tree (or
+			// crashing the worker).
+			if s.divErr = ctx.Engine.Conform(s.pos-1, ctx.Cands, alt, exp, withOp); s.divErr != nil {
+				return engine.Alt{}, false
 			}
 		}
 		if ctx.IsPreemption(alt) {
@@ -1117,53 +1098,39 @@ func (s *searcher) Choose(ctx *engine.ChooseContext) (engine.Alt, bool) {
 		fr.dig = ctx.Engine.CandsDigest(ctx.Cands)
 		fr.hasDig = true
 	}
-	// The memo does not apply with conformance off (nothing to validate
-	// against), under NoFastPath (one flag restores full legacy
-	// behavior), or past the depth cap.
-	memo := fr.hasDig && !s.opts.NoFastPath && len(s.stack) < memoDepthCap
-	bounded := s.opts.ContextBound >= 0 && s.preemptUsed >= s.opts.ContextBound
-	filtered := bounded || s.opts.SleepSets
-	if memo || !filtered {
-		// The unfiltered set, stored once: it is the memo, and when
-		// nothing filters it is the alternatives too.
-		for _, a := range ctx.Cands {
-			s.keep(ctx, a, fr.hasDig)
-		}
-		if memo {
-			fr.nMemo = len(ctx.Cands)
-		}
-	}
-	if filtered {
-		fr.altOff = len(s.altArena) - fr.alt0
-		admissible := 0
-		for _, a := range ctx.Cands {
-			if bounded && ctx.IsPreemption(a) {
-				continue
+	s.altArena = s.opts.admissible(s.altArena, ctx, s.preemptUsed)
+	if s.opts.SleepSets {
+		awake := s.altArena[:fr.alt0]
+		for _, a := range s.altArena[fr.alt0:] {
+			if !s.sleep.Contains(ctx.Engine, a) {
+				awake = append(awake, a)
 			}
-			admissible++
-			if s.opts.SleepSets && s.sleep.Contains(ctx.Engine, a) {
-				continue
-			}
-			s.keep(ctx, a, fr.hasDig)
 		}
-		if admissible == 0 {
-			// Cannot happen: if the previous thread is a candidate its
-			// alternatives do not preempt, and if it is not a candidate
-			// the switch is forced (or follows a voluntary yield), so
-			// IsPreemption is false for every alternative.
-			panic("search: empty alternative set under context bound")
-		}
+		s.altArena = awake
 	}
-	fr.nAlts = len(s.altArena) - fr.alt0 - fr.altOff
-	if fr.hasDig {
-		fr.nOps = fr.nAlts
-	}
+	fr.nAlts = len(s.altArena) - fr.alt0
 	if fr.nAlts == 0 {
 		// Every alternative is asleep: the state's successors are
 		// covered by sibling branches. Prune.
-		s.altArena, s.opArena = s.altArena[:fr.alt0], s.opArena[:fr.op0]
 		s.reason = abortSleep
 		return engine.Alt{}, false
+	}
+	if fr.hasDig {
+		s.keepOps(ctx, s.altArena[fr.alt0:])
+		fr.nOps = fr.nAlts
+	}
+	// The memo does not apply with conformance off (nothing to validate
+	// against), under NoFastPath (one flag restores full legacy
+	// behavior), or past the depth cap.
+	if fr.hasDig && !s.opts.NoFastPath && len(s.stack) < memoDepthCap {
+		fr.nMemo = len(ctx.Cands)
+		if fr.nAlts < fr.nMemo {
+			// Some candidate was filtered out, so the alternatives are not
+			// the unfiltered set: keep that behind them.
+			fr.memoOff = fr.nAlts
+			s.altArena = append(s.altArena, ctx.Cands...)
+			s.keepOps(ctx, ctx.Cands)
+		}
 	}
 	s.stack = append(s.stack, fr)
 	s.pos++
@@ -1176,11 +1143,10 @@ func (s *searcher) Choose(ctx *engine.ChooseContext) (engine.Alt, bool) {
 	return alt, true
 }
 
-// keep appends alternative a, and with withOp its thread's pending op —
-// the per-alternative half of the conformance digest — to the arenas.
-func (s *searcher) keep(ctx *engine.ChooseContext, a engine.Alt, withOp bool) {
-	s.altArena = append(s.altArena, a)
-	if withOp {
+// keepOps appends the pending op of each of alts' threads — the
+// per-alternative half of the conformance digest — to the op arena.
+func (s *searcher) keepOps(ctx *engine.ChooseContext, alts []engine.Alt) {
+	for _, a := range alts {
 		s.opArena = append(s.opArena, ctx.Engine.PendingOpInfo(a.Tid))
 	}
 }
@@ -1192,7 +1158,7 @@ func (s *searcher) memoMatches(ctx *engine.ChooseContext, fr *frame) bool {
 	if len(ctx.Cands) != fr.nMemo {
 		return false
 	}
-	cands, ops := s.altArena[fr.alt0:][:fr.nMemo], s.opArena[fr.op0:][:fr.nMemo]
+	cands, ops := s.altArena[fr.alt0+fr.memoOff:][:fr.nMemo], s.opArena[fr.op0+fr.memoOff:][:fr.nMemo]
 	for i, c := range ctx.Cands {
 		if c != cands[i] {
 			return false
@@ -1202,16 +1168,6 @@ func (s *searcher) memoMatches(ctx *engine.ChooseContext, fr *frame) bool {
 		}
 	}
 	return true
-}
-
-// expectedDigest reconstructs the digest recorded for the frame's
-// current alternative, for divergence diagnostics.
-func (s *searcher) expectedDigest(fr *frame, alt engine.Alt) engine.StepDigest {
-	d := engine.StepDigest{Hash: fr.dig, Tid: alt.Tid}
-	if fr.idx < fr.nOps {
-		d.Op = s.ops(fr)[fr.idx]
-	}
-	return d
 }
 
 // advanceSleep updates the sleep set across one step: the frame's
@@ -1227,24 +1183,29 @@ func (s *searcher) advanceSleep(ctx *engine.ChooseContext, fr *frame, chosen eng
 	s.sleep.Step(por.MoveOf(ctx.Engine, chosen))
 }
 
-// nonPreempting returns the candidates that do not consume a
-// preemption: the previous thread itself, and any candidate when the
-// switch away from the previous thread is forced or voluntary.
-func nonPreempting(ctx *engine.ChooseContext) []engine.Alt {
-	out := make([]engine.Alt, 0, len(ctx.Cands))
+// admissible appends to dst the candidates the preemption budget
+// (ContextBound) admits at this scheduling point, in candidate order:
+// all of them while fewer than ContextBound preemptions have been used,
+// then only those that do not consume one — the previous thread itself,
+// and any candidate when the switch away from it is forced or voluntary.
+// It is the one frontier filter: the searcher, a DPOR unit and frontier
+// expansion must agree on it, since paths index into its result.
+func (o *Options) admissible(dst []engine.Alt, ctx *engine.ChooseContext, preemptUsed int) []engine.Alt {
+	if o.ContextBound < 0 || preemptUsed < o.ContextBound {
+		return append(dst, ctx.Cands...)
+	}
+	n := len(dst)
 	for _, a := range ctx.Cands {
 		if !ctx.IsPreemption(a) {
-			out = append(out, a)
+			dst = append(dst, a)
 		}
 	}
-	return out
-}
-
-func altIn(alt engine.Alt, cands []engine.Alt) string {
-	for _, c := range cands {
-		if c == alt {
-			return ""
-		}
+	if len(dst) == n {
+		// Cannot happen: if the previous thread is a candidate its
+		// alternatives do not preempt, and if it is not a candidate the
+		// switch is forced (or follows a voluntary yield), so IsPreemption
+		// is false for every alternative.
+		panic("search: empty alternative set under context bound")
 	}
-	return alt.String() + " not schedulable"
+	return dst
 }

@@ -116,7 +116,7 @@ func TestSavedScheduleReplays(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := engine.Run(racy, &engine.ReplayChooser{Schedule: sched, Strict: true}, engine.Config{
+	r := engine.Run(racy, &engine.ReplayChooser{Schedule: sched}, engine.Config{
 		Fair: true, MaxSteps: 1000,
 	})
 	if r.Outcome != engine.Violation {
