@@ -11,8 +11,8 @@
 #
 #   2. A CLI-level run: `serve -prog` (the jobs service running one
 #      job) + two pool workers started with -chaos-scenario standard
-#      (different -chaos-seed each) — faults on their assign calls and
-#      on every job-protocol call — with the merged run report diffed
+#      (different -chaos-seed each) — faults on their lease calls and
+#      on every call to a job's path — with the merged run report diffed
 #      against a fault-free local -p 2 baseline. Faults here hit real
 #      loopback HTTP, not an in-process handler.
 set -euo pipefail
@@ -52,7 +52,7 @@ if [ "$rc" -ne 0 ]; then
     exit 1
 fi
 # Chaos workers may exit nonzero after the service is gone (an injected
-# fault can eat the "closing" answer and the drain grace with it); only a
+# fault can eat the "done" answer and the drain grace with it); only a
 # hang is a failure: -join-timeout bounds how long they look for it.
 for pid in "$w1" "$w2"; do
     for _ in $(seq 200); do

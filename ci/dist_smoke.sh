@@ -18,7 +18,7 @@ port=$((20000 + RANDOM % 20000))
 url="http://127.0.0.1:$port"
 
 # finish_worker PID LOG: the service stays up after its job until every
-# worker it sent somewhere has come back and been told it is closing, so
+# worker it had granted work has come back and been told it is done, so
 # a worker exits 0, and within seconds of the service.
 finish_worker() {
     local pid=$1 log=$2 wrc=0
@@ -34,7 +34,7 @@ finish_worker() {
     fi
     wait "$pid" || wrc=$?
     if [ "$wrc" -ne 0 ]; then
-        echo "FAIL: worker exited $wrc, want 0 (it was not told the service is closing?)"
+        echo "FAIL: worker exited $wrc, want 0 (it was not told the service is done?)"
         cat "$log"
         exit 1
     fi
@@ -115,33 +115,36 @@ go run ./ci/validate_report.go docs/run-report.schema.json "$workdir/dist-dpor.j
 
 # Restart: the same command over -ledger, killed -9 mid-run and run
 # again, adopts the unfinished job from the WAL and ends with the report
-# of an uninterrupted local -p 2 run. (If the kill lands after the job
-# finished, the rerun serves the recorded report — also a valid case.)
+# of an uninterrupted local -p 2 run. The subject is ticketlock, two
+# seconds of search: the kill lands mid-run, and the rerun outlasts the
+# workers' backoff (a worker that never reached the second incarnation
+# could not have been told it was done).
+"$fairmc" check -prog ticketlock -p 2 -metrics-out "$workdir/local-restart.json" > /dev/null
 ledger="$workdir/ledger"
 start_workers restart
-"$fairmc" serve -addr "127.0.0.1:$port" -prog spinloop -p 2  -ledger "$ledger" \
+"$fairmc" serve -addr "127.0.0.1:$port" -prog ticketlock -p 2  -ledger "$ledger" \
     -metrics-out "$workdir/killed.json" > "$workdir/serve-killed.txt" 2>&1 &
 svc=$!
-for _ in $(seq 100); do
+for _ in $(seq 500); do
     grep -q "completed by worker" "$workdir/serve-killed.txt" && break
     sleep 0.01
 done
 kill -9 "$svc"
 wait "$svc" 2>/dev/null || true
-"$fairmc" serve -addr "127.0.0.1:$port" -prog spinloop -p 2  -ledger "$ledger" \
+"$fairmc" serve -addr "127.0.0.1:$port" -prog ticketlock -p 2  -ledger "$ledger" \
     -metrics-out "$workdir/resumed.json" > "$workdir/serve-resumed.txt" 2>&1
 finish_worker "$w1" "$workdir/w1-restart.txt"
 finish_worker "$w2" "$workdir/w2-restart.txt"
-if ! cmp -s "$workdir/local-clean.json" "$workdir/resumed.json"; then
-    echo "FAIL: spinloop run report after kill -9 + rerun differs from local -p 2"
-    diff "$workdir/local-clean.json" "$workdir/resumed.json" || true
+if ! cmp -s "$workdir/local-restart.json" "$workdir/resumed.json"; then
+    echo "FAIL: ticketlock run report after kill -9 + rerun differs from local -p 2"
+    diff "$workdir/local-restart.json" "$workdir/resumed.json" || true
     cat "$workdir/serve-resumed.txt"
     exit 1
 fi
 
 # The ledger belongs to that search: another spec is refused (exit 2)...
 rc=0
-"$fairmc" serve -addr "127.0.0.1:$port" -prog spinloop -p 3  -ledger "$ledger" \
+"$fairmc" serve -addr "127.0.0.1:$port" -prog ticketlock -p 3  -ledger "$ledger" \
     > "$workdir/serve-other.txt" 2>&1 || rc=$?
 if [ "$rc" -ne 2 ]; then
     echo "FAIL: -serve -p 3 over a -p 2 ledger exited $rc, want 2"
@@ -150,14 +153,14 @@ if [ "$rc" -ne 2 ]; then
 fi
 # ...and the finished search is reported again without exploring: no
 # worker is running, and none is needed.
-"$fairmc" serve -addr "127.0.0.1:$port" -prog spinloop -p 2  -ledger "$ledger" \
+"$fairmc" serve -addr "127.0.0.1:$port" -prog ticketlock -p 2  -ledger "$ledger" \
     -metrics-out "$workdir/again.json" > "$workdir/serve-again.txt" 2>&1
-if ! cmp -s "$workdir/local-clean.json" "$workdir/again.json"; then
+if ! cmp -s "$workdir/local-restart.json" "$workdir/again.json"; then
     echo "FAIL: a finished ledger's rerun report differs from local -p 2"
-    diff "$workdir/local-clean.json" "$workdir/again.json" || true
+    diff "$workdir/local-restart.json" "$workdir/again.json" || true
     exit 1
 fi
-if grep -q "completed by worker\|joined" "$workdir/serve-again.txt"; then
+if grep -q "leased to worker\|completed by worker" "$workdir/serve-again.txt"; then
     echo "FAIL: rerun over a finished ledger explored again"
     cat "$workdir/serve-again.txt"
     exit 1

@@ -86,7 +86,7 @@ submit_all
 wait_done "pass 1"
 fetch_all base
 check_against_local base "pass 1"
-# A graceful stop tells the worker the service is closing: it exits 0 on
+# A graceful stop tells the worker the service is done: it exits 0 on
 # its own.
 kill "$svc"
 wait "$svc" 2>/dev/null || true

@@ -90,9 +90,9 @@ func adopt(s *jobs.Server, req jobs.SubmitRequest) (string, error) {
 // (unfinished jobs stay resumable in the ledger) or, given -prog, until
 // that search — its one job — is over; then it reports it through
 // finishSearch, so output and exit status are those of check at the
-// same -p. Either way it stops listening only when its workers have
-// been told that the service is closing. Without -ledger the service
-// gets a temporary one, removed on exit.
+// same -p. Either way it stops listening only when the workers it had
+// granted work have come back and been told that the service is done.
+// Without -ledger the service gets a temporary one, removed on exit.
 func (c *cli) serve(args []string) int {
 	var (
 		addr string
@@ -211,8 +211,8 @@ func (c *cli) serve(args []string) int {
 	if cerr := s.Close(); cerr != nil {
 		fmt.Fprintf(c.stderr, "service: close: %v\n", cerr)
 	}
-	// Close has waited for the workers on its jobs to come back and be
-	// told the service is closing; Shutdown lets the answers still being
+	// Close has waited for the workers out on a lease to come back and
+	// be told the service is done; Shutdown lets the answers still being
 	// written go out.
 	grace, cancel := context.WithTimeout(context.Background(), jobs.DefaultDrainGrace)
 	srv.Shutdown(grace) // past the grace the process is exiting anyway
@@ -238,10 +238,10 @@ func (c *cli) serve(args []string) int {
 }
 
 // worker serves a jobs service with this process until SIGINT/SIGTERM
-// or until the service says it is closing. The service's jobs supply the
+// or until the service says it is done. The service's jobs supply the
 // program and every search option.
 func (c *cli) worker(args []string) int {
-	cfg := jobs.PoolConfig{Lookup: progLookup}
+	cfg := dist.WorkerConfig{Lookup: progLookup}
 	fs := c.flagSet("worker", "")
 	urlFlag(fs, &cfg.URL)
 	parallelFlag(fs, &cfg.Capacity, "how many shards to run at a time")
@@ -249,7 +249,7 @@ func (c *cli) worker(args []string) int {
 	fs.DurationVar(&cfg.Retry.BaseDelay, "retry-base", 100*time.Millisecond, "initial backoff between retries of a call to the service")
 	fs.DurationVar(&cfg.Retry.MaxDelay, "retry-max", 5*time.Second, "backoff ceiling for retries")
 	fs.IntVar(&cfg.Retry.MaxAttempts, "retry-attempts", 8, "attempts per call to the service before it counts as a failure")
-	fs.DurationVar(&cfg.JoinTimeout, "join-timeout", dist.DefaultJoinTimeout, "give up joining (or rejoining) the service after this long")
+	fs.DurationVar(&cfg.JoinTimeout, "join-timeout", dist.DefaultJoinTimeout, "give up after the service has been unreachable for this long")
 	injector := chaosFlags(fs, &cfg.Retry.Seed, "this worker's calls to the service")
 	if status, stop := c.parseFlags(fs, args, 0, "url"); stop {
 		return status
@@ -281,7 +281,7 @@ func (c *cli) worker(args []string) int {
 		fmt.Fprintf(c.stderr, "worker: "+format+"\n", args...)
 	}
 	fmt.Fprintf(c.stderr, "worker: serving jobs service %s\n", cfg.URL)
-	err = jobs.RunPoolWorker(cfg)
+	err = dist.RunWorker(cfg)
 	if chaos != nil {
 		fmt.Fprintf(c.stderr, "worker: chaos: %d faults injected\n", chaos.Total())
 	}

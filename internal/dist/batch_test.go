@@ -16,22 +16,21 @@ import (
 )
 
 // leaseWave drives a DPOR coordinator by hand up to its first real
-// wave: it joins, runs the root unit, and leases again — one call that
-// must grant every child unit the root's merge spawned.
+// wave: it runs the root unit, and leases again — one call that must
+// grant every child unit the root's merge spawned.
 func leaseWave(t *testing.T, url string) (workerID string, wave []dist.Grant) {
 	t.Helper()
-	var join dist.JoinResponse
-	postJSON(t, url+dist.PathJoin, dist.JoinRequest{Capacity: 1}, &join)
-	root := leaseBatch(t, url, join.WorkerID)
+	workerID = "by-hand"
+	root := leaseBatch(t, url, workerID)
 	if len(root) != 1 || root[0].Shard.Unit == nil {
 		t.Fatalf("first lease of a DPOR plan: %+v, want the single root unit", root)
 	}
 	var rr dist.ResultResponse
-	postJSON(t, url+dist.PathResult, oneResult(join.WorkerID, root[0], search.RunShard(racyIncrement, dporOpts, root[0].Shard, nil)), &rr)
+	postJSON(t, url+dist.PathResult, oneResult(workerID, root[0], search.RunShard(racyIncrement, dporOpts, root[0].Shard, nil)), &rr)
 	if !rr.Accepted[0] {
 		t.Fatal("root unit not accepted")
 	}
-	wave = leaseBatch(t, url, join.WorkerID)
+	wave = leaseBatch(t, url, workerID)
 	if len(wave) < 2 {
 		t.Fatalf("second lease granted %d units; the fixture needs a wave of at least 2", len(wave))
 	}
@@ -40,7 +39,7 @@ func leaseWave(t *testing.T, url string) (workerID string, wave []dist.Grant) {
 			t.Fatalf("wave is not DPOR units in plan order: %+v", wave)
 		}
 	}
-	return join.WorkerID, wave
+	return workerID, wave
 }
 
 // runWave runs every unit of a wave and returns the batch a worker
@@ -120,14 +119,12 @@ func TestDistBatchLeaseLifetime(t *testing.T) {
 		}
 		time.Sleep(ttl / 4)
 	}
-	var join dist.JoinResponse
-	postJSON(t, srv.URL+dist.PathJoin, dist.JoinRequest{Capacity: 1}, &join)
-	again := leaseBatch(t, srv.URL, join.WorkerID)
+	again := leaseBatch(t, srv.URL, "second")
 	if len(again) != len(wave) {
 		t.Fatalf("a second worker was granted %d of the %d requeued units", len(again), len(wave))
 	}
 	var rr dist.ResultResponse
-	postJSON(t, srv.URL+dist.PathResult, runWave(join.WorkerID, again), &rr)
+	postJSON(t, srv.URL+dist.PathResult, runWave("second", again), &rr)
 
 	got := finishAndCompare(t, coord, srv.URL)
 	expired := map[int64]bool{}
@@ -277,9 +274,8 @@ func TestDistLeaseLongPoll(t *testing.T) {
 		Prog: racyIncrement, Program: "racy", Options: dporOpts, RefParallelism: 2,
 		MaxInflight: maxInflight, Metrics: m,
 	})
-	var join dist.JoinResponse
-	postJSON(t, srv.URL+dist.PathJoin, dist.JoinRequest{Capacity: 1}, &join)
-	root := leaseBatch(t, srv.URL, join.WorkerID)
+	const worker = "by-hand"
+	root := leaseBatch(t, srv.URL, worker)
 	rep := search.RunShard(racyIncrement, dporOpts, root[0].Shard, nil)
 
 	// The root is leased and nothing else is planned: every further
@@ -292,7 +288,7 @@ func TestDistLeaseLongPoll(t *testing.T) {
 	}
 	answers := make(chan answer, parked+1)
 	var answered atomic.Int64
-	body, _ := json.Marshal(dist.LeaseRequest{WorkerID: join.WorkerID})
+	body, _ := json.Marshal(dist.LeaseRequest{WorkerID: worker})
 	tr := &http.Transport{MaxConnsPerHost: parked}
 	defer tr.CloseIdleConnections()
 	client := &http.Client{Transport: tr}
@@ -337,7 +333,7 @@ func TestDistLeaseLongPoll(t *testing.T) {
 	// the growth began and before its own hold could have ended.
 	growing := time.Now()
 	var rr dist.ResultResponse
-	postJSON(t, srv.URL+dist.PathResult, oneResult(join.WorkerID, root[0], rep), &rr)
+	postJSON(t, srv.URL+dist.PathResult, oneResult(worker, root[0], rep), &rr)
 	var wave []dist.Grant
 	for got := 0; got < parked; got++ {
 		var a answer

@@ -182,11 +182,9 @@ func TestDistDuplicateResultPost(t *testing.T) {
 		Prog: fig3, Program: "fig3", Options: opts, RefParallelism: 2,
 	})
 
-	var join dist.JoinResponse
-	postJSON(t, srv.URL+dist.PathJoin, dist.JoinRequest{Capacity: 1}, &join)
-	lr := leaseWork(t, srv.URL, join.WorkerID)
+	lr := leaseWork(t, srv.URL, "by-hand")
 	rep := search.RunShard(fig3, opts, lr.Shard, nil)
-	req := oneResult(join.WorkerID, lr, rep)
+	req := oneResult("by-hand", lr, rep)
 	key := "res-test-dup"
 
 	var first dist.ResultResponse
@@ -230,9 +228,7 @@ func TestDistLateResultAfterRequeue(t *testing.T) {
 	})
 
 	// Doomed worker leases a shard and goes silent.
-	var join dist.JoinResponse
-	postJSON(t, srv.URL+dist.PathJoin, dist.JoinRequest{Capacity: 1}, &join)
-	lr := leaseWork(t, srv.URL, join.WorkerID)
+	lr := leaseWork(t, srv.URL, "doomed")
 	lateRep := search.RunShard(fig3, opts, lr.Shard, nil)
 
 	// A healthy worker completes the whole search (the lease expires
@@ -242,7 +238,7 @@ func TestDistLateResultAfterRequeue(t *testing.T) {
 
 	// The doomed worker finally posts its result: too late.
 	var rr dist.ResultResponse
-	postJSON(t, srv.URL+dist.PathResult, oneResult(join.WorkerID, lr, lateRep), &rr)
+	postJSON(t, srv.URL+dist.PathResult, oneResult("doomed", lr, lateRep), &rr)
 	if rr.Accepted[0] {
 		t.Fatal("late result accepted after the shard was decided elsewhere")
 	}
@@ -266,38 +262,39 @@ func TestDistStaleWorkerID(t *testing.T) {
 		Prog: fig3, Program: "fig3", Options: opts, RefParallelism: 2,
 	}
 	coordA, srvA := startCoordinator(t, cfg)
-	var join dist.JoinResponse
-	postJSON(t, srvA.URL+dist.PathJoin, dist.JoinRequest{Capacity: 1}, &join)
-	lr := leaseWork(t, srvA.URL, join.WorkerID)
+	const worker = "outlives-a"
+	lr := leaseWork(t, srvA.URL, worker)
 	coordA.Interrupt()
 	coordA.Wait()
 	srvA.Close()
 
-	cfg.Prior = &dist.Prior{Plan: coordA.Plan()}
+	plan, err := search.PlanShards(fig3, opts, 2) // the plan A made, as its owner would have recorded it
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Prior = &dist.Prior{Plan: plan}
 	coordB, srvB := startCoordinator(t, cfg)
 	// The stale worker heartbeats with its A-era identity and lease:
 	// the resumed coordinator cancels the unknown lease instead of
 	// crashing or honoring it.
 	var hb dist.HeartbeatResponse
 	postJSON(t, srvB.URL+dist.PathHeartbeat, dist.HeartbeatRequest{
-		WorkerID: join.WorkerID, LeaseIDs: []string{lr.LeaseID},
+		WorkerID: worker, LeaseIDs: []string{lr.LeaseID},
 	}, &hb)
 	if len(hb.Cancelled) != 1 || hb.Cancelled[0] != lr.LeaseID {
 		t.Fatalf("stale lease not cancelled: %+v", hb)
 	}
-	// B's names are its own: the stale worker builds its idempotency
-	// keys from A's, and a key B had already answered under would have
-	// its result replayed instead of applied.
-	var joinB dist.JoinResponse
-	postJSON(t, srvB.URL+dist.PathJoin, dist.JoinRequest{Capacity: 1}, &joinB)
-	if joinB.WorkerID == join.WorkerID {
-		t.Fatalf("second incarnation reissued worker id %s", join.WorkerID)
+	// It can still lease fresh work under the same worker ID — and B's
+	// lease names are its own: the worker builds its idempotency keys
+	// from them, and a key B had already answered under would have its
+	// result replayed instead of applied.
+	lr2 := leaseWork(t, srvB.URL, worker)
+	if lr2.LeaseID == lr.LeaseID {
+		t.Fatalf("second incarnation reissued lease id %s", lr.LeaseID)
 	}
-	// It can still lease fresh work under the stale worker ID.
-	lr2 := leaseWork(t, srvB.URL, join.WorkerID)
 	rep := search.RunShard(fig3, opts, lr2.Shard, nil)
 	var rr dist.ResultResponse
-	postJSON(t, srvB.URL+dist.PathResult, oneResult(join.WorkerID, lr2, rep), &rr)
+	postJSON(t, srvB.URL+dist.PathResult, oneResult(worker, lr2, rep), &rr)
 	if !rr.Accepted[0] {
 		t.Fatal("stale-ID result not accepted")
 	}
@@ -373,7 +370,7 @@ func TestDistSpoolReplay(t *testing.T) {
 		LeaseTTL: 5 * time.Second, // long: completed-but-unposted shards must not requeue mid-test
 	}
 	coordA, srvA := startCoordinator(t, cfg)
-	shardCount := len(coordA.Plan().Shards)
+	shardCount := coordStatus(t, srvA.URL).Shards
 
 	gate := &resultGate{}
 	gate.setBlocked(true)

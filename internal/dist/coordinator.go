@@ -73,6 +73,11 @@ type CoordinatorConfig struct {
 	// granted (called under the coordinator lock). The jobs layer
 	// records grants in the ledger as an audit trail.
 	OnShardGrant func(shards []int, worker string)
+	// OnWake, when set, is told (under the coordinator lock) whenever a
+	// lease call should look again: the plan grew, a shard was requeued,
+	// the search finished. The jobs layer parks lease calls of its own
+	// and asks every mounted coordinator on their behalf.
+	OnWake func()
 	// OnShardDone, when set, is called under the coordinator lock
 	// BEFORE the decided shards of one result call (completed reports)
 	// or one abandonment are applied to the merge — the write-ahead
@@ -152,9 +157,8 @@ type Coordinator struct {
 	completed int // decided shards with a report ...
 	abandoned int // ... and without one
 	failures  []search.WorkerFailure
-	workers   map[string]time.Time // last contact
-	seq       int                  // id generator (workers and leases) ...
-	epoch     string               // ... and the suffix that makes the ids this incarnation's own
+	seq       int    // lease id generator ...
+	epoch     string // ... and the suffix that makes the ids this incarnation's own
 
 	// wake is closed (and replaced) whenever a parked lease call should
 	// look again: the plan grew, a shard was requeued, the search
@@ -178,13 +182,6 @@ type Coordinator struct {
 	finished bool
 	done     chan struct{}
 	finalRep *search.Report
-
-	// notified tracks which workers have been told the search is done,
-	// so the serving process can linger until every worker has had the
-	// chance to exit cleanly instead of slamming the listener shut.
-	notified  map[string]bool
-	drained   chan struct{}
-	drainOnce sync.Once
 }
 
 // NewCoordinator plans the search (or adopts cfg.Prior's plan and
@@ -215,17 +212,14 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 
 	now := time.Now()
 	c := &Coordinator{
-		cfg:      cfg,
-		spec:     SpecFromOptions(cfg.Program, cfg.Options),
-		leases:   map[string]*lease{},
-		idem:     map[string][]byte{},
-		workers:  map[string]time.Time{},
-		wake:     make(chan struct{}),
-		start:    now,
-		epoch:    "-" + strconv.FormatInt(now.UnixNano(), 36),
-		done:     make(chan struct{}),
-		notified: map[string]bool{},
-		drained:  make(chan struct{}),
+		cfg:    cfg,
+		spec:   SpecFromOptions(cfg.Program, cfg.Options),
+		leases: map[string]*lease{},
+		idem:   map[string][]byte{},
+		wake:   make(chan struct{}),
+		start:  now,
+		epoch:  "-" + strconv.FormatInt(now.UnixNano(), 36),
+		done:   make(chan struct{}),
 	}
 
 	var decided map[int]*search.Report
@@ -283,7 +277,6 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 // coordinator logic — like a real network would).
 func (c *Coordinator) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc(PathJoin, c.handleJoin)
 	mux.HandleFunc(PathLease, c.handleLease)
 	mux.HandleFunc(PathHeartbeat, c.handleHeartbeat)
 	mux.HandleFunc(PathResult, c.handleResult)
@@ -327,43 +320,6 @@ func (c *Coordinator) Wait() *search.Report {
 	return c.finalRep
 }
 
-// Drained is closed once the search is finished AND every joined
-// worker has been handed a done response (lease, heartbeat, or result
-// acknowledgement), so it can exit cleanly. Parked lease calls are
-// answered done the moment the search finishes, so with live workers
-// this follows at once. A serving process should wait on it with a
-// timeout after Wait — a crashed worker never asks again and would hold
-// the drain open forever.
-func (c *Coordinator) Drained() <-chan struct{} { return c.drained }
-
-// Workers is how many workers this coordinator has served: the ones
-// Drained waits for.
-func (c *Coordinator) Workers() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.workers)
-}
-
-// noteDoneLocked records that a worker has observed completion.
-func (c *Coordinator) noteDoneLocked(workerID string) {
-	if workerID != "" {
-		c.notified[workerID] = true
-	}
-	c.checkDrainedLocked()
-}
-
-func (c *Coordinator) checkDrainedLocked() {
-	if !c.finished {
-		return
-	}
-	for id := range c.workers {
-		if !c.notified[id] {
-			return
-		}
-	}
-	c.drainOnce.Do(func() { close(c.drained) })
-}
-
 // Interrupt stops the search at the current merge point, marking the
 // report Interrupted. Decided shards have already been through
 // OnShardDone, so an owner that recorded them there can seed a later
@@ -380,44 +336,26 @@ func (c *Coordinator) Interrupt() {
 	c.sealLocked(rep)
 }
 
-// Plan exposes the shard plan (for status displays and tests).
-func (c *Coordinator) Plan() *search.Plan { return c.plan }
-
 // Planned is how many shards the plan holds right now. It takes no
 // lock, so a caller holding locks of its own (the jobs server, whose
 // lock orders after the coordinator's) may call it.
 func (c *Coordinator) Planned() int { return int(c.planned.Load()) }
-
-// Grantable reports whether a lease call would be granted work right
-// now: the search is still going and a shard below the merge horizon is
-// waiting for a worker. The jobs service sends idle pool workers where
-// this holds.
-func (c *Coordinator) Grantable() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.finished {
-		return false
-	}
-	for idx, horizon := c.merger.Merged(), c.merger.Horizon(); idx < horizon; idx++ {
-		if c.shards[idx].status == shardPending {
-			return true
-		}
-	}
-	return false
-}
 
 // finishLocked marks the search over and answers every parked lease
 // call.
 func (c *Coordinator) finishLocked() {
 	c.finished = true
 	c.wakeLocked()
-	c.checkDrainedLocked()
 }
 
-// wakeLocked makes every parked lease call look again.
+// wakeLocked makes every parked lease call look again — this
+// coordinator's own and, through OnWake, its owner's.
 func (c *Coordinator) wakeLocked() {
 	close(c.wake)
 	c.wake = make(chan struct{})
+	if c.cfg.OnWake != nil {
+		c.cfg.OnWake()
+	}
 }
 
 // checkDoneLocked finalizes the search once the merge is complete.
@@ -556,14 +494,14 @@ func (c *Coordinator) growShardsLocked() {
 	c.wakeLocked()
 }
 
-// nextID names a worker or a lease. The name carries this coordinator's
-// start time (epoch): a worker that outlives a restart keeps using the
-// names the previous incarnation gave it — in heartbeats and in the
+// nextLeaseID names a lease. The name carries this coordinator's start
+// time (epoch): a worker that outlives a restart keeps using the names
+// the previous incarnation gave it — in heartbeats and in the
 // idempotency keys of its result posts — and they must not meet this
 // one's.
-func (c *Coordinator) nextID(prefix string) string {
+func (c *Coordinator) nextLeaseID() string {
 	c.seq++
-	return prefix + strconv.Itoa(c.seq) + c.epoch
+	return "l" + strconv.Itoa(c.seq) + c.epoch
 }
 
 // --- HTTP handlers ---
@@ -585,30 +523,6 @@ func writeJSON(w http.ResponseWriter, v any) {
 	json.NewEncoder(w).Encode(v)
 }
 
-func (c *Coordinator) handleJoin(w http.ResponseWriter, r *http.Request) {
-	var req JoinRequest
-	if !readJSON(w, r, &req) {
-		return
-	}
-	c.mu.Lock()
-	id := c.nextID("w")
-	c.workers[id] = time.Now()
-	// DPOR plans grow under the lock as units spawn children; the count
-	// is a snapshot (informational — leases carry the actual work).
-	shardCount := len(c.plan.Shards)
-	c.mu.Unlock()
-	c.cfg.Logf("dist: worker %s joined (capacity %d)", id, req.Capacity)
-	writeJSON(w, JoinResponse{
-		WorkerID:    id,
-		Spec:        c.spec,
-		Strategy:    c.plan.Strategy,
-		ShardCount:  shardCount,
-		OptionsHash: c.plan.OptionsHash,
-		LeaseTTLMS:  int64(c.cfg.LeaseTTL / time.Millisecond),
-		WantEvents:  c.cfg.EventWriter != nil,
-	})
-}
-
 // handleLease grants work, or — with nothing grantable yet — parks
 // the call (outside the load-shedding bound) until the plan grows, a
 // shard requeues or the search finishes, for at most LeaseHold.
@@ -620,11 +534,13 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	hold := Hold{parked: &c.parked}
 	defer hold.Stop()
 	for {
+		// The wake is read before the lease is tried, so one that fires in
+		// between is not missed.
 		c.mu.Lock()
-		data, wait := c.leaseLocked(req.WorkerID)
 		wake := c.wake
 		c.mu.Unlock()
-		if wait && hold.Wait(r, wake) {
+		data, status := c.Lease(req.WorkerID, "", "")
+		if status == LeaseWait && hold.Wait(r, wake) {
 			continue
 		}
 		replayJSON(w, data)
@@ -632,16 +548,21 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// leaseLocked answers one lease request as of now: the encoded
-// response (encoded under the lock — a granted DPOR unit is emptied in
-// place once it merges) and whether it is a "wait". It grants the first
-// grantable shard below the merge horizon, and when that is a
-// single-execution DPOR unit every further one up to LeaseBatch: a
-// wave of the frontier per round trip. Subtree and range shards go one
-// per call, so workers still share them.
-func (c *Coordinator) leaseLocked(worker string) (data []byte, wait bool) {
+// Lease answers one lease request as of now: the encoded response
+// (encoded under the lock — a granted DPOR unit is emptied in place
+// once it merges) and its status. It grants the first grantable shard
+// below the merge horizon, and when that is a single-execution DPOR
+// unit every further one up to LeaseBatch: a wave of the frontier per
+// round trip. Subtree and range shards go one per call, so workers
+// still share them. A grant carries the search it belongs to, under
+// the name and the mount point the caller serves this coordinator at
+// (job, path: both "" for a coordinator served bare) — the jobs service
+// calls this for each job it has mounted and answers a worker with the
+// first grant.
+func (c *Coordinator) Lease(worker, job, path string) (data []byte, status string) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	now := time.Now()
-	c.workers[worker] = now
 	c.expireLocked(now)
 	resp := LeaseResponse{Status: LeaseDone}
 	var granted []int
@@ -657,7 +578,7 @@ func (c *Coordinator) leaseLocked(worker string) (data []byte, wait bool) {
 			if sh.status == shardLeased || sh.excluded[worker] {
 				continue
 			}
-			l := &lease{id: c.nextID("l"), shard: idx, worker: worker, expires: now.Add(c.cfg.LeaseTTL)}
+			l := &lease{id: c.nextLeaseID(), shard: idx, worker: worker, expires: now.Add(c.cfg.LeaseTTL)}
 			c.leases[l.id] = l
 			sh.status = shardLeased
 			sh.leaseID = l.id
@@ -668,19 +589,19 @@ func (c *Coordinator) leaseLocked(worker string) (data []byte, wait bool) {
 			}
 		}
 	}
-	switch {
-	case len(granted) > 0:
+	if len(granted) > 0 {
 		resp.Status = LeaseWork
+		resp.Job, resp.Path = job, path
+		resp.Spec, resp.OptionsHash = &c.spec, c.plan.OptionsHash
+		resp.LeaseTTLMS = int64(c.cfg.LeaseTTL / time.Millisecond)
+		resp.WantEvents = c.cfg.EventWriter != nil
 		if c.cfg.OnShardGrant != nil {
 			c.cfg.OnShardGrant(granted, worker)
 		}
-	case resp.Status == LeaseDone:
-		// Finished, or every shard below the horizon is decided and the
-		// merge is waiting on nothing.
-		c.noteDoneLocked(worker)
+		c.cfg.Logf("dist: %d shards (%d..%d) leased to worker %s", len(granted), granted[0], granted[len(granted)-1], worker)
 	}
 	data, _ = json.Marshal(resp) // plain data: cannot fail
-	return data, resp.Status == LeaseWait
+	return data, resp.Status
 }
 
 func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
@@ -699,10 +620,7 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	if req.Metrics != nil && c.cfg.Metrics != nil {
-		c.cfg.Metrics.Merge(*req.Metrics)
-	}
-	c.workers[req.WorkerID] = time.Now()
+	c.mergeMetricsLocked(req.Metrics)
 	c.expireLocked(time.Now())
 	resp := HeartbeatResponse{Done: c.finished}
 	horizon := c.merger.Horizon()
@@ -723,10 +641,16 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 		}
 		l.expires = time.Now().Add(c.cfg.LeaseTTL)
 	}
-	if resp.Done {
-		c.noteDoneLocked(req.WorkerID)
-	}
 	c.writeIdemLocked(w, key, resp)
+}
+
+// mergeMetricsLocked folds a worker's telemetry delta into the
+// registry. Callers have checked the request's idempotency key first: a
+// retried or duplicated delivery must not be merged twice.
+func (c *Coordinator) mergeMetricsLocked(delta *obs.Snapshot) {
+	if delta != nil && c.cfg.Metrics != nil {
+		c.cfg.Metrics.Merge(*delta)
+	}
 }
 
 // writeIdemLocked writes a JSON response and caches it under the
@@ -806,7 +730,6 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	c.workers[req.WorkerID] = time.Now()
 	for i := range req.Results {
 		if it := &req.Results[i]; !it.advisory() && (it.Shard < 0 || it.Shard >= len(c.shards)) {
 			http.Error(w, "unknown shard", http.StatusBadRequest)
@@ -886,9 +809,7 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 		c.checkDoneLocked()
 	}
 	resp.Done = c.finished
-	if c.finished {
-		c.noteDoneLocked(req.WorkerID)
-	}
+	c.mergeMetricsLocked(req.Metrics)
 	c.writeIdemLocked(w, key, resp)
 }
 
@@ -930,7 +851,6 @@ func (c *Coordinator) statusLocked() StatusResponse {
 		Completed: c.completed,
 		Abandoned: c.abandoned,
 		Leased:    len(c.leases),
-		Workers:   len(c.workers),
 		Done:      c.finished,
 	}
 }

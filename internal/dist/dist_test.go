@@ -224,10 +224,8 @@ func TestDistWorkerDeathRequeues(t *testing.T) {
 		LeaseTTL:       500 * time.Millisecond,
 	})
 
-	// The doomed worker: joins, leases one shard, never speaks again.
-	var join dist.JoinResponse
-	postJSON(t, srv.URL+dist.PathJoin, dist.JoinRequest{Capacity: 1}, &join)
-	lr := leaseWork(t, srv.URL, join.WorkerID)
+	// The doomed worker: leases one shard, never speaks again.
+	lr := leaseWork(t, srv.URL, "doomed")
 
 	runWorkers(t, srv.URL, 1)
 	got := coord.Wait()

@@ -80,10 +80,8 @@ func TestDistDPORWorkerDeath(t *testing.T) {
 		LeaseTTL:       500 * time.Millisecond,
 	})
 
-	// The doomed worker: joins, leases one unit, never speaks again.
-	var join dist.JoinResponse
-	postJSON(t, srv.URL+dist.PathJoin, dist.JoinRequest{Capacity: 1}, &join)
-	lr := leaseWork(t, srv.URL, join.WorkerID)
+	// The doomed worker: leases one unit, never speaks again.
+	lr := leaseWork(t, srv.URL, "doomed")
 	if lr.Shard.Unit == nil {
 		t.Fatalf("leased shard %d carries no DPOR unit: %+v", lr.Shard.Index, lr.Shard)
 	}

@@ -2,18 +2,21 @@ package jobs
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
-	"errors"
+	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"fairmc"
 	"fairmc/internal/dist"
 	"fairmc/internal/fsx"
 	"fairmc/internal/obs"
@@ -24,20 +27,22 @@ import (
 // sleep sets over boundedbuffer, 117 single-execution units.
 var boundedbufferOpts = search.Options{ContextBound: -1, MaxSteps: 5000, DPOR: true, SleepSets: true}
 
-// countingTransport counts the requests a pool worker sends to job
-// coordinators (everything under /job/), by endpoint.
+// countingTransport counts every request a worker sends, by endpoint
+// (a job path's prefix cut off).
 type countingTransport struct {
 	mu     sync.Mutex
 	counts map[string]int
 }
 
 func (c *countingTransport) RoundTrip(req *http.Request) (*http.Response, error) {
-	if rest, ok := strings.CutPrefix(req.URL.Path, PathJobPrefix); ok {
-		_, endpoint, _ := strings.Cut(rest, "/")
-		c.mu.Lock()
-		c.counts["/"+endpoint]++
-		c.mu.Unlock()
+	endpoint := req.URL.Path
+	if rest, ok := strings.CutPrefix(endpoint, PathJobPrefix); ok {
+		_, endpoint, _ = strings.Cut(rest, "/")
+		endpoint = "/" + endpoint
 	}
+	c.mu.Lock()
+	c.counts[endpoint]++
+	c.mu.Unlock()
 	return http.DefaultTransport.RoundTrip(req)
 }
 
@@ -73,9 +78,12 @@ func (c syncCountingFS) OpenFile(name string, flag int, perm os.FileMode) (fsx.F
 
 // TestJobsRoundTripBudget is the per-wave protocol as a count: one
 // boundedbuffer DPOR+sleep job — 117 units of one execution each —
-// served by one pool worker costs a few coordinator requests and ledger
+// served by one worker costs a lease, a result post and two ledger
 // fsyncs per wave of the frontier, not per unit (234 requests and 120
-// fsyncs when every unit was leased, posted and committed on its own).
+// fsyncs when every unit was leased, posted and committed on its own),
+// and nothing beside them: 6 waves, and the lease call the worker is
+// parked on afterwards (16 requests when a worker was assigned to a
+// job, joined it and flushed its telemetry on leaving).
 func TestJobsRoundTripBudget(t *testing.T) {
 	var syncs atomic.Int64
 	m := &obs.Metrics{}
@@ -109,13 +117,18 @@ func TestJobsRoundTripBudget(t *testing.T) {
 	}
 
 	tr.mu.Lock()
-	t.Logf("coordinator requests: %v; ledger fsyncs: %d; ledger appends: %d", tr.counts, syncs.Load(), m.Snapshot().LedgerAppends)
-	tr.mu.Unlock()
-	if n := tr.total(); n > 40 {
-		t.Errorf("%d coordinator requests for one job, budget 40", n)
+	t.Logf("worker requests: %v; ledger fsyncs: %d; ledger appends: %d", tr.counts, syncs.Load(), m.Snapshot().LedgerAppends)
+	for endpoint := range tr.counts {
+		if endpoint != dist.PathLease && endpoint != dist.PathResult {
+			t.Errorf("the worker called %s: a short job costs lease and result calls only", endpoint)
+		}
 	}
-	if n := syncs.Load(); n > 16 {
-		t.Errorf("%d ledger fsyncs for one job, budget 16", n)
+	tr.mu.Unlock()
+	if n := tr.total(); n > 13 {
+		t.Errorf("%d worker requests for one job, budget 13", n)
+	}
+	if n := syncs.Load(); n > 12 {
+		t.Errorf("%d ledger fsyncs for one job, budget 12", n)
 	}
 }
 
@@ -159,130 +172,284 @@ func TestJobsPoolWorkerGoroutinesFlat(t *testing.T) {
 	}
 }
 
-// TestJobsAssignLongPoll: an idle pool worker's assign call is held
-// open and answered the moment a job mounts; with no submission it
-// comes back "wait" within the hold; and parked calls do not count
-// against MaxInflight.
-func TestJobsAssignLongPoll(t *testing.T) {
-	m := &obs.Metrics{}
-	_, srv := startService(t, Config{Dir: t.TempDir(), Coordinator: dist.CoordinatorConfig{MaxInflight: 8}, Metrics: m})
+// leaseAnswer is one raw lease call at the service, as its caller saw it.
+type leaseAnswer struct {
+	lr       dist.LeaseResponse
+	code     int
+	sent, at time.Time
+}
 
-	const parked = 200
-	type answer struct {
-		asn  AssignResponse
-		code int
-		at   time.Time
-	}
-	answers := make(chan answer, parked)
-	tr := &http.Transport{MaxConnsPerHost: parked}
-	defer tr.CloseIdleConnections()
-	client := &http.Client{Transport: tr}
-	ask := func() {
-		var a answer
-		resp, err := client.Get(srv.URL + PathAssign)
+// woken reports whether the call was answered by a wake: after event,
+// and before its own hold could have run out.
+func (a leaseAnswer) woken(event time.Time) bool {
+	return a.code == http.StatusOK && !a.at.Before(event) && a.at.Before(a.sent.Add(dist.LeaseHold))
+}
+
+// askLease sends one lease call as worker, gives it a moment to park
+// (the service has nothing it could grant at once in any caller's
+// scenario), and returns the channel its answer arrives on.
+func askLease(url, worker string) <-chan leaseAnswer {
+	out := make(chan leaseAnswer, 1)
+	go func() {
+		a := leaseAnswer{sent: time.Now()}
+		body, _ := json.Marshal(dist.LeaseRequest{WorkerID: worker})
+		resp, err := http.Post(url+dist.PathLease, "application/json", bytes.NewReader(body))
 		if err == nil {
 			a.code = resp.StatusCode
-			json.NewDecoder(resp.Body).Decode(&a.asn)
+			json.NewDecoder(resp.Body).Decode(&a.lr)
 			resp.Body.Close()
 		}
 		a.at = time.Now()
-		answers <- a
-	}
+		out <- a
+	}()
+	time.Sleep(50 * time.Millisecond)
+	return out
+}
 
-	// Nothing submitted: the call is held, then answered "wait".
-	asked := time.Now()
-	go ask()
-	select {
-	case a := <-answers:
-		if a.code != http.StatusOK || a.asn.Status != AssignWait {
-			t.Fatalf("idle assign: HTTP %d %+v, want wait", a.code, a.asn)
-		}
-		if held := a.at.Sub(asked); held < dist.LeaseHold/2 || held > dist.LeaseHold+time.Second {
-			t.Fatalf("idle assign held %s, want about the hold (%s)", held, dist.LeaseHold)
-		}
-	case <-time.After(dist.LeaseHold + 2*time.Second):
-		t.Fatal("idle assign call still open after the hold")
-	}
-
-	// 200 parked calls, MaxInflight 8: a submission still gets in, and
-	// one parked call is sent to it the moment it mounts. One only: the
-	// job's single grantable shard is spoken for until that worker has
-	// leased it, and nobody here ever does — the rest run out their hold.
-	for i := 0; i < parked; i++ {
-		go ask()
-	}
-	time.Sleep(100 * time.Millisecond)
-	id := submitJob(t, srv.URL, "racy", dporJobOpts, 2)
-	for jobStatus(t, srv.URL, id).State != StateRunning {
-		time.Sleep(time.Millisecond)
-	}
-	mounted := time.Now()
-	sent := 0
-	for i := 0; i < parked; i++ {
+// TestServiceLeaseFollowsWork: a lease call parked at the service is
+// answered by whatever makes work appear anywhere in it, and by nothing
+// else. Two idle workers ask while nothing is mounted; a job with one
+// grantable unit mounts — one of them is granted it, the other stays
+// parked at the service and is granted the next submitted job's root
+// unit without waiting for the first job to end. A third parked call is
+// answered the moment a merged batch grows a plan, a fourth the moment
+// the service closes ("done").
+func TestServiceLeaseFollowsWork(t *testing.T) {
+	s, srv := startService(t, Config{Dir: t.TempDir()})
+	await := func(what string, ch <-chan leaseAnswer) leaseAnswer {
+		t.Helper()
 		select {
-		case a := <-answers:
-			switch {
-			case a.code != http.StatusOK:
-				t.Fatalf("parked assign: HTTP %d", a.code)
-			case i == 0:
-				if a.asn.Status != AssignWork || a.asn.JobID != id {
-					t.Fatalf("first parked assign answered %+v, want work on %s", a.asn, id)
-				}
-				if d := a.at.Sub(mounted); d > 50*time.Millisecond {
-					t.Fatalf("first parked assign answered %s after the job was seen running, want within 50ms", d)
-				}
-			case a.asn.Status == AssignWork:
-				sent++
-			}
+		case a := <-ch:
+			return a
 		case <-time.After(dist.LeaseHold + 2*time.Second):
-			t.Fatalf("%d parked assign calls still open after the hold", parked-i)
+			t.Fatalf("%s: lease call still open after the hold", what)
+			panic("unreachable")
 		}
 	}
-	if sent > 1 { // a claim lapsing just as the last holds run out may admit one more
-		t.Fatalf("%d more workers were sent after the one grantable shard had been spoken for", sent)
+	rootOf := func(what string, a leaseAnswer, id string, event time.Time) {
+		t.Helper()
+		lr := a.lr
+		if !a.woken(event) || lr.Status != dist.LeaseWork || lr.Job != id || lr.Path != PathJobPrefix+id ||
+			len(lr.Grants) != 1 || lr.Grants[0].Shard.Unit == nil || lr.Spec == nil || lr.LeaseTTLMS == 0 {
+			t.Fatalf("%s: answered HTTP %d %+v, %s after it was sent; want %s's root unit, woken", what, a.code, lr, a.at.Sub(a.sent), id)
+		}
 	}
-	if shed := m.Snapshot().ShedRequests; shed != 0 {
-		t.Fatalf("%d requests shed with %d assign calls parked and MaxInflight 8", shed, parked)
+
+	x, y := askLease(srv.URL, "x"), askLease(srv.URL, "y")
+	mounting := time.Now()
+	id1 := submitJob(t, srv.URL, "racy", dporJobOpts, 2)
+	var first leaseAnswer
+	other := y
+	select {
+	case first = <-x:
+	case first = <-y:
+		other = x
+	case <-time.After(dist.LeaseHold + 2*time.Second):
+		t.Fatal("no parked lease call answered when a job mounted")
+	}
+	rootOf("job mounts", first, id1, mounting)
+
+	// The other one is still parked — at the service, not on j1: the next
+	// job's root is its.
+	select {
+	case a := <-other:
+		t.Fatalf("the second idle worker was answered %+v with j1's one unit taken, want it parked", a.lr)
+	case <-time.After(50 * time.Millisecond):
+	}
+	mounting = time.Now()
+	id2 := submitJob(t, srv.URL, "racy", dporJobOpts, 2)
+	rootOf("second job mounts", await("second job mounts", other), id2, mounting)
+	if st := jobStatus(t, srv.URL, id1); st.State != StateRunning {
+		t.Fatalf("j1 is %q when the second worker is granted j2, want still running", st.State)
+	}
+
+	// Everything planned is leased: a third call parks, until the first
+	// worker's result grows j1's plan.
+	z := askLease(srv.URL, "z")
+	opts := first.lr.Spec.Options()
+	g := first.lr.Grants[0]
+	growing := time.Now()
+	postProto(t, srv.URL+first.lr.Path+dist.PathResult, dist.ResultRequest{WorkerID: "x-or-y", Results: []dist.ShardResult{
+		{LeaseID: g.LeaseID, Shard: g.Shard.Index, Report: search.RunShard(testProgs["racy"], opts, g.Shard, nil)},
+	}}, &dist.ResultResponse{})
+	if a := await("plan grows", z); !a.woken(growing) || a.lr.Status != dist.LeaseWork || a.lr.Job != id1 || len(a.lr.Grants) < 2 {
+		t.Fatalf("plan grows: answered HTTP %d %+v; want the wave j1's root spawned, woken", a.code, a.lr)
+	}
+
+	// And a fourth, until the service closes.
+	c := askLease(srv.URL, "c")
+	closing := time.Now()
+	go s.Close()
+	if a := await("service closes", c); !a.woken(closing) || a.lr.Status != dist.LeaseDone {
+		t.Fatalf("service closes: answered HTTP %d %+v, want done, woken", a.code, a.lr)
 	}
 }
 
-// TestJobsAssignAnswersOnce: an assign answer is a claim. With one
-// mounted job holding one grantable shard, the first call is sent to it
-// at once and a second one parks — the shard is spoken for until the
-// first caller leases it — so nothing may spend an assign call as a
-// probe: it would send the next real caller to wait behind itself.
-func TestJobsAssignAnswersOnce(t *testing.T) {
-	_, srv := startService(t, Config{Dir: t.TempDir()})
-	id := submitJob(t, srv.URL, "racy", dporJobOpts, 2)
-	waitState(t, srv.URL, id, StateRunning)
+// heartbeatGate holds a worker's heartbeats back until released, and
+// records what they were answered.
+type heartbeatGate struct {
+	release chan struct{}
+	mu      sync.Mutex
+	codes   []int
+}
 
-	var asn AssignResponse
-	resp, err := http.Get(srv.URL + PathAssign)
+func (g *heartbeatGate) RoundTrip(req *http.Request) (*http.Response, error) {
+	if !strings.HasSuffix(req.URL.Path, dist.PathHeartbeat) {
+		return http.DefaultTransport.RoundTrip(req)
+	}
+	select {
+	case <-g.release:
+	case <-req.Context().Done():
+		return nil, req.Context().Err()
+	}
+	resp, err := http.DefaultTransport.RoundTrip(req)
+	if err == nil {
+		g.mu.Lock()
+		g.codes = append(g.codes, resp.StatusCode)
+		g.mu.Unlock()
+	}
+	return resp, err
+}
+
+// TestServiceCancelledJobIsGone: a worker mid-wave on a job that is
+// cancelled gets 404 on its next heartbeat — the job's path is gone
+// with the job — drops the wave, spools nothing, and is granted the
+// next job.
+func TestServiceCancelledJobIsGone(t *testing.T) {
+	m := &obs.Metrics{}
+	_, srv := startService(t, Config{Dir: t.TempDir(), Coordinator: dist.CoordinatorConfig{LeaseTTL: 300 * time.Millisecond}})
+	// One stride shard that outlives the test unless it is cancelled.
+	long := search.Options{Fair: true, RandomWalk: true, MaxExecutions: 1 << 40, MaxSteps: 1000, Seed: 1, ContinueAfterViolation: true}
+	id1 := submitJob(t, srv.URL, "racy", long, 1)
+
+	gate := &heartbeatGate{release: make(chan struct{})}
+	workDir := t.TempDir()
+	var logMu sync.Mutex
+	var logs []string
+	stopCh := make(chan struct{})
+	done := make(chan error, 1)
+	go func() {
+		done <- dist.RunWorker(dist.WorkerConfig{
+			URL: srv.URL, WorkDir: workDir, Lookup: testLookup, Metrics: m,
+			Retry: fastPolicy(1), Stop: stopCh, Transport: gate,
+			Logf: func(format string, args ...any) {
+				logMu.Lock()
+				logs = append(logs, fmt.Sprintf(format, args...))
+				logMu.Unlock()
+			},
+		})
+	}()
+	for m.Snapshot().Executions == 0 { // mid-wave
+		time.Sleep(time.Millisecond)
+	}
+	resp, err := http.Post(srv.URL+PathJobs+"/"+id1+"/cancel", "application/json", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = json.NewDecoder(resp.Body).Decode(&asn)
 	resp.Body.Close()
-	if err != nil || asn.Status != AssignWork || asn.JobID != id {
-		t.Fatalf("first assign = %+v (%v), want work on %s", asn, err, id)
-	}
+	waitState(t, srv.URL, id1, StateCancelled)
+	close(gate.release)
 
-	ctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
-	defer cancel()
-	req, _ := http.NewRequestWithContext(ctx, http.MethodGet, srv.URL+PathAssign, nil)
-	if resp, err := http.DefaultClient.Do(req); err == nil {
-		json.NewDecoder(resp.Body).Decode(&asn)
-		resp.Body.Close()
-		t.Fatalf("second assign answered %+v while the job's one shard was claimed, want it parked", asn)
-	} else if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatal(err)
+	id2 := submitJob(t, srv.URL, "fig3", baseOpts, 2)
+	waitState(t, srv.URL, id2, StateDone)
+	close(stopCh)
+	if err := <-done; err != nil {
+		t.Fatalf("worker: %v", err)
+	}
+	if got, want := fetchReport(t, srv.URL, id2), localReportBytes(t, "fig3", baseOpts, 2); !bytes.Equal(got, want) {
+		t.Fatalf("the next job's artifact differs from local -p 2:\n%s\nvs\n%s", got, want)
+	}
+	gate.mu.Lock()
+	codes := gate.codes
+	gate.mu.Unlock()
+	if len(codes) == 0 || codes[0] != http.StatusNotFound {
+		t.Fatalf("heartbeats after the cancellation were answered %v, want 404 first", codes)
+	}
+	logMu.Lock()
+	gone := slices.ContainsFunc(logs, func(l string) bool { return strings.Contains(l, id1+" is gone") })
+	logMu.Unlock()
+	if !gone {
+		t.Fatalf("worker never dropped %s: %q", id1, logs)
+	}
+	if n := m.Snapshot().SpooledResults; n != 0 {
+		t.Fatalf("%d results of a job that is gone were spooled", n)
+	}
+	if spooled, _ := filepath.Glob(filepath.Join(workDir, "*", "spool-shard-*")); len(spooled) != 0 {
+		t.Fatalf("spool files of a job that is gone: %v", spooled)
+	}
+}
+
+// TestOneWorkerLoop: the same dist.RunWorker, pointed at a bare
+// coordinator's handler and at the service running the same search,
+// yields run reports byte-identical to each other and to local -p 2 —
+// for a prefix plan, a DPOR plan that grows by waves, and a stride plan.
+func TestOneWorkerLoop(t *testing.T) {
+	cases := []struct {
+		name, program string
+		opts          search.Options
+	}{
+		{"fair-dfs", "fig3", baseOpts},
+		{"dpor-sleepsets", "boundedbuffer", boundedbufferOpts},
+		{"random-walk", "racy", search.Options{
+			Fair: true, RandomWalk: true, MaxExecutions: 400, MaxSteps: 1000, Seed: 3, ContinueAfterViolation: true,
+		}},
+	}
+	runTwo := func(t *testing.T, url string) {
+		t.Helper()
+		errs := make(chan error, 2)
+		for i := 0; i < 2; i++ {
+			go func() {
+				errs <- dist.RunWorker(dist.WorkerConfig{URL: url, Lookup: testLookup, Retry: fastPolicy(uint64(i))})
+			}()
+		}
+		for i := 0; i < 2; i++ {
+			if err := <-errs; err != nil {
+				t.Fatalf("worker: %v", err)
+			}
+		}
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			want := localReportBytes(t, tc.program, tc.opts, 2)
+
+			spec := dist.SpecFromOptions(tc.program, tc.opts)
+			coord, err := dist.NewCoordinator(dist.CoordinatorConfig{
+				Prog: testProgs[tc.program], Program: tc.program, Options: spec.Options(), RefParallelism: 2,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			bare := httptest.NewServer(coord.Handler())
+			defer bare.Close()
+			runTwo(t, bare.URL) // they return on the coordinator's "done"
+			got, err := fairmc.ResultFromReport(coord.Wait()).RunReport(tc.program, spec.Options()).Encode()
+			if err != nil || !bytes.Equal(got, want) {
+				t.Fatalf("bare coordinator (%v): report differs from local -p 2:\n%s\nvs\n%s", err, got, want)
+			}
+
+			s, srv := startService(t, Config{Dir: t.TempDir()})
+			id := submitJob(t, srv.URL, tc.program, tc.opts, 2)
+			served := make(chan struct{})
+			go func() {
+				defer close(served)
+				runTwo(t, srv.URL) // ... and on the service's
+			}()
+			waitState(t, srv.URL, id, StateDone)
+			if got := fetchReport(t, srv.URL, id); !bytes.Equal(got, want) {
+				t.Fatalf("service: artifact differs from local -p 2:\n%s\nvs\n%s", got, want)
+			}
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			<-served
+		})
 	}
 }
 
 // TestJobsClosedServerSendsWorkersHome: a closed server answers every
-// assign call "closing" — a parked one the moment it closes — and a pool
-// worker returns nil on that answer instead of riding out a restart that
-// is not coming.
+// lease call "done" — a parked one the moment it closes — and a worker
+// returns nil on that answer instead of riding out a restart that is
+// not coming.
 func TestJobsClosedServerSendsWorkersHome(t *testing.T) {
 	s, srv := startService(t, Config{Dir: t.TempDir()})
 	done := make(chan error, 1)
@@ -307,39 +474,54 @@ func TestJobsClosedServerSendsWorkersHome(t *testing.T) {
 		t.Fatal("pool worker still polling a closed server")
 	}
 
-	var asn AssignResponse
-	resp, err := http.Get(srv.URL + PathAssign)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if err := json.NewDecoder(resp.Body).Decode(&asn); err != nil || asn.Status != AssignClosing {
-		t.Fatalf("assign on a closed server = %+v (%v), want closing", asn, err)
+	var lr dist.LeaseResponse
+	postProto(t, srv.URL+dist.PathLease, dist.LeaseRequest{WorkerID: "late"}, &lr)
+	if lr.Status != dist.LeaseDone {
+		t.Fatalf("lease on a closed server = %+v, want done", lr)
 	}
 }
 
 // TestJobsSlotFreedAtCommit: a finished job gives up its MaxActive slot
-// when its terminal record commits, not when its coordinator unmounts.
-// A worker that joined j1 and died keeps j1 draining for the whole
-// grace; j2, queued behind MaxActive=1, must run to completion
-// meanwhile — and no worker may be sent back to the finished j1.
+// and its mount when its terminal record commits, whatever is still out
+// on a lease of it. A ghost worker is granted j1's root unit and dies;
+// j1 is cancelled under it. j2, queued behind MaxActive=1, must run to
+// completion meanwhile. What the ghost's lease does hold up is Close —
+// for DrainGrace, no longer.
 func TestJobsSlotFreedAtCommit(t *testing.T) {
-	s, srv := startService(t, Config{Dir: t.TempDir(), MaxActive: 1, DrainGrace: 2 * time.Second})
+	const grace = 400 * time.Millisecond
+	s, srv := startService(t, Config{Dir: t.TempDir(), MaxActive: 1, DrainGrace: grace})
 	id1 := submitJob(t, srv.URL, "racy", dporJobOpts, 2)
 	waitState(t, srv.URL, id1, StateRunning)
-	postProto(t, srv.URL+PathJobPrefix+id1+dist.PathJoin, dist.JoinRequest{Capacity: 1}, &dist.JoinResponse{})
+	var lr dist.LeaseResponse
+	postProto(t, srv.URL+dist.PathLease, dist.LeaseRequest{WorkerID: "ghost"}, &lr)
+	if lr.Status != dist.LeaseWork || lr.Job != id1 {
+		t.Fatalf("ghost's lease = %+v, want work of %s", lr, id1)
+	}
 	id2 := submitJob(t, srv.URL, "racy", dporJobOpts, 2)
 	if st := jobStatus(t, srv.URL, id2); st.State != StateQueued {
 		t.Fatalf("j2 state = %q behind MaxActive=1, want queued", st.State)
 	}
-
-	startPool(t, srv.URL, "", 1)
-	waitState(t, srv.URL, id1, StateDone)
-	waitState(t, srv.URL, id2, StateDone)
+	resp, err := http.Post(srv.URL+PathJobs+"/"+id1+"/cancel", "application/json", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	waitState(t, srv.URL, id1, StateCancelled)
 	s.mu.Lock()
-	draining := s.jobs[id1].handler != nil
+	mounted := s.jobs[id1].handler != nil
 	s.mu.Unlock()
-	if !draining {
-		t.Fatal("j1 unmounted before j2 finished: the test no longer shows the slot was freed at commit (was the ghost worker told?)")
+	if mounted {
+		t.Fatal("j1 is still mounted after its terminal record committed")
+	}
+
+	stop := startPool(t, srv.URL, "", 1)
+	waitState(t, srv.URL, id2, StateDone)
+	stop()
+	closing := time.Now()
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if d := time.Since(closing); d < grace || d > grace+2*time.Second {
+		t.Fatalf("Close took %s with one lease never returned, want the drain grace (%s)", d, grace)
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"slices"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -511,32 +510,22 @@ func TestJobsDPORRestartResumesMidSearch(t *testing.T) {
 	id := submitJob(t, srv1.URL, "racy", dporJobOpts, 2)
 	waitState(t, srv1.URL, id, StateRunning)
 
-	// Find the mounted coordinator and complete units 0 and 1 through
-	// the wire protocol (unit 1 exists only after unit 0's merge grew
-	// the plan).
-	var asn AssignResponse
-	resp, err := http.Get(srv1.URL + PathAssign)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&asn); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if asn.Status != AssignWork || asn.JobID != id {
-		t.Fatalf("assign = %+v, want work on %s", asn, id)
-	}
-	base := srv1.URL + asn.Path
+	// Complete units 0 and 1 through the wire protocol (unit 1 exists
+	// only after unit 0's merge grew the plan): lease at the service,
+	// post to the job path the grant names.
+	const worker = "by-hand"
 	opts := dist.SpecFromOptions("racy", dporJobOpts).Options()
-	var join dist.JoinResponse
-	postProto(t, base+dist.PathJoin, dist.JoinRequest{Capacity: 1}, &join)
 	for i, post := range []int{1, 2} {
 		var lr dist.LeaseResponse
-		postProto(t, base+dist.PathLease, dist.LeaseRequest{WorkerID: join.WorkerID}, &lr)
+		postProto(t, srv1.URL+dist.PathLease, dist.LeaseRequest{WorkerID: worker}, &lr)
 		if lr.Status != dist.LeaseWork || len(lr.Grants) < post || (i == 1 && len(lr.Grants) <= post) {
 			t.Fatalf("lease %d: status %q with %d grants; want the root alone, then a wave of more than %d", i, lr.Status, len(lr.Grants), post)
 		}
-		req := dist.ResultRequest{WorkerID: join.WorkerID}
+		if lr.Job != id || lr.Path != PathJobPrefix+id || lr.Spec == nil || lr.OptionsHash != search.OptionsHash(&opts) {
+			t.Fatalf("lease %d does not name its job: %+v, want %s", i, lr, id)
+		}
+		base := srv1.URL + lr.Path
+		req := dist.ResultRequest{WorkerID: worker}
 		for _, g := range lr.Grants[:post] {
 			if g.Shard.Unit == nil {
 				t.Fatalf("lease %d: shard %d carries no DPOR unit", i, g.Shard.Index)
@@ -712,14 +701,5 @@ func TestJobsRebuildBadRecordsSurfaced(t *testing.T) {
 	}
 	if j := st.jobs["j1"]; j == nil || j.State != StateQueued {
 		t.Fatalf("good record lost next to bad ones: %+v", st.jobs)
-	}
-}
-
-// jobIDsNumeric exercises sortIDs ordering.
-func TestJobsSortIDs(t *testing.T) {
-	ids := []string{"j10", "j2", "j1"}
-	sortIDs(ids)
-	if got := strings.Join(ids, ","); got != "j1,j2,j10" {
-		t.Fatalf("sortIDs = %s", got)
 	}
 }

@@ -5,11 +5,12 @@ import (
 	"fairmc/internal/obs"
 )
 
-// Service endpoints. Job-scoped coordinator protocols are mounted
-// under PathJobPrefix + "<id>" (e.g. /job/j1/v1/lease).
+// Service endpoints, beside dist.PathLease (the one place a worker asks
+// for work; a grant names the job path its results go to). Job-scoped
+// coordinator protocols are mounted under PathJobPrefix + "<id>" (e.g.
+// /job/j1/v1/result).
 const (
-	PathJobs      = "/v1/jobs"   // POST submit, GET list; /v1/jobs/<id>[/cancel|/report]
-	PathAssign    = "/v1/assign" // GET: which job should this worker serve? (?left=<id>: it is back from that one)
+	PathJobs      = "/v1/jobs" // POST submit, GET list; /v1/jobs/<id>[/cancel|/report]
 	PathJobPrefix = "/job/"
 	PathStatus    = "/status"
 	PathMetrics   = "/metrics"
@@ -62,31 +63,6 @@ type CancelResponse struct {
 	// State is the job's state after the request: cancelled, or the
 	// terminal state it had already reached.
 	State string `json:"state"`
-}
-
-// Assign statuses.
-const (
-	// AssignWork: JobID and Path are set; join the coordinator there.
-	AssignWork = "work"
-	// AssignWait: no running job right now; poll again.
-	AssignWait = "wait"
-	// AssignClosing: the service has shut down and will mount no more
-	// jobs; the worker is done. What a closed Server always answers.
-	AssignClosing = "closing"
-)
-
-// assignLeft is the query parameter naming the job a pool worker has
-// just left, on its first assign call after the session. A job stays
-// mounted until the workers its coordinator served have all said so.
-const assignLeft = "left"
-
-// AssignResponse points a pool worker at a running job's coordinator.
-type AssignResponse struct {
-	Status string `json:"status"`
-	JobID  string `json:"jobId,omitempty"`
-	// Path is the coordinator mount point relative to the service base
-	// URL (e.g. "/job/j1").
-	Path string `json:"path,omitempty"`
 }
 
 // ServiceStatus is the service-level progress summary.

@@ -28,7 +28,6 @@ import (
 	"fmt"
 	"net/http"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -51,12 +50,12 @@ const (
 	// DefaultMaxJobs bounds admission: queued+running jobs beyond it
 	// are refused with 429 + Retry-After.
 	DefaultMaxJobs = 64
-	// DefaultDrainGrace bounds how long a finished job's coordinator
-	// stays mounted waiting for every joined worker to be told the job
-	// is done. Live workers are told at once (a parked lease call is
-	// answered the moment the search finishes), so this is a crash-only
-	// timeout: it runs out only for a worker that joined and died. The
-	// job's MaxActive slot is not held meanwhile.
+	// DefaultDrainGrace bounds how long Close waits for the workers
+	// still out on a lease to come back and be told the service is
+	// done. A live worker is back within a wave (or a heartbeat: its
+	// job's path answers 404 once the job is unmounted), so this is a
+	// crash-only timeout: it runs out only for a worker that was granted
+	// work and died.
 	DefaultDrainGrace = 2 * time.Second
 )
 
@@ -103,8 +102,8 @@ type Config struct {
 // plus runtime wiring while running. State is what clients see, and
 // each value promises its effect: StateQueued until the coordinator is
 // mounted — including the window where the job already holds an active
-// slot and runJob is planning — and StateRunning only once a pool
-// worker asking /v1/assign can be pointed at it.
+// slot and runJob is planning — and StateRunning only once a worker
+// asking /v1/lease can be granted its shards.
 type job struct {
 	jobState
 	shards          int // planned shards while no coordinator is mounted to ask
@@ -112,8 +111,6 @@ type job struct {
 	cancelRequested bool
 	coord           *dist.Coordinator
 	handler         http.Handler
-	claimed         time.Time // since when a worker has been on its way to lease here (pickJob)
-	left            int       // workers that came back to /v1/assign from this job (drain)
 }
 
 // Server is the durable checking service. Create with New, mount
@@ -126,16 +123,20 @@ type Server struct {
 	jobs        map[string]*job
 	order       []string // submission order
 	queue       []string // queued job ids, FIFO
-	activeIDs   []string // jobs holding a coordinator or about to: running, mounting, draining
+	activeIDs   []string // jobs holding a coordinator or about to: running, mounting
 	nextJob     int
 	nonTerminal int
-	rr          int // round-robin cursor for assign
+	rr          int // round-robin cursor for lease
 	quarantined int
 	badRecs     []string
 	closed      bool
-	// wake is closed (and replaced) whenever a parked assign call or a
-	// Wait should look again: a job mounted, ended or left the active
-	// set, a lease was granted, or the server is closing.
+	// out is the workers granted work that have not asked for more
+	// since: the ones Close waits for.
+	out map[string]struct{}
+	// wake is closed (and replaced) whenever a parked lease call, a Wait
+	// or Close should look again: a job mounted, ended or left the
+	// active set, a mounted coordinator has something new to lease
+	// (CoordinatorConfig.OnWake), or the server is closing.
 	wake chan struct{}
 
 	wg sync.WaitGroup
@@ -177,6 +178,7 @@ func New(cfg Config) (*Server, error) {
 		nextJob:     st.maxJob + 1,
 		quarantined: len(rec.Quarantined),
 		badRecs:     st.badRecs,
+		out:         map[string]struct{}{},
 		wake:        make(chan struct{}),
 	}
 	for _, q := range rec.Quarantined {
@@ -260,10 +262,19 @@ func (s *Server) audit(point, typ string, v any) {
 	}
 }
 
-// wakeLocked makes every parked assign call look again.
+// wakeLocked makes every parked lease call (and Wait, and Close) look
+// again.
 func (s *Server) wakeLocked() {
 	close(s.wake)
 	s.wake = make(chan struct{})
+}
+
+// wakeAll is wakeLocked for a caller not holding s.mu: a mounted
+// coordinator, under its own lock, which orders before the server's.
+func (s *Server) wakeAll() {
+	s.mu.Lock()
+	s.wakeLocked()
+	s.mu.Unlock()
 }
 
 // commit1 is commit for a group of one.
@@ -271,19 +282,12 @@ func (s *Server) commit1(point, typ string, v any) error {
 	return s.commit([]string{point}, ledger.Entry{Type: typ, Value: v})
 }
 
-// scheduleLocked promotes queued jobs into the free active slots. A
-// finished job still draining its workers holds no slot.
+// scheduleLocked promotes queued jobs into the free active slots.
 func (s *Server) scheduleLocked() {
 	if s.closed {
 		return
 	}
-	free := s.cfg.MaxActive
-	for _, id := range s.activeIDs {
-		if !s.jobs[id].terminal() {
-			free--
-		}
-	}
-	for free > 0 && len(s.queue) > 0 {
+	for free := s.cfg.MaxActive - len(s.activeIDs); free > 0 && len(s.queue) > 0; {
 		id := s.queue[0]
 		s.queue = s.queue[1:]
 		j := s.jobs[id]
@@ -373,13 +377,8 @@ func (s *Server) runJob(j *job) {
 		OnShardGrant: func(shards []int, worker string) {
 			s.audit(fmt.Sprintf("grant:%s#%d", id, shards[0]), recGrant,
 				grantRec{Job: id, Shards: shards, Worker: worker})
-			// The worker sent here has arrived and taken its share: what
-			// the coordinator calls grantable is true again (pickJob).
-			s.mu.Lock()
-			j.claimed = time.Time{}
-			s.wakeLocked()
-			s.mu.Unlock()
 		},
+		OnWake: s.wakeAll,
 		OnShardDone: func(decided []dist.ShardDecision) error {
 			// THE commit point: shard decisions reach the merger only
 			// after they are durable — every shard_done frame of the
@@ -399,9 +398,6 @@ func (s *Server) runJob(j *job) {
 			}
 			s.mu.Lock()
 			j.decided += len(decided)
-			// The worker that posted this batch is on its way back for
-			// whatever the batch is about to add to the plan (pickJob).
-			j.claimed = time.Now()
 			s.mu.Unlock()
 			return nil
 		},
@@ -425,7 +421,7 @@ func (s *Server) runJob(j *job) {
 	}
 	j.coord = coord
 	j.handler = http.StripPrefix(PathJobPrefix+id, coord.Handler())
-	j.State = StateRunning // mounted: assignable from this instant
+	j.State = StateRunning // mounted: leasable from this instant
 	s.wakeLocked()
 	cancelled := j.cancelRequested
 	shards := j.shardCount()
@@ -452,16 +448,17 @@ func (s *Server) runJob(j *job) {
 		// Wait hands this incarnation's interrupted merge to its caller.
 		s.mu.Lock()
 		j.Report = rep
+		s.unmountLocked(id)
 		s.mu.Unlock()
-		s.unmount(j)
 	default:
 		s.finishJob(j, rep, StateDone, "")
 	}
 }
 
-// finishJob commits a job's terminal record, updates memory — which
-// frees the job's slot for the next queued one — and unmounts the
-// coordinator once it has drained.
+// finishJob commits a job's terminal record, updates memory and
+// unmounts the coordinator — which frees the job's slot for the next
+// queued one. A worker still out on a lease of the job finds its path
+// gone (404) and drops the work.
 func (s *Server) finishJob(j *job, rep *search.Report, state, errMsg string) {
 	id := j.ID
 	var runReport []byte
@@ -497,52 +494,10 @@ func (s *Server) finishJob(j *job, rep *search.Report, state, errMsg string) {
 			m.JobsDone.Inc()
 		}
 	}
+	s.unmountLocked(id)
 	s.scheduleLocked()
-	s.wakeLocked()
 	s.mu.Unlock()
 	s.cfg.Logf("jobs: %s %s", id, state)
-	s.unmount(j)
-}
-
-// unmount takes a job whose search is over out of the active set, once
-// its coordinator has drained: every worker it served has been answered
-// "done" and has come back to /v1/assign saying so — where a closing
-// service tells it to go — or the drain grace has run out on one that
-// died.
-func (s *Server) unmount(j *job) {
-	s.mu.Lock()
-	coord := j.coord
-	s.mu.Unlock()
-	if coord != nil {
-		grace := time.NewTimer(s.cfg.DrainGrace)
-		defer grace.Stop()
-		select {
-		case <-coord.Drained():
-			s.awaitLeft(j, coord.Workers(), grace.C)
-		case <-grace.C:
-		}
-	}
-	s.mu.Lock()
-	s.unmountLocked(j.ID)
-	s.mu.Unlock()
-}
-
-// awaitLeft blocks until n workers have come back to /v1/assign from j,
-// or expired fires.
-func (s *Server) awaitLeft(j *job, n int, expired <-chan time.Time) {
-	for {
-		s.mu.Lock()
-		wake, back := s.wake, j.left >= n
-		s.mu.Unlock()
-		if back {
-			return
-		}
-		select {
-		case <-wake:
-		case <-expired:
-			return
-		}
-	}
 }
 
 // release drops what only an unfinished job needs — the (grown) plan
@@ -586,10 +541,11 @@ func (s *Server) abortIncarnation(j *job, err error) {
 	s.mu.Unlock()
 }
 
-// Close interrupts running jobs (they stay resumable in the ledger),
-// waits for every mounted job to drain — so each worker on one has come
-// back to /v1/assign, which from now on answers AssignClosing — and
-// closes the ledger. The crash harness skips Close — that is the point.
+// Close interrupts running jobs (they stay resumable in the ledger) and
+// unmounts them, waits — at most DrainGrace — until no lease is
+// outstanding: every worker that was granted work has come back to
+// /v1/lease, which from now on answers "done"; then it closes the
+// ledger. The crash harness skips Close — that is the point.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -609,6 +565,21 @@ func (s *Server) Close() error {
 		c.Interrupt()
 	}
 	s.wg.Wait()
+	grace := time.NewTimer(s.cfg.DrainGrace)
+	defer grace.Stop()
+	for expired := false; !expired; {
+		s.mu.Lock()
+		wake, out := s.wake, len(s.out)
+		s.mu.Unlock()
+		if out == 0 {
+			break
+		}
+		select {
+		case <-wake:
+		case <-grace.C:
+			expired = true
+		}
+	}
 	return s.led.Close()
 }
 
@@ -650,14 +621,19 @@ func (s *Server) Submission(id string) (SubmitRequest, bool) {
 
 // --- HTTP API ---
 
-// Handler returns the service's HTTP handler: the jobs API, the
-// assign endpoint, per-job coordinator mounts, and status/metrics —
-// wrapped in load shedding.
+// Handler returns the service's HTTP handler: the jobs API, the lease
+// endpoint, per-job coordinator mounts, and status/metrics — wrapped in
+// load shedding. Server-side chaos, when configured, covers the lease
+// endpoint as it covers each job's.
 func (s *Server) Handler() http.Handler {
+	lease := http.Handler(http.HandlerFunc(s.handleLease))
+	if chaos := s.cfg.Coordinator.Chaos; chaos != nil {
+		lease = chaos.Middleware(lease)
+	}
 	mux := http.NewServeMux()
 	mux.HandleFunc(PathJobs, s.handleJobs)
 	mux.HandleFunc(PathJobs+"/", s.handleJob)
-	mux.HandleFunc(PathAssign, s.handleAssign)
+	mux.Handle(dist.PathLease, lease)
 	mux.HandleFunc(PathJobPrefix, s.handleJobProxy)
 	mux.HandleFunc(PathStatus, s.handleStatus)
 	mux.HandleFunc(PathMetrics, s.handleMetrics)
@@ -868,107 +844,100 @@ func (s *Server) handleCancel(w http.ResponseWriter, j *job) {
 	}
 }
 
-// handleAssign sends a pool worker to a mounted job that has work for
-// it (pickJob). While no job has — none is mounted, or the workers
-// already on or on their way to the mounted ones take everything
-// grantable — it parks the call (outside the load-shedding bound) until
-// a job mounts or a lease is granted, for at most dist.LeaseHold. A
-// closed server answers AssignClosing, always and at once.
-func (s *Server) handleAssign(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "GET required", http.StatusMethodNotAllowed)
+// handleLease is the one way a worker gets work. Round-robin over the
+// mounted jobs it asks each coordinator for a lease and answers with
+// the first wave any of them grants: the grant is made in the call that
+// found the work, and names the job path its heartbeats and results go
+// to. With nothing to grant it parks the call (outside the
+// load-shedding bound) until a job mounts or a mounted coordinator has
+// something new, for at most dist.LeaseHold. A closed server answers
+// "done", always and at once.
+func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
+	if r.Method != http.MethodPost {
+		http.Error(w, "POST required", http.StatusMethodNotAllowed)
 		return
 	}
-	if id := r.URL.Query().Get(assignLeft); id != "" {
-		s.mu.Lock()
-		if j := s.jobs[id]; j != nil {
-			j.left++
-			s.wakeLocked()
-		}
-		s.mu.Unlock()
+	var req dist.LeaseRequest
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&req); err != nil {
+		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
+		return
 	}
-	var hold dist.Hold
+	type mount struct {
+		id    string
+		coord *dist.Coordinator
+	}
+	var (
+		hold    dist.Hold
+		mounted []mount
+	)
 	defer hold.Stop()
 	for {
 		s.mu.Lock()
+		if _, was := s.out[req.WorkerID]; was {
+			delete(s.out, req.WorkerID) // back from its last grant
+			if s.closed {
+				s.wakeLocked()
+			}
+		}
+		// Read before any coordinator is asked, so a wake in between is
+		// not missed.
 		wake, closed := s.wake, s.closed
+		mounted = mounted[:0]
+		for i := range s.activeIDs {
+			if j := s.jobs[s.activeIDs[(s.rr+i)%len(s.activeIDs)]]; j.coord != nil {
+				mounted = append(mounted, mount{j.ID, j.coord})
+			}
+		}
+		s.rr++
 		s.mu.Unlock()
 		if closed {
-			writeJSON(w, AssignResponse{Status: AssignClosing})
+			writeJSON(w, dist.LeaseResponse{Status: dist.LeaseDone})
 			return
 		}
-		if id, ok := s.pickJob(); ok {
-			writeJSON(w, AssignResponse{Status: AssignWork, JobID: id, Path: PathJobPrefix + id})
+		for _, m := range mounted {
+			// Outside s.mu: a coordinator's lock orders before the server's.
+			data, status := m.coord.Lease(req.WorkerID, m.id, PathJobPrefix+m.id)
+			if status != dist.LeaseWork {
+				continue
+			}
+			s.mu.Lock()
+			s.out[req.WorkerID] = struct{}{}
+			s.mu.Unlock()
+			w.Header().Set("Content-Type", "application/json")
+			w.Write(data)
 			return
 		}
-		if hold.Wait(r, wake) {
-			continue
+		if !hold.Wait(r, wake) {
+			writeJSON(w, dist.LeaseResponse{Status: dist.LeaseWait})
+			return
 		}
-		writeJSON(w, AssignResponse{Status: AssignWait})
-		return
 	}
 }
 
-// pickJob chooses, round-robin, a mounted job a worker sent there now
-// would find work at: its coordinator has a shard to lease, and no
-// other worker is already on its way to take it. A worker that joined a
-// job with nothing to lease would sit out that job's whole life parked
-// on its lease call, while the next submission waits for a worker.
-//
-// "On its way" is the job's claim: set here when a worker is sent, and
-// when a worker posts a result batch (it comes straight back for what
-// the batch added to the plan), and cleared by the job's next lease
-// grant (OnShardGrant) — until then the coordinator still counts as
-// grantable what that worker is about to take. A claim whose worker
-// died before leasing lapses after dist.LeaseHold.
-func (s *Server) pickJob() (id string, ok bool) {
-	s.mu.Lock()
-	var cands []*job
-	var coords []*dist.Coordinator
-	for _, id := range s.activeIDs {
-		if j := s.jobs[id]; j.coord != nil && time.Since(j.claimed) >= dist.LeaseHold {
-			cands, coords = append(cands, j), append(coords, j.coord)
-		}
-	}
-	rr := s.rr
-	s.rr++
-	s.mu.Unlock()
-
-	for i := range cands {
-		k := (rr + i) % len(cands)
-		// Outside s.mu: a coordinator's lock orders before the server's.
-		if !coords[k].Grantable() {
-			continue
-		}
-		s.mu.Lock()
-		j := cands[k]
-		free := j.coord == coords[k] && time.Since(j.claimed) >= dist.LeaseHold
-		if free {
-			j.claimed = time.Now()
-		}
-		s.mu.Unlock()
-		if free {
-			return j.ID, true
-		}
-	}
-	return "", false
-}
-
-// handleJobProxy routes /job/<id>/... into that job's coordinator.
+// handleJobProxy routes /job/<id>/... into that job's coordinator. A
+// job that is not mounted is gone as far as a worker is concerned (404:
+// it drops what it holds of the job) — except one this incarnation has
+// yet to mount again after a restart (503: the worker's results are
+// retried, or spooled, not dropped).
 func (s *Server) handleJobProxy(w http.ResponseWriter, r *http.Request) {
 	rest := strings.TrimPrefix(r.URL.Path, PathJobPrefix)
 	id, _, _ := strings.Cut(rest, "/")
 	s.mu.Lock()
 	var h http.Handler
-	if j := s.jobs[id]; j != nil {
+	j := s.jobs[id]
+	if j != nil {
 		h = j.handler
 	}
+	pending := j != nil && j.State == StateQueued && !s.closed
 	s.mu.Unlock()
-	if h == nil {
+	switch {
+	case h != nil:
+		h.ServeHTTP(w, r)
+	case pending:
+		http.Error(w, "job not mounted yet", http.StatusServiceUnavailable)
+	default:
 		http.Error(w, "job not running here", http.StatusNotFound)
-		return
 	}
-	h.ServeHTTP(w, r)
 }
 
 func (s *Server) serviceStatusLocked() ServiceStatus {
@@ -1016,14 +985,4 @@ func (s *Server) JobIDs() []string {
 	out := make([]string, len(s.order))
 	copy(out, s.order)
 	return out
-}
-
-// sortIDs sorts job ids numerically (j2 before j10).
-func sortIDs(ids []string) {
-	sort.Slice(ids, func(a, b int) bool {
-		var na, nb int
-		fmt.Sscanf(ids[a], "j%d", &na)
-		fmt.Sscanf(ids[b], "j%d", &nb)
-		return na < nb
-	})
 }

@@ -40,11 +40,13 @@ import (
 	"fairmc/internal/search"
 )
 
-// Protocol endpoints, all rooted at the coordinator's mount point
-// (the jobs service's /job/<id>). join/lease/heartbeat/result/events
-// are POST with JSON bodies (events: raw JSONL); status is GET.
+// Protocol endpoints. A worker asks for work at PathLease under the URL
+// it was given — a bare coordinator's, or the jobs service's — and
+// sends a grant's heartbeats, results and events to the same endpoints
+// under the grant's Path (the jobs service's /job/<id>; "" at a bare
+// coordinator). lease/heartbeat/result/events are POST with JSON bodies
+// (events: raw JSONL); status is GET.
 const (
-	PathJoin      = "/v1/join"
 	PathLease     = "/v1/lease"
 	PathHeartbeat = "/v1/heartbeat"
 	PathResult    = "/v1/result"
@@ -147,43 +149,20 @@ func (s SearchSpec) Options() search.Options {
 	}
 }
 
-// JoinRequest registers a worker with the coordinator.
-type JoinRequest struct {
-	// Capacity is how many shards the worker runs concurrently
-	// (informational; each slot pulls its own lease batches and runs a
-	// batch's shards one after another).
-	Capacity int `json:"capacity"`
-}
-
-// JoinResponse hands the worker its identity and the search to run.
-type JoinResponse struct {
-	WorkerID string     `json:"workerId"`
-	Spec     SearchSpec `json:"spec"`
-	// Strategy and ShardCount describe the plan (informational).
-	Strategy   string `json:"strategy"`
-	ShardCount int    `json:"shardCount"`
-	// OptionsHash is the plan's semantic-options fingerprint; the
-	// worker recomputes it from Spec and refuses to run on mismatch.
-	OptionsHash uint64 `json:"optionsHash"`
-	// LeaseTTLMS is the lease duration; workers must heartbeat well
-	// within it.
-	LeaseTTLMS int64 `json:"leaseTtlMs"`
-	// WantEvents tells the worker whether to forward trace events.
-	WantEvents bool `json:"wantEvents,omitempty"`
-}
-
 // LeaseBatch bounds how many single-execution shards (DPOR units) one
 // lease call grants. Subtree and range shards are granted one per call
 // so workers keep sharing them.
 const LeaseBatch = 32
 
-// LeaseHold bounds how long a lease call with nothing grantable (and,
-// in the jobs service, an assign call with no mounted job) is held open
+// LeaseHold bounds how long a lease call with nothing grantable (at the
+// jobs service: no mounted job with anything grantable) is held open
 // waiting for that to change before it is answered "wait". It stays
 // well below the callers' per-attempt deadlines.
 const LeaseHold = 2 * time.Second
 
-// LeaseRequest asks for work: one shard, or a batch of units.
+// LeaseRequest asks for work: one shard, or a batch of units. WorkerID
+// is the worker's own name for itself, unique to its process; a
+// coordinator keeps it to exclude a worker from a shard it failed.
 type LeaseRequest struct {
 	WorkerID string `json:"workerId"`
 }
@@ -196,7 +175,8 @@ const (
 	// shards are excluded for this worker, or everything is leased); ask
 	// again.
 	LeaseWait = "wait"
-	// LeaseDone: the search is complete; the worker should exit.
+	// LeaseDone: the search is complete — at the jobs service, the
+	// service has closed; the worker should exit.
 	LeaseDone = "done"
 )
 
@@ -207,19 +187,36 @@ type Grant struct {
 }
 
 // LeaseResponse grants shards in plan order (or tells the worker to
-// wait/exit).
+// wait/exit). A grant names its job: everything below Grants is set
+// with them, and is all a worker needs to run them and report back.
 type LeaseResponse struct {
 	Status string  `json:"status"`
 	Grants []Grant `json:"grants,omitempty"`
+	// Job names the search the grants belong to ("" at a bare
+	// coordinator) and Path is where their heartbeats, results and
+	// events go, relative to the URL the lease was asked at.
+	Job  string `json:"job,omitempty"`
+	Path string `json:"path,omitempty"`
+	// Spec is the search to run; OptionsHash the plan's semantic-options
+	// fingerprint, which the worker recomputes from Spec and refuses to
+	// run on mismatch.
+	Spec        *SearchSpec `json:"spec,omitempty"`
+	OptionsHash uint64      `json:"optionsHash,omitempty"`
+	// LeaseTTLMS is the lease duration; the worker must heartbeat well
+	// within it.
+	LeaseTTLMS int64 `json:"leaseTtlMs,omitempty"`
+	// WantEvents tells the worker whether to forward trace events.
+	WantEvents bool `json:"wantEvents,omitempty"`
 }
 
 // HeartbeatRequest keeps a worker's leases alive and piggybacks its
-// telemetry delta since the previous heartbeat.
+// telemetry delta.
 type HeartbeatRequest struct {
 	WorkerID string   `json:"workerId"`
 	LeaseIDs []string `json:"leaseIds,omitempty"`
 	// Metrics is the counter-wise delta (obs.Snapshot.Sub) of the
-	// worker's registry since its last successful heartbeat.
+	// worker's registry since the last delta it delivered, on a
+	// heartbeat or a result.
 	Metrics *obs.Snapshot `json:"metrics,omitempty"`
 }
 
@@ -242,10 +239,12 @@ type ShardResult struct {
 }
 
 // ResultRequest posts the finished shards of one lease batch, in the
-// order they were granted.
+// order they were granted, and the worker's telemetry delta (see
+// HeartbeatRequest.Metrics).
 type ResultRequest struct {
 	WorkerID string        `json:"workerId"`
 	Results  []ShardResult `json:"results"`
+	Metrics  *obs.Snapshot `json:"metrics,omitempty"`
 }
 
 // ResultResponse acknowledges a result batch; Accepted[i] answers
@@ -266,6 +265,5 @@ type StatusResponse struct {
 	Completed int    `json:"completed"`
 	Abandoned int    `json:"abandoned"`
 	Leased    int    `json:"leased"`
-	Workers   int    `json:"workers"`
 	Done      bool   `json:"done"`
 }

@@ -28,7 +28,7 @@ func TestDistCorruptSpoolEntryAdvisory(t *testing.T) {
 		LeaseTTL: 5 * time.Second,
 	}
 	coordA, srvA := startCoordinator(t, cfg)
-	shardCount := len(coordA.Plan().Shards)
+	shardCount := coordStatus(t, srvA.URL).Shards
 
 	// Phase 1: sever the result path so every shard report spools.
 	gate := &resultGate{}

@@ -2,6 +2,7 @@ package dist
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"net/http"
@@ -9,7 +10,9 @@ import (
 	"path/filepath"
 	"runtime/debug"
 	"slices"
+	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"fairmc/internal/dist/transport"
@@ -19,24 +22,21 @@ import (
 	"fairmc/internal/search"
 )
 
-// ErrSpecMismatch reports that the coordinator's options hash does not
-// match the options this worker rebuilt from the spec: version skew or
-// a worker pointed at the wrong coordinator. The CLI maps it to the
-// usage exit status.
-var ErrSpecMismatch = errors.New("dist: coordinator options hash does not match this worker's build")
+// ErrSpecMismatch reports that a grant's options hash does not match
+// the options this worker rebuilt from the grant's spec: version skew
+// between the worker and whoever planned the search. The CLI maps it to
+// the usage exit status.
+var ErrSpecMismatch = errors.New("dist: a grant's options hash does not match this worker's build")
 
-// errUnreachable marks a session that died because the coordinator
-// stopped answering (breaker open or repeated final call failures); the
-// outer RunWorker loop responds by rejoining within the join budget.
-var errUnreachable = errors.New("dist: coordinator unreachable")
-
-// DefaultJoinTimeout bounds the initial join and each rejoin window.
+// DefaultJoinTimeout bounds how long the lease endpoint may stay
+// unreachable — not started yet, restarting, partitioned — before the
+// worker gives up.
 const DefaultJoinTimeout = 30 * time.Second
 
-// Per-endpoint per-attempt deadlines: a join probe or heartbeat should
-// fail fast, a result upload may carry megabytes of report.
+// Per-endpoint per-attempt deadlines: a heartbeat should fail fast, a
+// lease call is held open for up to LeaseHold, a result upload may
+// carry megabytes of report.
 var workerDeadlines = map[string]time.Duration{
-	PathJoin:      5 * time.Second,
 	PathLease:     10 * time.Second,
 	PathHeartbeat: 5 * time.Second,
 	PathResult:    60 * time.Second,
@@ -45,22 +45,30 @@ var workerDeadlines = map[string]time.Duration{
 // eventPostDeadline bounds best-effort event batch uploads.
 const eventPostDeadline = 15 * time.Second
 
+// jobCacheSize bounds how many jobs a worker remembers (see
+// worker.job). A job leaves the cache when the worker hears it is over;
+// the bound is for the ones another worker finished.
+const jobCacheSize = 16
+
 // WorkerConfig configures RunWorker.
 type WorkerConfig struct {
-	// URL is the coordinator's base URL (e.g. http://host:7171).
+	// URL is the base URL to lease from: a jobs service's, or a bare
+	// coordinator's (e.g. http://host:7171).
 	URL string
-	// Capacity is how many shards to run concurrently; 0 means 1.
+	// Capacity is how many lease batches to run concurrently; 0 means 1.
 	Capacity int
 	// WorkDir holds per-shard checkpoints (so a restarted worker resumes
 	// a long stride shard instead of rerunning it) and the result spool
-	// (completed shard reports persisted while the coordinator is
-	// unreachable, replayed on rejoin); empty disables both.
+	// (completed shard reports persisted while their job is unreachable,
+	// replayed when the worker is next granted work of that job), each
+	// job's in the subdirectory named after it — jobs reuse shard
+	// indices. Empty disables both.
 	WorkDir string
-	// Lookup resolves the program name the coordinator sends to the
-	// program body (e.g. an adapter around progs.Lookup).
+	// Lookup resolves the program name a grant carries to the program
+	// body (e.g. an adapter around progs.Lookup).
 	Lookup func(name string) (func(*engine.T), bool)
 	// Metrics, when set, is the worker's live registry; deltas are
-	// forwarded to the coordinator with every heartbeat.
+	// forwarded with every heartbeat and result.
 	Metrics *obs.Metrics
 	// Logf, when set, receives one-line operational logs.
 	Logf func(format string, args ...any)
@@ -68,12 +76,12 @@ type WorkerConfig struct {
 	// return nil.
 	Stop <-chan struct{}
 
-	// Retry is the backoff policy shared by every coordinator call
-	// (join probes, leases, heartbeats, result uploads). A zero value
-	// uses transport.DefaultPolicy.
+	// Retry is the backoff policy shared by every call (leases,
+	// heartbeats, result uploads). A zero value uses
+	// transport.DefaultPolicy.
 	Retry transport.Policy
-	// JoinTimeout bounds the initial join and each rejoin window after
-	// the coordinator becomes unreachable; 0 means DefaultJoinTimeout.
+	// JoinTimeout is how long URL may stay unreachable before the worker
+	// gives up; 0 means DefaultJoinTimeout.
 	JoinTimeout time.Duration
 	// Transport, when set, replaces the underlying HTTP transport —
 	// the seam where faultinject.RoundTripper plugs in.
@@ -84,80 +92,67 @@ type WorkerConfig struct {
 	FS fsx.FS
 }
 
-// hbState is heartbeat bookkeeping that must survive rejoins: the
-// metrics baseline only advances when a heartbeat actually lands, so a
-// delta that failed to send (or was sent during a partition) is carried
-// into the next attempt instead of lost, and the idempotency sequence
-// keeps a retried heartbeat from being merged twice.
-type hbState struct {
-	mu   sync.Mutex
-	prev obs.Snapshot
-	seq  int
-}
+// workerSeq tells apart the workers of one process started in the same
+// nanosecond.
+var workerSeq atomic.Int64
 
-// Worker is a shard executor that outlives the searches it serves: it
-// holds one engine pool per capacity slot for its whole lifetime, so a
-// worker that runs many shards — or, as a jobs-service pool worker,
-// many searches — keeps reusing the same engines (the pool takes the
-// program per run). The zero value is ready; Close it when done. Run
-// must not be called concurrently with itself.
-type Worker struct {
-	pools []engine.Pool
-}
-
-// Close retires the pooled engines.
-func (w *Worker) Close() {
-	for i := range w.pools {
-		w.pools[i].Close()
-	}
-}
-
-// RunWorker is Worker.Run on a one-search Worker.
-func RunWorker(cfg WorkerConfig) error {
-	var w Worker
-	defer w.Close()
-	return w.Run(cfg)
-}
-
-// worker is the per-session state of one join: one worker ID, one set
-// of leases. Run builds a fresh session after every rejoin.
+// worker is the state of one RunWorker call.
 type worker struct {
-	cfg   WorkerConfig
-	pools []engine.Pool // one per capacity slot, owned by the Worker
-	tc    *transport.Client
-	hb    *hbState
-	id    string
-	spec  SearchSpec
-	opts  search.Options
-	prog  func(*engine.T)
-	ttl   time.Duration
+	cfg WorkerConfig
+	// id is the worker's name for itself, unique to this call: what
+	// coordinators exclude by, and the prefix of its idempotency keys.
+	id string
+	// tc is rooted at cfg.URL and makes the lease calls; a job's client
+	// is a copy rooted at the job's path.
+	tc *transport.Client
+	// ctx ends when cfg.Stop closes or the first slot returns.
+	ctx context.Context
 
-	mu     sync.Mutex
-	active map[string]chan struct{} // lease id -> shard stop channel
+	// missing serializes cache misses, so two slots granted work of a new
+	// job build it (and replay its spool) once.
+	missing sync.Mutex
 
-	events *eventForwarder
-	rec    *obs.Recorder
+	mu   sync.Mutex
+	jobs map[string]*workerJob // by Path and OptionsHash
+	prev obs.Snapshot          // the registry as of the last delta taken
 
-	done chan struct{} // coordinator said the search is over
-	once sync.Once
+	hbSeq atomic.Int64 // heartbeat idempotency sequence
 }
 
-// Run joins the coordinator at cfg.URL and runs shards until the
-// coordinator reports the search done (returning nil) or cfg.Stop is
-// closed (nil). If the coordinator becomes unreachable mid-session the
-// worker spools any completed-but-unposted shard reports to -workdir,
-// rejoins within cfg.JoinTimeout, replays the spool under its new
-// identity, and continues; only an exhausted join budget (or a
-// configuration rejection) is an error.
-func (w *Worker) Run(cfg WorkerConfig) error {
+// workerJob is what a worker keeps about a search it has been granted
+// work of, so only the first grant pays for it.
+type workerJob struct {
+	w       *worker
+	key     string
+	name    string // for logs: the job, or the program at a bare coordinator
+	tc      *transport.Client
+	program string
+	hash    uint64
+	opts    search.Options
+	prog    func(*engine.T)
+	ttl     time.Duration
+	workDir string
+	events  *eventForwarder // nil unless the job wants events
+	// gone is set when the job's path answered 404: whatever the worker
+	// still holds of it is dropped, not posted and not spooled.
+	gone atomic.Bool
+}
+
+// RunWorker is the one worker loop, for a bare coordinator and the jobs
+// service alike: lease from cfg.URL, run the granted shards, post them
+// to the path the grant names, repeat — until a lease is answered
+// "done" or cfg.Stop closes (returning nil). Completed reports whose
+// upload fails are spooled to cfg.WorkDir and replayed the next time
+// the worker is granted work of that job. It returns an error only when
+// cfg.URL stays unreachable for cfg.JoinTimeout — what a worker started
+// before its service rides out — or a grant is not for this build
+// (ErrSpecMismatch, an unknown program).
+func RunWorker(cfg WorkerConfig) error {
 	if cfg.Lookup == nil {
 		return errors.New("dist: worker needs a program Lookup")
 	}
 	if cfg.Capacity < 1 {
 		cfg.Capacity = 1
-	}
-	if len(w.pools) < cfg.Capacity {
-		w.pools = append(w.pools, make([]engine.Pool, cfg.Capacity-len(w.pools))...)
 	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
@@ -173,153 +168,59 @@ func (w *Worker) Run(cfg WorkerConfig) error {
 	}
 
 	// Closing Stop hangs up whatever call is in flight — most of the time
-	// a lease call the coordinator is holding open.
+	// a lease call held open for this worker.
 	ctx, cancel := transport.StopContext(cfg.Stop)
 	defer cancel()
 
 	breaker := &transport.Breaker{}
-	if cfg.Metrics != nil {
-		breaker.OnOpen = func() { cfg.Metrics.BreakerOpens.Inc() }
+	httpc := &http.Client{Transport: cfg.Transport} // deadlines are per-endpoint, not global
+	w := &worker{
+		cfg: cfg,
+		id:  fmt.Sprintf("w%d-%s-%d", os.Getpid(), strconv.FormatInt(time.Now().UnixNano(), 36), workerSeq.Add(1)),
+		tc: &transport.Client{
+			Base:      cfg.URL,
+			HTTP:      httpc,
+			Policy:    cfg.Retry,
+			Deadlines: workerDeadlines,
+			Breaker:   breaker,
+			Ctx:       ctx,
+		},
+		ctx:  ctx,
+		jobs: map[string]*workerJob{},
 	}
-	httpc := &http.Client{} // deadlines are per-endpoint, not global
-	if cfg.Transport != nil {
-		httpc.Transport = cfg.Transport
+	if m := cfg.Metrics; m != nil {
+		breaker.OnOpen = func() { m.BreakerOpens.Inc() }
+		w.tc.OnRetry = func(string, int, error) { m.DistRetries.Inc() }
+		w.prev = m.Snapshot()
 	}
-	tc := &transport.Client{
-		Base:      cfg.URL,
-		HTTP:      httpc,
-		Policy:    cfg.Retry,
-		Deadlines: workerDeadlines,
-		Breaker:   breaker,
-		Ctx:       ctx,
-	}
-	if cfg.Metrics != nil {
-		tc.OnRetry = func(string, int, error) { cfg.Metrics.DistRetries.Inc() }
-	}
+	cfg.Logf("dist: leasing from %s as %s", cfg.URL, w.id)
 
-	hb := &hbState{}
-	if cfg.Metrics != nil {
-		hb.prev = cfg.Metrics.Snapshot()
+	// One engine pool per capacity slot, for every job the slot serves
+	// (the pool takes the program per run).
+	pools := make([]engine.Pool, cfg.Capacity)
+	errs := make(chan error, cfg.Capacity)
+	for i := range pools {
+		go func() { errs <- w.slot(&pools[i]) }()
 	}
-
-	rejoined := false
-	for {
-		wk, err := startSession(cfg, tc, hb)
-		if err != nil {
-			if rejoined {
-				// The spool (if any) stays on disk for the next worker
-				// pointed at this workdir.
-				cfg.Logf("dist: giving up rejoin: %v", err)
-			}
-			return err
+	var first error
+	for range pools {
+		// Whatever ended one slot — done, Stop, giving up — ends them all.
+		if err := <-errs; err != nil && first == nil {
+			first = err
 		}
-		wk.pools = w.pools
-		err = wk.runSession()
-		if err == nil {
-			return nil // done or stopped
-		}
-		if !errors.Is(err, errUnreachable) {
-			return err
-		}
-		if wk.stopped() {
-			return nil
-		}
-		rejoined = true
-		cfg.Logf("dist: session %s lost the coordinator; rejoining (budget %s)", wk.id, cfg.JoinTimeout)
+		cancel()
 	}
+	for i := range pools {
+		pools[i].Close()
+	}
+	return first
 }
 
-// startSession joins (within the join budget), validates the spec, and
-// replays any spooled results under the new worker identity.
-func startSession(cfg WorkerConfig, tc *transport.Client, hb *hbState) (*worker, error) {
-	join, err := joinLoop(cfg, tc)
-	if err != nil {
-		return nil, err
-	}
-	if tc.Breaker != nil {
-		// The join (which bypasses the breaker) just proved the
-		// coordinator reachable; don't fail-fast the spool replay.
-		tc.Breaker.Reset()
-	}
-	wk := &worker{
-		cfg:    cfg,
-		tc:     tc,
-		hb:     hb,
-		id:     join.WorkerID,
-		spec:   join.Spec,
-		active: map[string]chan struct{}{},
-		done:   make(chan struct{}),
-	}
-	wk.ttl = time.Duration(join.LeaseTTLMS) * time.Millisecond
-	if wk.ttl <= 0 {
-		wk.ttl = DefaultLeaseTTL
-	}
-	wk.opts = join.Spec.Options()
-	if got := search.OptionsHash(&wk.opts); got != join.OptionsHash {
-		return nil, fmt.Errorf("%w (coordinator %#x, worker %#x)", ErrSpecMismatch, join.OptionsHash, got)
-	}
-	prog, ok := cfg.Lookup(join.Spec.Program)
-	if !ok {
-		return nil, fmt.Errorf("dist: coordinator wants program %q, which this worker does not have", join.Spec.Program)
-	}
-	wk.prog = prog
-	wk.opts.Metrics = cfg.Metrics
-	if join.WantEvents {
-		wk.events = newEventForwarder(wk.cfg.Transport, cfg.URL+PathEvents)
-		// Parallel shard goroutines emit in bursts; the recorder's
-		// bounded queue keeps emission non-blocking end to end.
-		wk.rec = obs.NewRecorder(wk.events, 1<<14)
-		wk.opts.EventSink = wk.rec
-	}
-	cfg.Logf("dist: joined %s as %s: program %s, %d shards (%s), lease TTL %s",
-		cfg.URL, wk.id, join.Spec.Program, join.ShardCount, join.Strategy, wk.ttl)
-	wk.replaySpool(join.OptionsHash)
-	return wk, nil
-}
+// over reports whether the worker is shutting down.
+func (w *worker) over() bool { return w.ctx.Err() != nil }
 
-// joinLoop registers with the coordinator, retrying under the shared
-// backoff policy until the join budget runs out (the coordinator may
-// still be binding its listener, or a partition may be healing).
-func joinLoop(cfg WorkerConfig, tc *transport.Client) (*JoinResponse, error) {
-	deadline := time.Now().Add(cfg.JoinTimeout)
-	var lastErr error
-	for attempt := 1; ; attempt++ {
-		if isStopped(cfg.Stop) {
-			return nil, errors.New("dist: stopped before joining")
-		}
-		join := &JoinResponse{}
-		// Single attempt per call: the loop owns the backoff, and the
-		// breaker is bypassed — a join IS the reachability probe.
-		lastErr = tc.PostJSON(PathJoin, JoinRequest{Capacity: cfg.Capacity}, join,
-			transport.Call{NoBreaker: true, MaxAttempts: 1})
-		if lastErr == nil {
-			return join, nil
-		}
-		if !transport.Classify(lastErr) {
-			return nil, fmt.Errorf("dist: join rejected: %w", lastErr)
-		}
-		backoff := cfg.Retry.Backoff(PathJoin, attempt)
-		if time.Now().Add(backoff).After(deadline) {
-			return nil, fmt.Errorf("dist: coordinator %s unreachable after %s: %w",
-				cfg.URL, cfg.JoinTimeout, lastErr)
-		}
-		if !SleepStop(backoff, cfg.Stop) {
-			return nil, errors.New("dist: stopped before joining")
-		}
-	}
-}
-
-func isStopped(stop <-chan struct{}) bool {
-	if stop == nil {
-		return false
-	}
-	select {
-	case <-stop:
-		return true
-	default:
-		return false
-	}
-}
+// sleep pauses for d, cut short when the worker shuts down.
+func (w *worker) sleep(d time.Duration) { SleepStop(d, w.ctx.Done()) }
 
 // SleepStop pauses for d (not at all when d <= 0), cut short
 // (returning false) by stop; a nil stop never cuts it.
@@ -337,110 +238,285 @@ func SleepStop(d time.Duration, stop <-chan struct{}) bool {
 	}
 }
 
-// replaySpool posts results spooled by a previous session (or a
-// previous worker process sharing this workdir) so a coordinator
-// restart or partition loses zero completed executions. Entries for a
-// different search are left alone; replayed entries are deleted once
-// the coordinator acknowledges them — whether accepted or already
-// decided elsewhere.
-func (wk *worker) replaySpool(optionsHash uint64) {
-	if wk.cfg.WorkDir == "" {
-		return
+// slot is one capacity slot: lease, run (on the slot's engine pool),
+// post, repeat. The lease call is also the reachability probe — one
+// attempt per call, past the breaker, paced by the retry policy — and
+// cfg.URL failing it for JoinTimeout on end is the one way a worker
+// gives up.
+func (w *worker) slot(pool *engine.Pool) error {
+	failures, down := 0, time.Time{} // the current run of failed lease calls, and when it began
+	for !w.over() {
+		asked := time.Now()
+		resp := &LeaseResponse{}
+		err := w.tc.PostJSON(PathLease, LeaseRequest{WorkerID: w.id}, resp,
+			transport.Call{NoBreaker: true, MaxAttempts: 1})
+		if w.over() {
+			break
+		}
+		if err != nil {
+			if !transport.Classify(err) {
+				return fmt.Errorf("dist: lease refused: %w", err)
+			}
+			if failures++; failures == 1 {
+				down = asked
+			}
+			backoff := w.cfg.Retry.Backoff(PathLease, failures)
+			var shed *transport.StatusError
+			if errors.As(err, &shed) && shed.RetryAfter > 0 {
+				backoff = shed.RetryAfter
+			}
+			if time.Since(down)+backoff > w.cfg.JoinTimeout {
+				// A spool (if any) stays on disk for the next worker pointed
+				// at this workdir.
+				return fmt.Errorf("dist: %s unreachable for %s (%d lease attempts): %w",
+					w.cfg.URL, w.cfg.JoinTimeout, failures, err)
+			}
+			w.sleep(backoff)
+			continue
+		}
+		// An answered lease call proves the peer reachable: don't fail-fast
+		// the posts that follow.
+		failures = 0
+		w.tc.Breaker.Reset()
+		switch resp.Status {
+		case LeaseDone:
+			return nil
+		case LeaseWait:
+			// The call was held open for LeaseHold before it was answered
+			// so; the pause only paces a peer that answers at once.
+			w.sleep(w.cfg.Retry.Backoff(PathLease, 1) - time.Since(asked))
+		case LeaseWork:
+			j, replayed, err := w.job(resp)
+			if err != nil {
+				return err
+			}
+			// A grant the spool just answered needs no second run.
+			j.runWave(pool, slices.DeleteFunc(resp.Grants, func(g Grant) bool { return replayed[g.Shard.Index] }))
+		default:
+			return fmt.Errorf("dist: unknown lease status %q", resp.Status)
+		}
 	}
-	entries, corrupt, skipped, err := spoolList(wk.cfg.FS, wk.cfg.WorkDir, optionsHash, wk.spec.Program)
+	return nil
+}
+
+// job returns what the worker knows about the job a grant names,
+// building it on a miss: options rebuilt from the spec and verified
+// against the plan's hash, the program resolved, the job's directory
+// made and its spool replayed (replayed: the shards that was done for).
+// The cache is keyed by where the job is served and what it searches,
+// so a path reused for another search is a miss.
+func (w *worker) job(resp *LeaseResponse) (j *workerJob, replayed map[int]bool, err error) {
+	key := resp.Path + "#" + strconv.FormatUint(resp.OptionsHash, 16)
+	cached := func() *workerJob {
+		w.mu.Lock()
+		defer w.mu.Unlock()
+		return w.jobs[key]
+	}
+	if j = cached(); j != nil {
+		return j, nil, nil
+	}
+	w.missing.Lock()
+	defer w.missing.Unlock()
+	if j = cached(); j != nil {
+		return j, nil, nil
+	}
+	if resp.Spec == nil || (resp.Job != "" && !filepath.IsLocal(resp.Job)) {
+		return nil, nil, fmt.Errorf("dist: malformed grant (job %q, spec %v)", resp.Job, resp.Spec != nil)
+	}
+	tc := *w.tc
+	tc.Base += resp.Path
+	j = &workerJob{
+		w: w, key: key, name: resp.Job, tc: &tc,
+		program: resp.Spec.Program,
+		hash:    resp.OptionsHash,
+		opts:    resp.Spec.Options(),
+		ttl:     time.Duration(resp.LeaseTTLMS) * time.Millisecond,
+	}
+	if j.name == "" {
+		j.name = j.program
+	}
+	if j.ttl <= 0 {
+		j.ttl = DefaultLeaseTTL
+	}
+	if got := search.OptionsHash(&j.opts); got != j.hash {
+		return nil, nil, fmt.Errorf("%w (%s: plan %#x, worker %#x)", ErrSpecMismatch, j.name, j.hash, got)
+	}
+	var ok bool
+	if j.prog, ok = w.cfg.Lookup(j.program); !ok {
+		return nil, nil, fmt.Errorf("dist: %s wants program %q, which this worker does not have", j.name, j.program)
+	}
+	j.opts.Metrics = w.cfg.Metrics
+	if resp.WantEvents {
+		j.events = newEventForwarder(w.cfg.Transport, tc.Base+PathEvents)
+	}
+	if w.cfg.WorkDir != "" {
+		j.workDir = filepath.Join(w.cfg.WorkDir, resp.Job)
+		if err := w.cfg.FS.MkdirAll(j.workDir, 0o755); err != nil {
+			w.cfg.Logf("dist: %s: no checkpoints or spool: %v", j.name, err)
+			j.workDir = ""
+		}
+	}
+	w.mu.Lock()
+	if len(w.jobs) >= jobCacheSize {
+		for k := range w.jobs {
+			delete(w.jobs, k) // any: one in use is rebuilt by its next grant
+			break
+		}
+	}
+	w.jobs[key] = j
+	w.mu.Unlock()
+	w.cfg.Logf("dist: granted work of %s: program %s, lease TTL %s", j.name, j.program, j.ttl)
+	return j, j.replaySpool(), nil
+}
+
+// forget drops the job from the cache: it is over, or its next grant
+// must replay what was just spooled.
+func (j *workerJob) forget() {
+	j.w.mu.Lock()
+	if j.w.jobs[j.key] == j {
+		delete(j.w.jobs, j.key)
+	}
+	j.w.mu.Unlock()
+}
+
+// lost reports whether err is the job's path answering 404 — the job is
+// gone: cancelled, finished and unmounted, or never there — and if so
+// marks it.
+func (j *workerJob) lost(err error) bool {
+	var se *transport.StatusError
+	if !errors.As(err, &se) || se.StatusCode != http.StatusNotFound {
+		return false
+	}
+	if !j.gone.Swap(true) {
+		j.w.cfg.Logf("dist: %s is gone; dropping its work", j.name)
+		j.forget()
+	}
+	return true
+}
+
+// takeDelta returns what the worker's registry has counted since the
+// last delta taken, to ride on a heartbeat or a result post (nil
+// without a registry). Each increment is delivered exactly once: a post
+// that failed gives its delta back.
+func (w *worker) takeDelta() *obs.Snapshot {
+	if w.cfg.Metrics == nil {
+		return nil
+	}
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	cur := w.cfg.Metrics.Snapshot()
+	d := cur.Sub(w.prev)
+	w.prev = cur
+	return &d
+}
+
+// giveBack returns an undelivered delta, so the next post carries it.
+func (w *worker) giveBack(d *obs.Snapshot) {
+	if d != nil {
+		w.mu.Lock()
+		w.prev = w.prev.Sub(*d)
+		w.mu.Unlock()
+	}
+}
+
+// replaySpool posts results spooled by an earlier grant of this job (or
+// a previous worker process sharing this workdir) so a restart or
+// partition loses zero completed executions, and returns the shards it
+// did that for. Entries for a different search are left alone; replayed
+// entries are deleted once acknowledged — whether accepted or already
+// decided elsewhere.
+func (j *workerJob) replaySpool() (replayed map[int]bool) {
+	if j.workDir == "" {
+		return nil
+	}
+	w, logf := j.w, j.w.cfg.Logf
+	entries, corrupt, skipped, err := spoolList(w.cfg.FS, j.workDir, j.hash, j.program)
 	if err != nil {
-		wk.cfg.Logf("dist: scanning spool: %v", err)
-		return
+		logf("dist: scanning spool: %v", err)
+		return nil
 	}
 	for _, msg := range skipped {
-		wk.cfg.Logf("dist: spool: skipping %s", msg)
+		logf("dist: spool: skipping %s", msg)
 	}
 	// A corrupt entry (torn write or bit rot caught by the CRC footer)
 	// is not replayable and must not fail the whole replay: surface it
-	// to the coordinator as an advisory WorkerFailure — no lease, no
-	// attempt charged, no worker exclusion — then discard the file so
-	// it is reported once, not on every rejoin.
+	// as an advisory WorkerFailure — no lease, no attempt charged, no
+	// worker exclusion — then discard the file so it is reported once.
 	for _, bad := range corrupt {
-		wk.cfg.Logf("dist: spool: corrupt entry %s (%s)", bad.Name, bad.Reason)
-		req := ResultRequest{WorkerID: wk.id, Results: []ShardResult{{
+		logf("dist: spool: corrupt entry %s (%s)", bad.Name, bad.Reason)
+		req := ResultRequest{WorkerID: w.id, Results: []ShardResult{{
 			Shard:   bad.Shard,
 			Failure: fmt.Sprintf("corrupt spool entry %s: %s", bad.Name, bad.Reason),
 		}}}
-		key := fmt.Sprintf("res-%s-spoolbad-%s", wk.id, bad.Name)
-		if err := wk.tc.PostJSON(PathResult, req, &ResultResponse{}, transport.Call{Key: key}); err != nil {
-			wk.cfg.Logf("dist: reporting corrupt spool entry %s: %v", bad.Name, err)
-			continue // keep the file; a later session re-reports
+		key := fmt.Sprintf("res-%s-spoolbad-%s", w.id, bad.Name)
+		if err := j.tc.PostJSON(PathResult, req, &ResultResponse{}, transport.Call{Key: key}); err != nil {
+			logf("dist: reporting corrupt spool entry %s: %v", bad.Name, err)
+			continue // keep the file; a later replay re-reports
 		}
 		if bad.Shard >= 0 {
-			if rerr := spoolRemove(wk.cfg.FS, wk.cfg.WorkDir, bad.Shard); rerr != nil {
-				wk.cfg.Logf("dist: removing corrupt spool entry %s: %v", bad.Name, rerr)
+			if rerr := spoolRemove(w.cfg.FS, j.workDir, bad.Shard); rerr != nil {
+				logf("dist: removing corrupt spool entry %s: %v", bad.Name, rerr)
 			}
 		}
 	}
 	for _, e := range entries {
 		resp := &ResultResponse{}
-		req := ResultRequest{WorkerID: wk.id, Results: []ShardResult{{LeaseID: "spool-replay", Shard: e.Shard, Report: e.Report}}}
-		key := fmt.Sprintf("res-%s-spool-%d", wk.id, e.Shard)
-		if err := wk.tc.PostJSON(PathResult, req, resp, transport.Call{Key: key}); err != nil {
-			wk.cfg.Logf("dist: replaying spooled shard %d: %v", e.Shard, err)
-			continue // still spooled; a later session retries
+		req := ResultRequest{WorkerID: w.id, Results: []ShardResult{{LeaseID: "spool-replay", Shard: e.Shard, Report: e.Report}}}
+		key := fmt.Sprintf("res-%s-spool-%d", w.id, e.Shard)
+		if err := j.tc.PostJSON(PathResult, req, resp, transport.Call{Key: key}); err != nil {
+			logf("dist: replaying spooled shard %d: %v", e.Shard, err)
+			continue // still spooled; a later replay retries
 		}
-		if rerr := spoolRemove(wk.cfg.FS, wk.cfg.WorkDir, e.Shard); rerr != nil {
-			wk.cfg.Logf("dist: removing spooled shard %d: %v", e.Shard, rerr)
+		if rerr := spoolRemove(w.cfg.FS, j.workDir, e.Shard); rerr != nil {
+			logf("dist: removing spooled shard %d: %v", e.Shard, rerr)
 		}
-		wk.cfg.Logf("dist: replayed spooled shard %d (accepted=%v)", e.Shard, slices.Contains(resp.Accepted, true))
-		if resp.Done {
-			wk.finish()
+		logf("dist: replayed spooled shard %d (accepted=%v)", e.Shard, slices.Contains(resp.Accepted, true))
+		if replayed == nil {
+			replayed = map[int]bool{}
+		}
+		replayed[e.Shard] = true
+	}
+	return replayed
+}
+
+// wave is the leases of one lease call while the worker holds them:
+// each with the channel that stops its shard, running or still waiting
+// its turn.
+type wave struct {
+	mu    sync.Mutex
+	stops map[string]chan struct{}
+}
+
+// cancel stops the shards under the given leases and stops
+// heartbeating them. Closing and forgetting happen together under mu,
+// so no stop channel closes twice.
+func (v *wave) cancel(leaseIDs ...string) {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	for _, id := range leaseIDs {
+		if ch, ok := v.stops[id]; ok {
+			close(ch)
+			delete(v.stops, id)
 		}
 	}
 }
 
-// runSession runs shard loops and heartbeats until done, stop, or the
-// coordinator becomes unreachable (errUnreachable).
-func (wk *worker) runSession() error {
-	hbDone := make(chan struct{})
-	go wk.heartbeatLoop(hbDone)
-
-	var wg sync.WaitGroup
-	errs := make(chan error, wk.cfg.Capacity)
-	for i := 0; i < wk.cfg.Capacity; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			errs <- wk.shardLoop(&wk.pools[i])
-		}()
+// live lists the leases not cancelled so far.
+func (v *wave) live() []string {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	ids := make([]string, 0, len(v.stops))
+	for id := range v.stops {
+		ids = append(ids, id)
 	}
-	wg.Wait()
-	wk.finish()
-	close(hbDone)
-	if wk.rec != nil {
-		wk.rec.Close()
-		wk.events.Flush()
-	}
-	// Final telemetry flush so short-lived work is not lost between
-	// heartbeats (skipped when the coordinator is already gone).
-	var sessionErr error
-	for i := 0; i < wk.cfg.Capacity; i++ {
-		if err := <-errs; err != nil && sessionErr == nil {
-			sessionErr = err
-		}
-	}
-	if sessionErr == nil {
-		wk.heartbeat(nil)
-	}
-	return sessionErr
+	return ids
 }
 
-// finish marks the worker as done (idempotent).
-func (wk *worker) finish() { wk.once.Do(func() { close(wk.done) }) }
-
-func (wk *worker) stopped() bool { return isStopped(wk.cfg.Stop) }
-
-// heartbeatLoop extends leases and forwards telemetry until the worker
-// finishes. It is also the session's one watcher of cfg.Stop: a stopped
-// worker abandons whatever shards it holds.
-func (wk *worker) heartbeatLoop(stop <-chan struct{}) {
-	iv := wk.ttl / 3
+// keepAlive heartbeats the wave's leases until over closes. It is also
+// the wave's watcher of the worker shutting down: a stopped worker
+// abandons whatever shards it holds.
+func (j *workerJob) keepAlive(v *wave, over <-chan struct{}) {
+	iv := j.ttl / 3
 	if iv < 20*time.Millisecond {
 		iv = 20 * time.Millisecond
 	}
@@ -448,216 +524,106 @@ func (wk *worker) heartbeatLoop(stop <-chan struct{}) {
 	defer t.Stop()
 	for {
 		select {
-		case <-stop:
+		case <-over:
 			return
-		case <-wk.done:
-			return
-		case <-wk.cfg.Stop:
-			wk.mu.Lock()
-			for id := range wk.active {
-				wk.cancelLocked(id)
-			}
-			wk.mu.Unlock()
+		case <-j.w.ctx.Done():
+			v.cancel(v.live()...)
 			return
 		case <-t.C:
-			wk.heartbeat(nil)
+			j.heartbeat(v)
 		}
 	}
 }
 
-// cancelLocked stops the shard running or waiting under a lease.
-// Closing and forgetting the lease happen together under mu, so no stop
-// channel closes twice.
-func (wk *worker) cancelLocked(leaseID string) {
-	if ch, ok := wk.active[leaseID]; ok {
-		close(ch)
-		delete(wk.active, leaseID)
+// heartbeat extends the wave's leases and forwards telemetry. Each
+// heartbeat carries a fresh idempotency key, so a duplicated delivery
+// merges its metrics delta exactly once.
+func (j *workerJob) heartbeat(v *wave) {
+	w := j.w
+	ids := v.live()
+	if len(ids) == 0 {
+		return
 	}
-}
-
-// heartbeat posts one heartbeat; extra lease ids (e.g. a lease just
-// granted) can be included before the tracking map sees them. Each
-// heartbeat carries a fresh idempotency key so a duplicated delivery
-// merges its metrics delta exactly once, and the delta baseline only
-// advances when the post succeeds.
-func (wk *worker) heartbeat(extra []string) {
-	wk.mu.Lock()
-	ids := append([]string(nil), extra...)
-	for id := range wk.active {
-		ids = append(ids, id)
-	}
-	wk.mu.Unlock()
-
-	wk.hb.mu.Lock()
-	var delta *obs.Snapshot
-	var cur obs.Snapshot
-	if wk.cfg.Metrics != nil {
-		cur = wk.cfg.Metrics.Snapshot()
-		d := cur.Sub(wk.hb.prev)
-		delta = &d
-	}
-	wk.hb.seq++
-	key := fmt.Sprintf("hb-%s-%d", wk.id, wk.hb.seq)
+	key := fmt.Sprintf("hb-%s-%d", w.id, w.hbSeq.Add(1))
+	delta := w.takeDelta()
 	resp := &HeartbeatResponse{}
-	err := wk.tc.PostJSON(PathHeartbeat,
-		HeartbeatRequest{WorkerID: wk.id, LeaseIDs: ids, Metrics: delta}, resp,
+	err := j.tc.PostJSON(PathHeartbeat, HeartbeatRequest{WorkerID: w.id, LeaseIDs: ids, Metrics: delta}, resp,
 		transport.Call{Key: key, MaxAttempts: 2})
-	if err == nil && wk.cfg.Metrics != nil {
-		wk.hb.prev = cur
-	}
-	wk.hb.mu.Unlock()
-
 	if err != nil {
-		// The final flush often races the coordinator's own exit; a
-		// failed heartbeat after done is expected, not noteworthy.
-		select {
-		case <-wk.done:
-		default:
-			wk.cfg.Logf("dist: heartbeat: %v", err)
+		w.giveBack(delta)
+		if j.lost(err) {
+			v.cancel(ids...)
+		} else if !w.over() {
+			w.cfg.Logf("dist: heartbeat: %v", err)
 		}
 		return
 	}
-	wk.mu.Lock()
-	for _, id := range resp.Cancelled {
-		wk.cancelLocked(id)
-	}
-	wk.mu.Unlock()
+	// Expired and requeued, or past the point where the search stopped.
+	v.cancel(resp.Cancelled...)
 	if resp.Done {
-		wk.finish()
+		j.forget()
 	}
 }
 
-// shardLoop is one capacity slot: lease, run (on the slot's engine
-// pool), post, repeat. It declares the coordinator unreachable when the
-// breaker opens or two lease calls in a row fail after full retries.
-func (wk *worker) shardLoop(pool *engine.Pool) error {
-	consecutiveErrs := 0
-	for {
-		if wk.stopped() {
-			return nil
-		}
-		select {
-		case <-wk.done:
-			return nil
-		default:
-		}
-		resp := &LeaseResponse{}
-		asked := time.Now()
-		err := wk.tc.PostJSON(PathLease, LeaseRequest{WorkerID: wk.id}, resp,
-			transport.Call{MaxAttempts: 3})
-		if err != nil {
-			if errors.Is(err, transport.ErrCircuitOpen) {
-				return fmt.Errorf("%w: %v", errUnreachable, err)
-			}
-			consecutiveErrs++
-			if consecutiveErrs >= 2 {
-				return fmt.Errorf("%w: %v", errUnreachable, err)
-			}
-			wk.sleep(wk.cfg.Retry.Backoff(PathLease, consecutiveErrs))
-			continue
-		}
-		consecutiveErrs = 0
-		switch resp.Status {
-		case LeaseDone:
-			wk.finish()
-			return nil
-		case LeaseWait:
-			// The coordinator held the call open for LeaseHold before
-			// saying so; the timer only paces one that answers at once.
-			iv := wk.ttl / 4
-			if iv > 500*time.Millisecond {
-				iv = 500 * time.Millisecond
-			}
-			wk.sleep(iv - time.Since(asked))
-			continue
-		case LeaseWork:
-			wk.runBatch(pool, resp.Grants)
-		default:
-			return fmt.Errorf("dist: unknown lease status %q", resp.Status)
-		}
-	}
-}
-
-// sleep waits without outliving a stop or done signal.
-func (wk *worker) sleep(d time.Duration) {
-	if d <= 0 {
+// runWave runs the shards of one lease call in plan order on the
+// slot's engine pool and posts their outcomes as one result batch.
+// Every lease of the batch is heartbeated from the start until the
+// batch is posted, so the ones still waiting their turn are kept alive
+// too. The wave's trace events are flushed before its results are
+// posted. Completed reports whose upload fails outright are spooled for
+// replay — unless the job is gone.
+func (j *workerJob) runWave(pool *engine.Pool, grants []Grant) {
+	if len(grants) == 0 {
 		return
 	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-	case <-wk.cfg.Stop: // nil: never
-	case <-wk.done:
-	}
-}
-
-// runBatch runs the shards of one lease call in plan order on the
-// slot's engine pool and posts their outcomes as one result batch.
-// Every lease of the batch is registered for heartbeats up front and
-// stays registered until the batch is posted, so the ones still waiting
-// their turn are kept alive too. Completed reports whose upload fails
-// outright are spooled to -workdir for replay on rejoin.
-func (wk *worker) runBatch(pool *engine.Pool, grants []Grant) {
+	w := j.w
+	v := &wave{stops: make(map[string]chan struct{}, len(grants))}
 	stops := make([]chan struct{}, len(grants))
-	wk.mu.Lock()
 	for i, g := range grants {
 		stops[i] = make(chan struct{})
-		wk.active[g.LeaseID] = stops[i]
+		v.stops[g.LeaseID] = stops[i]
 	}
-	wk.mu.Unlock()
-	defer func() {
-		wk.mu.Lock()
-		for _, g := range grants {
-			delete(wk.active, g.LeaseID)
-		}
-		wk.mu.Unlock()
-	}()
+	posted := make(chan struct{})
+	defer close(posted)
+	go j.keepAlive(v, posted)
 
+	opts := j.opts
+	var rec *obs.Recorder
+	if j.events != nil {
+		// Shards emit in bursts; the recorder's bounded queue keeps
+		// emission non-blocking end to end.
+		rec = obs.NewRecorder(j.events, 1<<14)
+		opts.EventSink = rec
+	}
 	results := make([]ShardResult, 0, len(grants))
 	ckpts := make([]string, 0, len(grants))
 	for i, g := range grants {
-		if wk.stopped() {
-			break // a lease registered after Stop fired was not cancelled
+		if w.over() || j.gone.Load() {
+			break
 		}
-		if res, ckpt, ok := wk.runShard(pool, g, stops[i]); ok {
+		if res, ckpt, ok := j.runShard(pool, opts, g, stops[i]); ok {
 			results = append(results, res)
 			ckpts = append(ckpts, ckpt)
 		}
 	}
-	if len(results) == 0 {
+	if rec != nil {
+		rec.Close()
+		j.events.Flush()
+	}
+	if len(results) == 0 || j.gone.Load() {
 		return
 	}
 
 	resp := &ResultResponse{}
-	key := fmt.Sprintf("res-%s-%s", wk.id, results[0].LeaseID)
-	if err := wk.tc.PostJSON(PathResult, ResultRequest{WorkerID: wk.id, Results: results}, resp, transport.Call{Key: key}); err != nil {
-		wk.cfg.Logf("dist: posting %d shard results (%d..): %v", len(results), results[0].Shard, err)
-		if wk.cfg.WorkDir == "" {
+	delta := w.takeDelta()
+	key := fmt.Sprintf("res-%s-%s", w.id, results[0].LeaseID)
+	if err := j.tc.PostJSON(PathResult, ResultRequest{WorkerID: w.id, Results: results, Metrics: delta}, resp, transport.Call{Key: key}); err != nil {
+		w.giveBack(delta)
+		if j.lost(err) {
 			return
 		}
-		// The work is done; don't lose it to a dead link. Failure reports
-		// are not spooled — lease expiry already requeues the shard
-		// elsewhere.
-		for _, res := range results {
-			if res.Report == nil {
-				continue
-			}
-			e := spoolEntry{
-				OptionsHash: search.OptionsHash(&wk.opts),
-				Program:     wk.spec.Program,
-				Shard:       res.Shard,
-				Report:      res.Report,
-			}
-			if serr := spoolWrite(wk.cfg.FS, wk.cfg.WorkDir, e); serr != nil {
-				wk.cfg.Logf("dist: spooling shard %d: %v", res.Shard, serr)
-				continue
-			}
-			if wk.cfg.Metrics != nil {
-				wk.cfg.Metrics.SpooledResults.Inc()
-			}
-			wk.cfg.Logf("dist: spooled shard %d result for replay", res.Shard)
-		}
+		w.cfg.Logf("dist: posting %d shard results (%d..): %v", len(results), results[0].Shard, err)
+		j.spool(results)
 		return
 	}
 	for i, ok := range resp.Accepted {
@@ -666,8 +632,35 @@ func (wk *worker) runBatch(pool *engine.Pool, grants []Grant) {
 		}
 	}
 	if resp.Done {
-		wk.finish()
+		j.forget()
 	}
+}
+
+// spool persists the completed reports of a batch that could not be
+// posted — the work is done; don't lose it to a dead link — and drops
+// the job from the cache, so that its next grant replays them. Failure
+// reports are not spooled: lease expiry already requeues the shard
+// elsewhere.
+func (j *workerJob) spool(results []ShardResult) {
+	if j.workDir == "" {
+		return
+	}
+	w := j.w
+	for _, res := range results {
+		if res.Report == nil {
+			continue
+		}
+		e := spoolEntry{OptionsHash: j.hash, Program: j.program, Shard: res.Shard, Report: res.Report}
+		if err := spoolWrite(w.cfg.FS, j.workDir, e); err != nil {
+			w.cfg.Logf("dist: spooling shard %d: %v", res.Shard, err)
+			continue
+		}
+		if w.cfg.Metrics != nil {
+			w.cfg.Metrics.SpooledResults.Inc()
+		}
+		w.cfg.Logf("dist: spooled shard %d result for replay", res.Shard)
+	}
+	j.forget()
 }
 
 // runShard executes one leased shard and returns its outcome for the
@@ -677,23 +670,22 @@ func (wk *worker) runBatch(pool *engine.Pool, grants []Grant) {
 // stopping): the partial report must not be merged, and the coordinator
 // has already requeued or cut the shard. ckpt is the shard's checkpoint
 // file, if it keeps one.
-func (wk *worker) runShard(pool *engine.Pool, g Grant, stop <-chan struct{}) (res ShardResult, ckpt string, ok bool) {
-	sh := g.Shard
-	opts := wk.opts
-	if wk.cfg.WorkDir != "" && sh.Hi > 0 {
+func (j *workerJob) runShard(pool *engine.Pool, opts search.Options, g Grant, stop <-chan struct{}) (res ShardResult, ckpt string, ok bool) {
+	sh, logf := g.Shard, j.w.cfg.Logf
+	if j.workDir != "" && sh.Hi > 0 {
 		// Per-shard checkpointing (range shards only: a prefix
 		// subtree reruns from scratch, and a DPOR unit is a single
 		// execution). A stale or foreign checkpoint is discarded,
 		// never trusted.
-		ckpt = filepath.Join(wk.cfg.WorkDir, fmt.Sprintf("shard-%04d.ckpt", sh.Index))
+		ckpt = filepath.Join(j.workDir, fmt.Sprintf("shard-%04d.ckpt", sh.Index))
 		opts.CheckpointPath = ckpt
 		if ck, err := search.LoadCheckpoint(ckpt); err == nil {
 			if verr := search.ValidateShardResume(&opts, sh, ck); verr == nil {
 				opts.Resume = ck
-				wk.cfg.Logf("dist: shard %d resuming from %s (execution %d)",
+				logf("dist: shard %d resuming from %s (execution %d)",
 					sh.Index, ckpt, ck.Counters.Executions)
 			} else {
-				wk.cfg.Logf("dist: shard %d ignoring checkpoint %s: %v", sh.Index, ckpt, verr)
+				logf("dist: shard %d ignoring checkpoint %s: %v", sh.Index, ckpt, verr)
 				os.Remove(ckpt)
 			}
 		}
@@ -707,10 +699,10 @@ func (wk *worker) runShard(pool *engine.Pool, g Grant, stop <-chan struct{}) (re
 				res.Failure = fmt.Sprintf("panic: %v\n%s", r, debug.Stack())
 			}
 		}()
-		res.Report = search.RunShardOn(pool, wk.prog, opts, sh, stop)
+		res.Report = search.RunShardOn(pool, j.prog, opts, sh, stop)
 	}()
 	if res.Failure != "" {
-		wk.cfg.Logf("dist: shard %d crashed: %.120s", sh.Index, res.Failure)
+		logf("dist: shard %d crashed: %.120s", sh.Index, res.Failure)
 	} else if res.Report != nil && res.Report.Interrupted {
 		return res, ckpt, false
 	}

@@ -257,9 +257,11 @@ func runDporUnit(prog func(*engine.T), opts *Options, pool *engine.Pool, unit *p
 	}
 	classify(prog, opts, rep, r, 1, reason)
 	rep.Exhausted = true
-	if rep.Divergence == nil || opts.ContinueAfterDivergence {
-		// A divergence finding that stops the merge spawns nothing, so
-		// its MaxSteps-long trace is spared the quadratic race analysis.
+	if rep.Divergence == nil {
+		// A unit cut at MaxSteps spawns nothing, whether or not the merge
+		// goes on past the finding: its trace is outside the reduction's
+		// terminating-program precondition, and is spared the race
+		// analysis, quadratic in its length.
 		rep.Dpor = buildDporResult(opts, unit, c)
 	}
 	return rep

@@ -194,34 +194,40 @@ func TestDPORRequiresPlainSearch(t *testing.T) {
 }
 
 // TestDPORDivergenceSkipsRaceAnalysis: a unit that runs into MaxSteps is
-// a divergence finding that stops the merge, so nothing will be spawned
-// from it — and its MaxSteps-long trace must not be paid for twice over:
-// no quadratic race analysis, no per-prefix record in the dedup set.
-// barrier-bug spins under the unfair scheduler; at 20 000 steps the
-// per-prefix string keys alone were over a gigabyte. The ceiling is on
-// bytes allocated, never on wall-clock time.
+// a divergence finding, so nothing will be spawned from it — whether
+// the finding stops the merge or (ContinueAfterDivergence) it goes on —
+// and its MaxSteps-long trace must not be paid for twice over: no
+// quadratic race analysis (2·10⁸ pair comparisons at 20 000 steps, and
+// again in every child, each of which diverges too), no per-prefix
+// record in the dedup set. barrier-bug spins under the unfair scheduler;
+// at 20 000 steps the per-prefix string keys alone were over a gigabyte.
+// The ceiling is on bytes allocated, never on wall-clock time.
 func TestDPORDivergenceSkipsRaceAnalysis(t *testing.T) {
 	p, ok := progs.Lookup("barrier-bug")
 	if !ok {
 		t.Fatal("barrier-bug is not registered")
 	}
-	metrics := obs.NewMetrics()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	rep := search.Explore(p.Body, search.Options{
-		ContextBound: -1, MaxSteps: 20000, DPOR: true, Metrics: metrics,
-	})
-	runtime.ReadMemStats(&after)
-	if rep.Divergence == nil || rep.DivergenceExecution != 1 || rep.Exhausted || rep.Executions != 1 {
-		t.Fatalf("want the divergence finding at execution 1 and no exhaustion, got %+v", rep)
-	}
-	if races := metrics.Snapshot().DporRaces; races != 0 {
-		t.Fatalf("race analysis ran over the diverging trace: %d races", races)
-	}
-	const ceiling = 128 << 20
-	got := after.TotalAlloc - before.TotalAlloc
-	t.Logf("allocated %d MB", got>>20)
-	if got > ceiling {
-		t.Fatalf("the search allocated %d MB, ceiling %d MB", got>>20, ceiling>>20)
+	for _, goOn := range []bool{false, true} {
+		metrics := obs.NewMetrics()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		rep := search.Explore(p.Body, search.Options{
+			ContextBound: -1, MaxSteps: 20000, DPOR: true, Metrics: metrics,
+			ContinueAfterDivergence: goOn,
+		})
+		runtime.ReadMemStats(&after)
+		// A merge that goes on past the finding runs out of units at once.
+		if rep.Divergence == nil || rep.DivergenceExecution != 1 || rep.Exhausted != goOn || rep.Executions != 1 {
+			t.Fatalf("ContinueAfterDivergence=%v: want the divergence finding at execution 1 and nothing spawned from it, got %+v", goOn, rep)
+		}
+		if races := metrics.Snapshot().DporRaces; races != 0 {
+			t.Fatalf("ContinueAfterDivergence=%v: race analysis ran over the diverging trace: %d races", goOn, races)
+		}
+		const ceiling = 128 << 20
+		got := after.TotalAlloc - before.TotalAlloc
+		t.Logf("ContinueAfterDivergence=%v: allocated %d MB", goOn, got>>20)
+		if got > ceiling {
+			t.Fatalf("ContinueAfterDivergence=%v: the search allocated %d MB, ceiling %d MB", goOn, got>>20, ceiling>>20)
+		}
 	}
 }
