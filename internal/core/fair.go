@@ -26,37 +26,47 @@
 //	Thm 4: an unfair cycle is unrolled at most twice.
 //	Thm 5: all yield-free executions survive (P empty without yields).
 //
-// The state is recomputed deterministically during stateless replay;
-// it is cheap: a handful of bitset operations per step.
+// The state is recomputed deterministically during stateless replay.
+// It is four bit matrices — P, E, D and S, one row per thread, one
+// 64-bit word per row up to 64 threads — so a step costs words, not
+// calls: Schedulable bit-scans ES over the few rows of P that hold an
+// edge, and OnStep visits each row once (clear column t of P, S(u) |=
+// {t}), ANDs ES' into the E rows only on a step that disabled a thread,
+// and closes a window word-wise on the yielder's own row.
 package core
 
 import (
 	"fmt"
-	"sort"
+	"math/bits"
 	"strings"
 
 	"fairmc/internal/tidset"
 )
 
+const wordBits = 64
+
 // Fair is the scheduler state threaded along one execution. The zero
 // value is not usable; call NewFair. Fair is not safe for concurrent
 // use; the engine runs strictly single-threaded.
 type Fair struct {
-	// p[t] is the successor set of t in P: u ∈ p[t] iff (t, u) ∈ P,
-	// meaning t may run only when u is disabled.
-	p []tidset.Set
-	e []tidset.Set // E(t)
-	d []tidset.Set // D(t)
-	s []tidset.Set // S(t)
+	// p, e, d and s are the matrices of P, E, D and S: n rows of w words,
+	// row t at [t*w, (t+1)*w), bit u of row t of p set iff (t, u) ∈ P (t
+	// may run only when u is disabled). No row holds a bit at or beyond
+	// n. The slices may be longer than n*w: Reset keeps their storage so
+	// a pooled engine re-registers threads allocation-free, and AddThread
+	// writes every word of the row it hands out, so nothing a previous
+	// execution left beyond n is ever read.
+	p, e, d, s []uint64
+	n, w       int
 
-	// n is the number of registered threads. The slices above may be
-	// longer: Reset keeps their storage (and each element's bitset
-	// storage) so a pooled engine re-registers threads allocation-free,
-	// and AddThread re-initializes slots below len in place.
-	n int
+	// One row each, w words. universe is {0..n-1}. prows marks the
+	// non-empty rows of p — an edge lives only from a window close to its
+	// sink's next step, so usually few — which are all Schedulable has to
+	// look at. after is ES' of the last OnStep within universe; every
+	// E(u) is a subset of it.
+	universe, prows, after []uint64
 
-	scratch tidset.Set // per-step temporary, reused across OnStep calls
-	hbuf    tidset.Set // window-close H buffer, reused across OnStep calls
+	hbuf tidset.Set // window-close H buffer, reused across OnStep calls
 
 	// yieldSeen[t] counts yielding transitions of t, for the k-th
 	// yield parameterization at the end of §3 of the paper: window
@@ -64,35 +74,47 @@ type Fair struct {
 	yieldSeen []int
 	k         int
 
-	universe tidset.Set // all thread ids ever created
-
 	// Priority-graph churn counters: edgeAdds counts insertions by
 	// "P := P ∪ {t}×H" (lines 23–29), edgeErases removals by
 	// "P := P \ (Tid × {t})" (line 13). Exposed via EdgeStats for the
 	// observability layer; deterministic along a replayed execution.
-	edgeAdds   int64
-	edgeErases int64
+	edgeAdds, edgeErases int64
 }
 
 // NewFair returns a fair scheduler state for an execution starting
 // with nthreads threads (ids 0..nthreads-1). k selects the k-th-yield
 // parameterization; k = 1 is Algorithm 1 exactly. k < 1 panics.
 func NewFair(nthreads, k int) *Fair {
-	if k < 1 {
-		panic(fmt.Sprintf("core: yield parameter k = %d, want >= 1", k))
-	}
-	// Room for a few threads up front: five slices growing one thread at
+	// Room for a few threads up front: four matrices growing one row at
 	// a time is most of what a fresh scheduler state allocates.
 	n := max(nthreads, 8)
-	f := &Fair{k: k,
-		p: make([]tidset.Set, 0, n), e: make([]tidset.Set, 0, n),
-		d: make([]tidset.Set, 0, n), s: make([]tidset.Set, 0, n),
+	f := &Fair{
+		p: make([]uint64, 0, n), e: make([]uint64, 0, n),
+		d: make([]uint64, 0, n), s: make([]uint64, 0, n),
 		yieldSeen: make([]int, 0, n),
 	}
+	f.Reset(k)
 	for i := 0; i < nthreads; i++ {
 		f.AddThread(tidset.Tid(i))
 	}
 	return f
+}
+
+// Reset returns f to the state NewFair(0, k) would produce, keeping
+// all backing storage so a pooled engine can rebuild the scheduler
+// state for its next execution without allocating. Rows are one word
+// wide again, whatever the previous execution grew them to.
+func (f *Fair) Reset(k int) {
+	if k < 1 {
+		panic(fmt.Sprintf("core: yield parameter k = %d, want >= 1", k))
+	}
+	f.k = k
+	f.n, f.w = 0, 1
+	f.universe = append(f.universe[:0], 0)
+	f.prows = append(f.prows[:0], 0)
+	f.after = append(f.after[:0], 0)
+	f.yieldSeen = f.yieldSeen[:0]
+	f.edgeAdds, f.edgeErases = 0, 0
 }
 
 // AddThread registers a new thread t. Per the paper's initialization
@@ -111,72 +133,86 @@ func (f *Fair) AddThread(t tidset.Tid) {
 	if int(t) != f.n {
 		panic(fmt.Sprintf("core: AddThread(%d), want next id %d", t, f.n))
 	}
-	f.universe.Add(t)
-	for u := 0; u < f.n; u++ {
-		f.s[u].Add(t)
-		f.d[u].Add(t)
+	if f.n == f.w*wordBits {
+		f.widen()
 	}
-	if f.n < len(f.p) {
-		// Reuse the storage a Reset retained for this slot.
-		f.p[f.n].Clear()
-		f.e[f.n].Clear()
-		f.d[f.n].CopyFrom(f.universe)
-		f.s[f.n].CopyFrom(f.universe)
-		f.yieldSeen[f.n] = 0
-	} else {
-		f.p = append(f.p, tidset.Set{})
-		f.e = append(f.e, tidset.Set{})
-		f.d = append(f.d, f.universe.Clone())
-		f.s = append(f.s, f.universe.Clone())
-		f.yieldSeen = append(f.yieldSeen, 0)
+	w, tw, bit := f.w, f.n/wordBits, uint64(1)<<(uint(f.n)%wordBits)
+	f.universe[tw] |= bit
+	for i := tw; i < f.n*w; i += w {
+		f.s[i] |= bit
+		f.d[i] |= bit
 	}
+	base := f.n * w
+	f.p, f.e = rows(f.p, base+w), rows(f.e, base+w)
+	f.d, f.s = rows(f.d, base+w), rows(f.s, base+w)
+	for i, u := range f.universe {
+		f.p[base+i], f.e[base+i] = 0, 0
+		f.d[base+i], f.s[base+i] = u, u
+	}
+	f.yieldSeen = append(f.yieldSeen, 0)
 	f.n++
 }
 
-// Reset returns f to the state NewFair(0, k) would produce, keeping
-// all backing storage so a pooled engine can rebuild the scheduler
-// state for its next execution without allocating.
-func (f *Fair) Reset(k int) {
-	if k < 1 {
-		panic(fmt.Sprintf("core: yield parameter k = %d, want >= 1", k))
+// rows returns m with room for need words, keeping what it holds.
+func rows(m []uint64, need int) []uint64 {
+	for len(m) < need {
+		m = append(m, 0)
 	}
-	f.k = k
-	f.n = 0
-	f.universe.Clear()
-	f.edgeAdds = 0
-	f.edgeErases = 0
+	return m
 }
 
-// NumThreads returns the number of threads registered so far.
-func (f *Fair) NumThreads() int { return f.n }
+// widen re-strides the matrices to one more word per row, in place:
+// thread ids are about to cross a word boundary. Open windows and edges
+// carry over; the new word of every row is empty.
+func (f *Fair) widen() {
+	w, nw := f.w, f.w+1
+	for _, m := range []*[]uint64{&f.p, &f.e, &f.d, &f.s} {
+		*m = rows(*m, f.n*nw)
+		// High rows first: row u moves up, onto rows already moved.
+		for u := f.n - 1; u >= 0; u-- {
+			copy((*m)[u*nw:], (*m)[u*w:u*w+w])
+			(*m)[u*nw+w] = 0
+		}
+	}
+	f.universe = append(f.universe, 0)
+	f.prows = append(f.prows, 0)
+	f.after = append(f.after, 0)
+	f.w = nw
+}
 
 // Schedulable returns T = ES \ pre(P, ES): the enabled threads not
 // priority-blocked by another enabled thread. By Theorem 3 the result
 // is empty iff es is empty.
 func (f *Fair) Schedulable(es tidset.Set) tidset.Set {
-	var t tidset.Set
-	f.SchedulableInto(&t, es)
-	return t
+	return f.SchedulableInto(new(tidset.Set), es)
 }
 
 // SchedulableInto is Schedulable writing into dst's storage, for hot
 // loops that compute T every step. Returns *dst for convenience.
 func (f *Fair) SchedulableInto(dst *tidset.Set, es tidset.Set) tidset.Set {
 	dst.CopyFrom(es)
-	es.ForEach(func(x tidset.Tid) {
-		if int(x) < f.n && f.p[x].Intersects(es) {
-			dst.Remove(x)
+	dw, w := dst.Words(), f.w
+	ew := es.Words()[:min(w, len(dw))] // the words that can meet a row
+	// Only a thread with an edge can be blocked: scan ES ∩ prows.
+	for i, e := range ew {
+		for m := e & f.prows[i]; m != 0; m &= m - 1 {
+			if intersects(f.p[(i*wordBits+bits.TrailingZeros64(m))*w:], ew) {
+				dw[i] &^= m & -m
+			}
 		}
-	})
+	}
 	return *dst
 }
 
-// Blocked reports whether thread t, although enabled, is excluded from
-// scheduling by a priority edge to a currently enabled thread. The
-// context-bounded search uses this to avoid counting fairness-forced
-// context switches as preemptions (paper §4).
-func (f *Fair) Blocked(t tidset.Tid, es tidset.Set) bool {
-	return int(t) < f.n && f.p[t].Intersects(es)
+// intersects reports whether a row of P meets the set with words ew,
+// which are no more than the row's.
+func intersects(row, ew []uint64) bool {
+	for i, e := range ew {
+		if row[i]&e != 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // OnStep applies one iteration of Algorithm 1's update (lines 13–29)
@@ -196,23 +232,39 @@ func (f *Fair) OnStep(t tidset.Tid, wasYield bool, esBefore, esAfter tidset.Set)
 	if int(t) >= f.n {
 		panic(fmt.Sprintf("core: OnStep for unknown thread %d", t))
 	}
-	// Line 13: next.P := curr.P \ (Tid × {t}) — drop edges with sink t,
-	// decreasing the relative priority of the just-scheduled thread.
-	for u := 0; u < f.n; u++ {
-		if f.p[u].Contains(t) {
-			f.p[u].Remove(t)
+	w, tw, bit := f.w, int(t)/wordBits, uint64(1)<<(uint(t)%wordBits)
+	// Lines 14–22, the part for row t: D(t) gains what this step disabled.
+	// Every E(u) is within the ES' of the step before, so E(u) &= ES' has
+	// work to do only when this step took a thread out of it.
+	after, shrunk := f.after, false
+	aw, bw := esAfter.Words(), esBefore.Words()
+	for i, u := range f.universe {
+		a, b := word(aw, i)&u, word(bw, i)&u
+		shrunk = shrunk || after[i]&^a != 0
+		after[i] = a
+		f.d[int(t)*w+i] |= b &^ a
+	}
+	// The fused pass, one visit per row u. Line 13, next.P := curr.P \
+	// (Tid × {t}): drop the edge (u, t), decreasing the relative priority
+	// of the just-scheduled thread. Lines 14–22: S(u) |= {t}, E(u) &= ES'.
+	p, s := f.p[:f.n*w], f.s[:f.n*w]
+	for u, i := 0, tw; i < len(p); u, i = u+1, i+w {
+		s[i] |= bit
+		if p[i]&bit != 0 {
+			p[i] &^= bit
 			f.edgeErases++
+			if !intersects(p[i-tw:], f.universe) { // the row is empty now
+				f.prows[u/wordBits] &^= 1 << (uint(u) % wordBits)
+			}
 		}
 	}
-	// Lines 14–22: window bookkeeping.
-	f.scratch.CopyFrom(esBefore)
-	f.scratch.MinusWith(esAfter)
-	disabledNow := f.scratch
-	for u := 0; u < f.n; u++ {
-		f.e[u].IntersectWith(esAfter)
-		f.s[u].Add(t)
+	if shrunk {
+		for base, e := 0, f.e[:f.n*w]; base < len(e); base += w {
+			for i, a := range after {
+				e[base+i] &= a
+			}
+		}
 	}
-	f.d[t].UnionWith(disabledNow)
 
 	// Lines 23–29: close the window of t on a yielding transition.
 	if !wasYield {
@@ -222,20 +274,32 @@ func (f *Fair) OnStep(t tidset.Tid, wasYield bool, esBefore, esAfter tidset.Set)
 	if f.yieldSeen[t]%f.k != 0 {
 		return tidset.Set{}, false // k-th yield parameterization: skip this boundary
 	}
-	f.hbuf.CopyFrom(f.e[t])
-	f.hbuf.UnionWith(f.d[t])
-	f.hbuf.MinusWith(f.s[t])
-	h = f.hbuf
-	// t ∈ S(t) always holds here (line 21 added t), so H never
-	// contains t and P stays irreflexive and acyclic (Theorem 3).
-	f.p[t].UnionWith(h)
-	f.edgeAdds += int64(h.Len())
-	// In-place resets keep each slot's bitset storage across windows
-	// (and, through Reset, across pooled executions).
-	f.e[t].CopyFrom(esAfter)
-	f.d[t].Clear()
-	f.s[t].Clear()
-	return h, true
+	f.hbuf.Reset(w * wordBits)
+	hw := f.hbuf.Words()
+	adds, base := 0, int(t)*w
+	for i := range hw {
+		// t ∈ S(t) always holds here (line 21 added t), so H never
+		// contains t and P stays irreflexive and acyclic (Theorem 3).
+		x := (f.e[base+i] | f.d[base+i]) &^ f.s[base+i]
+		hw[i] = x
+		adds += bits.OnesCount64(x)
+		f.p[base+i] |= x
+		f.e[base+i], f.d[base+i], f.s[base+i] = after[i], 0, 0
+	}
+	if adds > 0 {
+		f.prows[tw] |= bit
+		f.edgeAdds += int64(adds)
+	}
+	return f.hbuf, true
+}
+
+// word is ws[i], or 0 past its end: enabled sets come as wide as their
+// caller made them.
+func word(ws []uint64, i int) uint64 {
+	if i < len(ws) {
+		return ws[i]
+	}
+	return 0
 }
 
 // EdgeStats returns the number of priority-edge insertions and
@@ -244,82 +308,58 @@ func (f *Fair) EdgeStats() (adds, erases int64) { return f.edgeAdds, f.edgeErase
 
 // Priority reports whether the edge (t, u) is currently in P.
 func (f *Fair) Priority(t, u tidset.Tid) bool {
-	return int(t) < f.n && f.p[t].Contains(u)
-}
-
-// PrioritySuccessors returns a copy of {u | (t, u) ∈ P}.
-func (f *Fair) PrioritySuccessors(t tidset.Tid) tidset.Set {
-	if int(t) >= f.n {
-		return tidset.Set{}
-	}
-	return f.p[t].Clone()
+	return int(t) < f.n && u >= 0 && int(u) < f.n &&
+		f.p[int(t)*f.w+int(u)/wordBits]&(1<<(uint(u)%wordBits)) != 0
 }
 
 // Edges returns every edge of P in deterministic order.
 func (f *Fair) Edges() [][2]tidset.Tid {
 	var out [][2]tidset.Tid
 	for t := 0; t < f.n; t++ {
-		f.p[t].ForEach(func(u tidset.Tid) {
+		f.row(f.p, t).ForEach(func(u tidset.Tid) {
 			out = append(out, [2]tidset.Tid{tidset.Tid(t), u})
 		})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i][0] != out[j][0] {
-			return out[i][0] < out[j][0]
-		}
-		return out[i][1] < out[j][1]
-	})
 	return out
+}
+
+// row returns a copy of row t of m as a set.
+func (f *Fair) row(m []uint64, t int) tidset.Set {
+	var s tidset.Set
+	s.Reset(f.w * wordBits)
+	copy(s.Words(), m[t*f.w:(t+1)*f.w])
+	return s
 }
 
 // WindowE returns a copy of E(t) (threads continuously enabled since
 // the last yield of t).
-func (f *Fair) WindowE(t tidset.Tid) tidset.Set { return f.e[t].Clone() }
+func (f *Fair) WindowE(t tidset.Tid) tidset.Set { return f.row(f.e, int(t)) }
 
 // WindowD returns a copy of D(t) (threads disabled by t since its last
 // yield).
-func (f *Fair) WindowD(t tidset.Tid) tidset.Set { return f.d[t].Clone() }
+func (f *Fair) WindowD(t tidset.Tid) tidset.Set { return f.row(f.d, int(t)) }
 
 // WindowS returns a copy of S(t) (threads scheduled since the last
 // yield of t).
-func (f *Fair) WindowS(t tidset.Tid) tidset.Set { return f.s[t].Clone() }
-
-// YieldCount returns the number of yielding transitions taken by t.
-func (f *Fair) YieldCount(t tidset.Tid) int { return f.yieldSeen[t] }
+func (f *Fair) WindowS(t tidset.Tid) tidset.Set { return f.row(f.s, int(t)) }
 
 // Acyclic reports whether P, viewed as a directed graph, is acyclic.
 // Theorem 3 proves this is an invariant; it is exported for tests and
 // for the engine's internal self-checks.
 func (f *Fair) Acyclic() bool {
-	const (
-		white = 0
-		grey  = 1
-		black = 2
-	)
-	color := make([]int, f.n)
-	var visit func(int) bool
-	visit = func(v int) bool {
-		color[v] = grey
-		ok := true
-		f.p[v].ForEach(func(u tidset.Tid) {
-			switch color[u] {
-			case grey:
-				ok = false
-			case white:
-				if !visit(int(u)) {
-					ok = false
-				}
+	// Peel off, round after round, every thread with no edge to a thread
+	// still standing: P is acyclic iff nobody is left.
+	left := append([]uint64(nil), f.universe...)
+	for peeled := true; peeled; {
+		peeled = false
+		for t := 0; t < f.n; t++ {
+			if bit := uint64(1) << (uint(t) % wordBits); left[t/wordBits]&bit != 0 && !intersects(f.p[t*f.w:], left) {
+				left[t/wordBits] &^= bit
+				peeled = true
 			}
-		})
-		color[v] = black
-		return ok
-	}
-	for v := 0; v < f.n; v++ {
-		if color[v] == white && !visit(v) {
-			return false
 		}
 	}
-	return true
+	return !intersects(left, f.universe)
 }
 
 // String renders the priority relation and window sets for debugging.
@@ -327,7 +367,7 @@ func (f *Fair) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "P=%v", f.Edges())
 	for t := 0; t < f.n; t++ {
-		fmt.Fprintf(&b, " S(%d)=%v D(%d)=%v E(%d)=%v", t, f.s[t], t, f.d[t], t, f.e[t])
+		fmt.Fprintf(&b, " S(%d)=%v D(%d)=%v E(%d)=%v", t, f.row(f.s, t), t, f.row(f.d, t), t, f.row(f.e, t))
 	}
 	return b.String()
 }

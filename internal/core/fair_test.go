@@ -70,12 +70,6 @@ func TestFigure4Emulation(t *testing.T) {
 	if got := f.Schedulable(es); !got.Equal(tidset.Of(tT)) {
 		t.Fatalf("Schedulable = %v, want {t}", got)
 	}
-	if !f.Blocked(tU, es) {
-		t.Fatal("u not reported Blocked")
-	}
-	if f.Blocked(tT, es) {
-		t.Fatal("t reported Blocked")
-	}
 
 	// If t were disabled, u would become schedulable again: the edge
 	// only suppresses u while t is enabled.
@@ -272,6 +266,35 @@ func TestDynamicThreadCreation(t *testing.T) {
 	f.OnStep(0, true, both, both)
 	if !f.Priority(0, 1) {
 		t.Fatalf("edge (0,1) missing after real starvation: %v", f.Edges())
+	}
+}
+
+// TestContinuouslyEnabledBeyondOneWord: E(u) &= ES' is skipped on steps
+// that take no thread out of the enabled set, so the steps that do must
+// be noticed in whichever word of the row the thread sits — here thread
+// 65, disabled for one step while every thread of the first word stays
+// enabled.
+func TestContinuouslyEnabledBeyondOneWord(t *testing.T) {
+	f := NewFair(70, 1)
+	all := tidset.Universe(70)
+	without65 := all.Clone()
+	without65.Remove(65)
+	f.OnStep(0, true, all, all)        // thread 0's first yield opens its window
+	f.OnStep(1, false, all, without65) // thread 1 disables 65 …
+	f.OnStep(1, false, without65, all) // … and enables it again
+	h, closed := f.OnStep(0, true, all, all)
+	if !closed {
+		t.Fatal("second yield of thread 0 did not close its window")
+	}
+	want := all.Clone() // everyone but 0 itself, the scheduled 1 and the interrupted 65
+	for _, u := range []tidset.Tid{0, 1, 65} {
+		want.Remove(u)
+	}
+	if !h.Equal(want) {
+		t.Fatalf("H = %v, want %v", h, want)
+	}
+	if f.Priority(0, 65) || !f.Priority(0, 64) || !f.Priority(0, 69) {
+		t.Fatalf("edges of thread 0 wrong around the word boundary: %v", f.Edges())
 	}
 }
 

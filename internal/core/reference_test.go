@@ -16,10 +16,14 @@ type refFair struct {
 	d []map[int]bool
 	s []map[int]bool
 	n int
+	// k-th-yield parameterization (§3): yields[t] counts t's yields and
+	// only every k-th closes the window.
+	k      int
+	yields []int
 }
 
-func newRefFair(n int) *refFair {
-	r := &refFair{p: map[[2]int]bool{}}
+func newRefFair(n, k int) *refFair {
+	r := &refFair{p: map[[2]int]bool{}, k: k}
 	for i := 0; i < n; i++ {
 		r.addThread()
 	}
@@ -44,6 +48,7 @@ func (r *refFair) addThread() {
 	r.e = append(r.e, e)
 	r.d = append(r.d, d)
 	r.s = append(r.s, s)
+	r.yields = append(r.yields, 0)
 }
 
 // schedulable computes T := ES \ pre(P, ES)   (line 7).
@@ -90,6 +95,9 @@ func (r *refFair) onStep(t int, wasYield bool, esBefore, esAfter map[int]bool) {
 	if !wasYield {
 		return
 	}
+	if r.yields[t]++; r.yields[t]%r.k != 0 {
+		return
+	}
 	for v := 0; v < r.n; v++ {
 		if (r.e[t][v] || r.d[t][v]) && !r.s[t][v] {
 			r.p[[2]int{t, v}] = true
@@ -121,66 +129,112 @@ func TestDifferentialAgainstReference(t *testing.T) {
 	for seed := int64(0); seed < 40; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		n := 2 + r.Intn(3)
-		fair := NewFair(n, 1)
-		ref := newRefFair(n)
+		differentialRun(t, seed, r, NewFair(n, 1), n, 1, 6, 25, 250, 6)
+	}
+}
 
-		es := map[int]bool{}
-		for i := 0; i < n; i++ {
-			es[i] = true
+// TestDifferentialWideAndRecycled covers what the row layout makes
+// load-bearing and the run above never reaches: thread ids crossing the
+// 64 and 128 boundaries mid-run, with edges and open windows in flight
+// when the rows are re-strided; one Fair recycled through Reset from a
+// wide run to a narrow one and back, the way a pooled engine does it
+// (what the wide run left beyond the narrow run's rows must not leak
+// into them); and k = 3.
+func TestDifferentialWideAndRecycled(t *testing.T) {
+	for seed := int64(0); seed < 2; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		// Growing: 50 threads to 135, one more every sixth step or so.
+		for _, k := range []int{1, 3} {
+			differentialRun(t, seed, r, NewFair(50, k), 50, k, 135, 6, 700, 4)
 		}
+		// Recycled: narrow, wide, narrow, wide on the same storage.
+		fair := NewFair(0, 1)
+		for i, shape := range []struct{ n, maxN, k int }{{3, 5, 1}, {100, 135, 3}, {2, 6, 3}, {66, 70, 1}} {
+			fair.Reset(shape.k)
+			for u := 0; u < shape.n; u++ {
+				fair.AddThread(tidset.Tid(u))
+			}
+			differentialRun(t, seed*10+int64(i), r, fair, shape.n, shape.k, shape.maxN, 10, 200, 4)
+		}
+	}
+}
 
-		for step := 0; step < 250; step++ {
-			// Occasionally create a thread (exercises the dynamic
-			// convention).
-			if n < 6 && r.Intn(25) == 0 {
-				fair.AddThread(tidset.Tid(n))
-				ref.addThread()
-				es[n] = true
-				n++
-			}
-			wantT := ref.schedulable(es)
-			gotT := fair.Schedulable(setOf(es))
-			if !gotT.Equal(setOf(wantT)) {
-				t.Fatalf("seed %d step %d: schedulable %v != reference %v\nimpl: %v",
-					seed, step, gotT, setOf(wantT), fair)
-			}
-			if len(wantT) == 0 {
-				// Everything disabled: re-enable someone and continue.
-				es[r.Intn(n)] = true
-				continue
-			}
-			// Choose a random schedulable thread.
-			var cands []int
-			for v := range wantT {
-				cands = append(cands, v)
-			}
-			// Deterministic order for rand.
-			for i := 1; i < len(cands); i++ {
-				for j := i; j > 0 && cands[j] < cands[j-1]; j-- {
-					cands[j], cands[j-1] = cands[j-1], cands[j]
-				}
-			}
-			tid := cands[r.Intn(len(cands))]
-			wasYield := r.Intn(3) == 0
-			esAfter := map[int]bool{}
-			for v := 0; v < n; v++ {
-				if r.Intn(4) > 0 {
-					esAfter[v] = true
-				}
-			}
-			ref.onStep(tid, wasYield, es, esAfter)
-			fair.OnStep(tidset.Tid(tid), wasYield, setOf(es), setOf(esAfter))
-			es = esAfter
+// TestDifferentialSmallK is the original narrow run under k = 3.
+func TestDifferentialSmallK(t *testing.T) {
+	for seed := int64(0); seed < 20; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		n := 2 + r.Intn(3)
+		differentialRun(t, seed, r, NewFair(n, 3), n, 3, 6, 25, 250, 6)
+	}
+}
 
-			// Compare the full priority relation.
-			for x := 0; x < n; x++ {
-				for y := 0; y < n; y++ {
-					want := ref.p[[2]int{x, y}]
-					got := fair.Priority(tidset.Tid(x), tidset.Tid(y))
-					if want != got {
-						t.Fatalf("seed %d step %d: edge (%d,%d) impl=%v ref=%v",
-							seed, step, x, y, got, want)
-					}
+// differentialRun walks fair, which holds n threads and nothing else,
+// beside a fresh reference for steps steps, creating a thread one step
+// in spawnEvery until there are maxN. Each step runs one of the focus
+// lowest schedulable threads: among many threads a small focus makes
+// the same few yield again and again, so edges appear early.
+func differentialRun(t *testing.T, seed int64, r *rand.Rand, fair *Fair, n, k, maxN, spawnEvery, steps, focus int) {
+	t.Helper()
+	ref := newRefFair(n, k)
+	es := map[int]bool{}
+	for i := 0; i < n; i++ {
+		es[i] = true
+	}
+
+	for step := 0; step < steps; step++ {
+		// Occasionally create a thread (exercises the dynamic
+		// convention).
+		if n < maxN && r.Intn(spawnEvery) == 0 {
+			if n%64 == 0 && len(ref.p) == 0 {
+				t.Fatalf("seed %d step %d: thread %d widens the rows with no edge in flight", seed, step, n)
+			}
+			fair.AddThread(tidset.Tid(n))
+			ref.addThread()
+			es[n] = true
+			n++
+		}
+		wantT := ref.schedulable(es)
+		gotT := fair.Schedulable(setOf(es))
+		if !gotT.Equal(setOf(wantT)) {
+			t.Fatalf("seed %d step %d: schedulable %v != reference %v\nimpl: %v",
+				seed, step, gotT, setOf(wantT), fair)
+		}
+		if len(wantT) == 0 {
+			// Everything disabled: re-enable someone and continue.
+			es[r.Intn(n)] = true
+			continue
+		}
+		// Choose a random schedulable thread.
+		var cands []int
+		for v := range wantT {
+			cands = append(cands, v)
+		}
+		// Deterministic order for rand.
+		for i := 1; i < len(cands); i++ {
+			for j := i; j > 0 && cands[j] < cands[j-1]; j-- {
+				cands[j], cands[j-1] = cands[j-1], cands[j]
+			}
+		}
+		tid := cands[r.Intn(min(len(cands), focus))]
+		wasYield := r.Intn(3) == 0
+		esAfter := map[int]bool{}
+		for v := 0; v < n; v++ {
+			if r.Intn(4) > 0 {
+				esAfter[v] = true
+			}
+		}
+		ref.onStep(tid, wasYield, es, esAfter)
+		fair.OnStep(tidset.Tid(tid), wasYield, setOf(es), setOf(esAfter))
+		es = esAfter
+
+		// Compare the full priority relation.
+		for x := 0; x < n; x++ {
+			for y := 0; y < n; y++ {
+				want := ref.p[[2]int{x, y}]
+				got := fair.Priority(tidset.Tid(x), tidset.Tid(y))
+				if want != got {
+					t.Fatalf("seed %d step %d: edge (%d,%d) impl=%v ref=%v",
+						seed, step, x, y, got, want)
 				}
 			}
 		}

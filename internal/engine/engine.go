@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"math/bits"
 	"runtime/debug"
 	"sync/atomic"
 	"time"
@@ -184,6 +185,7 @@ type Engine struct {
 	fair    *core.Fair
 	threads []*thread
 	thFree  []*thread // exited thread records recycled across pooled runs
+	live    int       // program threads (never agents) not yet exited: newThread, runThread
 	// idleWorkers holds the coroutines parked between thread bodies.
 	// Pushes happen when the hub processes a thread's exit and pops when
 	// it starts an embryo — both inside a section (fastpath.go), so no
@@ -227,8 +229,8 @@ type Engine struct {
 	// the "pending" step: its commit runs when the granted thread reaches
 	// its next scheduling point (or exits).
 	fast      bool
-	schedGate atomic.Int64 // 0 user code running, 1 section active, 2 watchdog poison
-	progress  atomic.Int64 // sections completed (watchdog signal)
+	schedGate atomic.Int64 // watchdog armed: 0 user code running, 1 section active, 2 poisoned
+	progress  atomic.Int64 // watchdog armed: sections completed (its signal)
 	pendTh    *thread      // thread the pending step was granted to
 	pendAlt   Alt
 	pendYield bool
@@ -367,7 +369,8 @@ func (e *Engine) newThread(name string, body func(*T), parent *thread) *thread {
 	th.t = T{e: e, th: th}
 	th.handle = Handle{th: th}
 	th.start = startOp{th: th}
-	th.pending = &th.start
+	th.setOp(&th.start)
+	e.live++
 	if parent != nil {
 		th.parent = parent.id
 		th.spawnSeq = parent.childCount
@@ -395,7 +398,7 @@ func (e *Engine) newThread(name string, body func(*T), parent *thread) *thread {
 func (e *Engine) AddAgent(name string, op Op) tidset.Tid {
 	th := e.allocThread(name)
 	th.status = statusAgent
-	th.pending = op
+	th.setOp(op)
 	return th.id
 }
 
@@ -420,29 +423,13 @@ func (e *Engine) WM() *WMCounters { return &e.wm }
 // rebuilding into buf so the per-step sets reuse their storage.
 func (e *Engine) enabledSet(buf tidset.Set) tidset.Set {
 	buf.Reset(len(e.threads))
-	for _, th := range e.threads {
-		if th.status == statusExited {
-			continue
-		}
-		if th.pending.Enabled() {
-			buf.Add(th.id)
+	words := buf.Words()
+	for i, th := range e.threads {
+		if th.status != statusExited && th.pending.Enabled() {
+			words[i/64] |= 1 << (uint(i) % 64)
 		}
 	}
 	return buf
-}
-
-// liveCount returns the number of program threads not yet exited.
-// Agents do not count: when every real thread is done no observer
-// remains, so the execution terminates even with stores still
-// buffered.
-func (e *Engine) liveCount() int {
-	n := 0
-	for _, th := range e.threads {
-		if th.status != statusExited && th.status != statusAgent {
-			n++
-		}
-	}
-	return n
 }
 
 // decideLoop wraps decide, running agent steps inline: when the
@@ -466,7 +453,7 @@ func (e *Engine) decideLoop() (alt Alt, out Outcome, terminal bool) {
 		}
 		_, wasYield := e.prepare(alt)
 		if cont := th.pending.Execute(); cont != nil {
-			th.pending = cont
+			th.setOp(cont)
 		}
 		if out, done := e.commit(alt, wasYield); done {
 			return alt, out, true
@@ -483,7 +470,9 @@ func (e *Engine) decide() (alt Alt, out Outcome, terminal bool) {
 	if e.violation != nil {
 		return alt, Violation, true
 	}
-	if e.liveCount() == 0 {
+	// No program thread left: no observer remains, so the execution
+	// terminates even with stores still buffered in an agent.
+	if e.live == 0 {
 		return alt, Terminated, true
 	}
 	if e.stepCount >= e.cfg.MaxSteps {
@@ -511,19 +500,17 @@ func (e *Engine) decide() (alt Alt, out Outcome, terminal bool) {
 	var schedulable tidset.Set
 	if e.fair != nil {
 		schedulable = e.fair.SchedulableInto(&e.schedBuf, es)
-		// schedulable ⊆ es, so the difference in size is exactly the
-		// number of enabled threads excluded by a priority edge here.
-		e.fairBlockedCnt += int64(es.Len() - schedulable.Len())
-		if e.cfg.CheckInvariants {
-			if !e.fair.Acyclic() {
-				panic("engine: priority relation P is cyclic (Theorem 3 violated)")
-			}
-			if schedulable.Empty() != es.Empty() {
-				panic("engine: T empty but ES nonempty (Theorem 3 violated)")
-			}
+		// schedulable ⊆ es word for word, so what is left of es is exactly
+		// the enabled threads excluded by a priority edge here.
+		sw := schedulable.Words()
+		for i, w := range es.Words() {
+			e.fairBlockedCnt += int64(bits.OnesCount64(w &^ sw[i]))
 		}
 	} else {
 		schedulable = es
+	}
+	if e.cfg.CheckInvariants {
+		e.checkInvariants(es, schedulable)
 	}
 	if schedulable.Empty() {
 		return alt, Deadlock, true
@@ -539,9 +526,7 @@ func (e *Engine) decide() (alt Alt, out Outcome, terminal bool) {
 	ctx := &e.ctxBuf
 	if e.prevTid != tidset.None {
 		ctx.PrevEnabled = es.Contains(e.prevTid)
-		if e.fair != nil {
-			ctx.PrevFairBlocked = ctx.PrevEnabled && e.fair.Blocked(e.prevTid, es)
-		}
+		ctx.PrevFairBlocked = ctx.PrevEnabled && !schedulable.Contains(e.prevTid)
 	}
 	e.choiceCnt++
 	e.candCnt += int64(len(cands))
@@ -597,8 +582,8 @@ func (e *Engine) cut() bool {
 func (e *Engine) prepare(alt Alt) (th *thread, wasYield bool) {
 	th = e.threads[alt.Tid]
 	op := th.pending
-	if c, ok := op.(ChoiceOp); ok && alt.Arg >= 0 {
-		c.SetChoice(alt.Arg)
+	if th.choice != nil && alt.Arg >= 0 {
+		th.choice.SetChoice(alt.Arg)
 	}
 	wasYield = op.Yielding()
 	e.lastInfo = op.Info()
@@ -676,38 +661,50 @@ func validateAlt(alt Alt, cands []Alt) error {
 }
 
 // candidates expands the schedulable set into alternatives, one per
-// thread, or one per choice value for threads at a ChoiceOp. The
-// returned slice is the engine's reused buffer: it is valid only until
-// the next step (see ChooseContext).
+// thread, or one per choice value for threads at a ChoiceOp, in
+// ascending order of thread id, then choice value — the order the bit
+// scan produces. The returned slice is the engine's reused buffer: it is
+// valid only until the next step (see ChooseContext).
 func (e *Engine) candidates(schedulable tidset.Set) []Alt {
 	cands := e.candsBuf[:0]
-	schedulable.ForEach(func(t tidset.Tid) {
-		th := e.threads[t]
-		if c, ok := th.pending.(ChoiceOp); ok {
-			for i := 0; i < c.Arity(); i++ {
-				cands = append(cands, Alt{Tid: t, Arg: i})
+	for i, w := range schedulable.Words() {
+		for ; w != 0; w &= w - 1 {
+			t := tidset.Tid(i*64 + bits.TrailingZeros64(w))
+			if c := e.threads[t].choice; c != nil {
+				for arg, n := 0, c.Arity(); arg < n; arg++ {
+					cands = append(cands, Alt{Tid: t, Arg: arg})
+				}
+			} else {
+				cands = append(cands, Alt{Tid: t, Arg: noChoice})
 			}
-		} else {
-			cands = append(cands, Alt{Tid: t, Arg: noChoice})
-		}
-	})
-	// ForEach ascends and choice values are appended ascending, so the
-	// slice is already ordered; the insertion sort is a cheap,
-	// allocation-free safeguard of the documented invariant.
-	for i := 1; i < len(cands); i++ {
-		for j := i; j > 0 && altLess(cands[j], cands[j-1]); j-- {
-			cands[j], cands[j-1] = cands[j-1], cands[j]
 		}
 	}
 	e.candsBuf = cands
 	return cands
 }
 
-func altLess(a, b Alt) bool {
-	if a.Tid != b.Tid {
-		return a.Tid < b.Tid
+// checkInvariants is Config.CheckInvariants' per-decision self-check:
+// Theorem 3 on the fair scheduler's state, and the engine's own counted
+// and cached state against a recomputation from the thread records.
+func (e *Engine) checkInvariants(es, schedulable tidset.Set) {
+	if e.fair != nil && !e.fair.Acyclic() {
+		panic("engine: priority relation P is cyclic (Theorem 3 violated)")
 	}
-	return a.Arg < b.Arg
+	if schedulable.Empty() != es.Empty() {
+		panic("engine: T empty but ES nonempty (Theorem 3 violated)")
+	}
+	live := 0
+	for _, th := range e.threads {
+		if th.status != statusExited && th.status != statusAgent {
+			live++
+		}
+		if c, _ := th.pending.(ChoiceOp); th.status != statusExited && c != th.choice {
+			panic(fmt.Sprintf("engine: thread %d caches a stale ChoiceOp", th.id))
+		}
+	}
+	if live != e.live {
+		panic(fmt.Sprintf("engine: live counter %d, %d threads not exited", e.live, live))
+	}
 }
 
 // park publishes op as th's pending transition and returns once the
@@ -719,7 +716,7 @@ func (e *Engine) park(th *thread, op Op) {
 		// engine gave up on it.
 		panic(killSentinel{})
 	}
-	th.pending = op
+	th.setOp(op)
 	if e.fast {
 		e.parkFast(th)
 		return
@@ -734,7 +731,7 @@ func (e *Engine) park(th *thread, op Op) {
 		if cont == nil {
 			return
 		}
-		th.pending = cont
+		th.setOp(cont)
 	}
 }
 
@@ -770,6 +767,7 @@ func (e *Engine) runThread(th *thread) {
 					"%s called runtime.Goexit (testing.T.FailNow, Fatal or SkipNow?)", th.name)}
 			}
 			th.status = statusExited
+			e.live--
 		}
 		if goexit {
 			// iter.Pull re-raises a coroutine's Goexit in whoever resumes

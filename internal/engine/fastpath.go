@@ -35,16 +35,23 @@ import (
 // digests, traces, events and counters are byte-for-byte the same with
 // the fast path on or off.
 //
-// Concurrency protocol. Engine state is only touched inside "sections"
-// guarded by e.schedGate. A thread opens a section when it reaches a
-// scheduling point or finishes (CAS 0→1); whoever ends it — the thread
-// granting itself, or the hub about to switch to the grantee — bumps
-// e.progress and stores 0 immediately before user code runs. A section
-// travels with the coroutine switch: a thread that switches to the hub
-// hands it the open section, and the switch is the happens-before edge
-// that orders one section after the previous one. The hub never opens a
-// section: it starts with one (run) and afterwards only inherits them.
-// The only concurrent party is the watchdog (watch), which runs on the
+// Concurrency protocol. Engine state is only touched inside "sections".
+// A thread opens a section when it reaches a scheduling point or
+// finishes; whoever ends it — the thread granting itself, or the hub
+// about to switch to the grantee — does so immediately before user code
+// runs. A section travels with the coroutine switch: a thread that
+// switches to the hub hands it the open section, and the switch is the
+// happens-before edge that orders one section after the previous one.
+// The hub never opens a section: it starts with one (run) and afterwards
+// only inherits them.
+//
+// Without a watchdog (Config.Watchdog == 0) that is the whole protocol:
+// the hub is the caller's goroutine, every thread a coroutine on it, so
+// nothing runs concurrently with a section and opening or ending one
+// touches no shared word but e.aborting, read for the teardown's unwinds.
+// With a watchdog armed, e.schedGate guards sections: opening one is a
+// CAS 0→1, ending one bumps e.progress and stores 0. The watchdog
+// (watch) is then the only concurrent party; it runs on the
 // caller's goroutine while the hub runs on its own: it watches
 // e.progress, and on a stall poisons the gate (CAS 0→2) so no further
 // section can open, which makes declaring the wedge race-free. A
@@ -73,10 +80,18 @@ func (e *Engine) tryEnterSection() bool {
 		if e.aborting.Load() {
 			return false
 		}
-		if e.schedGate.CompareAndSwap(0, 1) {
+		if e.cfg.Watchdog == 0 || e.schedGate.CompareAndSwap(0, 1) {
 			return true
 		}
 		runtime.Gosched()
+	}
+}
+
+// endSection ends the section the caller holds; user code runs next.
+func (e *Engine) endSection() {
+	if e.cfg.Watchdog > 0 {
+		e.progress.Add(1)
+		e.schedGate.Store(0)
 	}
 }
 
@@ -114,19 +129,17 @@ func (e *Engine) parkFast(th *thread) {
 					// Self-grant: continue executing with no switch.
 					th.status = statusRunning
 					e.inlineCnt++
-					e.progress.Add(1)
-					e.schedGate.Store(0)
+					e.endSection()
 				} else {
 					// A change of thread: the hub switches to the grantee.
 					e.handoffs++
 					e.yieldToHub(th)
 				}
-				cur := th.pending
-				cont := cur.Execute()
+				cont := th.pending.Execute()
 				if cont == nil {
 					return
 				}
-				th.pending = cont
+				th.setOp(cont)
 				continue
 			}
 		}
@@ -209,8 +222,7 @@ func (e *Engine) switchTo(th *thread) bool {
 	}
 	th.status = statusRunning
 	w := th.w
-	e.progress.Add(1)
-	e.schedGate.Store(0)
+	e.endSection()
 	w.next()
 	if e.aborting.Load() {
 		if !w.dead {

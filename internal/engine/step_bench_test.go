@@ -24,41 +24,102 @@ func (o *ringOp) Execute() engine.Op {
 func (o *ringOp) Yielding() bool      { return false }
 func (o *ringOp) Info() engine.OpInfo { return engine.OpInfo{Kind: "ring", Obj: engine.NoObj} }
 
-// benchmarkStep reports the cost of one engine step, in ns/step, over
-// pooled executions of a token ring of n threads taking rounds steps
-// each, under a seeded random chooser. It is the engine layer's own
-// figure (decide, commit, and the switch if the thread changes) with
-// no program, no fair scheduler and no search around it.
-func benchmarkStep(b *testing.B, n, rounds int) {
-	body := func(t *engine.T) {
-		tok := 0
-		spin := func(me int) func(*engine.T) {
-			return func(t *engine.T) {
-				op := &ringOp{tok: &tok, me: me, n: n}
-				for i := 0; i < rounds; i++ {
-					t.Do(op)
-				}
+// freeOp is always enabled and touches nothing: a thread of them is
+// schedulable at every step.
+type freeOp struct{}
+
+func (freeOp) Enabled() bool       { return true }
+func (freeOp) Execute() engine.Op  { return nil }
+func (freeOp) Yielding() bool      { return false }
+func (freeOp) Info() engine.OpInfo { return engine.OpInfo{Kind: "free", Obj: engine.NoObj} }
+
+// stepProg is a benchmark program built once: its thread bodies and ops
+// are made here, not by the running program, so that a pooled execution
+// of it allocates nothing and every allocation a step makes shows.
+type stepProg struct {
+	body func(*engine.T)
+	cfg  engine.Config
+}
+
+// ring is a token ring of n threads taking rounds steps each, with no
+// fair scheduler around it.
+func ring(n, rounds int) stepProg {
+	tok := 0
+	bodies := make([]func(*engine.T), n)
+	for me := range bodies {
+		op := &ringOp{tok: &tok, me: me, n: n}
+		bodies[me] = func(t *engine.T) {
+			for i := 0; i < rounds; i++ {
+				t.Do(op)
 			}
 		}
-		for me := 1; me < n; me++ {
-			t.Go("ring", spin(me))
-		}
-		spin(0)(t)
 	}
-	r := rng.New(1)
-	pick := engine.FuncChooser(func(ctx *engine.ChooseContext) (engine.Alt, bool) {
+	return stepProg{body: func(t *engine.T) {
+		tok = 0
+		for _, b := range bodies[1:] {
+			t.Go("ring", b)
+		}
+		bodies[0](t)
+	}}
+}
+
+// wide is n threads under the fair scheduler, all of them schedulable at
+// every step and each yielding on every eighth of its rounds steps: a
+// scheduling point with a wide enabled set, windows closing and priority
+// edges coming and going — random-p2's shape without its program.
+func wide(n, rounds int) stepProg {
+	worker := func(t *engine.T) {
+		for i := 1; i <= rounds; i++ {
+			if i%8 == 0 {
+				t.Yield()
+			} else {
+				t.Do(freeOp{})
+			}
+		}
+	}
+	return stepProg{cfg: engine.Config{Fair: true}, body: func(t *engine.T) {
+		for i := 1; i < n; i++ {
+			t.Go("wide", worker)
+		}
+		worker(t)
+	}}
+}
+
+// randomWalk schedules uniformly at random from a generator seeded
+// with seed.
+func randomWalk(seed uint64) engine.FuncChooser {
+	r := rng.New(seed)
+	return func(ctx *engine.ChooseContext) (engine.Alt, bool) {
 		return ctx.Cands[r.Intn(len(ctx.Cands))], true
-	})
-	var pool engine.Pool
-	defer pool.Close()
-	run := func() int64 {
-		res := pool.Run(body, pick, engine.Config{})
+	}
+}
+
+// pooledRunner returns a function running p once on a warm pool under a
+// seeded random chooser and returning the steps taken, and the pool's
+// Close.
+func pooledRunner(tb testing.TB, p stepProg) (run func() int64, stop func()) {
+	pick := randomWalk(1)
+	pool := new(engine.Pool)
+	run = func() int64 {
+		res := pool.Run(p.body, pick, p.cfg)
 		if res.Outcome != engine.Terminated {
-			b.Fatalf("ring ended %v", res.Outcome)
+			tb.Fatalf("benchmark program ended %v", res.Outcome)
 		}
 		return res.Steps
 	}
 	run() // the pool's workers exist and their stacks have grown
+	return run, pool.Close
+}
+
+// benchmarkStep reports the cost of one engine step of p, in ns/step,
+// over pooled executions: the engine layer's own figure (decide, commit,
+// and the switch if the thread changes) with no program and no search
+// around it. An iteration is a step, so allocs/op is allocations per
+// step.
+func benchmarkStep(b *testing.B, p stepProg) {
+	run, stop := pooledRunner(b, p)
+	defer stop()
+	b.ReportAllocs()
 	b.ResetTimer()
 	var steps int64
 	for steps < int64(b.N) {
@@ -68,7 +129,22 @@ func benchmarkStep(b *testing.B, n, rounds int) {
 }
 
 // BenchmarkStepHandoff: a 25-thread ring, so every step changes thread.
-func BenchmarkStepHandoff(b *testing.B) { benchmarkStep(b, 25, 40) }
+func BenchmarkStepHandoff(b *testing.B) { benchmarkStep(b, ring(25, 40)) }
 
 // BenchmarkStepInline: one thread stepping alone, so no step does.
-func BenchmarkStepInline(b *testing.B) { benchmarkStep(b, 1, 1000) }
+func BenchmarkStepInline(b *testing.B) { benchmarkStep(b, ring(1, 1000)) }
+
+// BenchmarkStepWide: 26 threads under the fair scheduler, all enabled.
+func BenchmarkStepWide(b *testing.B) { benchmarkStep(b, wide(26, 40)) }
+
+// TestStepAllocatesNothing is the three benchmarks' 0 allocs/op as a
+// test: a whole pooled execution of each program allocates nothing.
+func TestStepAllocatesNothing(t *testing.T) {
+	for name, p := range map[string]stepProg{"handoff": ring(25, 40), "inline": ring(1, 1000), "wide": wide(26, 40)} {
+		run, stop := pooledRunner(t, p)
+		if allocs := testing.AllocsPerRun(20, func() { run() }); allocs != 0 {
+			t.Errorf("%s: a pooled execution allocates %.1f objects, want 0", name, allocs)
+		}
+		stop()
+	}
+}

@@ -50,9 +50,10 @@ type thread struct {
 	body   func(*T)
 	status threadStatus
 
-	pending Op      // valid while status is embryo or parked
-	armed   bool    // spawn transition executed; start is schedulable
-	w       *worker // coroutine running this body, from start to exit
+	pending Op       // valid while status is embryo or parked; set by setOp
+	choice  ChoiceOp // pending as a ChoiceOp, nil when it is not one
+	armed   bool     // spawn transition executed; start is schedulable
+	w       *worker  // coroutine running this body, from start to exit
 
 	t      T      // the handle the body receives
 	handle Handle // the handle the parent's Go returns
@@ -76,6 +77,13 @@ type thread struct {
 	childCount int   // threads spawned by this thread so far
 	objSeq     int   // objects registered by this thread so far
 	parent     tidset.Tid
+}
+
+// setOp publishes op as th's pending transition, asking the ChoiceOp
+// question once so that candidates and prepare read a field.
+func (th *thread) setOp(op Op) {
+	th.pending = op
+	th.choice, _ = op.(ChoiceOp)
 }
 
 // killSentinel is panicked through a model thread to unwind it when

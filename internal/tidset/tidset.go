@@ -116,17 +116,14 @@ func (s *Set) Reset(n int) {
 		return
 	}
 	s.words = s.words[:need]
-	for i := range s.words {
-		s.words[i] = 0
-	}
+	clear(s.words)
 }
 
-// Clear empties the set, keeping its backing storage.
-func (s *Set) Clear() {
-	for i := range s.words {
-		s.words[i] = 0
-	}
-}
+// Words returns the set's backing words: bit b of word i is Tid 64*i+b.
+// The slice aliases the set — writing a word changes the set — until
+// the set next grows: a hot loop reads a set, or fills one Reset has
+// sized, a word at a time instead of a call or a closure per element.
+func (s Set) Words() []uint64 { return s.words }
 
 // CopyFrom makes s equal to o, reusing s's backing storage where
 // possible.
@@ -139,20 +136,6 @@ func (s *Set) CopyFrom(o Set) {
 	copy(s.words, o.words)
 }
 
-// Intersects reports whether s ∩ o is nonempty, without allocating.
-func (s Set) Intersects(o Set) bool {
-	n := len(s.words)
-	if len(o.words) < n {
-		n = len(o.words)
-	}
-	for i := 0; i < n; i++ {
-		if s.words[i]&o.words[i] != 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // Clone returns an independent copy of s.
 func (s Set) Clone() Set {
 	if len(s.words) == 0 {
@@ -161,43 +144,6 @@ func (s Set) Clone() Set {
 	w := make([]uint64, len(s.words))
 	copy(w, s.words)
 	return Set{words: w}
-}
-
-// Union returns s ∪ o.
-func (s Set) Union(o Set) Set {
-	a, b := s.words, o.words
-	if len(a) < len(b) {
-		a, b = b, a
-	}
-	out := make([]uint64, len(a))
-	copy(out, a)
-	for i, w := range b {
-		out[i] |= w
-	}
-	return Set{words: out}
-}
-
-// Intersect returns s ∩ o.
-func (s Set) Intersect(o Set) Set {
-	n := len(s.words)
-	if len(o.words) < n {
-		n = len(o.words)
-	}
-	out := make([]uint64, n)
-	for i := 0; i < n; i++ {
-		out[i] = s.words[i] & o.words[i]
-	}
-	return Set{words: out}
-}
-
-// Minus returns s \ o.
-func (s Set) Minus(o Set) Set {
-	out := make([]uint64, len(s.words))
-	copy(out, s.words)
-	for i := 0; i < len(out) && i < len(o.words); i++ {
-		out[i] &^= o.words[i]
-	}
-	return Set{words: out}
 }
 
 // UnionWith adds every element of o to s in place.
@@ -238,20 +184,6 @@ func (s Set) Equal(o Set) bool {
 			v = b[i]
 		}
 		if w != v {
-			return false
-		}
-	}
-	return true
-}
-
-// Subset reports whether every element of s is in o.
-func (s Set) Subset(o Set) bool {
-	for i, w := range s.words {
-		var v uint64
-		if i < len(o.words) {
-			v = o.words[i]
-		}
-		if w&^v != 0 {
 			return false
 		}
 	}
