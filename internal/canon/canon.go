@@ -143,32 +143,24 @@ func lessPath(a, b []int) bool {
 }
 
 // objectOrder returns object ids sorted by (creator canonical path,
-// creation seq), plus the raw-to-canonical ObjID map. Objects
-// registered without attribution sort after attributed ones, by raw
-// id (their order is schedule-dependent; syncmodel always attributes).
+// creation seq), plus the raw-to-canonical ObjID map.
 func objectOrder(e *engine.Engine, tidMap []tidset.Tid) (order []engine.ObjID, objMap []engine.ObjID) {
 	objects := e.Objects()
 	order = make([]engine.ObjID, len(objects))
 	for i := range order {
 		order[i] = engine.ObjID(i)
 	}
-	key := func(id engine.ObjID) (int, int, int) {
+	key := func(id engine.ObjID) (int, int) {
 		m := e.ObjectMeta(id)
-		if m.Creator == tidset.None {
-			return 1 << 30, 0, int(id)
-		}
-		return int(tidMap[m.Creator]), m.Seq, 0
+		return int(tidMap[m.Creator]), m.Seq
 	}
 	sort.Slice(order, func(a, b int) bool {
-		a1, a2, a3 := key(order[a])
-		b1, b2, b3 := key(order[b])
+		a1, a2 := key(order[a])
+		b1, b2 := key(order[b])
 		if a1 != b1 {
 			return a1 < b1
 		}
-		if a2 != b2 {
-			return a2 < b2
-		}
-		return a3 < b3
+		return a2 < b2
 	})
 	objMap = make([]engine.ObjID, len(objects))
 	for canonIdx, raw := range order {

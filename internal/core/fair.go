@@ -29,10 +29,11 @@
 // The state is recomputed deterministically during stateless replay.
 // It is four bit matrices — P, E, D and S, one row per thread, one
 // 64-bit word per row up to 64 threads — so a step costs words, not
-// calls: Schedulable bit-scans ES over the few rows of P that hold an
-// edge, and OnStep visits each row once (clear column t of P, S(u) |=
-// {t}), ANDs ES' into the E rows only on a step that disabled a thread,
-// and closes a window word-wise on the yielder's own row.
+// calls. S is stored by column, so S(u) |= {t} for every u is one row
+// copy; pcols, the columns of P that hold an edge, lets line 13 skip
+// the rows when column t has none. So OnStep is O(words) on a step that
+// neither yields nor disables a thread, a yield gathers S(t) in O(n),
+// and Schedulable bit-scans ES over the few rows of P that hold an edge.
 package core
 
 import (
@@ -51,20 +52,21 @@ const wordBits = 64
 type Fair struct {
 	// p, e, d and s are the matrices of P, E, D and S: n rows of w words,
 	// row t at [t*w, (t+1)*w), bit u of row t of p set iff (t, u) ∈ P (t
-	// may run only when u is disabled). No row holds a bit at or beyond
-	// n. The slices may be longer than n*w: Reset keeps their storage so
-	// a pooled engine re-registers threads allocation-free, and AddThread
-	// writes every word of the row it hands out, so nothing a previous
-	// execution left beyond n is ever read.
+	// may run only when u is disabled); s is transposed, bit u of row x
+	// set iff x ∈ S(u). No row holds a bit at or beyond n. The slices may
+	// be longer than n*w: Reset keeps their storage so a pooled engine
+	// re-registers threads allocation-free, and AddThread writes every
+	// word of the row it hands out, so nothing left beyond n is read.
 	p, e, d, s []uint64
 	n, w       int
 
 	// One row each, w words. universe is {0..n-1}. prows marks the
 	// non-empty rows of p — an edge lives only from a window close to its
 	// sink's next step, so usually few — which are all Schedulable has to
-	// look at. after is ES' of the last OnStep within universe; every
+	// look at; pcols is the union of the rows of p, the columns that hold
+	// an edge. after is ES' of the last OnStep within universe; every
 	// E(u) is a subset of it.
-	universe, prows, after []uint64
+	universe, prows, pcols, after []uint64
 
 	hbuf tidset.Set // window-close H buffer, reused across OnStep calls
 
@@ -86,11 +88,14 @@ type Fair struct {
 // parameterization; k = 1 is Algorithm 1 exactly. k < 1 panics.
 func NewFair(nthreads, k int) *Fair {
 	// Room for a few threads up front: four matrices growing one row at
-	// a time is most of what a fresh scheduler state allocates.
+	// a time is most of what a fresh scheduler state allocates. The four
+	// one-row vectors share one allocation until widen outgrows it.
 	n := max(nthreads, 8)
+	v := make([]uint64, 4)
 	f := &Fair{
 		p: make([]uint64, 0, n), e: make([]uint64, 0, n),
 		d: make([]uint64, 0, n), s: make([]uint64, 0, n),
+		universe: v[0:0:1], prows: v[1:1:2], pcols: v[2:2:3], after: v[3:3:4],
 		yieldSeen: make([]int, 0, n),
 	}
 	f.Reset(k)
@@ -112,6 +117,7 @@ func (f *Fair) Reset(k int) {
 	f.n, f.w = 0, 1
 	f.universe = append(f.universe[:0], 0)
 	f.prows = append(f.prows[:0], 0)
+	f.pcols = append(f.pcols[:0], 0)
 	f.after = append(f.after[:0], 0)
 	f.yieldSeen = f.yieldSeen[:0]
 	f.edgeAdds, f.edgeErases = 0, 0
@@ -138,6 +144,7 @@ func (f *Fair) AddThread(t tidset.Tid) {
 	}
 	w, tw, bit := f.w, f.n/wordBits, uint64(1)<<(uint(f.n)%wordBits)
 	f.universe[tw] |= bit
+	// S(u) and D(u) gain t for every u, S(t) = D(t) = universe: symmetric.
 	for i := tw; i < f.n*w; i += w {
 		f.s[i] |= bit
 		f.d[i] |= bit
@@ -176,6 +183,7 @@ func (f *Fair) widen() {
 	}
 	f.universe = append(f.universe, 0)
 	f.prows = append(f.prows, 0)
+	f.pcols = append(f.pcols, 0)
 	f.after = append(f.after, 0)
 	f.w = nw
 }
@@ -233,35 +241,39 @@ func (f *Fair) OnStep(t tidset.Tid, wasYield bool, esBefore, esAfter tidset.Set)
 		panic(fmt.Sprintf("core: OnStep for unknown thread %d", t))
 	}
 	w, tw, bit := f.w, int(t)/wordBits, uint64(1)<<(uint(t)%wordBits)
-	// Lines 14–22, the part for row t: D(t) gains what this step disabled.
-	// Every E(u) is within the ES' of the step before, so E(u) &= ES' has
-	// work to do only when this step took a thread out of it.
+	base := int(t) * w
+	// Lines 14–22, the part for row t: D(t) gains what this step disabled,
+	// and S(u) |= {t} for every u is row t of the transpose becoming
+	// everyone. Every E(u) is within the ES' of the step before, so E(u)
+	// &= ES' has work to do only when this step took a thread out of it.
 	after, shrunk := f.after, false
 	aw, bw := esAfter.Words(), esBefore.Words()
 	for i, u := range f.universe {
 		a, b := word(aw, i)&u, word(bw, i)&u
 		shrunk = shrunk || after[i]&^a != 0
 		after[i] = a
-		f.d[int(t)*w+i] |= b &^ a
+		f.d[base+i] |= b &^ a
+		f.s[base+i] = u
 	}
-	// The fused pass, one visit per row u. Line 13, next.P := curr.P \
-	// (Tid × {t}): drop the edge (u, t), decreasing the relative priority
-	// of the just-scheduled thread. Lines 14–22: S(u) |= {t}, E(u) &= ES'.
-	p, s := f.p[:f.n*w], f.s[:f.n*w]
-	for u, i := 0, tw; i < len(p); u, i = u+1, i+w {
-		s[i] |= bit
-		if p[i]&bit != 0 {
-			p[i] &^= bit
-			f.edgeErases++
-			if !intersects(p[i-tw:], f.universe) { // the row is empty now
-				f.prows[u/wordBits] &^= 1 << (uint(u) % wordBits)
+	// Line 13, next.P := curr.P \ (Tid × {t}): drop the edges (u, t),
+	// decreasing the relative priority of the just-scheduled thread. The
+	// rows are visited only when column t holds one.
+	if f.pcols[tw]&bit != 0 {
+		f.pcols[tw] &^= bit
+		for u, i, p := 0, tw, f.p[:f.n*w]; i < len(p); u, i = u+1, i+w {
+			if p[i]&bit != 0 {
+				p[i] &^= bit
+				f.edgeErases++
+				if !intersects(p[i-tw:], f.universe) { // the row is empty now
+					f.prows[u/wordBits] &^= 1 << (uint(u) % wordBits)
+				}
 			}
 		}
 	}
 	if shrunk {
-		for base, e := 0, f.e[:f.n*w]; base < len(e); base += w {
+		for r, e := 0, f.e[:f.n*w]; r < len(e); r += w {
 			for i, a := range after {
-				e[base+i] &= a
+				e[r+i] &= a
 			}
 		}
 	}
@@ -274,17 +286,20 @@ func (f *Fair) OnStep(t tidset.Tid, wasYield bool, esBefore, esAfter tidset.Set)
 	if f.yieldSeen[t]%f.k != 0 {
 		return tidset.Set{}, false // k-th yield parameterization: skip this boundary
 	}
+	// S(t), gathered into hbuf from column t, which the gather empties:
+	// S(t) := ∅. t ∈ S(t) always holds here (line 21 added t), so H never
+	// contains t and P stays irreflexive and acyclic (Theorem 3).
 	f.hbuf.Reset(w * wordBits)
 	hw := f.hbuf.Words()
-	adds, base := 0, int(t)*w
-	for i := range hw {
-		// t ∈ S(t) always holds here (line 21 added t), so H never
-		// contains t and P stays irreflexive and acyclic (Theorem 3).
-		x := (f.e[base+i] | f.d[base+i]) &^ f.s[base+i]
-		hw[i] = x
-		adds += bits.OnesCount64(x)
-		f.p[base+i] |= x
-		f.e[base+i], f.d[base+i], f.s[base+i] = after[i], 0, 0
+	f.column(f.s, int(t), hw, true)
+	adds := 0
+	for j, st := range hw {
+		hj := (f.e[base+j] | f.d[base+j]) &^ st
+		hw[j] = hj
+		adds += bits.OnesCount64(hj)
+		f.p[base+j] |= hj
+		f.pcols[j] |= hj
+		f.e[base+j], f.d[base+j] = after[j], 0
 	}
 	if adds > 0 {
 		f.prows[tw] |= bit
@@ -340,8 +355,25 @@ func (f *Fair) WindowE(t tidset.Tid) tidset.Set { return f.row(f.e, int(t)) }
 func (f *Fair) WindowD(t tidset.Tid) tidset.Set { return f.row(f.d, int(t)) }
 
 // WindowS returns a copy of S(t) (threads scheduled since the last
-// yield of t).
-func (f *Fair) WindowS(t tidset.Tid) tidset.Set { return f.row(f.s, int(t)) }
+// yield of t), gathered from column t of S's transpose.
+func (f *Fair) WindowS(t tidset.Tid) tidset.Set {
+	var s tidset.Set
+	s.Reset(f.w * wordBits)
+	f.column(f.s, int(t), s.Words(), false)
+	return s
+}
+
+// column ORs column t of m, {x : bit t of row x}, into the words dst,
+// and empties the column when empty is set.
+func (f *Fair) column(m []uint64, t int, dst []uint64, empty bool) {
+	tw, tb := t/wordBits, uint(t)%wordBits
+	for x, i := 0, tw; x < f.n; x, i = x+1, i+f.w {
+		dst[x/wordBits] |= (m[i] >> tb & 1) << (uint(x) % wordBits)
+		if empty {
+			m[i] &^= 1 << tb
+		}
+	}
+}
 
 // Acyclic reports whether P, viewed as a directed graph, is acyclic.
 // Theorem 3 proves this is an invariant; it is exported for tests and
@@ -367,7 +399,7 @@ func (f *Fair) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "P=%v", f.Edges())
 	for t := 0; t < f.n; t++ {
-		fmt.Fprintf(&b, " S(%d)=%v D(%d)=%v E(%d)=%v", t, f.row(f.s, t), t, f.row(f.d, t), t, f.row(f.e, t))
+		fmt.Fprintf(&b, " S(%d)=%v D(%d)=%v E(%d)=%v", t, f.WindowS(tidset.Tid(t)), t, f.row(f.d, t), t, f.row(f.e, t))
 	}
 	return b.String()
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"fairmc/internal/tidset"
@@ -20,6 +21,9 @@ type refFair struct {
 	// only every k-th closes the window.
 	k      int
 	yields []int
+	// EdgeStats' counts: edges line 13 deleted, and |H| summed over the
+	// window closes (an edge already in P counts again).
+	adds, erases int64
 }
 
 func newRefFair(n, k int) *refFair {
@@ -69,12 +73,14 @@ func (r *refFair) schedulable(es map[int]bool) map[int]bool {
 	return t
 }
 
-// onStep applies lines 13–29 for scheduled thread t.
-func (r *refFair) onStep(t int, wasYield bool, esBefore, esAfter map[int]bool) {
+// onStep applies lines 13–29 for scheduled thread t and returns, when
+// the step closes t's window, closed = true and the set H it added.
+func (r *refFair) onStep(t int, wasYield bool, esBefore, esAfter map[int]bool) (h map[int]bool, closed bool) {
 	// Line 13: next.P := curr.P \ (Tid × {t}).
 	for edge := range r.p {
 		if edge[1] == t {
 			delete(r.p, edge)
+			r.erases++
 		}
 	}
 	// Lines 14–22.
@@ -93,14 +99,17 @@ func (r *refFair) onStep(t int, wasYield bool, esBefore, esAfter map[int]bool) {
 	}
 	// Lines 23–29.
 	if !wasYield {
-		return
+		return nil, false
 	}
 	if r.yields[t]++; r.yields[t]%r.k != 0 {
-		return
+		return nil, false
 	}
+	h = map[int]bool{}
 	for v := 0; v < r.n; v++ {
 		if (r.e[t][v] || r.d[t][v]) && !r.s[t][v] {
 			r.p[[2]int{t, v}] = true
+			h[v] = true
+			r.adds++
 		}
 	}
 	r.e[t] = map[int]bool{}
@@ -109,6 +118,7 @@ func (r *refFair) onStep(t int, wasYield bool, esBefore, esAfter map[int]bool) {
 	}
 	r.d[t] = map[int]bool{}
 	r.s[t] = map[int]bool{}
+	return h, true
 }
 
 func setOf(m map[int]bool) tidset.Set {
@@ -123,8 +133,9 @@ func setOf(m map[int]bool) tidset.Set {
 
 // TestDifferentialAgainstReference drives the production Fair and the
 // naive transcription with the same random schedules (including
-// dynamic thread creation) and demands identical schedulable sets and
-// priority edges at every step.
+// dynamic thread creation) and demands identical schedulable sets,
+// priority edges, window sets, closing H and edge counts at every step
+// (compareWithReference).
 func TestDifferentialAgainstReference(t *testing.T) {
 	for seed := int64(0); seed < 40; seed++ {
 		r := rand.New(rand.NewSource(seed))
@@ -180,6 +191,7 @@ func differentialRun(t *testing.T, seed int64, r *rand.Rand, fair *Fair, n, k, m
 	for i := 0; i < n; i++ {
 		es[i] = true
 	}
+	compareWithReference(t, seed, -1, fair, ref)
 
 	for step := 0; step < steps; step++ {
 		// Occasionally create a thread (exercises the dynamic
@@ -223,20 +235,54 @@ func differentialRun(t *testing.T, seed int64, r *rand.Rand, fair *Fair, n, k, m
 				esAfter[v] = true
 			}
 		}
-		ref.onStep(tid, wasYield, es, esAfter)
-		fair.OnStep(tidset.Tid(tid), wasYield, setOf(es), setOf(esAfter))
+		wantH, wantClosed := ref.onStep(tid, wasYield, es, esAfter)
+		gotH, gotClosed := fair.OnStep(tidset.Tid(tid), wasYield, setOf(es), setOf(esAfter))
+		if gotClosed != wantClosed || !gotH.Equal(setOf(wantH)) {
+			t.Fatalf("seed %d step %d: thread %d closed %v with H = %v, reference closed %v with %v",
+				seed, step, tid, gotClosed, gotH, wantClosed, setOf(wantH))
+		}
 		es = esAfter
+		compareWithReference(t, seed, step, fair, ref)
+	}
+}
 
-		// Compare the full priority relation.
-		for x := 0; x < n; x++ {
-			for y := 0; y < n; y++ {
-				want := ref.p[[2]int{x, y}]
-				got := fair.Priority(tidset.Tid(x), tidset.Tid(y))
-				if want != got {
-					t.Fatalf("seed %d step %d: edge (%d,%d) impl=%v ref=%v",
-						seed, step, x, y, got, want)
-				}
+// compareWithReference demands that fair and ref agree on everything
+// the scheduler holds: the full priority relation, every thread's E, D
+// and S — S read back through the transpose it is stored as — and the
+// edge counters; and that the rows and columns of P fair marks as
+// holding an edge (prows, pcols) are exactly the reference's.
+func compareWithReference(t *testing.T, seed int64, step int, fair *Fair, ref *refFair) {
+	t.Helper()
+	rows, cols := make([]uint64, fair.w), make([]uint64, fair.w)
+	for edge := range ref.p {
+		rows[edge[0]/wordBits] |= 1 << (uint(edge[0]) % wordBits)
+		cols[edge[1]/wordBits] |= 1 << (uint(edge[1]) % wordBits)
+	}
+	if !slices.Equal(fair.prows, rows) || !slices.Equal(fair.pcols, cols) {
+		t.Fatalf("seed %d step %d: rows %x and columns %x of P marked, reference has %x and %x",
+			seed, step, fair.prows, fair.pcols, rows, cols)
+	}
+	for x := 0; x < ref.n; x++ {
+		for y := 0; y < ref.n; y++ {
+			want := ref.p[[2]int{x, y}]
+			got := fair.Priority(tidset.Tid(x), tidset.Tid(y))
+			if want != got {
+				t.Fatalf("seed %d step %d: edge (%d,%d) impl=%v ref=%v",
+					seed, step, x, y, got, want)
 			}
 		}
+		u := tidset.Tid(x)
+		for _, w := range []struct {
+			name      string
+			got, want tidset.Set
+		}{{"E", fair.WindowE(u), setOf(ref.e[x])}, {"D", fair.WindowD(u), setOf(ref.d[x])}, {"S", fair.WindowS(u), setOf(ref.s[x])}} {
+			if !w.got.Equal(w.want) {
+				t.Fatalf("seed %d step %d: %s(%d) = %v, reference %v", seed, step, w.name, x, w.got, w.want)
+			}
+		}
+	}
+	if adds, erases := fair.EdgeStats(); adds != ref.adds || erases != ref.erases {
+		t.Fatalf("seed %d step %d: EdgeStats %d adds, %d erases; reference %d, %d",
+			seed, step, adds, erases, ref.adds, ref.erases)
 	}
 }

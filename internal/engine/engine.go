@@ -186,6 +186,7 @@ type Engine struct {
 	threads []*thread
 	thFree  []*thread // exited thread records recycled across pooled runs
 	live    int       // program threads (never agents) not yet exited: newThread, runThread
+	opBits  []opWord  // threads not exited, agents included, by pending op: setOp, runThread
 	// idleWorkers holds the coroutines parked between thread bodies.
 	// Pushes happen when the hub processes a thread's exit and pops when
 	// it starts an embryo — both inside a section (fastpath.go), so no
@@ -353,6 +354,9 @@ func (e *Engine) allocThread(name string) *thread {
 	th.name = name
 	th.parent = tidset.None
 	e.threads = append(e.threads, th)
+	if th.id%64 == 0 {
+		e.opBits = append(e.opBits, opWord{})
+	}
 	if e.fair != nil {
 		e.fair.AddThread(th.id)
 	}
@@ -369,7 +373,7 @@ func (e *Engine) newThread(name string, body func(*T), parent *thread) *thread {
 	th.t = T{e: e, th: th}
 	th.handle = Handle{th: th}
 	th.start = startOp{th: th}
-	th.setOp(&th.start)
+	e.setOp(th, &th.start)
 	e.live++
 	if parent != nil {
 		th.parent = parent.id
@@ -386,8 +390,8 @@ func (e *Engine) newThread(name string, body func(*T), parent *thread) *thread {
 // transitions: they appear in the candidate set, in schedules and
 // digests, and in the fair scheduler's priority relation exactly like
 // thread steps. op stays the agent's pending op for the whole
-// execution (Enabled gates when it is schedulable); a non-nil Execute
-// continuation replaces it.
+// execution (a Guarded op's Enabled gates when it is schedulable); a
+// non-nil Execute continuation replaces it.
 //
 // Agents do not count as live threads (the execution terminates when
 // every real thread has exited, buffered or not), never appear in a
@@ -398,8 +402,30 @@ func (e *Engine) newThread(name string, body func(*T), parent *thread) *thread {
 func (e *Engine) AddAgent(name string, op Op) tidset.Tid {
 	th := e.allocThread(name)
 	th.status = statusAgent
-	th.setOp(op)
+	e.setOp(th, op)
 	return th.id
+}
+
+// opWord is word i of Engine.opBits, tids 64i..64i+63: the threads
+// whose pending op is unguarded, and those whose op is Guarded.
+type opWord struct{ unguarded, guarded uint64 }
+
+// opWord returns the word of opBits that holds th, and th's bit in it.
+func (e *Engine) opWord(th *thread) (*opWord, uint64) {
+	return &e.opBits[th.id/64], 1 << (uint(th.id) % 64)
+}
+
+// setOp publishes op as th's pending transition, caches it as a
+// ChoiceOp and as Guarded, and files th in opBits.
+func (e *Engine) setOp(th *thread, op Op) {
+	th.pending = op
+	th.choice, _ = op.(ChoiceOp)
+	th.guard, _ = op.(Guarded)
+	w, bit := e.opWord(th)
+	*w = opWord{w.unguarded | bit, w.guarded &^ bit}
+	if th.guard != nil {
+		*w = opWord{w.unguarded &^ bit, w.guarded | bit}
+	}
 }
 
 // IsAgent reports whether tid names a scheduler agent rather than a
@@ -419,15 +445,20 @@ func (e *Engine) TSOBufCap() int { return e.cfg.TSOBufCap }
 // increment from op Execute bodies (serialized with the scheduler).
 func (e *Engine) WM() *WMCounters { return &e.wm }
 
-// enabledSet computes ES over live threads by querying pending ops,
-// rebuilding into buf so the per-step sets reuse their storage.
+// enabledSet computes ES into buf, reusing its storage: per word, the
+// unguarded threads and the guarded ones whose Enabled holds.
 func (e *Engine) enabledSet(buf tidset.Set) tidset.Set {
-	buf.Reset(len(e.threads))
+	threads := e.threads
+	buf.Reset(len(threads))
 	words := buf.Words()
-	for i, th := range e.threads {
-		if th.status != statusExited && th.pending.Enabled() {
-			words[i/64] |= 1 << (uint(i) % 64)
+	for i, ow := range e.opBits {
+		w := ow.unguarded
+		for g := ow.guarded; g != 0; g &= g - 1 {
+			if threads[i*64+bits.TrailingZeros64(g)].guard.Enabled() {
+				w |= g & -g
+			}
 		}
+		words[i] = w
 	}
 	return buf
 }
@@ -453,7 +484,7 @@ func (e *Engine) decideLoop() (alt Alt, out Outcome, terminal bool) {
 		}
 		_, wasYield := e.prepare(alt)
 		if cont := th.pending.Execute(); cont != nil {
-			th.setOp(cont)
+			e.setOp(th, cont)
 		}
 		if out, done := e.commit(alt, wasYield); done {
 			return alt, out, true
@@ -534,8 +565,8 @@ func (e *Engine) decide() (alt Alt, out Outcome, terminal bool) {
 	if !ok {
 		return alt, Aborted, true
 	}
-	if err := validateAlt(alt, cands); err != nil {
-		panic(fmt.Sprintf("engine: chooser returned invalid alternative: %v", err))
+	if !e.validAlt(alt, schedulable) {
+		panic(fmt.Sprintf("engine: chooser returned invalid alternative: %v not in %v", alt, cands))
 	}
 	if e.cfg.EventSink != nil {
 		e.cfg.EventSink.Emit(obs.Event{
@@ -651,13 +682,17 @@ func (e *Engine) commit(alt Alt, wasYield bool) (out Outcome, done bool) {
 	return 0, false
 }
 
-func validateAlt(alt Alt, cands []Alt) error {
-	for _, c := range cands {
-		if c == alt {
-			return nil
-		}
+// validAlt reports whether alt is among the candidates of schedulable,
+// without scanning them: a choice within its thread's ChoiceOp's arity,
+// or noChoice when it has none.
+func (e *Engine) validAlt(alt Alt, schedulable tidset.Set) bool {
+	if !schedulable.Contains(alt.Tid) {
+		return false
 	}
-	return fmt.Errorf("%v not in %v", alt, cands)
+	if c := e.threads[alt.Tid].choice; c != nil {
+		return alt.Arg >= 0 && alt.Arg < c.Arity()
+	}
+	return alt.Arg == noChoice
 }
 
 // candidates expands the schedulable set into alternatives, one per
@@ -684,8 +719,9 @@ func (e *Engine) candidates(schedulable tidset.Set) []Alt {
 }
 
 // checkInvariants is Config.CheckInvariants' per-decision self-check:
-// Theorem 3 on the fair scheduler's state, and the engine's own counted
-// and cached state against a recomputation from the thread records.
+// Theorem 3 on the fair scheduler's state, and the engine's counted and
+// cached state (live counter, op caches, opBits, the enabled set)
+// against a recount that type-asserts every thread's pending op.
 func (e *Engine) checkInvariants(es, schedulable tidset.Set) {
 	if e.fair != nil && !e.fair.Acyclic() {
 		panic("engine: priority relation P is cyclic (Theorem 3 violated)")
@@ -698,8 +734,22 @@ func (e *Engine) checkInvariants(es, schedulable tidset.Set) {
 		if th.status != statusExited && th.status != statusAgent {
 			live++
 		}
-		if c, _ := th.pending.(ChoiceOp); th.status != statusExited && c != th.choice {
-			panic(fmt.Sprintf("engine: thread %d caches a stale ChoiceOp", th.id))
+		w, bit := e.opWord(th)
+		got := opWord{w.unguarded & bit, w.guarded & bit}
+		var want opWord // th's bits and enabledness, recounted from its record
+		enabled := false
+		if g, guarded := th.pending.(Guarded); th.status != statusExited {
+			if c, _ := th.pending.(ChoiceOp); c != th.choice || g != th.guard {
+				panic(fmt.Sprintf("engine: thread %d caches a stale pending op", th.id))
+			}
+			want, enabled = opWord{unguarded: bit}, !guarded || g.Enabled()
+			if guarded {
+				want = opWord{guarded: bit}
+			}
+		}
+		if got != want || es.Contains(th.id) != enabled {
+			panic(fmt.Sprintf("engine: thread %d filed as %+v and enabled %v, recount says %+v and %v",
+				th.id, got, es.Contains(th.id), want, enabled))
 		}
 	}
 	if live != e.live {
@@ -716,7 +766,7 @@ func (e *Engine) park(th *thread, op Op) {
 		// engine gave up on it.
 		panic(killSentinel{})
 	}
-	th.setOp(op)
+	e.setOp(th, op)
 	if e.fast {
 		e.parkFast(th)
 		return
@@ -731,7 +781,7 @@ func (e *Engine) park(th *thread, op Op) {
 		if cont == nil {
 			return
 		}
-		th.setOp(cont)
+		e.setOp(th, cont)
 	}
 }
 
@@ -768,6 +818,8 @@ func (e *Engine) runThread(th *thread) {
 			}
 			th.status = statusExited
 			e.live--
+			w, bit := e.opWord(th)
+			*w = opWord{w.unguarded &^ bit, w.guarded &^ bit}
 		}
 		if goexit {
 			// iter.Pull re-raises a coroutine's Goexit in whoever resumes
@@ -926,19 +978,11 @@ func (e *Engine) result(outcome Outcome) *Result {
 	return r
 }
 
-// RegisterObject records a shared object created during the execution
-// and returns its id. Called by the syncmodel constructors.
-func (e *Engine) RegisterObject(obj Object) ObjID {
-	id := ObjID(len(e.objects))
-	e.objects = append(e.objects, obj)
-	e.objMeta = append(e.objMeta, ObjMeta{Creator: tidset.None})
-	return id
-}
-
-// RegisterObjectBy is RegisterObject with creator attribution: the
-// object is tagged with the creating thread and its per-thread
-// creation sequence number, the stable identity heap canonicalization
-// (internal/canon) keys on.
+// RegisterObjectBy records a shared object created by t during the
+// execution and returns its id. Called by the syncmodel constructors.
+// The object is tagged with t and its per-thread creation sequence
+// number, the stable identity heap canonicalization (internal/canon)
+// keys on.
 func (e *Engine) RegisterObjectBy(t *T, obj Object) ObjID {
 	id := ObjID(len(e.objects))
 	e.objects = append(e.objects, obj)
@@ -950,8 +994,7 @@ func (e *Engine) RegisterObjectBy(t *T, obj Object) ObjID {
 
 // ObjMeta is the creation identity of a registered object.
 type ObjMeta struct {
-	// Creator is the creating thread, or tidset.None when the object
-	// was registered without attribution.
+	// Creator is the creating thread.
 	Creator tidset.Tid
 	// Seq is the creation index within the creating thread.
 	Seq int

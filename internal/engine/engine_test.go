@@ -273,6 +273,71 @@ func TestChooseArityValidation(t *testing.T) {
 	}
 }
 
+// TestInvalidAlternativePanics: an answer that is not among the
+// candidates panics naming them, whichever part of it is wrong — a
+// thread that cannot run, a choice on an op that has none, none on one
+// that has, a choice past the arity.
+func TestInvalidAlternativePanics(t *testing.T) {
+	for _, c := range []struct {
+		step int
+		alt  engine.Alt
+		want string
+	}{
+		{0, engine.Alt{Tid: 1, Arg: -1}, "t1 not in [t0]"},
+		{0, engine.Alt{Tid: -1, Arg: -1}, "t-1 not in [t0]"},
+		{0, engine.Alt{Tid: 0, Arg: 0}, "t0:0 not in [t0]"},
+		{1, engine.Alt{Tid: 0, Arg: -1}, "t0 not in [t0:0 t0:1 t0:2]"},
+		{1, engine.Alt{Tid: 0, Arg: 3}, "t0:3 not in [t0:0 t0:1 t0:2]"},
+	} {
+		func() {
+			want := "engine: chooser returned invalid alternative: " + c.want
+			defer func() {
+				if p := recover(); p != want {
+					t.Errorf("%v at step %d: recovered %v, want %q", c.alt, c.step, p, want)
+				}
+			}()
+			engine.Run(func(t *engine.T) { t.Choose(3) }, engine.FuncChooser(func(ctx *engine.ChooseContext) (engine.Alt, bool) {
+				if ctx.Step == c.step {
+					return c.alt, true
+				}
+				return ctx.Cands[0], true
+			}), cfg())
+		}()
+	}
+}
+
+// TestGuardedOpsAskedEveryStep: a ring of guarded ops whose guards flip
+// with no object touched — each Execute passes a token the next op's
+// Enabled reads — runs its rounds in ring order to termination, with
+// the enabled set checked against a recount at every step. An engine
+// that asked a guarded op only when a step touched its object would
+// never see the token move.
+func TestGuardedOpsAskedEveryStep(t *testing.T) {
+	const n, rounds = 5, 7
+	p := ring(n, rounds)
+	for _, fair := range []bool{false, true} {
+		c := cfg()
+		c.Fair = fair
+		r := engine.Run(p.body, randomWalk(3), c)
+		if r.Outcome != engine.Terminated {
+			t.Fatalf("fair %v: outcome %v, want terminated", fair, r.Outcome)
+		}
+		next := 0
+		for _, s := range r.Trace {
+			if s.Info.Kind != "ring" {
+				continue
+			}
+			if int(s.Alt.Tid) != next%n {
+				t.Fatalf("fair %v: ring step %d ran thread %d, want the token holder %d", fair, next, s.Alt.Tid, next%n)
+			}
+			next++
+		}
+		if next != n*rounds {
+			t.Fatalf("fair %v: %d ring steps, want %d", fair, next, n*rounds)
+		}
+	}
+}
+
 func TestReplayDeterminism(t *testing.T) {
 	prog := func(t *engine.T) {
 		m := syncmodel.NewMutex(t, "m")

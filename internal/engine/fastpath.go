@@ -139,7 +139,7 @@ func (e *Engine) parkFast(th *thread) {
 				if cont == nil {
 					return
 				}
-				th.setOp(cont)
+				e.setOp(th, cont)
 				continue
 			}
 		}

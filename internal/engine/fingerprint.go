@@ -48,7 +48,7 @@ func (e *Engine) AppendStateBytes(buf []byte) []byte {
 		buf = appendString(buf, info.Kind)
 		buf = binary.AppendVarint(buf, int64(info.Obj))
 		buf = binary.AppendVarint(buf, info.Aux)
-		if th.pending.Enabled() {
+		if th.enabled() {
 			buf = append(buf, 1)
 		} else {
 			buf = append(buf, 0)
@@ -91,7 +91,7 @@ func (e *Engine) SnapshotThread(t tidset.Tid) ThreadSnapshot {
 	}
 	if s.Live {
 		s.Pending = th.pending.Info()
-		s.Enabled = th.pending.Enabled()
+		s.Enabled = th.enabled()
 	}
 	return s
 }

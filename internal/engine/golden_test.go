@@ -24,9 +24,12 @@ const goldenWalks = 100
 // — in particular the multi-phase ones: Cond.Wait, Once, Barrier,
 // RWMutex, Channel send/recv, the TSO store → flush/fence chain —
 // still describes itself (Info), gates itself (Enabled) and takes
-// effect exactly as it did when each step owned a fresh op object. A
-// change that means to alter schedules, traces or digests takes the new
-// hashes from the failure output.
+// effect exactly as it did when each step owned a fresh op object, and
+// when every op, guarded or not, was asked Enabled at every step. The
+// walks check invariants, so the enabled set the engine builds from its
+// op bits is compared at every step with a recount from every thread
+// record. A change that means to alter schedules, traces or digests
+// takes the new hashes from the failure output.
 var goldenHashes = map[string]uint64{
 	"ape":                           0xae085fb87f1c25ff,
 	"bakery-2":                      0xc5e0970be385b,
@@ -121,7 +124,7 @@ func walkHash(t *testing.T, p progs.Program, mm core.MemModel) uint64 {
 			return ctx.Cands[r.Intn(len(ctx.Cands))], true
 		}), engine.Config{
 			Fair: true, MaxSteps: 1500, RecordTrace: true, RecordDigests: true,
-			MemModel: mm, NoFastPath: w%2 == 1,
+			MemModel: mm, NoFastPath: w%2 == 1, CheckInvariants: true,
 		})
 		if len(res.Trace) != len(res.Schedule) || len(res.Digests) != len(res.Schedule) {
 			t.Fatalf("%s walk %d: %d scheduled steps, %d traced, %d digested",

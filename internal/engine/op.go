@@ -8,10 +8,9 @@
 // parks until the checker grants it the step and switches to it.
 // Exactly one model thread runs at a time — the engine does all the
 // scheduling, the Go scheduler none — so execution is fully
-// deterministic and an
-// execution is replayable from its schedule (the sequence of
-// (thread, choice) decisions) alone — the essence of stateless model
-// checking.
+// deterministic and an execution is replayable from its schedule (the
+// sequence of (thread, choice) decisions) alone — the essence of
+// stateless model checking.
 package engine
 
 import (
@@ -21,9 +20,9 @@ import (
 )
 
 // Op is one pending operation of a parked thread: the thread's next
-// transition. The engine queries Enabled to build the enabled set ES
-// and runs Execute (on the owning thread's coroutine) when the
-// scheduler grants the step.
+// transition, enabled in every state unless it is Guarded. The engine
+// runs Execute (on the owning thread's coroutine) when the scheduler
+// grants the step.
 //
 // Lifetime: a thread has exactly one published op at a time, and the
 // engine is its only holder — from T.Do (or the Execute that returned
@@ -33,10 +32,6 @@ import (
 // thread as soon as T.Do returns; OpSlot is that reuse, and every op
 // of the model objects lives in one.
 type Op interface {
-	// Enabled reports whether the transition can currently fire.
-	// A thread whose pending op is disabled is blocked.
-	Enabled() bool
-
 	// Execute applies the transition's effect. It runs on the owning
 	// thread's coroutine, strictly serialized with all other model
 	// code. A non-nil return value is a continuation: the thread
@@ -56,6 +51,17 @@ type Op interface {
 
 	// Info describes the operation for traces and fingerprints.
 	Info() OpInfo
+}
+
+// Guarded is implemented by operations that can be disabled: a lock, a
+// wait, a join, a receive. The engine asks Enabled of every pending
+// Guarded op at every scheduling point and remembers no earlier answer,
+// so Enabled may depend on any state. A thread whose pending op is
+// disabled is blocked. Forgetting Guarded makes an op always enabled.
+type Guarded interface {
+	Op
+	// Enabled reports whether the transition can currently fire.
+	Enabled() bool
 }
 
 // ChoiceOp is implemented by operations that introduce data
@@ -195,21 +201,18 @@ type startOp struct {
 	th *thread
 }
 
-func (o *startOp) Enabled() bool { return o.th.armed }
-func (o *startOp) Execute() Op   { panic("engine: startOp.Execute must not be called") }
-func (o *startOp) Yielding() bool {
-	return false
-}
-func (o *startOp) Info() OpInfo { return OpInfo{Kind: "start", Obj: NoObj} }
+func (o *startOp) Enabled() bool  { return o.th.armed }
+func (o *startOp) Execute() Op    { panic("engine: startOp.Execute must not be called") }
+func (o *startOp) Yielding() bool { return false }
+func (o *startOp) Info() OpInfo   { return OpInfo{Kind: "start", Obj: NoObj} }
 
-// yieldOp implements T.Yield and T.Sleep: always enabled, no effect,
+// yieldOp implements T.Yield and T.Sleep: unguarded, no effect,
 // and yielding — the good-samaritan signal the fair scheduler keys on.
 type yieldOp struct {
 	kind string
 	aux  int64
 }
 
-func (*yieldOp) Enabled() bool  { return true }
 func (*yieldOp) Execute() Op    { return nil }
 func (*yieldOp) Yielding() bool { return true }
 func (o *yieldOp) Info() OpInfo { return OpInfo{Kind: o.kind, Obj: NoObj, Aux: o.aux} }
@@ -221,7 +224,6 @@ type chooseOp struct {
 	choice int
 }
 
-func (o *chooseOp) Enabled() bool  { return true }
 func (o *chooseOp) Execute() Op    { return nil }
 func (o *chooseOp) Yielding() bool { return false }
 func (o *chooseOp) Arity() int     { return o.n }

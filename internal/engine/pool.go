@@ -85,6 +85,7 @@ func (e *Engine) reset(chooser Chooser, cfg Config) {
 		e.threads[i] = nil
 	}
 	e.threads = e.threads[:0]
+	e.opBits = e.opBits[:0]
 	e.live = 0
 	for i := range e.objects {
 		e.objects[i] = nil

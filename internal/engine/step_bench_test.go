@@ -3,6 +3,7 @@ package engine_test
 import (
 	"testing"
 
+	"fairmc/conc"
 	"fairmc/internal/engine"
 	"fairmc/internal/rng"
 )
@@ -10,7 +11,8 @@ import (
 // ringOp passes a token round a ring of threads: it is enabled for the
 // thread holding the token and hands the token to the next, so once
 // every thread is started exactly one is schedulable at each step and
-// — in a ring of more than one — it is never the one that ran last.
+// — in a ring of more than one — it is never the one that ran last. It
+// is Guarded, on a token that is no registered object.
 type ringOp struct {
 	tok   *int
 	me, n int
@@ -24,11 +26,10 @@ func (o *ringOp) Execute() engine.Op {
 func (o *ringOp) Yielding() bool      { return false }
 func (o *ringOp) Info() engine.OpInfo { return engine.OpInfo{Kind: "ring", Obj: engine.NoObj} }
 
-// freeOp is always enabled and touches nothing: a thread of them is
+// freeOp is unguarded and touches nothing: a thread of them is
 // schedulable at every step.
 type freeOp struct{}
 
-func (freeOp) Enabled() bool       { return true }
 func (freeOp) Execute() engine.Op  { return nil }
 func (freeOp) Yielding() bool      { return false }
 func (freeOp) Info() engine.OpInfo { return engine.OpInfo{Kind: "free", Obj: engine.NoObj} }
@@ -63,12 +64,10 @@ func ring(n, rounds int) stepProg {
 	}}
 }
 
-// wide is n threads under the fair scheduler, all of them schedulable at
-// every step and each yielding on every eighth of its rounds steps: a
-// scheduling point with a wide enabled set, windows closing and priority
-// edges coming and going — random-p2's shape without its program.
-func wide(n, rounds int) stepProg {
-	worker := func(t *engine.T) {
+// freeRounds is a body taking rounds steps that are always schedulable,
+// yielding on every eighth.
+func freeRounds(rounds int) func(*engine.T) {
+	return func(t *engine.T) {
 		for i := 1; i <= rounds; i++ {
 			if i%8 == 0 {
 				t.Yield()
@@ -77,11 +76,43 @@ func wide(n, rounds int) stepProg {
 			}
 		}
 	}
+}
+
+// wide is n threads under the fair scheduler, all of them schedulable at
+// every step and each yielding on every eighth of its rounds steps: a
+// scheduling point with a wide enabled set, windows closing and priority
+// edges coming and going — random-p2's shape without its program.
+func wide(n, rounds int) stepProg {
+	worker := freeRounds(rounds)
 	return stepProg{cfg: engine.Config{Fair: true}, body: func(t *engine.T) {
 		for i := 1; i < n; i++ {
 			t.Go("wide", worker)
 		}
 		worker(t)
+	}}
+}
+
+// blocked is n threads under the fair scheduler, all but two of them
+// parked on a mutex the main thread holds while it and one free thread
+// take rounds steps each, yielding on every eighth: a scheduling point
+// with many guarded ops to ask and few enabled — the shape of
+// random-p2's waits. The mutex is the program's one allocation.
+func blocked(n, rounds int) stepProg {
+	var mu *conc.Mutex
+	free := freeRounds(rounds)
+	waiter := func(t *engine.T) {
+		mu.Lock(t)
+		mu.Unlock(t)
+	}
+	return stepProg{cfg: engine.Config{Fair: true}, body: func(t *engine.T) {
+		mu = conc.NewMutex(t, "mu")
+		mu.Lock(t)
+		t.Go("free", free)
+		for i := 2; i < n; i++ {
+			t.Go("waiter", waiter)
+		}
+		free(t)
+		mu.Unlock(t)
 	}}
 }
 
@@ -137,13 +168,26 @@ func BenchmarkStepInline(b *testing.B) { benchmarkStep(b, ring(1, 1000)) }
 // BenchmarkStepWide: 26 threads under the fair scheduler, all enabled.
 func BenchmarkStepWide(b *testing.B) { benchmarkStep(b, wide(26, 40)) }
 
-// TestStepAllocatesNothing is the three benchmarks' 0 allocs/op as a
-// test: a whole pooled execution of each program allocates nothing.
+// BenchmarkStepBlocked: 26 threads under the fair scheduler, 24 of them
+// blocked for most of the run.
+func BenchmarkStepBlocked(b *testing.B) { benchmarkStep(b, blocked(26, 200)) }
+
+// TestStepAllocatesNothing is the four benchmarks' 0 allocs/op as a
+// test: a whole pooled execution of each program allocates nothing but
+// what the program makes itself.
 func TestStepAllocatesNothing(t *testing.T) {
-	for name, p := range map[string]stepProg{"handoff": ring(25, 40), "inline": ring(1, 1000), "wide": wide(26, 40)} {
-		run, stop := pooledRunner(t, p)
-		if allocs := testing.AllocsPerRun(20, func() { run() }); allocs != 0 {
-			t.Errorf("%s: a pooled execution allocates %.1f objects, want 0", name, allocs)
+	for name, c := range map[string]struct {
+		p   stepProg
+		own float64
+	}{
+		"handoff": {ring(25, 40), 0},
+		"inline":  {ring(1, 1000), 0},
+		"wide":    {wide(26, 40), 0},
+		"blocked": {blocked(26, 200), 1},
+	} {
+		run, stop := pooledRunner(t, c.p)
+		if allocs := testing.AllocsPerRun(20, func() { run() }); allocs != c.own {
+			t.Errorf("%s: a pooled execution allocates %.1f objects, want the program's %.0f", name, allocs, c.own)
 		}
 		stop()
 	}

@@ -50,8 +50,9 @@ type thread struct {
 	body   func(*T)
 	status threadStatus
 
-	pending Op       // valid while status is embryo or parked; set by setOp
+	pending Op       // valid while status is embryo or parked; set by Engine.setOp
 	choice  ChoiceOp // pending as a ChoiceOp, nil when it is not one
+	guard   Guarded  // pending as a Guarded op, nil when it is always enabled
 	armed   bool     // spawn transition executed; start is schedulable
 	w       *worker  // coroutine running this body, from start to exit
 
@@ -79,12 +80,8 @@ type thread struct {
 	parent     tidset.Tid
 }
 
-// setOp publishes op as th's pending transition, asking the ChoiceOp
-// question once so that candidates and prepare read a field.
-func (th *thread) setOp(op Op) {
-	th.pending = op
-	th.choice, _ = op.(ChoiceOp)
-}
+// enabled reports whether th's pending op can fire, as enabledSet does.
+func (th *thread) enabled() bool { return th.guard == nil || th.guard.Enabled() }
 
 // killSentinel is panicked through a model thread to unwind it when
 // the engine aborts an execution. User code must not recover it; the
@@ -142,7 +139,6 @@ type spawnOp struct {
 	child *thread
 }
 
-func (o *spawnOp) Enabled() bool { return true }
 func (o *spawnOp) Execute() Op {
 	o.child.armed = true
 	return nil

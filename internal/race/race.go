@@ -22,7 +22,6 @@ package race
 import (
 	"fmt"
 	"sort"
-	"strings"
 
 	"fairmc/internal/engine"
 	"fairmc/internal/tidset"
@@ -30,12 +29,6 @@ import (
 
 // VC is a vector clock, indexed by thread id.
 type VC []uint32
-
-func (v VC) clone() VC {
-	out := make(VC, len(v))
-	copy(out, v)
-	return out
-}
 
 func (v *VC) extend(n int) {
 	for len(*v) < n {
@@ -51,20 +44,6 @@ func (v *VC) joinWith(o VC) {
 			(*v)[i] = x
 		}
 	}
-}
-
-// leq reports whether v happens-before-or-equals o pointwise.
-func (v VC) leq(o VC) bool {
-	for i, x := range v {
-		var y uint32
-		if i < len(o) {
-			y = o[i]
-		}
-		if x > y {
-			return false
-		}
-	}
-	return true
 }
 
 // epoch is one access: the clock value of the accessing thread at the
@@ -295,18 +274,4 @@ func (d *Detector) report(e *engine.Engine, l location, prev epoch, tid tidset.T
 	if _, ok := d.races[key]; !ok {
 		d.races[key] = r
 	}
-}
-
-// Summary renders the detector's findings.
-func (d *Detector) Summary() string {
-	races := d.Races()
-	if len(races) == 0 {
-		return "no races detected"
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "%d race(s) detected:\n", len(races))
-	for _, r := range races {
-		fmt.Fprintf(&b, "  %s\n", r)
-	}
-	return b.String()
 }

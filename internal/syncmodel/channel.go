@@ -48,12 +48,6 @@ func NewChannel(t *engine.T, name string, capacity int) *Channel {
 // Len returns the number of buffered values.
 func (c *Channel) Len() int { return len(c.buf) }
 
-// Cap returns the channel capacity.
-func (c *Channel) Cap() int { return c.capacity }
-
-// Closed reports whether the channel has been closed.
-func (c *Channel) Closed() bool { return c.closed }
-
 // Send enqueues v, blocking (disabled) while the channel is full (or,
 // for capacity zero, until a receiver is waiting). Sending on a closed
 // channel is a detected error.
@@ -210,7 +204,6 @@ type tryRecvOp struct {
 	got  bool
 }
 
-func (o *tryRecvOp) Enabled() bool { return true }
 func (o *tryRecvOp) Execute() engine.Op {
 	o.open = !o.c.closed
 	if len(o.c.buf) > 0 {
@@ -229,7 +222,6 @@ type closeOp struct {
 	t *engine.T
 }
 
-func (o *closeOp) Enabled() bool { return true }
 func (o *closeOp) Execute() engine.Op {
 	if o.c.closed {
 		o.t.Failf("channel %q: close of closed channel", o.c.name)

@@ -72,7 +72,6 @@ type condWaitOp struct {
 	t *engine.T
 }
 
-func (o *condWaitOp) Enabled() bool { return true }
 func (o *condWaitOp) Execute() engine.Op {
 	o.c.m.owner = tidset.None
 	re := condReacquireSlot.Set(o.t, condReacquireOp{c: o.c, t: o.t, w: condWaiter{tid: o.t.ID()}})
@@ -115,7 +114,6 @@ type condSignalOp struct {
 	all bool
 }
 
-func (o *condSignalOp) Enabled() bool { return true }
 func (o *condSignalOp) Execute() engine.Op {
 	for _, w := range o.c.waiters {
 		if !w.signaled {

@@ -74,7 +74,6 @@ type eventTimeoutOp struct {
 	ok bool
 }
 
-func (o *eventTimeoutOp) Enabled() bool { return true }
 func (o *eventTimeoutOp) Execute() engine.Op {
 	o.ok = o.e.signaled
 	if o.ok && !o.e.manual {
@@ -92,7 +91,6 @@ type eventSetOp struct {
 	to bool
 }
 
-func (o *eventSetOp) Enabled() bool { return true }
 func (o *eventSetOp) Execute() engine.Op {
 	o.e.signaled = o.to
 	return nil

@@ -99,7 +99,6 @@ type tryLockOp struct {
 	ok      bool
 }
 
-func (o *tryLockOp) Enabled() bool { return true }
 func (o *tryLockOp) Execute() engine.Op {
 	if o.m.owner == tidset.None {
 		o.m.owner = o.t.ID()
@@ -122,7 +121,6 @@ type unlockOp struct {
 	m *Mutex
 }
 
-func (o *unlockOp) Enabled() bool { return true }
 func (o *unlockOp) Execute() engine.Op {
 	o.m.owner = tidset.None
 	return nil
@@ -220,7 +218,6 @@ func (o *wLockOp) Info() engine.OpInfo {
 
 type wUnlockOp struct{ m *RWMutex }
 
-func (o *wUnlockOp) Enabled() bool { return true }
 func (o *wUnlockOp) Execute() engine.Op {
 	o.m.writer = tidset.None
 	return nil
@@ -250,7 +247,6 @@ type rUnlockOp struct {
 	t *engine.T
 }
 
-func (o *rUnlockOp) Enabled() bool { return true }
 func (o *rUnlockOp) Execute() engine.Op {
 	id := o.t.ID()
 	for i, r := range o.m.readers {

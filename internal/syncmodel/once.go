@@ -95,7 +95,6 @@ func (op *onceBeginOp) Info() engine.OpInfo {
 
 type onceCompleteOp struct{ o *Once }
 
-func (op *onceCompleteOp) Enabled() bool { return true }
 func (op *onceCompleteOp) Execute() engine.Op {
 	op.o.state = 2
 	op.o.winner = tidset.None
@@ -149,7 +148,6 @@ type barrierArriveOp struct {
 	t *engine.T
 }
 
-func (op *barrierArriveOp) Enabled() bool { return true }
 func (op *barrierArriveOp) Execute() engine.Op {
 	op.b.arrived++
 	if op.b.arrived == op.b.parties {

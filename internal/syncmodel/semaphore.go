@@ -80,7 +80,6 @@ type semTryOp struct {
 	ok      bool
 }
 
-func (o *semTryOp) Enabled() bool { return true }
 func (o *semTryOp) Execute() engine.Op {
 	if o.s.count > 0 {
 		o.s.count--
@@ -104,7 +103,6 @@ type semReleaseOp struct {
 	n int64
 }
 
-func (o *semReleaseOp) Enabled() bool { return true }
 func (o *semReleaseOp) Execute() engine.Op {
 	o.s.count += o.n
 	return nil

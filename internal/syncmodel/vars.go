@@ -82,7 +82,6 @@ type loadOp struct {
 	res int64
 }
 
-func (o *loadOp) Enabled() bool { return true }
 func (o *loadOp) Execute() engine.Op {
 	o.res = o.v.v
 	return nil
@@ -97,7 +96,6 @@ type storeOp struct {
 	x int64
 }
 
-func (o *storeOp) Enabled() bool { return true }
 func (o *storeOp) Execute() engine.Op {
 	o.v.v = o.x
 	return nil
@@ -113,7 +111,6 @@ type addOp struct {
 	res   int64
 }
 
-func (o *addOp) Enabled() bool { return true }
 func (o *addOp) Execute() engine.Op {
 	o.v.v += o.delta
 	o.res = o.v.v
@@ -130,7 +127,6 @@ type casOp struct {
 	ok       bool
 }
 
-func (o *casOp) Enabled() bool { return true }
 func (o *casOp) Execute() engine.Op {
 	if o.v.v == o.old {
 		o.v.v = o.new
@@ -151,7 +147,6 @@ type swapOp struct {
 	res int64
 }
 
-func (o *swapOp) Enabled() bool { return true }
 func (o *swapOp) Execute() engine.Op {
 	o.res = o.v.v
 	o.v.v = o.x
@@ -214,7 +209,6 @@ type arrGetOp struct {
 	res int64
 }
 
-func (o *arrGetOp) Enabled() bool { return true }
 func (o *arrGetOp) Execute() engine.Op {
 	o.res = o.a.elems[o.i]
 	return nil
@@ -230,7 +224,6 @@ type arrSetOp struct {
 	x int64
 }
 
-func (o *arrSetOp) Enabled() bool { return true }
 func (o *arrSetOp) Execute() engine.Op {
 	o.a.elems[o.i] = o.x
 	return nil
@@ -282,7 +275,6 @@ type anyLoadOp struct {
 	res any
 }
 
-func (o *anyLoadOp) Enabled() bool { return true }
 func (o *anyLoadOp) Execute() engine.Op {
 	o.res = o.v.v
 	return nil
@@ -297,7 +289,6 @@ type anyStoreOp struct {
 	x any
 }
 
-func (o *anyStoreOp) Enabled() bool { return true }
 func (o *anyStoreOp) Execute() engine.Op {
 	o.v.v = o.x
 	return nil

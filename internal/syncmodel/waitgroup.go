@@ -51,7 +51,6 @@ type wgAddOp struct {
 	delta int64
 }
 
-func (o *wgAddOp) Enabled() bool { return true }
 func (o *wgAddOp) Execute() engine.Op {
 	o.w.count += o.delta
 	if o.w.count < 0 {

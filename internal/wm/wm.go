@@ -106,9 +106,6 @@ func NewWithModel(t *engine.T, name string, n int, mod core.MemModel, cap int) *
 	return m
 }
 
-// Model returns the memory model this Memory runs under.
-func (m *Memory) Model() core.MemModel { return m.mod }
-
 // ID returns the object's engine id.
 func (m *Memory) ID() engine.ObjID { return m.id }
 
@@ -224,7 +221,6 @@ type loadOp struct {
 	res int64
 }
 
-func (o *loadOp) Enabled() bool { return true }
 func (o *loadOp) Execute() engine.Op {
 	m := o.m
 	if m.mod == core.MemTSO {
@@ -253,7 +249,6 @@ type scStoreOp struct {
 	x int64
 }
 
-func (o *scStoreOp) Enabled() bool { return true }
 func (o *scStoreOp) Execute() engine.Op {
 	o.m.mem[o.v] = o.x
 	return nil
