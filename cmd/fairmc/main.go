@@ -157,7 +157,6 @@ func searchFlags(fs *flag.FlagSet, o *fairmc.Options) (finish func()) {
 	fs.IntVar(&o.ConfirmRuns, "confirm", 3, "confirmation replays per finding (reproducibility verdict); 0 disables")
 	fs.IntVar(&o.DivergenceRetries, "div-retries", 2, "replay attempts before a diverging (nondeterministic) subtree is quarantined; 0 quarantines on first divergence")
 	fs.BoolVar(&o.DisableConformance, "no-conformance", false, "disable per-step conformance digests on prefix replays")
-	fs.BoolVar(&o.NoFastPath, "no-fastpath", false, "disable the engine fast path (step batching, prefix memoization, engine pooling); reports are byte-identical either way")
 	return func() {
 		// In Options, 0 means "default retries" and negative means none;
 		// on the command line 0 plainly means none.

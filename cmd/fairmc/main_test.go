@@ -58,12 +58,12 @@ var flagTable = func() map[string]flagRow {
 			t[name] = flagRow{value, append(t[name].cmds, cmds...)}
 		}
 	}
-	// The 22 search flags.
+	// The 21 search flags.
 	add([]string{"check", "serve", "job submit"},
 		"fair=true", "fairk=1", "cb=2", "depthbound=0", "randomtail=false", "maxsteps=100",
 		"mm=sc", "tso-buf=0", "maxexec=10", "seed=1", "random=false", "pct=false", "pctdepth=3",
 		"sleepsets=false", "dpor=false", "watchdog=1s", "confirm=1", "div-retries=1",
-		"no-conformance=false", "no-fastpath=false")
+		"no-conformance=false")
 	add([]string{"check", "serve", "job submit", "replay"}, "prog=spinloop")
 	add([]string{"check", "serve", "job submit", "worker"}, "p=1")
 	// check's own.
@@ -78,15 +78,18 @@ var flagTable = func() map[string]flagRow {
 	add([]string{"worker"}, "workdir=", "retry-base=1ms", "retry-max=1ms", "retry-attempts=1", "join-timeout=1s")
 	add([]string{"worker", "job submit", "job status", "job cancel"}, "url=http://127.0.0.1:1")
 	add([]string{"job status", "job cancel"}, "job=j1")
-	// The parent's mode selectors are the command words now.
-	add(nil, "list=true", "replay=f", "serve=127.0.0.1:0", "worker=u", "submit=u", "status=u", "cancel=u")
+	// The parent's mode selectors are the command words now, and the
+	// search-level fast-path switch is gone.
+	add(nil, "list=true", "replay=f", "serve=127.0.0.1:0", "worker=u", "submit=u", "status=u", "cancel=u",
+		"no-fastpath=false")
 	return t
 }()
 
 // TestFlagSurface: every flag is accepted by exactly the commands the
 // table lists and is "not defined" everywhere else — which is what
 // replaced the hand-written mode checks — and the table is the parent's
-// 53 names minus the seven mode selectors plus -addr and -url.
+// 53 names minus the seven mode selectors and -no-fastpath, plus -addr
+// and -url.
 func TestFlagSurface(t *testing.T) {
 	defined := 0
 	for name, row := range flagTable {
@@ -110,8 +113,8 @@ func TestFlagSurface(t *testing.T) {
 			}
 		}
 	}
-	if defined != 53-7+2 {
-		t.Errorf("%d flag names defined, want the parent's 53 - 7 mode selectors + addr, url = 48", defined)
+	if defined != 53-7-1+2 {
+		t.Errorf("%d flag names defined, want the parent's 53 - 7 mode selectors - no-fastpath + addr, url = 47", defined)
 	}
 }
 

@@ -66,7 +66,6 @@ func jobRequest(o fairmc.Options) (req jobs.SubmitRequest, err error) {
 	return jobs.SubmitRequest{
 		Spec:           dist.SpecFromOptions(p.Name, o),
 		RefParallelism: max(1, o.Parallelism),
-		ConfirmRuns:    o.ConfirmRuns,
 	}, nil
 }
 
@@ -81,7 +80,7 @@ func adopt(s *jobs.Server, req jobs.SubmitRequest) (string, error) {
 	}
 	if prev, _ := s.Submission(ids[0]); len(ids) > 1 || prev != req {
 		return "", fmt.Errorf("the ledger holds a different search (%d job(s), the first %s at -p %d): rerun that command, or name a new -ledger directory",
-			len(ids), prev.Spec.Program, prev.RefParallelism)
+			len(ids), prev.Spec.ProgramName, prev.RefParallelism)
 	}
 	return ids[0], nil
 }
@@ -182,7 +181,7 @@ func (c *cli) serve(args []string) int {
 			ln.Close()
 			return c.usageError(err)
 		}
-		fmt.Fprintf(c.stderr, "service: %s is job %s (report mirrors -p %d)\n", req.Spec.Program, id, req.RefParallelism)
+		fmt.Fprintf(c.stderr, "service: %s is job %s (report mirrors -p %d)\n", req.Spec.ProgramName, id, req.RefParallelism)
 		go func() {
 			status, rep = s.Wait(id)
 			close(finished)
@@ -234,7 +233,7 @@ func (c *cli) serve(args []string) int {
 	if ledger != "" {
 		out.interruptHint = fmt.Sprintf("rerun with -ledger %s to resume", ledger)
 	}
-	return c.finishSearch(fairmc.ResultFromReport(rep), req.Spec.Program, opts, start, out)
+	return c.finishSearch(fairmc.ResultFromReport(rep), req.Spec.ProgramName, opts, start, out)
 }
 
 // worker serves a jobs service with this process until SIGINT/SIGTERM
@@ -386,7 +385,7 @@ func (c *cli) job(args []string) int {
 		if err := httpDo(http.MethodPost, url+jobs.PathJobs, body, &sr); err != nil {
 			return failed("submit", err)
 		}
-		fmt.Fprintf(c.stdout, "submitted %s (program %s, report mirrors -p %d)\n", sr.JobID, req.Spec.Program, req.RefParallelism)
+		fmt.Fprintf(c.stdout, "submitted %s (program %s, report mirrors -p %d)\n", sr.JobID, req.Spec.ProgramName, req.RefParallelism)
 	case "cancel":
 		var cr jobs.CancelResponse
 		if err := httpDo(http.MethodPost, jobURL+"/cancel", nil, &cr); err != nil {

@@ -13,8 +13,10 @@ import (
 
 // The determinism suite pins the fast path's core contract: batching,
 // memoization, and pooling are pure speed — the deterministic run
-// report is byte-for-byte identical with the fast path on or off, at
-// any parallelism, and across a checkpoint/resume cycle. Fixtures
+// report is byte-for-byte identical at any parallelism and across a
+// checkpoint/resume cycle, where the resumed search starts without
+// memo state (the engine-level fast-path on/off axis is
+// TestRegistryTraceGolden's). Fixtures
 // cover the three scheduler regimes: an exhaustive fair DFS
 // (spinloop), a quarantining search over a program that is not a
 // deterministic function of its schedule (nondet-counter), and a DPOR
@@ -65,7 +67,7 @@ func lookupBody(t *testing.T, name string) func(*conc.T) {
 }
 
 // TestFastPathReportInvariance: the run report does not depend on the
-// fast path or on the worker count.
+// worker count.
 func TestFastPathReportInvariance(t *testing.T) {
 	cases := []struct {
 		name     string
@@ -77,7 +79,7 @@ func TestFastPathReportInvariance(t *testing.T) {
 		// quarantining search legitimately partitions nondeterministic
 		// subtrees differently per worker count (sequential quarantine is
 		// per-subtree, prefix-parallel quarantine is per-prefix), so for
-		// those the suite pins fastpath on/off identity at each level.
+		// those the suite pins run-to-run identity at each level.
 		crossP bool
 	}{
 		{"spinloop", lookupBody(t, "spinloop"), fairmc.Options{
@@ -93,8 +95,7 @@ func TestFastPathReportInvariance(t *testing.T) {
 		}, []int{1, 4}, false},
 		// TSO turns flush delay into schedulable steps: the digests,
 		// schedules, and wm counters those steps produce must be
-		// byte-identical across parallelism and fast-path settings like
-		// any other transition.
+		// byte-identical across parallelism like any other transition.
 		{"litmus-sb-tso", lookupBody(t, "litmus-sb"), fairmc.Options{
 			Fair:                   true,
 			ContextBound:           -1,
@@ -131,18 +132,16 @@ func TestFastPathReportInvariance(t *testing.T) {
 				if !tc.crossP {
 					ref = nil
 				}
-				for _, noFast := range []bool{false, true} {
+				for run := 0; run < 2; run++ {
 					opts := tc.opts
 					opts.Parallelism = p
-					opts.NoFastPath = noFast
 					data, _ := checkReport(t, tc.prog, tc.name, opts)
 					if ref == nil {
 						ref = data
 						continue
 					}
 					if !bytes.Equal(ref, data) {
-						t.Fatalf("run report differs at p=%d nofastpath=%v:\n%s\nvs\n%s",
-							p, noFast, ref, data)
+						t.Fatalf("run report differs at p=%d, run %d:\n%s\nvs\n%s", p, run, ref, data)
 					}
 				}
 			}
@@ -151,11 +150,9 @@ func TestFastPathReportInvariance(t *testing.T) {
 }
 
 // TestFastPathCheckpointResume: a search interrupted at half its
-// executions, checkpointed with the fast path ON, and resumed with the
-// fast path OFF reproduces the uninterrupted report exactly — the
-// checkpoint format and options hash are fast-path-agnostic, and memo
-// state is never persisted (restored frames fall back to digest
-// validation).
+// executions, checkpointed and resumed, reproduces the uninterrupted
+// report exactly — memo state is never persisted (restored frames fall
+// back to digest validation).
 func TestFastPathCheckpointResume(t *testing.T) {
 	fixtures := []struct {
 		name string
@@ -174,7 +171,7 @@ func TestFastPathCheckpointResume(t *testing.T) {
 			MaxExecutions: 300,
 		}},
 		// A deep, wide stack: the checkpoint is cut out of the searcher's
-		// frame arenas mid-backtrack and the slow path rebuilds them.
+		// frame arenas mid-backtrack and the resume rebuilds them.
 		{"ticketlock", lookupBody(t, "ticketlock"), fairmc.Options{
 			Fair:          true,
 			ContextBound:  -1,
@@ -228,7 +225,6 @@ func TestFastPathCheckpointResume(t *testing.T) {
 			second := opts
 			second.CheckpointPath = path
 			second.Resume = ck
-			second.NoFastPath = true // cross the boundary: resume on the slow path
 			resumed, err := fairmc.Check(fx.prog, second)
 			if err != nil {
 				t.Fatal(err)

@@ -90,7 +90,7 @@ func finishAndCompare(t *testing.T, coord *dist.Coordinator, url string) *search
 func TestDistBatchLeaseLifetime(t *testing.T) {
 	const ttl = 300 * time.Millisecond
 	coord, srv := startCoordinator(t, dist.CoordinatorConfig{
-		Prog: racyIncrement, Program: "racy", Options: dporOpts, RefParallelism: 2,
+		Prog: racyIncrement, Options: named("racy", dporOpts), RefParallelism: 2,
 		LeaseTTL: ttl,
 	})
 	worker, wave := leaseWave(t, srv.URL)
@@ -144,7 +144,7 @@ func TestDistBatchLeaseLifetime(t *testing.T) {
 func TestDistBatchResultAppliedOnce(t *testing.T) {
 	var committed atomic.Int64
 	coord, srv := startCoordinator(t, dist.CoordinatorConfig{
-		Prog: racyIncrement, Program: "racy", Options: dporOpts, RefParallelism: 2,
+		Prog: racyIncrement, Options: named("racy", dporOpts), RefParallelism: 2,
 		OnShardDone: func(decided []dist.ShardDecision) error {
 			committed.Add(int64(len(decided)))
 			return nil
@@ -185,7 +185,7 @@ func TestDistBatchVeto(t *testing.T) {
 	veto := false
 	var offered []int
 	coord, srv := startCoordinator(t, dist.CoordinatorConfig{
-		Prog: racyIncrement, Program: "racy", Options: dporOpts, RefParallelism: 2,
+		Prog: racyIncrement, Options: named("racy", dporOpts), RefParallelism: 2,
 		OnShardDone: func(decided []dist.ShardDecision) error {
 			mu.Lock()
 			defer mu.Unlock()
@@ -271,7 +271,7 @@ func TestDistLeaseLongPoll(t *testing.T) {
 	const maxInflight = 8
 	m := &obs.Metrics{}
 	coord, srv := startCoordinator(t, dist.CoordinatorConfig{
-		Prog: racyIncrement, Program: "racy", Options: dporOpts, RefParallelism: 2,
+		Prog: racyIncrement, Options: named("racy", dporOpts), RefParallelism: 2,
 		MaxInflight: maxInflight, Metrics: m,
 	})
 	const worker = "by-hand"

@@ -43,8 +43,7 @@ func TestDistChaosByteIdentical(t *testing.T) {
 	}
 	coord, srv := startCoordinator(t, dist.CoordinatorConfig{
 		Prog:           racyIncrement,
-		Program:        "racy",
-		Options:        opts,
+		Options:        named("racy", opts),
 		RefParallelism: 2,
 		LeaseTTL:       500 * time.Millisecond,
 		// Chaos causes benign lease expiries; don't let them exhaust the
@@ -179,7 +178,7 @@ func postJSONKey(t *testing.T, url, key string, in, out any) []byte {
 func TestDistDuplicateResultPost(t *testing.T) {
 	opts := search.Options{Fair: true, ContextBound: -1, MaxSteps: 10000}
 	coord, srv := startCoordinator(t, dist.CoordinatorConfig{
-		Prog: fig3, Program: "fig3", Options: opts, RefParallelism: 2,
+		Prog: fig3, Options: named("fig3", opts), RefParallelism: 2,
 	})
 
 	lr := leaseWork(t, srv.URL, "by-hand")
@@ -223,7 +222,7 @@ func TestDistDuplicateResultPost(t *testing.T) {
 func TestDistLateResultAfterRequeue(t *testing.T) {
 	opts := search.Options{Fair: true, ContextBound: -1, MaxSteps: 10000}
 	coord, srv := startCoordinator(t, dist.CoordinatorConfig{
-		Prog: fig3, Program: "fig3", Options: opts, RefParallelism: 2,
+		Prog: fig3, Options: named("fig3", opts), RefParallelism: 2,
 		LeaseTTL: 300 * time.Millisecond,
 	})
 
@@ -259,7 +258,7 @@ func TestDistLateResultAfterRequeue(t *testing.T) {
 func TestDistStaleWorkerID(t *testing.T) {
 	opts := search.Options{Fair: true, ContextBound: -1, MaxSteps: 10000}
 	cfg := dist.CoordinatorConfig{
-		Prog: fig3, Program: "fig3", Options: opts, RefParallelism: 2,
+		Prog: fig3, Options: named("fig3", opts), RefParallelism: 2,
 	}
 	coordA, srvA := startCoordinator(t, cfg)
 	const worker = "outlives-a"
@@ -315,7 +314,7 @@ func TestDistHeartbeatMetricsDedup(t *testing.T) {
 	opts := search.Options{Fair: true, ContextBound: -1, MaxSteps: 10000}
 	m := &obs.Metrics{}
 	coord, srv := startCoordinator(t, dist.CoordinatorConfig{
-		Prog: fig3, Program: "fig3", Options: opts, RefParallelism: 2,
+		Prog: fig3, Options: named("fig3", opts), RefParallelism: 2,
 		Metrics: m,
 	})
 	defer coord.Interrupt()
@@ -366,7 +365,7 @@ func TestDistSpoolReplay(t *testing.T) {
 	workDir := t.TempDir()
 	opts := search.Options{Fair: true, ContextBound: -1, MaxSteps: 10000}
 	cfg := dist.CoordinatorConfig{
-		Prog: fig3, Program: "fig3", Options: opts, RefParallelism: 2,
+		Prog: fig3, Options: named("fig3", opts), RefParallelism: 2,
 		LeaseTTL: 5 * time.Second, // long: completed-but-unposted shards must not requeue mid-test
 	}
 	coordA, srvA := startCoordinator(t, cfg)
@@ -459,7 +458,7 @@ func TestDistLoadShedding(t *testing.T) {
 	m := &obs.Metrics{}
 	opts := search.Options{Fair: true, ContextBound: -1, MaxSteps: 10000}
 	coord, srv := startCoordinator(t, dist.CoordinatorConfig{
-		Prog: fig3, Program: "fig3", Options: opts, RefParallelism: 2,
+		Prog: fig3, Options: named("fig3", opts), RefParallelism: 2,
 		MaxInflight: 1,
 		Metrics:     m,
 		EventWriter: bw,

@@ -38,13 +38,13 @@ const (
 
 // CoordinatorConfig configures a distributed search.
 type CoordinatorConfig struct {
-	// Prog is the program under test; Program its registry name (sent
-	// to workers, which look the program up on their side).
-	Prog    func(*engine.T)
-	Program string
+	// Prog is the program under test.
+	Prog func(*engine.T)
 	// Options is the full search configuration, including budgets and
-	// the confirmation pass. TimeLimit must be zero: a wall-clock
-	// budget cannot be distributed deterministically.
+	// the confirmation pass; Options.ProgramName is the program's
+	// registry name, which workers look the program up by. TimeLimit
+	// must be zero: a wall-clock budget cannot be distributed
+	// deterministically.
 	Options search.Options
 	// RefParallelism selects which local run the merged report mirrors
 	// (byte-identical to Parallelism=RefParallelism); it also sets the
@@ -147,7 +147,7 @@ type lease struct {
 // Handler on an http.Server, and Wait for the merged report.
 type Coordinator struct {
 	cfg  CoordinatorConfig
-	spec SearchSpec
+	spec search.Options // what a grant carries: cfg.Options.Spec()
 	plan *search.Plan
 
 	mu        sync.Mutex
@@ -187,8 +187,8 @@ type Coordinator struct {
 // NewCoordinator plans the search (or adopts cfg.Prior's plan and
 // decided shards) and returns a coordinator ready to serve.
 func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
-	if cfg.Prog == nil || cfg.Program == "" {
-		return nil, errors.New("dist: coordinator needs Prog and Program")
+	if cfg.Prog == nil || cfg.Options.ProgramName == "" {
+		return nil, errors.New("dist: coordinator needs Prog and Options.ProgramName")
 	}
 	if cfg.Options.TimeLimit != 0 {
 		return nil, errors.New("dist: TimeLimit cannot be distributed deterministically; use MaxExecutions")
@@ -207,13 +207,13 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	}
 	// The coordinator's own search work — the merge (pruned DPOR
 	// reversals) and the confirmation pass — counts into its registry.
-	// (SearchSpec carries no registry, so workers are unaffected.)
+	// (The spec carries no registry, so workers are unaffected.)
 	cfg.Options.Metrics = cfg.Metrics
 
 	now := time.Now()
 	c := &Coordinator{
 		cfg:    cfg,
-		spec:   SpecFromOptions(cfg.Program, cfg.Options),
+		spec:   cfg.Options.Spec(),
 		leases: map[string]*lease{},
 		idem:   map[string][]byte{},
 		wake:   make(chan struct{}),
@@ -844,7 +844,7 @@ func (c *Coordinator) handleEvents(w http.ResponseWriter, r *http.Request) {
 
 func (c *Coordinator) statusLocked() StatusResponse {
 	return StatusResponse{
-		Program:   c.cfg.Program,
+		Program:   c.cfg.Options.ProgramName,
 		Strategy:  c.plan.Strategy,
 		Shards:    len(c.plan.Shards),
 		Merged:    c.merger.Merged(),

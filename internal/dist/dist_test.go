@@ -64,6 +64,12 @@ func lookup(name string) (func(*engine.T), bool) {
 	return p, ok
 }
 
+// named is opts for the test program registered as name.
+func named(name string, opts search.Options) search.Options {
+	opts.ProgramName = name
+	return opts
+}
+
 // startCoordinator builds a coordinator for prog/opts and serves its
 // handler on an httptest server.
 func startCoordinator(t *testing.T, cfg dist.CoordinatorConfig) (*dist.Coordinator, *httptest.Server) {
@@ -142,8 +148,7 @@ func TestDistMatchesLocal(t *testing.T) {
 			prog := testProgs[tc.program]
 			coord, srv := startCoordinator(t, dist.CoordinatorConfig{
 				Prog:           prog,
-				Program:        tc.program,
-				Options:        tc.opts,
+				Options:        named(tc.program, tc.opts),
 				RefParallelism: 2,
 			})
 			runWorkers(t, srv.URL, 2)
@@ -218,8 +223,7 @@ func TestDistWorkerDeathRequeues(t *testing.T) {
 	opts := search.Options{Fair: true, ContextBound: -1, MaxSteps: 10000}
 	coord, srv := startCoordinator(t, dist.CoordinatorConfig{
 		Prog:           fig3,
-		Program:        "fig3",
-		Options:        opts,
+		Options:        named("fig3", opts),
 		RefParallelism: 2,
 		LeaseTTL:       500 * time.Millisecond,
 	})
@@ -257,7 +261,7 @@ func TestDistWorkerDeathRequeues(t *testing.T) {
 func TestDistUnknownProgram(t *testing.T) {
 	opts := search.Options{Fair: true, ContextBound: -1, MaxSteps: 10000}
 	coord, srv := startCoordinator(t, dist.CoordinatorConfig{
-		Prog: fig3, Program: "fig3", Options: opts, RefParallelism: 2,
+		Prog: fig3, Options: named("fig3", opts), RefParallelism: 2,
 	})
 	err := dist.RunWorker(dist.WorkerConfig{
 		URL:    srv.URL,

@@ -44,8 +44,7 @@ func TestDistDPORMatchesSequential(t *testing.T) {
 			distMetrics := obs.NewMetrics()
 			coord, srv := startCoordinator(t, dist.CoordinatorConfig{
 				Prog:           racyIncrement,
-				Program:        "racy",
-				Options:        dporOpts,
+				Options:        named("racy", dporOpts),
 				RefParallelism: 2,
 				Metrics:        distMetrics,
 			})
@@ -74,8 +73,7 @@ func TestDistDPORMatchesSequential(t *testing.T) {
 func TestDistDPORWorkerDeath(t *testing.T) {
 	coord, srv := startCoordinator(t, dist.CoordinatorConfig{
 		Prog:           racyIncrement,
-		Program:        "racy",
-		Options:        dporOpts,
+		Options:        named("racy", dporOpts),
 		RefParallelism: 2,
 		LeaseTTL:       500 * time.Millisecond,
 	})

@@ -266,7 +266,7 @@ func TestServiceLeaseFollowsWork(t *testing.T) {
 	// Everything planned is leased: a third call parks, until the first
 	// worker's result grows j1's plan.
 	z := askLease(srv.URL, "z")
-	opts := first.lr.Spec.Options()
+	opts := *first.lr.Spec
 	g := first.lr.Grants[0]
 	growing := time.Now()
 	postProto(t, srv.URL+first.lr.Path+dist.PathResult, dist.ResultRequest{WorkerID: "x-or-y", Results: []dist.ShardResult{
@@ -412,9 +412,9 @@ func TestOneWorkerLoop(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			want := localReportBytes(t, tc.program, tc.opts, 2)
 
-			spec := dist.SpecFromOptions(tc.program, tc.opts)
+			opts := named(tc.program, tc.opts)
 			coord, err := dist.NewCoordinator(dist.CoordinatorConfig{
-				Prog: testProgs[tc.program], Program: tc.program, Options: spec.Options(), RefParallelism: 2,
+				Prog: testProgs[tc.program], Options: opts, RefParallelism: 2,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -422,7 +422,7 @@ func TestOneWorkerLoop(t *testing.T) {
 			bare := httptest.NewServer(coord.Handler())
 			defer bare.Close()
 			runTwo(t, bare.URL) // they return on the coordinator's "done"
-			got, err := fairmc.ResultFromReport(coord.Wait()).RunReport(tc.program, spec.Options()).Encode()
+			got, err := fairmc.ResultFromReport(coord.Wait()).RunReport(tc.program, opts).Encode()
 			if err != nil || !bytes.Equal(got, want) {
 				t.Fatalf("bare coordinator (%v): report differs from local -p 2:\n%s\nvs\n%s", err, got, want)
 			}

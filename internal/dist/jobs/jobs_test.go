@@ -3,10 +3,12 @@ package jobs
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -104,6 +106,12 @@ func testLookup(name string) (func(*engine.T), bool) {
 }
 
 var baseOpts = search.Options{Fair: true, ContextBound: -1, MaxSteps: 10000}
+
+// named is opts for the test program registered as name.
+func named(name string, opts search.Options) search.Options {
+	opts.ProgramName = name
+	return opts
+}
 
 // dporJobOpts submits a DPOR search: the job's shard plan starts as a
 // single root unit and grows as units merge.
@@ -213,7 +221,7 @@ func submitJob(t *testing.T, url, program string, opts search.Options, refPar in
 
 func trySubmit(url, program string, opts search.Options, refPar int) (string, int, error) {
 	body, _ := json.Marshal(SubmitRequest{
-		Spec:           dist.SpecFromOptions(program, opts),
+		Spec:           named(program, opts),
 		RefParallelism: refPar,
 	})
 	resp, err := http.Post(url+PathJobs, "application/json", bytes.NewReader(body))
@@ -291,12 +299,11 @@ func fetchReport(t *testing.T, url, id string) []byte {
 // run at refPar — the byte-identity reference for service artifacts.
 func localReportBytes(t *testing.T, program string, opts search.Options, refPar int) []byte {
 	t.Helper()
-	spec := dist.SpecFromOptions(program, opts)
-	ref := spec.Options()
+	ref := opts
 	ref.Parallelism = refPar
 	prog, _ := testLookup(program)
 	rep := search.Explore(prog, ref)
-	data, err := fairmc.ResultFromReport(rep).RunReport(program, spec.Options()).Encode()
+	data, err := fairmc.ResultFromReport(rep).RunReport(program, opts).Encode()
 	if err != nil {
 		t.Fatalf("local report: %v", err)
 	}
@@ -435,13 +442,13 @@ func TestJobsRestartResumesUnfinished(t *testing.T) {
 // — at once, when asked again after it finished.
 func TestJobsOneJobRun(t *testing.T) {
 	dir := t.TempDir()
-	req := SubmitRequest{Spec: dist.SpecFromOptions("fig3", baseOpts), RefParallelism: 2}
+	req := SubmitRequest{Spec: named("fig3", baseOpts), RefParallelism: 2}
 	s1, srv1 := startService(t, Config{Dir: dir})
 	id, err := s1.Submit(req)
 	if err != nil {
 		t.Fatalf("Submit: %v", err)
 	}
-	if _, err := s1.Submit(SubmitRequest{Spec: dist.SearchSpec{Program: "nope"}}); err == nil {
+	if _, err := s1.Submit(SubmitRequest{Spec: search.Options{ProgramName: "nope"}}); err == nil {
 		t.Fatal("Submit accepted an unknown program")
 	}
 	waitState(t, srv1.URL, id, StateRunning)
@@ -464,7 +471,7 @@ func TestJobsOneJobRun(t *testing.T) {
 		if st.State != StateDone || rep == nil {
 			t.Fatalf("Wait %d: state %q report %v", i, st.State, rep)
 		}
-		got, err := fairmc.ResultFromReport(rep).RunReport("fig3", req.Spec.Options()).Encode()
+		got, err := fairmc.ResultFromReport(rep).RunReport("fig3", req.Spec).Encode()
 		if err != nil || !bytes.Equal(got, want) {
 			t.Fatalf("Wait %d: report differs from local -p 2 (%v):\n%s\nvs\n%s", i, err, got, want)
 		}
@@ -514,7 +521,7 @@ func TestJobsDPORRestartResumesMidSearch(t *testing.T) {
 	// only after unit 0's merge grew the plan): lease at the service,
 	// post to the job path the grant names.
 	const worker = "by-hand"
-	opts := dist.SpecFromOptions("racy", dporJobOpts).Options()
+	opts := named("racy", dporJobOpts)
 	for i, post := range []int{1, 2} {
 		var lr dist.LeaseResponse
 		postProto(t, srv1.URL+dist.PathLease, dist.LeaseRequest{WorkerID: worker}, &lr)
@@ -566,7 +573,7 @@ func TestJobsAdmissionControl(t *testing.T) {
 	submitJob(t, srv.URL, "fig3", baseOpts, 1)
 	submitJob(t, srv.URL, "fig3", baseOpts, 1)
 
-	body, _ := json.Marshal(SubmitRequest{Spec: dist.SpecFromOptions("fig3", baseOpts)})
+	body, _ := json.Marshal(SubmitRequest{Spec: named("fig3", baseOpts)})
 	resp, err := http.Post(srv.URL+PathJobs, "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
@@ -690,7 +697,7 @@ func TestJobsStatusEndpoint(t *testing.T) {
 // (unknown type, or a known type that fails to decode) are reported
 // in badRecs, never fatal, and never corrupt neighbouring jobs.
 func TestJobsRebuildBadRecordsSurfaced(t *testing.T) {
-	sub, _ := json.Marshal(submittedRec{Job: "j1", Spec: dist.SpecFromOptions("fig3", baseOpts)})
+	sub, _ := json.Marshal(submittedRec{Job: "j1", Spec: named("fig3", baseOpts)})
 	st := rebuild([]ledger.Record{
 		{Seq: 1, Type: recSubmitted, Data: sub},
 		{Seq: 2, Type: "hologram_checkpoint", Data: json.RawMessage(`{}`)},
@@ -701,5 +708,117 @@ func TestJobsRebuildBadRecordsSurfaced(t *testing.T) {
 	}
 	if j := st.jobs["j1"]; j == nil || j.State != StateQueued {
 		t.Fatalf("good record lost next to bad ones: %+v", st.jobs)
+	}
+}
+
+// TestJobsOldShapeSubmissionRefused: a submission shaped as an older
+// build wrote it — the watchdog in milliseconds inside the spec,
+// confirmation runs beside it — names settings this build's options do
+// not, so it is refused instead of run without them: in the ledger the
+// job fails (a finished one keeps its report), over HTTP the POST is a
+// 400. A pool worker is granted nothing and polls on.
+func TestJobsOldShapeSubmissionRefused(t *testing.T) {
+	dir := t.TempDir()
+	oldSpec := `{"program":"fig3","fair":true,"contextBound":-1,"maxSteps":10000,"seed":0,"watchdogMs":2000}`
+	led, _, err := ledger.Open(dir, ledger.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := led.AppendAll(
+		ledger.Entry{Type: recSubmitted, Value: json.RawMessage(`{"job":"j1","spec":` + oldSpec + `,"refParallelism":2,"confirmRuns":3}`)},
+		ledger.Entry{Type: recSubmitted, Value: json.RawMessage(`{"job":"j2","spec":` + oldSpec + `,"refParallelism":1}`)},
+		ledger.Entry{Type: recDone, Value: doneRec{Job: "j2", State: StateDone, RunReport: []byte("{}\n")}},
+	); err != nil {
+		t.Fatal(err)
+	}
+	if err := led.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s, srv := startService(t, Config{Dir: dir})
+	stop, exited := make(chan struct{}), make(chan error, 1)
+	go func() {
+		exited <- RunPoolWorker(PoolConfig{URL: srv.URL, Lookup: testLookup, Retry: fastPolicy(1), Stop: stop})
+	}()
+	st := jobStatus(t, srv.URL, "j1")
+	if st.State != StateFailed || !strings.Contains(st.Error, "watchdogMs") {
+		t.Fatalf("old-shape queued job = %+v, want failed naming the unknown field", st)
+	}
+	if st := jobStatus(t, srv.URL, "j2"); st.State != StateDone {
+		t.Fatalf("old-shape finished job = %+v, want its recorded done state", st)
+	}
+	if len(s.badRecs) != 2 {
+		t.Fatalf("badRecs = %v, want both old-shape submissions", s.badRecs)
+	}
+
+	resp, err := http.Post(srv.URL+PathJobs, "application/json",
+		strings.NewReader(`{"spec":`+oldSpec+`,"refParallelism":2}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "watchdogMs") {
+		t.Fatalf("old-shape POST = HTTP %d %q, want 400 naming the unknown field", resp.StatusCode, body)
+	}
+
+	select {
+	case err := <-exited:
+		t.Fatalf("the pool worker exited (%v) instead of polling on", err)
+	default:
+	}
+	close(stop)
+	if err := <-exited; err != nil {
+		t.Fatalf("pool worker: %v", err)
+	}
+}
+
+// TestJobsPlanHashSkewFailsJob: a restarted service whose ledger holds a
+// plan hashed otherwise than this build hashes the job's options — a
+// ledger from another version; here the recorded hash is flipped — fails
+// the job, naming both hashes, instead of granting shards that every
+// worker refuses (exit 2) while the job hangs in running. The pool
+// worker is never granted the plan and is still polling afterwards.
+func TestJobsPlanHashSkewFailsJob(t *testing.T) {
+	dir := t.TempDir()
+	opts := named("fig3", baseOpts)
+	plan, err := search.PlanShards(fig3, opts, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan.OptionsHash ^= 1
+	led, _, err := ledger.Open(dir, ledger.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := led.AppendAll(
+		ledger.Entry{Type: recSubmitted, Value: submittedRec{Job: "j1", Spec: opts, RefParallelism: 2}},
+		ledger.Entry{Type: recPlan, Value: planRec{Job: "j1", OptionsHash: plan.OptionsHash, Plan: plan}},
+	); err != nil {
+		t.Fatal(err)
+	}
+	if err := led.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	_, srv := startService(t, Config{Dir: dir})
+	stop, exited := make(chan struct{}), make(chan error, 1)
+	go func() {
+		exited <- RunPoolWorker(PoolConfig{URL: srv.URL, Lookup: testLookup, Retry: fastPolicy(1), Stop: stop})
+	}()
+	st := waitState(t, srv.URL, "j1", StateFailed)
+	for _, h := range []uint64{plan.OptionsHash, search.OptionsHash(&opts)} {
+		if !strings.Contains(st.Error, fmt.Sprintf("%#x", h)) {
+			t.Errorf("failed job's error %q does not name hash %#x", st.Error, h)
+		}
+	}
+	select {
+	case err := <-exited:
+		t.Fatalf("the pool worker exited (%v) instead of polling on", err)
+	default:
+	}
+	close(stop)
+	if err := <-exited; err != nil {
+		t.Fatalf("pool worker: %v", err)
 	}
 }

@@ -1,8 +1,8 @@
 package jobs
 
 import (
-	"fairmc/internal/dist"
 	"fairmc/internal/obs"
+	"fairmc/internal/search"
 )
 
 // Service endpoints, beside dist.PathLease (the one place a worker asks
@@ -18,17 +18,12 @@ const (
 
 // SubmitRequest submits one checking job.
 type SubmitRequest struct {
-	// Spec is the full search configuration (the same wire form the
-	// coordinator hands to workers).
-	Spec dist.SearchSpec `json:"spec"`
+	// Spec is the search (search.Options.Spec, the same options the
+	// coordinator hands to workers), its program named by ProgramName.
+	Spec search.Options `json:"spec"`
 	// RefParallelism selects which local -p N run the merged report
 	// must be byte-identical to; 0 means 1.
 	RefParallelism int `json:"refParallelism,omitempty"`
-	// ConfirmRuns is the confirmation-replay count for findings. It is
-	// not part of SearchSpec (workers never confirm; the service-side
-	// coordinator does), but a job's report must still match a local
-	// run with the same -confirm.
-	ConfirmRuns int `json:"confirmRuns,omitempty"`
 }
 
 // SubmitResponse acknowledges a durably-recorded submission.

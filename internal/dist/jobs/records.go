@@ -25,8 +25,10 @@ package jobs
 //     a shard with a committed recShardDone before it.
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"sort"
 
 	"fairmc/internal/dist"
@@ -62,10 +64,9 @@ type serverStartRec struct {
 
 // submittedRec commits a job submission.
 type submittedRec struct {
-	Job            string          `json:"job"`
-	Spec           dist.SearchSpec `json:"spec"`
-	RefParallelism int             `json:"refParallelism"`
-	ConfirmRuns    int             `json:"confirmRuns,omitempty"`
+	Job            string         `json:"job"`
+	Spec           search.Options `json:"spec"`
+	RefParallelism int            `json:"refParallelism"`
 }
 
 // planRec commits a job's shard plan. The plan is recorded, never
@@ -112,9 +113,8 @@ type doneRec struct {
 // jobState is the replayed state of one job.
 type jobState struct {
 	ID             string
-	Spec           dist.SearchSpec
+	Spec           search.Options
 	RefParallelism int
-	ConfirmRuns    int
 	State          string
 	Error          string
 	OptionsHash    uint64
@@ -153,11 +153,16 @@ func rebuild(records []ledger.Record) *replayState {
 				ID:             rec.Job,
 				Spec:           rec.Spec,
 				RefParallelism: rec.RefParallelism,
-				ConfirmRuns:    rec.ConfirmRuns,
 				State:          StateQueued,
 				Completed:      map[int]*search.Report{},
 				Abandoned:      map[int]string{},
 				SubmitSeq:      r.Seq,
+			}
+			// An unknown key is a setting this build would drop: fail the job.
+			if err := decodeStrict(bytes.NewReader(r.Data), &submittedRec{}); err != nil {
+				st.bad(r, err)
+				j.State = StateFailed
+				j.Error = fmt.Sprintf("submission recorded by another version of the service: %v", err)
 			}
 			st.jobs[rec.Job] = j
 			st.order = append(st.order, rec.Job)
@@ -210,6 +215,14 @@ func rebuild(records []ledger.Record) *replayState {
 
 func (st *replayState) bad(r ledger.Record, err error) {
 	st.badRecs = append(st.badRecs, fmt.Sprintf("seq %d (%s): %v", r.Seq, r.Type, err))
+}
+
+// decodeStrict decodes one JSON value into v, refusing a key v does not
+// name: a submission from another version must not lose a field silently.
+func decodeStrict(r io.Reader, v any) error {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	return dec.Decode(v)
 }
 
 // pending returns the non-terminal jobs in submission order — the

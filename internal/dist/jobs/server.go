@@ -330,21 +330,23 @@ func (s *Server) runJob(j *job) {
 	defer s.wg.Done()
 	id := j.ID
 
-	prog, ok := s.cfg.Lookup(j.Spec.Program)
+	prog, ok := s.cfg.Lookup(j.Spec.ProgramName)
 	if !ok {
 		// Admission validates programs, so this only happens when a
 		// restarted service binary lost a program the WAL still names.
-		s.failJob(j, fmt.Sprintf("program %q not available in this service build", j.Spec.Program))
+		s.failJob(j, fmt.Sprintf("program %q not available in this service build", j.Spec.ProgramName))
 		return
 	}
-	// ConfirmRuns lives outside the spec (workers never confirm); the
-	// service-side coordinator runs the confirmation pass, so the
-	// report matches a local run with the same -confirm.
-	opts := j.Spec.Options()
-	opts.ConfirmRuns = j.ConfirmRuns
-
-	if j.Plan == nil {
-		plan, err := search.PlanShards(prog, opts, j.RefParallelism)
+	if j.Plan != nil {
+		// A plan recorded by a build that hashes these options otherwise
+		// would be granted to workers that all refuse it.
+		if h := search.OptionsHash(&j.Spec); j.Plan.OptionsHash != h {
+			s.failJob(j, fmt.Sprintf("the recorded plan's options hash %#x is not this build's %#x for the job's options (ledger written by another version)",
+				j.Plan.OptionsHash, h))
+			return
+		}
+	} else {
+		plan, err := search.PlanShards(prog, j.Spec, j.RefParallelism)
 		if err != nil {
 			s.failJob(j, fmt.Sprintf("planning: %v", err))
 			return
@@ -365,8 +367,7 @@ func (s *Server) runJob(j *job) {
 	tmpl := s.cfg.Coordinator
 	coord, err := dist.NewCoordinator(dist.CoordinatorConfig{
 		Prog:             prog,
-		Program:          j.Spec.Program,
-		Options:          opts,
+		Options:          j.Spec,
 		RefParallelism:   j.RefParallelism,
 		LeaseTTL:         tmpl.LeaseTTL,
 		MaxShardAttempts: tmpl.MaxShardAttempts,
@@ -463,9 +464,7 @@ func (s *Server) finishJob(j *job, rep *search.Report, state, errMsg string) {
 	id := j.ID
 	var runReport []byte
 	if state == StateDone {
-		ropts := j.Spec.Options()
-		ropts.ConfirmRuns = j.ConfirmRuns
-		data, err := fairmc.ResultFromReport(rep).RunReport(j.Spec.Program, ropts).Encode()
+		data, err := fairmc.ResultFromReport(rep).RunReport(j.Spec.ProgramName, j.Spec).Encode()
 		if err != nil {
 			state = StateFailed
 			errMsg = fmt.Sprintf("encoding run report: %v", err)
@@ -616,7 +615,7 @@ func (s *Server) Submission(id string) (SubmitRequest, bool) {
 	if j == nil {
 		return SubmitRequest{}, false
 	}
-	return SubmitRequest{Spec: j.Spec, RefParallelism: j.RefParallelism, ConfirmRuns: j.ConfirmRuns}, true
+	return SubmitRequest{Spec: j.Spec, RefParallelism: j.RefParallelism}, true
 }
 
 // --- HTTP API ---
@@ -665,7 +664,7 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req SubmitRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&req); err != nil {
+	if err := decodeStrict(http.MaxBytesReader(w, r.Body, 1<<20), &req); err != nil {
 		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
 		return
 	}
@@ -689,12 +688,13 @@ func (s *Server) Submit(req SubmitRequest) (string, error) {
 
 // submit is Submit with the HTTP status a refusal maps to.
 func (s *Server) submit(req SubmitRequest) (id string, code int, err error) {
-	if req.Spec.Program == "" {
+	if req.Spec.ProgramName == "" {
 		return "", http.StatusBadRequest, errors.New("spec.program is required")
 	}
-	if _, ok := s.cfg.Lookup(req.Spec.Program); !ok {
-		return "", http.StatusBadRequest, fmt.Errorf("unknown program %q", req.Spec.Program)
+	if _, ok := s.cfg.Lookup(req.Spec.ProgramName); !ok {
+		return "", http.StatusBadRequest, fmt.Errorf("unknown program %q", req.Spec.ProgramName)
 	}
+	req.Spec = req.Spec.Spec()
 	if req.RefParallelism < 1 {
 		req.RefParallelism = 1
 	}
@@ -713,7 +713,6 @@ func (s *Server) submit(req SubmitRequest) (id string, code int, err error) {
 	// always matches s.order.
 	if err := s.commit1("submit:"+id, recSubmitted, submittedRec{
 		Job: id, Spec: req.Spec, RefParallelism: req.RefParallelism,
-		ConfirmRuns: req.ConfirmRuns,
 	}); err != nil {
 		s.mu.Unlock()
 		return "", http.StatusServiceUnavailable, fmt.Errorf("cannot record submission: %w", err)
@@ -723,7 +722,6 @@ func (s *Server) submit(req SubmitRequest) (id string, code int, err error) {
 		ID:             id,
 		Spec:           req.Spec,
 		RefParallelism: req.RefParallelism,
-		ConfirmRuns:    req.ConfirmRuns,
 		State:          StateQueued,
 		Completed:      map[int]*search.Report{},
 		Abandoned:      map[int]string{},
@@ -737,14 +735,14 @@ func (s *Server) submit(req SubmitRequest) (id string, code int, err error) {
 	}
 	s.scheduleLocked()
 	s.mu.Unlock()
-	s.cfg.Logf("jobs: %s submitted (program %s, ref -p %d)", id, req.Spec.Program, req.RefParallelism)
+	s.cfg.Logf("jobs: %s submitted (program %s, ref -p %d)", id, req.Spec.ProgramName, req.RefParallelism)
 	return id, http.StatusOK, nil
 }
 
 func (s *Server) statusLocked(j *job) JobStatus {
 	return JobStatus{
 		JobID:          j.ID,
-		Program:        j.Spec.Program,
+		Program:        j.Spec.ProgramName,
 		State:          j.State,
 		Error:          j.Error,
 		RefParallelism: j.RefParallelism,

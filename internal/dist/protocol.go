@@ -54,99 +54,11 @@ const (
 	PathStatus    = "/status"
 )
 
-// SearchSpec is the wire form of the search configuration: every
-// semantic option plus the operational ones a worker needs. Workers
-// rebuild search.Options from it and verify the rebuilt options hash
-// against the plan's before running anything, so configuration skew
-// (version drift, a worker pointed at the wrong coordinator) is caught
-// before any work is handed out.
-type SearchSpec struct {
-	Program                 string `json:"program"`
-	Fair                    bool   `json:"fair"`
-	FairK                   int    `json:"fairK,omitempty"`
-	ContextBound            int    `json:"contextBound"`
-	DepthBound              int    `json:"depthBound,omitempty"`
-	RandomTail              bool   `json:"randomTail,omitempty"`
-	RandomWalk              bool   `json:"randomWalk,omitempty"`
-	PCT                     bool   `json:"pct,omitempty"`
-	PCTDepth                int    `json:"pctDepth,omitempty"`
-	MaxSteps                int64  `json:"maxSteps,omitempty"`
-	MaxExecutions           int64  `json:"maxExecutions,omitempty"`
-	MemModel                string `json:"memModel,omitempty"`
-	TSOBufCap               int    `json:"tsoBufCap,omitempty"`
-	Seed                    uint64 `json:"seed"`
-	StatefulPrune           bool   `json:"statefulPrune,omitempty"`
-	DPOR                    bool   `json:"dpor,omitempty"`
-	SleepSets               bool   `json:"sleepSets,omitempty"`
-	DivergenceRetries       int    `json:"divergenceRetries,omitempty"`
-	DisableConformance      bool   `json:"disableConformance,omitempty"`
-	ContinueAfterViolation  bool   `json:"continueAfterViolation,omitempty"`
-	ContinueAfterDivergence bool   `json:"continueAfterDivergence,omitempty"`
-	RecordTrace             bool   `json:"recordTrace,omitempty"`
-	WatchdogMS              int64  `json:"watchdogMs,omitempty"`
-	CheckpointIntervalMS    int64  `json:"checkpointIntervalMs,omitempty"`
-}
-
-// SpecFromOptions captures the distributable part of opts.
-func SpecFromOptions(program string, o search.Options) SearchSpec {
-	return SearchSpec{
-		Program:                 program,
-		Fair:                    o.Fair,
-		FairK:                   o.FairK,
-		ContextBound:            o.ContextBound,
-		DepthBound:              o.DepthBound,
-		RandomTail:              o.RandomTail,
-		RandomWalk:              o.RandomWalk,
-		PCT:                     o.PCT,
-		PCTDepth:                o.PCTDepth,
-		MaxSteps:                o.MaxSteps,
-		MaxExecutions:           o.MaxExecutions,
-		MemModel:                o.MemModel,
-		TSOBufCap:               o.TSOBufCap,
-		Seed:                    o.Seed,
-		StatefulPrune:           o.StatefulPrune,
-		DPOR:                    o.DPOR,
-		SleepSets:               o.SleepSets,
-		DivergenceRetries:       o.DivergenceRetries,
-		DisableConformance:      o.DisableConformance,
-		ContinueAfterViolation:  o.ContinueAfterViolation,
-		ContinueAfterDivergence: o.ContinueAfterDivergence,
-		RecordTrace:             o.RecordTrace,
-		WatchdogMS:              int64(o.Watchdog / time.Millisecond),
-		CheckpointIntervalMS:    int64(o.CheckpointInterval / time.Millisecond),
-	}
-}
-
-// Options rebuilds the worker-side search options. Parallelism is 1:
-// shards always run on the sequential engine.
-func (s SearchSpec) Options() search.Options {
-	return search.Options{
-		Fair:                    s.Fair,
-		FairK:                   s.FairK,
-		ContextBound:            s.ContextBound,
-		DepthBound:              s.DepthBound,
-		RandomTail:              s.RandomTail,
-		RandomWalk:              s.RandomWalk,
-		PCT:                     s.PCT,
-		PCTDepth:                s.PCTDepth,
-		MaxSteps:                s.MaxSteps,
-		MaxExecutions:           s.MaxExecutions,
-		MemModel:                s.MemModel,
-		TSOBufCap:               s.TSOBufCap,
-		Seed:                    s.Seed,
-		StatefulPrune:           s.StatefulPrune,
-		DPOR:                    s.DPOR,
-		SleepSets:               s.SleepSets,
-		DivergenceRetries:       s.DivergenceRetries,
-		DisableConformance:      s.DisableConformance,
-		ContinueAfterViolation:  s.ContinueAfterViolation,
-		ContinueAfterDivergence: s.ContinueAfterDivergence,
-		RecordTrace:             s.RecordTrace,
-		Watchdog:                time.Duration(s.WatchdogMS) * time.Millisecond,
-		CheckpointInterval:      time.Duration(s.CheckpointIntervalMS) * time.Millisecond,
-		Parallelism:             1,
-		ProgramName:             s.Program,
-	}
+// SpecFromOptions is o.Spec() under the name program: the search as a
+// job submission or a lease grant carries it.
+func SpecFromOptions(program string, o search.Options) search.Options {
+	o.ProgramName = program
+	return o.Spec()
 }
 
 // LeaseBatch bounds how many single-execution shards (DPOR units) one
@@ -197,11 +109,11 @@ type LeaseResponse struct {
 	// events go, relative to the URL the lease was asked at.
 	Job  string `json:"job,omitempty"`
 	Path string `json:"path,omitempty"`
-	// Spec is the search to run; OptionsHash the plan's semantic-options
-	// fingerprint, which the worker recomputes from Spec and refuses to
-	// run on mismatch.
-	Spec        *SearchSpec `json:"spec,omitempty"`
-	OptionsHash uint64      `json:"optionsHash,omitempty"`
+	// Spec is the search to run (search.Options.Spec); OptionsHash the
+	// plan's semantic-options fingerprint, which the worker recomputes
+	// from Spec and refuses to run on mismatch.
+	Spec        *search.Options `json:"spec,omitempty"`
+	OptionsHash uint64          `json:"optionsHash,omitempty"`
 	// LeaseTTLMS is the lease duration; the worker must heartbeat well
 	// within it.
 	LeaseTTLMS int64 `json:"leaseTtlMs,omitempty"`

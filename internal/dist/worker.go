@@ -126,7 +126,6 @@ type workerJob struct {
 	key     string
 	name    string // for logs: the job, or the program at a bare coordinator
 	tc      *transport.Client
-	program string
 	hash    uint64
 	opts    search.Options
 	prog    func(*engine.T)
@@ -300,9 +299,9 @@ func (w *worker) slot(pool *engine.Pool) error {
 }
 
 // job returns what the worker knows about the job a grant names,
-// building it on a miss: options rebuilt from the spec and verified
-// against the plan's hash, the program resolved, the job's directory
-// made and its spool replayed (replayed: the shards that was done for).
+// building it on a miss: the spec's options verified against the plan's
+// hash, the program resolved, the job's directory made and its spool
+// replayed (replayed: the shards that was done for).
 // The cache is keyed by where the job is served and what it searches,
 // so a path reused for another search is a miss.
 func (w *worker) job(resp *LeaseResponse) (j *workerJob, replayed map[int]bool, err error) {
@@ -327,13 +326,12 @@ func (w *worker) job(resp *LeaseResponse) (j *workerJob, replayed map[int]bool, 
 	tc.Base += resp.Path
 	j = &workerJob{
 		w: w, key: key, name: resp.Job, tc: &tc,
-		program: resp.Spec.Program,
-		hash:    resp.OptionsHash,
-		opts:    resp.Spec.Options(),
-		ttl:     time.Duration(resp.LeaseTTLMS) * time.Millisecond,
+		hash: resp.OptionsHash,
+		opts: *resp.Spec,
+		ttl:  time.Duration(resp.LeaseTTLMS) * time.Millisecond,
 	}
 	if j.name == "" {
-		j.name = j.program
+		j.name = j.opts.ProgramName
 	}
 	if j.ttl <= 0 {
 		j.ttl = DefaultLeaseTTL
@@ -342,8 +340,8 @@ func (w *worker) job(resp *LeaseResponse) (j *workerJob, replayed map[int]bool, 
 		return nil, nil, fmt.Errorf("%w (%s: plan %#x, worker %#x)", ErrSpecMismatch, j.name, j.hash, got)
 	}
 	var ok bool
-	if j.prog, ok = w.cfg.Lookup(j.program); !ok {
-		return nil, nil, fmt.Errorf("dist: %s wants program %q, which this worker does not have", j.name, j.program)
+	if j.prog, ok = w.cfg.Lookup(j.opts.ProgramName); !ok {
+		return nil, nil, fmt.Errorf("dist: %s wants program %q, which this worker does not have", j.name, j.opts.ProgramName)
 	}
 	j.opts.Metrics = w.cfg.Metrics
 	if resp.WantEvents {
@@ -365,7 +363,7 @@ func (w *worker) job(resp *LeaseResponse) (j *workerJob, replayed map[int]bool, 
 	}
 	w.jobs[key] = j
 	w.mu.Unlock()
-	w.cfg.Logf("dist: granted work of %s: program %s, lease TTL %s", j.name, j.program, j.ttl)
+	w.cfg.Logf("dist: granted work of %s: program %s, lease TTL %s", j.name, j.opts.ProgramName, j.ttl)
 	return j, j.replaySpool(), nil
 }
 
@@ -430,7 +428,7 @@ func (j *workerJob) replaySpool() (replayed map[int]bool) {
 		return nil
 	}
 	w, logf := j.w, j.w.cfg.Logf
-	entries, corrupt, skipped, err := spoolList(w.cfg.FS, j.workDir, j.hash, j.program)
+	entries, corrupt, skipped, err := spoolList(w.cfg.FS, j.workDir, j.hash, j.opts.ProgramName)
 	if err != nil {
 		logf("dist: scanning spool: %v", err)
 		return nil
@@ -650,7 +648,7 @@ func (j *workerJob) spool(results []ShardResult) {
 		if res.Report == nil {
 			continue
 		}
-		e := spoolEntry{OptionsHash: j.hash, Program: j.program, Shard: res.Shard, Report: res.Report}
+		e := spoolEntry{OptionsHash: j.hash, Program: j.opts.ProgramName, Shard: res.Shard, Report: res.Report}
 		if err := spoolWrite(w.cfg.FS, j.workDir, e); err != nil {
 			w.cfg.Logf("dist: spooling shard %d: %v", res.Shard, err)
 			continue

@@ -63,7 +63,7 @@ func (r *ReplayChooser) Choose(ctx *ChooseContext) (Alt, bool) {
 	if step < len(r.Digests) {
 		exp = &r.Digests[step]
 	}
-	if r.Div = ctx.Engine.Conform(step, ctx.Cands, want, exp, true); r.Div != nil {
+	if r.Div = ctx.Engine.Conform(step, ctx.Cands, want, exp); r.Div != nil {
 		return Alt{}, false
 	}
 	return want, true

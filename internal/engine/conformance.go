@@ -80,15 +80,13 @@ func (e *DivergenceError) Error() string {
 // Conform is the one verified replay step: it answers whether want, the
 // alternative recorded for schedule index step, is schedulable among
 // cands at this scheduling point, and whether the state still matches
-// what was recorded. exp is the recorded digest: nil when nothing was
-// recorded for the step (only schedulability is checked), compared as a
-// whole with withOp, and by its candidate-set hash alone without it
-// (the pending op was not recorded; Expected reports the observed one).
-// It returns nil for a conforming step, and is the only place a
+// what was recorded. exp is the recorded digest, compared as a whole;
+// nil when nothing was recorded for the step (only schedulability is
+// checked). It returns nil for a conforming step, and is the only place a
 // DivergenceError is built, so every replayer — ReplayChooser and the
 // searcher's stack, DPOR-unit and frontier-expansion replays — reports
 // the same failure the same way.
-func (e *Engine) Conform(step int, cands []Alt, want Alt, exp *StepDigest, withOp bool) *DivergenceError {
+func (e *Engine) Conform(step int, cands []Alt, want Alt, exp *StepDigest) *DivergenceError {
 	schedulable := false
 	for _, c := range cands {
 		if c == want {
@@ -103,9 +101,6 @@ func (e *Engine) Conform(step int, cands []Alt, want Alt, exp *StepDigest, withO
 	var expected StepDigest
 	if exp != nil {
 		expected = *exp
-		if !withOp {
-			expected.Op = obs.Op
-		}
 	}
 	if schedulable && obs == expected {
 		return nil

@@ -154,9 +154,9 @@ type Config struct {
 	// no thread decides a step for itself, each hands every scheduling
 	// point to the hub, which decides and switches to the grantee. It
 	// is the identical decide/commit sequence in the identical order,
-	// so results are byte-for-byte the same; the flag exists as a
-	// bisection escape hatch, for the determinism suite and for the
-	// benchmark's engine.step_handoff_ns probe.
+	// so results are byte-for-byte the same; the flag exists for
+	// TestRegistryTraceGolden's on/off axis and for the benchmark's
+	// engine.step_handoff_ns probe.
 	NoFastPath bool
 	// MemModel selects the memory model (internal/wm) this execution
 	// runs under: core.MemSC (the default) or core.MemTSO. Under TSO

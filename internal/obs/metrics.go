@@ -168,7 +168,7 @@ type Metrics struct {
 	// Handoffs counts fast-path steps that changed thread (two coroutine
 	// switches, through the hub). Steps - InlineSteps - Handoffs is the
 	// remainder: each execution's first grant, and every step when the
-	// hub decides them all (NoFastPath).
+	// hub decides them all (engine.Config.NoFastPath).
 	InlineSteps Counter
 	Handoffs    Counter
 	// EngineReuses counts executions that drew a recycled engine from a

@@ -7,7 +7,6 @@ import (
 	"os"
 	"time"
 
-	"fairmc/internal/core"
 	"fairmc/internal/engine"
 	"fairmc/internal/fsx"
 	"fairmc/internal/obs"
@@ -49,7 +48,7 @@ import (
 // writes: a checkpoint is a short-lived artifact of one search, and a
 // resumed search must reproduce the uninterrupted report byte for byte,
 // which no partially understood older format can promise.
-const CheckpointVersion = 6
+const CheckpointVersion = 7
 
 // defaultCheckpointInterval is used when CheckpointPath is set but
 // CheckpointInterval is zero.
@@ -64,9 +63,8 @@ type CheckpointMeta struct {
 	Strategy string `json:"strategy"`
 	Seed     uint64 `json:"seed"`
 	// OptionsHash fingerprints the semantic options (everything that
-	// changes the explored schedule set). Budget options
-	// (MaxExecutions, TimeLimit) and operational options (Watchdog,
-	// checkpoint settings) are excluded so a resume may raise budgets.
+	// changes the explored schedule set; see OptionsHash), so a resume
+	// may raise budgets.
 	OptionsHash uint64 `json:"optionsHash"`
 	Parallelism int    `json:"parallelism"`
 }
@@ -198,56 +196,25 @@ func strategyOf(o *Options) string {
 // reports carry in their Strategy field.
 func StrategyName(o *Options) string { return strategyOf(o) }
 
-// optionsHash fingerprints the options that determine the schedule
-// enumeration. Budget fields (MaxExecutions, TimeLimit) and
-// operational fields (Watchdog, checkpoint/stop plumbing, Monitor) are
-// deliberately excluded: resuming with a larger budget is the point of
-// checkpointing.
-func optionsHash(o *Options) uint64 {
+// OptionsHash fingerprints the options that determine the schedule
+// enumeration: FNV-1a over the JSON of Spec() less the operational
+// fields (program name, execution budget, retry, confirmation, watchdog
+// and checkpoint settings), which a resume may change. Checkpoints and
+// plans carry it, and a worker refuses a plan whose hash is not its own.
+// An SC search hashes the same whether or not it names its model.
+func OptionsHash(o *Options) uint64 {
+	s := o.Spec()
+	s.ProgramName, s.MaxExecutions, s.DivergenceRetries, s.ConfirmRuns = "", 0, 0, 0
+	s.Watchdog, s.CheckpointInterval = 0, 0
+	if s.MemModel == "sc" {
+		s.MemModel = ""
+	}
+	if s.MemModel == "" {
+		s.TSOBufCap = 0
+	}
+	data, _ := json.Marshal(s) // plain data: cannot fail
 	h := fnv.New64a()
-	b := func(v bool) {
-		if v {
-			h.Write([]byte{1})
-		} else {
-			h.Write([]byte{0})
-		}
-	}
-	i := func(v int64) {
-		var buf [8]byte
-		for k := 0; k < 8; k++ {
-			buf[k] = byte(v >> (8 * k))
-		}
-		h.Write(buf[:])
-	}
-	b(o.Fair)
-	i(int64(o.FairK))
-	i(int64(o.ContextBound))
-	i(int64(o.DepthBound))
-	b(o.RandomTail)
-	b(o.RandomWalk)
-	b(o.PCT)
-	i(int64(o.PCTDepth))
-	i(o.MaxSteps)
-	i(int64(o.Seed))
-	b(o.StatefulPrune)
-	b(o.DPOR)
-	b(o.SleepSets)
-	b(o.ContinueAfterViolation)
-	b(o.ContinueAfterDivergence)
-	b(o.RecordTrace)
-	// DisableConformance is semantic: it changes which subtrees get
-	// quarantined, hence the explored tree. DivergenceRetries and
-	// ConfirmRuns are operational (retry/confirmation effort) and may
-	// change across a resume — as is NoFastPath, which by construction
-	// does not change any explored schedule or report byte.
-	b(o.DisableConformance)
-	// The memory model folds in only when it is not the default: an SC
-	// search hashes the same whether or not it named its model (the hash
-	// also fingerprints plans in job ledgers).
-	if m := o.memModel(); m != core.MemSC {
-		i(int64(m))
-		i(int64(o.TSOBufCap))
-	}
+	h.Write(data)
 	return h.Sum64()
 }
 
@@ -260,7 +227,7 @@ func buildCheckpoint(opts *Options, rep *Report, elapsed time.Duration, done boo
 			Program:     opts.ProgramName,
 			Strategy:    strategyOf(opts),
 			Seed:        opts.Seed,
-			OptionsHash: optionsHash(opts),
+			OptionsHash: OptionsHash(opts),
 			Parallelism: opts.Parallelism,
 		},
 		Done:                done,

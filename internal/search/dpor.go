@@ -87,13 +87,10 @@ type DporProposal struct {
 }
 
 // DporTraceRec is one maximal path of the merge's dedup set, kept for
-// checkpoint/resume: the set is prefix-closed, so inserting Path+Cont of
-// every record with all its prefixes rebuilds it. This build writes the
-// whole path in Path; Cont is read for checkpoints that recorded a
-// consumed unit's prefix and continuation apart.
+// checkpoint/resume: the set is prefix-closed, so inserting the Path of
+// every record with all its prefixes rebuilds it.
 type DporTraceRec struct {
 	Path []int `json:"path,omitempty"`
-	Cont []int `json:"cont,omitempty"`
 }
 
 // unitChooser executes one DPOR work unit: it replays the unit's
@@ -150,7 +147,7 @@ func (c *unitChooser) Choose(ctx *engine.ChooseContext) (engine.Alt, bool) {
 		if haveDig && step < len(c.unit.Digs) {
 			exp = &c.unit.Digs[step]
 		}
-		if c.div = e.Conform(step, ctx.Cands, c.unit.Sched[step], exp, true); c.div != nil {
+		if c.div = e.Conform(step, ctx.Cands, c.unit.Sched[step], exp); c.div != nil {
 			return engine.Alt{}, false
 		}
 	}
@@ -237,7 +234,7 @@ func runDporUnit(prog func(*engine.T), opts *Options, pool *engine.Pool, unit *p
 	defer chooserPool.Put(c)
 	div, attempts := opts.conformingRun(func() *engine.DivergenceError {
 		c.reset(opts, unit)
-		r = opts.runEngine(pool, prog, c, opts.engineConfig(deadline, 1))
+		r = pool.Run(prog, c, opts.engineConfig(deadline, 1))
 		return c.div
 	})
 	if div != nil {
@@ -444,6 +441,6 @@ func (m *ShardMerger) spawn(unit *por.Unit, r *Report) {
 			}
 			child.Sleep = sleep
 		}
-		m.plan.Shards = append(m.plan.Shards, Shard{Index: len(m.plan.Shards), Unit: child})
+		m.plan.Shards = append(m.plan.Shards, Shard{Index: m.plan.end(), Unit: child})
 	}
 }

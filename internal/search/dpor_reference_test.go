@@ -152,11 +152,11 @@ func TestPathTrieMatchesReference(t *testing.T) {
 	}
 }
 
-// TestDporParentShapeFrontierRestores: a v6 checkpoint whose Traces are
-// one record per consumed unit, Path and Cont apart — what the build
-// before the trie wrote — restores the same dedup set as this build's
-// leaf records, and the search resumed from it ends in the uninterrupted
-// report.
+// TestDporParentShapeFrontierRestores: a checkpoint whose Traces are
+// one record per consumed unit, its full path — the shape the build
+// before the trie wrote, not the trie's leaves — restores the same dedup
+// set as this build's leaf records, and the search resumed from it ends
+// in the uninterrupted report.
 func TestDporParentShapeFrontierRestores(t *testing.T) {
 	p, ok := progs.Lookup("boundedbuffer")
 	if !ok {
@@ -181,7 +181,7 @@ func TestDporParentShapeFrontierRestores(t *testing.T) {
 		rec := DporTraceRec{Path: append([]int(nil), sh.Unit.Path...)}
 		rep := runShard(p.Body, &single, sh, &pool, time.Time{})
 		if rep.Dpor != nil {
-			rec.Cont = rep.Dpor.ContIdx
+			rec.Path = append(rec.Path, rep.Dpor.ContIdx...)
 		}
 		traces = append(traces, rec)
 		m.Offer(i, rep)
@@ -203,13 +203,13 @@ func TestDporParentShapeFrontierRestores(t *testing.T) {
 	if err := json.Unmarshal(data, ck); err != nil {
 		t.Fatal(err)
 	}
-	if ck.Version != 6 {
-		t.Fatalf("checkpoint version %d, want 6", ck.Version)
+	if ck.Version != CheckpointVersion {
+		t.Fatalf("checkpoint version %d, want %d", ck.Version, CheckpointVersion)
 	}
 	restored := NewShardMerger(opts, &Plan{RefParallelism: 1})
 	restored.restore(ck)
 	if got := leafKeys(restored.seen.leaves(0, nil, nil)); !reflect.DeepEqual(got, own) {
-		t.Fatalf("per-unit Path+Cont records restore %d keys, this build's leaf records %d", len(got), len(own))
+		t.Fatalf("per-unit full-path records restore %d keys, this build's leaf records %d", len(got), len(own))
 	}
 
 	resumed := opts

@@ -67,15 +67,16 @@ type shardQueue struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
 	shards []Shard // the plan as far as the merge has published it
+	base   int     // the plan index of shards[0]
 	next   int
 	retry  []int
 	done   chan struct{} // closed with the queue: running shards are dead work
 }
 
 // publish makes the plan's current extent claimable.
-func (q *shardQueue) publish(shards []Shard) {
+func (q *shardQueue) publish(p *Plan) {
 	q.mu.Lock()
-	q.shards = shards
+	q.shards, q.base = p.Shards, p.base
 	q.mu.Unlock()
 	q.cond.Broadcast()
 }
@@ -104,12 +105,12 @@ func (q *shardQueue) get() (sh Shard, ok bool) {
 	defer q.mu.Unlock()
 	for !isClosed(q.done) {
 		if len(q.retry) > 0 {
-			sh, q.retry = q.shards[q.retry[0]], q.retry[1:]
+			sh, q.retry = q.shards[q.retry[0]-q.base], q.retry[1:]
 			return sh, true
 		}
-		if q.next < len(q.shards) {
+		if q.next < q.base+len(q.shards) {
 			q.next++
-			return q.shards[q.next-1], true
+			return q.shards[q.next-1-q.base], true
 		}
 		q.cond.Wait()
 	}
@@ -177,7 +178,7 @@ func exploreSharded(prog func(*engine.T), opts Options) *Report {
 
 	q := &shardQueue{next: m.next, done: make(chan struct{})}
 	q.cond = sync.NewCond(&q.mu)
-	q.publish(m.plan.Shards)
+	q.publish(m.plan)
 	// Stop reaches the shards, and the executions they are running,
 	// through the queue.
 	sub.Stop = q.done
@@ -239,9 +240,9 @@ func exploreSharded(prog func(*engine.T), opts Options) *Report {
 		// merge resumably when its turn comes; MaxExecutions is checked
 		// by the merger ahead of every shard.
 		m.Offer(res.idx, res.rep)
-		q.publish(m.plan.Shards)
+		q.publish(m.plan)
 		if mt := opts.Metrics; mt != nil {
-			unmerged := int64(len(m.plan.Shards) - m.next)
+			unmerged := int64(m.plan.end() - m.next)
 			mt.Frontier.Set(unmerged)
 			if opts.DPOR {
 				mt.DporUnitQueue.Set(unmerged)

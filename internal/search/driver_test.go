@@ -191,9 +191,9 @@ func TestStrideStopMidShardResumes(t *testing.T) {
 	if err != nil {
 		t.Fatalf("loading checkpoint: %v", err)
 	}
-	if ck.Version != 6 || ck.Frontier == nil || ck.Done {
-		t.Fatalf("checkpoint = version %d frontier %v done %v, want a resumable v6 frontier",
-			ck.Version, ck.Frontier, ck.Done)
+	if ck.Version != search.CheckpointVersion || ck.Frontier == nil || ck.Done {
+		t.Fatalf("checkpoint = version %d frontier %v done %v, want a resumable v%d frontier",
+			ck.Version, ck.Frontier, ck.Done, search.CheckpointVersion)
 	}
 	second := opts
 	second.Resume = ck
@@ -207,7 +207,10 @@ func TestStrideStopMidShardResumes(t *testing.T) {
 // merge — over a thousand units consumed, workers mid-unit, reports
 // waiting their turn — leaves a checkpoint whose dedup set is written as
 // the trie's leaves; the search resumed from it spawns and prunes
-// exactly what the uninterrupted one does.
+// exactly what the uninterrupted one does. Stop closes once 2 500 units
+// have started: how far the merge trails that depends on how the workers
+// were scheduled (a few units when idle, over 500 seen under load), so
+// the bound asserted leaves that much room.
 func TestDporStopMidMergeResumes(t *testing.T) {
 	p, ok := progs.Lookup("boundedbuffer")
 	if !ok {
@@ -226,7 +229,7 @@ func TestDporStopMidMergeResumes(t *testing.T) {
 		t.Fatalf("baseline did not spend its budget: %+v", baseline)
 	}
 
-	stopping, stop := stopAfter(1500, p.Body)
+	stopping, stop := stopAfter(2500, p.Body)
 	path := filepath.Join(t.TempDir(), "search.ckpt")
 	first := opts
 	first.CheckpointPath = path
@@ -241,13 +244,13 @@ func TestDporStopMidMergeResumes(t *testing.T) {
 	if err != nil {
 		t.Fatalf("loading checkpoint: %v", err)
 	}
-	if ck.Version != 6 || ck.Frontier == nil || ck.Done || len(ck.Frontier.Traces) == 0 {
-		t.Fatalf("checkpoint = version %d frontier %v done %v, want a resumable v6 frontier with traces",
-			ck.Version, ck.Frontier, ck.Done)
+	if ck.Version != search.CheckpointVersion || ck.Frontier == nil || ck.Done || len(ck.Frontier.Traces) == 0 {
+		t.Fatalf("checkpoint = version %d frontier %v done %v, want a resumable v%d frontier with traces",
+			ck.Version, ck.Frontier, ck.Done, search.CheckpointVersion)
 	}
 	for _, tr := range ck.Frontier.Traces {
-		if len(tr.Path) == 0 || tr.Cont != nil {
-			t.Fatalf("trace record %+v: want a leaf path in Path alone", tr)
+		if len(tr.Path) == 0 {
+			t.Fatalf("trace record %+v: want a leaf path", tr)
 		}
 	}
 	second := opts
@@ -259,21 +262,23 @@ func TestDporStopMidMergeResumes(t *testing.T) {
 }
 
 // TestOldCheckpointVersionRejected: exactly one format version is
-// readable; a version-5 file is refused with a message that says so.
+// readable; a version-6 file — a DPOR frontier whose trace records keep
+// a unit's prefix and continuation apart — is refused with a message
+// that says so.
 func TestOldCheckpointVersionRejected(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "v5.ckpt")
-	v5 := `{"version":5,"meta":{"strategy":"dfs","seed":0,"optionsHash":1,"parallelism":4},` +
-		`"counters":{"executions":10},"prefix":{"frontier":[],"merged":0,"allExhausted":true}}`
-	if err := os.WriteFile(path, []byte(v5), 0o644); err != nil {
+	path := filepath.Join(t.TempDir(), "v6.ckpt")
+	v6 := `{"version":6,"meta":{"strategy":"dfs","seed":0,"optionsHash":1,"parallelism":4},` +
+		`"counters":{"executions":10},"frontier":{"merged":1,"allExhausted":true,"traces":[{"path":[0],"cont":[1]}]}}`
+	if err := os.WriteFile(path, []byte(v6), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	_, err := search.LoadCheckpoint(path)
-	if err == nil || !strings.Contains(err.Error(), "format version 5, this build reads version 6") {
-		t.Fatalf("LoadCheckpoint(v5) error = %v, want the version message", err)
+	if err == nil || !strings.Contains(err.Error(), "format version 6, this build reads version 7") {
+		t.Fatalf("LoadCheckpoint(v6) error = %v, want the version message", err)
 	}
 	// A decoded old checkpoint handed straight to Validate is refused too.
-	opts := search.Options{Fair: true, ContextBound: -1, Parallelism: 4, Resume: &search.Checkpoint{Version: 5}}
-	if err := opts.Validate(); err == nil || !strings.Contains(err.Error(), "format version 5") {
-		t.Fatalf("Validate(v5 resume) error = %v, want the version message", err)
+	opts := search.Options{Fair: true, ContextBound: -1, Parallelism: 4, Resume: &search.Checkpoint{Version: 6}}
+	if err := opts.Validate(); err == nil || !strings.Contains(err.Error(), "format version 6") {
+		t.Fatalf("Validate(v6 resume) error = %v, want the version message", err)
 	}
 }

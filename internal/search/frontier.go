@@ -52,7 +52,7 @@ func (c *expandChooser) Choose(ctx *engine.ChooseContext) (engine.Alt, bool) {
 		if step < len(c.digs) && !c.opts.DisableConformance {
 			exp = &c.digs[step]
 		}
-		if c.div = ctx.Engine.Conform(step, ctx.Cands, alt, exp, true); c.div != nil {
+		if c.div = ctx.Engine.Conform(step, ctx.Cands, alt, exp); c.div != nil {
 			return engine.Alt{}, false
 		}
 		if ctx.IsPreemption(alt) {
@@ -103,7 +103,7 @@ func splitFrontier(prog func(*engine.T), opts *Options, target int) []*SavedPref
 		pfx := frontier[idx]
 		replays++
 		c := &expandChooser{opts: opts, sched: pfx.Sched, digs: pfx.Digs}
-		r := opts.runEngine(&pool, prog, c, opts.ReplayConfig())
+		r := pool.Run(prog, c, opts.ReplayConfig())
 		if c.div != nil || r.Outcome != engine.Aborted || c.ended || len(c.alts) == 0 {
 			// Either the expansion replay stopped conforming — splitting
 			// below a state the program does not reproduce would

@@ -23,44 +23,48 @@ import (
 	"fairmc/internal/rng"
 )
 
-// Options configures a search.
+// Options configures a search, and is the one description of it that
+// travels: a plan, a job's ledger record, a lease grant and a worker
+// all carry Spec(), the options as JSON without the runtime-only fields
+// (json:"-": parallelism, wall-clock budget, monitor, checkpoint file,
+// resume, stop, telemetry), and OptionsHash fingerprints that.
 type Options struct {
 	// Fair enables the fair scheduler (Algorithm 1).
-	Fair bool
+	Fair bool `json:"fair"`
 	// FairK is the k-th-yield parameterization; 0 means 1.
-	FairK int
+	FairK int `json:"fairK,omitempty"`
 	// ContextBound is the preemption budget per execution; negative
 	// means unbounded (the paper's "dfs" strategy).
-	ContextBound int
+	ContextBound int `json:"contextBound"`
 	// DepthBound stops systematic branching after this many steps;
 	// 0 means none. The paper uses depth bounds only for the unfair
 	// searches, where termination is otherwise not guaranteed.
-	DepthBound int
+	DepthBound int `json:"depthBound,omitempty"`
 	// RandomTail finishes depth-bounded executions with seeded random
 	// scheduling until termination or MaxSteps (paper §4.2.1: "once
 	// the depth-bound is reached, a random search is performed until
 	// the end of the execution is reached"). Without it, executions
 	// are cut at the depth bound and counted as nonterminating
 	// (Figure 2's measurement).
-	RandomTail bool
+	RandomTail bool `json:"randomTail,omitempty"`
 	// RandomWalk replaces the systematic DFS entirely: every execution
 	// is scheduled uniformly at random (seeded per execution index).
 	// The walk never exhausts; bound it with MaxExecutions or
 	// TimeLimit. This is the "stress testing, but reproducible"
 	// baseline a systematic checker is measured against.
-	RandomWalk bool
+	RandomWalk bool `json:"randomWalk,omitempty"`
 	// PCT replaces the systematic DFS with probabilistic concurrency
 	// testing (Burckhardt et al., ASPLOS 2010): random thread
 	// priorities plus PCTDepth−1 random priority-change points per
 	// execution; any bug of depth d is found per execution with
 	// probability ≥ 1/(n·kᵈ⁻¹). Like RandomWalk it never exhausts:
 	// bound it with MaxExecutions or TimeLimit.
-	PCT bool
+	PCT bool `json:"pct,omitempty"`
 	// PCTDepth is the targeted bug depth d; 0 means 3.
-	PCTDepth int
+	PCTDepth int `json:"pctDepth,omitempty"`
 	// MaxSteps caps a single execution; exceeding it is a divergence.
 	// 0 means engine.DefaultMaxSteps.
-	MaxSteps int64
+	MaxSteps int64 `json:"maxSteps,omitempty"`
 	// MemModel selects the memory model programs using conc.Memory run
 	// under: "" or "sc" (sequential consistency, the default) or "tso"
 	// (total store order: per-thread store buffers with store-to-load
@@ -69,26 +73,26 @@ type Options struct {
 	// like any thread, so every strategy (DFS, PCT, DPOR, …) and the
 	// fair scheduler cover it. Semantic: part of the checkpoint options
 	// hash whenever it is not the default.
-	MemModel string
+	MemModel string `json:"memModel,omitempty"`
 	// TSOBufCap bounds each thread's store buffer under MemModel "tso";
 	// a store into a full buffer blocks until a flush drains an entry.
 	// 0 means unbounded. Ignored under "sc".
-	TSOBufCap int
+	TSOBufCap int `json:"tsoBufCap,omitempty"`
 	// MaxExecutions caps the number of executions; 0 means unbounded.
-	MaxExecutions int64
+	MaxExecutions int64 `json:"maxExecutions,omitempty"`
 	// TimeLimit caps the wall-clock duration; 0 means unbounded.
-	TimeLimit time.Duration
+	TimeLimit time.Duration `json:"-"`
 	// Seed drives random tails.
-	Seed uint64
+	Seed uint64 `json:"seed"`
 	// Monitor, if non-nil, observes every execution (coverage
 	// tracking for Table 2 hooks in here).
-	Monitor engine.Monitor
+	Monitor engine.Monitor `json:"-"`
 	// StatefulPrune cuts executions that re-enter an already-expanded
 	// state, turning the search into the stateful reference search
 	// used for the "Total States" column of Table 2. Unsound together
 	// with Fair (the fair scheduler's state is path-dependent), so it
 	// requires Fair to be false.
-	StatefulPrune bool
+	StatefulPrune bool `json:"statefulPrune,omitempty"`
 	// DPOR enables conservative dynamic partial-order reduction (see
 	// internal/search/dpor.go and docs/DPOR.md): the search explores
 	// one schedule, and every pair of conflicting transitions it
@@ -104,7 +108,7 @@ type Options struct {
 	// serializable and merged in a canonical order, DPOR runs at any
 	// Parallelism, distributed (Shard.Unit), and under
 	// checkpoint/resume, always with a byte-identical report.
-	DPOR bool
+	DPOR bool `json:"dpor,omitempty"`
 	// SleepSets enables sleep-set partial-order reduction
 	// (internal/por): redundant interleavings of independent
 	// transitions are pruned while every reachable state stays
@@ -113,7 +117,7 @@ type Options struct {
 	// requires Fair to be false (the paper flags combining the two as
 	// future work). Like DPOR it presumes a terminating program: an
 	// execution that reaches MaxSteps is reported as a Divergence.
-	SleepSets bool
+	SleepSets bool `json:"sleepSets,omitempty"`
 	// Parallelism runs the search on this many worker goroutines, each
 	// with its own engine; 0 or 1 is the sequential searcher. The
 	// search is split into an ordered plan of shards — execution-index
@@ -131,19 +135,19 @@ type Options struct {
 	// combinations panic rather than race (no silent unsoundness).
 	// DPOR (with or without SleepSets) parallelizes: its state lives
 	// in self-contained work units, not the searcher.
-	Parallelism int
+	Parallelism int `json:"-"`
 	// DivergenceRetries is how many times a prefix replay that stops
 	// conforming to its recorded digests is re-executed before the
 	// subtree is quarantined (counted in Report.Quarantined with a
 	// NondeterminismReport). 0 means the default (2); negative means
 	// no retries.
-	DivergenceRetries int
+	DivergenceRetries int `json:"divergenceRetries,omitempty"`
 	// ConfirmRuns is the confirmation pass: each schedule-backed
 	// finding (FirstBug, Divergence) is replayed this many times after
 	// the search and tagged with a Reproducibility verdict
 	// (stable/flaky). 0 disables the pass; the fairmc facade defaults
 	// it to 3. Wedges are never confirmed (not replayable).
-	ConfirmRuns int
+	ConfirmRuns int `json:"confirmRuns,omitempty"`
 	// DisableConformance turns off the per-step conformance digests the
 	// systematic searcher records at every choice point and verifies on
 	// every prefix replay. Detection of outright not-schedulable
@@ -151,46 +155,46 @@ type Options struct {
 	// comparison — which catches nondeterminism that keeps the
 	// scheduled alternative schedulable — is skipped. Deterministic
 	// programs produce identical reports with conformance on or off.
-	DisableConformance bool
+	DisableConformance bool `json:"disableConformance,omitempty"`
 	// ContinueAfterViolation keeps searching after safety violations
 	// instead of stopping at the first one.
-	ContinueAfterViolation bool
+	ContinueAfterViolation bool `json:"continueAfterViolation,omitempty"`
 	// ContinueAfterDivergence keeps searching after a Divergence
 	// finding. An execution that exceeds MaxSteps is a liveness-error
 	// candidate in fair mode and voids the reduction's
 	// terminating-program precondition under DPOR or SleepSets; both
 	// stop the search by default. In plain unfair mode such executions
 	// are ordinary nonterminating ones and the search always continues.
-	ContinueAfterDivergence bool
+	ContinueAfterDivergence bool `json:"continueAfterDivergence,omitempty"`
 	// RecordTrace makes every execution record a full trace (slow;
 	// the searcher replays the offending schedule itself to produce
 	// repro traces, so this is normally unnecessary).
-	RecordTrace bool
+	RecordTrace bool `json:"recordTrace,omitempty"`
 	// Watchdog is the per-execution stuck-thread detector interval,
 	// threaded to engine.Config.Watchdog: a model thread that blocks or
 	// spins outside the conc API for longer than this ends its
 	// execution with outcome Wedged (a finding — see Report.Wedges)
 	// instead of hanging the search forever. 0 disables it.
-	Watchdog time.Duration
+	Watchdog time.Duration `json:"watchdog,omitempty"`
 	// ProgramName identifies the program under test in checkpoints;
 	// a resume whose ProgramName differs from the checkpoint's fails
 	// validation. Optional for searches that never checkpoint.
-	ProgramName string
+	ProgramName string `json:"program"`
 	// CheckpointPath, when nonempty, makes the search periodically
 	// write a resumable JSON snapshot of its progress to this file
 	// (atomically: tmp + rename), and once more when it stops. See
 	// internal/search/checkpoint.go for what is captured per strategy.
-	CheckpointPath string
+	CheckpointPath string `json:"-"`
 	// CheckpointInterval is the minimum time between periodic
 	// checkpoint writes; 0 means 30s. The final write on stop always
 	// happens regardless of the interval.
-	CheckpointInterval time.Duration
+	CheckpointInterval time.Duration `json:"checkpointInterval,omitempty"`
 	// Resume restarts the search from a checkpoint previously written
 	// via CheckpointPath. The checkpoint's Meta (program name,
 	// strategy, seed, options hash, parallelism) must match these
 	// Options; budgets (MaxExecutions, TimeLimit) may differ, so an
 	// interrupted search can be resumed with a larger budget.
-	Resume *Checkpoint
+	Resume *Checkpoint `json:"-"`
 	// Stop, when non-nil, is polled between executions and every 64
 	// steps inside one (engine.Config.Stop), and by the merge loop of a
 	// parallel search: closing it interrupts the search, which drops the
@@ -199,15 +203,7 @@ type Options struct {
 	// step events stay), writes a final checkpoint (when configured) and
 	// returns with Report.Interrupted set. This is how cmd/fairmc
 	// turns SIGINT/SIGTERM into a clean, resumable stop.
-	Stop <-chan struct{}
-	// NoFastPath disables the engine fast path and everything built on
-	// it: step batching (threads carry the scheduling baton inline),
-	// engine pooling across executions, and the searcher's prefix
-	// memoization. Purely operational — reports are byte-identical with
-	// the fast path on or off, so this is a bisection escape hatch, not
-	// a semantic switch (it is excluded from the checkpoint options
-	// hash: a search may be resumed with the opposite setting).
-	NoFastPath bool
+	Stop <-chan struct{} `json:"-"`
 	// Metrics, if non-nil, is the live telemetry registry every engine
 	// run and searcher decision updates (internal/obs). Safe with any
 	// Parallelism (updates are atomic) and with checkpointing (the
@@ -216,12 +212,20 @@ type Options struct {
 	// actually performed — divergence retries, cancelled subtrees —
 	// so they are not deterministic across Parallelism; the merged
 	// Report is.
-	Metrics *obs.Metrics
+	Metrics *obs.Metrics `json:"-"`
 	// EventSink, if non-nil, receives structured JSONL trace events
 	// (schedule points, yield-window closures, findings, quarantine and
 	// checkpoint lifecycle). Same compatibility story as Metrics.
 	// Emission never blocks; a slow sink drops events and counts them.
-	EventSink *obs.Recorder
+	EventSink *obs.Recorder `json:"-"`
+}
+
+// Spec returns the options with the runtime-only fields cleared: the
+// search as another process runs it.
+func (o Options) Spec() Options {
+	o.Parallelism, o.TimeLimit, o.CheckpointPath = 0, 0, ""
+	o.Monitor, o.Resume, o.Stop, o.Metrics, o.EventSink = nil, nil, nil, nil, nil
+	return o
 }
 
 // Counters are the additive statistics of a search: everything a
@@ -402,17 +406,15 @@ type frame struct {
 	idx int // alternative currently taken
 	// Conformance bookkeeping: dig is the candidate-set digest recorded
 	// when this choice point was first reached (hasDig gates it — a
-	// frame restored from an old checkpoint or with conformance
-	// disabled has none).
+	// frame with conformance disabled has none).
 	dig    uint64
 	hasDig bool
 
 	alt0, op0 int
 	// The alternatives to explore, in discovery order, are
 	// altArena[alt0:][:nAlts]; ops[i], the pending op of alternative i at
-	// that time, is opArena[op0:][:nOps]. nOps is 0 without a digest, and
-	// may be short of nAlts for frames restored from an old checkpoint;
-	// replay then verifies the digest only.
+	// that time, is opArena[op0:][:nOps]. nOps is nAlts with a digest
+	// (Validate holds a checkpoint's frames to that) and 0 without.
 	nAlts, nOps int
 	// Prefix memo: altArena[alt0+memoOff:][:nMemo] and
 	// opArena[op0+memoOff:][:nMemo] are the full unfiltered candidate set
@@ -421,9 +423,9 @@ type frame struct {
 	// replay that matches it structurally has validated strictly more
 	// than the digest compare (CandsDigest is a pure function of exactly
 	// these values, and the frame's alternatives are among them), so it
-	// skips the call. nMemo is 0 when memoization is off (NoFastPath,
-	// DisableConformance), past memoDepthCap, or for frames restored from
-	// a checkpoint (the memo is never persisted).
+	// skips the call. nMemo is 0 with DisableConformance, past
+	// memoDepthCap, or for frames restored from a checkpoint (the memo is
+	// never persisted).
 	memoOff, nMemo int
 }
 
@@ -469,7 +471,7 @@ type searcher struct {
 	visited map[visitKey]struct{}
 
 	// pool reuses one engine (threads, buffers, worker coroutines)
-	// across this searcher's executions; unused when opts.NoFastPath.
+	// across this searcher's executions.
 	// It belongs to whoever runs the searcher (the sequential search, a
 	// driver worker, a dist worker) and outlives it.
 	pool *engine.Pool
@@ -677,7 +679,7 @@ func (s *searcher) run() {
 		depth := len(s.stack)
 		div, attempts := s.opts.conformingRun(func() *engine.DivergenceError {
 			s.resetExec(exec)
-			r = s.opts.runEngine(s.pool, s.prog, s, s.opts.engineConfig(s.deadline, exec))
+			r = s.pool.Run(s.prog, s, s.opts.engineConfig(s.deadline, exec))
 			s.flushMemoCounters()
 			return s.divErr
 		})
@@ -768,23 +770,13 @@ func (o *Options) engineConfig(deadline time.Time, exec int64) engine.Config {
 // Validate would have rejected.
 func (o *Options) ReplayConfig() engine.Config {
 	return engine.Config{
-		Fair:       o.Fair,
-		FairK:      o.FairK,
-		MaxSteps:   o.MaxSteps,
-		MemModel:   o.memModel(),
-		TSOBufCap:  o.TSOBufCap,
-		Watchdog:   o.Watchdog,
-		NoFastPath: o.NoFastPath,
+		Fair:      o.Fair,
+		FairK:     o.FairK,
+		MaxSteps:  o.MaxSteps,
+		MemModel:  o.memModel(),
+		TSOBufCap: o.TSOBufCap,
+		Watchdog:  o.Watchdog,
 	}
-}
-
-// runEngine runs one execution on the pooled engine, or on a fresh one
-// when the fast path (and with it pooling) is off.
-func (o *Options) runEngine(pool *engine.Pool, prog func(*engine.T), ch engine.Chooser, cfg engine.Config) *engine.Result {
-	if o.NoFastPath {
-		return engine.Run(prog, ch, cfg)
-	}
-	return pool.Run(prog, ch, cfg)
 }
 
 // resetExec resets the per-execution state ahead of one engine.Run;
@@ -1047,22 +1039,17 @@ func (s *searcher) Choose(ctx *engine.ChooseContext) (engine.Alt, bool) {
 			// expanded, so the step conforms; skip the digest re-encoding.
 			s.execHits++
 		} else {
-			// Without a digest only schedulability is verified; one from
-			// an old checkpoint may lack the recorded op.
+			// Without a digest only schedulability is verified.
 			var exp *engine.StepDigest
-			withOp := fr.idx < fr.nOps
 			if fr.hasDig {
 				s.execMisses++
-				exp = &engine.StepDigest{Hash: fr.dig, Tid: alt.Tid}
-				if withOp {
-					exp.Op = s.ops(fr)[fr.idx]
-				}
+				exp = &engine.StepDigest{Hash: fr.dig, Tid: alt.Tid, Op: s.ops(fr)[fr.idx]}
 			}
 			// A step that does not conform means the program is
 			// nondeterministic outside the scheduler's control. Abort for
 			// retry/quarantine instead of exploring a wrong tree (or
 			// crashing the worker).
-			if s.divErr = ctx.Engine.Conform(s.pos-1, ctx.Cands, alt, exp, withOp); s.divErr != nil {
+			if s.divErr = ctx.Engine.Conform(s.pos-1, ctx.Cands, alt, exp); s.divErr != nil {
 				return engine.Alt{}, false
 			}
 		}
@@ -1120,9 +1107,8 @@ func (s *searcher) Choose(ctx *engine.ChooseContext) (engine.Alt, bool) {
 		fr.nOps = fr.nAlts
 	}
 	// The memo does not apply with conformance off (nothing to validate
-	// against), under NoFastPath (one flag restores full legacy
-	// behavior), or past the depth cap.
-	if fr.hasDig && !s.opts.NoFastPath && len(s.stack) < memoDepthCap {
+	// against) or past the depth cap.
+	if fr.hasDig && len(s.stack) < memoDepthCap {
 		fr.nMemo = len(ctx.Cands)
 		if fr.nAlts < fr.nMemo {
 			// Some candidate was filtered out, so the alternatives are not

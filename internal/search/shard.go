@@ -83,7 +83,12 @@ type Plan struct {
 	// options and refuse to run a plan that does not match.
 	OptionsHash uint64  `json:"optionsHash"`
 	Shards      []Shard `json:"shards"`
+	// base is the plan index of Shards[0] (nonzero in a restored merger).
+	base int
 }
+
+// end is the plan index one past the plan's last shard.
+func (p *Plan) end() int { return p.base + len(p.Shards) }
 
 // PlanShards splits the search defined by opts into distributable
 // shards. refParallelism picks which local parallel run the plan (and
@@ -117,7 +122,7 @@ func planShards(prog func(*engine.T), opts *Options, refParallelism int) *Plan {
 	plan := &Plan{
 		Strategy:       strategyOf(opts),
 		RefParallelism: refParallelism,
-		OptionsHash:    optionsHash(opts),
+		OptionsHash:    OptionsHash(opts),
 	}
 	switch {
 	case opts.DPOR:
@@ -147,15 +152,15 @@ func (p *Plan) growRanges(limit int64, merged int, covered int64) {
 	if c := (limit + target - 1) / target; c > chunk {
 		chunk = c
 	}
-	if n := len(p.Shards); n > merged {
-		covered = p.Shards[n-1].Hi
+	if p.end() > merged {
+		covered = p.Shards[len(p.Shards)-1].Hi
 	}
-	for (limit > 0 && covered < limit) || (limit <= 0 && int64(len(p.Shards)-merged) < target) {
+	for (limit > 0 && covered < limit) || (limit <= 0 && int64(p.end()-merged) < target) {
 		hi := covered + chunk
 		if limit > 0 && hi > limit {
 			hi = limit
 		}
-		p.Shards = append(p.Shards, Shard{Index: len(p.Shards), Lo: covered + 1, Hi: hi})
+		p.Shards = append(p.Shards, Shard{Index: p.end(), Lo: covered + 1, Hi: hi})
 		covered = hi
 	}
 }
@@ -228,24 +233,20 @@ func RunShardOn(pool *engine.Pool, prog func(*engine.T), opts Options, sh Shard,
 }
 
 // ValidateShardResume reports whether a worker-local checkpoint can
-// resume the given range shard: it must belong to the same search
-// (program, strategy, seed, options hash), be non-terminal, and sit
-// inside the shard's index range.
+// resume the given range shard: RunShardOn's Validate accepts it as the
+// shard's resume point (same search, non-terminal, well-formed), and it
+// sits inside the shard's index range.
 func ValidateShardResume(opts *Options, sh Shard, ck *Checkpoint) error {
 	if sh.Hi == 0 {
 		return errors.New("search: only range shards support checkpoint resume")
-	}
-	if ck.Done {
-		return errors.New("search: shard checkpoint is terminal")
 	}
 	if ck.Stride == nil {
 		return errors.New("search: shard checkpoint lacks the random-strategy position")
 	}
 	o := *opts
-	o.Parallelism = 1
-	if ck.Meta.Strategy != strategyOf(&o) || ck.Meta.Seed != o.Seed ||
-		ck.Meta.OptionsHash != optionsHash(&o) || ck.Meta.Program != o.ProgramName {
-		return errors.New("search: shard checkpoint belongs to a different search")
+	o.Parallelism, o.TimeLimit, o.Resume = 1, 0, ck
+	if err := o.Validate(); err != nil {
+		return err
 	}
 	// The checkpoint's counters are the shard's own, so its position is
 	// Lo plus the executions it has run.
@@ -309,17 +310,19 @@ func NewShardMerger(opts Options, plan *Plan) *ShardMerger {
 
 // restore re-seeds a fresh merger (over an empty plan) from a
 // checkpoint: the merged report so far and the unmerged rest of the
-// plan, at its original indices. Range shards are not stored — they are
-// re-planned from the first index the checkpoint does not cover, against
-// the resumed search's own budget.
+// plan, at its original indices (the merged shards are not held, so
+// what a resume allocates is bounded by the checkpoint's size). Range
+// shards are not stored — they are re-planned from the first index the
+// checkpoint does not cover, against the resumed search's own budget.
 func (m *ShardMerger) restore(ck *Checkpoint) {
 	*m.rep = ck.report()
 	f := ck.Frontier
-	m.plan.Shards = append(make([]Shard, f.Merged), f.Shards...)
+	m.plan.Shards = append([]Shard(nil), f.Shards...)
+	m.plan.base = f.Merged
 	m.next = f.Merged
 	m.allExhausted = f.AllExhausted
 	for _, tr := range f.Traces {
-		m.seen.addPath(append(tr.Path[:len(tr.Path):len(tr.Path)], tr.Cont...))
+		m.seen.addPath(tr.Path)
 	}
 	for _, sh := range f.Shards {
 		if sh.Unit != nil {
@@ -333,7 +336,7 @@ func (m *ShardMerger) restore(ck *Checkpoint) {
 func (m *ShardMerger) frontier() *Frontier {
 	f := &Frontier{Merged: m.next, AllExhausted: m.allExhausted}
 	if !m.opts.random() {
-		f.Shards = m.plan.Shards[m.next:]
+		f.Shards = m.plan.Shards[m.next-m.plan.base:]
 	}
 	if m.opts.DPOR {
 		f.Traces = m.seen.leaves(0, nil, nil)
@@ -356,15 +359,15 @@ func (m *ShardMerger) growRanges() {
 // its turn comes. Offers at or past a stop, and duplicate offers, are
 // ignored.
 func (m *ShardMerger) Offer(idx int, r *Report) {
-	if m.stopped || idx < m.next || idx >= len(m.plan.Shards) {
+	if m.stopped || idx < m.next || idx >= m.plan.end() {
 		return
 	}
 	if _, dup := m.pending[idx]; dup {
 		return
 	}
 	m.pending[idx] = r
-	for !m.stopped && m.next < len(m.plan.Shards) {
-		sh := &m.plan.Shards[m.next]
+	for !m.stopped && m.next < m.plan.end() {
+		sh := &m.plan.Shards[m.next-m.plan.base]
 		if sh.Hi == 0 && m.opts.MaxExecutions > 0 && m.rep.Executions >= m.opts.MaxExecutions {
 			// The pre-execution budget check of the sequential loop, at
 			// shard granularity. (Range shards carry the budget in their
@@ -469,13 +472,13 @@ func (m *ShardMerger) Horizon() int {
 	if m.stopped {
 		return m.next
 	}
-	return len(m.plan.Shards)
+	return m.plan.end()
 }
 
 // Done reports that the merge is complete: every shard consumed, or a
 // terminal stop reached.
 func (m *ShardMerger) Done() bool {
-	return m.stopped || m.next == len(m.plan.Shards)
+	return m.stopped || m.next == m.plan.end()
 }
 
 // Finish seals the merge and returns the final report, applying the
@@ -483,7 +486,7 @@ func (m *ShardMerger) Done() bool {
 // any order) become the report's WorkerFailures, sorted by (Unit,
 // Attempt) so the report is deterministic regardless of worker timing.
 func (m *ShardMerger) Finish(elapsed time.Duration, failures []WorkerFailure) *Report {
-	complete := !m.stopped && m.next == len(m.plan.Shards)
+	complete := !m.stopped && m.next == m.plan.end()
 	if m.opts.random() {
 		// Every index in [1, MaxExecutions] has been merged (or
 		// explicitly skipped): the execution budget is spent.
@@ -501,16 +504,6 @@ func (m *ShardMerger) Finish(elapsed time.Duration, failures []WorkerFailure) *R
 	m.rep.WorkerFailures = fs
 	m.rep.Elapsed = elapsed
 	return m.rep
-}
-
-// OptionsHash exposes the semantic-options fingerprint checkpoints
-// carry (budget and operational fields excluded). The distributed
-// protocol uses it to reject configuration skew between coordinator
-// and workers before any work is handed out.
-func OptionsHash(o *Options) uint64 {
-	oo := *o
-	oo.Parallelism = 1
-	return optionsHash(&oo)
 }
 
 // ConfirmFindings runs the post-search confirmation pass

@@ -3,6 +3,7 @@ package search
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"fairmc/internal/core"
 )
@@ -106,7 +107,7 @@ func (o *Options) validateResume(ck *Checkpoint) error {
 		return fmt.Errorf("search: resume: checkpoint parallelism %d, options parallelism %d (sharding must match for deterministic continuation)",
 			ck.Meta.Parallelism, o.Parallelism)
 	}
-	if got := optionsHash(o); ck.Meta.OptionsHash != got {
+	if got := OptionsHash(o); ck.Meta.OptionsHash != got {
 		return fmt.Errorf("search: resume: options hash mismatch (checkpoint %#x, options %#x): a semantic option differs from the checkpointed search; only budgets (MaxExecutions, TimeLimit) and operational settings may change across a resume",
 			ck.Meta.OptionsHash, got)
 	}
@@ -114,19 +115,64 @@ func (o *Options) validateResume(ck *Checkpoint) error {
 		return fmt.Errorf("search: resume: checkpoint counts %d quarantined subtrees but carries %d nondeterminism reports (corrupted checkpoint)",
 			ck.Counters.Quarantined, len(ck.Nondeterminism))
 	}
-	// The position must be the one the path that will run restores.
+	if ck.Counters.Executions < 0 || ck.Counters.Skipped < 0 {
+		return fmt.Errorf("search: resume: checkpoint counts %d executions and %d skipped (corrupted checkpoint)",
+			ck.Counters.Executions, ck.Counters.Skipped)
+	}
+	// The position must be the one the path that will run restores, and
+	// one it can restore.
 	switch {
 	case o.DPOR || o.Parallelism > 1:
 		if ck.Frontier == nil {
 			return errors.New("search: resume: checkpoint is missing the shard frontier")
 		}
-	case o.RandomWalk || o.PCT:
+		return o.validateFrontier(ck)
+	case o.random():
 		if ck.Stride == nil {
 			return errors.New("search: resume: checkpoint is missing the random-strategy position")
 		}
 	default:
 		if ck.Seq == nil {
 			return errors.New("search: resume: checkpoint is missing the DFS stack")
+		}
+		for i, fr := range ck.Seq.Stack {
+			if fr.Idx < 0 || fr.Idx >= len(fr.Alts) {
+				return fmt.Errorf("search: resume: DFS frame %d takes alternative %d of %d (corrupted checkpoint)",
+					i, fr.Idx, len(fr.Alts))
+			}
+			if fr.HasDig && len(fr.Ops) != len(fr.Alts) {
+				return fmt.Errorf("search: resume: DFS frame %d records %d pending ops for %d alternatives (corrupted checkpoint)",
+					i, len(fr.Ops), len(fr.Alts))
+			}
+		}
+	}
+	return nil
+}
+
+// validateFrontier checks a sharded search's position: the unmerged
+// shards are numbered on from the merged ones (without overflowing an
+// index), are of the kind the strategy plans, and every merged shard is
+// accounted for by the counters (each merges at least one execution,
+// quarantine or skip).
+func (o *Options) validateFrontier(ck *Checkpoint) error {
+	f, c := ck.Frontier, &ck.Counters
+	if f.Merged < 0 || int64(f.Merged) > c.Executions+c.Quarantined+c.Skipped ||
+		f.Merged > math.MaxInt-len(f.Shards) {
+		return fmt.Errorf("search: resume: frontier has %d shards merged for %d executions (corrupted checkpoint)",
+			f.Merged, c.Executions)
+	}
+	kind := "prefix"
+	switch {
+	case o.DPOR:
+		kind = "dpor"
+	case o.random():
+		kind = "none" // ranges are re-planned, never stored
+	}
+	for i := range f.Shards {
+		sh := &f.Shards[i]
+		if sh.Index != f.Merged+i || sh.kind() != kind {
+			return fmt.Errorf("search: resume: frontier shard %d is %s shard %d, want %s shard %d (corrupted checkpoint)",
+				i, sh.kind(), sh.Index, kind, f.Merged+i)
 		}
 	}
 	return nil
