@@ -19,7 +19,10 @@ url="http://127.0.0.1:$port"
 
 # finish_worker PID LOG: the service stays up after its job until every
 # worker it had granted work has come back and been told it is done, so
-# a worker exits 0, and within seconds of the service.
+# such a worker exits 0, and within seconds of the service. A worker the
+# service never answered — one started first whose backoff straddled the
+# whole of a short job, which the other worker ran — cannot be told; it
+# must give up as unreachable after its -join-timeout, and nothing else.
 finish_worker() {
     local pid=$1 log=$2 wrc=0
     for _ in $(seq 80); do
@@ -33,7 +36,7 @@ finish_worker() {
         exit 1
     fi
     wait "$pid" || wrc=$?
-    if [ "$wrc" -ne 0 ]; then
+    if [ "$wrc" -ne 0 ] && { grep -q "granted work" "$log" || ! grep -q "unreachable for" "$log"; }; then
         echo "FAIL: worker exited $wrc, want 0 (it was not told the service is done?)"
         cat "$log"
         exit 1

@@ -244,7 +244,7 @@ func (c *cli) worker(args []string) int {
 	fs := c.flagSet("worker", "")
 	urlFlag(fs, &cfg.URL)
 	parallelFlag(fs, &cfg.Capacity, "how many shards to run at a time")
-	fs.StringVar(&cfg.WorkDir, "workdir", "", "scratch directory for per-shard checkpoints and spooled results; name one to survive a restart")
+	fs.StringVar(&cfg.WorkDir, "workdir", "", "scratch directory for spooled results; name one to keep them across a restart")
 	fs.DurationVar(&cfg.Retry.BaseDelay, "retry-base", 100*time.Millisecond, "initial backoff between retries of a call to the service")
 	fs.DurationVar(&cfg.Retry.MaxDelay, "retry-max", 5*time.Second, "backoff ceiling for retries")
 	fs.IntVar(&cfg.Retry.MaxAttempts, "retry-attempts", 8, "attempts per call to the service before it counts as a failure")

@@ -318,9 +318,10 @@ func (g *heartbeatGate) RoundTrip(req *http.Request) (*http.Response, error) {
 func TestServiceCancelledJobIsGone(t *testing.T) {
 	m := &obs.Metrics{}
 	_, srv := startService(t, Config{Dir: t.TempDir(), Coordinator: dist.CoordinatorConfig{LeaseTTL: 300 * time.Millisecond}})
-	// One stride shard that outlives the test unless it is cancelled.
-	long := search.Options{Fair: true, RandomWalk: true, MaxExecutions: 1 << 40, MaxSteps: 1000, Seed: 1, ContinueAfterViolation: true}
-	id1 := submitJob(t, srv.URL, "racy", long, 1)
+	// Range shards of executions that each run a million steps: the
+	// first outlives the test unless it is cancelled.
+	long := search.Options{Fair: true, RandomWalk: true, MaxExecutions: 1 << 40, MaxSteps: 1 << 20, Seed: 1, ContinueAfterDivergence: true}
+	id1 := submitJob(t, srv.URL, "livelock", long, 1)
 
 	gate := &heartbeatGate{release: make(chan struct{})}
 	workDir := t.TempDir()

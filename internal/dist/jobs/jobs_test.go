@@ -90,6 +90,8 @@ var testProgs = map[string]func(*engine.T){
 	"sbweak": sbWeak,
 	// The service benchmark's subject, from the shipped catalog.
 	"boundedbuffer": catalog("boundedbuffer"),
+	// Livelocks under the fair scheduler: every execution runs to MaxSteps.
+	"livelock": catalog("promise-livelock"),
 }
 
 func catalog(name string) func(*engine.T) {

@@ -2,7 +2,6 @@ package dist_test
 
 import (
 	"bytes"
-	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -125,74 +124,5 @@ func TestDistCorruptSpoolEntryAdvisory(t *testing.T) {
 	}
 	if w, g := runReportBytes(t, want, "fig3", opts), runReportBytes(t, got, "fig3", opts); !bytes.Equal(w, g) {
 		t.Fatalf("run report not byte-identical with a corrupt spool entry:\n%s\nvs\n%s", w, g)
-	}
-}
-
-// TestDistCorruptShardCheckpointIgnored: a worker-local range-shard
-// checkpoint that names this very search but holds an impossible
-// position (minus one executions, one before the shard's first index)
-// is ignored and removed, not handed to the shard — where the shard's
-// own Validate would refuse it and every retry would crash the same way
-// until the shard was abandoned. The shard runs from its start and the
-// report is byte-identical to the local run.
-func TestDistCorruptShardCheckpointIgnored(t *testing.T) {
-	workDir := t.TempDir()
-	opts := search.Options{
-		Fair: true, RandomWalk: true, MaxExecutions: 400, MaxSteps: 1000,
-		Seed: 3, ContinueAfterViolation: true,
-	}
-	spec := named("racy", opts)
-	plan, err := search.PlanShards(racyIncrement, spec, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sh := plan.Shards[0]
-	if sh.Hi == 0 {
-		t.Fatalf("shard %+v is not a range shard", sh)
-	}
-	shardOpts := spec
-	shardOpts.Parallelism = 1
-	ck := &search.Checkpoint{
-		Version: search.CheckpointVersion,
-		Meta: search.CheckpointMeta{
-			Program:     "racy",
-			Strategy:    search.StrategyName(&shardOpts),
-			Seed:        opts.Seed,
-			OptionsHash: search.OptionsHash(&shardOpts),
-			Parallelism: 1,
-		},
-		Counters: search.Counters{Executions: -1},
-		Stride:   &search.StrideState{NextIndex: sh.Lo - 1},
-	}
-	if err := search.ValidateShardResume(&spec, sh, ck); err == nil {
-		t.Fatal("ValidateShardResume accepted a checkpoint with minus one executions")
-	}
-	ckpt := filepath.Join(workDir, fmt.Sprintf("shard-%04d.ckpt", sh.Index))
-	if err := ck.WriteFile(ckpt); err != nil {
-		t.Fatal(err)
-	}
-
-	coord, srv := startCoordinator(t, dist.CoordinatorConfig{
-		Prog: racyIncrement, Options: spec, RefParallelism: 2,
-		LeaseTTL: 5 * time.Second,
-	})
-	if err := dist.RunWorker(dist.WorkerConfig{
-		URL: srv.URL, Lookup: lookup, WorkDir: workDir, Retry: fastPolicy(1),
-	}); err != nil {
-		t.Fatalf("worker: %v", err)
-	}
-	got := coord.Wait()
-	if _, err := os.Stat(ckpt); !os.IsNotExist(err) {
-		t.Fatalf("corrupt checkpoint %s left behind (stat: %v)", ckpt, err)
-	}
-
-	ref := opts
-	ref.Parallelism = 2
-	want := search.Explore(racyIncrement, ref)
-	if !reflect.DeepEqual(normalize(want), normalize(got)) {
-		t.Fatalf("report differs from local -p 2:\n%+v\nvs\n%+v", want, got)
-	}
-	if w, g := runReportBytes(t, want, "racy", opts), runReportBytes(t, got, "racy", opts); !bytes.Equal(w, g) {
-		t.Fatalf("run report not byte-identical over a corrupt shard checkpoint:\n%s\nvs\n%s", w, g)
 	}
 }

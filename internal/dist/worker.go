@@ -57,12 +57,10 @@ type WorkerConfig struct {
 	URL string
 	// Capacity is how many lease batches to run concurrently; 0 means 1.
 	Capacity int
-	// WorkDir holds per-shard checkpoints (so a restarted worker resumes
-	// a long stride shard instead of rerunning it) and the result spool
-	// (completed shard reports persisted while their job is unreachable,
-	// replayed when the worker is next granted work of that job), each
-	// job's in the subdirectory named after it — jobs reuse shard
-	// indices. Empty disables both.
+	// WorkDir holds the result spool: completed shard reports persisted
+	// while their job is unreachable, replayed when the worker is next
+	// granted work of that job, each job's in the subdirectory named
+	// after it — jobs reuse shard indices. Empty disables it.
 	WorkDir string
 	// Lookup resolves the program name a grant carries to the program
 	// body (e.g. an adapter around progs.Lookup).
@@ -594,14 +592,12 @@ func (j *workerJob) runWave(pool *engine.Pool, grants []Grant) {
 		opts.EventSink = rec
 	}
 	results := make([]ShardResult, 0, len(grants))
-	ckpts := make([]string, 0, len(grants))
 	for i, g := range grants {
 		if w.over() || j.gone.Load() {
 			break
 		}
-		if res, ckpt, ok := j.runShard(pool, opts, g, stops[i]); ok {
+		if res, ok := j.runShard(pool, opts, g, stops[i]); ok {
 			results = append(results, res)
-			ckpts = append(ckpts, ckpt)
 		}
 	}
 	if rec != nil {
@@ -623,11 +619,6 @@ func (j *workerJob) runWave(pool *engine.Pool, grants []Grant) {
 		w.cfg.Logf("dist: posting %d shard results (%d..): %v", len(results), results[0].Shard, err)
 		j.spool(results)
 		return
-	}
-	for i, ok := range resp.Accepted {
-		if ok && i < len(ckpts) && ckpts[i] != "" && results[i].Report != nil {
-			os.Remove(ckpts[i])
-		}
 	}
 	if resp.Done {
 		j.forget()
@@ -666,29 +657,11 @@ func (j *workerJob) spool(results []ShardResult) {
 // failure so the coordinator can retry the shard elsewhere. ok is false
 // for a shard cancelled before or while it ran (lease lost or worker
 // stopping): the partial report must not be merged, and the coordinator
-// has already requeued or cut the shard. ckpt is the shard's checkpoint
-// file, if it keeps one.
-func (j *workerJob) runShard(pool *engine.Pool, opts search.Options, g Grant, stop <-chan struct{}) (res ShardResult, ckpt string, ok bool) {
-	sh, logf := g.Shard, j.w.cfg.Logf
-	if j.workDir != "" && sh.Hi > 0 {
-		// Per-shard checkpointing (range shards only: a prefix
-		// subtree reruns from scratch, and a DPOR unit is a single
-		// execution). A stale or foreign checkpoint is discarded,
-		// never trusted.
-		ckpt = filepath.Join(j.workDir, fmt.Sprintf("shard-%04d.ckpt", sh.Index))
-		opts.CheckpointPath = ckpt
-		if ck, err := search.LoadCheckpoint(ckpt); err == nil {
-			if verr := search.ValidateShardResume(&opts, sh, ck); verr == nil {
-				opts.Resume = ck
-				logf("dist: shard %d resuming from %s (execution %d)",
-					sh.Index, ckpt, ck.Counters.Executions)
-			} else {
-				logf("dist: shard %d ignoring checkpoint %s: %v", sh.Index, ckpt, verr)
-				os.Remove(ckpt)
-			}
-		}
-	}
-
+// has already requeued or cut the shard. A worker keeps no position
+// inside a shard: one that restarts loses the shards it had in flight,
+// and lease expiry hands them out again.
+func (j *workerJob) runShard(pool *engine.Pool, opts search.Options, g Grant, stop <-chan struct{}) (res ShardResult, ok bool) {
+	sh := g.Shard
 	res = ShardResult{LeaseID: g.LeaseID, Shard: sh.Index}
 	func() {
 		defer func() {
@@ -700,11 +673,11 @@ func (j *workerJob) runShard(pool *engine.Pool, opts search.Options, g Grant, st
 		res.Report = search.RunShardOn(pool, j.prog, opts, sh, stop)
 	}()
 	if res.Failure != "" {
-		logf("dist: shard %d crashed: %.120s", sh.Index, res.Failure)
+		j.w.cfg.Logf("dist: shard %d crashed: %.120s", sh.Index, res.Failure)
 	} else if res.Report != nil && res.Report.Interrupted {
-		return res, ckpt, false
+		return res, false
 	}
-	return res, ckpt, true
+	return res, true
 }
 
 // eventForwarder batches the recorder's JSONL output and posts it to

@@ -14,21 +14,16 @@ import (
 
 // This file implements checkpoint/resume: a long-running search
 // periodically serializes its progress to a JSON file so that a crash,
-// an eviction, or a deliberate SIGINT loses at most one checkpoint
-// interval of work. A checkpoint captures (a) the accumulated Report
-// counters and findings, and (b) the position in the deterministic
-// enumeration — enough to restart the search at exactly the same point:
-//
-//   - Sequential random strategies (RandomWalk, PCT): executions are
-//     seeded by global index (rng.Mix(Seed, i)), so the position is the
-//     executions counter; NextIndex records the next index to run.
-//   - Sequential systematic search: the DFS stack (alternatives and
-//     the index taken at each frame), restored verbatim so the next
-//     execution replays the saved prefix and explores below it.
-//   - Every sharded search (Parallelism > 1, DPOR): one Frontier — how
-//     many shards of the plan are merged and the unmerged shards in plan
-//     order, whatever their kind. Resuming re-runs only those (results
-//     that were in flight at checkpoint time are recomputed).
+// an eviction, or a deliberate SIGINT loses at most one interval of work
+// (at Parallelism 1, where a shard pauses for a checkpoint) or the shards
+// in flight. Every search that checkpoints or resumes runs on the sharded
+// driver (driver.go), so a checkpoint holds exactly one position, the
+// driver's Frontier: how many shards of the plan are merged and the
+// unmerged shards in plan order (none for the random strategies, whose
+// range shards are re-planned from the first execution index not yet
+// covered). It also holds the merged report so far. Resuming re-runs
+// only the unmerged shards; a shard in flight at checkpoint time runs
+// again from its start.
 //
 // Findings (FirstBug, Divergence, FirstWedge) are stored as their full
 // engine.Result: replay cannot regenerate a wedge (the wedged step is
@@ -48,7 +43,7 @@ import (
 // writes: a checkpoint is a short-lived artifact of one search, and a
 // resumed search must reproduce the uninterrupted report byte for byte,
 // which no partially understood older format can promise.
-const CheckpointVersion = 7
+const CheckpointVersion = 8
 
 // defaultCheckpointInterval is used when CheckpointPath is set but
 // CheckpointInterval is zero.
@@ -69,37 +64,30 @@ type CheckpointMeta struct {
 	Parallelism int    `json:"parallelism"`
 }
 
-// savedFrame is one DFS stack frame of the sequential systematic
-// searcher, including its conformance digest so a resumed search
-// keeps verifying replays of the saved prefix.
-type savedFrame struct {
-	Alts   []engine.Alt    `json:"alts"`
-	Idx    int             `json:"idx"`
-	Dig    uint64          `json:"dig,omitempty"`
-	HasDig bool            `json:"hasDig,omitempty"`
-	Ops    []engine.OpInfo `json:"ops,omitempty"`
-}
-
-// SeqState is the sequential systematic searcher's position.
-type SeqState struct {
-	Stack []savedFrame `json:"stack"`
-}
-
-// StrideState is the sequential random searcher's position: the next
-// global execution index.
-type StrideState struct {
-	NextIndex int64 `json:"nextIndex"`
-}
-
 // SavedPrefix is one frontier prefix of a systematic search's plan.
 type SavedPrefix struct {
 	Sched []engine.Alt        `json:"sched"`
 	Digs  []engine.StepDigest `json:"digs,omitempty"`
 	Leaf  bool                `json:"leaf,omitempty"`
+	// Later lists, for a shard a serial search paused in (see
+	// runSerial), the alternatives its steps have yet to explore
+	// after the ones Sched takes, by step in increasing order: the shard
+	// covers their subtrees too, in the order the paused DFS would have
+	// taken them.
+	Later []LaterAlts `json:"later,omitempty"`
+}
+
+// LaterAlts are the alternatives step Step of a prefix shard explores
+// after the one its Sched takes, with their pending ops when the prefix
+// has a digest for that step.
+type LaterAlts struct {
+	Step int             `json:"step"`
+	Alts []engine.Alt    `json:"alts"`
+	Ops  []engine.OpInfo `json:"ops,omitempty"`
 }
 
 // Frontier is the sharded driver's position in its plan, for every
-// shard kind.
+// shard kind: the one position a checkpoint holds.
 type Frontier struct {
 	// Merged counts the plan's shards consumed by the merge across all
 	// sessions of the search; Shards[0] has plan index Merged.
@@ -141,11 +129,7 @@ type Checkpoint struct {
 	// resume).
 	Nondeterminism []NondeterminismReport `json:"nondeterminism,omitempty"`
 
-	// Exactly one position is set: Stride or Seq by the sequential
-	// searcher, Frontier by the sharded driver.
-	Stride   *StrideState `json:"stride,omitempty"`
-	Seq      *SeqState    `json:"seq,omitempty"`
-	Frontier *Frontier    `json:"frontier,omitempty"`
+	Frontier *Frontier `json:"frontier,omitempty"`
 }
 
 // LoadCheckpoint reads and decodes a checkpoint file.
@@ -218,9 +202,8 @@ func OptionsHash(o *Options) uint64 {
 	return h.Sum64()
 }
 
-// buildCheckpoint captures the position-independent progress; the
-// caller attaches the position (Stride, Seq or Frontier).
-func buildCheckpoint(opts *Options, rep *Report, elapsed time.Duration, done bool) *Checkpoint {
+// buildCheckpoint captures the merged report rep at position f.
+func buildCheckpoint(opts *Options, rep *Report, f *Frontier, elapsed time.Duration, done bool) *Checkpoint {
 	return &Checkpoint{
 		Version: CheckpointVersion,
 		Meta: CheckpointMeta{
@@ -241,6 +224,7 @@ func buildCheckpoint(opts *Options, rep *Report, elapsed time.Duration, done boo
 		FirstWedgeExecution: rep.FirstWedgeExecution,
 		WorkerFailures:      rep.WorkerFailures,
 		Nondeterminism:      rep.Nondeterminism,
+		Frontier:            f,
 	}
 }
 
@@ -279,22 +263,6 @@ func (ck *Checkpoint) write(opts *Options, rep *Report) {
 			Executions: rep.Executions,
 		}})
 	}
-}
-
-// checkpointDue reports whether a periodic checkpoint is due, advancing
-// *last when it is. The first call only starts the clock.
-func (o *Options) checkpointDue(last *time.Time) bool {
-	iv := o.CheckpointInterval
-	if iv <= 0 {
-		iv = defaultCheckpointInterval
-	}
-	now := time.Now()
-	if !last.IsZero() && now.Sub(*last) < iv {
-		return false
-	}
-	due := !last.IsZero()
-	*last = now
-	return due
 }
 
 // observeResume publishes a resume-from-checkpoint to the event stream.

@@ -98,10 +98,13 @@ func TestOptionsFieldsClassified(t *testing.T) {
 }
 
 // fuzzSearches are the searches FuzzCheckpoint's seed corpus is written
-// by, one per checkpoint position: the sequential DFS stack, the random
-// strategies' stride, a -p 2 frontier of prefixes and a DPOR frontier of
-// units with its dedup traces. Each stops on its execution budget, so
-// its checkpoint is resumable.
+// by, one per shape of the one checkpoint position, the driver's
+// frontier: the one prefix of a -p 1 fair DFS (its whole tree, cut by
+// its budget, so the rest of it, with the alternatives its steps have
+// left), the re-planned ranges of a random walk (no shards stored), a
+// -p 2 frontier
+// of prefixes and a DPOR frontier of units with its dedup traces. Each
+// stops on its execution budget, so its checkpoint is resumable.
 var fuzzSearches = []search.Options{
 	{ProgramName: "ticketlock", Fair: true, ContextBound: -1, MaxSteps: 10000, MaxExecutions: 3},
 	{ProgramName: "peterson", Fair: true, ContextBound: -1, MaxSteps: 10000, MaxExecutions: 3, RandomWalk: true, Seed: 7},
@@ -130,12 +133,12 @@ func seedCheckpoint(tb testing.TB, dir string, opts search.Options) string {
 }
 
 // TestResumeValidationPosition: Validate refuses a position the search
-// could not restore — a DFS frame's index outside its alternatives, a
-// digest without one op per alternative, frontier shards not numbered on
-// from the merged count or of another strategy's kind, a negative,
-// unaccounted-for or index-overflowing merged count, negative counters —
-// where resuming it would index out of range, wait forever for a shard
-// or spin through a negative execution index.
+// could not restore — frontier shards not numbered on from the merged
+// count or of another strategy's kind, a prefix listing alternatives
+// left at a step it does not have or without their ops, a negative,
+// unaccounted-for or index-overflowing merged count, negative counters — where
+// resuming it would index out of range, wait forever for a shard or
+// spin through a negative execution index.
 func TestResumeValidationPosition(t *testing.T) {
 	dir := t.TempDir()
 	paths := make([]string, len(fuzzSearches))
@@ -148,10 +151,14 @@ func TestResumeValidationPosition(t *testing.T) {
 		search  int
 		corrupt func(ck *search.Checkpoint)
 	}{
-		{"frame-index", seq, func(ck *search.Checkpoint) { ck.Seq.Stack[0].Idx = len(ck.Seq.Stack[0].Alts) }},
-		{"frame-ops", seq, func(ck *search.Checkpoint) {
-			fr := &ck.Seq.Stack[len(ck.Seq.Stack)-1]
-			fr.Ops = fr.Ops[:len(fr.Ops)-1]
+		{"seq-shard-index", seq, func(ck *search.Checkpoint) { ck.Frontier.Shards[0].Index-- }},
+		{"prefix-later-ops", seq, func(ck *search.Checkpoint) {
+			l := &ck.Frontier.Shards[0].Prefix.Later[0]
+			l.Ops = l.Ops[1:]
+		}},
+		{"prefix-later-step", seq, func(ck *search.Checkpoint) {
+			pfx := ck.Frontier.Shards[0].Prefix
+			pfx.Later[0].Step = len(pfx.Sched)
 		}},
 		{"negative-executions", stride, func(ck *search.Checkpoint) { ck.Counters.Executions = -1 }},
 		{"shard-index", prefix, func(ck *search.Checkpoint) { ck.Frontier.Shards[1].Index++ }},
@@ -161,6 +168,8 @@ func TestResumeValidationPosition(t *testing.T) {
 		}},
 		{"negative-merged", dpor, func(ck *search.Checkpoint) { ck.Frontier.Merged = -1 }},
 		{"unaccounted-merged", dpor, func(ck *search.Checkpoint) { ck.Frontier.Merged = 1 << 40 }},
+		{"unaccounted-merged-prefix", prefix, func(ck *search.Checkpoint) { renumber(ck, 1<<40) }},
+		{"unaccounted-merged-seq", seq, func(ck *search.Checkpoint) { renumber(ck, 1<<40) }},
 		{"overflowing-merged", dpor, func(ck *search.Checkpoint) {
 			ck.Counters.Executions = math.MaxInt64
 			renumber(ck, math.MaxInt-len(ck.Frontier.Shards)+1)

@@ -189,8 +189,7 @@ func TestDporParentShapeFrontierRestores(t *testing.T) {
 	if m.Merged() != consumed || m.Done() {
 		t.Fatalf("merged %d of %d units, done=%v", m.Merged(), consumed, m.Done())
 	}
-	ck := buildCheckpoint(&opts, m.rep, 0, false)
-	ck.Frontier = m.frontier()
+	ck := buildCheckpoint(&opts, m.rep, m.frontier(), 0, false)
 	own := leafKeys(ck.Frontier.Traces)
 	ck.Frontier.Traces = traces
 

@@ -25,9 +25,10 @@ import (
 // Selecting FirstBug/Divergence by plan position — never by wall-clock
 // arrival — is what makes the output reproducible regardless of worker
 // count and timing: for budgets expressed in executions or exhaustion
-// the merged Report is byte-identical to the sequential one (MaxExecutions
-// is quantized to prefix granularity in a systematic search; a
-// wall-clock TimeLimit stops wherever the clock strikes, as always).
+// the merged Report is byte-identical to the sequential one (above
+// Parallelism 1, MaxExecutions is quantized to prefix granularity in a
+// systematic search; a wall-clock TimeLimit stops wherever the clock
+// strikes, as always).
 //
 // Fault isolation: every shard runs under recover(). A crash is
 // recorded as a structured WorkerFailure and the shard is requeued
@@ -124,11 +125,10 @@ type shardResult struct {
 	fail *WorkerFailure
 }
 
-// runShardRecover is runShard under recover: a crash anywhere below —
-// program, engine or searcher — becomes a recorded WorkerFailure instead
-// of a process abort.
-func runShardRecover(prog func(*engine.T), opts *Options, sh Shard, pool *engine.Pool,
-	deadline time.Time) (res shardResult) {
+// runShardRecover runs shard sh under recover: a crash anywhere below
+// run — program, engine or searcher — becomes a recorded WorkerFailure
+// instead of a process abort.
+func runShardRecover(sh Shard, run func() *Report) (res shardResult) {
 	res.idx = sh.Index
 	defer func() {
 		if p := recover(); p != nil {
@@ -139,16 +139,27 @@ func runShardRecover(prog func(*engine.T), opts *Options, sh Shard, pool *engine
 	if h := workerFaultHook; h != nil {
 		h(sh.kind(), int64(sh.Index))
 	}
-	res.rep = runShard(prog, opts, sh, pool, deadline)
+	res.rep = run()
 	return res
 }
 
 // exploreSharded is the driver for every search that is not one
-// sequential searcher: Parallelism > 1 of any strategy, and DPOR at any
-// Parallelism. P workers, each owning one engine pool, pull shards from
-// the queue; this goroutine merges their reports in plan order, grows
-// the plan, checkpoints, and stops everything at the first of: plan
-// merged, a finding, a budget, the deadline, Stop.
+// sequential searcher: Parallelism > 1 of any strategy, DPOR at any
+// Parallelism, and every search that checkpoints or resumes. P workers,
+// each owning one engine pool, pull shards from the queue; this
+// goroutine merges their reports in plan order, grows the plan,
+// checkpoints, and stops everything at the first of: plan merged, a
+// finding, a budget, the deadline, Stop.
+//
+// At Parallelism 1 a search other than DPOR runs its shards one after
+// another in this goroutine instead — a systematic search one shard, the
+// whole tree, every shard numbering its executions on from the ones
+// merged before it (Shard.Lo) — so the execution budget, the random
+// tails and the finding indices are the sequential search's. A shard
+// pauses when a checkpoint comes due and merges what it ran, a shard for
+// the rest of its subtree or range spliced into the plan after it
+// (ShardMerger.serial), so a checkpoint is never further behind than the
+// interval; the paused searcher then runs that rest itself.
 func exploreSharded(prog func(*engine.T), opts Options) *Report {
 	p := opts.Parallelism
 	if p < 1 {
@@ -165,14 +176,21 @@ func exploreSharded(prog func(*engine.T), opts Options) *Report {
 
 	var m *ShardMerger
 	var prevElapsed time.Duration
-	if ck := opts.Resume; ck != nil {
+	serial := p == 1 && !opts.DPOR
+	switch ck := opts.Resume; {
+	case ck != nil:
 		m = NewShardMerger(opts, &Plan{RefParallelism: p})
 		m.restore(ck)
 		prevElapsed = time.Duration(ck.ElapsedNS)
 		observeResume(&opts, ck)
-	} else {
+	case serial && !opts.random():
+		// One shard, the whole tree: its searcher is the sequential one,
+		// split only where it pauses.
+		m = NewShardMerger(opts, &Plan{RefParallelism: 1, Shards: []Shard{{Prefix: &SavedPrefix{}}}})
+	default:
 		m = NewShardMerger(opts, planShards(prog, &sub, p))
 	}
+	m.serial = serial
 	failures := m.rep.WorkerFailures
 	attempts := map[int]int{} // failed attempts per shard
 
@@ -180,11 +198,18 @@ func exploreSharded(prog func(*engine.T), opts Options) *Report {
 	q.cond = sync.NewCond(&q.mu)
 	q.publish(m.plan)
 	// Stop reaches the shards, and the executions they are running,
-	// through the queue.
+	// through the queue; a serial shard, run by this goroutine, watches
+	// Stop itself.
 	sub.Stop = q.done
+	workers := p
+	if m.serial {
+		sub.Stop, workers = opts.Stop, 0
+	}
+	var serialPool engine.Pool
+	defer serialPool.Close()
 	results := make(chan shardResult, p) // one slot per sender: a worker never waits on the merge to start its next shard
 	var wg sync.WaitGroup
-	for w := 0; w < p; w++ {
+	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -195,7 +220,7 @@ func exploreSharded(prog func(*engine.T), opts Options) *Report {
 				if !ok {
 					return
 				}
-				res := runShardRecover(prog, &sub, sh, &pool, deadline)
+				res := runShardRecover(sh, func() *Report { return runShard(prog, &sub, sh, &pool, deadline) })
 				select {
 				case results <- res:
 				case <-q.done:
@@ -209,19 +234,41 @@ func exploreSharded(prog func(*engine.T), opts Options) *Report {
 		if opts.CheckpointPath == "" {
 			return
 		}
-		ck := buildCheckpoint(&opts, m.rep, prevElapsed+time.Since(start), done)
+		ck := buildCheckpoint(&opts, m.rep, m.frontier(), prevElapsed+time.Since(start), done)
 		ck.WorkerFailures = failures
-		ck.Frontier = m.frontier()
 		ck.write(&opts, m.rep)
 	}
-	lastCkpt := start
+	iv, lastCkpt := opts.CheckpointInterval, start
+	if iv <= 0 {
+		iv = defaultCheckpointInterval
+	}
+	// due reports a periodic checkpoint due; a serial shard pauses for it.
+	due := func() bool { return opts.CheckpointPath != "" && time.Since(lastCkpt) >= iv }
+	var cur *searcher // a paused serial shard's searcher, which runs its rest
 	for !m.Done() {
 		var res shardResult
-		select {
-		case <-opts.Stop:
-			m.interrupt()
-			continue
-		case res = <-results:
+		if m.serial {
+			sh := m.plan.Shards[m.next-m.plan.base] // the next unmerged shard, or its retry
+			var rest *Shard
+			res = runShardRecover(sh, func() (r *Report) {
+				if cur == nil {
+					cur = newSearcher(prog, &sub, sh, &serialPool, deadline)
+					cur.due = due
+				}
+				r, rest = cur.runSerial()
+				return r
+			})
+			if rest == nil {
+				cur = nil // done, cut, or crashed: a retry starts afresh
+			}
+			m.splice(rest)
+		} else {
+			select {
+			case <-opts.Stop:
+				m.interrupt()
+				continue
+			case res = <-results:
+			}
 		}
 		if res.fail != nil {
 			attempts[res.idx]++
@@ -248,8 +295,9 @@ func exploreSharded(prog func(*engine.T), opts Options) *Report {
 				mt.DporUnitQueue.Set(unmerged)
 			}
 		}
-		if opts.CheckpointPath != "" && opts.checkpointDue(&lastCkpt) {
+		if due() {
 			checkpoint(false)
+			lastCkpt = time.Now()
 		}
 	}
 	q.close()

@@ -1,6 +1,8 @@
 package search_test
 
 import (
+	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -62,9 +64,14 @@ func runPlanShuffled(t *testing.T, prog func(*engine.T), opts search.Options, re
 // TestOneDriverProperty: for generated programs (and the two hand-made
 // fixtures, which have findings to stop on) the report is the same
 // whichever way the schedule space is cut up — the sequential search,
-// the driver at -p 1 and -p 4, and the shard path driven by hand with
-// reports offered in shuffled order — for fair DFS, a seeded random
-// walk, and DPOR with and without sleep sets.
+// the driver at -p 1 and -p 4, the shard path driven by hand with
+// reports offered in shuffled order, and a checkpointed search (at the
+// default interval and after every execution) run through, resumed from
+// the checkpoint a kill midway would leave, or stopped at half its
+// executions and resumed — for fair DFS,
+// a seeded random walk, and DPOR with and without sleep sets. A fair DFS
+// with an execution budget is held to the sequential report at -p 1
+// only (above it the budget is quantized to prefix shards).
 func TestOneDriverProperty(t *testing.T) {
 	type subject struct {
 		name string
@@ -84,12 +91,15 @@ func TestOneDriverProperty(t *testing.T) {
 		name   string
 		opts   search.Options
 		unfair bool
+		serial bool // only the -p 1 paths are exact
 	}{
-		{"dfs", search.Options{Fair: true, ContextBound: -1, MaxSteps: 1 << 14}, false},
-		{"random", search.Options{Fair: true, RandomWalk: true, MaxExecutions: 150, MaxSteps: 1 << 14, Seed: 11}, false},
-		{"dpor", search.Options{ContextBound: -1, MaxSteps: 1 << 14, DPOR: true}, true},
-		{"dpor+sleep", search.Options{ContextBound: -1, MaxSteps: 1 << 14, DPOR: true, SleepSets: true}, true},
+		{"dfs", search.Options{Fair: true, ContextBound: -1, MaxSteps: 1 << 14}, false, false},
+		{"dfs-budget", search.Options{Fair: true, ContextBound: -1, MaxSteps: 1 << 14, MaxExecutions: 40}, false, true},
+		{"random", search.Options{Fair: true, RandomWalk: true, MaxExecutions: 150, MaxSteps: 1 << 14, Seed: 11}, false, false},
+		{"dpor", search.Options{ContextBound: -1, MaxSteps: 1 << 14, DPOR: true}, true, false},
+		{"dpor+sleep", search.Options{ContextBound: -1, MaxSteps: 1 << 14, DPOR: true, SleepSets: true}, true, false},
 	}
+	ckpt := filepath.Join(t.TempDir(), "search.ckpt")
 	for _, sub := range subjects {
 		conts := []bool{false}
 		if sub.bug {
@@ -103,18 +113,70 @@ func TestOneDriverProperty(t *testing.T) {
 				opts := st.opts
 				opts.ContinueAfterViolation = cont
 				ref := normalize(search.Explore(sub.prog, opts))
-				for _, p := range []int{1, 4} {
-					o := opts
-					o.Parallelism = p
-					if got := normalize(search.Explore(sub.prog, o)); !reflect.DeepEqual(ref, got) {
-						t.Fatalf("%s %s cont=%v: -p %d differs from the sequential search:\n%+v\nvs\n%+v",
-							sub.name, st.name, cont, p, ref, got)
+				differs := func(how string, got *search.Report) {
+					t.Helper()
+					if got = normalize(got); !reflect.DeepEqual(ref, got) {
+						t.Fatalf("%s %s cont=%v: %s differs from the sequential search:\n%+v\nvs\n%+v",
+							sub.name, st.name, cont, how, ref, got)
 					}
 				}
-				got := normalize(runPlanShuffled(t, sub.prog, opts, 4, 17))
-				if !reflect.DeepEqual(ref, got) {
-					t.Fatalf("%s %s cont=%v: hand-driven shards differ from the sequential search:\n%+v\nvs\n%+v",
-						sub.name, st.name, cont, ref, got)
+				ps := []int{1, 4}
+				if st.serial {
+					ps = ps[:1]
+				}
+				for _, p := range ps {
+					o := opts
+					o.Parallelism = p
+					differs(fmt.Sprintf("-p %d", p), search.Explore(sub.prog, o))
+				}
+				if !st.serial {
+					differs("hand-driven shards", runPlanShuffled(t, sub.prog, opts, 4, 17))
+				}
+
+				// A 1ns interval makes a checkpoint due after every
+				// execution: a -p 1 systematic search pauses each shard it
+				// runs there and splices the rest of it into the plan. The
+				// checkpoint on disk when the run is halfway through is the
+				// one a kill would leave: resuming it also gives ref.
+				for _, iv := range []time.Duration{0, time.Nanosecond} {
+					how := fmt.Sprintf("checkpointed every %v", iv)
+					o := opts
+					o.CheckpointPath, o.CheckpointInterval = ckpt, iv
+					os.Remove(ckpt)
+					var midway []byte
+					var runs atomic.Int64
+					differs(how, search.Explore(func(t *engine.T) {
+						if runs.Add(1) == ref.Executions/2+1 {
+							midway, _ = os.ReadFile(ckpt)
+						}
+						sub.prog(t)
+					}, o))
+					if midway != nil {
+						ck := &search.Checkpoint{}
+						if err := json.Unmarshal(midway, ck); err != nil {
+							t.Fatal(err)
+						}
+						r := o
+						r.Resume = ck
+						differs(how+", killed midway and resumed", search.Explore(sub.prog, r))
+					}
+					if ref.Executions < 2 {
+						continue
+					}
+					half := opts
+					half.MaxExecutions = ref.Executions / 2
+					want := normalize(search.Explore(sub.prog, half))
+					half.CheckpointPath, half.CheckpointInterval = ckpt, iv
+					if got := normalize(search.Explore(sub.prog, half)); !reflect.DeepEqual(want, got) {
+						t.Fatalf("%s %s cont=%v: %s, at half its executions, differs from the sequential search:\n%+v\nvs\n%+v",
+							sub.name, st.name, cont, how, want, got)
+					}
+					ck, err := search.LoadCheckpoint(ckpt)
+					if err != nil {
+						t.Fatal(err)
+					}
+					o.Resume = ck
+					differs(how+", stopped at half its executions and resumed", search.Explore(sub.prog, o))
 				}
 			}
 		}
@@ -262,23 +324,23 @@ func TestDporStopMidMergeResumes(t *testing.T) {
 }
 
 // TestOldCheckpointVersionRejected: exactly one format version is
-// readable; a version-6 file — a DPOR frontier whose trace records keep
-// a unit's prefix and continuation apart — is refused with a message
-// that says so.
+// readable; a version-7 file — a sequential search's DFS stack, a
+// position this build no longer writes — is refused with a message that
+// says so.
 func TestOldCheckpointVersionRejected(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "v6.ckpt")
-	v6 := `{"version":6,"meta":{"strategy":"dfs","seed":0,"optionsHash":1,"parallelism":4},` +
-		`"counters":{"executions":10},"frontier":{"merged":1,"allExhausted":true,"traces":[{"path":[0],"cont":[1]}]}}`
-	if err := os.WriteFile(path, []byte(v6), 0o644); err != nil {
+	path := filepath.Join(t.TempDir(), "v7.ckpt")
+	v7 := `{"version":7,"meta":{"strategy":"dfs","seed":0,"optionsHash":1,"parallelism":0},` +
+		`"counters":{"executions":10},"seq":{"stack":[{"alts":[{"Tid":0,"Arg":0},{"Tid":1,"Arg":0}],"idx":1}]}}`
+	if err := os.WriteFile(path, []byte(v7), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	_, err := search.LoadCheckpoint(path)
-	if err == nil || !strings.Contains(err.Error(), "format version 6, this build reads version 7") {
-		t.Fatalf("LoadCheckpoint(v6) error = %v, want the version message", err)
+	if err == nil || !strings.Contains(err.Error(), "format version 7, this build reads version 8") {
+		t.Fatalf("LoadCheckpoint(v7) error = %v, want the version message", err)
 	}
 	// A decoded old checkpoint handed straight to Validate is refused too.
-	opts := search.Options{Fair: true, ContextBound: -1, Parallelism: 4, Resume: &search.Checkpoint{Version: 6}}
-	if err := opts.Validate(); err == nil || !strings.Contains(err.Error(), "format version 6") {
-		t.Fatalf("Validate(v6 resume) error = %v, want the version message", err)
+	opts := search.Options{Fair: true, ContextBound: -1, Resume: &search.Checkpoint{Version: 7}}
+	if err := opts.Validate(); err == nil || !strings.Contains(err.Error(), "format version 7") {
+		t.Fatalf("Validate(v7 resume) error = %v, want the version message", err)
 	}
 }

@@ -308,12 +308,14 @@ func TestCheckpointResumeRoundTrip(t *testing.T) {
 }
 
 // TestFrameArenaCheckpointResume: the DFS stack lives in two arenas that
-// backtracking truncates; a checkpoint copies frames out of them and a
-// resume pushes them back in. The fixture's executions run past
-// memoDepthCap (4096), where frames keep their alternatives but no
-// memo, and one thread's Choose makes a frame wider than its
-// neighbours'. (The deep, wide stack under the cap is the ticketlock
-// fixture of TestFastPathCheckpointResume.)
+// backtracking truncates. A checkpointed search at -p 1 is one shard
+// whose rest, when the budget cuts it, is the stack as a prefix with the
+// alternatives each step has left, so a resume rebuilds the arenas from
+// that prefix. The fixture's executions run past memoDepthCap (4096), where
+// frames keep their alternatives but no memo, and one thread's Choose
+// makes a frame wider than its neighbours'; the report must still be the
+// sequential search's. (The deep, wide stack under the cap is the
+// ticketlock fixture of TestFastPathCheckpointResume.)
 func TestFrameArenaCheckpointResume(t *testing.T) {
 	deep := func(t *engine.T) {
 		x := syncmodel.NewIntVar(t, "x", 0)
@@ -366,11 +368,12 @@ func TestDeadlineCutsRunningExecution(t *testing.T) {
 // recognises the report, and that the search resumed from the final
 // checkpoint finishes exactly like an uninterrupted one.
 func cutRunningExecution(t *testing.T, arm func(*search.Options) func(), stopped func(*search.Report) bool) {
-	// prog(n, trigger) calls trigger in its n-th run; n = 0 never does.
+	// prog(n, trigger) calls trigger in the n-th run that gets a third of
+	// the way (the runs that plan the checkpointed search's shards stop a
+	// few steps in); n = 0 never does.
 	prog := func(n int, trigger func()) func(*engine.T) {
 		runs := 0
 		return func(t *engine.T) {
-			runs++
 			x := syncmodel.NewIntVar(t, "x", 0)
 			h := t.Go("other", func(t *engine.T) {
 				for i := 0; i < 150; i++ {
@@ -378,8 +381,10 @@ func cutRunningExecution(t *testing.T, arm func(*search.Options) func(), stopped
 				}
 			})
 			for i := 0; i < 148; i++ {
-				if i == 50 && runs == n {
-					trigger()
+				if i == 50 {
+					if runs++; runs == n {
+						trigger()
+					}
 				}
 				x.Add(t, 1)
 			}

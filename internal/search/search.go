@@ -15,6 +15,7 @@
 package search
 
 import (
+	"slices"
 	"time"
 
 	"fairmc/internal/engine"
@@ -119,20 +120,22 @@ type Options struct {
 	// execution that reaches MaxSteps is reported as a Divergence.
 	SleepSets bool `json:"sleepSets,omitempty"`
 	// Parallelism runs the search on this many worker goroutines, each
-	// with its own engine; 0 or 1 is the sequential searcher. The
-	// search is split into an ordered plan of shards — execution-index
-	// ranges for the random strategies (RandomWalk, PCT: seeded per
-	// index, so the explored schedule set is identical to the
-	// sequential run for any Parallelism), schedule-tree prefixes at
-	// shallow choice points for the systematic ones, race-reversal work
-	// units for DPOR — and the shard reports merge in plan order (see
-	// internal/search/driver.go).
-	// Caveat: RandomTail seeds tails by subtree-local execution index,
-	// so a parallel depth-bounded search is deterministic for a given
-	// Parallelism but explores different tails than the sequential one.
-	// Incompatible with StatefulPrune, Monitor, and SleepSets without
-	// DPOR, whose state is shared across executions: those
-	// combinations panic rather than race (no silent unsoundness).
+	// with its own engine; 0 or 1 is the sequential searcher (on the
+	// driver, for DPOR and a search that checkpoints). The search is
+	// split into an ordered plan of shards — execution-index ranges for
+	// the random strategies (RandomWalk, PCT: seeded per index, so the
+	// explored schedule set is identical to the sequential run for any
+	// Parallelism), schedule-tree prefixes at shallow choice points for
+	// the systematic ones, race-reversal work units for DPOR — and the
+	// shard reports merge in plan order (see driver.go).
+	// Caveat: above Parallelism 1, RandomTail seeds tails by
+	// subtree-local execution index, so a parallel depth-bounded search
+	// is deterministic for a given Parallelism but explores different
+	// tails than the sequential one.
+	// Incompatible (as is checkpointing) with StatefulPrune, Monitor,
+	// and SleepSets without DPOR, whose state is shared across
+	// executions: Validate refuses those combinations rather than race
+	// (no silent unsoundness).
 	// DPOR (with or without SleepSets) parallelizes: its state lives
 	// in self-contained work units, not the searcher.
 	Parallelism int `json:"-"`
@@ -182,8 +185,8 @@ type Options struct {
 	ProgramName string `json:"program"`
 	// CheckpointPath, when nonempty, makes the search periodically
 	// write a resumable JSON snapshot of its progress to this file
-	// (atomically: tmp + rename), and once more when it stops. See
-	// internal/search/checkpoint.go for what is captured per strategy.
+	// (atomically: tmp + rename), and once more when it stops: its
+	// merged shards, as it then runs on the driver (checkpoint.go).
 	CheckpointPath string `json:"-"`
 	// CheckpointInterval is the minimum time between periodic
 	// checkpoint writes; 0 means 30s. The final write on stop always
@@ -394,7 +397,7 @@ type Report struct {
 // frame's storage is the arenas' tail when it is pushed and is given
 // back when it is popped (truncate), and a push allocates nothing once
 // the arenas have grown to the search's depth. Whoever needs a frame's
-// contents past that — a checkpoint, a quarantine report — copies.
+// contents past that — a quarantine report — copies.
 //
 // A frame's region starts at alt0 / op0. It holds the alternatives to
 // explore first, then — when a memo is kept and a context bound or sleep
@@ -414,7 +417,7 @@ type frame struct {
 	// The alternatives to explore, in discovery order, are
 	// altArena[alt0:][:nAlts]; ops[i], the pending op of alternative i at
 	// that time, is opArena[op0:][:nOps]. nOps is nAlts with a digest
-	// (Validate holds a checkpoint's frames to that) and 0 without.
+	// (Validate holds a prefix's Later to that) and 0 without.
 	nAlts, nOps int
 	// Prefix memo: altArena[alt0+memoOff:][:nMemo] and
 	// opArena[op0+memoOff:][:nMemo] are the full unfiltered candidate set
@@ -424,8 +427,8 @@ type frame struct {
 	// than the digest compare (CandsDigest is a pure function of exactly
 	// these values, and the frame's alternatives are among them), so it
 	// skips the call. nMemo is 0 with DisableConformance, past
-	// memoDepthCap, or for frames restored from a checkpoint (the memo is
-	// never persisted).
+	// memoDepthCap, or for the frames of a shard's prefix (the memo never
+	// travels).
 	memoOff, nMemo int
 }
 
@@ -491,16 +494,14 @@ type searcher struct {
 	// alone: it publishes the Frontier gauge itself. A real shard's owner
 	// does.
 	whole bool
+	// due, when set, is polled between executions once one has run;
+	// paused records that it said so and stopped the run (runSerial).
+	due    func() bool
+	paused bool
 
 	report   Report
 	start    time.Time
 	deadline time.Time
-
-	// Checkpoint bookkeeping (the parallel driver checkpoints at its own
-	// merge boundaries and runs its shards without a CheckpointPath).
-	ckptDone    bool          // the stop reason is terminal (non-resumable)
-	prevElapsed time.Duration // elapsed time carried over from a resumed checkpoint
-	lastCkpt    time.Time
 }
 
 type visitKey struct {
@@ -522,10 +523,11 @@ func Explore(prog func(*engine.T), opts Options) *Report {
 		panic(err)
 	}
 	var rep *Report
-	if opts.DPOR || opts.Parallelism > 1 {
+	if opts.DPOR || opts.sharded() {
 		// One driver for every sharded search: plan, run shards on P
 		// workers, merge in plan order (driver.go). DPOR takes it at
-		// P = 1 too — its schedule space only exists as a growing plan.
+		// P = 1 too (its schedule space only exists as a growing plan),
+		// as does a search that checkpoints (its shards are its progress).
 		rep = exploreSharded(prog, opts)
 	} else {
 		// The sequential search is the shard executor run over the whole
@@ -548,22 +550,19 @@ func (o *Options) deadlineFrom(start time.Time) time.Time {
 }
 
 // runSearcher runs the sequential searcher over one shard of the
-// schedule space — the zero Shard is all of it — honoring
-// opts.CheckpointPath, opts.Resume and opts.Stop when set. (Stop is also
-// how a shard's owner cancels it.)
+// schedule space — the zero Shard is all of it — honoring opts.Stop
+// when set. (Stop is also how a shard's owner cancels it.)
 func runSearcher(prog func(*engine.T), opts *Options, sh Shard, pool *engine.Pool,
 	deadline time.Time) *Report {
 	s := newSearcher(prog, opts, sh, pool, deadline)
 	s.run()
-	s.report.Elapsed = s.prevElapsed + time.Since(s.start)
-	if opts.CheckpointPath != "" {
-		s.writeCheckpoint(s.ckptDone)
-	}
+	s.report.Elapsed = time.Since(s.start)
 	return &s.report
 }
 
 // newSearcher positions a searcher at the start of shard sh: the stack
-// pinned to the shard's prefix, or restored from opts.Resume.
+// pinned to the shard's prefix, the execution index offset to its first
+// execution.
 func newSearcher(prog func(*engine.T), opts *Options, sh Shard, pool *engine.Pool,
 	deadline time.Time) *searcher {
 	s := &searcher{prog: prog, opts: *opts, pool: pool, start: time.Now(),
@@ -571,40 +570,86 @@ func newSearcher(prog func(*engine.T), opts *Options, sh Shard, pool *engine.Poo
 	if opts.StatefulPrune {
 		s.visited = make(map[visitKey]struct{})
 	}
+	s.execBase = max(sh.Lo-1, 0)
 	if sh.Hi > 0 {
-		s.execBase, s.execLimit = sh.Lo-1, sh.Hi
+		s.execLimit = sh.Hi
 	}
-	if sh.Prefix != nil {
+	if pfx := sh.Prefix; pfx != nil {
 		// The prefix decisions become single-alternative frames, so
-		// backtracking exhausts exactly the subtree below them.
-		for i := range sh.Prefix.Sched {
+		// backtracking exhausts exactly the subtree below them — plus,
+		// where the prefix lists them, the alternatives a paused shard's
+		// steps have left.
+		later := pfx.Later
+		for i := range pfx.Sched {
 			fr := frame{}
+			alts := pfx.Sched[i : i+1]
 			var ops []engine.OpInfo
-			if i < len(sh.Prefix.Digs) {
-				d := &sh.Prefix.Digs[i]
+			if i < len(pfx.Digs) {
+				d := &pfx.Digs[i]
 				fr.dig = d.Hash
 				fr.hasDig = !opts.DisableConformance
 				ops = []engine.OpInfo{d.Op}
 			}
-			s.restoreFrame(fr, sh.Prefix.Sched[i:i+1], ops)
-		}
-	}
-	if ck := opts.Resume; ck != nil {
-		s.report = ck.report()
-		s.prevElapsed = time.Duration(ck.ElapsedNS)
-		observeResume(opts, ck)
-		if ck.Seq != nil && !(opts.RandomWalk || opts.PCT) {
-			for _, fr := range ck.Seq.Stack {
-				s.restoreFrame(frame{
-					idx:    fr.Idx,
-					dig:    fr.Dig,
-					hasDig: fr.HasDig && !opts.DisableConformance,
-				}, fr.Alts, fr.Ops)
+			if len(later) > 0 && later[0].Step == i {
+				alts = append(slices.Clip(alts), later[0].Alts...)
+				ops = append(ops, later[0].Ops...)
+				later = later[1:]
 			}
+			s.restoreFrame(fr, alts, ops)
 		}
 	}
 	s.fixed = len(s.stack)
 	return s
+}
+
+// runSerial runs a shard's searcher for the local driver at Parallelism
+// 1 (see exploreSharded) until the shard is done or stops early: paused
+// by due between two executions, or cut by the deadline, Stop or (a
+// subtree) the search's budget. Having run anything, it then also
+// returns rest, the shard for what is left, and the searcher goes on as
+// that shard, its prefix memo intact; the report counts as exhausted
+// unless it quarantined, since rest covers the remainder.
+func (s *searcher) runSerial() (*Report, *Shard) {
+	s.run()
+	r := s.report
+	ranged := s.opts.random() // a range's Hi is its own budget, not a cut
+	early := s.paused || r.TimedOut || r.Interrupted || (r.ExecBounded && !ranged)
+	if !early || r.Executions+r.Quarantined == 0 {
+		return &r, nil
+	}
+	r.Exhausted = r.Quarantined == 0
+	s.execBase += r.Executions
+	s.report, s.paused = Report{}, false
+	if ranged {
+		return &r, &Shard{Lo: s.execBase + 1, Hi: s.execLimit}
+	}
+	return &r, &Shard{Lo: s.execBase + 1, Prefix: s.rest()}
+}
+
+// rest is the searcher's position when it stopped between executions,
+// as a prefix shard: the path the next execution replays, each step with
+// the alternatives its frame has yet to try after that path's (Later),
+// and the digests the stack recorded, so the shard's replays are checked
+// as the searcher's would have been.
+func (s *searcher) rest() *SavedPrefix {
+	p := &SavedPrefix{Sched: make([]engine.Alt, len(s.stack))}
+	for k := range s.stack {
+		fr := &s.stack[k]
+		alts := s.alts(fr)
+		p.Sched[k] = alts[fr.idx]
+		dig := len(p.Digs) == k && fr.nOps > 0
+		if dig {
+			p.Digs = append(p.Digs, engine.StepDigest{Hash: fr.dig, Tid: alts[fr.idx].Tid, Op: s.ops(fr)[fr.idx]})
+		}
+		if fr.idx+1 < fr.nAlts {
+			l := LaterAlts{Step: k, Alts: slices.Clone(alts[fr.idx+1:])}
+			if dig {
+				l.Ops = slices.Clone(s.ops(fr)[fr.idx+1:])
+			}
+			p.Later = append(p.Later, l)
+		}
+	}
+	return p
 }
 
 // flushMemoCounters publishes one execution's prefix-memo hit/miss
@@ -619,38 +664,6 @@ func (s *searcher) flushMemoCounters() {
 	}
 	s.execHits = 0
 	s.execMisses = 0
-}
-
-// writeCheckpoint persists the searcher's current position and
-// counters. Failures are recorded, not fatal.
-func (s *searcher) writeCheckpoint(done bool) {
-	ck := buildCheckpoint(&s.opts, &s.report, s.prevElapsed+time.Since(s.start), done)
-	if s.opts.RandomWalk || s.opts.PCT {
-		ck.Stride = &StrideState{NextIndex: s.execBase + s.report.Executions + 1}
-	} else {
-		st := &SeqState{Stack: make([]savedFrame, len(s.stack))}
-		for i := range s.stack {
-			fr := &s.stack[i]
-			st.Stack[i] = savedFrame{
-				Alts:   append([]engine.Alt(nil), s.alts(fr)...),
-				Idx:    fr.idx,
-				Dig:    fr.dig,
-				HasDig: fr.hasDig,
-				Ops:    append([]engine.OpInfo(nil), s.ops(fr)...),
-			}
-		}
-		ck.Seq = st
-	}
-	ck.write(&s.opts, &s.report)
-}
-
-// maybeCheckpoint writes a periodic checkpoint when the interval has
-// elapsed. Called at the top of the execution loop, where the stack /
-// next index describe exactly the work that has not run yet.
-func (s *searcher) maybeCheckpoint() {
-	if s.opts.CheckpointPath != "" && s.opts.checkpointDue(&s.lastCkpt) {
-		s.writeCheckpoint(false)
-	}
 }
 
 func (s *searcher) run() {
@@ -673,7 +686,10 @@ func (s *searcher) run() {
 			s.report.Interrupted = true
 			return
 		}
-		s.maybeCheckpoint()
+		if s.due != nil && s.report.Executions > 0 && s.due() {
+			s.paused = true
+			return
+		}
 
 		var r *engine.Result
 		depth := len(s.stack)
@@ -688,7 +704,6 @@ func (s *searcher) run() {
 			// subtree is pruned, continue with the rest of the tree.
 			s.quarantine(div, attempts)
 			if !s.backtrack() {
-				s.ckptDone = true
 				return
 			}
 			continue
@@ -703,9 +718,6 @@ func (s *searcher) run() {
 		}
 		s.report.addResult(r)
 		if classify(s.prog, &s.opts, &s.report, r, exec, s.reason) {
-			// Stops on a finding are terminal — resuming would re-run
-			// and re-count the finding's execution.
-			s.ckptDone = true
 			return
 		}
 		if s.opts.RandomWalk || s.opts.PCT {
@@ -719,7 +731,6 @@ func (s *searcher) run() {
 			// was not fully explored, so it is not Exhausted (mirrors
 			// Skipped in the shard merge).
 			s.report.Exhausted = s.report.Quarantined == 0
-			s.ckptDone = true
 			return
 		}
 		if m := s.opts.Metrics; m != nil && s.whole {
@@ -990,8 +1001,8 @@ func (s *searcher) ops(fr *frame) []engine.OpInfo {
 }
 
 // restoreFrame pushes a frame whose alternatives are given, not
-// observed: a step of a shard's prefix, or a checkpointed frame. fr
-// carries the rest (idx, digest); such a frame has no memo.
+// observed: a step of a shard's prefix. fr carries the rest (the
+// digest); such a frame has no memo.
 func (s *searcher) restoreFrame(fr frame, alts []engine.Alt, ops []engine.OpInfo) {
 	fr.alt0, fr.op0 = len(s.altArena), len(s.opArena)
 	fr.nAlts, fr.nOps = len(alts), len(ops)

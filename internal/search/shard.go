@@ -15,6 +15,7 @@ package search
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -27,6 +28,13 @@ const (
 	// enough to stop soon after a finding, large enough to amortize the
 	// hand-off.
 	rangeBatch = 32
+	// rangeMax is the largest range shard, in executions: a range in
+	// flight is what a killed distributed worker, or a killed -p N
+	// search, loses. Each range also costs a lease, a result post and a
+	// ledger commit at the jobs service — about 0.5 ms and 850 bytes on a
+	// 2-CPU x86-64 box — which at 4096 executions stays a few percent of
+	// even a 7 µs execution's range.
+	rangeMax = 4096
 	// planTargetFactor sizes a plan at planTargetFactor×P shards (and an
 	// open-ended walk's lookahead at as many unmerged ones), bounding
 	// idle tail time when shard sizes are skewed.
@@ -48,6 +56,8 @@ type Shard struct {
 	// Index order.
 	Index int `json:"index"`
 	// Lo and Hi bound the execution-index range (random strategies).
+	// A prefix shard has no Hi, and a Lo, the global index of its first
+	// execution, only when the local driver spliced it in (exploreSharded).
 	Lo int64 `json:"lo,omitempty"`
 	Hi int64 `json:"hi,omitempty"`
 	// Prefix is the frontier prefix (systematic strategies).
@@ -142,20 +152,23 @@ func planShards(prog func(*engine.T), opts *Options, refParallelism int) *Plan {
 }
 
 // growRanges appends range shards after the plan's last one (after
-// index covered when nothing past merged is planned): through limit
-// when there is an execution budget — in chunks aiming at the frontier
-// split's shard count but never below rangeBatch — else, for a walk only
-// the clock bounds, until a lookahead of unmerged shards is planned.
+// index covered when nothing past merged is planned) until a lookahead
+// of unmerged shards is planned or, with an execution budget, limit is
+// covered. The chunks aim at the frontier split's shard count over the
+// budget, but are never below rangeBatch nor above rangeMax: a chunk
+// above it is split evenly, so the ranges still share out evenly
+// between the workers.
 func (p *Plan) growRanges(limit int64, merged int, covered int64) {
 	target := int64(planTargetFactor * p.RefParallelism)
-	chunk := int64(rangeBatch)
-	if c := (limit + target - 1) / target; c > chunk {
-		chunk = c
+	chunk := max((limit+target-1)/target, rangeBatch)
+	if chunk > rangeMax {
+		n := target * ((chunk + rangeMax - 1) / rangeMax)
+		chunk = (limit + n - 1) / n
 	}
 	if p.end() > merged {
 		covered = p.Shards[len(p.Shards)-1].Hi
 	}
-	for (limit > 0 && covered < limit) || (limit <= 0 && int64(p.end()-merged) < target) {
+	for (limit <= 0 || covered < limit) && int64(p.end()-merged) < target {
 		hi := covered + chunk
 		if limit > 0 && hi > limit {
 			hi = limit
@@ -194,10 +207,6 @@ func runShard(prog func(*engine.T), opts *Options, sh Shard, pool *engine.Pool,
 // RunShard executes one shard to completion on a fresh engine and
 // returns its report, ready for ShardMerger.Offer.
 //
-// Range shards honor opts.CheckpointPath/opts.Resume for worker-local
-// per-shard checkpointing; prefix and unit shards ignore them (a prefix
-// subtree reruns from scratch, a unit is one execution).
-//
 // stop, when non-nil, cancels the shard, between executions or inside
 // one; a cancelled shard returns with Interrupted set and must not be
 // merged.
@@ -220,41 +229,13 @@ func RunShardOn(pool *engine.Pool, prog func(*engine.T), opts Options, sh Shard,
 	opts.TimeLimit = 0
 	opts.ConfirmRuns = 0 // the coordinator confirms the merged findings
 	opts.Stop = stop
-	if sh.Hi == 0 {
-		opts.CheckpointPath = ""
-		opts.Resume = nil
-	}
+	opts.CheckpointPath = "" // a shard's owner checkpoints the merge
+	opts.Resume = nil
 	if err := opts.Validate(); err != nil {
-		// Internal misuse or a corrupt worker-local checkpoint the
-		// caller should have validated; fail loudly.
+		// Internal misuse; fail loudly.
 		panic(fmt.Sprintf("search: RunShard: %v", err))
 	}
 	return runShard(prog, &opts, sh, pool, time.Time{})
-}
-
-// ValidateShardResume reports whether a worker-local checkpoint can
-// resume the given range shard: RunShardOn's Validate accepts it as the
-// shard's resume point (same search, non-terminal, well-formed), and it
-// sits inside the shard's index range.
-func ValidateShardResume(opts *Options, sh Shard, ck *Checkpoint) error {
-	if sh.Hi == 0 {
-		return errors.New("search: only range shards support checkpoint resume")
-	}
-	if ck.Stride == nil {
-		return errors.New("search: shard checkpoint lacks the random-strategy position")
-	}
-	o := *opts
-	o.Parallelism, o.TimeLimit, o.Resume = 1, 0, ck
-	if err := o.Validate(); err != nil {
-		return err
-	}
-	// The checkpoint's counters are the shard's own, so its position is
-	// Lo plus the executions it has run.
-	if next := ck.Stride.NextIndex; next != sh.Lo+ck.Counters.Executions || next > sh.Hi+1 {
-		return fmt.Errorf("search: shard checkpoint at execution %d (%d run) does not fit shard [%d,%d]",
-			next, ck.Counters.Executions, sh.Lo, sh.Hi)
-	}
-	return nil
 }
 
 // ShardMerger folds shard reports into one merged report in plan
@@ -276,6 +257,13 @@ type ShardMerger struct {
 	allExhausted bool
 	stopped      bool
 	done         bool // the stop is terminal (a finding), not a budget cut
+
+	// serial marks the local driver's merge at Parallelism 1, whose
+	// shards ran one at a time, each numbering its executions on from the
+	// merged ones: a subtree that stopped early after running anything —
+	// paused for a checkpoint, or cut — is consumed with what it ran, and
+	// a shard for the rest of it is spliced in after it (splice).
+	serial bool
 
 	// DPOR: seen holds the path of every spawned unit and every prefix of
 	// every consumed unit's full path — the Mazurkiewicz-trace dedup set
@@ -330,6 +318,20 @@ func (m *ShardMerger) restore(ck *Checkpoint) {
 		}
 	}
 	m.growRanges()
+}
+
+// splice inserts rest, the shard that covers what a serial run of the
+// next shard to merge left unexplored, right after it, and renumbers the
+// shards after it.
+func (m *ShardMerger) splice(rest *Shard) {
+	if rest == nil {
+		return
+	}
+	i := m.next - m.plan.base + 1
+	m.plan.Shards = slices.Insert(m.plan.Shards, i, *rest)
+	for k := i; k < len(m.plan.Shards); k++ {
+		m.plan.Shards[k].Index = m.plan.base + k
+	}
 }
 
 // frontier is the merger's checkpointable position (see restore).
@@ -398,8 +400,9 @@ func (m *ShardMerger) Offer(idx int, r *Report) {
 // whether the shard was consumed; false only for a shard cut short by a
 // budget, the deadline or a cancellation, which stops the merge
 // resumably: a subtree's or unit's partial coverage is discarded so a
-// resume re-explores it in full, while a range's completed executions
-// are kept (a resume re-plans from the first index not yet run).
+// resume re-explores it in full (a serial subtree's is kept, see
+// serial), while a range's completed executions are kept and the range
+// is not consumed (a resume re-plans from the first index not yet run).
 //
 // r == nil records a shard abandoned after repeated worker crashes: the
 // coverage loss is explicit (Skipped) and the tree can no longer be
@@ -421,13 +424,14 @@ func (m *ShardMerger) merge(sh *Shard, r *Report) bool {
 		rep.Interrupted = rep.Interrupted || r.Interrupted
 		rep.ExecBounded = rep.ExecBounded || (r.ExecBounded && !ranged)
 		m.stopped = true
-		if !ranged {
+		if !ranged && (!m.serial || r.Executions+r.Quarantined == 0) {
 			return false
 		}
 	}
-	// A subtree counts its executions from 1; a range by global index.
+	// A subtree counts its executions from 1; a range and a serial
+	// subtree by global index.
 	base := rep.Executions
-	if ranged {
+	if ranged || m.serial {
 		base = 0
 	}
 	if r.FirstBug != nil && rep.FirstBug == nil {
@@ -452,7 +456,7 @@ func (m *ShardMerger) merge(sh *Shard, r *Report) bool {
 		(r.Divergence != nil && !m.opts.ContinueAfterDivergence) {
 		m.stopped, m.done = true, true
 	}
-	return !cut
+	return !cut || !ranged
 }
 
 // interrupt stops the merge where it stands; the search stays resumable.

@@ -96,6 +96,28 @@ func TestShardPlanNeedsBudget(t *testing.T) {
 	}
 }
 
+// TestRangePlanShape: a random walk's budget is cut into 8×P ranges
+// while they hold at most 4096 executions, and above that into a
+// multiple of 8×P equal ranges, of which the plan holds the first 8×P.
+func TestRangePlanShape(t *testing.T) {
+	for _, c := range []struct{ budget, chunk int64 }{{4000, 250}, {100_000, 3125}, {1_000_000, 3907}} {
+		plan, err := search.PlanShards(racyIncrement, search.Options{
+			Fair: true, RandomWalk: true, MaxExecutions: c.budget, MaxSteps: 1000,
+		}, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(plan.Shards) != 16 {
+			t.Fatalf("budget %d: %d ranges planned, want 16", c.budget, len(plan.Shards))
+		}
+		for i, sh := range plan.Shards {
+			if sh.Index != i || sh.Lo != int64(i)*c.chunk+1 || sh.Hi != int64(i+1)*c.chunk {
+				t.Fatalf("budget %d: range %d is %d [%d, %d], want ranges of %d", c.budget, i, sh.Index, sh.Lo, sh.Hi, c.chunk)
+			}
+		}
+	}
+}
+
 // TestShardMergerLateDuplicate: a second report for an already-decided
 // shard (a late result arriving after a retry finished first) must not
 // change the merge.

@@ -37,27 +37,19 @@ func (o *Options) Validate() error {
 		o.DepthBound > 0 || o.RandomTail || o.StatefulPrune) {
 		return errors.New("search: DPOR requires a plain unfair systematic search (no Fair/RandomWalk/PCT/DepthBound/RandomTail/StatefulPrune)")
 	}
-	if o.Parallelism > 1 {
-		if o.StatefulPrune {
-			return errors.New("search: StatefulPrune requires Parallelism <= 1 (the visited map is shared across executions)")
-		}
-		if o.SleepSets && !o.DPOR {
-			// Under DPOR the sleep state rides inside the serializable
-			// work units (por.Unit.Sleep) and parallelizes with them.
-			return errors.New("search: SleepSets requires Parallelism <= 1 (sleep sets depend on sibling exploration order)")
-		}
-		if o.Monitor != nil {
-			return errors.New("search: Monitor requires Parallelism <= 1 (monitors observe executions from one goroutine)")
-		}
-	}
-	if o.CheckpointPath != "" || o.Resume != nil {
+	if o.sharded() {
+		// The search is split into shards that run concurrently or
+		// across a checkpoint: state shared across executions cannot
+		// follow it. (DPOR at Parallelism 1 runs on the driver too, but
+		// its one worker sees every unit in turn; under DPOR the sleep
+		// state rides inside the work units, por.Unit.Sleep.)
 		switch {
 		case o.StatefulPrune:
-			return errors.New("search: checkpointing is incompatible with StatefulPrune (the visited map is not serialized)")
+			return errors.New("search: StatefulPrune requires Parallelism <= 1 and no checkpoint (the visited map is shared across executions)")
 		case o.SleepSets && !o.DPOR:
-			return errors.New("search: checkpointing is incompatible with SleepSets (sleep state is not serialized)")
+			return errors.New("search: SleepSets requires Parallelism <= 1 and no checkpoint (sleep sets depend on sibling exploration order)")
 		case o.Monitor != nil:
-			return errors.New("search: checkpointing is incompatible with Monitor (monitor state is not serialized)")
+			return errors.New("search: Monitor requires Parallelism <= 1 and no checkpoint (a monitor observes every execution of the search, in order, from one goroutine)")
 		}
 	}
 	if ck := o.Resume; ck != nil {
@@ -66,6 +58,14 @@ func (o *Options) Validate() error {
 		}
 	}
 	return nil
+}
+
+// sharded reports whether the search is cut into shards beyond what
+// its strategy needs: Parallelism > 1, or a checkpoint to write or
+// resume. Such a search runs on the sharded driver (driver.go), as DPOR
+// always does.
+func (o *Options) sharded() bool {
+	return o.Parallelism > 1 || o.CheckpointPath != "" || o.Resume != nil
 }
 
 // random reports whether a random strategy replaces the systematic
@@ -119,48 +119,19 @@ func (o *Options) validateResume(ck *Checkpoint) error {
 		return fmt.Errorf("search: resume: checkpoint counts %d executions and %d skipped (corrupted checkpoint)",
 			ck.Counters.Executions, ck.Counters.Skipped)
 	}
-	// The position must be the one the path that will run restores, and
-	// one it can restore.
-	switch {
-	case o.DPOR || o.Parallelism > 1:
-		if ck.Frontier == nil {
-			return errors.New("search: resume: checkpoint is missing the shard frontier")
-		}
-		return o.validateFrontier(ck)
-	case o.random():
-		if ck.Stride == nil {
-			return errors.New("search: resume: checkpoint is missing the random-strategy position")
-		}
-	default:
-		if ck.Seq == nil {
-			return errors.New("search: resume: checkpoint is missing the DFS stack")
-		}
-		for i, fr := range ck.Seq.Stack {
-			if fr.Idx < 0 || fr.Idx >= len(fr.Alts) {
-				return fmt.Errorf("search: resume: DFS frame %d takes alternative %d of %d (corrupted checkpoint)",
-					i, fr.Idx, len(fr.Alts))
-			}
-			if fr.HasDig && len(fr.Ops) != len(fr.Alts) {
-				return fmt.Errorf("search: resume: DFS frame %d records %d pending ops for %d alternatives (corrupted checkpoint)",
-					i, len(fr.Ops), len(fr.Alts))
-			}
-		}
+	if ck.Frontier == nil {
+		return errors.New("search: resume: checkpoint is missing the shard frontier")
 	}
-	return nil
+	return o.validateFrontier(ck)
 }
 
 // validateFrontier checks a sharded search's position: the unmerged
 // shards are numbered on from the merged ones (without overflowing an
 // index), are of the kind the strategy plans, and every merged shard is
-// accounted for by the counters (each merges at least one execution,
-// quarantine or skip).
+// accounted for by the counters: each merges at least one execution,
+// quarantine or skip.
 func (o *Options) validateFrontier(ck *Checkpoint) error {
 	f, c := ck.Frontier, &ck.Counters
-	if f.Merged < 0 || int64(f.Merged) > c.Executions+c.Quarantined+c.Skipped ||
-		f.Merged > math.MaxInt-len(f.Shards) {
-		return fmt.Errorf("search: resume: frontier has %d shards merged for %d executions (corrupted checkpoint)",
-			f.Merged, c.Executions)
-	}
 	kind := "prefix"
 	switch {
 	case o.DPOR:
@@ -168,11 +139,34 @@ func (o *Options) validateFrontier(ck *Checkpoint) error {
 	case o.random():
 		kind = "none" // ranges are re-planned, never stored
 	}
+	if f.Merged < 0 || int64(f.Merged) > c.Executions+c.Quarantined+c.Skipped ||
+		f.Merged > math.MaxInt-len(f.Shards) {
+		return fmt.Errorf("search: resume: frontier has %d shards merged for %d executions (corrupted checkpoint)",
+			f.Merged, c.Executions)
+	}
 	for i := range f.Shards {
 		sh := &f.Shards[i]
 		if sh.Index != f.Merged+i || sh.kind() != kind {
 			return fmt.Errorf("search: resume: frontier shard %d is %s shard %d, want %s shard %d (corrupted checkpoint)",
 				i, sh.kind(), sh.Index, kind, f.Merged+i)
+		}
+		if sh.Prefix == nil {
+			continue
+		}
+		// A prefix's steps become the searcher's frames: a step with
+		// alternatives left lists them once, in step order, with an op
+		// apiece exactly when the step has a digest.
+		p, prev := sh.Prefix, -1
+		for _, l := range p.Later {
+			ops := 0
+			if l.Step < len(p.Digs) {
+				ops = len(l.Alts)
+			}
+			if l.Step <= prev || l.Step >= len(p.Sched) || len(l.Alts) == 0 || len(l.Ops) != ops {
+				return fmt.Errorf("search: resume: frontier shard %d lists %d alternatives with %d ops left at prefix step %d (corrupted checkpoint)",
+					sh.Index, len(l.Alts), len(l.Ops), l.Step)
+			}
+			prev = l.Step
 		}
 	}
 	return nil
