@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"fairmc"
+	"fairmc/internal/search"
 	"fairmc/internal/trace"
 )
 
@@ -23,7 +24,6 @@ func (c *cli) check(args []string) int {
 		opts      fairmc.Options
 		race      bool
 		iterative int
-		resume    string
 		pprofAddr string
 		out       outputConfig
 		live      liveConfig
@@ -33,9 +33,8 @@ func (c *cli) check(args []string) int {
 	fs.DurationVar(&opts.TimeLimit, "timelimit", 0, "wall-clock budget; 0 = unbounded")
 	fs.BoolVar(&race, "race", false, "attach the happens-before race detector")
 	fs.IntVar(&iterative, "iterative", -1, "iterative context bounding up to this preemption budget")
-	fs.StringVar(&opts.CheckpointPath, "checkpoint", "", "write resumable search checkpoints to this file")
-	fs.DurationVar(&opts.CheckpointInterval, "ckpt-interval", 30*time.Second, "interval between periodic checkpoints")
-	fs.StringVar(&resume, "resume", "", "resume a search from this checkpoint file; it supplies -prog, -random/-pct, -seed and -p unless given")
+	fs.StringVar(&opts.CheckpointPath, "checkpoint", "", "record the search's progress in this directory; rerunning over it resumes the search, and it supplies -prog, -random/-pct, -seed and -p unless given")
+	fs.DurationVar(&opts.CheckpointInterval, "ckpt-interval", 30*time.Second, "interval between checkpoints")
 	fs.StringVar(&pprofAddr, "pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 	outputFlags(fs, &out)
 	liveFlags(fs, &live)
@@ -59,42 +58,39 @@ func (c *cli) check(args []string) int {
 	}
 	// Checkpoints, the live telemetry and the run report each follow one
 	// search; -iterative runs one per bound.
-	if iterative >= 0 && (opts.CheckpointPath != "" || resume != "" || live != (liveConfig{}) || out.metricsOut != "") {
-		return c.usageError("-iterative runs one search per bound: -checkpoint/-resume and -progress/-metrics-out/-events-out follow a single search and do not apply")
+	if iterative >= 0 && (opts.CheckpointPath != "" || live != (liveConfig{}) || out.metricsOut != "") {
+		return c.usageError("-iterative runs one search per bound: -checkpoint and -progress/-metrics-out/-events-out follow a single search and do not apply")
 	}
 	if c.parseOnly {
 		return fairmc.ExitOK
 	}
 
-	// A checkpoint records the identity of the search it belongs to, so
-	// -resume can supply the program, strategy, seed and worker count
-	// when the matching flags are not given explicitly. Semantic options
-	// beyond those (e.g. -fair, -cb) still have to match; Validate
-	// rejects the resume otherwise. Budgets (-maxexec, -timelimit) are
-	// deliberately fresh on every resume.
-	if resume != "" {
-		ck, err := fairmc.LoadCheckpoint(resume)
+	// A checkpoint directory records the search it belongs to, so a
+	// rerun over it gets the program, strategy, seed and worker count
+	// from there when the matching flags are not given explicitly.
+	// Everything else that shapes the search (e.g. -fair, -cb) must
+	// match; budgets (-maxexec, -timelimit) are fresh on every run.
+	if dir := opts.CheckpointPath; dir != "" {
+		rec, err := search.ReadPlan(dir)
 		if err != nil {
 			return c.usageError(err)
 		}
-		opts.Resume = ck
-		if opts.ProgramName == "" {
-			opts.ProgramName = ck.Meta.Program
-		}
-		if !explicit["random"] && !explicit["pct"] {
-			opts.RandomWalk = ck.Meta.Strategy == "random"
-			opts.PCT = ck.Meta.Strategy == "pct"
-		}
-		if !explicit["seed"] {
-			opts.Seed = ck.Meta.Seed
-		}
-		if !explicit["p"] && ck.Meta.Parallelism > 0 {
-			opts.Parallelism = ck.Meta.Parallelism
-		}
-		// Keep checkpointing the resumed search to the same file
-		// unless the user redirected it.
-		if opts.CheckpointPath == "" {
-			opts.CheckpointPath = resume
+		if rec != nil {
+			if opts.ProgramName == "" {
+				opts.ProgramName = rec.Spec.ProgramName
+			}
+			if !explicit["random"] && !explicit["pct"] {
+				opts.RandomWalk, opts.PCT = rec.Spec.RandomWalk, rec.Spec.PCT
+			}
+			if !explicit["seed"] {
+				opts.Seed = rec.Spec.Seed
+			}
+			if !explicit["p"] {
+				opts.Parallelism = rec.Plan.RefParallelism
+			}
+			if err := opts.Matches(rec); err != nil {
+				return c.usageError(err)
+			}
 		}
 	}
 	p, err := lookup(opts.ProgramName)
@@ -190,7 +186,7 @@ func (c *cli) check(args []string) int {
 	}
 	out.interruptHint = "no -checkpoint set; progress lost"
 	if f := opts.CheckpointPath; f != "" {
-		out.interruptHint = fmt.Sprintf("checkpoint written to %s (resume with -resume %s)", f, f)
+		out.interruptHint = fmt.Sprintf("rerun with -checkpoint %s to resume", f)
 	}
 	return c.finishSearch(res, p.Name, opts, start, out)
 }

@@ -67,7 +67,7 @@ var flagTable = func() map[string]flagRow {
 	add([]string{"check", "serve", "job submit", "replay"}, "prog=spinloop")
 	add([]string{"check", "serve", "job submit", "worker"}, "p=1")
 	// check's own.
-	add([]string{"check"}, "timelimit=1s", "race=false", "iterative=-1", "checkpoint=", "ckpt-interval=1s", "resume=", "pprof=")
+	add([]string{"check"}, "timelimit=1s", "race=false", "iterative=-1", "checkpoint=", "ckpt-interval=1s", "pprof=")
 	// Reporting and live observation.
 	add([]string{"check", "serve"}, "save=", "progress=false", "events-out=")
 	add([]string{"check", "serve", "replay"}, "trace=false")
@@ -78,18 +78,19 @@ var flagTable = func() map[string]flagRow {
 	add([]string{"worker"}, "workdir=", "retry-base=1ms", "retry-max=1ms", "retry-attempts=1", "join-timeout=1s")
 	add([]string{"worker", "job submit", "job status", "job cancel"}, "url=http://127.0.0.1:1")
 	add([]string{"job status", "job cancel"}, "job=j1")
-	// The parent's mode selectors are the command words now, and the
-	// search-level fast-path switch is gone.
+	// The parent's mode selectors are the command words now, the
+	// search-level fast-path switch is gone, and so is the resume flag:
+	// a rerun over the checkpoint directory resumes.
 	add(nil, "list=true", "replay=f", "serve=127.0.0.1:0", "worker=u", "submit=u", "status=u", "cancel=u",
-		"no-fastpath=false")
+		"no-fastpath=false", "resume=f")
 	return t
 }()
 
 // TestFlagSurface: every flag is accepted by exactly the commands the
 // table lists and is "not defined" everywhere else — which is what
 // replaced the hand-written mode checks — and the table is the parent's
-// 53 names minus the seven mode selectors and -no-fastpath, plus -addr
-// and -url.
+// 53 names minus the seven mode selectors, -no-fastpath and the resume
+// flag, plus -addr and -url.
 func TestFlagSurface(t *testing.T) {
 	defined := 0
 	for name, row := range flagTable {
@@ -113,8 +114,8 @@ func TestFlagSurface(t *testing.T) {
 			}
 		}
 	}
-	if defined != 53-7-1+2 {
-		t.Errorf("%d flag names defined, want the parent's 53 - 7 mode selectors - no-fastpath + addr, url = 47", defined)
+	if defined != 53-7-2+2 {
+		t.Errorf("%d flag names defined, want the parent's 53 - 7 mode selectors - no-fastpath, resume + addr, url = 46", defined)
 	}
 }
 
@@ -125,7 +126,7 @@ func TestDeletedModeChecks(t *testing.T) {
 		{"serve", "-addr", "127.0.0.1:0", "-prog", "spinloop", "-checkpoint", "f"},
 		{"serve", "-addr", "127.0.0.1:0", "-prog", "spinloop", "-timelimit", "1s"},
 		{"serve", "-addr", "127.0.0.1:0", "-prog", "spinloop", "-iterative", "2"},
-		{"job", "submit", "-url", "http://127.0.0.1:1", "-prog", "spinloop", "-resume", "f"},
+		{"job", "submit", "-url", "http://127.0.0.1:1", "-prog", "spinloop", "-checkpoint", "f"},
 		{"replay", "-progress", "f"},
 		{"worker", "-url", "http://127.0.0.1:1", "-cb", "2"},
 		{"worker", "-url", "http://127.0.0.1:1", "-addr", "127.0.0.1:0"},
@@ -246,25 +247,34 @@ func TestSaveThenReplay(t *testing.T) {
 	}
 }
 
-// TestResumeInference: -resume supplies -prog, the strategy, -seed and
-// -p from the checkpoint; a flag given explicitly wins (and here then
-// fails the checkpoint's identity check).
+// TestResumeInference: rerunning check over a -checkpoint directory
+// supplies -prog, the strategy, -seed and -p from its plan record; a
+// flag given explicitly wins (and here then fails the directory's
+// identity check, which names the option). Over a finished search the
+// rerun prints the same report again.
 func TestResumeInference(t *testing.T) {
-	ck := filepath.Join(t.TempDir(), "ck.json")
+	ck := filepath.Join(t.TempDir(), "ck")
 	status, stdout, stderr := fairmcRun("check", "-prog", "bakery-2", "-random", "-seed", "9", "-p", "1", "-maxexec", "50", "-checkpoint", ck)
 	if status != fairmc.ExitOK {
 		t.Fatalf("checkpointed run: exit %d\n%s%s", status, stdout, stderr)
 	}
-	status, stdout, stderr = fairmcRun("check", "-resume", ck, "-maxexec", "80")
+	status, stdout, stderr = fairmcRun("check", "-checkpoint", ck, "-maxexec", "80")
 	if status != fairmc.ExitOK || !strings.Contains(stdout, "program:     bakery-2") || !strings.Contains(stdout, "executions:  80 ") {
-		t.Errorf("resume: exit %d\n%s%s", status, stdout, stderr)
+		t.Errorf("rerun: exit %d\n%s%s", status, stdout, stderr)
 	}
-	if status, _, stderr = fairmcRun("check", "-resume", ck, "-maxexec", "80", "-seed", "10"); status != fairmc.ExitUsage ||
-		!strings.Contains(stderr, "checkpoint seed 9, options seed 10") {
-		t.Errorf("resume -seed 10: exit %d, stderr %q", status, stderr)
+	if status, _, stderr = fairmcRun("check", "-checkpoint", ck, "-maxexec", "80", "-seed", "10"); status != fairmc.ExitUsage ||
+		!strings.Contains(stderr, "seed is 9 there, 10 here") {
+		t.Errorf("rerun -seed 10: exit %d, stderr %q", status, stderr)
 	}
-	if status, _, stderr = fairmcRun("check", "-resume", ck, "-maxexec", "80", "-random=false"); status != fairmc.ExitUsage {
-		t.Errorf("resume -random=false: exit %d, stderr %q", status, stderr)
+	if status, _, stderr = fairmcRun("check", "-checkpoint", ck, "-maxexec", "80", "-random=false"); status != fairmc.ExitUsage ||
+		!strings.Contains(stderr, "randomWalk is true there, unset here") {
+		t.Errorf("rerun -random=false: exit %d, stderr %q", status, stderr)
+	}
+	again, _, _ := fairmcRun("check", "-checkpoint", ck, "-maxexec", "80")
+	_, stdout2, _ := fairmcRun("check", "-checkpoint", ck, "-maxexec", "80")
+	timeless := regexp.MustCompile(`\([0-9.]+s,`)
+	if again != fairmc.ExitOK || timeless.ReplaceAllString(stdout2, "") != timeless.ReplaceAllString(stdout, "") {
+		t.Errorf("rerun of the finished search: exit %d\n%s\nwant\n%s", again, stdout2, stdout)
 	}
 }
 

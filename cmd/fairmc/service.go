@@ -261,8 +261,7 @@ func (c *cli) worker(args []string) int {
 		return fairmc.ExitOK
 	}
 	// A scratch directory still helps within one worker process: a
-	// cancelled shard that comes back keeps its checkpoint and a spooled
-	// result survives until replay.
+	// spooled result survives until its replay.
 	var cleanup func()
 	if cfg.WorkDir, cleanup, err = scratchDir(cfg.WorkDir, "fairmc-worker-"); err != nil {
 		return c.usageError(err)

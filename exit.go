@@ -18,8 +18,8 @@ const (
 	// option combination, protocol/config mismatch).
 	ExitUsage = 2
 	// ExitInterrupted: stopped by SIGINT/SIGTERM before completion;
-	// resumable when a checkpoint was written or a serve run kept its
-	// ledger (-ledger).
+	// resumable when a check kept a -checkpoint directory or a serve run
+	// its -ledger.
 	ExitInterrupted = 3
 	// ExitFlaky: findings exist but every one failed its confirmation
 	// replays — likely program nondeterminism, not a trustworthy
@@ -37,9 +37,9 @@ const ExitStatusHelp = `exit status:
      was found (and, when -confirm > 0, at least one finding was
      confirmed reproducible)
   2  usage error (bad flags, unknown program, invalid option combination)
-  3  interrupted by SIGINT/SIGTERM (a final checkpoint is written first
-     when -checkpoint is set, resume with check -resume; a serve run
-     over -ledger DIR resumes when the same command is run again)
+  3  interrupted by SIGINT/SIGTERM (a check over -checkpoint DIR or a
+     serve run over -ledger DIR resumes when the same command is run
+     again)
   4  findings exist but every one failed its confirmation replays
      (flaky — likely program nondeterminism, not a trustworthy
      counterexample)`

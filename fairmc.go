@@ -106,19 +106,9 @@ const (
 	Wedged     = engine.Wedged
 )
 
-// Checkpoint is a resumable snapshot of search progress; see
-// Options.CheckpointPath / Options.Resume.
-type Checkpoint = search.Checkpoint
-
 // WorkerFailure is one recovered parallel-worker crash, reported in
 // Report.WorkerFailures.
 type WorkerFailure = search.WorkerFailure
-
-// LoadCheckpoint reads a checkpoint written via Options.CheckpointPath
-// for use as Options.Resume.
-func LoadCheckpoint(path string) (*Checkpoint, error) {
-	return search.LoadCheckpoint(path)
-}
 
 // Kind values of a liveness classification.
 const (

@@ -145,7 +145,7 @@ func TestDistBatchResultAppliedOnce(t *testing.T) {
 	var committed atomic.Int64
 	coord, srv := startCoordinator(t, dist.CoordinatorConfig{
 		Prog: racyIncrement, Options: named("racy", dporOpts), RefParallelism: 2,
-		OnShardDone: func(decided []dist.ShardDecision) error {
+		OnShardDone: func(decided []search.ShardDoneRec) error {
 			committed.Add(int64(len(decided)))
 			return nil
 		},
@@ -186,7 +186,7 @@ func TestDistBatchVeto(t *testing.T) {
 	var offered []int
 	coord, srv := startCoordinator(t, dist.CoordinatorConfig{
 		Prog: racyIncrement, Options: named("racy", dporOpts), RefParallelism: 2,
-		OnShardDone: func(decided []dist.ShardDecision) error {
+		OnShardDone: func(decided []search.ShardDoneRec) error {
 			mu.Lock()
 			defer mu.Unlock()
 			if veto {

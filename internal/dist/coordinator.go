@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -85,8 +84,9 @@ type CoordinatorConfig struct {
 	// the jobs layer returns an error when its ledger can no longer
 	// commit, and a shard decision that isn't durable must not reach
 	// the merger, or a restart would disagree with what this process
-	// reported.
-	OnShardDone func(decided []ShardDecision) error
+	// reported. The decisions are the service's shard_done records less
+	// their job and options hash, which the owner fills in.
+	OnShardDone func(decided []search.ShardDoneRec) error
 	// Metrics, when set, aggregates worker telemetry deltas and the
 	// coordinator's own confirmation-pass work.
 	Metrics *obs.Metrics
@@ -95,14 +95,6 @@ type CoordinatorConfig struct {
 	EventWriter io.Writer
 	// Logf, when set, receives one-line operational logs.
 	Logf func(format string, args ...any)
-}
-
-// ShardDecision is one decided shard as the write-ahead hook sees it:
-// a completed report, or (Report nil) an abandonment and its reason.
-type ShardDecision struct {
-	Shard     int
-	Report    *search.Report
-	Abandoned string
 }
 
 type shardStatus int
@@ -118,12 +110,13 @@ const (
 // CoordinatorConfig.Prior).
 type Prior struct {
 	// Plan is the shard plan the progress belongs to, as planned: a DPOR
-	// plan is its single root shard, regrown from Completed — never the
+	// plan is its single root shard, regrown by folding Done — never the
 	// plan a previous coordinator grew.
 	Plan *search.Plan
-	// Completed maps shard index → report; a nil report marks a shard
-	// abandoned in a previous incarnation.
-	Completed map[int]*search.Report
+	// Done are the decided shards in ledger order, folded over Plan
+	// (search.ShardMerger.Fold); a nil report marks a shard abandoned in
+	// a previous incarnation.
+	Done []search.ShardDoneRec
 	// Failures carries forward prior worker failures (report context).
 	Failures []search.WorkerFailure
 }
@@ -222,13 +215,14 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 		done:   make(chan struct{}),
 	}
 
-	var decided map[int]*search.Report
-	if cfg.Prior != nil && cfg.Prior.Plan != nil {
-		// WAL-replayed progress from the jobs layer: adopt the recorded
-		// plan (never re-plan — the plan is part of what was committed)
-		// and the already-decided shards.
-		c.plan, decided = cfg.Prior.Plan, cfg.Prior.Completed
-		c.failures = append(c.failures, cfg.Prior.Failures...)
+	var done []search.ShardDoneRec
+	if p := cfg.Prior; p != nil && p.Plan != nil {
+		// WAL-replayed progress from the jobs layer: the recorded plan
+		// (never re-planned — the plan is part of what was committed) and
+		// its decided shards, folded over it as a checkpoint's are, which
+		// reconstructs exactly the pre-crash merge state.
+		c.plan, done = p.Plan, p.Done
+		c.failures = append(c.failures, p.Failures...)
 	} else {
 		plan, err := search.PlanShards(cfg.Prog, cfg.Options, cfg.RefParallelism)
 		if err != nil {
@@ -237,29 +231,14 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 		c.plan = plan
 	}
 	c.merger = search.NewShardMerger(c.cfg.Options, c.plan)
+	c.merger.Fold(done...)
 	c.growShardsLocked()
-	if len(decided) > 0 {
-		// Re-offer the recorded shard reports in index order; the merger
-		// reconstructs exactly the pre-crash merge state.
-		idxs := make([]int, 0, len(decided))
-		for idx := range decided {
-			idxs = append(idxs, idx)
+	for _, d := range done {
+		if d.Shard >= 0 && d.Shard < len(c.shards) && c.shards[d.Shard].status == shardPending && c.merger.Decided(d.Shard) {
+			c.markLocked(d.Shard, d.Report == nil)
 		}
-		sort.Ints(idxs)
-		for _, idx := range idxs {
-			// Each re-offer may grow a DPOR plan — recorded at its single
-			// root shard, so decided indices lie beyond it — and the lease
-			// state is extended first so the next index is in range. A
-			// shard's children always spawn at higher indices, so index
-			// order re-offers every decided shard after the offer that
-			// planned it.
-			c.growShardsLocked()
-			if idx < 0 || idx >= len(c.shards) {
-				continue // not part of the (re)derived plan
-			}
-			c.decideLocked(idx, decided[idx])
-		}
-		c.growShardsLocked()
+	}
+	if len(done) > 0 {
 		c.cfg.Logf("dist: resumed from prior progress: %d/%d shards already decided",
 			c.completed+c.abandoned, len(c.plan.Shards))
 	}
@@ -437,7 +416,7 @@ func (c *Coordinator) failShardLocked(idx int, worker, reason string) {
 	}
 	if sh.attempts >= c.cfg.MaxShardAttempts {
 		if c.cfg.OnShardDone != nil {
-			if err := c.cfg.OnShardDone([]ShardDecision{{Shard: idx, Abandoned: reason}}); err != nil {
+			if err := c.cfg.OnShardDone([]search.ShardDoneRec{{Shard: idx, Abandoned: reason}}); err != nil {
 				// The abandonment cannot be made durable; leave the shard
 				// pending rather than let memory outrun the ledger. (The
 				// jobs layer only fails the hook when its ledger is dead,
@@ -459,16 +438,21 @@ func (c *Coordinator) failShardLocked(idx int, worker, reason string) {
 // decideLocked marks a shard decided — by its report, or abandoned when
 // rep is nil — and hands the decision to the merge.
 func (c *Coordinator) decideLocked(idx int, rep *search.Report) {
+	c.markLocked(idx, rep == nil)
+	c.merger.Offer(idx, rep)
+}
+
+// markLocked marks a shard decided: completed, or abandoned.
+func (c *Coordinator) markLocked(idx int, abandoned bool) {
 	sh := &c.shards[idx]
 	sh.leaseID = ""
-	if rep == nil {
+	if abandoned {
 		sh.status = shardAbandoned
 		c.abandoned++
 	} else {
 		sh.status = shardCompleted
 		c.completed++
 	}
-	c.merger.Offer(idx, rep)
 }
 
 // requeueLocked makes a shard grantable again and tells parked lease
@@ -740,13 +724,13 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 	// Classify, and claim the shards this batch completes (so a second
 	// report for the same shard later in the batch is late).
 	kinds := make([]resultKind, len(req.Results))
-	var decided []ShardDecision
+	var decided []search.ShardDoneRec
 	for i := range req.Results {
 		it := &req.Results[i]
 		kinds[i] = c.classifyLocked(it)
 		if kinds[i] == resultComplete {
 			c.shards[it.Shard].status = shardCompleted
-			decided = append(decided, ShardDecision{Shard: it.Shard, Report: it.Report})
+			decided = append(decided, search.ShardDoneRec{Shard: it.Shard, Report: it.Report})
 		}
 	}
 	if len(decided) > 0 && c.cfg.OnShardDone != nil {

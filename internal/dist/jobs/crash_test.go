@@ -141,8 +141,8 @@ func auditLedger(t *testing.T, dir string) {
 	done := map[key]bool{}
 	for _, r := range rec.Records {
 		switch r.Type {
-		case recShardDone:
-			var sd shardDoneRec
+		case search.RecShardDone:
+			var sd search.ShardDoneRec
 			if err := json.Unmarshal(r.Data, &sd); err != nil {
 				t.Fatalf("audit: seq %d: %v", r.Seq, err)
 			}

@@ -506,7 +506,7 @@ func postProto(t *testing.T, url string, in, out any) {
 // TestJobsDPORRestartResumesMidSearch: a DPOR job's ledger records
 // completed units at indices beyond the recorded one-shard plan (the
 // plan grows as units merge). A restarted service must adopt those
-// records — re-offering them in index order regenerates the same
+// records — folding them in ledger order regenerates the same
 // children — and finish with the artifact an uninterrupted run
 // produces. The service is killed mid-batch: the root unit is completed
 // by hand, then the wave its merge spawned is leased in one call and
@@ -703,7 +703,7 @@ func TestJobsRebuildBadRecordsSurfaced(t *testing.T) {
 	st := rebuild([]ledger.Record{
 		{Seq: 1, Type: recSubmitted, Data: sub},
 		{Seq: 2, Type: "hologram_checkpoint", Data: json.RawMessage(`{}`)},
-		{Seq: 3, Type: recPlan, Data: json.RawMessage(`{"job":`)},
+		{Seq: 3, Type: search.RecPlan, Data: json.RawMessage(`{"job":`)},
 	})
 	if len(st.badRecs) != 2 {
 		t.Fatalf("badRecs = %v, want 2", st.badRecs)
@@ -795,7 +795,7 @@ func TestJobsPlanHashSkewFailsJob(t *testing.T) {
 	}
 	if err := led.AppendAll(
 		ledger.Entry{Type: recSubmitted, Value: submittedRec{Job: "j1", Spec: opts, RefParallelism: 2}},
-		ledger.Entry{Type: recPlan, Value: planRec{Job: "j1", OptionsHash: plan.OptionsHash, Plan: plan}},
+		ledger.Entry{Type: search.RecPlan, Value: search.PlanRec{Job: "j1", OptionsHash: plan.OptionsHash, Plan: plan}},
 	); err != nil {
 		t.Fatal(err)
 	}

@@ -2,15 +2,18 @@ package jobs
 
 // The WAL schema of the checking service. Each record type below is
 // the Data payload of one ledger.Record; the ledger owns framing,
-// checksums, and sequence numbers, this file owns meaning.
+// checksums, and sequence numbers, this file owns meaning. A job's plan
+// and its shard decisions are a search's own records (search.RecPlan,
+// search.RecShardDone — the ones a check -checkpoint directory holds),
+// folded back the one way a search's are (search.ShardMerger.Fold).
 //
 // Commit discipline (what is fsynced when):
 //
-//   - recSubmitted, recPlan, recDone are commit points: the service
-//     must not acknowledge a submission, grant work against a plan, or
-//     report a job terminal unless the record is durable. All three
-//     are fsynced before anything acts on them.
-//   - recShardDone is THE commit point of the whole design: the
+//   - recSubmitted, search.RecPlan, recDone are commit points: the
+//     service must not acknowledge a submission, grant work against a
+//     plan, or report a job terminal unless the record is durable. All
+//     three are fsynced before anything acts on them.
+//   - search.RecShardDone is THE commit point of the whole design: the
 //     records of one result batch are appended as a group and fsynced
 //     once BEFORE any of the batch's reports reaches the merger, so a
 //     crash in between costs at most re-exploration of shards whose
@@ -22,7 +25,7 @@ package jobs
 //     rides along unsynced and its loss is harmless.
 //   - recServerStart marks a process boundary so post-mortem audits
 //     can check the recovery invariant: no grant after a restart for
-//     a shard with a committed recShardDone before it.
+//     a shard with a committed shard_done before it.
 
 import (
 	"bytes"
@@ -36,13 +39,11 @@ import (
 	"fairmc/internal/search"
 )
 
-// WAL record types.
+// The service's own WAL record types.
 const (
 	recServerStart = "server_start"
 	recSubmitted   = "job_submitted"
-	recPlan        = "job_plan"
 	recGrant       = "shard_grant"
-	recShardDone   = "shard_done"
 	recDone        = "job_done"
 )
 
@@ -69,31 +70,12 @@ type submittedRec struct {
 	RefParallelism int            `json:"refParallelism"`
 }
 
-// planRec commits a job's shard plan. The plan is recorded, never
-// re-derived: a restarted service must grant exactly the shards the
-// original planning produced.
-type planRec struct {
-	Job         string       `json:"job"`
-	OptionsHash uint64       `json:"optionsHash"`
-	Plan        *search.Plan `json:"plan"`
-}
-
 // grantRec is the audit trail of one lease call: every shard it
 // granted, in plan order.
 type grantRec struct {
 	Job    string `json:"job"`
 	Shards []int  `json:"shards"`
 	Worker string `json:"worker"`
-}
-
-// shardDoneRec commits one decided shard: a completed report, or an
-// abandonment (Report nil, Abandoned set).
-type shardDoneRec struct {
-	Job         string         `json:"job"`
-	OptionsHash uint64         `json:"optionsHash"`
-	Shard       int            `json:"shard"`
-	Report      *search.Report `json:"report,omitempty"`
-	Abandoned   string         `json:"abandoned,omitempty"`
 }
 
 // doneRec commits a job's terminal state. RunReport carries the
@@ -119,11 +101,10 @@ type jobState struct {
 	Error          string
 	OptionsHash    uint64
 	Plan           *search.Plan
-	Completed      map[int]*search.Report // decided shards; nil = abandoned
-	Abandoned      map[int]string         // abandonment reasons
-	Report         *search.Report         // final merged report (terminal)
-	RunReport      []byte                 // deterministic run-report bytes (terminal)
-	SubmitSeq      uint64                 // ledger seq of the submission (FIFO order)
+	Done           []search.ShardDoneRec // decided shards, in ledger order
+	Report         *search.Report        // final merged report (terminal)
+	RunReport      []byte                // deterministic run-report bytes (terminal)
+	SubmitSeq      uint64                // ledger seq of the submission (FIFO order)
 }
 
 // replayState is everything rebuilt from the WAL.
@@ -154,8 +135,6 @@ func rebuild(records []ledger.Record) *replayState {
 				Spec:           rec.Spec,
 				RefParallelism: rec.RefParallelism,
 				State:          StateQueued,
-				Completed:      map[int]*search.Report{},
-				Abandoned:      map[int]string{},
 				SubmitSeq:      r.Seq,
 			}
 			// An unknown key is a setting this build would drop: fail the job.
@@ -170,8 +149,8 @@ func rebuild(records []ledger.Record) *replayState {
 			if _, err := fmt.Sscanf(rec.Job, "j%d", &n); err == nil && n > st.maxJob {
 				st.maxJob = n
 			}
-		case recPlan:
-			var rec planRec
+		case search.RecPlan:
+			var rec search.PlanRec
 			if err := json.Unmarshal(r.Data, &rec); err != nil {
 				st.bad(r, err)
 				continue
@@ -182,17 +161,14 @@ func rebuild(records []ledger.Record) *replayState {
 			}
 		case recGrant:
 			// Audit only.
-		case recShardDone:
-			var rec shardDoneRec
+		case search.RecShardDone:
+			var rec search.ShardDoneRec
 			if err := json.Unmarshal(r.Data, &rec); err != nil {
 				st.bad(r, err)
 				continue
 			}
 			if j := st.jobs[rec.Job]; j != nil {
-				j.Completed[rec.Shard] = rec.Report
-				if rec.Report == nil {
-					j.Abandoned[rec.Shard] = rec.Abandoned
-				}
+				j.Done = append(j.Done, rec)
 			}
 		case recDone:
 			var rec doneRec
@@ -240,28 +216,23 @@ func (st *replayState) pending() []*jobState {
 }
 
 // prior converts a job's replayed progress into the coordinator's
-// Prior seed: decided shards are adopted, abandonments re-surface as
-// WorkerFailures so the final report still names the coverage loss.
+// Prior seed: the recorded plan and its decided shards, to be folded
+// over it; abandonments re-surface as WorkerFailures so the final report
+// still names the coverage loss.
 func (j *jobState) prior() *dist.Prior {
 	if j.Plan == nil {
 		return nil
 	}
-	p := &dist.Prior{Plan: j.Plan, Completed: map[int]*search.Report{}}
-	for idx, rep := range j.Completed {
-		p.Completed[idx] = rep
-	}
-	idxs := make([]int, 0, len(j.Abandoned))
-	for idx := range j.Abandoned {
-		idxs = append(idxs, idx)
-	}
-	sort.Ints(idxs)
-	for _, idx := range idxs {
-		p.Failures = append(p.Failures, search.WorkerFailure{
-			Mode:    "dist",
-			Unit:    int64(idx),
-			Attempt: 1,
-			Panic:   j.Abandoned[idx],
-		})
+	p := &dist.Prior{Plan: j.Plan, Done: j.Done}
+	for _, d := range j.Done {
+		if d.Report == nil {
+			p.Failures = append(p.Failures, search.WorkerFailure{
+				Mode:    "dist",
+				Unit:    int64(d.Shard),
+				Attempt: 1,
+				Panic:   d.Abandoned,
+			})
+		}
 	}
 	return p
 }

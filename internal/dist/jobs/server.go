@@ -189,7 +189,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	for _, id := range st.order {
 		js := st.jobs[id]
-		j := &job{jobState: *js, decided: len(js.Completed)}
+		j := &job{jobState: *js, decided: len(js.Done)}
 		if js.Plan != nil {
 			j.shards = len(js.Plan.Shards)
 		}
@@ -205,9 +205,9 @@ func New(cfg Config) (*Server, error) {
 		j.State = StateQueued
 		s.queue = append(s.queue, js.ID)
 		s.nonTerminal++
-		if len(j.Completed) > 0 {
+		if len(j.Done) > 0 {
 			cfg.Logf("jobs: %s re-queued with %d/%d shards already committed",
-				js.ID, len(j.Completed), j.shardCount())
+				js.ID, len(j.Done), j.shardCount())
 		}
 	}
 	if err := led.AppendAll(ledger.Entry{Type: recServerStart, Value: serverStartRec{Jobs: len(pend)}}); err != nil {
@@ -351,7 +351,7 @@ func (s *Server) runJob(j *job) {
 			s.failJob(j, fmt.Sprintf("planning: %v", err))
 			return
 		}
-		if err := s.commit1("plan:"+id, recPlan, planRec{
+		if err := s.commit1("plan:"+id, search.RecPlan, search.PlanRec{
 			Job: id, OptionsHash: plan.OptionsHash, Plan: plan,
 		}); err != nil {
 			s.abortIncarnation(j, fmt.Errorf("committing plan: %w", err))
@@ -380,19 +380,18 @@ func (s *Server) runJob(j *job) {
 				grantRec{Job: id, Shards: shards, Worker: worker})
 		},
 		OnWake: s.wakeAll,
-		OnShardDone: func(decided []dist.ShardDecision) error {
+		OnShardDone: func(decided []search.ShardDoneRec) error {
 			// THE commit point: shard decisions reach the merger only
 			// after they are durable — every shard_done frame of the
 			// batch, then one fsync. An error here vetoes them all in
 			// the coordinator.
 			points := make([]string, len(decided))
 			entries := make([]ledger.Entry, len(decided))
-			for i, d := range decided {
+			for i := range decided {
+				d := &decided[i]
+				d.Job, d.OptionsHash = id, j.OptionsHash
 				points[i] = fmt.Sprintf("shard_done:%s#%d", id, d.Shard)
-				entries[i] = ledger.Entry{Type: recShardDone, Value: shardDoneRec{
-					Job: id, OptionsHash: j.OptionsHash, Shard: d.Shard,
-					Report: d.Report, Abandoned: d.Abandoned,
-				}}
+				entries[i] = ledger.Entry{Type: search.RecShardDone, Value: *d}
 			}
 			if err := s.commit(points, entries...); err != nil {
 				return err
@@ -431,7 +430,7 @@ func (s *Server) runJob(j *job) {
 		coord.Interrupt()
 	}
 	s.cfg.Logf("jobs: %s running (%d shards, %d already committed)",
-		id, shards, len(j.Completed))
+		id, shards, len(j.Done))
 
 	rep := coord.Wait()
 
@@ -503,7 +502,7 @@ func (s *Server) finishJob(j *job, rep *search.Report, state, errMsg string) {
 // and every decided shard's report. A terminal job is served from its
 // Report and RunReport; status keeps the counts.
 func (j *job) release() {
-	j.Plan, j.Completed, j.Abandoned = nil, nil, nil
+	j.Plan, j.Done = nil, nil
 }
 
 // terminal reports whether the job has reached a final state.
@@ -723,8 +722,6 @@ func (s *Server) submit(req SubmitRequest) (id string, code int, err error) {
 		Spec:           req.Spec,
 		RefParallelism: req.RefParallelism,
 		State:          StateQueued,
-		Completed:      map[int]*search.Report{},
-		Abandoned:      map[int]string{},
 	}}
 	s.jobs[id] = j
 	s.order = append(s.order, id)

@@ -348,7 +348,7 @@ func (w *worker) job(resp *LeaseResponse) (j *workerJob, replayed map[int]bool, 
 	if w.cfg.WorkDir != "" {
 		j.workDir = filepath.Join(w.cfg.WorkDir, resp.Job)
 		if err := w.cfg.FS.MkdirAll(j.workDir, 0o755); err != nil {
-			w.cfg.Logf("dist: %s: no checkpoints or spool: %v", j.name, err)
+			w.cfg.Logf("dist: %s: no spool: %v", j.name, err)
 			j.workDir = ""
 		}
 	}

@@ -188,7 +188,8 @@ type Metrics struct {
 	// the conformance digest.
 	PrefixHits   Counter
 	PrefixMisses Counter
-	// Checkpoints counts checkpoint files written.
+	// Checkpoints counts checkpoints taken (syncs of a checkpoint
+	// directory's ledger).
 	Checkpoints Counter
 	// DistRetries counts retried worker↔coordinator HTTP calls (each
 	// re-sent attempt counts once; the first attempt of a call does

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"fairmc/internal/ledger"
 	"fairmc/internal/obs"
 	"fairmc/internal/por"
 	"fairmc/internal/search"
@@ -25,7 +26,7 @@ import (
 func TestOptionsFieldsClassified(t *testing.T) {
 	runtimeOnly := search.Options{
 		Parallelism: 2, TimeLimit: time.Second, Monitor: state.NewCoverage(), CheckpointPath: "ckpt",
-		Resume: &search.Checkpoint{}, Stop: make(chan struct{}), Metrics: obs.NewMetrics(), EventSink: &obs.Recorder{},
+		Stop: make(chan struct{}), Metrics: obs.NewMetrics(), EventSink: &obs.Recorder{},
 	}
 	operational := map[string]bool{
 		"ProgramName": true, "MaxExecutions": true, "DivergenceRetries": true,
@@ -98,164 +99,244 @@ func TestOptionsFieldsClassified(t *testing.T) {
 }
 
 // fuzzSearches are the searches FuzzCheckpoint's seed corpus is written
-// by, one per shape of the one checkpoint position, the driver's
-// frontier: the one prefix of a -p 1 fair DFS (its whole tree, cut by
-// its budget, so the rest of it, with the alternatives its steps have
-// left), the re-planned ranges of a random walk (no shards stored), a
-// -p 2 frontier
-// of prefixes and a DPOR frontier of units with its dedup traces. Each
-// stops on its execution budget, so its checkpoint is resumable.
+// by, one per shape of what a checkpoint directory records: a -p 1 fair
+// DFS paused after every execution (each report naming the rest of the
+// tree, with the alternatives its steps have left), a random walk's
+// ranges, a -p 2 plan of prefixes (a budget its first subtrees fit in)
+// and a DPOR plan its unit reports regrow. Each stops on its execution
+// budget, so its directory resumes.
 var fuzzSearches = []search.Options{
-	{ProgramName: "ticketlock", Fair: true, ContextBound: -1, MaxSteps: 10000, MaxExecutions: 3},
+	{ProgramName: "ticketlock", Fair: true, ContextBound: -1, MaxSteps: 10000, MaxExecutions: 3, CheckpointInterval: time.Nanosecond},
 	{ProgramName: "peterson", Fair: true, ContextBound: -1, MaxSteps: 10000, MaxExecutions: 3, RandomWalk: true, Seed: 7},
-	{ProgramName: "philosophers-2", Fair: true, ContextBound: -1, MaxSteps: 10000, MaxExecutions: 3, Parallelism: 2},
+	{ProgramName: "spinloop", Fair: true, ContextBound: -1, MaxSteps: 10000, MaxExecutions: 60, Parallelism: 2},
 	{ProgramName: "boundedbuffer", ContextBound: -1, MaxSteps: 5000, MaxExecutions: 3, DPOR: true},
 }
 
-// resumeOptions are opts resuming ck for five executions.
-func resumeOptions(opts search.Options, ck *search.Checkpoint) search.Options {
-	opts.MaxExecutions = 5
-	opts.CheckpointPath = ""
-	opts.Resume = ck
-	return opts
-}
-
 // seedCheckpoint runs opts (one of fuzzSearches) to its budget with a
-// checkpoint file in dir and returns the file's path.
+// checkpoint directory under dir and returns the directory.
 func seedCheckpoint(tb testing.TB, dir string, opts search.Options) string {
 	tb.Helper()
 	p, _ := progs.Lookup(opts.ProgramName)
-	opts.CheckpointPath = filepath.Join(dir, opts.ProgramName+".ckpt")
-	if rep := search.Explore(p.Body, opts); !rep.ExecBounded {
-		tb.Fatalf("%s: seed search did not stop on its budget: %+v", opts.ProgramName, rep)
+	opts.CheckpointPath = filepath.Join(dir, opts.ProgramName)
+	if rep := search.Explore(p.Body, opts); !rep.ExecBounded || rep.CheckpointError != "" {
+		tb.Fatalf("%s: seed search did not stop on its budget with its checkpoint: %+v", opts.ProgramName, rep)
 	}
 	return opts.CheckpointPath
 }
 
-// TestResumeValidationPosition: Validate refuses a position the search
-// could not restore — frontier shards not numbered on from the merged
-// count or of another strategy's kind, a prefix listing alternatives
-// left at a step it does not have or without their ops, a negative,
-// unaccounted-for or index-overflowing merged count, negative counters — where
-// resuming it would index out of range, wait forever for a shard or
+// records decodes the first plan record and every decision in the
+// checkpoint directory dir.
+func records(tb testing.TB, dir string) (*search.PlanRec, []search.ShardDoneRec) {
+	tb.Helper()
+	led, rec, err := ledger.Open(dir, ledger.Options{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	defer led.Close()
+	var plan *search.PlanRec
+	var done []search.ShardDoneRec
+	for _, r := range rec.Records {
+		switch {
+		case r.Type == search.RecPlan && plan == nil:
+			plan = &search.PlanRec{}
+			err = json.Unmarshal(r.Data, plan)
+		case r.Type == search.RecShardDone:
+			done = append(done, search.ShardDoneRec{})
+			err = json.Unmarshal(r.Data, &done[len(done)-1])
+		}
+		if err != nil {
+			tb.Fatal(err)
+		}
+	}
+	if plan == nil || len(done) == 0 {
+		tb.Fatalf("%s holds %v as its plan and %d decisions", dir, plan, len(done))
+	}
+	return plan, done
+}
+
+// TestResumeValidationPosition: the fold refuses a record its search
+// could not have written — a plan whose shards are not numbered from 0
+// or are of another strategy's kind, a paused shard's rest listing
+// alternatives left at a step it does not have or without their ops, a
+// decision with negative counts or for a shard the plan does not hold —
+// where folding it would index out of range, wait forever for a shard or
 // spin through a negative execution index.
 func TestResumeValidationPosition(t *testing.T) {
 	dir := t.TempDir()
-	paths := make([]string, len(fuzzSearches))
+	dirs := make([]string, len(fuzzSearches))
 	for i, opts := range fuzzSearches {
-		paths[i] = seedCheckpoint(t, dir, opts)
+		dirs[i] = seedCheckpoint(t, dir, opts)
 	}
 	seq, stride, prefix, dpor := 0, 1, 2, 3
 	for _, tc := range []struct {
 		name    string
 		search  int
-		corrupt func(ck *search.Checkpoint)
+		corrupt func(plan *search.PlanRec, done []search.ShardDoneRec)
 	}{
-		{"seq-shard-index", seq, func(ck *search.Checkpoint) { ck.Frontier.Shards[0].Index-- }},
-		{"prefix-later-ops", seq, func(ck *search.Checkpoint) {
-			l := &ck.Frontier.Shards[0].Prefix.Later[0]
+		{"seq-shard-index", seq, func(p *search.PlanRec, _ []search.ShardDoneRec) { p.Plan.Shards[0].Index-- }},
+		{"prefix-later-ops", seq, func(_ *search.PlanRec, d []search.ShardDoneRec) {
+			l := &d[0].Report.Rest.Prefix.Later[0]
 			l.Ops = l.Ops[1:]
 		}},
-		{"prefix-later-step", seq, func(ck *search.Checkpoint) {
-			pfx := ck.Frontier.Shards[0].Prefix
+		{"prefix-later-step", seq, func(_ *search.PlanRec, d []search.ShardDoneRec) {
+			pfx := d[0].Report.Rest.Prefix
 			pfx.Later[0].Step = len(pfx.Sched)
 		}},
-		{"negative-executions", stride, func(ck *search.Checkpoint) { ck.Counters.Executions = -1 }},
-		{"shard-index", prefix, func(ck *search.Checkpoint) { ck.Frontier.Shards[1].Index++ }},
-		{"shard-kind", prefix, func(ck *search.Checkpoint) { ck.Frontier.Shards[0].Unit = dporUnit(paths[dpor]) }},
-		{"unit-kind", dpor, func(ck *search.Checkpoint) {
-			ck.Frontier.Shards[0].Unit, ck.Frontier.Shards[0].Prefix = nil, &search.SavedPrefix{}
+		{"negative-executions", stride, func(_ *search.PlanRec, d []search.ShardDoneRec) { d[0].Report.Executions = -1 }},
+		{"shard-index", prefix, func(p *search.PlanRec, _ []search.ShardDoneRec) { p.Plan.Shards[1].Index++ }},
+		{"shard-kind", prefix, func(p *search.PlanRec, _ []search.ShardDoneRec) { p.Plan.Shards[0].Unit = &por.Unit{} }},
+		{"unit-kind", dpor, func(p *search.PlanRec, _ []search.ShardDoneRec) {
+			p.Plan.Shards[0].Unit, p.Plan.Shards[0].Prefix = nil, &search.SavedPrefix{}
 		}},
-		{"negative-merged", dpor, func(ck *search.Checkpoint) { ck.Frontier.Merged = -1 }},
-		{"unaccounted-merged", dpor, func(ck *search.Checkpoint) { ck.Frontier.Merged = 1 << 40 }},
-		{"unaccounted-merged-prefix", prefix, func(ck *search.Checkpoint) { renumber(ck, 1<<40) }},
-		{"unaccounted-merged-seq", seq, func(ck *search.Checkpoint) { renumber(ck, 1<<40) }},
-		{"overflowing-merged", dpor, func(ck *search.Checkpoint) {
-			ck.Counters.Executions = math.MaxInt64
-			renumber(ck, math.MaxInt-len(ck.Frontier.Shards)+1)
-		}},
+		{"negative-merged", dpor, func(_ *search.PlanRec, d []search.ShardDoneRec) { d[0].Shard = -1 }},
+		{"unaccounted-merged", dpor, func(_ *search.PlanRec, d []search.ShardDoneRec) { d[len(d)-1].Shard = 1 << 40 }},
+		{"unaccounted-merged-prefix", prefix, func(_ *search.PlanRec, d []search.ShardDoneRec) { d[0].Shard = 1 << 40 }},
+		{"unaccounted-merged-seq", seq, func(_ *search.PlanRec, d []search.ShardDoneRec) { d[0].Shard = 1 << 40 }},
+		{"overflowing-merged", dpor, func(_ *search.PlanRec, d []search.ShardDoneRec) { d[0].Shard = math.MaxInt }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			ck, err := search.LoadCheckpoint(paths[tc.search])
-			if err != nil {
-				t.Fatal(err)
+			opts := fuzzSearches[tc.search]
+			plan, done := records(t, dirs[tc.search])
+			if err := search.FoldCheck(opts, plan, done); err != nil {
+				t.Fatalf("the uncorrupted records do not fold: %v", err)
 			}
-			opts := resumeOptions(fuzzSearches[tc.search], ck)
-			if err := opts.Validate(); err != nil {
-				t.Fatalf("the uncorrupted checkpoint does not validate: %v", err)
-			}
-			tc.corrupt(ck)
-			if err := opts.Validate(); err == nil {
-				t.Fatal("the corrupted checkpoint validates")
+			plan, done = records(t, dirs[tc.search])
+			tc.corrupt(plan, done)
+			if err := search.FoldCheck(opts, plan, done); err == nil {
+				t.Fatal("the corrupted records fold")
 			}
 		})
 	}
 }
 
-// renumber moves ck's frontier to merged shards merged so far, numbering
-// the unmerged ones on from there.
-func renumber(ck *search.Checkpoint, merged int) {
-	ck.Frontier.Merged = merged
-	for i := range ck.Frontier.Shards {
-		ck.Frontier.Shards[i].Index = merged + i
+// segMagic is the header internal/ledger starts every segment with.
+const segMagic = "FMCWAL01"
+
+// segment is the first segment of the ledger in dir.
+func segment(tb testing.TB, dir string) []byte {
+	tb.Helper()
+	data, err := os.ReadFile(filepath.Join(dir, "wal-00000000.seg"))
+	if err != nil {
+		tb.Fatal(err)
 	}
+	return data
 }
 
-// dporUnit is the first pending unit of the DPOR checkpoint at path.
-func dporUnit(path string) *por.Unit {
-	ck, err := search.LoadCheckpoint(path)
-	if err != nil || ck.Frontier == nil || len(ck.Frontier.Shards) == 0 {
-		panic(fmt.Sprintf("no pending DPOR unit in %s: %v", path, err))
+// openSegments writes segs as the segments of a ledger in a new
+// directory and opens it; it returns the directory and what recovery
+// found there.
+func openSegments(t *testing.T, segs ...[]byte) (string, *ledger.Recovery) {
+	t.Helper()
+	dir := t.TempDir()
+	for i, s := range segs {
+		if err := os.WriteFile(filepath.Join(dir, fmt.Sprintf("wal-%08d.seg", i)), s, 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
-	return ck.Frontier.Shards[0].Unit
+	led, rec, err := ledger.Open(dir, ledger.Options{})
+	if err != nil {
+		t.Fatalf("opening the ledger: %v", err)
+	}
+	led.Close()
+	return dir, rec
 }
 
-// FuzzCheckpoint holds the checkpoint decoder and Validate to their
-// contract: decoding and validating any bytes never panics, and a
-// checkpoint that validates resumes a five-execution search of its
-// program without panicking (a crashing shard would be a WorkerFailure
-// in the report; the merge and the sequential searcher run unguarded).
-// One seed claims 2^40 executions and merged shards: it validates, and
-// its resume must not hold a slot for every merged shard.
+// FuzzCheckpoint holds a checkpoint directory's ledger to its contract,
+// for any bytes as its segment: opening and folding never panic; a tail
+// torn at any byte recovers to records the whole segment holds; a
+// flipped bit in a segment that opens clean quarantines it once a later
+// segment seals it; and a directory that opens resumes a five-execution
+// search of the program its plan names without panicking (a crashing
+// shard would be a WorkerFailure in the report; the merge and the
+// sequential searcher run unguarded). The seeds are the segments real
+// searches write; the fifth is a random walk's rerun under another
+// budget, with the plan record its ranges were planned again at.
 func FuzzCheckpoint(f *testing.F) {
 	dir := f.TempDir()
-	for _, opts := range fuzzSearches {
-		path := seedCheckpoint(f, dir, opts)
-		data, err := os.ReadFile(path)
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(data) // validates: TestResumeValidationPosition
-		if opts.DPOR {
-			ck, err := search.LoadCheckpoint(path)
-			if err != nil {
-				f.Fatal(err)
-			}
-			ck.Counters.Executions = 1 << 40
-			renumber(ck, 1<<40)
-			ro := resumeOptions(opts, ck)
-			if err := ro.Validate(); err != nil {
-				f.Fatalf("the 2^40-merged seed does not validate: %v", err)
-			}
-			data, err := json.Marshal(ck)
-			if err != nil {
-				f.Fatal(err)
-			}
-			f.Add(data)
-		}
+	for i, opts := range fuzzSearches {
+		f.Add(segment(f, seedCheckpoint(f, dir, opts)), uint(17*i))
 	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		ck := &search.Checkpoint{}
-		if json.Unmarshal(data, ck) != nil {
-			return
+	rerun := fuzzSearches[1]
+	rerun.MaxExecutions = 6
+	rerun.CheckpointPath = filepath.Join(dir, rerun.ProgramName)
+	p, _ := progs.Lookup(rerun.ProgramName)
+	search.Explore(p.Body, rerun)
+	f.Add(segment(f, rerun.CheckpointPath), uint(1000))
+	f.Fuzz(func(t *testing.T, data []byte, at uint) {
+		whole, rec := openSegments(t, data)
+		torn, got := openSegments(t, data[:at%uint(len(data)+1)])
+		have := map[string]int{}
+		for _, r := range rec.Records {
+			have[fmt.Sprint(r.Seq, r.Type, string(r.Data))]++
 		}
-		for _, opts := range fuzzSearches {
-			opts = resumeOptions(opts, ck)
-			if opts.Validate() != nil {
+		for _, r := range got.Records {
+			k := fmt.Sprint(r.Seq, r.Type, string(r.Data))
+			if have[k] == 0 {
+				t.Fatalf("the torn segment recovers record %d (%s), which the whole one does not hold", r.Seq, r.Type)
+			}
+			have[k]--
+		}
+		if len(data) > 0 && len(rec.Quarantined) == 0 && rec.TornTails == 0 {
+			flipped := append([]byte(nil), data...)
+			pos := at / 8 % uint(len(data))
+			flipped[pos] ^= 1 << (at % 8)
+			if _, q := openSegments(t, flipped, []byte(segMagic)); len(q.Quarantined) != 1 {
+				t.Fatalf("bit %d of byte %d flipped in a sealed segment: %d segments quarantined, want 1", at%8, pos, len(q.Quarantined))
+			}
+		}
+		for _, d := range []string{whole, torn} {
+			plan, err := search.ReadPlan(d)
+			if err != nil || plan == nil {
 				continue
 			}
-			p, _ := progs.Lookup(opts.ProgramName)
-			search.Explore(p.Body, opts)
+			for _, opts := range fuzzSearches {
+				if opts.Matches(plan) == nil {
+					p, _ := progs.Lookup(opts.ProgramName)
+					opts.MaxExecutions, opts.CheckpointPath = 5, d
+					search.Explore(p.Body, opts)
+				}
+			}
 		}
 	})
+}
+
+// TestCheckpointCrashMatrix freezes a checkpoint's ledger — the disk's
+// view of kill -9 — after every append and every sync of three searches
+// that checkpoint after every shard: a -p 1 fair DFS, a -p 2 random walk
+// and a -p 2 DPOR search. Rerun over the directory it left, each one
+// ends in the uninterrupted report.
+func TestCheckpointCrashMatrix(t *testing.T) {
+	if testing.Short() {
+		t.Skip("crash matrix is slow")
+	}
+	defer search.SetCheckpointHook(nil)
+	for _, opts := range []search.Options{
+		{ProgramName: "ticketlock", Fair: true, ContextBound: -1, MaxSteps: 10000, MaxExecutions: 30},
+		{ProgramName: "bakery-2", Fair: true, RandomWalk: true, Seed: 3, MaxSteps: 10000, MaxExecutions: 300, Parallelism: 2},
+		{ProgramName: "boundedbuffer", ContextBound: -1, MaxSteps: 5000, DPOR: true, MaxExecutions: 30, Parallelism: 2},
+	} {
+		p, _ := progs.Lookup(opts.ProgramName)
+		want := normalize(search.Explore(p.Body, opts))
+		opts.CheckpointInterval = time.Nanosecond
+		events := 0
+		search.SetCheckpointHook(func(string, *ledger.Ledger) { events++ })
+		opts.CheckpointPath = t.TempDir()
+		search.Explore(p.Body, opts)
+		for k := 1; k <= events; k++ {
+			n := 0
+			search.SetCheckpointHook(func(_ string, l *ledger.Ledger) {
+				if n++; n == k {
+					l.Freeze()
+				}
+			})
+			opts.CheckpointPath = t.TempDir()
+			search.Explore(p.Body, opts)
+			search.SetCheckpointHook(nil)
+			if got := normalize(search.Explore(p.Body, opts)); !reflect.DeepEqual(want, got) {
+				t.Fatalf("%s frozen after checkpoint event %d of %d: the rerun differs from the uninterrupted run:\n%+v\nvs\n%+v",
+					opts.ProgramName, k, events, want, got)
+			}
+		}
+		t.Logf("%s: %d crash points", opts.ProgramName, events)
+	}
 }

@@ -18,8 +18,8 @@ package search
 // alone — independent of worker count and timing. That one property
 // buys everything downstream: a unit is one more shard kind
 // (Shard.Unit), so the one driver runs the identical enumeration at any
-// Parallelism, across distributed workers, and from a checkpoint, whose
-// Frontier captures the pending units as plain data.
+// Parallelism, across distributed workers, and from a checkpoint
+// directory, whose unit reports regrow the pending units (Fold).
 //
 // The race analysis itself (por.Analyze) is the conservative variant:
 // every dependent pair proposes a reversal at the earlier step, with
@@ -84,13 +84,6 @@ type DporNodeRec struct {
 type DporProposal struct {
 	Pos int `json:"pos"`
 	Idx int `json:"idx"`
-}
-
-// DporTraceRec is one maximal path of the merge's dedup set, kept for
-// checkpoint/resume: the set is prefix-closed, so inserting the Path of
-// every record with all its prefixes rebuilds it.
-type DporTraceRec struct {
-	Path []int `json:"path,omitempty"`
 }
 
 // unitChooser executes one DPOR work unit: it replays the unit's
@@ -344,19 +337,6 @@ func (t *pathTrie) addPath(path []int) {
 	}
 }
 
-// leaves appends to out the set's maximal paths below node n, whose own
-// path is given, depth first. The set is prefix-closed, so the leaves
-// below the root determine it: addPath over them rebuilds it.
-func (t pathTrie) leaves(n int32, path []int, out []DporTraceRec) []DporTraceRec {
-	if n != 0 && t[n].child == 0 {
-		return append(out, DporTraceRec{Path: append([]int(nil), path...)})
-	}
-	for c := t[n].child; c != 0; c = t[c].sib {
-		out = t.leaves(c, append(path, int(t[c].label)), out)
-	}
-	return out
-}
-
 // childOf returns the first n elements of a followed by b, then last,
 // in a fresh slice: a child unit's prefix, cut from its parent's prefix
 // and continuation.
@@ -441,6 +421,6 @@ func (m *ShardMerger) spawn(unit *por.Unit, r *Report) {
 			}
 			child.Sleep = sleep
 		}
-		m.plan.Shards = append(m.plan.Shards, Shard{Index: m.plan.end(), Unit: child})
+		m.plan.Shards = append(m.plan.Shards, Shard{Index: len(m.plan.Shards), Unit: child})
 	}
 }

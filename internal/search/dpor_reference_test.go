@@ -1,19 +1,16 @@
 package search
 
 import (
-	"encoding/json"
 	"reflect"
 	"strconv"
 	"strings"
 	"testing"
-	"time"
 
 	"fairmc/internal/engine"
 	"fairmc/internal/obs"
 	"fairmc/internal/por"
 	"fairmc/internal/rng"
 	"fairmc/internal/tidset"
-	"fairmc/progs"
 )
 
 // refSeen is the merge's dedup set as it was before the path trie:
@@ -40,12 +37,14 @@ func (s refSeen) markPath(path []int) {
 	}
 }
 
-// leafKeys is the key set the trie's leaves stand for: every non-empty
-// prefix of every leaf.
-func leafKeys(leaves []DporTraceRec) refSeen {
-	keys := refSeen{}
-	for _, tr := range leaves {
-		keys.markPath(tr.Path)
+// trieKeys is the key set the trie below node n, whose own path is
+// given, stands for: the path of every node but the root.
+func trieKeys(t pathTrie, n int32, path []int, keys refSeen) refSeen {
+	if n != 0 {
+		keys[pathKey(path)] = true
+	}
+	for c := t[n].child; c != 0; c = t[c].sib {
+		trieKeys(t, c, append(path, int(t[c].label)), keys)
 	}
 	return keys
 }
@@ -61,8 +60,8 @@ type refChild struct {
 // with the same generated sequences of (consumed full path, proposals)
 // — the units consumed in plan order, as the merge does — and demands
 // the same children, the same sleeping siblings and the same prune
-// count after every unit, and at the end that the trie's leaves stand
-// for exactly the oracle's keys and rebuild the trie.
+// count after every unit, and at the end that the trie holds exactly the
+// oracle's keys, one node each.
 func TestPathTrieMatchesReference(t *testing.T) {
 	const width, depth, maxUnits = 4, 10, 400
 	units, prunes := 0, int64(0)
@@ -134,88 +133,12 @@ func TestPathTrieMatchesReference(t *testing.T) {
 			}
 		}
 		units, prunes = units+len(plan.Shards), prunes+pruned
-		leaves := m.seen.leaves(0, nil, nil)
-		if keys := leafKeys(leaves); !reflect.DeepEqual(keys, ref) || len(m.seen)-1 != len(ref) {
-			t.Fatalf("seed %d: the trie's %d leaves stand for %d keys in %d nodes, the reference holds %d",
-				seed, len(leaves), len(keys), len(m.seen)-1, len(ref))
-		}
-		rebuilt := pathTrie{{}}
-		for _, tr := range leaves {
-			rebuilt.addPath(tr.Path)
-		}
-		if !reflect.DeepEqual(leafKeys(rebuilt.leaves(0, nil, nil)), ref) || len(rebuilt) != len(m.seen) {
-			t.Fatalf("seed %d: the leaves do not rebuild the set (%d nodes from %d)", seed, len(rebuilt), len(m.seen))
+		if keys := trieKeys(m.seen, 0, nil, refSeen{}); !reflect.DeepEqual(keys, ref) || len(m.seen)-1 != len(ref) {
+			t.Fatalf("seed %d: the trie holds %d keys in %d nodes, the reference %d",
+				seed, len(keys), len(m.seen)-1, len(ref))
 		}
 	}
 	if units < 4000 || prunes < 1000 {
 		t.Fatalf("only %d units and %d prunes over all seeds: the generator is too weak to tell the sets apart", units, prunes)
-	}
-}
-
-// TestDporParentShapeFrontierRestores: a checkpoint whose Traces are
-// one record per consumed unit, its full path — the shape the build
-// before the trie wrote, not the trie's leaves — restores the same dedup
-// set as this build's leaf records, and the search resumed from it ends
-// in the uninterrupted report.
-func TestDporParentShapeFrontierRestores(t *testing.T) {
-	p, ok := progs.Lookup("boundedbuffer")
-	if !ok {
-		t.Fatal("boundedbuffer is not registered")
-	}
-	opts := Options{ContextBound: -1, MaxSteps: 5000, DPOR: true, MaxExecutions: 1500, ProgramName: "boundedbuffer"}
-	want := Explore(p.Body, opts)
-	if !want.ExecBounded || want.Executions != opts.MaxExecutions {
-		t.Fatalf("baseline did not spend its budget: %+v", want)
-	}
-
-	const consumed = 600
-	single := opts
-	single.Parallelism = 1
-	plan := planShards(p.Body, &single, 1)
-	m := NewShardMerger(opts, plan)
-	var pool engine.Pool
-	defer pool.Close()
-	var traces []DporTraceRec
-	for i := 0; i < consumed; i++ {
-		sh := plan.Shards[i]
-		rec := DporTraceRec{Path: append([]int(nil), sh.Unit.Path...)}
-		rep := runShard(p.Body, &single, sh, &pool, time.Time{})
-		if rep.Dpor != nil {
-			rec.Path = append(rec.Path, rep.Dpor.ContIdx...)
-		}
-		traces = append(traces, rec)
-		m.Offer(i, rep)
-	}
-	if m.Merged() != consumed || m.Done() {
-		t.Fatalf("merged %d of %d units, done=%v", m.Merged(), consumed, m.Done())
-	}
-	ck := buildCheckpoint(&opts, m.rep, m.frontier(), 0, false)
-	own := leafKeys(ck.Frontier.Traces)
-	ck.Frontier.Traces = traces
-
-	// Through the file format, as a resume reads it.
-	data, err := json.Marshal(ck)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ck = &Checkpoint{}
-	if err := json.Unmarshal(data, ck); err != nil {
-		t.Fatal(err)
-	}
-	if ck.Version != CheckpointVersion {
-		t.Fatalf("checkpoint version %d, want %d", ck.Version, CheckpointVersion)
-	}
-	restored := NewShardMerger(opts, &Plan{RefParallelism: 1})
-	restored.restore(ck)
-	if got := leafKeys(restored.seen.leaves(0, nil, nil)); !reflect.DeepEqual(got, own) {
-		t.Fatalf("per-unit full-path records restore %d keys, this build's leaf records %d", len(got), len(own))
-	}
-
-	resumed := opts
-	resumed.Resume = ck
-	got := Explore(p.Body, resumed)
-	got.Elapsed, want.Elapsed = 0, 0
-	if !reflect.DeepEqual(want, got) {
-		t.Fatalf("resumed report differs from the uninterrupted one:\n%+v\nvs\n%+v", want, got)
 	}
 }

@@ -2,6 +2,7 @@ package search
 
 import (
 	"fmt"
+	"maps"
 	"runtime/debug"
 	"sync"
 	"time"
@@ -68,16 +69,18 @@ type shardQueue struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
 	shards []Shard // the plan as far as the merge has published it
-	base   int     // the plan index of shards[0]
 	next   int
-	retry  []int
-	done   chan struct{} // closed with the queue: running shards are dead work
+	// held are the shards whose recorded reports wait in the merge (a
+	// resumed checkpoint's): they do not run again.
+	held  map[int]*Report
+	retry []int
+	done  chan struct{} // closed with the queue: running shards are dead work
 }
 
 // publish makes the plan's current extent claimable.
 func (q *shardQueue) publish(p *Plan) {
 	q.mu.Lock()
-	q.shards, q.base = p.Shards, p.base
+	q.shards = p.Shards
 	q.mu.Unlock()
 	q.cond.Broadcast()
 }
@@ -106,12 +109,14 @@ func (q *shardQueue) get() (sh Shard, ok bool) {
 	defer q.mu.Unlock()
 	for !isClosed(q.done) {
 		if len(q.retry) > 0 {
-			sh, q.retry = q.shards[q.retry[0]-q.base], q.retry[1:]
+			sh, q.retry = q.shards[q.retry[0]], q.retry[1:]
 			return sh, true
 		}
-		if q.next < q.base+len(q.shards) {
+		for q.next < len(q.shards) {
 			q.next++
-			return q.shards[q.next-1-q.base], true
+			if _, held := q.held[q.next-1]; !held {
+				return q.shards[q.next-1], true
+			}
 		}
 		q.cond.Wait()
 	}
@@ -145,56 +150,38 @@ func runShardRecover(sh Shard, run func() *Report) (res shardResult) {
 
 // exploreSharded is the driver for every search that is not one
 // sequential searcher: Parallelism > 1 of any strategy, DPOR at any
-// Parallelism, and every search that checkpoints or resumes. P workers,
-// each owning one engine pool, pull shards from the queue; this
-// goroutine merges their reports in plan order, grows the plan,
-// checkpoints, and stops everything at the first of: plan merged, a
-// finding, a budget, the deadline, Stop.
+// Parallelism, and every search that checkpoints. P workers, each owning
+// one engine pool, pull shards from the queue; this goroutine merges
+// their reports in plan order, grows the plan, records every report in
+// the checkpoint directory before merging it (checkpoint.go), and stops
+// everything at the first of: plan merged, a finding, a budget, the
+// deadline, Stop.
 //
-// At Parallelism 1 a search other than DPOR runs its shards one after
-// another in this goroutine instead — a systematic search one shard, the
-// whole tree, every shard numbering its executions on from the ones
-// merged before it (Shard.Lo) — so the execution budget, the random
-// tails and the finding indices are the sequential search's. A shard
-// pauses when a checkpoint comes due and merges what it ran, a shard for
-// the rest of its subtree or range spliced into the plan after it
-// (ShardMerger.serial), so a checkpoint is never further behind than the
-// interval; the paused searcher then runs that rest itself.
+// A serial plan (Parallelism 1, other than DPOR) has its shards run one
+// after another in this goroutine instead — a systematic search's one
+// shard, the whole tree, every shard numbering its executions on from
+// the ones merged before it (Shard.Lo) — so the execution budget, the
+// random tails and the finding indices are the sequential search's. A
+// shard pauses when a checkpoint comes due and merges what it ran, its
+// report naming a shard for the rest of its subtree or range
+// (Report.Rest) that the merge splices in after it, so a checkpoint is
+// never further behind than the interval; the paused searcher then runs
+// that rest itself.
 func exploreSharded(prog func(*engine.T), opts Options) *Report {
-	p := opts.Parallelism
-	if p < 1 {
-		p = 1
-	}
+	p := max(opts.Parallelism, 1)
 	start := time.Now()
 	deadline := opts.deadlineFrom(start)
 
 	sub := opts
 	sub.Parallelism = 1
 	sub.TimeLimit = 0       // the shared deadline is passed explicitly
-	sub.CheckpointPath = "" // the driver checkpoints at merge granularity
-	sub.Resume = nil
-
-	var m *ShardMerger
-	var prevElapsed time.Duration
-	serial := p == 1 && !opts.DPOR
-	switch ck := opts.Resume; {
-	case ck != nil:
-		m = NewShardMerger(opts, &Plan{RefParallelism: p})
-		m.restore(ck)
-		prevElapsed = time.Duration(ck.ElapsedNS)
-		observeResume(&opts, ck)
-	case serial && !opts.random():
-		// One shard, the whole tree: its searcher is the sequential one,
-		// split only where it pauses.
-		m = NewShardMerger(opts, &Plan{RefParallelism: 1, Shards: []Shard{{Prefix: &SavedPrefix{}}}})
-	default:
-		m = NewShardMerger(opts, planShards(prog, &sub, p))
-	}
-	m.serial = serial
-	failures := m.rep.WorkerFailures
+	sub.CheckpointPath = "" // the driver records the merge's progress
+	m, ck := openCheckpoint(&opts, func() *Plan { return planShards(prog, &sub, p, p == 1 && !opts.DPOR) })
+	elapsed := func() time.Duration { return ck.elapsed + time.Since(start) }
+	var failures []WorkerFailure
 	attempts := map[int]int{} // failed attempts per shard
 
-	q := &shardQueue{next: m.next, done: make(chan struct{})}
+	q := &shardQueue{next: m.next, held: maps.Clone(m.pending), done: make(chan struct{})}
 	q.cond = sync.NewCond(&q.mu)
 	q.publish(m.plan)
 	// Stop reaches the shards, and the executions they are running,
@@ -230,38 +217,27 @@ func exploreSharded(prog func(*engine.T), opts Options) *Report {
 		}()
 	}
 
-	checkpoint := func(done bool) {
-		if opts.CheckpointPath == "" {
-			return
-		}
-		ck := buildCheckpoint(&opts, m.rep, m.frontier(), prevElapsed+time.Since(start), done)
-		ck.WorkerFailures = failures
-		ck.write(&opts, m.rep)
-	}
 	iv, lastCkpt := opts.CheckpointInterval, start
 	if iv <= 0 {
 		iv = defaultCheckpointInterval
 	}
-	// due reports a periodic checkpoint due; a serial shard pauses for it.
-	due := func() bool { return opts.CheckpointPath != "" && time.Since(lastCkpt) >= iv }
+	// due reports a checkpoint due; a serial shard pauses for it.
+	due := func() bool { return ck.led != nil && time.Since(lastCkpt) >= iv }
 	var cur *searcher // a paused serial shard's searcher, which runs its rest
 	for !m.Done() {
 		var res shardResult
 		if m.serial {
-			sh := m.plan.Shards[m.next-m.plan.base] // the next unmerged shard, or its retry
-			var rest *Shard
-			res = runShardRecover(sh, func() (r *Report) {
+			sh := m.plan.Shards[m.next] // the next unmerged shard, or its retry
+			res = runShardRecover(sh, func() *Report {
 				if cur == nil {
 					cur = newSearcher(prog, &sub, sh, &serialPool, deadline)
 					cur.due = due
 				}
-				r, rest = cur.runSerial()
-				return r
+				return cur.runSerial()
 			})
-			if rest == nil {
+			if res.rep == nil || res.rep.Rest == nil {
 				cur = nil // done, cut, or crashed: a retry starts afresh
 			}
-			m.splice(rest)
 		} else {
 			select {
 			case <-opts.Stop:
@@ -285,25 +261,27 @@ func exploreSharded(prog func(*engine.T), opts Options) *Report {
 		}
 		// A shard cut by the deadline reports TimedOut, which stops the
 		// merge resumably when its turn comes; MaxExecutions is checked
-		// by the merger ahead of every shard.
+		// by the merger ahead of every shard. The report is recorded
+		// before the merge takes it.
+		ck.done(&res, &m.plan.Shards[res.idx], elapsed())
 		m.Offer(res.idx, res.rep)
 		q.publish(m.plan)
 		if mt := opts.Metrics; mt != nil {
-			unmerged := int64(m.plan.end() - m.next)
+			unmerged := int64(len(m.plan.Shards) - m.next)
 			mt.Frontier.Set(unmerged)
 			if opts.DPOR {
 				mt.DporUnitQueue.Set(unmerged)
 			}
 		}
 		if due() {
-			checkpoint(false)
+			ck.sync(m.rep.Executions)
 			lastCkpt = time.Now()
 		}
 	}
 	q.close()
 	wg.Wait()
 
-	rep := m.Finish(prevElapsed+time.Since(start), failures)
-	checkpoint(m.done || rep.Exhausted)
+	rep := m.Finish(elapsed(), failures)
+	ck.close(rep)
 	return rep
 }

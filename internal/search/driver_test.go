@@ -1,7 +1,6 @@
 package search_test
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -61,14 +60,31 @@ func runPlanShuffled(t *testing.T, prog func(*engine.T), opts search.Options, re
 	return m.Finish(0, nil)
 }
 
+// copyDir copies the files of directory from into to, as they are at
+// this moment — the checkpoint a kill now would leave — and reports
+// whether there was anything to copy.
+func copyDir(from, to string) bool {
+	files, _ := filepath.Glob(filepath.Join(from, "*"))
+	if os.MkdirAll(to, 0o755) != nil {
+		return false
+	}
+	for _, f := range files {
+		data, err := os.ReadFile(f)
+		if err != nil || os.WriteFile(filepath.Join(to, filepath.Base(f)), data, 0o644) != nil {
+			return false
+		}
+	}
+	return len(files) > 0
+}
+
 // TestOneDriverProperty: for generated programs (and the two hand-made
 // fixtures, which have findings to stop on) the report is the same
 // whichever way the schedule space is cut up — the sequential search,
 // the driver at -p 1 and -p 4, the shard path driven by hand with
 // reports offered in shuffled order, and a checkpointed search (at the
-// default interval and after every execution) run through, resumed from
-// the checkpoint a kill midway would leave, or stopped at half its
-// executions and resumed — for fair DFS,
+// default interval and after every execution) run through, rerun over
+// the directory a kill midway would leave, or stopped at half its
+// executions and rerun — for fair DFS,
 // a seeded random walk, and DPOR with and without sleep sets. A fair DFS
 // with an execution budget is held to the sequential report at -p 1
 // only (above it the budget is quantized to prefix shards).
@@ -99,7 +115,8 @@ func TestOneDriverProperty(t *testing.T) {
 		{"dpor", search.Options{ContextBound: -1, MaxSteps: 1 << 14, DPOR: true}, true, false},
 		{"dpor+sleep", search.Options{ContextBound: -1, MaxSteps: 1 << 14, DPOR: true, SleepSets: true}, true, false},
 	}
-	ckpt := filepath.Join(t.TempDir(), "search.ckpt")
+	base := t.TempDir()
+	ckpt, midway := filepath.Join(base, "ck"), filepath.Join(base, "mid")
 	for _, sub := range subjects {
 		conts := []bool{false}
 		if sub.bug {
@@ -135,30 +152,28 @@ func TestOneDriverProperty(t *testing.T) {
 
 				// A 1ns interval makes a checkpoint due after every
 				// execution: a -p 1 systematic search pauses each shard it
-				// runs there and splices the rest of it into the plan. The
-				// checkpoint on disk when the run is halfway through is the
-				// one a kill would leave: resuming it also gives ref.
+				// runs there, its report naming the rest, which the merge
+				// splices into the plan. The directory as it is when the run
+				// is halfway through is the one a kill would leave:
+				// rerunning over it also gives ref.
 				for _, iv := range []time.Duration{0, time.Nanosecond} {
 					how := fmt.Sprintf("checkpointed every %v", iv)
 					o := opts
 					o.CheckpointPath, o.CheckpointInterval = ckpt, iv
-					os.Remove(ckpt)
-					var midway []byte
+					os.RemoveAll(ckpt)
+					os.RemoveAll(midway)
+					var copied bool
 					var runs atomic.Int64
 					differs(how, search.Explore(func(t *engine.T) {
 						if runs.Add(1) == ref.Executions/2+1 {
-							midway, _ = os.ReadFile(ckpt)
+							copied = copyDir(ckpt, midway)
 						}
 						sub.prog(t)
 					}, o))
-					if midway != nil {
-						ck := &search.Checkpoint{}
-						if err := json.Unmarshal(midway, ck); err != nil {
-							t.Fatal(err)
-						}
+					if copied {
 						r := o
-						r.Resume = ck
-						differs(how+", killed midway and resumed", search.Explore(sub.prog, r))
+						r.CheckpointPath = midway
+						differs(how+", killed midway and rerun", search.Explore(sub.prog, r))
 					}
 					if ref.Executions < 2 {
 						continue
@@ -167,16 +182,12 @@ func TestOneDriverProperty(t *testing.T) {
 					half.MaxExecutions = ref.Executions / 2
 					want := normalize(search.Explore(sub.prog, half))
 					half.CheckpointPath, half.CheckpointInterval = ckpt, iv
+					os.RemoveAll(ckpt)
 					if got := normalize(search.Explore(sub.prog, half)); !reflect.DeepEqual(want, got) {
 						t.Fatalf("%s %s cont=%v: %s, at half its executions, differs from the sequential search:\n%+v\nvs\n%+v",
 							sub.name, st.name, cont, how, want, got)
 					}
-					ck, err := search.LoadCheckpoint(ckpt)
-					if err != nil {
-						t.Fatal(err)
-					}
-					o.Resume = ck
-					differs(how+", stopped at half its executions and resumed", search.Explore(sub.prog, o))
+					differs(how+", stopped at half its executions and rerun", search.Explore(sub.prog, o))
 				}
 			}
 		}
@@ -219,8 +230,9 @@ func stopAfter(n int64, prog func(*engine.T)) (func(*engine.T), chan struct{}) {
 }
 
 // TestStrideStopMidShardResumes: Stop closing while range shards are
-// mid-run interrupts the search with a checkpoint whose frontier a
-// resume continues to exactly the uninterrupted report.
+// mid-run interrupts the search, leaving a checkpoint directory with
+// the walk's plan, and a rerun over it continues to exactly the
+// uninterrupted report.
 func TestStrideStopMidShardResumes(t *testing.T) {
 	opts := search.Options{
 		Fair:                   true,
@@ -237,7 +249,7 @@ func TestStrideStopMidShardResumes(t *testing.T) {
 	// The 50th execution to start closes Stop: with 32-execution shards
 	// on four workers every worker is inside a shard by then.
 	stopping, stop := stopAfter(50, racyIncrement)
-	path := filepath.Join(t.TempDir(), "search.ckpt")
+	path := t.TempDir()
 	first := opts
 	first.CheckpointPath = path
 	first.Stop = stop
@@ -249,16 +261,12 @@ func TestStrideStopMidShardResumes(t *testing.T) {
 		t.Fatalf("first phase ran all %d executions before Stop", rep1.Executions)
 	}
 
-	ck, err := search.LoadCheckpoint(path)
-	if err != nil {
-		t.Fatalf("loading checkpoint: %v", err)
-	}
-	if ck.Version != search.CheckpointVersion || ck.Frontier == nil || ck.Done {
-		t.Fatalf("checkpoint = version %d frontier %v done %v, want a resumable v%d frontier",
-			ck.Version, ck.Frontier, ck.Done, search.CheckpointVersion)
+	rec, err := search.ReadPlan(path)
+	if err != nil || rec == nil || rec.Plan.Strategy != "random" {
+		t.Fatalf("the checkpoint holds no plan of the walk: %+v (%v)", rec, err)
 	}
 	second := opts
-	second.Resume = ck
+	second.CheckpointPath = path
 	rep2 := search.Explore(racyIncrement, second)
 	if !reflect.DeepEqual(normalize(baseline), normalize(rep2)) {
 		t.Fatalf("resumed report differs from uninterrupted baseline:\n%+v\nvs\n%+v", baseline, rep2)
@@ -267,12 +275,13 @@ func TestStrideStopMidShardResumes(t *testing.T) {
 
 // TestDporStopMidMergeResumes: Stop closing in the middle of a DPOR
 // merge — over a thousand units consumed, workers mid-unit, reports
-// waiting their turn — leaves a checkpoint whose dedup set is written as
-// the trie's leaves; the search resumed from it spawns and prunes
-// exactly what the uninterrupted one does. Stop closes once 2 500 units
-// have started: how far the merge trails that depends on how the workers
-// were scheduled (a few units when idle, over 500 seen under load), so
-// the bound asserted leaves that much room.
+// waiting their turn — leaves a checkpoint directory with a decision for
+// every unit the merge took; the search rerun over it regrows the plan
+// from them and spawns and prunes exactly what the uninterrupted one
+// does. Stop closes once 2 500 units have started: how far the merge
+// trails that depends on how the workers were scheduled (a few units
+// when idle, over 500 seen under load), so the bound asserted leaves
+// that much room.
 func TestDporStopMidMergeResumes(t *testing.T) {
 	p, ok := progs.Lookup("boundedbuffer")
 	if !ok {
@@ -292,7 +301,7 @@ func TestDporStopMidMergeResumes(t *testing.T) {
 	}
 
 	stopping, stop := stopAfter(2500, p.Body)
-	path := filepath.Join(t.TempDir(), "search.ckpt")
+	path := t.TempDir()
 	first := opts
 	first.CheckpointPath = path
 	first.Stop = stop
@@ -302,45 +311,36 @@ func TestDporStopMidMergeResumes(t *testing.T) {
 			rep1.Interrupted, rep1.Executions, opts.MaxExecutions)
 	}
 
-	ck, err := search.LoadCheckpoint(path)
-	if err != nil {
-		t.Fatalf("loading checkpoint: %v", err)
-	}
-	if ck.Version != search.CheckpointVersion || ck.Frontier == nil || ck.Done || len(ck.Frontier.Traces) == 0 {
-		t.Fatalf("checkpoint = version %d frontier %v done %v, want a resumable v%d frontier with traces",
-			ck.Version, ck.Frontier, ck.Done, search.CheckpointVersion)
-	}
-	for _, tr := range ck.Frontier.Traces {
-		if len(tr.Path) == 0 {
-			t.Fatalf("trace record %+v: want a leaf path", tr)
-		}
+	if _, done := records(t, path); int64(len(done)) < rep1.Executions {
+		t.Fatalf("the checkpoint records %d decisions for %d merged units", len(done), rep1.Executions)
 	}
 	second := opts
-	second.Resume = ck
+	second.CheckpointPath = path
 	rep2 := search.Explore(p.Body, second)
 	if !reflect.DeepEqual(normalize(baseline), normalize(rep2)) {
 		t.Fatalf("resumed report differs from uninterrupted baseline:\n%+v\nvs\n%+v", baseline, rep2)
 	}
 }
 
-// TestOldCheckpointVersionRejected: exactly one format version is
-// readable; a version-7 file — a sequential search's DFS stack, a
-// position this build no longer writes — is refused with a message that
-// says so.
+// TestOldCheckpointVersionRejected: a checkpoint is a directory of
+// ledger records; a checkpoint file of the JSON format this build no
+// longer reads is refused — its name cannot be a directory — and left as
+// it is, and a search pointed at it runs unrecorded and says why.
 func TestOldCheckpointVersionRejected(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "v7.ckpt")
-	v7 := `{"version":7,"meta":{"strategy":"dfs","seed":0,"optionsHash":1,"parallelism":0},` +
-		`"counters":{"executions":10},"seq":{"stack":[{"alts":[{"Tid":0,"Arg":0},{"Tid":1,"Arg":0}],"idx":1}]}}`
-	if err := os.WriteFile(path, []byte(v7), 0o644); err != nil {
+	path := filepath.Join(t.TempDir(), "v8.ckpt")
+	v8 := `{"version":8,"meta":{"strategy":"dfs","seed":0,"optionsHash":1,"parallelism":1},` +
+		`"counters":{"executions":10},"frontier":{"merged":1,"allExhausted":true}}`
+	if err := os.WriteFile(path, []byte(v8), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, err := search.LoadCheckpoint(path)
-	if err == nil || !strings.Contains(err.Error(), "format version 7, this build reads version 8") {
-		t.Fatalf("LoadCheckpoint(v7) error = %v, want the version message", err)
+	if _, err := search.ReadPlan(path); err == nil || !strings.Contains(err.Error(), "not a directory") {
+		t.Fatalf("ReadPlan(v8 file) error = %v, want it refused as no directory", err)
 	}
-	// A decoded old checkpoint handed straight to Validate is refused too.
-	opts := search.Options{Fair: true, ContextBound: -1, Resume: &search.Checkpoint{Version: 7}}
-	if err := opts.Validate(); err == nil || !strings.Contains(err.Error(), "format version 7") {
-		t.Fatalf("Validate(v7 resume) error = %v, want the version message", err)
+	opts := search.Options{Fair: true, ContextBound: -1, MaxSteps: 1000, ProgramName: "fig3", CheckpointPath: path}
+	if rep := search.Explore(fig3, opts); !rep.Exhausted || !strings.Contains(rep.CheckpointError, "not a directory") {
+		t.Fatalf("a search over a v8 file: exhausted %v, checkpoint error %q", rep.Exhausted, rep.CheckpointError)
+	}
+	if data, _ := os.ReadFile(path); string(data) != v8 {
+		t.Fatalf("the v8 file was rewritten: %s", data)
 	}
 }

@@ -1,7 +1,6 @@
 package search_test
 
 import (
-	"path/filepath"
 	"reflect"
 	"strings"
 	"sync/atomic"
@@ -239,7 +238,7 @@ func TestCheckpointCarriesQuarantine(t *testing.T) {
 	opts := nondetOpts()
 	opts.ProgramName = "hidden-counter"
 
-	path := filepath.Join(t.TempDir(), "nondet.ckpt")
+	path := t.TempDir()
 	first := opts
 	first.MaxExecutions = 2
 	first.CheckpointPath = path
@@ -251,19 +250,16 @@ func TestCheckpointCarriesQuarantine(t *testing.T) {
 		t.Fatalf("first phase quarantined nothing; cannot test carry-over: %+v", rep1)
 	}
 
-	ck, err := search.LoadCheckpoint(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ck.Counters.Quarantined != rep1.Quarantined {
-		t.Fatalf("checkpoint Quarantined = %d, report %d", ck.Counters.Quarantined, rep1.Quarantined)
-	}
-	if int64(len(ck.Nondeterminism)) != rep1.Quarantined {
-		t.Fatalf("checkpoint carries %d reports, want %d", len(ck.Nondeterminism), rep1.Quarantined)
+	// The directory carries them: rerun at the same budget, the search
+	// reports them again without running anything.
+	if again := search.Explore(prog, first); again.Quarantined != rep1.Quarantined ||
+		!reflect.DeepEqual(again.Nondeterminism, rep1.Nondeterminism) {
+		t.Fatalf("the checkpoint carries %d quarantines (%d reports), the report %d",
+			again.Quarantined, len(again.Nondeterminism), rep1.Quarantined)
 	}
 
 	second := opts
-	second.Resume = ck
+	second.CheckpointPath = path
 	rep2 := search.Explore(prog, second)
 	if rep2.Quarantined < rep1.Quarantined {
 		t.Fatalf("resume lost quarantines: %d -> %d", rep1.Quarantined, rep2.Quarantined)
@@ -281,50 +277,42 @@ func TestCheckpointCarriesQuarantine(t *testing.T) {
 }
 
 // TestResumeValidationQuarantine: corrupted quarantine bookkeeping and
-// semantic conformance-option changes are rejected at resume time.
+// semantic conformance-option changes are refused at resume time.
 func TestResumeValidationQuarantine(t *testing.T) {
 	prog := hiddenCounter()
 	opts := nondetOpts()
 	opts.ProgramName = "hidden-counter"
 
-	path := filepath.Join(t.TempDir(), "nondet.ckpt")
+	path := t.TempDir()
 	first := opts
 	first.MaxExecutions = 2
 	first.CheckpointPath = path
 	if rep := search.Explore(prog, first); rep.Quarantined == 0 {
 		t.Fatalf("nothing quarantined; cannot test validation: %+v", rep)
 	}
-	ck, err := search.LoadCheckpoint(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	plan, done := records(t, path)
 
 	good := opts
-	good.Resume = ck
-	if err := good.Validate(); err != nil {
-		t.Fatalf("matching resume rejected: %v", err)
+	if err := good.Matches(plan); err != nil {
+		t.Fatalf("matching rerun refused: %v", err)
 	}
-	// Operational settings may change across a resume.
+	// Operational settings may change from run to run.
 	good.DivergenceRetries = 5
 	good.ConfirmRuns = 1
-	if err := good.Validate(); err != nil {
-		t.Fatalf("resume with different retry/confirm settings rejected: %v", err)
+	if err := good.Matches(plan); err != nil {
+		t.Fatalf("rerun with different retry/confirm settings refused: %v", err)
 	}
 
-	// Toggling conformance changes what the saved frames mean: reject.
+	// Toggling conformance changes what the recorded digests mean: refuse.
 	off := opts
-	off.Resume = ck
 	off.DisableConformance = true
-	if err := off.Validate(); err == nil {
-		t.Fatal("resume with DisableConformance toggled validated; want rejection")
+	if err := off.Matches(plan); err == nil {
+		t.Fatal("rerun with DisableConformance toggled accepted; want refusal")
 	}
 
-	// A checkpoint whose counter disagrees with its reports is corrupt.
-	bad := opts
-	corrupt := *ck
-	corrupt.Counters.Quarantined++
-	bad.Resume = &corrupt
-	if err := bad.Validate(); err == nil {
-		t.Fatal("corrupted quarantine counter validated; want rejection")
+	// A decision whose counter disagrees with its reports is corrupt.
+	done[0].Report.Quarantined++
+	if err := search.FoldCheck(opts, plan, done); err == nil {
+		t.Fatal("corrupted quarantine counter folded; want refusal")
 	}
 }

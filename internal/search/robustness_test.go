@@ -1,8 +1,8 @@
 package search_test
 
 import (
-	"path/filepath"
 	"reflect"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -235,14 +235,14 @@ func TestWedgePlusWorkerPanicTerminates(t *testing.T) {
 }
 
 // roundTrip runs opts to completion as a baseline, then reruns it with
-// a small execution budget plus a checkpoint, resumes from that
-// checkpoint with the original budget, and requires the stitched
+// a small execution budget plus a checkpoint directory, reruns it over
+// the directory with the original budget, and requires the stitched
 // report to be identical to the baseline.
 func roundTrip(t *testing.T, prog func(*engine.T), opts search.Options, splitAt int64) {
 	t.Helper()
 	baseline := search.Explore(prog, opts)
 
-	path := filepath.Join(t.TempDir(), "search.ckpt")
+	path := t.TempDir()
 	first := opts
 	first.MaxExecutions = splitAt
 	first.CheckpointPath = path
@@ -254,13 +254,8 @@ func roundTrip(t *testing.T, prog func(*engine.T), opts search.Options, splitAt 
 		t.Fatalf("checkpoint write failed: %s", rep1.CheckpointError)
 	}
 
-	ck, err := search.LoadCheckpoint(path)
-	if err != nil {
-		t.Fatalf("loading checkpoint: %v", err)
-	}
 	second := opts
 	second.CheckpointPath = path
-	second.Resume = ck
 	rep2 := search.Explore(prog, second)
 
 	if !reflect.DeepEqual(normalize(baseline), normalize(rep2)) {
@@ -310,7 +305,7 @@ func TestCheckpointResumeRoundTrip(t *testing.T) {
 // TestFrameArenaCheckpointResume: the DFS stack lives in two arenas that
 // backtracking truncates. A checkpointed search at -p 1 is one shard
 // whose rest, when the budget cuts it, is the stack as a prefix with the
-// alternatives each step has left, so a resume rebuilds the arenas from
+// alternatives each step has left, so a rerun rebuilds the arenas from
 // that prefix. The fixture's executions run past memoDepthCap (4096), where
 // frames keep their alternatives but no memo, and one thread's Choose
 // makes a frame wider than its neighbours'; the report must still be the
@@ -394,7 +389,7 @@ func cutRunningExecution(t *testing.T, arm func(*search.Options) func(), stopped
 	opts := search.Options{ContextBound: -1, MaxSteps: 10000, MaxExecutions: 30, ProgramName: "long"}
 	baseline := search.Explore(prog(0, nil), opts)
 	for _, exec := range []int{1, 12} {
-		path := filepath.Join(t.TempDir(), "search.ckpt")
+		path := t.TempDir()
 		first := opts
 		first.CheckpointPath = path
 		first.Metrics = obs.NewMetrics()
@@ -406,12 +401,8 @@ func cutRunningExecution(t *testing.T, arm func(*search.Options) func(), stopped
 		if got := first.Metrics.Executions.Load(); got != rep1.Executions {
 			t.Fatalf("cut in execution %d: Metrics counts %d executions, the report %d", exec, got, rep1.Executions)
 		}
-		ck, err := search.LoadCheckpoint(path)
-		if err != nil {
-			t.Fatalf("loading checkpoint: %v", err)
-		}
 		second := opts
-		second.Resume = ck
+		second.CheckpointPath = path
 		rep2 := search.Explore(prog(0, nil), second)
 		if !reflect.DeepEqual(normalize(baseline), normalize(rep2)) {
 			t.Fatalf("cut in execution %d: resumed report differs from uninterrupted baseline:\n%+v\nvs\n%+v",
@@ -435,7 +426,7 @@ func TestStopChannelInterrupt(t *testing.T) {
 	}
 	baseline := search.Explore(racyIncrement, opts)
 
-	path := filepath.Join(t.TempDir(), "search.ckpt")
+	path := t.TempDir()
 	stopped := make(chan struct{})
 	close(stopped) // interrupt at the very first poll
 	first := opts
@@ -446,12 +437,8 @@ func TestStopChannelInterrupt(t *testing.T) {
 		t.Fatalf("search with closed Stop did not report Interrupted: %+v", rep1)
 	}
 
-	ck, err := search.LoadCheckpoint(path)
-	if err != nil {
-		t.Fatalf("loading checkpoint: %v", err)
-	}
 	second := opts
-	second.Resume = ck
+	second.CheckpointPath = path
 	rep2 := search.Explore(racyIncrement, second)
 	if !reflect.DeepEqual(normalize(baseline), normalize(rep2)) {
 		t.Fatalf("resumed report differs from uninterrupted baseline:\n%+v\nvs\n%+v",
@@ -459,8 +446,10 @@ func TestStopChannelInterrupt(t *testing.T) {
 	}
 }
 
-// TestResumeValidation: a checkpoint is rejected when it belongs to a
-// different search or marks a completed one.
+// TestResumeValidation: a checkpoint directory refuses another search
+// than its own, naming the option that differs, and takes its own back
+// under any budget; over a finished search a rerun reports the same
+// again without running an execution.
 func TestResumeValidation(t *testing.T) {
 	opts := search.Options{
 		Fair:                   true,
@@ -471,64 +460,60 @@ func TestResumeValidation(t *testing.T) {
 		ContinueAfterViolation: true,
 		ProgramName:            "racy-increment",
 	}
-	path := filepath.Join(t.TempDir(), "search.ckpt")
+	path := t.TempDir()
 	first := opts
 	first.MaxExecutions = 10
 	first.CheckpointPath = path
 	search.Explore(racyIncrement, first)
-	ck, err := search.LoadCheckpoint(path)
-	if err != nil {
-		t.Fatal(err)
+	rec, err := search.ReadPlan(path)
+	if err != nil || rec == nil {
+		t.Fatalf("the checkpoint holds no plan: %v", err)
 	}
 
-	reject := func(name string, mutate func(o *search.Options)) {
+	reject := func(name, option string, mutate func(o *search.Options)) {
 		t.Run(name, func(t *testing.T) {
 			bad := opts
-			bad.Resume = ck
 			mutate(&bad)
-			if err := bad.Validate(); err == nil {
-				t.Fatalf("%s resume validated; want rejection", name)
+			if err := bad.Matches(rec); err == nil || !strings.Contains(err.Error(), option+" is") {
+				t.Fatalf("%s rerun: %v; want a refusal naming %s", name, err, option)
 			}
 		})
 	}
-	reject("program", func(o *search.Options) { o.ProgramName = "other" })
-	reject("seed", func(o *search.Options) { o.Seed = 99 })
-	reject("strategy", func(o *search.Options) { o.RandomWalk = false; o.PCT = true })
-	reject("parallelism", func(o *search.Options) { o.Parallelism = 4 })
-	reject("semantic-option", func(o *search.Options) { o.ContinueAfterViolation = false })
+	reject("program", "program", func(o *search.Options) { o.ProgramName = "other" })
+	reject("seed", "seed", func(o *search.Options) { o.Seed = 99 })
+	reject("strategy", "pct", func(o *search.Options) { o.RandomWalk = false; o.PCT = true })
+	reject("parallelism", "parallelism", func(o *search.Options) { o.Parallelism = 4 })
+	reject("semantic-option", "continueAfterViolation", func(o *search.Options) { o.ContinueAfterViolation = false })
 
 	good := opts
-	good.Resume = ck
-	if err := good.Validate(); err != nil {
-		t.Fatalf("matching resume rejected: %v", err)
+	if err := good.Matches(rec); err != nil {
+		t.Fatalf("matching rerun refused: %v", err)
 	}
-	// Budgets may change across a resume.
+	// Budgets may change from run to run.
 	good.MaxExecutions = 10_000
 	good.TimeLimit = time.Hour
-	if err := good.Validate(); err != nil {
-		t.Fatalf("resume with larger budget rejected: %v", err)
+	if err := good.Matches(rec); err != nil {
+		t.Fatalf("rerun with larger budget refused: %v", err)
 	}
 
-	// A terminal checkpoint (the search exhausted or stopped on a
-	// finding) must be rejected: re-running would double-count.
-	donePath := filepath.Join(t.TempDir(), "done.ckpt")
+	// A finished search (exhausted, or stopped on a finding) reruns to
+	// its report without an execution: the fold merges every record.
 	doneOpts := search.Options{
 		Fair:           true,
 		ContextBound:   -1,
 		MaxSteps:       1000,
 		ProgramName:    "fig3",
-		CheckpointPath: donePath,
+		CheckpointPath: t.TempDir(),
 	}
-	if rep := search.Explore(fig3, doneOpts); !rep.Exhausted {
+	rep := search.Explore(fig3, doneOpts)
+	if !rep.Exhausted {
 		t.Fatal("fig3 search did not exhaust")
 	}
-	doneCk, err := search.LoadCheckpoint(donePath)
-	if err != nil {
-		t.Fatal(err)
+	doneOpts.Metrics = obs.NewMetrics()
+	if again := search.Explore(fig3, doneOpts); !reflect.DeepEqual(normalize(rep), normalize(again)) {
+		t.Fatalf("a finished search rerun reports otherwise:\n%+v\nvs\n%+v", rep, again)
 	}
-	doneOpts.CheckpointPath = ""
-	doneOpts.Resume = doneCk
-	if err := doneOpts.Validate(); err == nil {
-		t.Fatal("resume of a completed (Done) checkpoint validated; want rejection")
+	if n := doneOpts.Metrics.Executions.Load(); n != 0 {
+		t.Fatalf("a finished search rerun ran %d executions", n)
 	}
 }

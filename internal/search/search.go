@@ -27,8 +27,8 @@ import (
 // Options configures a search, and is the one description of it that
 // travels: a plan, a job's ledger record, a lease grant and a worker
 // all carry Spec(), the options as JSON without the runtime-only fields
-// (json:"-": parallelism, wall-clock budget, monitor, checkpoint file,
-// resume, stop, telemetry), and OptionsHash fingerprints that.
+// (json:"-": parallelism, wall-clock budget, monitor, checkpoint
+// directory, stop, telemetry), and OptionsHash fingerprints that.
 type Options struct {
 	// Fair enables the fair scheduler (Algorithm 1).
 	Fair bool `json:"fair"`
@@ -179,25 +179,22 @@ type Options struct {
 	// execution with outcome Wedged (a finding — see Report.Wedges)
 	// instead of hanging the search forever. 0 disables it.
 	Watchdog time.Duration `json:"watchdog,omitempty"`
-	// ProgramName identifies the program under test in checkpoints;
-	// a resume whose ProgramName differs from the checkpoint's fails
-	// validation. Optional for searches that never checkpoint.
+	// ProgramName identifies the program under test in plans and
+	// checkpoint directories; rerunning a directory under another name
+	// is refused (Matches). Optional for searches that never checkpoint.
 	ProgramName string `json:"program"`
-	// CheckpointPath, when nonempty, makes the search periodically
-	// write a resumable JSON snapshot of its progress to this file
-	// (atomically: tmp + rename), and once more when it stops: its
-	// merged shards, as it then runs on the driver (checkpoint.go).
+	// CheckpointPath, when nonempty, names a directory the search
+	// records its progress in — its plan and every shard report it
+	// merges, as ledger records (checkpoint.go) — synced at every
+	// checkpoint and when it stops; the search then runs on the driver.
+	// Running the same search over the directory again resumes it:
+	// budgets (MaxExecutions, TimeLimit) and the other operational
+	// settings may change, anything else must match.
 	CheckpointPath string `json:"-"`
-	// CheckpointInterval is the minimum time between periodic
-	// checkpoint writes; 0 means 30s. The final write on stop always
-	// happens regardless of the interval.
+	// CheckpointInterval is the minimum time between checkpoints (ledger
+	// syncs; at Parallelism 1, pauses of the running shard); 0 means
+	// 30s. The stop always syncs.
 	CheckpointInterval time.Duration `json:"checkpointInterval,omitempty"`
-	// Resume restarts the search from a checkpoint previously written
-	// via CheckpointPath. The checkpoint's Meta (program name,
-	// strategy, seed, options hash, parallelism) must match these
-	// Options; budgets (MaxExecutions, TimeLimit) may differ, so an
-	// interrupted search can be resumed with a larger budget.
-	Resume *Checkpoint `json:"-"`
 	// Stop, when non-nil, is polled between executions and every 64
 	// steps inside one (engine.Config.Stop), and by the merge loop of a
 	// parallel search: closing it interrupts the search, which drops the
@@ -227,15 +224,15 @@ type Options struct {
 // search as another process runs it.
 func (o Options) Spec() Options {
 	o.Parallelism, o.TimeLimit, o.CheckpointPath = 0, 0, ""
-	o.Monitor, o.Resume, o.Stop, o.Metrics, o.EventSink = nil, nil, nil, nil, nil
+	o.Monitor, o.Stop, o.Metrics, o.EventSink = nil, nil, nil, nil
 	return o
 }
 
 // Counters are the additive statistics of a search: everything a
 // merge sums (MaxDepth: maximizes). They are embedded in Report, so
 // rep.Executions and friends read as before; keeping them in one struct
-// is what lets the sequential loop, the shard merge and the checkpoint
-// each say "all the counters" once.
+// is what lets the sequential loop and the shard merge each say "all
+// the counters" once.
 type Counters struct {
 	// Executions is the number of executions explored.
 	Executions int64
@@ -386,9 +383,23 @@ type Report struct {
 	// only on single-unit reports (RunShard with Shard.Unit); merged
 	// reports never carry it.
 	Dpor *DporResult `json:",omitempty"`
-	// Elapsed is the wall-clock search time; a resumed search
-	// accumulates the checkpointed elapsed time.
+	// Rest names, on the report of a serial plan's shard that stopped
+	// early after running anything (paused for a checkpoint, or cut), the
+	// shard for what it left: the merge splices it into the plan after
+	// the shard, as it appends a DPOR unit's children. Merged reports
+	// never carry one.
+	Rest *Shard `json:",omitempty"`
+	// Elapsed is the wall-clock search time; a resumed search adds the
+	// time its recorded runs spent.
 	Elapsed time.Duration
+}
+
+// cut reports whether r stopped short of its shard: cancelled, out of
+// time or, for a subtree (whose budget is the search's), out of
+// executions. A finished range is ExecBounded by construction: its
+// budget is its Hi.
+func (r *Report) cut(ranged bool) bool {
+	return r.TimedOut || r.Interrupted || (r.ExecBounded && !ranged)
 }
 
 // frame is one decision on the DFS stack. Its alternatives and their
@@ -602,28 +613,28 @@ func newSearcher(prog func(*engine.T), opts *Options, sh Shard, pool *engine.Poo
 	return s
 }
 
-// runSerial runs a shard's searcher for the local driver at Parallelism
-// 1 (see exploreSharded) until the shard is done or stops early: paused
-// by due between two executions, or cut by the deadline, Stop or (a
-// subtree) the search's budget. Having run anything, it then also
-// returns rest, the shard for what is left, and the searcher goes on as
-// that shard, its prefix memo intact; the report counts as exhausted
-// unless it quarantined, since rest covers the remainder.
-func (s *searcher) runSerial() (*Report, *Shard) {
+// runSerial runs a shard's searcher for the local driver's serial plan
+// (see exploreSharded) until the shard is done or stops early: paused by
+// due between two executions, or cut by the deadline, Stop or (a
+// subtree) the search's budget. Having run anything, it then names in
+// the report's Rest the shard for what is left, and the searcher goes on
+// as that shard, its prefix memo intact; the report counts as exhausted
+// unless it quarantined, since the rest covers the remainder.
+func (s *searcher) runSerial() *Report {
 	s.run()
 	r := s.report
 	ranged := s.opts.random() // a range's Hi is its own budget, not a cut
-	early := s.paused || r.TimedOut || r.Interrupted || (r.ExecBounded && !ranged)
-	if !early || r.Executions+r.Quarantined == 0 {
-		return &r, nil
+	if !(s.paused || r.cut(ranged)) || r.Executions+r.Quarantined == 0 {
+		return &r
 	}
 	r.Exhausted = r.Quarantined == 0
 	s.execBase += r.Executions
 	s.report, s.paused = Report{}, false
-	if ranged {
-		return &r, &Shard{Lo: s.execBase + 1, Hi: s.execLimit}
+	r.Rest = &Shard{Lo: s.execBase + 1, Hi: s.execLimit}
+	if !ranged {
+		r.Rest.Hi, r.Rest.Prefix = 0, s.rest()
 	}
-	return &r, &Shard{Lo: s.execBase + 1, Prefix: s.rest()}
+	return &r
 }
 
 // rest is the searcher's position when it stopped between executions,
@@ -1085,7 +1096,7 @@ func (s *searcher) Choose(ctx *engine.ChooseContext) (engine.Alt, bool) {
 		return alt, true
 	}
 
-	// Frontier: compute the admissible alternatives under the
+	// A fresh choice point: compute the admissible alternatives under the
 	// preemption budget and push a new choice point. ctx.Cands is the
 	// engine's reused buffer, so what the frame keeps is copied — into
 	// the arenas, at the frame's region. The conformance digest is taken

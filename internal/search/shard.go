@@ -57,7 +57,7 @@ type Shard struct {
 	Index int `json:"index"`
 	// Lo and Hi bound the execution-index range (random strategies).
 	// A prefix shard has no Hi, and a Lo, the global index of its first
-	// execution, only when the local driver spliced it in (exploreSharded).
+	// execution, only in a serial plan (Plan.Serial).
 	Lo int64 `json:"lo,omitempty"`
 	Hi int64 `json:"hi,omitempty"`
 	// Prefix is the frontier prefix (systematic strategies).
@@ -78,9 +78,31 @@ func (sh *Shard) kind() string {
 	}
 }
 
+// SavedPrefix is one frontier prefix of a systematic search's plan.
+type SavedPrefix struct {
+	Sched []engine.Alt        `json:"sched"`
+	Digs  []engine.StepDigest `json:"digs,omitempty"`
+	Leaf  bool                `json:"leaf,omitempty"`
+	// Later lists, for the rest of a shard a serial plan's searcher paused
+	// in (see runSerial), the alternatives its steps have yet to explore
+	// after the ones Sched takes, by step in increasing order: the shard
+	// covers their subtrees too, in the order the paused DFS would have
+	// taken them.
+	Later []LaterAlts `json:"later,omitempty"`
+}
+
+// LaterAlts are the alternatives step Step of a prefix shard explores
+// after the one its Sched takes, with their pending ops when the prefix
+// has a digest for that step.
+type LaterAlts struct {
+	Step int             `json:"step"`
+	Alts []engine.Alt    `json:"alts"`
+	Ops  []engine.OpInfo `json:"ops,omitempty"`
+}
+
 // Plan is the full, ordered shard list for one search. It is
-// JSON-serializable so the jobs service can record it in its ledger and
-// a coordinator can hand shards to remote workers.
+// JSON-serializable so the jobs service and a checkpoint directory can
+// record it and a coordinator can hand shards to remote workers.
 type Plan struct {
 	// Strategy is the canonical strategy name (StrategyName).
 	Strategy string `json:"strategy"`
@@ -93,12 +115,14 @@ type Plan struct {
 	// options and refuse to run a plan that does not match.
 	OptionsHash uint64  `json:"optionsHash"`
 	Shards      []Shard `json:"shards"`
-	// base is the plan index of Shards[0] (nonzero in a restored merger).
-	base int
+	// Serial marks the local driver's plan at Parallelism 1, other than
+	// DPOR's: its shards run one at a time in the merge loop, each
+	// numbering its executions on from the merged ones, and one that
+	// stops early after running anything — paused for a checkpoint, or
+	// cut — merges what it ran, its report naming the shard for the rest
+	// of it (Report.Rest), which the merge splices in after it.
+	Serial bool `json:"serial,omitempty"`
 }
-
-// end is the plan index one past the plan's last shard.
-func (p *Plan) end() int { return p.base + len(p.Shards) }
 
 // PlanShards splits the search defined by opts into distributable
 // shards. refParallelism picks which local parallel run the plan (and
@@ -115,7 +139,6 @@ func PlanShards(prog func(*engine.T), opts Options, refParallelism int) (*Plan, 
 	}
 	opts.Parallelism = 1
 	opts.Stop = nil
-	opts.Resume = nil
 	opts.CheckpointPath = ""
 	if err := opts.Validate(); err != nil {
 		return nil, err
@@ -123,16 +146,19 @@ func PlanShards(prog func(*engine.T), opts Options, refParallelism int) (*Plan, 
 	if opts.random() && opts.MaxExecutions <= 0 {
 		return nil, errors.New("search: a distributed random/pct search needs MaxExecutions (a wall-clock budget cannot be sharded deterministically)")
 	}
-	return planShards(prog, &opts, refParallelism), nil
+	return planShards(prog, &opts, refParallelism, false), nil
 }
 
 // planShards is PlanShards on validated single-shard options
-// (Parallelism 1, no checkpoint, no Stop).
-func planShards(prog func(*engine.T), opts *Options, refParallelism int) *Plan {
+// (Parallelism 1, no checkpoint, no Stop). A serial plan's systematic
+// search is one shard, the whole tree: its searcher is the sequential
+// one, split only where it pauses.
+func planShards(prog func(*engine.T), opts *Options, refParallelism int, serial bool) *Plan {
 	plan := &Plan{
 		Strategy:       strategyOf(opts),
 		RefParallelism: refParallelism,
 		OptionsHash:    OptionsHash(opts),
+		Serial:         serial,
 	}
 	switch {
 	case opts.DPOR:
@@ -143,6 +169,8 @@ func planShards(prog func(*engine.T), opts *Options, refParallelism int) *Plan {
 		plan.Shards = []Shard{{Unit: &por.Unit{}}}
 	case opts.random():
 		plan.growRanges(opts.MaxExecutions, 0, 0)
+	case serial:
+		plan.Shards = []Shard{{Prefix: &SavedPrefix{}}}
 	default:
 		for i, pfx := range splitFrontier(prog, opts, planTargetFactor*refParallelism) {
 			plan.Shards = append(plan.Shards, Shard{Index: i, Prefix: pfx})
@@ -165,15 +193,15 @@ func (p *Plan) growRanges(limit int64, merged int, covered int64) {
 		n := target * ((chunk + rangeMax - 1) / rangeMax)
 		chunk = (limit + n - 1) / n
 	}
-	if p.end() > merged {
+	if len(p.Shards) > merged {
 		covered = p.Shards[len(p.Shards)-1].Hi
 	}
-	for (limit <= 0 || covered < limit) && int64(p.end()-merged) < target {
+	for (limit <= 0 || covered < limit) && int64(len(p.Shards)-merged) < target {
 		hi := covered + chunk
 		if limit > 0 && hi > limit {
 			hi = limit
 		}
-		p.Shards = append(p.Shards, Shard{Index: p.end(), Lo: covered + 1, Hi: hi})
+		p.Shards = append(p.Shards, Shard{Index: len(p.Shards), Lo: covered + 1, Hi: hi})
 		covered = hi
 	}
 }
@@ -229,8 +257,7 @@ func RunShardOn(pool *engine.Pool, prog func(*engine.T), opts Options, sh Shard,
 	opts.TimeLimit = 0
 	opts.ConfirmRuns = 0 // the coordinator confirms the merged findings
 	opts.Stop = stop
-	opts.CheckpointPath = "" // a shard's owner checkpoints the merge
-	opts.Resume = nil
+	opts.CheckpointPath = "" // a shard's owner records the merge
 	if err := opts.Validate(); err != nil {
 		// Internal misuse; fail loudly.
 		panic(fmt.Sprintf("search: RunShard: %v", err))
@@ -241,10 +268,10 @@ func RunShardOn(pool *engine.Pool, prog func(*engine.T), opts Options, sh Shard,
 // ShardMerger folds shard reports into one merged report in plan
 // order, applying the classify/stop semantics of the sequential search
 // at shard granularity, and grows the plan where the search's shape is
-// only discovered by running it (DPOR units, open-ended random walks).
-// Everything after a stop is discarded, so the merged report is
-// independent of worker timing. It is not safe for concurrent use; the
-// caller serializes Offer calls.
+// only discovered by running it (DPOR units, open-ended random walks,
+// the rests of a serial plan's paused shards). Everything after a stop
+// is discarded, so the merged report is independent of worker timing.
+// It is not safe for concurrent use; the caller serializes Offer calls.
 type ShardMerger struct {
 	opts    Options
 	plan    *Plan
@@ -258,25 +285,22 @@ type ShardMerger struct {
 	stopped      bool
 	done         bool // the stop is terminal (a finding), not a budget cut
 
-	// serial marks the local driver's merge at Parallelism 1, whose
-	// shards ran one at a time, each numbering its executions on from the
-	// merged ones: a subtree that stopped early after running anything —
-	// paused for a checkpoint, or cut — is consumed with what it ran, and
-	// a shard for the rest of it is spliced in after it (splice).
+	// serial is the plan's (Plan.Serial): a subtree that stopped early
+	// after running anything is consumed with what it ran, and the shard
+	// its report names for the rest of it is spliced in after it.
 	serial bool
 
 	// DPOR: seen holds the path of every spawned unit and every prefix of
 	// every consumed unit's full path — the Mazurkiewicz-trace dedup set
-	// that keeps reversals from re-spawning explored subtrees; its leaves
-	// are its checkpointable form. A spawned child is appended to the
-	// plan: no owner offers reports over a plan that already grew — the
-	// local driver plans afresh, a checkpoint resume restores only the
-	// unmerged rest, and a jobs restart re-offers decided reports over
-	// the recorded root plan (dist.Prior), which regrows the same way.
+	// that keeps reversals from re-spawning explored subtrees. A spawned
+	// child is appended to the plan: no owner offers reports over a plan
+	// that already grew — every owner starts from the plan as planned, and
+	// a resumed one folds its recorded decisions over it (Fold), which
+	// regrows it the same way.
 	//
 	// Offer empties a unit once it is merged (slot and kind stay). No
-	// owner reads it again: the local driver and a checkpoint hold only
-	// unmerged shards, and a coordinator leases only undecided ones.
+	// owner reads it again: the driver and a coordinator hand out only
+	// unmerged shards.
 	seen pathTrie
 }
 
@@ -289,6 +313,7 @@ func NewShardMerger(opts Options, plan *Plan) *ShardMerger {
 		rep:          &Report{},
 		pending:      make(map[int]*Report),
 		allExhausted: true,
+		serial:       plan.Serial,
 	}
 	if opts.DPOR {
 		m.seen = pathTrie{{}} // the root unit's (empty) path
@@ -296,54 +321,15 @@ func NewShardMerger(opts Options, plan *Plan) *ShardMerger {
 	return m
 }
 
-// restore re-seeds a fresh merger (over an empty plan) from a
-// checkpoint: the merged report so far and the unmerged rest of the
-// plan, at its original indices (the merged shards are not held, so
-// what a resume allocates is bounded by the checkpoint's size). Range
-// shards are not stored — they are re-planned from the first index the
-// checkpoint does not cover, against the resumed search's own budget.
-func (m *ShardMerger) restore(ck *Checkpoint) {
-	*m.rep = ck.report()
-	f := ck.Frontier
-	m.plan.Shards = append([]Shard(nil), f.Shards...)
-	m.plan.base = f.Merged
-	m.next = f.Merged
-	m.allExhausted = f.AllExhausted
-	for _, tr := range f.Traces {
-		m.seen.addPath(tr.Path)
-	}
-	for _, sh := range f.Shards {
-		if sh.Unit != nil {
-			m.seen.addPath(sh.Unit.Path)
-		}
-	}
-	m.growRanges()
-}
-
-// splice inserts rest, the shard that covers what a serial run of the
-// next shard to merge left unexplored, right after it, and renumbers the
-// shards after it.
+// splice inserts rest, the shard for what a serial run of the shard
+// being merged left unexplored, right after it, and renumbers the shards
+// after it.
 func (m *ShardMerger) splice(rest *Shard) {
-	if rest == nil {
-		return
-	}
-	i := m.next - m.plan.base + 1
+	i := m.next + 1
 	m.plan.Shards = slices.Insert(m.plan.Shards, i, *rest)
 	for k := i; k < len(m.plan.Shards); k++ {
-		m.plan.Shards[k].Index = m.plan.base + k
+		m.plan.Shards[k].Index = k
 	}
-}
-
-// frontier is the merger's checkpointable position (see restore).
-func (m *ShardMerger) frontier() *Frontier {
-	f := &Frontier{Merged: m.next, AllExhausted: m.allExhausted}
-	if !m.opts.random() {
-		f.Shards = m.plan.Shards[m.next-m.plan.base:]
-	}
-	if m.opts.DPOR {
-		f.Traces = m.seen.leaves(0, nil, nil)
-	}
-	return f
 }
 
 // growRanges keeps a random search's plan ahead of the merge. Every
@@ -361,15 +347,15 @@ func (m *ShardMerger) growRanges() {
 // its turn comes. Offers at or past a stop, and duplicate offers, are
 // ignored.
 func (m *ShardMerger) Offer(idx int, r *Report) {
-	if m.stopped || idx < m.next || idx >= m.plan.end() {
+	if m.stopped || idx < m.next || idx >= len(m.plan.Shards) {
 		return
 	}
 	if _, dup := m.pending[idx]; dup {
 		return
 	}
 	m.pending[idx] = r
-	for !m.stopped && m.next < m.plan.end() {
-		sh := &m.plan.Shards[m.next-m.plan.base]
+	for !m.stopped && m.next < len(m.plan.Shards) {
+		sh := &m.plan.Shards[m.next]
 		if sh.Hi == 0 && m.opts.MaxExecutions > 0 && m.rep.Executions >= m.opts.MaxExecutions {
 			// The pre-execution budget check of the sequential loop, at
 			// shard granularity. (Range shards carry the budget in their
@@ -390,6 +376,9 @@ func (m *ShardMerger) Offer(idx int, r *Report) {
 			m.spawn(sh.Unit, r)
 			*sh.Unit = por.Unit{} // merged: release the schedule (see ShardMerger)
 		}
+		if r != nil && r.Rest != nil {
+			m.splice(r.Rest)
+		}
 		m.next++
 		m.growRanges()
 	}
@@ -402,7 +391,7 @@ func (m *ShardMerger) Offer(idx int, r *Report) {
 // resumably: a subtree's or unit's partial coverage is discarded so a
 // resume re-explores it in full (a serial subtree's is kept, see
 // serial), while a range's completed executions are kept and the range
-// is not consumed (a resume re-plans from the first index not yet run).
+// is not consumed.
 //
 // r == nil records a shard abandoned after repeated worker crashes: the
 // coverage loss is explicit (Skipped) and the tree can no longer be
@@ -417,8 +406,7 @@ func (m *ShardMerger) merge(sh *Shard, r *Report) bool {
 		m.allExhausted = false
 		return true
 	}
-	// A finished range is ExecBounded by construction (its budget is Hi).
-	cut := r.TimedOut || r.Interrupted || (r.ExecBounded && !ranged)
+	cut := r.cut(ranged)
 	if cut {
 		rep.TimedOut = rep.TimedOut || r.TimedOut
 		rep.Interrupted = rep.Interrupted || r.Interrupted
@@ -476,13 +464,13 @@ func (m *ShardMerger) Horizon() int {
 	if m.stopped {
 		return m.next
 	}
-	return m.plan.end()
+	return len(m.plan.Shards)
 }
 
 // Done reports that the merge is complete: every shard consumed, or a
 // terminal stop reached.
 func (m *ShardMerger) Done() bool {
-	return m.stopped || m.next == m.plan.end()
+	return m.stopped || m.next == len(m.plan.Shards)
 }
 
 // Finish seals the merge and returns the final report, applying the
@@ -490,7 +478,7 @@ func (m *ShardMerger) Done() bool {
 // any order) become the report's WorkerFailures, sorted by (Unit,
 // Attempt) so the report is deterministic regardless of worker timing.
 func (m *ShardMerger) Finish(elapsed time.Duration, failures []WorkerFailure) *Report {
-	complete := !m.stopped && m.next == m.plan.end()
+	complete := !m.stopped && m.next == len(m.plan.Shards)
 	if m.opts.random() {
 		// Every index in [1, MaxExecutions] has been merged (or
 		// explicitly skipped): the execution budget is spent.

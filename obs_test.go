@@ -2,7 +2,6 @@ package fairmc_test
 
 import (
 	"bytes"
-	"path/filepath"
 	"testing"
 
 	"fairmc"
@@ -108,7 +107,7 @@ func TestRunReportSurvivesResume(t *testing.T) {
 	}
 	want := encodeReport(t, baseline, "racy-increment", opts)
 
-	path := filepath.Join(t.TempDir(), "search.ckpt")
+	path := t.TempDir()
 	first := opts
 	first.MaxExecutions = 150
 	first.CheckpointPath = path
@@ -116,16 +115,11 @@ func TestRunReportSurvivesResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rep1.ExecBounded {
-		t.Fatalf("first phase did not stop on the execution budget: %+v", rep1.Report)
-	}
-	ck, err := fairmc.LoadCheckpoint(path)
-	if err != nil {
-		t.Fatalf("loading checkpoint: %v", err)
+	if !rep1.ExecBounded || rep1.CheckpointError != "" {
+		t.Fatalf("first phase did not stop on the execution budget with its checkpoint: %+v", rep1.Report)
 	}
 	second := opts
 	second.CheckpointPath = path
-	second.Resume = ck
 	resumed, err := fairmc.Check(racyConc, second)
 	if err != nil {
 		t.Fatal(err)
