@@ -22,8 +22,8 @@ workdir=$(mktemp -d)
 trap 'rm -rf "$workdir"' EXIT
 
 go test -race -count=1 \
-    -run 'TestDistChaos|TestDistSpoolReplay|TestDistDuplicateResultPost|TestDistLateResultAfterRequeue|TestDistStaleWorkerID|TestDistHeartbeatMetricsDedup|TestDistLoadShedding' \
-    ./internal/dist/
+    -run 'TestDistChaos|TestDistSpoolReplay|TestDistDuplicateResultPost|TestDistLateResultAfterRequeue|TestDistStaleWorkerID|TestDistStaleLease|TestDistHeartbeatMetricsDedup|TestDistLoadShedding' \
+    ./internal/dist/ ./internal/dist/jobs/
 
 go build -race -o "$workdir/fairmc" ./cmd/fairmc
 fairmc="$workdir/fairmc"

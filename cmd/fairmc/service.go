@@ -85,6 +85,19 @@ func adopt(s *jobs.Server, req jobs.SubmitRequest) (string, error) {
 	return ids[0], nil
 }
 
+// serveSetup is what serve's flags describe: the service's
+// configuration and, with -prog, the search that is its one job.
+type serveSetup struct {
+	addr   string
+	cfg    jobs.Config
+	ledger string // -ledger as given; cfg.Dir may become a scratch directory
+	live   liveConfig
+	out    outputConfig
+	opts   fairmc.Options     // with -prog: the one job ...
+	req    jobs.SubmitRequest // ... as it is submitted
+	oneJob bool
+}
+
 // serve serves the jobs service until the first SIGINT/SIGTERM
 // (unfinished jobs stay resumable in the ledger) or, given -prog, until
 // that search — its one job — is over; then it reports it through
@@ -93,58 +106,74 @@ func adopt(s *jobs.Server, req jobs.SubmitRequest) (string, error) {
 // granted work have come back and been told that the service is done.
 // Without -ledger the service gets a temporary one, removed on exit.
 func (c *cli) serve(args []string) int {
-	var (
-		addr string
-		cfg  jobs.Config
-		live liveConfig
-		opts fairmc.Options // with -prog: the one job
-		out  outputConfig
-	)
+	st, status, stop := c.serveFlags(args)
+	if stop {
+		return status
+	}
+	return c.runService(st)
+}
+
+// serveFlags parses serve's flags into the service's configuration;
+// stop reports that serve ends here, with status.
+func (c *cli) serveFlags(args []string) (st *serveSetup, status int, stop bool) {
+	st = &serveSetup{}
+	cfg := &st.cfg
 	fs := c.flagSet("serve", "")
-	fs.StringVar(&addr, "addr", "", "listen on this address (e.g. 127.0.0.1:7171)")
+	fs.StringVar(&st.addr, "addr", "", "listen on this address (e.g. 127.0.0.1:7171)")
 	fs.StringVar(&cfg.Dir, "ledger", "", "service ledger directory: submissions, shard decisions and reports are committed here, so a killed service resumes when restarted over it; without it a serve -prog run keeps its ledger in a temporary directory (docs/SERVICE.md)")
 	fs.IntVar(&cfg.MaxJobs, "max-jobs", 0, "admission bound on queued+running jobs; excess submissions get 429; 0 = default")
 	fs.IntVar(&cfg.MaxActive, "max-active", 0, "how many jobs explore concurrently; 0 = default")
-	fs.DurationVar(&cfg.Coordinator.LeaseTTL, "lease-ttl", dist.DefaultLeaseTTL, "shard lease duration; a worker silent this long loses its shard")
+	fs.DurationVar(&cfg.LeaseTTL, "lease-ttl", dist.DefaultLeaseTTL, "shard lease duration; a worker silent this long loses its shard")
 	chaos := chaosFlags(fs, new(uint64), "the job protocol served")
-	liveFlags(fs, &live)
-	finish := searchFlags(fs, &opts)
-	outputFlags(fs, &out)
+	liveFlags(fs, &st.live)
+	finish := searchFlags(fs, &st.opts)
+	outputFlags(fs, &st.out)
 	if status, stop := c.parseFlags(fs, args, 0, "addr"); stop {
-		return status
+		return nil, status, true
 	}
 	finish()
-	oneJob, ledger := opts.ProgramName != "", cfg.Dir
-	if !oneJob && ledger == "" {
-		return c.usageError("fairmc serve needs -prog (run that search as the service's one job) or -ledger DIR (serve submitted jobs)")
+	st.oneJob, st.ledger = st.opts.ProgramName != "", cfg.Dir
+	if !st.oneJob && st.ledger == "" {
+		return nil, c.usageError("fairmc serve needs -prog (run that search as the service's one job) or -ledger DIR (serve submitted jobs)"), true
 	}
 	var err error
-	if cfg.Coordinator.Chaos, err = chaos(); err != nil {
-		return c.usageError(err)
+	if cfg.Chaos, err = chaos(); err != nil {
+		return nil, c.usageError(err), true
 	}
 	if c.parseOnly {
-		return fairmc.ExitOK
+		return nil, fairmc.ExitOK, true
 	}
-
-	var req jobs.SubmitRequest
-	if oneJob {
-		if req, err = jobRequest(opts); err != nil {
-			return c.usageError(err)
+	if st.oneJob {
+		if st.req, err = jobRequest(st.opts); err != nil {
+			return nil, c.usageError(err), true
 		}
 	}
-	var cleanup func()
-	if cfg.Dir, cleanup, err = scratchDir(ledger, "fairmc-serve-"); err != nil {
+	// Worker heartbeat deltas merge into this registry; it is served at
+	// /metrics and read by -progress like a local run's.
+	cfg.Lookup, cfg.Metrics = progLookup, fairmc.NewMetrics()
+	if cfg.Chaos != nil {
+		cfg.Chaos.OnFault = func(string) { cfg.Metrics.DistFaultsInjected.Inc() }
+	}
+	cfg.Logf = func(format string, args ...any) {
+		fmt.Fprintf(c.stderr, format+"\n", args...)
+	}
+	return st, 0, false
+}
+
+// runService runs the service st describes: its one job to the end, or
+// whatever is submitted until a signal.
+func (c *cli) runService(st *serveSetup) int {
+	cfg := st.cfg
+	var (
+		cleanup func()
+		err     error
+	)
+	if cfg.Dir, cleanup, err = scratchDir(st.ledger, "fairmc-serve-"); err != nil {
 		return c.usageError(err)
 	}
 	defer cleanup()
-	// Worker heartbeat deltas merge into this registry; it is served at
-	// /metrics and read by -progress like a local run's.
-	metrics := fairmc.NewMetrics()
-	if chaos := cfg.Coordinator.Chaos; chaos != nil {
-		chaos.OnFault = func(string) { metrics.DistFaultsInjected.Inc() }
-	}
-	if live.eventsOut != "" {
-		events, err := os.Create(live.eventsOut)
+	if st.live.eventsOut != "" {
+		events, err := os.Create(st.live.eventsOut)
 		if err != nil {
 			return c.usageError(err)
 		}
@@ -153,15 +182,11 @@ func (c *cli) serve(args []string) int {
 				fmt.Fprintf(c.stderr, "event stream: %v\n", cerr)
 			}
 		}()
-		cfg.Coordinator.EventWriter = events
+		cfg.EventWriter = events
 	}
-	ln, err := net.Listen("tcp", addr)
+	ln, err := net.Listen("tcp", st.addr)
 	if err != nil {
 		return c.usageError(err)
-	}
-	cfg.Lookup, cfg.Metrics = progLookup, metrics
-	cfg.Logf = func(format string, args ...any) {
-		fmt.Fprintf(c.stderr, format+"\n", args...)
 	}
 	s, err := jobs.New(cfg)
 	if err != nil {
@@ -174,14 +199,14 @@ func (c *cli) serve(args []string) int {
 		status   jobs.JobStatus
 		rep      *fairmc.Report
 	)
-	if oneJob {
-		id, err := adopt(s, req)
+	if st.oneJob {
+		id, err := adopt(s, st.req)
 		if err != nil {
 			s.Close()
 			ln.Close()
 			return c.usageError(err)
 		}
-		fmt.Fprintf(c.stderr, "service: %s is job %s (report mirrors -p %d)\n", req.Spec.ProgramName, id, req.RefParallelism)
+		fmt.Fprintf(c.stderr, "service: %s is job %s (report mirrors -p %d)\n", st.req.Spec.ProgramName, id, st.req.RefParallelism)
 		go func() {
 			status, rep = s.Wait(id)
 			close(finished)
@@ -194,8 +219,8 @@ func (c *cli) serve(args []string) int {
 	stop, release := stopOnSignal()
 	defer release()
 	stopProgress := func() {}
-	if live.progress {
-		stopProgress = c.startProgress(metrics)
+	if st.live.progress {
+		stopProgress = c.startProgress(cfg.Metrics)
 	}
 	var serveFailed bool
 	select {
@@ -219,7 +244,7 @@ func (c *cli) serve(args []string) int {
 	switch {
 	case serveFailed:
 		return exitFailed
-	case !oneJob:
+	case !st.oneJob:
 		return fairmc.ExitOK
 	}
 	<-finished // Close ended the job's incarnation, so Wait has returned
@@ -229,11 +254,12 @@ func (c *cli) serve(args []string) int {
 		}
 		rep = &fairmc.Report{Interrupted: true} // closed before the job ran
 	}
+	out := st.out
 	out.interruptHint = "no -ledger set; progress lost"
-	if ledger != "" {
-		out.interruptHint = fmt.Sprintf("rerun with -ledger %s to resume", ledger)
+	if st.ledger != "" {
+		out.interruptHint = fmt.Sprintf("rerun with -ledger %s to resume", st.ledger)
 	}
-	return c.finishSearch(fairmc.ResultFromReport(rep), req.Spec.ProgramName, opts, start, out)
+	return c.finishSearch(fairmc.ResultFromReport(rep), st.req.Spec.ProgramName, st.opts, start, out)
 }
 
 // worker serves a jobs service with this process until SIGINT/SIGTERM

@@ -2,6 +2,7 @@ package dist_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"net/http"
@@ -13,6 +14,7 @@ import (
 	"time"
 
 	"fairmc/internal/dist"
+	"fairmc/internal/dist/jobs"
 	"fairmc/internal/dist/transport"
 	"fairmc/internal/faultinject"
 	"fairmc/internal/obs"
@@ -41,15 +43,12 @@ func TestDistChaosByteIdentical(t *testing.T) {
 		Fair: true, ContextBound: -1, MaxSteps: 10000,
 		ContinueAfterViolation: true, ConfirmRuns: 2,
 	}
-	coord, srv := startCoordinator(t, dist.CoordinatorConfig{
-		Prog:           racyIncrement,
-		Options:        named("racy", opts),
-		RefParallelism: 2,
-		LeaseTTL:       500 * time.Millisecond,
+	s := startJob(t, jobs.Config{
+		LeaseTTL: 500 * time.Millisecond,
 		// Chaos causes benign lease expiries; don't let them exhaust the
 		// shard attempt budget.
 		MaxShardAttempts: 10,
-	})
+	}, "racy", opts)
 
 	const workers = 3
 	scenario := faultinject.MustLookup(faultinject.ScenarioStandard)
@@ -72,7 +71,7 @@ func TestDistChaosByteIdentical(t *testing.T) {
 		go func(i int, stop chan struct{}) {
 			defer wg.Done()
 			errs[i] = dist.RunWorker(dist.WorkerConfig{
-				URL:         srv.URL,
+				URL:         s.url,
 				Lookup:      lookup,
 				WorkDir:     t.TempDir(),
 				Metrics:     m,
@@ -84,7 +83,8 @@ func TestDistChaosByteIdentical(t *testing.T) {
 		}(i, stop)
 	}
 	time.AfterFunc(150*time.Millisecond, func() { close(kill) })
-	got := coord.Wait()
+	got := s.report(t)
+	s.Close()
 	wg.Wait()
 	for i, err := range errs {
 		if err != nil {
@@ -177,37 +177,34 @@ func postJSONKey(t *testing.T, url, key string, in, out any) []byte {
 // merged report unchanged.
 func TestDistDuplicateResultPost(t *testing.T) {
 	opts := search.Options{Fair: true, ContextBound: -1, MaxSteps: 10000}
-	coord, srv := startCoordinator(t, dist.CoordinatorConfig{
-		Prog: fig3, Options: named("fig3", opts), RefParallelism: 2,
-	})
+	s := startJob(t, jobs.Config{}, "fig3", opts)
 
-	lr := leaseWork(t, srv.URL, "by-hand")
+	lr := s.leaseWork(t, "by-hand")
 	rep := search.RunShard(fig3, opts, lr.Shard, nil)
 	req := oneResult("by-hand", lr, rep)
 	key := "res-test-dup"
 
 	var first dist.ResultResponse
-	firstBytes := postJSONKey(t, srv.URL+dist.PathResult, key, req, &first)
+	firstBytes := postJSONKey(t, s.job+dist.PathResult, key, req, &first)
 	if !first.Accepted[0] {
 		t.Fatal("first result not accepted")
 	}
 	// Retried submission with the same key: the exact original
 	// acknowledgement is replayed, the shard is not re-processed.
 	var second dist.ResultResponse
-	secondBytes := postJSONKey(t, srv.URL+dist.PathResult, key, req, &second)
+	secondBytes := postJSONKey(t, s.job+dist.PathResult, key, req, &second)
 	if !bytes.Equal(firstBytes, secondBytes) {
 		t.Fatalf("idempotent replay differs:\n%s\nvs\n%s", firstBytes, secondBytes)
 	}
 	// A keyless duplicate (e.g. from a worker running an older build)
 	// hits the late-result path: rejected, not merged twice.
 	var third dist.ResultResponse
-	postJSONKey(t, srv.URL+dist.PathResult, "", req, &third)
+	postJSONKey(t, s.job+dist.PathResult, "", req, &third)
 	if third.Accepted[0] {
 		t.Fatal("keyless duplicate of a decided shard was accepted")
 	}
 
-	runWorkers(t, srv.URL, 1)
-	got := coord.Wait()
+	got := s.finish(t, 1)
 	ref := opts
 	ref.Parallelism = 2
 	want := search.Explore(fig3, ref)
@@ -221,26 +218,38 @@ func TestDistDuplicateResultPost(t *testing.T) {
 // result arrives — it must be rejected and the report unchanged.
 func TestDistLateResultAfterRequeue(t *testing.T) {
 	opts := search.Options{Fair: true, ContextBound: -1, MaxSteps: 10000}
-	coord, srv := startCoordinator(t, dist.CoordinatorConfig{
-		Prog: fig3, Options: named("fig3", opts), RefParallelism: 2,
-		LeaseTTL: 300 * time.Millisecond,
-	})
+	m := &obs.Metrics{}
+	s := startJob(t, jobs.Config{LeaseTTL: 300 * time.Millisecond, Metrics: m}, "fig3", opts)
 
 	// Doomed worker leases a shard and goes silent.
-	lr := leaseWork(t, srv.URL, "doomed")
+	lr := s.leaseWork(t, "doomed")
 	lateRep := search.RunShard(fig3, opts, lr.Shard, nil)
 
-	// A healthy worker completes the whole search (the lease expires
-	// and the shard requeues to it).
-	runWorkers(t, srv.URL, 1)
-	got := coord.Wait()
+	// Its lease expires and the shard requeues; a healthy worker, by
+	// hand, leases on until it is granted that shard and completes it —
+	// while the job still has shards to run.
+	for m.Snapshot().WorkerRetries == 0 {
+		time.Sleep(10 * time.Millisecond)
+	}
+	for {
+		g := s.leaseWork(t, "healthy")
+		var rr dist.ResultResponse
+		postJSON(t, s.job+dist.PathResult, oneResult("healthy", g, search.RunShard(fig3, opts, g.Shard, nil)), &rr)
+		if g.Shard.Index == lr.Shard.Index {
+			break
+		}
+	}
+	if st := s.status(t); st.State != jobs.StateRunning {
+		t.Fatalf("job %s after the requeued shard completed: %+v, want running (the fixture changed)", s.id, st)
+	}
 
 	// The doomed worker finally posts its result: too late.
 	var rr dist.ResultResponse
-	postJSON(t, srv.URL+dist.PathResult, oneResult("doomed", lr, lateRep), &rr)
+	postJSON(t, s.job+dist.PathResult, oneResult("doomed", lr, lateRep), &rr)
 	if rr.Accepted[0] {
 		t.Fatal("late result accepted after the shard was decided elsewhere")
 	}
+	got := s.finish(t, 1)
 
 	ref := opts
 	ref.Parallelism = 2
@@ -251,33 +260,24 @@ func TestDistLateResultAfterRequeue(t *testing.T) {
 }
 
 // TestDistStaleWorkerID: a worker keeps using its pre-restart identity
-// against a second coordinator incarnation over the same plan (Prior,
-// as a restarted jobs service builds it). Its stale leases are
+// against a second service incarnation over the same ledger, whose
+// coordinator resumes the recorded plan (Prior). Its stale leases are
 // cancelled, fresh leases are granted, and the search completes
 // unchanged.
 func TestDistStaleWorkerID(t *testing.T) {
 	opts := search.Options{Fair: true, ContextBound: -1, MaxSteps: 10000}
-	cfg := dist.CoordinatorConfig{
-		Prog: fig3, Options: named("fig3", opts), RefParallelism: 2,
-	}
-	coordA, srvA := startCoordinator(t, cfg)
+	cfg := jobs.Config{Dir: t.TempDir()}
+	a := startJob(t, cfg, "fig3", opts)
 	const worker = "outlives-a"
-	lr := leaseWork(t, srvA.URL, worker)
-	coordA.Interrupt()
-	coordA.Wait()
-	srvA.Close()
+	lr := a.leaseWork(t, worker)
+	a.Close()
 
-	plan, err := search.PlanShards(fig3, opts, 2) // the plan A made, as its owner would have recorded it
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Prior = &dist.Prior{Plan: plan}
-	coordB, srvB := startCoordinator(t, cfg)
+	b := startJob(t, cfg, "fig3", opts)
 	// The stale worker heartbeats with its A-era identity and lease:
 	// the resumed coordinator cancels the unknown lease instead of
 	// crashing or honoring it.
 	var hb dist.HeartbeatResponse
-	postJSON(t, srvB.URL+dist.PathHeartbeat, dist.HeartbeatRequest{
+	postJSON(t, b.job+dist.PathHeartbeat, dist.HeartbeatRequest{
 		WorkerID: worker, LeaseIDs: []string{lr.LeaseID},
 	}, &hb)
 	if len(hb.Cancelled) != 1 || hb.Cancelled[0] != lr.LeaseID {
@@ -287,19 +287,18 @@ func TestDistStaleWorkerID(t *testing.T) {
 	// lease names are its own: the worker builds its idempotency keys
 	// from them, and a key B had already answered under would have its
 	// result replayed instead of applied.
-	lr2 := leaseWork(t, srvB.URL, worker)
+	lr2 := b.leaseWork(t, worker)
 	if lr2.LeaseID == lr.LeaseID {
 		t.Fatalf("second incarnation reissued lease id %s", lr.LeaseID)
 	}
 	rep := search.RunShard(fig3, opts, lr2.Shard, nil)
 	var rr dist.ResultResponse
-	postJSON(t, srvB.URL+dist.PathResult, oneResult(worker, lr2, rep), &rr)
+	postJSON(t, b.job+dist.PathResult, oneResult(worker, lr2, rep), &rr)
 	if !rr.Accepted[0] {
 		t.Fatal("stale-ID result not accepted")
 	}
 
-	runWorkers(t, srvB.URL, 1)
-	got := coordB.Wait()
+	got := b.finish(t, 1)
 	ref := opts
 	ref.Parallelism = 2
 	want := search.Explore(fig3, ref)
@@ -313,21 +312,17 @@ func TestDistStaleWorkerID(t *testing.T) {
 func TestDistHeartbeatMetricsDedup(t *testing.T) {
 	opts := search.Options{Fair: true, ContextBound: -1, MaxSteps: 10000}
 	m := &obs.Metrics{}
-	coord, srv := startCoordinator(t, dist.CoordinatorConfig{
-		Prog: fig3, Options: named("fig3", opts), RefParallelism: 2,
-		Metrics: m,
-	})
-	defer coord.Interrupt()
+	s := startJob(t, jobs.Config{Metrics: m}, "fig3", opts)
 
 	delta := obs.Snapshot{Executions: 5}
 	req := dist.HeartbeatRequest{WorkerID: "w-test", Metrics: &delta}
-	postJSONKey(t, srv.URL+dist.PathHeartbeat, "hb-w-test-1", req, nil)
-	postJSONKey(t, srv.URL+dist.PathHeartbeat, "hb-w-test-1", req, nil)
+	postJSONKey(t, s.job+dist.PathHeartbeat, "hb-w-test-1", req, nil)
+	postJSONKey(t, s.job+dist.PathHeartbeat, "hb-w-test-1", req, nil)
 	if got := m.Snapshot().Executions; got != 5 {
 		t.Fatalf("duplicated heartbeat merged delta %d times (executions = %d, want 5)", got/5, got)
 	}
 	// A new key is a new delta.
-	postJSONKey(t, srv.URL+dist.PathHeartbeat, "hb-w-test-2", req, nil)
+	postJSONKey(t, s.job+dist.PathHeartbeat, "hb-w-test-2", req, nil)
 	if got := m.Snapshot().Executions; got != 10 {
 		t.Fatalf("fresh heartbeat not merged (executions = %d, want 10)", got)
 	}
@@ -350,26 +345,25 @@ func (g *resultGate) RoundTrip(req *http.Request) (*http.Response, error) {
 	g.mu.Lock()
 	blocked := g.blocked
 	g.mu.Unlock()
-	if blocked && req.URL.Path == dist.PathResult {
+	if blocked && strings.HasSuffix(req.URL.Path, dist.PathResult) {
 		return nil, errors.New("resultGate: link severed")
 	}
 	return http.DefaultTransport.RoundTrip(req)
 }
 
 // TestDistSpoolReplay: a worker that cannot upload results spools them
-// to its workdir; after the coordinator is replaced, a worker sharing
-// the workdir replays the spool and the search completes WITHOUT
-// re-running any execution — a coordinator restart loses zero completed
-// work.
+// to its workdir; after the service restarts, a worker sharing the
+// workdir replays the spool and the search completes WITHOUT re-running
+// any execution — a restart loses zero completed work.
 func TestDistSpoolReplay(t *testing.T) {
 	workDir := t.TempDir()
 	opts := search.Options{Fair: true, ContextBound: -1, MaxSteps: 10000}
-	cfg := dist.CoordinatorConfig{
-		Prog: fig3, Options: named("fig3", opts), RefParallelism: 2,
+	cfg := jobs.Config{
+		Dir:      t.TempDir(),
 		LeaseTTL: 5 * time.Second, // long: completed-but-unposted shards must not requeue mid-test
 	}
-	coordA, srvA := startCoordinator(t, cfg)
-	shardCount := coordStatus(t, srvA.URL).Shards
+	a := startJob(t, cfg, "fig3", opts)
+	shardCount := a.status(t).Shards
 
 	gate := &resultGate{}
 	gate.setBlocked(true)
@@ -378,7 +372,7 @@ func TestDistSpoolReplay(t *testing.T) {
 	done := make(chan error, 1)
 	go func() {
 		done <- dist.RunWorker(dist.WorkerConfig{
-			URL:       srvA.URL,
+			URL:       a.url,
 			Lookup:    lookup,
 			WorkDir:   workDir,
 			Metrics:   mA,
@@ -404,26 +398,29 @@ func TestDistSpoolReplay(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatalf("spooling worker: %v", err)
 	}
-	coordA.Interrupt()
-	coordA.Wait()
-	srvA.Close()
+	a.Close()
 
-	// A fresh coordinator (same search) and a fresh worker sharing the
+	// The restarted service (same job) and a fresh worker sharing the
 	// workdir: everything is satisfied from the spool.
-	coordB, srvB := startCoordinator(t, cfg)
+	b := startJob(t, cfg, "fig3", opts)
 	mB := &obs.Metrics{}
-	if err := dist.RunWorker(dist.WorkerConfig{
-		URL: srvB.URL, Lookup: lookup, WorkDir: workDir, Metrics: mB,
-		Retry: fastPolicy(2),
-	}); err != nil {
+	done = make(chan error, 1)
+	go func() {
+		done <- dist.RunWorker(dist.WorkerConfig{
+			URL: b.url, Lookup: lookup, WorkDir: workDir, Metrics: mB,
+			Retry: fastPolicy(2),
+		})
+	}()
+	got := b.report(t)
+	b.Close()
+	if err := <-done; err != nil {
 		t.Fatalf("replaying worker: %v", err)
 	}
-	got := coordB.Wait()
 
 	if execs := mB.Snapshot().Executions; execs != 0 {
 		t.Fatalf("replaying worker re-ran %d executions; spool replay should cover every shard", execs)
 	}
-	if left, _ := filepath.Glob(filepath.Join(workDir, "spool-shard-*.json")); len(left) != 0 {
+	if left, _ := filepath.Glob(filepath.Join(workDir, b.id, "spool-shard-*.json")); len(left) != 0 {
 		t.Fatalf("replayed spool entries not cleaned up: %v", left)
 	}
 	ref := opts
@@ -437,53 +434,62 @@ func TestDistSpoolReplay(t *testing.T) {
 	}
 }
 
-// blockingWriter lets the test hold one request inside a handler so a
-// second request overflows MaxInflight.
-type blockingWriter struct {
-	entered chan struct{}
-	release chan struct{}
-	once    sync.Once
-}
-
-func (b *blockingWriter) Write(p []byte) (int, error) {
-	b.once.Do(func() { close(b.entered) })
-	<-b.release
-	return len(p), nil
-}
-
-// TestDistLoadShedding: beyond MaxInflight the coordinator answers 429
-// with Retry-After instead of queueing, and counts the refusal.
-func TestDistLoadShedding(t *testing.T) {
-	bw := &blockingWriter{entered: make(chan struct{}), release: make(chan struct{})}
+// TestDistStaleLeaseFailureChargesNothing: a failure posted under a
+// lease that already expired is history, not a second failed attempt.
+// The expiry charged the shard once and it went out again on a new
+// lease; the late failure must not charge it again, exclude anyone,
+// requeue it under the live lease, or let it be granted twice.
+func TestDistStaleLeaseFailureChargesNothing(t *testing.T) {
 	m := &obs.Metrics{}
-	opts := search.Options{Fair: true, ContextBound: -1, MaxSteps: 10000}
-	coord, srv := startCoordinator(t, dist.CoordinatorConfig{
-		Prog: fig3, Options: named("fig3", opts), RefParallelism: 2,
-		MaxInflight: 1,
-		Metrics:     m,
-		EventWriter: bw,
-	})
-	defer coord.Interrupt()
-	defer close(bw.release)
+	s := startJob(t, jobs.Config{LeaseTTL: time.Second, MaxShardAttempts: 2, Metrics: m}, "racy", dporOpts)
+	a := s.leaseWork(t, "a") // the root unit: the only shard planned
+	// B's calls park until A's lease expires and the root requeues.
+	var lr dist.LeaseResponse
+	for lr.Status != dist.LeaseWork {
+		postJSON(t, s.url+dist.PathLease, dist.LeaseRequest{WorkerID: "b"}, &lr)
+	}
+	b := lr.Grants[0]
+	if b.Shard.Index != a.Shard.Index || m.Snapshot().WorkerRetries != 1 {
+		t.Fatalf("b was granted shard %d after %d expiries, want A's shard %d after one", b.Shard.Index, m.Snapshot().WorkerRetries, a.Shard.Index)
+	}
 
-	// Occupy the only slot with an event post that blocks in the
-	// handler...
-	go http.Post(srv.URL+dist.PathEvents, "application/jsonl", bytes.NewReader([]byte("{}\n")))
-	<-bw.entered
+	var rr dist.ResultResponse
+	postJSON(t, s.job+dist.PathResult, dist.ResultRequest{WorkerID: "a", Results: []dist.ShardResult{
+		{LeaseID: a.LeaseID, Shard: a.Shard.Index, Failure: "panic: a crashed after its lease expired"},
+	}}, &rr)
+	if n := m.Snapshot().WorkerRetries; n != 1 {
+		t.Fatalf("the shard was charged %d times, want once (the expiry)", n)
+	}
+	var hb dist.HeartbeatResponse
+	postJSON(t, s.job+dist.PathHeartbeat, dist.HeartbeatRequest{WorkerID: "b", LeaseIDs: []string{b.LeaseID}}, &hb)
+	if len(hb.Cancelled) != 0 {
+		t.Fatalf("b's live lease was cancelled: %+v", hb)
+	}
+	// Nothing is grantable while B holds the root: a third worker's
+	// call is held, and hung up on, without a grant.
+	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+	defer cancel()
+	body, _ := json.Marshal(dist.LeaseRequest{WorkerID: "c"})
+	req, _ := http.NewRequestWithContext(ctx, http.MethodPost, s.url+dist.PathLease, bytes.NewReader(body))
+	if resp, err := http.DefaultClient.Do(req); err == nil {
+		var lr dist.LeaseResponse
+		json.NewDecoder(resp.Body).Decode(&lr)
+		resp.Body.Close()
+		if lr.Status == dist.LeaseWork {
+			t.Fatalf("the root was granted a second time, to c: %+v", lr)
+		}
+	}
 
-	// ...then any further request must be shed.
-	resp, err := http.Get(srv.URL + dist.PathStatus)
-	if err != nil {
-		t.Fatal(err)
+	postJSON(t, s.job+dist.PathResult, oneResult("b", b, search.RunShard(racyIncrement, dporOpts, b.Shard, nil)), &rr)
+	if !rr.Accepted[0] {
+		t.Fatal("b's result under its live lease was not accepted")
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("status = %d, want 429", resp.StatusCode)
+	got := s.finish(t, 1)
+	if got.Skipped != 0 {
+		t.Fatalf("%d shard(s) abandoned", got.Skipped)
 	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Fatal("shed response missing Retry-After")
-	}
-	if m.Snapshot().ShedRequests == 0 {
-		t.Fatal("shedRequests metric not incremented")
+	want := search.Explore(racyIncrement, dporOpts)
+	if w, g := runReportBytes(t, want, "racy", dporOpts), runReportBytes(t, got, "racy", dporOpts); !bytes.Equal(w, g) {
+		t.Fatalf("run report not byte-identical:\n%s\nvs\n%s", w, g)
 	}
 }

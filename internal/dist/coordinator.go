@@ -13,7 +13,6 @@ import (
 
 	"fairmc/internal/dist/transport"
 	"fairmc/internal/engine"
-	"fairmc/internal/faultinject"
 	"fairmc/internal/obs"
 	"fairmc/internal/search"
 )
@@ -26,9 +25,6 @@ const (
 	// DefaultMaxShardAttempts bounds how many workers may fail one
 	// shard (lease expiry or posted failure) before it is abandoned.
 	DefaultMaxShardAttempts = 3
-	// DefaultMaxInflight is the load-shedding bound on concurrently
-	// served requests.
-	DefaultMaxInflight = 128
 	// idemCacheSize bounds the idempotency-key → response cache
 	// (FIFO); at one result per lease batch plus heartbeats in flight,
 	// 1024 comfortably outlives any retry window.
@@ -53,14 +49,6 @@ type CoordinatorConfig struct {
 	// zero values use the defaults above.
 	LeaseTTL         time.Duration
 	MaxShardAttempts int
-	// MaxInflight bounds concurrently served requests; excess requests
-	// are shed with 429 + Retry-After (which the worker transport's
-	// backoff honors). 0 means DefaultMaxInflight.
-	MaxInflight int
-	// Chaos, when set, injects server-side faults (delays, drops) into
-	// every request before it reaches the protocol handlers — the
-	// deterministic chaos harness's server half.
-	Chaos *faultinject.Injector
 	// Prior, when set, seeds the coordinator with an existing plan and
 	// already-decided shards — how the jobs layer hands WAL-replayed
 	// progress to a restarted coordinator so ledger-completed shards are
@@ -74,8 +62,8 @@ type CoordinatorConfig struct {
 	OnShardGrant func(shards []int, worker string)
 	// OnWake, when set, is told (under the coordinator lock) whenever a
 	// lease call should look again: the plan grew, a shard was requeued,
-	// the search finished. The jobs layer parks lease calls of its own
-	// and asks every mounted coordinator on their behalf.
+	// the search finished. The jobs layer parks lease calls and asks
+	// every mounted coordinator on their behalf.
 	OnWake func()
 	// OnShardDone, when set, is called under the coordinator lock
 	// BEFORE the decided shards of one result call (completed reports)
@@ -102,8 +90,7 @@ type shardStatus int
 const (
 	shardPending shardStatus = iota
 	shardLeased
-	shardCompleted
-	shardAbandoned
+	shardDecided // by a report, or abandoned
 )
 
 // Prior is pre-decided progress injected into a new coordinator (see
@@ -135,30 +122,23 @@ type lease struct {
 	expires time.Time
 }
 
-// Coordinator owns the shard plan of one distributed search and
-// serves the worker protocol. Create with NewCoordinator, mount
-// Handler on an http.Server, and Wait for the merged report.
+// Coordinator owns the shard plan of one distributed search: the jobs
+// service mounts one per running job, grants its shards (Lease) and
+// routes the job's worker requests to Handler. Create with
+// NewCoordinator and Wait for the merged report.
 type Coordinator struct {
 	cfg  CoordinatorConfig
 	spec search.Options // what a grant carries: cfg.Options.Spec()
 	plan *search.Plan
 
-	mu        sync.Mutex
-	merger    *search.ShardMerger
-	shards    []shardState
-	leases    map[string]*lease
-	completed int // decided shards with a report ...
-	abandoned int // ... and without one
-	failures  []search.WorkerFailure
-	seq       int    // lease id generator ...
-	epoch     string // ... and the suffix that makes the ids this incarnation's own
+	mu       sync.Mutex
+	merger   *search.ShardMerger
+	shards   []shardState
+	leases   map[string]*lease
+	failures []search.WorkerFailure
+	seq      int    // lease id generator ...
+	epoch    string // ... and the suffix that makes the ids this incarnation's own
 
-	// wake is closed (and replaced) whenever a parked lease call should
-	// look again: the plan grew, a shard was requeued, the search
-	// finished.
-	wake chan struct{}
-	// parked counts the lease calls held open right now (Hold).
-	parked atomic.Int64
 	// planned mirrors len(plan.Shards) for readers that must not take
 	// mu (the jobs server's status handler, see Planned).
 	planned atomic.Int64
@@ -209,7 +189,6 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 		spec:   cfg.Options.Spec(),
 		leases: map[string]*lease{},
 		idem:   map[string][]byte{},
-		wake:   make(chan struct{}),
 		start:  now,
 		epoch:  "-" + strconv.FormatInt(now.UnixNano(), 36),
 		done:   make(chan struct{}),
@@ -233,14 +212,15 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	c.merger = search.NewShardMerger(c.cfg.Options, c.plan)
 	c.merger.Fold(done...)
 	c.growShardsLocked()
+	decided := 0
 	for _, d := range done {
 		if d.Shard >= 0 && d.Shard < len(c.shards) && c.shards[d.Shard].status == shardPending && c.merger.Decided(d.Shard) {
-			c.markLocked(d.Shard, d.Report == nil)
+			c.markLocked(d.Shard)
+			decided++
 		}
 	}
 	if len(done) > 0 {
-		c.cfg.Logf("dist: resumed from prior progress: %d/%d shards already decided",
-			c.completed+c.abandoned, len(c.plan.Shards))
+		c.cfg.Logf("dist: resumed from prior progress: %d/%d shards already decided", decided, len(c.plan.Shards))
 	}
 	go c.sweep()
 	c.mu.Lock()
@@ -249,23 +229,15 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	return c, nil
 }
 
-// Handler returns the coordinator's HTTP handler (the worker protocol
-// plus /status; its owner serves the registry), wrapped in the
-// load-shedding bound (Shed) and, when configured, the server-side
-// chaos injector (outermost, so injected faults hit before any
-// coordinator logic — like a real network would).
+// Handler serves the job's worker routes — heartbeat, result and
+// events — for its owner to mount under the job's path. Shards are
+// granted by the owner's lease endpoint (Lease).
 func (c *Coordinator) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc(PathLease, c.handleLease)
 	mux.HandleFunc(PathHeartbeat, c.handleHeartbeat)
 	mux.HandleFunc(PathResult, c.handleResult)
 	mux.HandleFunc(PathEvents, c.handleEvents)
-	mux.HandleFunc(PathStatus, c.handleStatus)
-	h := Shed(c.cfg.MaxInflight, c.cfg.Metrics, "coordinator overloaded", mux)
-	if c.cfg.Chaos != nil {
-		h = c.cfg.Chaos.Middleware(h)
-	}
-	return h
+	return mux
 }
 
 // idemPutLocked caches a response under a key, evicting FIFO.
@@ -327,11 +299,8 @@ func (c *Coordinator) finishLocked() {
 	c.wakeLocked()
 }
 
-// wakeLocked makes every parked lease call look again — this
-// coordinator's own and, through OnWake, its owner's.
+// wakeLocked makes the owner's parked lease calls look again (OnWake).
 func (c *Coordinator) wakeLocked() {
-	close(c.wake)
-	c.wake = make(chan struct{})
 	if c.cfg.OnWake != nil {
 		c.cfg.OnWake()
 	}
@@ -399,7 +368,7 @@ func (c *Coordinator) expireLocked(now time.Time) {
 // expire after a late result completed the shard).
 func (c *Coordinator) failShardLocked(idx int, worker, reason string) {
 	sh := &c.shards[idx]
-	if sh.status == shardCompleted || sh.status == shardAbandoned {
+	if sh.status == shardDecided {
 		return
 	}
 	sh.attempts++
@@ -438,21 +407,13 @@ func (c *Coordinator) failShardLocked(idx int, worker, reason string) {
 // decideLocked marks a shard decided — by its report, or abandoned when
 // rep is nil — and hands the decision to the merge.
 func (c *Coordinator) decideLocked(idx int, rep *search.Report) {
-	c.markLocked(idx, rep == nil)
+	c.markLocked(idx)
 	c.merger.Offer(idx, rep)
 }
 
-// markLocked marks a shard decided: completed, or abandoned.
-func (c *Coordinator) markLocked(idx int, abandoned bool) {
-	sh := &c.shards[idx]
-	sh.leaseID = ""
-	if abandoned {
-		sh.status = shardAbandoned
-		c.abandoned++
-	} else {
-		sh.status = shardCompleted
-		c.completed++
-	}
+// markLocked marks a shard decided.
+func (c *Coordinator) markLocked(idx int) {
+	c.shards[idx].status, c.shards[idx].leaseID = shardDecided, ""
 }
 
 // requeueLocked makes a shard grantable again and tells parked lease
@@ -502,36 +463,6 @@ func readJSON(w http.ResponseWriter, r *http.Request, v any) bool {
 	return true
 }
 
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(v)
-}
-
-// handleLease grants work, or — with nothing grantable yet — parks
-// the call (outside the load-shedding bound) until the plan grows, a
-// shard requeues or the search finishes, for at most LeaseHold.
-func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
-	var req LeaseRequest
-	if !readJSON(w, r, &req) {
-		return
-	}
-	hold := Hold{parked: &c.parked}
-	defer hold.Stop()
-	for {
-		// The wake is read before the lease is tried, so one that fires in
-		// between is not missed.
-		c.mu.Lock()
-		wake := c.wake
-		c.mu.Unlock()
-		data, status := c.Lease(req.WorkerID, "", "")
-		if status == LeaseWait && hold.Wait(r, wake) {
-			continue
-		}
-		replayJSON(w, data)
-		return
-	}
-}
-
 // Lease answers one lease request as of now: the encoded response
 // (encoded under the lock — a granted DPOR unit is emptied in place
 // once it merges) and its status. It grants the first grantable shard
@@ -539,10 +470,9 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 // unit every further one up to LeaseBatch: a wave of the frontier per
 // round trip. Subtree and range shards go one per call, so workers
 // still share them. A grant carries the search it belongs to, under
-// the name and the mount point the caller serves this coordinator at
-// (job, path: both "" for a coordinator served bare) — the jobs service
-// calls this for each job it has mounted and answers a worker with the
-// first grant.
+// the name and the mount point the owner serves this coordinator at
+// (job, path) — the jobs service calls this for each job it has mounted
+// and answers a worker with the first grant.
 func (c *Coordinator) Lease(worker, job, path string) (data []byte, status string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -555,8 +485,8 @@ func (c *Coordinator) Lease(worker, job, path string) (data []byte, status strin
 		// horizon never will be.
 		for idx, horizon := c.merger.Merged(), c.merger.Horizon(); idx < horizon; idx++ {
 			sh := &c.shards[idx]
-			if sh.status != shardPending && sh.status != shardLeased {
-				continue // decided
+			if sh.status == shardDecided {
+				continue
 			}
 			resp.Status = LeaseWait
 			if sh.status == shardLeased || sh.excluded[worker] {
@@ -658,14 +588,17 @@ const (
 	// or the search is over. Determinism is unaffected either way — the
 	// merge consumes exactly one report per shard.
 	resultLate resultKind = iota
-	// resultAdvisory: a failure without a lease, so nothing to requeue
-	// and nobody to blame — recorded for the report without charging a
-	// shard attempt or excluding the worker. This is how corrupt spool
-	// entries are surfaced (failing the replay, or livelocking a
-	// single-worker search by self-exclusion, would punish the
-	// messenger).
+	// resultAdvisory: a failure without the shard's current lease, so
+	// nothing to requeue and nobody to blame — recorded for the report
+	// without charging a shard attempt or excluding the worker. This is
+	// how corrupt spool entries are surfaced (failing the replay, or
+	// livelocking a single-worker search by self-exclusion, would punish
+	// the messenger), and how a failure under a lease that already
+	// expired is kept: the expiry charged it, and the shard may be out
+	// on a new lease.
 	resultAdvisory
-	// resultFailed: the worker crashed on the shard (or posted nothing).
+	// resultFailed: the worker crashed on the shard, posted nothing, or
+	// posted a report the merge refuses (search.ShardMerger.Check).
 	resultFailed
 	// resultInterrupted: a cancelled shard must not be merged; it goes
 	// back as if the lease had lapsed, without excluding the worker.
@@ -678,19 +611,40 @@ const (
 // resultAdvisory); its Shard names no lease state and may be -1.
 func (it *ShardResult) advisory() bool { return it.LeaseID == "" && it.Failure != "" }
 
+// classifyLocked applies the per-item rules. An item that fails — a
+// posted failure, an empty result, a report the merge refuses — leaves
+// with its Report cleared and its reason in Failure. Only an item under
+// the shard's current lease can charge or requeue the shard; a
+// completion needs no lease (a spooled report is replayed under none).
 func (c *Coordinator) classifyLocked(it *ShardResult) resultKind {
 	if it.advisory() {
 		return resultAdvisory
 	}
-	switch sh := &c.shards[it.Shard]; {
-	case sh.status == shardCompleted || sh.status == shardAbandoned || c.finished:
+	sh := &c.shards[it.Shard]
+	if sh.status == shardDecided || c.finished {
 		return resultLate
-	case it.Failure != "" || it.Report == nil:
-		return resultFailed
-	case it.Report.Interrupted:
-		return resultInterrupted
 	}
-	return resultComplete
+	current := sh.status == shardLeased && it.LeaseID == sh.leaseID
+	switch {
+	case it.Failure != "":
+	case it.Report == nil:
+		it.Failure = "worker posted an empty result"
+	case it.Report.Interrupted && current:
+		return resultInterrupted
+	case it.Report.Interrupted:
+		return resultLate
+	default:
+		err := c.merger.Check(&search.ShardDoneRec{Shard: it.Shard, Report: it.Report})
+		if err == nil {
+			return resultComplete
+		}
+		it.Failure = "report refused: " + err.Error()
+	}
+	it.Report = nil
+	if !current {
+		return resultAdvisory
+	}
+	return resultFailed
 }
 
 // handleResult applies one result batch, item by item in order, under
@@ -729,7 +683,7 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 		it := &req.Results[i]
 		kinds[i] = c.classifyLocked(it)
 		if kinds[i] == resultComplete {
-			c.shards[it.Shard].status = shardCompleted
+			c.shards[it.Shard].status = shardDecided
 			decided = append(decided, search.ShardDoneRec{Shard: it.Shard, Report: it.Report})
 		}
 	}
@@ -766,12 +720,8 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 			c.cfg.Logf("dist: advisory failure from worker %s: %.160s", req.WorkerID, it.Failure)
 			resp.Accepted[i] = true
 		case resultFailed:
-			reason := it.Failure
-			if reason == "" {
-				reason = "worker posted an empty result"
-			}
-			c.cfg.Logf("dist: shard %d failed on worker %s: %s", it.Shard, req.WorkerID, reason)
-			c.failShardLocked(it.Shard, req.WorkerID, reason)
+			c.cfg.Logf("dist: shard %d failed on worker %s: %.160s", it.Shard, req.WorkerID, it.Failure)
+			c.failShardLocked(it.Shard, req.WorkerID, it.Failure)
 			resp.Accepted[i] = true
 		case resultInterrupted:
 			if c.shards[it.Shard].status == shardLeased {
@@ -824,24 +774,4 @@ func (c *Coordinator) handleEvents(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	w.WriteHeader(http.StatusNoContent)
-}
-
-func (c *Coordinator) statusLocked() StatusResponse {
-	return StatusResponse{
-		Program:   c.cfg.Options.ProgramName,
-		Strategy:  c.plan.Strategy,
-		Shards:    len(c.plan.Shards),
-		Merged:    c.merger.Merged(),
-		Completed: c.completed,
-		Abandoned: c.abandoned,
-		Leased:    len(c.leases),
-		Done:      c.finished,
-	}
-}
-
-func (c *Coordinator) handleStatus(w http.ResponseWriter, r *http.Request) {
-	c.mu.Lock()
-	st := c.statusLocked()
-	c.mu.Unlock()
-	writeJSON(w, st)
 }

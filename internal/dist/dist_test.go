@@ -13,6 +13,7 @@ import (
 
 	"fairmc"
 	"fairmc/internal/dist"
+	"fairmc/internal/dist/jobs"
 	"fairmc/internal/engine"
 	"fairmc/internal/search"
 	"fairmc/internal/syncmodel"
@@ -70,22 +71,77 @@ func named(name string, opts search.Options) search.Options {
 	return opts
 }
 
-// startCoordinator builds a coordinator for prog/opts and serves its
-// handler on an httptest server.
-func startCoordinator(t *testing.T, cfg dist.CoordinatorConfig) (*dist.Coordinator, *httptest.Server) {
-	t.Helper()
-	coord, err := dist.NewCoordinator(cfg)
-	if err != nil {
-		t.Fatalf("NewCoordinator: %v", err)
-	}
-	srv := httptest.NewServer(coord.Handler())
-	t.Cleanup(srv.Close)
-	return coord, srv
+// service is a jobs service whose one job is the search under test.
+type service struct {
+	*jobs.Server
+	url string // what workers lease from
+	id  string // the job ...
+	job string // ... and the URL its heartbeats, results and events go to
 }
 
-// runWorkers runs n in-process workers against url and waits for all
-// of them to exit.
-func runWorkers(t *testing.T, url string, n int) {
+// startJob serves program under opts, mirroring local -p 2, as the one
+// job of a jobs service on cfg (Dir defaults to a new ledger; over one
+// that records a job, it is that job, resumed) and returns once the job
+// is mounted.
+func startJob(t *testing.T, cfg jobs.Config, program string, opts search.Options) *service {
+	t.Helper()
+	if cfg.Dir == "" {
+		cfg.Dir = t.TempDir()
+	}
+	if cfg.DrainGrace == 0 {
+		cfg.DrainGrace = 100 * time.Millisecond
+	}
+	cfg.Lookup = lookup
+	srv, err := jobs.New(cfg)
+	if err != nil {
+		t.Fatalf("jobs.New: %v", err)
+	}
+	hs := httptest.NewServer(srv.Handler())
+	t.Cleanup(hs.Close)
+	t.Cleanup(func() { srv.Close() })
+	s := &service{Server: srv, url: hs.URL}
+	if ids := srv.JobIDs(); len(ids) > 0 {
+		s.id = ids[0]
+	} else if s.id, err = srv.Submit(jobs.SubmitRequest{Spec: named(program, opts), RefParallelism: 2}); err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	s.job = s.url + jobs.PathJobPrefix + s.id
+	for deadline := time.Now().Add(30 * time.Second); s.status(t).State != jobs.StateRunning; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("job %s never mounted: %+v", s.id, s.status(t))
+		}
+	}
+	return s
+}
+
+// status is the job's status, as GET /v1/jobs/<id> answers it.
+func (s *service) status(t *testing.T) jobs.JobStatus {
+	t.Helper()
+	resp, err := http.Get(s.url + jobs.PathJobs + "/" + s.id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var st jobs.JobStatus
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
+// report waits for the job to finish and returns its merged report.
+func (s *service) report(t *testing.T) *search.Report {
+	t.Helper()
+	st, rep := s.Wait(s.id)
+	if st.State != jobs.StateDone || rep == nil {
+		t.Fatalf("job %s ended %q (%s), want done", s.id, st.State, st.Error)
+	}
+	return rep
+}
+
+// finish runs n in-process workers until the job is done, closes the
+// service — which sends them home — and returns the merged report.
+func (s *service) finish(t *testing.T, n int) *search.Report {
 	t.Helper()
 	var wg sync.WaitGroup
 	errs := make([]error, n)
@@ -93,15 +149,18 @@ func runWorkers(t *testing.T, url string, n int) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			errs[i] = dist.RunWorker(dist.WorkerConfig{URL: url, Lookup: lookup})
+			errs[i] = dist.RunWorker(dist.WorkerConfig{URL: s.url, Lookup: lookup})
 		}(i)
 	}
+	rep := s.report(t)
+	s.Close()
 	wg.Wait()
 	for i, err := range errs {
 		if err != nil {
 			t.Fatalf("worker %d: %v", i, err)
 		}
 	}
+	return rep
 }
 
 // normalize strips wall-clock fields so reports compare by content.
@@ -122,8 +181,8 @@ func runReportBytes(t *testing.T, rep *search.Report, program string, opts searc
 	return data
 }
 
-// TestDistMatchesLocal: a coordinator with two workers produces the
-// same report — field for field, and byte for byte as a run report —
+// TestDistMatchesLocal: a job served to two workers produces the same
+// report — field for field, and byte for byte as a run report —
 // as a local Parallelism=2 run, for both shard strategies.
 func TestDistMatchesLocal(t *testing.T) {
 	cases := []struct {
@@ -146,13 +205,7 @@ func TestDistMatchesLocal(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			prog := testProgs[tc.program]
-			coord, srv := startCoordinator(t, dist.CoordinatorConfig{
-				Prog:           prog,
-				Options:        named(tc.program, tc.opts),
-				RefParallelism: 2,
-			})
-			runWorkers(t, srv.URL, 2)
-			got := coord.Wait()
+			got := startJob(t, jobs.Config{}, tc.program, tc.opts).finish(t, 2)
 
 			ref := tc.opts
 			ref.Parallelism = 2
@@ -189,20 +242,21 @@ func postJSON(t *testing.T, url string, in, out any) {
 	}
 }
 
-// leaseWork asks for work as workerID, requires a grant, and returns
-// the first one (the only one unless the plan is a DPOR wave).
-func leaseWork(t *testing.T, url, workerID string) dist.Grant {
+// leaseWork asks the service for work as workerID, requires a grant of
+// the job, and returns the first one (the only one unless the plan is a
+// DPOR wave).
+func (s *service) leaseWork(t *testing.T, workerID string) dist.Grant {
 	t.Helper()
-	return leaseBatch(t, url, workerID)[0]
+	return s.leaseBatch(t, workerID)[0]
 }
 
 // leaseBatch is leaseWork returning everything the call granted.
-func leaseBatch(t *testing.T, url, workerID string) []dist.Grant {
+func (s *service) leaseBatch(t *testing.T, workerID string) []dist.Grant {
 	t.Helper()
 	var lr dist.LeaseResponse
-	postJSON(t, url+dist.PathLease, dist.LeaseRequest{WorkerID: workerID}, &lr)
-	if lr.Status != dist.LeaseWork || len(lr.Grants) == 0 {
-		t.Fatalf("lease status %q with %d grants, want %q", lr.Status, len(lr.Grants), dist.LeaseWork)
+	postJSON(t, s.url+dist.PathLease, dist.LeaseRequest{WorkerID: workerID}, &lr)
+	if lr.Status != dist.LeaseWork || len(lr.Grants) == 0 || lr.Job != s.id {
+		t.Fatalf("lease status %q with %d grants of job %q, want %q of %s", lr.Status, len(lr.Grants), lr.Job, dist.LeaseWork, s.id)
 	}
 	return lr.Grants
 }
@@ -221,18 +275,12 @@ func oneResult(workerID string, g dist.Grant, rep *search.Report) dist.ResultReq
 // with the crash recorded as a structured WorkerFailure.
 func TestDistWorkerDeathRequeues(t *testing.T) {
 	opts := search.Options{Fair: true, ContextBound: -1, MaxSteps: 10000}
-	coord, srv := startCoordinator(t, dist.CoordinatorConfig{
-		Prog:           fig3,
-		Options:        named("fig3", opts),
-		RefParallelism: 2,
-		LeaseTTL:       500 * time.Millisecond,
-	})
+	s := startJob(t, jobs.Config{LeaseTTL: 500 * time.Millisecond}, "fig3", opts)
 
 	// The doomed worker: leases one shard, never speaks again.
-	lr := leaseWork(t, srv.URL, "doomed")
+	lr := s.leaseWork(t, "doomed")
 
-	runWorkers(t, srv.URL, 1)
-	got := coord.Wait()
+	got := s.finish(t, 1)
 
 	var found bool
 	for _, wf := range got.WorkerFailures {
@@ -256,19 +304,16 @@ func TestDistWorkerDeathRequeues(t *testing.T) {
 	}
 }
 
-// TestDistUnknownProgram: a worker that does not have the coordinator's
-// program refuses cleanly instead of running the wrong thing.
+// TestDistUnknownProgram: a worker that does not have the job's program
+// refuses cleanly instead of running the wrong thing.
 func TestDistUnknownProgram(t *testing.T) {
 	opts := search.Options{Fair: true, ContextBound: -1, MaxSteps: 10000}
-	coord, srv := startCoordinator(t, dist.CoordinatorConfig{
-		Prog: fig3, Options: named("fig3", opts), RefParallelism: 2,
-	})
+	s := startJob(t, jobs.Config{}, "fig3", opts)
 	err := dist.RunWorker(dist.WorkerConfig{
-		URL:    srv.URL,
+		URL:    s.url,
 		Lookup: func(string) (func(*engine.T), bool) { return nil, false },
 	})
 	if err == nil || !strings.Contains(err.Error(), "does not have") {
 		t.Fatalf("err = %v, want unknown-program refusal", err)
 	}
-	coord.Interrupt()
 }

@@ -8,7 +8,7 @@ import (
 	"testing"
 	"time"
 
-	"fairmc/internal/dist"
+	"fairmc/internal/dist/jobs"
 	"fairmc/internal/obs"
 	"fairmc/internal/search"
 )
@@ -42,14 +42,7 @@ func TestDistDPORMatchesSequential(t *testing.T) {
 	for _, workers := range []int{1, 2, 3} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			distMetrics := obs.NewMetrics()
-			coord, srv := startCoordinator(t, dist.CoordinatorConfig{
-				Prog:           racyIncrement,
-				Options:        named("racy", dporOpts),
-				RefParallelism: 2,
-				Metrics:        distMetrics,
-			})
-			runWorkers(t, srv.URL, workers)
-			got := coord.Wait()
+			got := startJob(t, jobs.Config{Metrics: distMetrics}, "racy", dporOpts).finish(t, workers)
 
 			// Pruned reversals are counted by the merge, which runs on the
 			// coordinator: its registry must see what a local run's does.
@@ -71,21 +64,15 @@ func TestDistDPORMatchesSequential(t *testing.T) {
 // finishes the search — and the report is still byte-identical to the
 // sequential DPOR run, with the crash recorded as a WorkerFailure.
 func TestDistDPORWorkerDeath(t *testing.T) {
-	coord, srv := startCoordinator(t, dist.CoordinatorConfig{
-		Prog:           racyIncrement,
-		Options:        named("racy", dporOpts),
-		RefParallelism: 2,
-		LeaseTTL:       500 * time.Millisecond,
-	})
+	s := startJob(t, jobs.Config{LeaseTTL: 500 * time.Millisecond}, "racy", dporOpts)
 
 	// The doomed worker: leases one unit, never speaks again.
-	lr := leaseWork(t, srv.URL, "doomed")
+	lr := s.leaseWork(t, "doomed")
 	if lr.Shard.Unit == nil {
 		t.Fatalf("leased shard %d carries no DPOR unit: %+v", lr.Shard.Index, lr.Shard)
 	}
 
-	runWorkers(t, srv.URL, 1)
-	got := coord.Wait()
+	got := s.finish(t, 1)
 
 	var found bool
 	for _, wf := range got.WorkerFailures {

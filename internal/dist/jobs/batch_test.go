@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -16,7 +15,6 @@ import (
 	"testing"
 	"time"
 
-	"fairmc"
 	"fairmc/internal/dist"
 	"fairmc/internal/fsx"
 	"fairmc/internal/obs"
@@ -317,7 +315,7 @@ func (g *heartbeatGate) RoundTrip(req *http.Request) (*http.Response, error) {
 // next job.
 func TestServiceCancelledJobIsGone(t *testing.T) {
 	m := &obs.Metrics{}
-	_, srv := startService(t, Config{Dir: t.TempDir(), Coordinator: dist.CoordinatorConfig{LeaseTTL: 300 * time.Millisecond}})
+	_, srv := startService(t, Config{Dir: t.TempDir(), LeaseTTL: 300 * time.Millisecond})
 	// Range shards of executions that each run a million steps: the
 	// first outlives the test unless it is cancelled.
 	long := search.Options{Fair: true, RandomWalk: true, MaxExecutions: 1 << 40, MaxSteps: 1 << 20, Seed: 1, ContinueAfterDivergence: true}
@@ -380,10 +378,10 @@ func TestServiceCancelledJobIsGone(t *testing.T) {
 	}
 }
 
-// TestOneWorkerLoop: the same dist.RunWorker, pointed at a bare
-// coordinator's handler and at the service running the same search,
-// yields run reports byte-identical to each other and to local -p 2 —
-// for a prefix plan, a DPOR plan that grows by waves, and a stride plan.
+// TestOneWorkerLoop: two of the one worker loop, dist.RunWorker,
+// pointed at the service, yield run reports byte-identical to local
+// -p 2 — for a prefix plan, a DPOR plan that grows by waves, and a
+// stride plan.
 func TestOneWorkerLoop(t *testing.T) {
 	cases := []struct {
 		name, program string
@@ -395,54 +393,29 @@ func TestOneWorkerLoop(t *testing.T) {
 			Fair: true, RandomWalk: true, MaxExecutions: 400, MaxSteps: 1000, Seed: 3, ContinueAfterViolation: true,
 		}},
 	}
-	runTwo := func(t *testing.T, url string) {
-		t.Helper()
-		errs := make(chan error, 2)
-		for i := 0; i < 2; i++ {
-			go func() {
-				errs <- dist.RunWorker(dist.WorkerConfig{URL: url, Lookup: testLookup, Retry: fastPolicy(uint64(i))})
-			}()
-		}
-		for i := 0; i < 2; i++ {
-			if err := <-errs; err != nil {
-				t.Fatalf("worker: %v", err)
-			}
-		}
-	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			want := localReportBytes(t, tc.program, tc.opts, 2)
-
-			opts := named(tc.program, tc.opts)
-			coord, err := dist.NewCoordinator(dist.CoordinatorConfig{
-				Prog: testProgs[tc.program], Options: opts, RefParallelism: 2,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			bare := httptest.NewServer(coord.Handler())
-			defer bare.Close()
-			runTwo(t, bare.URL) // they return on the coordinator's "done"
-			got, err := fairmc.ResultFromReport(coord.Wait()).RunReport(tc.program, opts).Encode()
-			if err != nil || !bytes.Equal(got, want) {
-				t.Fatalf("bare coordinator (%v): report differs from local -p 2:\n%s\nvs\n%s", err, got, want)
-			}
-
 			s, srv := startService(t, Config{Dir: t.TempDir()})
 			id := submitJob(t, srv.URL, tc.program, tc.opts, 2)
-			served := make(chan struct{})
-			go func() {
-				defer close(served)
-				runTwo(t, srv.URL) // ... and on the service's
-			}()
+			errs := make(chan error, 2)
+			for i := 0; i < 2; i++ {
+				go func() {
+					errs <- dist.RunWorker(dist.WorkerConfig{URL: srv.URL, Lookup: testLookup, Retry: fastPolicy(uint64(i))})
+				}()
+			}
 			waitState(t, srv.URL, id, StateDone)
 			if got := fetchReport(t, srv.URL, id); !bytes.Equal(got, want) {
-				t.Fatalf("service: artifact differs from local -p 2:\n%s\nvs\n%s", got, want)
+				t.Fatalf("artifact differs from local -p 2:\n%s\nvs\n%s", got, want)
 			}
 			if err := s.Close(); err != nil {
 				t.Fatal(err)
 			}
-			<-served
+			for i := 0; i < 2; i++ { // they return on the closed service's "done"
+				if err := <-errs; err != nil {
+					t.Fatalf("worker: %v", err)
+				}
+			}
 		})
 	}
 }

@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"fairmc/internal/dist"
 	"fairmc/internal/ledger"
 	"fairmc/internal/search"
 )
@@ -54,12 +53,12 @@ func crashSubOf(t *testing.T, id string) (program string, opts search.Options, r
 func driveCrashRun(t *testing.T, dir string, hook func(string) bool, until func(url string) bool) {
 	t.Helper()
 	s, err := New(Config{
-		Dir:         dir,
-		Lookup:      testLookup,
-		Coordinator: dist.CoordinatorConfig{LeaseTTL: 5 * time.Second},
-		DrainGrace:  50 * time.Millisecond,
-		Logf:        func(string, ...any) {},
-		crashHook:   hook,
+		Dir:        dir,
+		Lookup:     testLookup,
+		LeaseTTL:   5 * time.Second,
+		DrainGrace: 50 * time.Millisecond,
+		Logf:       func(string, ...any) {},
+		crashHook:  hook,
 	})
 	if err != nil {
 		t.Fatalf("New: %v", err)

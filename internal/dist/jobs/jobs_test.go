@@ -152,8 +152,8 @@ func startService(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	if cfg.Lookup == nil {
 		cfg.Lookup = testLookup
 	}
-	if cfg.Coordinator.LeaseTTL == 0 {
-		cfg.Coordinator.LeaseTTL = 5 * time.Second
+	if cfg.LeaseTTL == 0 {
+		cfg.LeaseTTL = 5 * time.Second
 	}
 	if cfg.DrainGrace == 0 {
 		cfg.DrainGrace = 250 * time.Millisecond

@@ -26,15 +26,18 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"fairmc"
 	"fairmc/internal/dist"
 	"fairmc/internal/engine"
+	"fairmc/internal/faultinject"
 	"fairmc/internal/fsx"
 	"fairmc/internal/ledger"
 	"fairmc/internal/obs"
@@ -71,11 +74,18 @@ type Config struct {
 	MaxActive int
 	// MaxJobs bounds queued+running jobs; 0 means DefaultMaxJobs.
 	MaxJobs int
-	// Coordinator is the template of each job's coordinator: its
-	// LeaseTTL, MaxShardAttempts, MaxInflight (which also bounds the
-	// service's own endpoints), Chaos and EventWriter are every job's,
-	// zero values meaning the dist defaults; the rest is set per job.
-	Coordinator dist.CoordinatorConfig
+	// LeaseTTL and MaxShardAttempts are every job's coordinator's
+	// (dist.CoordinatorConfig); zero values use the dist defaults.
+	LeaseTTL         time.Duration
+	MaxShardAttempts int
+	// Chaos, when set, injects server-side faults (delays, drops) into
+	// every lease call and every request a mounted job serves, before any
+	// coordinator logic sees it — the deterministic chaos harness's
+	// server half.
+	Chaos *faultinject.Injector
+	// EventWriter, when set, receives the JSONL trace-event streams
+	// workers forward, every job's.
+	EventWriter io.Writer
 	// SegmentBytes overrides the ledger segment rotation threshold
 	// (tests use small values to exercise rotation).
 	SegmentBytes int64
@@ -96,6 +106,8 @@ type Config struct {
 	// that is between two frames of the group), "sync:<op>" between the
 	// group's last frame and its fsync, and "post:<op>" after it.
 	crashHook func(point string) bool
+	// maxInflight, when set (tests only), replaces defaultMaxInflight.
+	maxInflight int
 }
 
 // job is the server-side state of one submission: the replayed core
@@ -138,6 +150,8 @@ type Server struct {
 	// active set, a mounted coordinator has something new to lease
 	// (CoordinatorConfig.OnWake), or the server is closing.
 	wake chan struct{}
+	// parked counts the lease calls held open right now (hold).
+	parked atomic.Int64
 
 	wg sync.WaitGroup
 }
@@ -156,6 +170,9 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.DrainGrace <= 0 {
 		cfg.DrainGrace = DefaultDrainGrace
+	}
+	if cfg.maxInflight <= 0 {
+		cfg.maxInflight = defaultMaxInflight
 	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
@@ -364,16 +381,13 @@ func (s *Server) runJob(j *job) {
 		s.mu.Unlock()
 	}
 
-	tmpl := s.cfg.Coordinator
 	coord, err := dist.NewCoordinator(dist.CoordinatorConfig{
 		Prog:             prog,
 		Options:          j.Spec,
 		RefParallelism:   j.RefParallelism,
-		LeaseTTL:         tmpl.LeaseTTL,
-		MaxShardAttempts: tmpl.MaxShardAttempts,
-		MaxInflight:      tmpl.MaxInflight,
-		Chaos:            tmpl.Chaos,
-		EventWriter:      tmpl.EventWriter,
+		LeaseTTL:         s.cfg.LeaseTTL,
+		MaxShardAttempts: s.cfg.MaxShardAttempts,
+		EventWriter:      s.cfg.EventWriter,
 		Prior:            j.prior(),
 		OnShardGrant: func(shards []int, worker string) {
 			s.audit(fmt.Sprintf("grant:%s#%d", id, shards[0]), recGrant,
@@ -420,7 +434,7 @@ func (s *Server) runJob(j *job) {
 		return
 	}
 	j.coord = coord
-	j.handler = http.StripPrefix(PathJobPrefix+id, coord.Handler())
+	j.handler = s.chaos(http.StripPrefix(PathJobPrefix+id, coord.Handler()))
 	j.State = StateRunning // mounted: leasable from this instant
 	s.wakeLocked()
 	cancelled := j.cancelRequested
@@ -622,20 +636,24 @@ func (s *Server) Submission(id string) (SubmitRequest, bool) {
 // Handler returns the service's HTTP handler: the jobs API, the lease
 // endpoint, per-job coordinator mounts, and status/metrics — wrapped in
 // load shedding. Server-side chaos, when configured, covers the lease
-// endpoint as it covers each job's.
+// endpoint and every request a mounted job serves.
 func (s *Server) Handler() http.Handler {
-	lease := http.Handler(http.HandlerFunc(s.handleLease))
-	if chaos := s.cfg.Coordinator.Chaos; chaos != nil {
-		lease = chaos.Middleware(lease)
-	}
 	mux := http.NewServeMux()
 	mux.HandleFunc(PathJobs, s.handleJobs)
 	mux.HandleFunc(PathJobs+"/", s.handleJob)
-	mux.Handle(dist.PathLease, lease)
+	mux.Handle(dist.PathLease, s.chaos(http.HandlerFunc(s.handleLease)))
 	mux.HandleFunc(PathJobPrefix, s.handleJobProxy)
 	mux.HandleFunc(PathStatus, s.handleStatus)
 	mux.HandleFunc(PathMetrics, s.handleMetrics)
-	return dist.Shed(s.cfg.Coordinator.MaxInflight, s.cfg.Metrics, "service overloaded", mux)
+	return shed(s.cfg.maxInflight, s.cfg.Metrics, mux)
+}
+
+// chaos wraps h in the server-side fault injector, when there is one.
+func (s *Server) chaos(h http.Handler) http.Handler {
+	if s.cfg.Chaos == nil {
+		return h
+	}
+	return s.cfg.Chaos.Middleware(h)
 }
 
 func writeJSON(w http.ResponseWriter, v any) {
@@ -861,11 +879,9 @@ func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 		id    string
 		coord *dist.Coordinator
 	}
-	var (
-		hold    dist.Hold
-		mounted []mount
-	)
-	defer hold.Stop()
+	var mounted []mount
+	held := hold{parked: &s.parked}
+	defer held.stop()
 	for {
 		s.mu.Lock()
 		if _, was := s.out[req.WorkerID]; was {
@@ -902,7 +918,7 @@ func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 			w.Write(data)
 			return
 		}
-		if !hold.Wait(r, wake) {
+		if !held.wait(r, wake) {
 			writeJSON(w, dist.LeaseResponse{Status: dist.LeaseWait})
 			return
 		}

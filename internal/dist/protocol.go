@@ -1,8 +1,10 @@
 // Package dist distributes a search across processes and machines: a
-// coordinator owns the shard plan (search.PlanShards) and hands out
-// lease-based work items over plain HTTP+JSON; workers run shards
-// through the sequential search engine (search.RunShard) and post back
-// mergeable reports, telemetry deltas, and trace events.
+// coordinator owns one search's shard plan (search.PlanShards) and
+// grants lease-based work items of it; the jobs service
+// (internal/dist/jobs) mounts one per running job and serves the worker
+// protocol, plain HTTP+JSON. Workers run shards through the sequential
+// search engine (search.RunShard) and post back mergeable reports,
+// telemetry deltas, and trace events.
 //
 // The determinism contract is inherited from the sharding layer: the
 // coordinator merges shard reports in plan order with the same merge
@@ -24,11 +26,10 @@
 //     shard that keeps failing is abandoned and surfaces in the merged
 //     report as Skipped work plus structured WorkerFailures — explicit
 //     coverage loss, never a silent gap.
-//   - The coordinator itself keeps nothing on disk. Its owner — the
-//     jobs service (internal/dist/jobs), the only thing that serves one —
-//     records every shard decision through the OnShardDone write-ahead
-//     hook and hands the record back as Prior after a restart, so
-//     decided shards are never re-run.
+//   - The coordinator itself keeps nothing on disk. Its owner, the jobs
+//     service, records every shard decision through the OnShardDone
+//     write-ahead hook and hands the record back as Prior after a
+//     restart, so decided shards are never re-run.
 //
 // See docs/DISTRIBUTED.md for the protocol walkthrough.
 package dist
@@ -40,18 +41,15 @@ import (
 	"fairmc/internal/search"
 )
 
-// Protocol endpoints. A worker asks for work at PathLease under the URL
-// it was given — a bare coordinator's, or the jobs service's — and
-// sends a grant's heartbeats, results and events to the same endpoints
-// under the grant's Path (the jobs service's /job/<id>; "" at a bare
-// coordinator). lease/heartbeat/result/events are POST with JSON bodies
-// (events: raw JSONL); status is GET.
+// Protocol endpoints. A worker asks for work at PathLease under the
+// jobs service's URL, and sends a grant's heartbeats, results and
+// events to the other endpoints under the grant's Path (the service's
+// /job/<id>). All are POST with JSON bodies (events: raw JSONL).
 const (
 	PathLease     = "/v1/lease"
 	PathHeartbeat = "/v1/heartbeat"
 	PathResult    = "/v1/result"
 	PathEvents    = "/v1/events"
-	PathStatus    = "/status"
 )
 
 // SpecFromOptions is o.Spec() under the name program: the search as a
@@ -66,10 +64,10 @@ func SpecFromOptions(program string, o search.Options) search.Options {
 // so workers keep sharing them.
 const LeaseBatch = 32
 
-// LeaseHold bounds how long a lease call with nothing grantable (at the
-// jobs service: no mounted job with anything grantable) is held open
-// waiting for that to change before it is answered "wait". It stays
-// well below the callers' per-attempt deadlines.
+// LeaseHold bounds how long a lease call with nothing grantable (no
+// mounted job with anything grantable) is held open waiting for that to
+// change before it is answered "wait". It stays well below the callers'
+// per-attempt deadlines.
 const LeaseHold = 2 * time.Second
 
 // LeaseRequest asks for work: one shard, or a batch of units. WorkerID
@@ -87,8 +85,7 @@ const (
 	// shards are excluded for this worker, or everything is leased); ask
 	// again.
 	LeaseWait = "wait"
-	// LeaseDone: the search is complete — at the jobs service, the
-	// service has closed; the worker should exit.
+	// LeaseDone: the service has closed; the worker should exit.
 	LeaseDone = "done"
 )
 
@@ -104,9 +101,9 @@ type Grant struct {
 type LeaseResponse struct {
 	Status string  `json:"status"`
 	Grants []Grant `json:"grants,omitempty"`
-	// Job names the search the grants belong to ("" at a bare
-	// coordinator) and Path is where their heartbeats, results and
-	// events go, relative to the URL the lease was asked at.
+	// Job names the search the grants belong to and Path is where their
+	// heartbeats, results and events go, relative to the URL the lease
+	// was asked at.
 	Job  string `json:"job,omitempty"`
 	Path string `json:"path,omitempty"`
 	// Spec is the search to run (search.Options.Spec); OptionsHash the
@@ -166,16 +163,4 @@ type ResultRequest struct {
 type ResultResponse struct {
 	Accepted []bool `json:"accepted"`
 	Done     bool   `json:"done,omitempty"`
-}
-
-// StatusResponse is the coordinator's public progress summary.
-type StatusResponse struct {
-	Program   string `json:"program"`
-	Strategy  string `json:"strategy"`
-	Shards    int    `json:"shards"`
-	Merged    int    `json:"merged"`
-	Completed int    `json:"completed"`
-	Abandoned int    `json:"abandoned"`
-	Leased    int    `json:"leased"`
-	Done      bool   `json:"done"`
 }

@@ -10,12 +10,13 @@ import (
 	"time"
 
 	"fairmc/internal/dist"
+	"fairmc/internal/dist/jobs"
 	"fairmc/internal/obs"
 	"fairmc/internal/search"
 )
 
 // TestDistCorruptSpoolEntryAdvisory: a spool entry whose CRC footer
-// fails is skipped and surfaced to the coordinator as an advisory
+// fails is skipped and surfaced to the service as an advisory
 // WorkerFailure — the replay continues, the affected shard is simply
 // re-explored, the reporting worker is NOT excluded (a single-worker
 // search must not livelock on its own report), and the merged report
@@ -23,12 +24,9 @@ import (
 func TestDistCorruptSpoolEntryAdvisory(t *testing.T) {
 	workDir := t.TempDir()
 	opts := search.Options{Fair: true, ContextBound: -1, MaxSteps: 10000}
-	cfg := dist.CoordinatorConfig{
-		Prog: fig3, Options: named("fig3", opts), RefParallelism: 2,
-		LeaseTTL: 5 * time.Second,
-	}
-	coordA, srvA := startCoordinator(t, cfg)
-	shardCount := coordStatus(t, srvA.URL).Shards
+	cfg := jobs.Config{Dir: t.TempDir(), LeaseTTL: 5 * time.Second}
+	a := startJob(t, cfg, "fig3", opts)
+	shardCount := a.status(t).Shards
 
 	// Phase 1: sever the result path so every shard report spools.
 	gate := &resultGate{}
@@ -38,7 +36,7 @@ func TestDistCorruptSpoolEntryAdvisory(t *testing.T) {
 	done := make(chan error, 1)
 	go func() {
 		done <- dist.RunWorker(dist.WorkerConfig{
-			URL:       srvA.URL,
+			URL:       a.url,
 			Lookup:    lookup,
 			WorkDir:   workDir,
 			Metrics:   mA,
@@ -59,12 +57,11 @@ func TestDistCorruptSpoolEntryAdvisory(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatalf("spooling worker: %v", err)
 	}
-	coordA.Interrupt()
-	coordA.Wait()
-	srvA.Close()
+	a.Close()
 
 	// Corrupt one entry: flip a payload bit under the intact footer.
-	names, _ := filepath.Glob(filepath.Join(workDir, "spool-shard-*.json"))
+	spool := filepath.Join(workDir, a.id)
+	names, _ := filepath.Glob(filepath.Join(spool, "spool-shard-*.json"))
 	if len(names) != shardCount {
 		t.Fatalf("spooled files = %v, want %d", names, shardCount)
 	}
@@ -78,18 +75,23 @@ func TestDistCorruptSpoolEntryAdvisory(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Phase 2: a fresh coordinator and ONE worker sharing the workdir.
-	// The corrupt entry must not fail the replay or exclude the only
-	// worker; the search completes with one shard re-explored.
-	coordB, srvB := startCoordinator(t, cfg)
+	// Phase 2: the restarted service and ONE worker sharing the
+	// workdir. The corrupt entry must not fail the replay or exclude the
+	// only worker; the search completes with one shard re-explored.
+	b := startJob(t, cfg, "fig3", opts)
 	mB := &obs.Metrics{}
-	if err := dist.RunWorker(dist.WorkerConfig{
-		URL: srvB.URL, Lookup: lookup, WorkDir: workDir, Metrics: mB,
-		Retry: fastPolicy(2),
-	}); err != nil {
+	done = make(chan error, 1)
+	go func() {
+		done <- dist.RunWorker(dist.WorkerConfig{
+			URL: b.url, Lookup: lookup, WorkDir: workDir, Metrics: mB,
+			Retry: fastPolicy(2),
+		})
+	}()
+	got := b.report(t)
+	b.Close()
+	if err := <-done; err != nil {
 		t.Fatalf("replaying worker: %v", err)
 	}
-	got := coordB.Wait()
 
 	if execs := mB.Snapshot().Executions; execs == 0 {
 		t.Fatal("corrupted shard was not re-explored")
@@ -106,7 +108,7 @@ func TestDistCorruptSpoolEntryAdvisory(t *testing.T) {
 	if advisory.Attempt != 0 {
 		t.Fatalf("advisory failure charged an attempt: %+v", advisory)
 	}
-	if left, _ := filepath.Glob(filepath.Join(workDir, "spool-shard-*.json")); len(left) != 0 {
+	if left, _ := filepath.Glob(filepath.Join(spool, "spool-shard-*.json")); len(left) != 0 {
 		t.Fatalf("spool not cleaned up (incl. the corrupt entry): %v", left)
 	}
 

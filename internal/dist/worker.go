@@ -52,8 +52,7 @@ const jobCacheSize = 16
 
 // WorkerConfig configures RunWorker.
 type WorkerConfig struct {
-	// URL is the base URL to lease from: a jobs service's, or a bare
-	// coordinator's (e.g. http://host:7171).
+	// URL is the jobs service's base URL (e.g. http://host:7171).
 	URL string
 	// Capacity is how many lease batches to run concurrently; 0 means 1.
 	Capacity int
@@ -122,7 +121,7 @@ type worker struct {
 type workerJob struct {
 	w       *worker
 	key     string
-	name    string // for logs: the job, or the program at a bare coordinator
+	name    string // the job's, for logs
 	tc      *transport.Client
 	hash    uint64
 	opts    search.Options
@@ -135,15 +134,15 @@ type workerJob struct {
 	gone atomic.Bool
 }
 
-// RunWorker is the one worker loop, for a bare coordinator and the jobs
-// service alike: lease from cfg.URL, run the granted shards, post them
-// to the path the grant names, repeat — until a lease is answered
-// "done" or cfg.Stop closes (returning nil). Completed reports whose
-// upload fails are spooled to cfg.WorkDir and replayed the next time
-// the worker is granted work of that job. It returns an error only when
-// cfg.URL stays unreachable for cfg.JoinTimeout — what a worker started
-// before its service rides out — or a grant is not for this build
-// (ErrSpecMismatch, an unknown program).
+// RunWorker is the one worker loop: lease from the jobs service at
+// cfg.URL, run the granted shards, post them to the path the grant
+// names, repeat — until a lease is answered "done" or cfg.Stop closes
+// (returning nil). Completed reports whose upload fails are spooled to
+// cfg.WorkDir and replayed the next time the worker is granted work of
+// that job. It returns an error only when cfg.URL stays unreachable for
+// cfg.JoinTimeout — what a worker started before its service rides out
+// — or a grant is not for this build (ErrSpecMismatch, an unknown
+// program).
 func RunWorker(cfg WorkerConfig) error {
 	if cfg.Lookup == nil {
 		return errors.New("dist: worker needs a program Lookup")
@@ -317,7 +316,7 @@ func (w *worker) job(resp *LeaseResponse) (j *workerJob, replayed map[int]bool, 
 	if j = cached(); j != nil {
 		return j, nil, nil
 	}
-	if resp.Spec == nil || (resp.Job != "" && !filepath.IsLocal(resp.Job)) {
+	if resp.Spec == nil || !filepath.IsLocal(resp.Job) {
 		return nil, nil, fmt.Errorf("dist: malformed grant (job %q, spec %v)", resp.Job, resp.Spec != nil)
 	}
 	tc := *w.tc
@@ -327,9 +326,6 @@ func (w *worker) job(resp *LeaseResponse) (j *workerJob, replayed map[int]bool, 
 		hash: resp.OptionsHash,
 		opts: *resp.Spec,
 		ttl:  time.Duration(resp.LeaseTTLMS) * time.Millisecond,
-	}
-	if j.name == "" {
-		j.name = j.opts.ProgramName
 	}
 	if j.ttl <= 0 {
 		j.ttl = DefaultLeaseTTL

@@ -246,21 +246,23 @@ func (sh *Shard) check() error {
 // checkpoint directory's alike. Ledger order is causal — a DPOR unit's
 // decision follows the one that spawned it — so every decision finds its
 // shard planned. A decision that could not have been recorded at its
-// point (check) is skipped, and its shard runs again.
+// point (Check) is skipped, and its shard runs again.
 func (m *ShardMerger) Fold(done ...ShardDoneRec) {
 	for i := range done {
-		if d := &done[i]; m.check(d) == nil {
+		if d := &done[i]; m.Check(d) == nil {
 			m.Offer(d.Shard, d.Report)
 		}
 	}
 }
 
-// check reports why d could not have been recorded for this merge at
+// Check reports why d could not have been recorded for this merge at
 // this point: a shard the plan does not hold, an abandonment without its
 // reason, or a report inconsistent in itself — counts a merge cannot
 // hold, a rest of another kind than its shard or outside a serial plan,
-// a DPOR payload whose parts disagree.
-func (m *ShardMerger) check(d *ShardDoneRec) error {
+// a DPOR payload whose parts disagree. A decision read back from a
+// ledger and one a worker posts pass the same check before the merge
+// sees them.
+func (m *ShardMerger) Check(d *ShardDoneRec) error {
 	r := d.Report
 	switch {
 	case d.Shard < 0 || d.Shard >= len(m.plan.Shards):

@@ -21,7 +21,7 @@ func FoldCheck(opts Options, plan *PlanRec, done []ShardDoneRec) error {
 	}
 	m := NewShardMerger(opts, plan.Plan)
 	for i := range done {
-		if err := m.check(&done[i]); err != nil {
+		if err := m.Check(&done[i]); err != nil {
 			return err
 		}
 		m.Fold(done[i])
