@@ -334,8 +334,9 @@ func BenchmarkAblationSleepSets(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationDPOR measures dynamic partial-order reduction on
-// the same independent-writer workload as the sleep-set ablation.
+// BenchmarkAblationDPOR measures dynamic partial-order reduction (with
+// the sleep sets it always carries) on the same independent-writer
+// workload as the sleep-set ablation.
 func BenchmarkAblationDPOR(b *testing.B) {
 	prog := func(t *conc.T) {
 		vars := make([]*conc.IntVar, 3)
@@ -353,7 +354,7 @@ func BenchmarkAblationDPOR(b *testing.B) {
 		}
 		wg.Wait(t)
 	}
-	for _, mode := range []string{"plain", "dpor", "dpor+sleep"} {
+	for _, mode := range []string{"plain", "dpor"} {
 		mode := mode
 		b.Run(mode, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
@@ -361,8 +362,7 @@ func BenchmarkAblationDPOR(b *testing.B) {
 					Fair:         false,
 					ContextBound: -1,
 					MaxSteps:     1 << 16,
-					DPOR:         mode != "plain",
-					SleepSets:    mode == "dpor+sleep",
+					DPOR:         mode == "dpor",
 				})
 				if !rep.Exhausted {
 					b.Fatal("not exhausted")

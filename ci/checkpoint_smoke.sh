@@ -4,7 +4,7 @@
 # require the rerun's report to be identical to an uninterrupted
 # baseline modulo wall-clock times. Three phases: a random walk of
 # bakery-2 and a fair DFS of ticketlock, both at -p 1 with an execution
-# budget and stopped by SIGINT, and a DPOR search of boundedbuffer at
+# budget and stopped by SIGINT, and a DPOR search of readerswriters at
 # -p 2, stopped by kill -9 with its latest records unsynced.
 set -euo pipefail
 
@@ -91,7 +91,7 @@ same dfs
 # again). Options other than program, strategy, seed and -p are given
 # again: the directory refuses a rerun they would change.
 dpor=(-fair=false -dpor -maxsteps 5000)
-"$fairmc" check -prog boundedbuffer "${dpor[@]}" -p 2 > "$workdir/dpor-baseline.txt"
-interrupt KILL dpor -prog boundedbuffer "${dpor[@]}" -p 2
+"$fairmc" check -prog readerswriters "${dpor[@]}" -p 2 > "$workdir/dpor-baseline.txt"
+interrupt KILL dpor -prog readerswriters "${dpor[@]}" -p 2
 "$fairmc" check -checkpoint "$workdir/dpor" "${dpor[@]}" > "$workdir/dpor-resumed.txt"
 same dpor

@@ -49,7 +49,7 @@ func (c *cli) check(args []string) int {
 	// to the sequential searcher unless the user asked for -p
 	// explicitly, in which case refuse rather than silently comply.
 	// DPOR is exempt: its state lives in serializable work units, so it
-	// shards at any -p (and -sleepsets rides inside the units).
+	// shards at any -p (and its sleep sets ride inside the units).
 	if opts.Parallelism > 1 && (race || (opts.SleepSets && !opts.DPOR)) {
 		if explicit["p"] {
 			return c.usageError("-p > 1 is incompatible with -race and with -sleepsets without -dpor")

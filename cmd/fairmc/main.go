@@ -150,8 +150,8 @@ func searchFlags(fs *flag.FlagSet, o *fairmc.Options) (finish func()) {
 	fs.BoolVar(&o.RandomWalk, "random", false, "random-walk search instead of systematic DFS (needs an execution or time budget)")
 	fs.BoolVar(&o.PCT, "pct", false, "probabilistic concurrency testing (needs an execution or time budget)")
 	fs.IntVar(&o.PCTDepth, "pctdepth", 3, "PCT target bug depth d")
-	fs.BoolVar(&o.SleepSets, "sleepsets", false, "sleep-set partial-order reduction (unfair searches only)")
-	fs.BoolVar(&o.DPOR, "dpor", false, "dynamic partial-order reduction (unfair, terminating programs only)")
+	fs.BoolVar(&o.SleepSets, "sleepsets", false, "sleep-set partial-order reduction (unfair searches only; -dpor always includes it)")
+	fs.BoolVar(&o.DPOR, "dpor", false, "dynamic partial-order reduction with sleep sets (unfair, terminating programs only)")
 	parallelFlag(fs, &o.Parallelism, "worker count for the search; 1 = sequential")
 	fs.DurationVar(&o.Watchdog, "watchdog", 30*time.Second, "per-step wedge detector: abort an execution whose thread reaches no scheduling point within this interval; 0 disables")
 	fs.IntVar(&o.ConfirmRuns, "confirm", 3, "confirmation replays per finding (reproducibility verdict); 0 disables")

@@ -249,13 +249,11 @@ type Set struct {
 	moves []Move
 }
 
+// Reset empties the set, keeping its capacity.
+func (s *Set) Reset() { s.moves = s.moves[:0] }
+
 // Len returns the number of sleeping moves.
 func (s *Set) Len() int { return len(s.moves) }
-
-// Clone copies the set.
-func (s *Set) Clone() Set {
-	return Set{moves: append([]Move(nil), s.moves...)}
-}
 
 // Add puts a move to sleep.
 func (s *Set) Add(m Move) {
@@ -288,8 +286,14 @@ func (s *Set) Contains(e *engine.Engine, alt engine.Alt) bool {
 }
 
 // Step advances the sleep set across the execution of chosen: moves
-// dependent on it wake up (are dropped).
+// dependent on it wake up (are dropped). A yield or sleep wakes them all:
+// it says its thread waits for another (the paper adds {t} × H to P),
+// and others kept asleep across it would starve. Dropping prunes less.
 func (s *Set) Step(chosen Move) {
+	if k := chosen.Info.Kind; k == "yield" || k == "sleep" {
+		s.Reset()
+		return
+	}
 	out := s.moves[:0]
 	for _, m := range s.moves {
 		if Independent(m, chosen) {

@@ -54,6 +54,33 @@ func TestIndependenceOracle(t *testing.T) {
 	}
 }
 
+// TestYieldWakesEverySleeper: stepping a sleep set across a yield (or a
+// sleep) empties it, although the yield is independent of every entry;
+// a step across an independent non-yield keeps them all.
+func TestYieldWakesEverySleeper(t *testing.T) {
+	asleep := []por.Move{mv(2, "store", 0, 0), mv(3, "lock", 3, 0)}
+	for _, c := range []struct {
+		step por.Move
+		want int
+	}{
+		{mv(1, "yield", -1, 0), 0},
+		{mv(1, "sleep", -1, 1), 0},
+		{mv(1, "store", 1, 0), len(asleep)},
+	} {
+		var s por.Set
+		for _, m := range asleep {
+			if !por.Independent(c.step, m) {
+				t.Fatalf("%s is dependent with %s: the case tests nothing", c.step.Info.Kind, m.Info.Kind)
+			}
+			s.Add(m)
+		}
+		s.Step(c.step)
+		if s.Len() != c.want {
+			t.Errorf("after a %s, %d moves asleep, want %d", c.step.Info.Kind, s.Len(), c.want)
+		}
+	}
+}
+
 // parallelWriters: n threads writing disjoint variables — maximal
 // independence, so sleep sets collapse the n! orderings drastically.
 func parallelWriters(n int) func(*engine.T) {

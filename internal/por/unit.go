@@ -39,8 +39,8 @@ type Unit struct {
 	Digs []engine.StepDigest `json:"digs,omitempty"`
 	// Sleep[i] holds the moves to install into the live sleep set
 	// before step i executes: the already-covered siblings at that
-	// state. Populated only when sleep sets are enabled; entries past
-	// the unit's branch point are nil.
+	// state. Entries past the unit's branch point are nil, and so is
+	// the root's Sleep.
 	Sleep [][]Move `json:"sleep,omitempty"`
 }
 
@@ -55,7 +55,7 @@ type ExecStep struct {
 	// Moves[i] is the Move of Alts[i] at that state.
 	Moves []Move
 	// Awake[i] reports whether Alts[i] was awake in the unit's live
-	// sleep set when the step executed (all true without sleep sets).
+	// sleep set when the step executed.
 	Awake []bool
 }
 

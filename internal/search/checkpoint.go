@@ -69,8 +69,10 @@ const defaultCheckpointInterval = 30 * time.Second
 // freezes the ledger there, the disk's view of kill -9.
 var checkpointHook func(event string, l *ledger.Ledger)
 
-// strategyOf names the enumeration strategy of a plan.
-func strategyOf(o *Options) string {
+// StrategyName returns the canonical name of the enumeration strategy
+// the options select: "random", "pct", or "dfs" (any systematic
+// search). It is the same name plans and run reports carry.
+func StrategyName(o *Options) string {
 	switch {
 	case o.RandomWalk:
 		return "random"
@@ -81,18 +83,15 @@ func strategyOf(o *Options) string {
 	}
 }
 
-// StrategyName returns the canonical name of the enumeration strategy
-// the options select: "random", "pct", or "dfs" (any systematic
-// search). It is the same name plans and run reports carry.
-func StrategyName(o *Options) string { return strategyOf(o) }
-
 // semantic is the spec less the operational settings a rerun may change
 // (execution budget, retry, confirmation, watchdog and checkpoint
-// interval). An SC search is the same whether or not it names its model.
+// interval). An SC search is the same whether or not it names its model,
+// a DPOR search whether or not it names the sleep sets it always carries.
 func (o *Options) semantic() Options {
 	s := o.Spec()
 	s.MaxExecutions, s.DivergenceRetries, s.ConfirmRuns = 0, 0, 0
 	s.Watchdog, s.CheckpointInterval = 0, 0
+	s.SleepSets = s.SleepSets && !s.DPOR
 	if s.MemModel == "sc" {
 		s.MemModel = ""
 	}
@@ -104,13 +103,17 @@ func (o *Options) semantic() Options {
 
 // OptionsHash fingerprints the options that determine the schedule
 // enumeration: FNV-1a over the JSON of their semantic part, program name
-// aside. Plans and ledger records carry it, and a worker refuses a plan
-// whose hash is not its own.
+// aside, after DPOR's enumeration revision for a DPOR search (an older
+// build's DPOR plan is another version's). Plans and ledger records carry
+// it, and a worker refuses a plan whose hash is not its own.
 func OptionsHash(o *Options) uint64 {
 	s := o.semantic()
 	s.ProgramName = ""
 	data, _ := json.Marshal(s) // plain data: cannot fail
 	h := fnv.New64a()
+	if s.DPOR {
+		h.Write([]byte("dpor/sleep+yield\n"))
+	}
 	h.Write(data)
 	return h.Sum64()
 }

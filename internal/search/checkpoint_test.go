@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -95,6 +96,45 @@ func TestOptionsFieldsClassified(t *testing.T) {
 	sc := search.Options{MemModel: "sc", TSOBufCap: 4}
 	if search.OptionsHash(&sc) != search.OptionsHash(&search.Options{}) {
 		t.Errorf("an SC search hashes differently when it names its model or a store-buffer bound")
+	}
+}
+
+// TestDPORHashNamesTheEnumeration: DPOR's enumeration changed when every
+// unit came to carry sleep sets and a yield to wake them, so a plan from
+// before hashes apart and is refused, never folded; -sleepsets names the
+// same DPOR search. The literals are the OptionsHash the build before
+// gave {DPOR, ContextBound: -1, MaxSteps: 5000}, without and with
+// SleepSets.
+func TestDPORHashNamesTheEnumeration(t *testing.T) {
+	const before, beforeSleep = 0x80a1bf4176e68929, 0x2c300956b243ab35
+	o := search.Options{DPOR: true, ContextBound: -1, MaxSteps: 5000, ProgramName: "racy-increment"}
+	sleep := o
+	sleep.SleepSets = true
+	h := search.OptionsHash(&o)
+	if h == before || h == beforeSleep {
+		t.Fatalf("OptionsHash = %#x, as before the enumeration changed", h)
+	}
+	if hs := search.OptionsHash(&sleep); hs != h {
+		t.Fatalf("OptionsHash with SleepSets = %#x, without %#x: want one DPOR search", hs, h)
+	}
+	plan, err := search.PlanShards(racyIncrement, o, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := &search.PlanRec{OptionsHash: plan.OptionsHash, Plan: plan, Spec: &o}
+	if err := sleep.Matches(rec); err != nil {
+		t.Fatalf("a -sleepsets rerun of a DPOR checkpoint refused: %v", err)
+	}
+	for _, old := range []struct {
+		spec search.Options
+		hash uint64
+	}{{o, before}, {sleep, beforeSleep}} {
+		stale := *plan
+		stale.OptionsHash = old.hash
+		rec := &search.PlanRec{OptionsHash: old.hash, Plan: &stale, Spec: &old.spec}
+		if err := o.Matches(rec); err == nil || !strings.Contains(err.Error(), "written by another version") {
+			t.Fatalf("a plan of the old hash %#x: Matches = %v, want it refused as another version's", old.hash, err)
+		}
 	}
 }
 

@@ -30,7 +30,7 @@ package search
 // under every schedule, all deadlocks and assertion violations are
 // found; a unit that reaches MaxSteps is outside that premise and is
 // reported as a divergence finding (classify), which stops the merge.
-// It requires the unfair scheduler and composes with sleep sets, whose
+// It requires the unfair scheduler and always carries sleep sets, whose
 // state rides inside the units (Unit.Sleep).
 
 import (
@@ -123,7 +123,9 @@ func (c *unitChooser) reset(opts *Options, unit *por.Unit) {
 		opts: opts, unit: unit,
 		steps: c.steps[:0], alts: c.alts[:0], moves: c.moves[:0], awake: c.awake[:0],
 		hashes: c.hashes[:0], contIdx: c.contIdx[:0], cont: c.cont[:0], contDigs: c.contDigs[:0],
+		sleep: c.sleep,
 	}
+	c.sleep.Reset()
 }
 
 // Choose implements engine.Chooser for one unit execution.
@@ -159,7 +161,7 @@ func (c *unitChooser) Choose(ctx *engine.ChooseContext) (engine.Alt, bool) {
 	// the recorded list is copied into the arena.
 	lo := len(c.alts)
 	c.alts = c.opts.admissible(c.alts, ctx, c.preemptUsed)
-	if c.opts.SleepSets && step < len(c.unit.Sleep) {
+	if step < len(c.unit.Sleep) {
 		// Install the serialized sleep entries for this state — the
 		// siblings already covered when the unit was spawned — before
 		// computing the awake mask.
@@ -171,7 +173,7 @@ func (c *unitChooser) Choose(ctx *engine.ChooseContext) (engine.Alt, bool) {
 	alts := c.alts[lo:hi:hi]
 	for _, a := range alts {
 		c.moves = append(c.moves, por.MoveOf(e, a))
-		c.awake = append(c.awake, !c.opts.SleepSets || !c.sleep.Contains(e, a))
+		c.awake = append(c.awake, !c.sleep.Contains(e, a))
 	}
 	rec := por.ExecStep{Alts: alts, Moves: c.moves[lo:hi:hi], Awake: c.awake[lo:hi:hi]}
 
@@ -209,9 +211,7 @@ func (c *unitChooser) Choose(ctx *engine.ChooseContext) (engine.Alt, bool) {
 	if ctx.IsPreemption(chosen) {
 		c.preemptUsed++
 	}
-	if c.opts.SleepSets {
-		c.sleep.Step(rec.Chosen)
-	}
+	c.sleep.Step(rec.Chosen)
 	c.pos++
 	return chosen, true
 }
@@ -329,14 +329,6 @@ func (t *pathTrie) add(n int32, l int) (int32, bool) {
 	return id, true
 }
 
-// addPath inserts path and all its prefixes.
-func (t *pathTrie) addPath(path []int) {
-	n := int32(0)
-	for _, l := range path {
-		n, _ = t.add(n, l)
-	}
-}
-
 // childOf returns the first n elements of a followed by b, then last,
 // in a fresh slice: a child unit's prefix, cut from its parent's prefix
 // and continuation.
@@ -401,25 +393,22 @@ func (m *ShardMerger) spawn(unit *por.Unit, r *Report) {
 		child := &por.Unit{
 			Path:  childOf(unit.Path, d.ContIdx, pr.Pos, pr.Idx),
 			Sched: childOf(unit.Sched, d.Cont, pr.Pos, node.Alts[pr.Idx]),
+			Sleep: make([][]por.Move, pr.Pos+1),
 		}
 		if !m.opts.DisableConformance && len(unit.Digs)+len(d.ContDigs) >= pr.Pos {
 			child.Digs = childOf(unit.Digs, d.ContDigs, pr.Pos,
 				engine.StepDigest{Hash: node.Hash, Tid: node.Alts[pr.Idx].Tid, Op: node.Moves[pr.Idx].Info})
 		}
-		if m.opts.SleepSets {
-			// The child inherits the parent's installed sleep entries
-			// along the shared prefix, and at the branch point puts every
-			// already-covered sibling to sleep. Spawn order makes the
-			// covered-by relation acyclic, which is what keeps the
-			// reduction sound.
-			sleep := make([][]por.Move, pr.Pos+1)
-			copy(sleep[:pr.Pos], unit.Sleep)
-			for j := range node.Alts {
-				if j != pr.Idx && m.seen.find(at[pr.Pos], j) != 0 {
-					sleep[pr.Pos] = append(sleep[pr.Pos], node.Moves[j])
-				}
+		// The child inherits the parent's installed sleep entries along
+		// the shared prefix, and at the branch point puts every
+		// already-covered sibling to sleep. Spawn order makes the
+		// covered-by relation acyclic, which is what keeps the reduction
+		// sound.
+		copy(child.Sleep[:pr.Pos], unit.Sleep)
+		for j := range node.Alts {
+			if j != pr.Idx && m.seen.find(at[pr.Pos], j) != 0 {
+				child.Sleep[pr.Pos] = append(child.Sleep[pr.Pos], node.Moves[j])
 			}
-			child.Sleep = sleep
 		}
 		m.plan.Shards = append(m.plan.Shards, Shard{Index: len(m.plan.Shards), Unit: child})
 	}

@@ -68,7 +68,7 @@ func TestPathTrieMatchesReference(t *testing.T) {
 	for seed := uint64(1); seed <= 20; seed++ {
 		r := rng.New(seed)
 		metrics := obs.NewMetrics()
-		opts := Options{DPOR: true, SleepSets: true, DisableConformance: true, Metrics: metrics}
+		opts := Options{DPOR: true, DisableConformance: true, Metrics: metrics}
 		plan := &Plan{Shards: []Shard{{Unit: &por.Unit{}}}}
 		m := NewShardMerger(opts, plan)
 		ref := refSeen{}

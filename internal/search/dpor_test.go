@@ -1,14 +1,17 @@
 package search_test
 
 import (
+	"reflect"
 	"runtime"
 	"testing"
 
+	"fairmc/internal/canon"
 	"fairmc/internal/engine"
 	"fairmc/internal/fuzzprog"
 	"fairmc/internal/obs"
 	"fairmc/internal/search"
 	"fairmc/internal/syncmodel"
+	"fairmc/internal/tidset"
 	"fairmc/progs"
 )
 
@@ -86,25 +89,9 @@ func TestDPORReducesExecutions(t *testing.T) {
 	t.Logf("executions: plain %d, DPOR %d", plain.Executions, dpor.Executions)
 }
 
-func TestDPORComposesWithSleepSets(t *testing.T) {
-	both := search.Explore(parallel3, search.Options{
-		Fair: false, ContextBound: -1, MaxSteps: 10000, DPOR: true, SleepSets: true,
-	})
-	if !both.Exhausted {
-		t.Fatalf("not exhausted: %+v", both)
-	}
-	solo := search.Explore(parallel3, search.Options{
-		Fair: false, ContextBound: -1, MaxSteps: 10000, DPOR: true,
-	})
-	if both.Executions > solo.Executions {
-		t.Fatalf("sleep sets on top of DPOR increased executions: %d > %d",
-			both.Executions, solo.Executions)
-	}
-}
-
 // TestDPORBugParityWithFullDFS checks the bug-preservation guarantee
-// differentially: across seeded terminating programs (some with a
-// planted assertion), DPOR finds a bug iff the full DFS does.
+// differentially: on a program with a planted transient-state bug and
+// on its locked twin, DPOR finds a bug iff the full DFS does.
 func TestDPORBugParityWithFullDFS(t *testing.T) {
 	// A transient-state bug program parameterized by whether the
 	// window exists.
@@ -141,35 +128,72 @@ func TestDPORBugParityWithFullDFS(t *testing.T) {
 		plain := search.Explore(transient(buggy), search.Options{
 			Fair: false, ContextBound: -1, MaxSteps: 10000,
 		})
-		for _, sleep := range []bool{false, true} {
-			dpor := search.Explore(transient(buggy), search.Options{
-				Fair: false, ContextBound: -1, MaxSteps: 10000,
-				DPOR: true, SleepSets: sleep,
-			})
-			if (plain.FirstBug != nil) != (dpor.FirstBug != nil) {
-				t.Fatalf("buggy=%v sleep=%v: DFS found=%v, DPOR found=%v",
-					buggy, sleep, plain.FirstBug != nil, dpor.FirstBug != nil)
-			}
+		dpor := search.Explore(transient(buggy), search.Options{
+			Fair: false, ContextBound: -1, MaxSteps: 10000, DPOR: true,
+		})
+		if (plain.FirstBug != nil) != (dpor.FirstBug != nil) {
+			t.Fatalf("buggy=%v: DFS found=%v, DPOR found=%v",
+				buggy, plain.FirstBug != nil, dpor.FirstBug != nil)
 		}
 	}
-	// Clean generated programs: DPOR must stay clean and exhaust.
+}
+
+// terminalStates is a monitor that collects the canonical fingerprint
+// of every state in which no thread is live: the end states of the
+// executions that ran to completion (an execution DPOR prunes asleep
+// stops short of one).
+type terminalStates map[engine.Fingerprint]bool
+
+func (terminalStates) AfterInit(*engine.Engine) {}
+
+func (s terminalStates) AfterStep(e *engine.Engine) {
+	for t := 0; t < e.NumThreads(); t++ {
+		if e.SnapshotThread(tidset.Tid(t)).Live {
+			return
+		}
+	}
+	s[canon.Fingerprint(e)] = true
+}
+
+// verdict names what a search concluded: its first bug's outcome, a
+// divergence, or an exhaustion with neither.
+func verdict(r *search.Report) string {
+	switch {
+	case r.FirstBug != nil:
+		return r.FirstBug.Outcome.String()
+	case r.Divergence != nil:
+		return "divergence"
+	case r.Exhausted:
+		return "clean"
+	}
+	return "unfinished"
+}
+
+// TestDPORMatchesDFSOnGeneratedPrograms is the reducer oracle over
+// generated terminating programs (yields and sleeps included, so the
+// rule that a yield wakes every sleeper is exercised): DPOR's verdict is
+// plain unfair DFS's, and it reaches exactly the same set of terminal
+// states, compared as canonical fingerprints.
+func TestDPORMatchesDFSOnGeneratedPrograms(t *testing.T) {
 	cfg := fuzzprog.DefaultConfig()
 	cfg.AllowSpin = false
 	cfg.OpsPerThread = 3
-	for seed := uint64(0); seed < 15; seed++ {
+	for seed := uint64(0); seed < 25; seed++ {
 		prog := fuzzprog.Generate(cfg, seed)
-		for _, sleep := range []bool{false, true} {
-			rep := search.Explore(prog, search.Options{
-				Fair: false, ContextBound: -1, MaxSteps: 1 << 16,
-				DPOR: true, SleepSets: sleep,
+		var reps [2]*search.Report
+		var ends [2]terminalStates
+		for i, dpor := range []bool{false, true} {
+			ends[i] = terminalStates{}
+			reps[i] = search.Explore(prog, search.Options{
+				ContextBound: -1, MaxSteps: 1 << 16, DPOR: dpor, Monitor: ends[i],
 			})
-			if rep.FirstBug != nil {
-				t.Fatalf("seed %d sleep=%v: DPOR false finding:\n%s",
-					seed, sleep, rep.FirstBug.FormatTrace())
-			}
-			if !rep.Exhausted {
-				t.Fatalf("seed %d sleep=%v: DPOR did not exhaust", seed, sleep)
-			}
+		}
+		if dfs, dpor := verdict(reps[0]), verdict(reps[1]); dfs != dpor {
+			t.Fatalf("seed %d: DFS's verdict is %s, DPOR's %s", seed, dfs, dpor)
+		}
+		if !reflect.DeepEqual(ends[0], ends[1]) {
+			t.Fatalf("seed %d: DFS reaches %d terminal states, DPOR %d (%d executions against %d)",
+				seed, len(ends[0]), len(ends[1]), reps[0].Executions, reps[1].Executions)
 		}
 	}
 }

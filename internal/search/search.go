@@ -99,13 +99,14 @@ type Options struct {
 	// one schedule, and every pair of conflicting transitions it
 	// observes spawns a self-contained work unit — a schedule prefix
 	// ending in the race reversal — until no unexplored reversal
-	// remains. Finds all deadlocks and assertion violations of
-	// programs that terminate under every schedule, in far fewer
-	// executions than full DFS; it does NOT guarantee full state
-	// coverage (use SleepSets for that). Requires Fair to be false and
-	// a terminating program (no DepthBound / RandomTail / RandomWalk /
-	// PCT): an execution that reaches MaxSteps is reported as a
-	// Divergence, never as exhaustion. Because the units are
+	// remains, with sleep sets riding in the units (por.Unit.Sleep).
+	// Finds all deadlocks and assertion violations of programs that
+	// terminate under every schedule, in far fewer executions than full
+	// DFS; it does NOT guarantee full state coverage (use SleepSets
+	// alone for that). Requires Fair to be false and a terminating
+	// program (no DepthBound / RandomTail / RandomWalk / PCT): an
+	// execution that reaches MaxSteps is reported as a Divergence,
+	// never as exhaustion. Because the units are
 	// serializable and merged in a canonical order, DPOR runs at any
 	// Parallelism, distributed (Shard.Unit), and under
 	// checkpoint/resume, always with a byte-identical report.
@@ -118,6 +119,7 @@ type Options struct {
 	// requires Fair to be false (the paper flags combining the two as
 	// future work). Like DPOR it presumes a terminating program: an
 	// execution that reaches MaxSteps is reported as a Divergence.
+	// DPOR always includes sleep sets: with DPOR this is a no-op.
 	SleepSets bool `json:"sleepSets,omitempty"`
 	// Parallelism runs the search on this many worker goroutines, each
 	// with its own engine; 0 or 1 is the sequential searcher (on the
@@ -136,8 +138,8 @@ type Options struct {
 	// and SleepSets without DPOR, whose state is shared across
 	// executions: Validate refuses those combinations rather than race
 	// (no silent unsoundness).
-	// DPOR (with or without SleepSets) parallelizes: its state lives
-	// in self-contained work units, not the searcher.
+	// DPOR parallelizes: its sleep sets live in self-contained work
+	// units, not the searcher.
 	Parallelism int `json:"-"`
 	// DivergenceRetries is how many times a prefix replay that stops
 	// conforming to its recorded digests is re-executed before the

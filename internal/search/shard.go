@@ -155,7 +155,7 @@ func PlanShards(prog func(*engine.T), opts Options, refParallelism int) (*Plan, 
 // one, split only where it pauses.
 func planShards(prog func(*engine.T), opts *Options, refParallelism int, serial bool) *Plan {
 	plan := &Plan{
-		Strategy:       strategyOf(opts),
+		Strategy:       StrategyName(opts),
 		RefParallelism: refParallelism,
 		OptionsHash:    OptionsHash(opts),
 		Serial:         serial,

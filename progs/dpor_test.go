@@ -1,18 +1,24 @@
 package progs_test
 
 // The DPOR reduction table: executions to exhaustion or to the first
-// bug on the registered subjects under unfair DPOR, with and without
-// sleep sets. The counts are deterministic, so each is pinned as a
-// ceiling — a reducer change may lower a count, never raise it — and
-// each row runs sequentially and at Parallelism 4, which must agree.
+// bug on the registered subjects under unfair DPOR, which always
+// carries sleep sets. The counts are deterministic, so each is pinned
+// exactly — a reducer change that moves one updates its row and says
+// why in CHANGES.md — and each row runs sequentially and at
+// Parallelism 4, which must agree.
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"fairmc"
 	"fairmc/progs"
 )
+
+func dporOpts(par int) fairmc.Options {
+	return fairmc.Options{Fair: false, ContextBound: -1, MaxSteps: 5000, DPOR: true, Parallelism: par}
+}
 
 func TestDPORReductionTable(t *testing.T) {
 	type verdict int
@@ -22,43 +28,32 @@ func TestDPORReductionTable(t *testing.T) {
 		diverge                // spins past MaxSteps: outside DPOR's premise
 	)
 	rows := []struct {
-		prog      string
-		sleepSets bool
-		want      verdict
-		ceiling   int64 // executions to exhaustion / to the finding
+		prog  string
+		want  verdict
+		count int64 // executions to exhaustion / to the finding
 	}{
-		{"boundedbuffer", false, clean, 19140},
-		{"boundedbuffer", true, clean, 117},
-		{"msqueue-bug", false, bug, 307},
-		{"seqlock-torn", false, bug, 232},
-		{"treiber-aba", true, bug, 222},
+		{"boundedbuffer", clean, 117},
+		// msqueue-bug's consumers spin on a yield while the producer's
+		// pending op is independent of theirs. Kept asleep across their
+		// yields, the producer would starve and the search would report
+		// a divergence at execution 7; a yield wakes every sleeper.
+		{"msqueue-bug", bug, 23},
+		{"seqlock-torn", bug, 20},
+		{"treiber-aba", bug, 258},
 		// barrier-bug spin-waits: an unfair schedule never terminates,
 		// so the reduction must report the divergence, not "exhausted
 		// in 2 executions" (fair DFS falsifies it at execution 1).
-		{"barrier-bug", false, diverge, 1},
-		{"barrier-bug", true, diverge, 1},
+		{"barrier-bug", diverge, 1},
 	}
 	for _, row := range rows {
 		row := row
-		name := row.prog + "/dpor"
-		if row.sleepSets {
-			name += "+sleepsets"
+		p, ok := progs.Lookup(row.prog)
+		if !ok {
+			t.Fatalf("program %q not registered", row.prog)
 		}
-		t.Run(name, func(t *testing.T) {
-			p, ok := progs.Lookup(row.prog)
-			if !ok {
-				t.Fatalf("program %q not registered", row.prog)
-			}
-			var seq *fairmc.Result
+		t.Run(row.prog+"/dpor", func(t *testing.T) {
 			for _, par := range []int{1, 4} {
-				res := mustCheck(t, p.Body, fairmc.Options{
-					Fair:         false,
-					ContextBound: -1,
-					MaxSteps:     5000,
-					DPOR:         true,
-					SleepSets:    row.sleepSets,
-					Parallelism:  par,
-				})
+				res := mustCheck(t, p.Body, dporOpts(par))
 				at := fmt.Sprintf("-p %d", par)
 				got := res.Executions
 				switch row.want {
@@ -68,7 +63,7 @@ func TestDPORReductionTable(t *testing.T) {
 					}
 				case bug:
 					if res.FirstBug == nil {
-						t.Fatalf("%s: no bug in %d executions", at, res.Executions)
+						t.Fatalf("%s: no bug in %d executions (divergence at %d)", at, res.Executions, res.DivergenceExecution)
 					}
 					got = res.FirstBugExecution
 				case diverge:
@@ -81,18 +76,19 @@ func TestDPORReductionTable(t *testing.T) {
 					}
 					got = res.DivergenceExecution
 				}
-				if got > row.ceiling {
-					t.Errorf("%s: %d executions, ceiling %d", at, got, row.ceiling)
+				if got != row.count {
+					t.Errorf("%s: %d executions, want %d", at, got, row.count)
 				}
-				if seq == nil {
-					seq = res
-				} else if res.Executions != seq.Executions ||
-					res.FirstBugExecution != seq.FirstBugExecution ||
-					res.DivergenceExecution != seq.DivergenceExecution {
-					t.Errorf("%s: executions/bug/divergence %d/%d/%d differ from sequential %d/%d/%d", at,
-						res.Executions, res.FirstBugExecution, res.DivergenceExecution,
-						seq.Executions, seq.FirstBugExecution, seq.DivergenceExecution)
-				}
+			}
+		})
+		// DPOR carries sleep sets anyway: -sleepsets names the same
+		// search, so the report is -dpor's.
+		t.Run(row.prog+"/dpor+sleepsets", func(t *testing.T) {
+			opts := dporOpts(1)
+			dpor := mustCheck(t, p.Body, opts).RunReport(row.prog, opts)
+			opts.SleepSets = true
+			if both := mustCheck(t, p.Body, opts).RunReport(row.prog, opts); !reflect.DeepEqual(both, dpor) {
+				t.Fatalf("-dpor -sleepsets reports %+v, -dpor %+v", both, dpor)
 			}
 		})
 	}

@@ -117,7 +117,7 @@ func TestPetersonTSOBugAllStrategies(t *testing.T) {
 	})
 	t.Run("dpor", func(t *testing.T) {
 		res := mustCheck(t, p.Body, fairmc.Options{
-			Fair: false, ContextBound: -1, DPOR: true, SleepSets: true,
+			Fair: false, ContextBound: -1, DPOR: true,
 			MaxSteps: 600, ContinueAfterDivergence: true,
 			TimeLimit: 60 * time.Second,
 			MemModel:  "tso",
