@@ -33,7 +33,7 @@ func malformedDporReport(sh search.Shard, rep *search.Report) *search.Report {
 		Alts:  []engine.Alt{{Tid: 0}, {Tid: 1}},
 		Moves: []por.Move{{Tid: 0}, {Tid: 1}},
 	})
-	d.Proposals = append(slices.Clone(d.Proposals), search.DporProposal{Pos: pos, Idx: 1})
+	d.Proposals = append(slices.Clone(d.Proposals), por.Proposal{Pos: pos, Idx: 1})
 	bad.Dpor = &d
 	return &bad
 }

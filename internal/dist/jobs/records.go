@@ -103,6 +103,7 @@ type jobState struct {
 	Plan           *search.Plan
 	Done           []search.ShardDoneRec // decided shards, in ledger order
 	Report         *search.Report        // final merged report (terminal)
+	Unreadable     string                // why a plan or shard_done record of the job did not decode
 	RunReport      []byte                // deterministic run-report bytes (terminal)
 	SubmitSeq      uint64                // ledger seq of the submission (FIFO order)
 }
@@ -117,7 +118,8 @@ type replayState struct {
 
 // rebuild folds replayed ledger records into service state. Records
 // that fail to decode are collected in badRecs — a WAL written by a
-// newer build degrades to a visible report, not a crash.
+// newer build degrades to a visible report, not a crash — and a job
+// whose plan or shard_done record is one of them fails when it runs.
 func rebuild(records []ledger.Record) *replayState {
 	st := &replayState{jobs: map[string]*jobState{}}
 	for _, r := range records {
@@ -152,7 +154,7 @@ func rebuild(records []ledger.Record) *replayState {
 		case search.RecPlan:
 			var rec search.PlanRec
 			if err := json.Unmarshal(r.Data, &rec); err != nil {
-				st.bad(r, err)
+				st.unreadable(r, err)
 				continue
 			}
 			if j := st.jobs[rec.Job]; j != nil {
@@ -164,7 +166,7 @@ func rebuild(records []ledger.Record) *replayState {
 		case search.RecShardDone:
 			var rec search.ShardDoneRec
 			if err := json.Unmarshal(r.Data, &rec); err != nil {
-				st.bad(r, err)
+				st.unreadable(r, err)
 				continue
 			}
 			if j := st.jobs[rec.Job]; j != nil {
@@ -191,6 +193,18 @@ func rebuild(records []ledger.Record) *replayState {
 
 func (st *replayState) bad(r ledger.Record, err error) {
 	st.badRecs = append(st.badRecs, fmt.Sprintf("seq %d (%s): %v", r.Seq, r.Type, err))
+}
+
+// unreadable reports a plan or shard_done record that does not decode,
+// and refuses its job: the job's progress is another version's, and a
+// job planned or run again over it would mix two builds' records.
+func (st *replayState) unreadable(r ledger.Record, err error) {
+	st.bad(r, err)
+	var rec struct{ Job string }
+	_ = json.Unmarshal(r.Data, &rec) // what does not decode names no job
+	if j := st.jobs[rec.Job]; j != nil && j.Unreadable == "" {
+		j.Unreadable = fmt.Sprintf("the %s record at seq %d does not decode: %v (ledger written by another version)", r.Type, r.Seq, err)
+	}
 }
 
 // decodeStrict decodes one JSON value into v, refusing a key v does not

@@ -347,6 +347,10 @@ func (s *Server) runJob(j *job) {
 	defer s.wg.Done()
 	id := j.ID
 
+	if j.Unreadable != "" {
+		s.failJob(j, j.Unreadable)
+		return
+	}
 	prog, ok := s.cfg.Lookup(j.Spec.ProgramName)
 	if !ok {
 		// Admission validates programs, so this only happens when a

@@ -2,7 +2,9 @@
 // coordinator owns one search's shard plan (search.PlanShards) and
 // grants lease-based work items of it; the jobs service
 // (internal/dist/jobs) mounts one per running job and serves the worker
-// protocol, plain HTTP+JSON. Workers run shards through the sequential
+// protocol, plain HTTP with JSON envelopes (a DPOR unit and a unit
+// report's payload travel inside them in por's binary codec, as one
+// base64 string each). Workers run shards through the sequential
 // search engine (search.RunShard) and post back mergeable reports,
 // telemetry deltas, and trace events.
 //
@@ -44,7 +46,8 @@ import (
 // Protocol endpoints. A worker asks for work at PathLease under the
 // jobs service's URL, and sends a grant's heartbeats, results and
 // events to the other endpoints under the grant's Path (the service's
-// /job/<id>). All are POST with JSON bodies (events: raw JSONL).
+// /job/<id>). All are POST with JSON bodies (events: raw JSONL); the DPOR
+// payloads inside them are por's binary codec.
 const (
 	PathLease     = "/v1/lease"
 	PathHeartbeat = "/v1/heartbeat"

@@ -31,11 +31,17 @@ var spoolCRCTable = crc32.MakeTable(crc32.Castagnoli)
 // search it belongs to, so a stale spool from a different run is
 // rejected at replay instead of corrupting the merge.
 type spoolEntry struct {
-	Version     int            `json:"version"`
-	OptionsHash uint64         `json:"optionsHash"`
-	Program     string         `json:"program"`
-	Shard       int            `json:"shard"`
-	Report      *search.Report `json:"report"`
+	spoolHead
+	Shard  int            `json:"shard"`
+	Report *search.Report `json:"report"`
+}
+
+// spoolHead names the search a spool entry belongs to. It is read before
+// the report: another build's report need not decode in this one.
+type spoolHead struct {
+	Version     int    `json:"version"`
+	OptionsHash uint64 `json:"optionsHash"`
+	Program     string `json:"program"`
 }
 
 // spoolCorrupt reports one spool file whose footer or checksum failed:
@@ -125,13 +131,19 @@ func spoolList(fsys fsx.FS, dir string, optionsHash uint64, program string) (ent
 		}
 		payload, reason := spoolUnframe(data)
 		if reason == "" {
+			var head spoolHead
 			var e spoolEntry
-			if jerr := json.Unmarshal(payload, &e); jerr != nil {
+			if jerr := json.Unmarshal(payload, &head); jerr != nil {
 				reason = fmt.Sprintf("checksummed payload is not valid JSON: %v", jerr)
-			} else if e.Version != spoolVersion || e.OptionsHash != optionsHash || e.Program != program || e.Report == nil {
+			} else if head != (spoolHead{spoolVersion, optionsHash, program}) {
 				skipped = append(skipped, fmt.Sprintf("%s: different search (version=%d hash=%#x program=%s)",
-					filepath.Base(name), e.Version, e.OptionsHash, e.Program))
+					filepath.Base(name), head.Version, head.OptionsHash, head.Program))
 				continue
+			} else if jerr := json.Unmarshal(payload, &e); jerr != nil || e.Report == nil {
+				reason = "checksummed payload holds no report"
+				if jerr != nil {
+					reason = fmt.Sprintf("checksummed payload does not decode: %v", jerr)
+				}
 			} else {
 				entries = append(entries, e)
 				continue

@@ -1,10 +1,15 @@
 package dist
 
 import (
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
+	"fairmc/internal/engine"
 	"fairmc/internal/faultinject"
 	"fairmc/internal/fsx"
 	"fairmc/internal/search"
@@ -13,10 +18,9 @@ import (
 func writeTestSpool(t *testing.T, fsys fsx.FS, dir string, shard int, hash uint64) {
 	t.Helper()
 	err := spoolWrite(fsys, dir, spoolEntry{
-		OptionsHash: hash,
-		Program:     "prog",
-		Shard:       shard,
-		Report:      &search.Report{Counters: search.Counters{Executions: 1}},
+		spoolHead: spoolHead{OptionsHash: hash, Program: "prog"},
+		Shard:     shard,
+		Report:    &search.Report{Counters: search.Counters{Executions: 1}},
 	})
 	if err != nil {
 		t.Fatalf("spoolWrite shard %d: %v", shard, err)
@@ -113,6 +117,45 @@ func TestSpoolDifferentSearchSkippedNotCorrupt(t *testing.T) {
 	// Someone else's work is not ours to delete.
 	if _, err := fsx.OS.Stat(spoolPath(dir, 0)); err != nil {
 		t.Fatalf("skipped entry was touched: %v", err)
+	}
+}
+
+// TestSpoolParentEntrySkipped: an entry the build before the DPOR unit
+// codec spooled holds a report whose DPOR payload this build cannot
+// decode. It names another search (the codec version is in the options
+// hash), so it is skipped as one — not reported as corrupt, which would
+// charge this search a worker failure.
+func TestSpoolParentEntrySkipped(t *testing.T) {
+	dir := t.TempDir()
+	payload := `{"version":2,"optionsHash":11163948880166998460,"program":"prog","shard":0,` +
+		`"report":{"Executions":1,"Dpor":{"contIdx":[0],"cont":[{"Tid":0,"Arg":-1}]}}}`
+	if err := fsx.WriteFileAtomic(fsx.OS, spoolPath(dir, 0), spoolFrame([]byte(payload))); err != nil {
+		t.Fatal(err)
+	}
+	entries, corrupt, skipped, err := spoolList(fsx.OS, dir, 42, "prog")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 0 || len(corrupt) != 0 || len(skipped) != 1 {
+		t.Fatalf("entries=%v corrupt=%v skipped=%v", entries, corrupt, skipped)
+	}
+}
+
+// TestWorkerRefusesParentGrant: a grant whose DPOR unit has the shape the
+// build before the unit codec wrote (a JSON object) is another version's.
+// The worker exits naming it, instead of retrying the lease as a
+// transient failure until its join timeout.
+func TestWorkerRefusesParentGrant(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		io.WriteString(w, `{"status":"work","grants":[{"leaseId":"l1","shard":{"index":0,"unit":{}}}],"job":"j1",`+
+			`"path":"/job/j1","spec":{"fair":false,"contextBound":-1,"maxSteps":5000,"seed":0,"dpor":true,"program":"racy"},`+
+			`"optionsHash":11163948880166998460,"leaseTtlMs":5000}`)
+	}))
+	defer srv.Close()
+	none := func(string) (func(*engine.T), bool) { return nil, false }
+	err := RunWorker(WorkerConfig{URL: srv.URL, Lookup: none, JoinTimeout: time.Minute})
+	if err == nil || !strings.Contains(err.Error(), "written by another version") {
+		t.Fatalf("RunWorker = %v, want the grant refused as another version's", err)
 	}
 }
 

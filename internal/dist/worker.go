@@ -19,6 +19,7 @@ import (
 	"fairmc/internal/engine"
 	"fairmc/internal/fsx"
 	"fairmc/internal/obs"
+	"fairmc/internal/por"
 	"fairmc/internal/search"
 )
 
@@ -250,6 +251,9 @@ func (w *worker) slot(pool *engine.Pool) error {
 			break
 		}
 		if err != nil {
+			if errors.Is(err, por.ErrCodec) {
+				return fmt.Errorf("dist: a grant written by another version: %w", err)
+			}
 			if !transport.Classify(err) {
 				return fmt.Errorf("dist: lease refused: %w", err)
 			}
@@ -635,7 +639,7 @@ func (j *workerJob) spool(results []ShardResult) {
 		if res.Report == nil {
 			continue
 		}
-		e := spoolEntry{OptionsHash: j.hash, Program: j.opts.ProgramName, Shard: res.Shard, Report: res.Report}
+		e := spoolEntry{spoolHead: spoolHead{OptionsHash: j.hash, Program: j.opts.ProgramName}, Shard: res.Shard, Report: res.Report}
 		if err := spoolWrite(w.cfg.FS, j.workDir, e); err != nil {
 			w.cfg.Logf("dist: spooling shard %d: %v", res.Shard, err)
 			continue

@@ -214,6 +214,32 @@ func Table2(configs []Table2Config, strategies []Strategy, depthBounds []int, bu
 	return cells
 }
 
+// Table2Reference runs one cell's ground truth, a stateful unfair search
+// with the same preemption budget and no depth bound, and returns the
+// states it covered.
+func Table2Reference(cfg Table2Config, st Strategy, budget Budget) (*state.Coverage, *search.Report) {
+	return table2Search(cfg, st, budget, false)
+}
+
+// Table2Fair runs one cell's fair stateless search and returns the
+// states it covered.
+func Table2Fair(cfg Table2Config, st Strategy, budget Budget) (*state.Coverage, *search.Report) {
+	return table2Search(cfg, st, budget, true)
+}
+
+func table2Search(cfg Table2Config, st Strategy, budget Budget, fair bool) (*state.Coverage, *search.Report) {
+	cov := state.NewCoverage()
+	return cov, search.Explore(cfg.Body, search.Options{
+		Fair:          fair,
+		ContextBound:  st.ContextBound,
+		MaxSteps:      1 << 16,
+		StatefulPrune: !fair,
+		Monitor:       cov,
+		TimeLimit:     budget.CellTime,
+		MaxExecutions: budget.MaxExecutions,
+	})
+}
+
 func table2Cell(cfg Table2Config, st Strategy, depthBounds []int, budget Budget) Table2Cell {
 	cell := Table2Cell{
 		Config:   cfg.Name,
@@ -221,30 +247,10 @@ func table2Cell(cfg Table2Config, st Strategy, depthBounds []int, budget Budget)
 		NoFair:   map[int]Table2NoFairCell{},
 	}
 
-	// Ground truth: stateful search with the same preemption budget.
-	ref := state.NewCoverage()
-	refRep := search.Explore(cfg.Body, search.Options{
-		Fair:          false,
-		ContextBound:  st.ContextBound,
-		MaxSteps:      1 << 16,
-		StatefulPrune: true,
-		Monitor:       ref,
-		TimeLimit:     budget.CellTime,
-		MaxExecutions: budget.MaxExecutions,
-	})
+	ref, refRep := Table2Reference(cfg, st, budget)
+	fairCov, fairRep := Table2Fair(cfg, st, budget)
 	cell.TotalStates = ref.Count()
 	cell.TotalTimedOut = refRep.TimedOut || refRep.ExecBounded
-
-	// Fair stateless search.
-	fairCov := state.NewCoverage()
-	fairRep := search.Explore(cfg.Body, search.Options{
-		Fair:          true,
-		ContextBound:  st.ContextBound,
-		MaxSteps:      1 << 16,
-		Monitor:       fairCov,
-		TimeLimit:     budget.CellTime,
-		MaxExecutions: budget.MaxExecutions,
-	})
 	cell.FairStates = fairCov.Count()
 	cell.FairTime = fairRep.Elapsed
 	cell.FairTimedOut = fairRep.TimedOut || fairRep.ExecBounded

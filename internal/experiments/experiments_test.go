@@ -97,8 +97,9 @@ func TestTable2SmallestConfig(t *testing.T) {
 			t.Fatalf("%s/%s: fair search missed states (fair %d, total %d)",
 				c.Config, c.Strategy, c.FairStates, c.TotalStates)
 		}
-		// Fairness may visit MORE states than the bounded reference
-		// (it introduces extra preemption points, paper §4.2.1).
+		// The paper's shape: fair covers the bounded reference, so its
+		// count is at least the reference's (here it is equal;
+		// TestTable2ReferenceCounts checks the sets).
 		if c.FairStates < c.TotalStates {
 			t.Fatalf("%s/%s: fair %d < total %d", c.Config, c.Strategy,
 				c.FairStates, c.TotalStates)
@@ -107,6 +108,50 @@ func TestTable2SmallestConfig(t *testing.T) {
 	// A larger preemption budget must reach at least as many states.
 	if cells[1].TotalStates < cells[0].TotalStates {
 		t.Fatalf("cb=2 states %d < cb=1 states %d", cells[1].TotalStates, cells[0].TotalStates)
+	}
+}
+
+// TestTable2ReferenceCounts pins the stateful reference's state count in
+// all 16 Table 2 cells, each run to exhaustion on no clock. Under a
+// preemption bound the reference keys a visited state on what decides
+// whether the next switch is a preemption, so a state first reached
+// where a switch costs one does not prune the same state reached where
+// it is free. On the cells cheap enough for tier-1, the fair stateless
+// search covers exactly the reference's states: none missing, none
+// extra.
+func TestTable2ReferenceCounts(t *testing.T) {
+	if testing.Short() {
+		t.Skip("coverage experiment in -short mode")
+	}
+	want := map[string][4]int{ // cb=1, cb=2, cb=3, dfs
+		"Dining Philosophers 2": {68, 72, 72, 72},
+		"Dining Philosophers 3": {368, 576, 616, 616},
+		"Work-Stealing Queue 1": {352, 473, 519, 519},
+		"Work-Stealing Queue 2": {1305, 2936, 3807, 4093},
+	}
+	equalSets := map[string]bool{
+		"Dining Philosophers 2/cb=1": true, "Dining Philosophers 2/cb=2": true, "Dining Philosophers 2/cb=3": true,
+		"Dining Philosophers 3/cb=1": true,
+		"Work-Stealing Queue 1/cb=1": true, "Work-Stealing Queue 1/cb=2": true,
+	}
+	for _, cfg := range experiments.Table2Configs() {
+		for i, st := range experiments.Strategies() {
+			name := cfg.Name + "/" + st.Name
+			ref, rep := experiments.Table2Reference(cfg, st, experiments.Budget{})
+			if !rep.Exhausted || ref.Count() != want[cfg.Name][i] {
+				t.Errorf("%s: reference reached %d states (exhausted %v), want %d", name, ref.Count(), rep.Exhausted, want[cfg.Name][i])
+			}
+			if !equalSets[name] {
+				continue
+			}
+			fair, rep := experiments.Table2Fair(cfg, st, experiments.Budget{})
+			if !rep.Exhausted {
+				t.Errorf("%s: fair search not exhausted", name)
+			}
+			if missing, extra := fair.Missing(ref), ref.Missing(fair); len(missing) > 0 || len(extra) > 0 {
+				t.Errorf("%s: fair search misses %d of the reference's %d states and reaches %d more", name, len(missing), ref.Count(), len(extra))
+			}
+		}
 	}
 }
 

@@ -20,8 +20,8 @@ import "fairmc/internal/engine"
 // units. The zero Unit is the root: an empty prefix whose run is the
 // search's first execution.
 //
-// Units are JSON-serializable by design — they are what checkpoints
-// (DporState) and distributed shards (Shard.Unit) carry.
+// A unit leaves its process in this package's binary codec (codec.go):
+// plan records, checkpoints and lease grants carry it as Shard.Unit.
 type Unit struct {
 	// Path identifies the unit's position in the schedule tree:
 	// Path[i] is the index of the chosen alternative within the
@@ -30,18 +30,18 @@ type Unit struct {
 	// budget-filtered list, not the sleep-filtered one, because sleep
 	// state differs between units visiting the same state while the
 	// preemption-budget filter does not.
-	Path []int `json:"path,omitempty"`
+	Path []int
 	// Sched is the concrete alternative chosen at each Path step.
-	Sched []engine.Alt `json:"sched,omitempty"`
+	Sched []engine.Alt
 	// Digs are the conformance digests recorded when each Path step
 	// was first explored; the replay verifies against them. Empty when
 	// conformance is disabled.
-	Digs []engine.StepDigest `json:"digs,omitempty"`
+	Digs []engine.StepDigest
 	// Sleep[i] holds the moves to install into the live sleep set
 	// before step i executes: the already-covered siblings at that
 	// state. Entries past the unit's branch point are nil, and so is
 	// the root's Sleep.
-	Sleep [][]Move `json:"sleep,omitempty"`
+	Sleep [][]Move
 }
 
 // ExecStep is the per-step record a unit run produces for Analyze: the

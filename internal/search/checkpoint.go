@@ -6,10 +6,12 @@ import (
 	"hash/fnv"
 	"reflect"
 	"sort"
+	"strconv"
 	"time"
 
 	"fairmc/internal/ledger"
 	"fairmc/internal/obs"
+	"fairmc/internal/por"
 )
 
 // This file is the one durable record of a search's progress. A
@@ -103,44 +105,66 @@ func (o *Options) semantic() Options {
 
 // OptionsHash fingerprints the options that determine the schedule
 // enumeration: FNV-1a over the JSON of their semantic part, program name
-// aside, after DPOR's enumeration revision for a DPOR search (an older
-// build's DPOR plan is another version's). Plans and ledger records carry
-// it, and a worker refuses a plan whose hash is not its own.
+// aside, after DPOR's enumeration revision and unit codec version for a
+// DPOR search (an older build's DPOR plan is another version's). Plans
+// and ledger records carry it, and a worker refuses a plan whose hash is
+// not its own.
 func OptionsHash(o *Options) uint64 {
 	s := o.semantic()
 	s.ProgramName = ""
 	data, _ := json.Marshal(s) // plain data: cannot fail
 	h := fnv.New64a()
 	if s.DPOR {
-		h.Write([]byte("dpor/sleep+yield\n"))
+		h.Write([]byte(dporSalt))
 	}
 	h.Write(data)
 	return h.Sum64()
 }
 
+var dporSalt = "dpor/sleep+yield\ncodec " + strconv.Itoa(por.CodecVersion) + "\n"
+
 // ReadPlan returns the first plan record in the checkpoint directory dir
 // — the search the directory belongs to — or nil when it holds none yet.
+// A plan or shard_done record this build cannot decode is another
+// version's, and refuses the directory.
 func ReadPlan(dir string) (*PlanRec, error) {
 	led, rec, err := ledger.Open(dir, ledger.Options{})
 	if err != nil {
 		return nil, fmt.Errorf("search: checkpoint: %w", err)
 	}
 	defer led.Close()
+	var first *PlanRec
 	for _, r := range rec.Records {
-		if pr := planRecord(r); pr != nil && pr.Plan != nil {
-			return pr, nil
+		pr, _, err := decodeRecord(r)
+		if err != nil {
+			return nil, err
+		}
+		if first == nil && pr != nil && pr.Plan != nil {
+			first = pr
 		}
 	}
-	return nil, nil
+	return first, nil
 }
 
-// planRecord decodes r when it is a plan record that names its search.
-func planRecord(r ledger.Record) *PlanRec {
-	var pr PlanRec
-	if r.Type != RecPlan || json.Unmarshal(r.Data, &pr) != nil || pr.Spec == nil {
-		return nil
+// decodeRecord decodes r when it is a plan record that names its search
+// or a shard_done record. Either that does not decode was written by
+// another version: it is refused, never skipped.
+func decodeRecord(r ledger.Record) (pr *PlanRec, d *ShardDoneRec, err error) {
+	switch r.Type {
+	case RecPlan:
+		pr = new(PlanRec)
+		err = json.Unmarshal(r.Data, pr)
+	case RecShardDone:
+		d = new(ShardDoneRec)
+		err = json.Unmarshal(r.Data, d)
 	}
-	return &pr
+	if err != nil {
+		return nil, nil, fmt.Errorf("search: the checkpoint's %s record %d does not decode (written by another version): %v", r.Type, r.Seq, err)
+	}
+	if pr != nil && pr.Spec == nil {
+		pr = nil
+	}
+	return pr, d, nil
 }
 
 // Matches reports whether rec records the search o describes, as an
@@ -282,14 +306,9 @@ func (m *ShardMerger) Check(d *ShardDoneRec) error {
 	case r.Rest != nil:
 		return r.Rest.check()
 	}
-	if dp := r.Dpor; dp != nil {
-		ok := len(dp.Cont) == len(dp.ContIdx)
-		for _, n := range dp.Nodes {
-			ok = ok && len(n.Moves) == len(n.Alts)
-		}
-		if !ok {
-			return fmt.Errorf("search: shard %d's DPOR payload does not fit together (corrupted checkpoint)", d.Shard)
-		}
+	// A decoded node's alternatives and moves pair up by construction.
+	if dp := r.Dpor; dp != nil && len(dp.Cont) != len(dp.ContIdx) {
+		return fmt.Errorf("search: shard %d's DPOR payload does not fit together (corrupted checkpoint)", d.Shard)
 	}
 	return nil
 }
@@ -319,7 +338,8 @@ type checkpoint struct {
 // search's ranges regrow against each run's own budget, then are planned
 // again against this run's (replan). A directory the ledger cannot open,
 // or that records another search, is left alone: the search runs
-// unrecorded and reports why.
+// unrecorded and reports why, and so is one holding a record this build
+// cannot decode.
 func openCheckpoint(opts *Options, plan func() *Plan) (*ShardMerger, *checkpoint) {
 	ck := &checkpoint{opts: opts, hash: OptionsHash(opts)}
 	if opts.CheckpointPath == "" {
@@ -333,7 +353,12 @@ func openCheckpoint(opts *Options, plan func() *Plan) (*ShardMerger, *checkpoint
 	ck.led = led
 	var m *ShardMerger
 	for _, r := range rec.Records {
-		if pr := planRecord(r); pr != nil {
+		pr, d, err := decodeRecord(r)
+		if err != nil {
+			ck.fail(err)
+			return NewShardMerger(*opts, plan()), ck
+		}
+		if pr != nil {
 			o := *opts
 			if o.random() {
 				o.MaxExecutions = pr.Spec.MaxExecutions
@@ -350,9 +375,8 @@ func openCheckpoint(opts *Options, plan func() *Plan) (*ShardMerger, *checkpoint
 			}
 			continue
 		}
-		var d ShardDoneRec
-		if m != nil && r.Type == RecShardDone && json.Unmarshal(r.Data, &d) == nil {
-			m.Fold(d)
+		if m != nil && d != nil {
+			m.Fold(*d)
 			if d.Report != nil {
 				ck.elapsed = max(ck.elapsed, d.Report.Elapsed)
 			}

@@ -100,18 +100,25 @@ func TestOptionsFieldsClassified(t *testing.T) {
 }
 
 // TestDPORHashNamesTheEnumeration: DPOR's enumeration changed when every
-// unit came to carry sleep sets and a yield to wake them, so a plan from
-// before hashes apart and is refused, never folded; -sleepsets names the
-// same DPOR search. The literals are the OptionsHash the build before
-// gave {DPOR, ContextBound: -1, MaxSteps: 5000}, without and with
-// SleepSets.
+// unit came to carry sleep sets and a yield to wake them, and its units'
+// encoding when they came to travel in por's binary codec, so a plan from
+// before either hashes apart and is refused, never folded; -sleepsets
+// names the same DPOR search. The literals are the OptionsHash the builds
+// before gave {DPOR, ContextBound: -1, MaxSteps: 5000}: without and with
+// SleepSets before the first change, and before the second. A search
+// that is not DPOR carries no unit, and hashes as it did.
 func TestDPORHashNamesTheEnumeration(t *testing.T) {
-	const before, beforeSleep = 0x80a1bf4176e68929, 0x2c300956b243ab35
+	const before, beforeSleep, beforeCodec = 0x80a1bf4176e68929, 0x2c300956b243ab35, 0x9aee505b7cf951bc
+	fair := search.Options{Fair: true, ContextBound: 2, MaxSteps: 5000, ProgramName: "racy-increment"}
+	random := search.Options{RandomWalk: true, Seed: 7, MaxSteps: 4000, MaxExecutions: 100, ProgramName: "x"}
+	if hf, hr := search.OptionsHash(&fair), search.OptionsHash(&random); hf != 0x90a69f6ef72ee301 || hr != 0x445e1b2d759e9cd6 {
+		t.Fatalf("OptionsHash of a fair DFS = %#x, of a random walk = %#x: want them unchanged", hf, hr)
+	}
 	o := search.Options{DPOR: true, ContextBound: -1, MaxSteps: 5000, ProgramName: "racy-increment"}
 	sleep := o
 	sleep.SleepSets = true
 	h := search.OptionsHash(&o)
-	if h == before || h == beforeSleep {
+	if h == before || h == beforeSleep || h == beforeCodec {
 		t.Fatalf("OptionsHash = %#x, as before the enumeration changed", h)
 	}
 	if hs := search.OptionsHash(&sleep); hs != h {
@@ -128,7 +135,7 @@ func TestDPORHashNamesTheEnumeration(t *testing.T) {
 	for _, old := range []struct {
 		spec search.Options
 		hash uint64
-	}{{o, before}, {sleep, beforeSleep}} {
+	}{{o, before}, {sleep, beforeSleep}, {o, beforeCodec}} {
 		stale := *plan
 		stale.OptionsHash = old.hash
 		rec := &search.PlanRec{OptionsHash: old.hash, Plan: &stale, Spec: &old.spec}

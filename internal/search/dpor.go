@@ -34,6 +34,7 @@ package search
 // state rides inside the units (Unit.Sleep).
 
 import (
+	"fmt"
 	"sync"
 	"time"
 
@@ -45,23 +46,23 @@ import (
 // carries back to the merge: how the unit's execution continued past
 // its prefix, and the race reversals its trace proposes. It rides on
 // Report only for unit runs (shards with Shard.Unit); merged reports
-// never carry one.
+// never carry one. It travels in por's binary codec (MarshalJSON).
 type DporResult struct {
 	// ContIdx are the filtered-candidate indices chosen at the steps
 	// past the unit's prefix, and Cont the corresponding alternatives;
 	// the unit's full path is Unit.Path + ContIdx.
-	ContIdx []int        `json:"contIdx,omitempty"`
-	Cont    []engine.Alt `json:"cont,omitempty"`
+	ContIdx []int
+	Cont    []engine.Alt
 	// ContDigs are the conformance digests of the continuation steps
 	// (empty when conformance is disabled).
-	ContDigs []engine.StepDigest `json:"contDigs,omitempty"`
+	ContDigs []engine.StepDigest
 	// Nodes carries the candidate landscape of every step that received
 	// at least one proposal — what the merge needs to materialize child
 	// units.
-	Nodes []DporNodeRec `json:"nodes,omitempty"`
+	Nodes []DporNodeRec
 	// Proposals are the race reversals the trace proposes, in
 	// discovery order.
-	Proposals []DporProposal `json:"proposals,omitempty"`
+	Proposals []por.Proposal
 }
 
 // DporNodeRec is one step's recorded candidate landscape: the
@@ -69,21 +70,72 @@ type DporResult struct {
 // conformance digest of the state.
 type DporNodeRec struct {
 	// Pos is the 0-based step index within the unit's full path.
-	Pos int `json:"pos"`
+	Pos int
 	// Alts is the filtered candidate list at the step's state.
-	Alts []engine.Alt `json:"alts"`
+	Alts []engine.Alt
 	// Moves[i] is the pending move of Alts[i] at that state.
-	Moves []por.Move `json:"moves"`
+	Moves []por.Move
 	// Hash is the unfiltered candidate-set digest of the state (0 when
 	// conformance is disabled).
-	Hash uint64 `json:"hash,omitempty"`
+	Hash uint64
 }
 
-// DporProposal mirrors por.Proposal with JSON tags for transport: take
-// alternative Idx at step Pos.
-type DporProposal struct {
-	Pos int `json:"pos"`
-	Idx int `json:"idx"`
+// MarshalJSON carries the result's encoding as one base64 string (por's
+// codec).
+func (d DporResult) MarshalJSON() ([]byte, error) { return por.MarshalJSON(d.code) }
+
+// UnmarshalJSON decodes the base64 string MarshalJSON writes.
+func (d *DporResult) UnmarshalJSON(data []byte) error { return por.UnmarshalJSON(data, d.code) }
+
+// code is the result's layout: ContIdx, Cont and ContDigs; then Nodes —
+// their count, their alternatives' total, and per node its Pos, Hash and
+// alternative count, each alternative followed by its move; then
+// Proposals. All decoded nodes' Alts share one backing array, and so do
+// their Moves.
+func (d *DporResult) code(c *por.Codec) {
+	if c.Decoding() {
+		*d = DporResult{}
+	}
+	por.Slice(c, &d.ContIdx, 1, (*por.Codec).Int)
+	por.Slice(c, &d.Cont, por.MinAlt, (*por.Codec).Alt)
+	por.Slice(c, &d.ContDigs, por.MinDigest, (*por.Codec).Digest)
+	n, total := c.Len(len(d.Nodes), 1+8+1), 0
+	for _, nd := range d.Nodes {
+		total += len(nd.Alts)
+	}
+	total = c.Len(total, por.MinAlt+por.MinMove)
+	var alts []engine.Alt
+	var moves []por.Move
+	if c.Decoding() && n > 0 {
+		d.Nodes, alts, moves = make([]DporNodeRec, n), make([]engine.Alt, 0, total), make([]por.Move, 0, total)
+	}
+	for i := range d.Nodes {
+		nd := &d.Nodes[i]
+		c.Int(&nd.Pos)
+		c.Hash(&nd.Hash)
+		k := c.Len(len(nd.Alts), por.MinAlt+por.MinMove)
+		switch {
+		case !c.Decoding() && len(nd.Moves) != k:
+			c.Fail(fmt.Sprintf("a node with %d alternatives and %d moves", k, len(nd.Moves)))
+			return
+		case c.Decoding() && k > total-len(alts):
+			c.Fail("node alternatives past their total")
+			return
+		case c.Decoding():
+			nd.Alts, nd.Moves = por.Carve(&alts, k), por.Carve(&moves, k)
+		}
+		for j := range nd.Alts {
+			c.Alt(&nd.Alts[j])
+			c.Move(&nd.Moves[j])
+		}
+	}
+	if c.Decoding() && len(alts) != total {
+		c.Fail("node alternatives short of their total")
+	}
+	por.Slice(c, &d.Proposals, 2, func(c *por.Codec, p *por.Proposal) {
+		c.Int(&p.Pos)
+		c.Int(&p.Idx)
+	})
 }
 
 // unitChooser executes one DPOR work unit: it replays the unit's
@@ -275,11 +327,10 @@ func buildDporResult(opts *Options, unit *por.Unit, c *unitChooser) *DporResult 
 	}
 	// The steps that received a proposal, in first-proposal order, then
 	// their landscapes copied out into one backing array each.
-	d.Proposals = make([]DporProposal, len(props))
+	d.Proposals = props
 	have := make([]bool, len(c.steps))
 	width := 0
-	for i, pr := range props {
-		d.Proposals[i] = DporProposal(pr)
+	for _, pr := range props {
 		if !have[pr.Pos] {
 			have[pr.Pos] = true
 			d.Nodes = append(d.Nodes, DporNodeRec{Pos: pr.Pos})

@@ -17,7 +17,8 @@ import (
 // the executions of boundedbuffer's first units — engine, chooser,
 // sleep set, race analysis and the packaged result, on one engine pool
 // as a worker runs them — stay under a budget set about 10 % above the
-// figure measured before every unit carried sleep sets (46; 37 since).
+// figure measured before every unit carried sleep sets (46; 37 since,
+// 36 since the result keeps the race analysis's proposals uncopied).
 // The chooser's record is three arenas and a sleep set recycled across
 // runs; a change that goes back to allocating per step shows here first.
 func TestDporUnitAllocBudget(t *testing.T) {

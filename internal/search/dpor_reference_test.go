@@ -87,7 +87,7 @@ func TestPathTrieMatchesReference(t *testing.T) {
 			full := append(append([]int(nil), unit.Path...), d.ContIdx...)
 			for n := 1 + r.Intn(8); n > 0 && len(full) > 0; n-- {
 				pos := r.Intn(len(full))
-				d.Proposals = append(d.Proposals, DporProposal{Pos: pos, Idx: r.Intn(width)})
+				d.Proposals = append(d.Proposals, por.Proposal{Pos: pos, Idx: r.Intn(width)})
 				node := DporNodeRec{Pos: pos}
 				for j := 0; j < width; j++ {
 					node.Alts = append(node.Alts, engine.Alt{Tid: tidset.Tid(j)})

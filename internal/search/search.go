@@ -22,6 +22,7 @@ import (
 	"fairmc/internal/obs"
 	"fairmc/internal/por"
 	"fairmc/internal/rng"
+	"fairmc/internal/tidset"
 )
 
 // Options configures a search, and is the one description of it that
@@ -523,6 +524,12 @@ type visitKey struct {
 	// program state with more preemption budget left has successors a
 	// lower-budget visit must not prune away.
 	budget int16
+	// So, under context bounding, does what ChooseContext.IsPreemption
+	// reads: the same state reached where a switch is free (after a
+	// yield, say) has successors a visit where it costs a preemption
+	// must not prune away.
+	prevTid                                   tidset.Tid
+	prevEnabled, prevFairBlocked, prevYielded bool
 }
 
 // Explore runs the search to completion (tree exhausted) or until a
@@ -1034,6 +1041,8 @@ func (s *searcher) Choose(ctx *engine.ChooseContext) (engine.Alt, bool) {
 		key := visitKey{fp: ctx.Engine.Fingerprint()}
 		if s.opts.ContextBound >= 0 {
 			key.budget = int16(s.preemptUsed)
+			key.prevTid, key.prevEnabled = ctx.PrevTid, ctx.PrevEnabled
+			key.prevFairBlocked, key.prevYielded = ctx.PrevFairBlocked, ctx.PrevYielded
 		}
 		if _, seen := s.visited[key]; seen {
 			s.reason = abortVisited
