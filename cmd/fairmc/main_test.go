@@ -278,6 +278,24 @@ func TestResumeInference(t *testing.T) {
 	}
 }
 
+// TestOtherVersionCheckpointRefused: check over a checkpoint directory
+// another version's ledger wrote is a usage error, and leaves the
+// directory as it found it.
+func TestOtherVersionCheckpointRefused(t *testing.T) {
+	ck := t.TempDir()
+	seg := filepath.Join(ck, "wal-00000000.seg")
+	if err := os.WriteFile(seg, []byte("FMCWAL01"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	status, _, stderr := fairmcRun("check", "-prog", "spinloop", "-checkpoint", ck)
+	if status != fairmc.ExitUsage || !strings.Contains(stderr, "written by another version") {
+		t.Fatalf("check over another version's checkpoint: exit %d, stderr %q", status, stderr)
+	}
+	if data, err := os.ReadFile(seg); err != nil || string(data) != "FMCWAL01" {
+		t.Fatalf("the refused directory's segment is %q (%v)", data, err)
+	}
+}
+
 // TestSearchFlagsFillOptions: the one registration binds straight into
 // fairmc.Options, with the library's defaults, and maps the command
 // line's "-div-retries 0 = none" onto Options' "negative = none".

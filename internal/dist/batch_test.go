@@ -188,8 +188,8 @@ func TestDistBatchVeto(t *testing.T) {
 	defer coord.Interrupt()
 	lease := func(worker string) []dist.Grant {
 		data, status := coord.Lease(worker, "j", "")
-		var lr dist.LeaseResponse
-		if err := json.Unmarshal(data, &lr); err != nil || status != dist.LeaseWork || len(lr.Grants) == 0 {
+		lr, err := dist.DecodeLease(data)
+		if err != nil || status != dist.LeaseWork || len(lr.Grants) == 0 {
 			t.Fatalf("lease: %s (%v), want work", data, err)
 		}
 		return lr.Grants
@@ -199,7 +199,7 @@ func TestDistBatchVeto(t *testing.T) {
 	// A failed item ahead of the completions: the veto must leave it
 	// unprocessed too (no attempt charged for a batch that is retried).
 	req.Results[0].Report, req.Results[0].Failure = nil, "panic: injected"
-	body, _ := json.Marshal(req)
+	body := wire(t, req)
 	post := func() *http.Response {
 		hreq, _ := http.NewRequest(http.MethodPost, srv.URL+dist.PathResult, bytes.NewReader(body))
 		hreq.Header.Set("X-Idempotency-Key", "res-veto")
@@ -259,8 +259,8 @@ func TestDistBatchVeto(t *testing.T) {
 		if status == dist.LeaseDone {
 			break
 		}
-		var lr dist.LeaseResponse
-		if err := json.Unmarshal(data, &lr); err != nil || status != dist.LeaseWork {
+		lr, err := dist.DecodeLease(data)
+		if err != nil || status != dist.LeaseWork {
 			t.Fatalf("finishing lease: %s (%v)", data, err)
 		}
 		var rr dist.ResultResponse

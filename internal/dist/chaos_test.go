@@ -3,8 +3,8 @@ package dist_test
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"path/filepath"
 	"reflect"
@@ -140,15 +140,10 @@ func TestDistChaosByteIdentical(t *testing.T) {
 // raw response bytes for replay comparison.
 func postJSONKey(t *testing.T, url, key string, in, out any) []byte {
 	t.Helper()
-	body, err := json.Marshal(in)
+	req, err := http.NewRequest(http.MethodPost, url, bytes.NewReader(wire(t, in)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	req, err := http.NewRequest(http.MethodPost, url, bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Header.Set("Content-Type", "application/json")
 	if key != "" {
 		req.Header.Set(transport.IdempotencyKeyHeader, key)
 	}
@@ -165,9 +160,7 @@ func postJSONKey(t *testing.T, url, key string, in, out any) []byte {
 		t.Fatal(err)
 	}
 	if out != nil {
-		if err := json.Unmarshal(buf.Bytes(), out); err != nil {
-			t.Fatal(err)
-		}
+		unwire(t, buf.Bytes(), out)
 	}
 	return buf.Bytes()
 }
@@ -420,7 +413,7 @@ func TestDistSpoolReplay(t *testing.T) {
 	if execs := mB.Snapshot().Executions; execs != 0 {
 		t.Fatalf("replaying worker re-ran %d executions; spool replay should cover every shard", execs)
 	}
-	if left, _ := filepath.Glob(filepath.Join(workDir, b.id, "spool-shard-*.json")); len(left) != 0 {
+	if left, _ := filepath.Glob(filepath.Join(workDir, b.id, "spool-shard-*.rec")); len(left) != 0 {
 		t.Fatalf("replayed spool entries not cleaned up: %v", left)
 	}
 	ref := opts
@@ -469,12 +462,11 @@ func TestDistStaleLeaseFailureChargesNothing(t *testing.T) {
 	// call is held, and hung up on, without a grant.
 	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
 	defer cancel()
-	body, _ := json.Marshal(dist.LeaseRequest{WorkerID: "c"})
-	req, _ := http.NewRequestWithContext(ctx, http.MethodPost, s.url+dist.PathLease, bytes.NewReader(body))
+	req, _ := http.NewRequestWithContext(ctx, http.MethodPost, s.url+dist.PathLease, bytes.NewReader(wire(t, dist.LeaseRequest{WorkerID: "c"})))
 	if resp, err := http.DefaultClient.Do(req); err == nil {
-		var lr dist.LeaseResponse
-		json.NewDecoder(resp.Body).Decode(&lr)
+		data, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
+		lr, _ := dist.DecodeLease(data)
 		if lr.Status == dist.LeaseWork {
 			t.Fatalf("the root was granted a second time, to c: %+v", lr)
 		}

@@ -111,7 +111,7 @@ type Prior struct {
 type shardState struct {
 	status   shardStatus
 	attempts int             // failed attempts (expiries + posted failures)
-	excluded map[string]bool // workers that failed this shard
+	excluded map[string]bool // workers that failed this shard (nil: none)
 	leaseID  string          // current lease when status == shardLeased
 }
 
@@ -128,7 +128,7 @@ type lease struct {
 // NewCoordinator and Wait for the merged report.
 type Coordinator struct {
 	cfg  CoordinatorConfig
-	spec search.Options // what a grant carries: cfg.Options.Spec()
+	spec []byte // what a grant carries: the JSON of cfg.Options.Spec()
 	plan *search.Plan
 
 	mu       sync.Mutex
@@ -142,6 +142,9 @@ type Coordinator struct {
 	// planned mirrors len(plan.Shards) for readers that must not take
 	// mu (the jobs server's status handler, see Planned).
 	planned atomic.Int64
+	// frameHint is the largest grant frame so far: the next one is
+	// encoded into a buffer that size.
+	frameHint int
 
 	// Idempotency cache: key → marshaled response, FIFO-bounded. A
 	// retried (or chaos-duplicated) result/heartbeat POST replays the
@@ -184,9 +187,10 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	cfg.Options.Metrics = cfg.Metrics
 
 	now := time.Now()
+	spec, _ := json.Marshal(cfg.Options.Spec()) // plain data: cannot fail
 	c := &Coordinator{
 		cfg:    cfg,
-		spec:   cfg.Options.Spec(),
+		spec:   spec,
 		leases: map[string]*lease{},
 		idem:   map[string][]byte{},
 		start:  now,
@@ -372,6 +376,9 @@ func (c *Coordinator) failShardLocked(idx int, worker, reason string) {
 		return
 	}
 	sh.attempts++
+	if sh.excluded == nil {
+		sh.excluded = map[string]bool{}
+	}
 	sh.excluded[worker] = true
 	sh.leaseID = ""
 	c.failures = append(c.failures, search.WorkerFailure{
@@ -433,7 +440,7 @@ func (c *Coordinator) growShardsLocked() {
 		return
 	}
 	for len(c.shards) < len(c.plan.Shards) {
-		c.shards = append(c.shards, shardState{excluded: map[string]bool{}})
+		c.shards = append(c.shards, shardState{})
 	}
 	c.planned.Store(int64(len(c.plan.Shards)))
 	c.wakeLocked()
@@ -463,7 +470,7 @@ func readJSON(w http.ResponseWriter, r *http.Request, v any) bool {
 	return true
 }
 
-// Lease answers one lease request as of now: the encoded response
+// Lease answers one lease request as of now: the response's frame
 // (encoded under the lock — a granted DPOR unit is emptied in place
 // once it merges) and its status. It grants the first grantable shard
 // below the merge horizon, and when that is a single-execution DPOR
@@ -492,6 +499,13 @@ func (c *Coordinator) Lease(worker, job, path string) (data []byte, status strin
 			if sh.status == shardLeased || sh.excluded[worker] {
 				continue
 			}
+			if granted == nil {
+				n := 1
+				if c.plan.Shards[idx].Unit != nil {
+					n = LeaseBatch
+				}
+				granted, resp.Grants = make([]int, 0, n), make([]Grant, 0, n)
+			}
 			l := &lease{id: c.nextLeaseID(), shard: idx, worker: worker, expires: now.Add(c.cfg.LeaseTTL)}
 			c.leases[l.id] = l
 			sh.status = shardLeased
@@ -506,7 +520,7 @@ func (c *Coordinator) Lease(worker, job, path string) (data []byte, status strin
 	if len(granted) > 0 {
 		resp.Status = LeaseWork
 		resp.Job, resp.Path = job, path
-		resp.Spec, resp.OptionsHash = &c.spec, c.plan.OptionsHash
+		resp.Spec, resp.OptionsHash = c.spec, c.plan.OptionsHash
 		resp.LeaseTTLMS = int64(c.cfg.LeaseTTL / time.Millisecond)
 		resp.WantEvents = c.cfg.EventWriter != nil
 		if c.cfg.OnShardGrant != nil {
@@ -514,7 +528,8 @@ func (c *Coordinator) Lease(worker, job, path string) (data []byte, status strin
 		}
 		c.cfg.Logf("dist: %d shards (%d..%d) leased to worker %s", len(granted), granted[0], granted[len(granted)-1], worker)
 	}
-	data, _ = json.Marshal(resp) // plain data: cannot fail
+	data, _ = resp.Encode(make([]byte, 0, c.frameHint)) // shards this build planned: cannot fail
+	c.frameHint = max(c.frameHint, len(data))
 	return data, resp.Status
 }
 
@@ -652,8 +667,18 @@ func (c *Coordinator) classifyLocked(it *ShardResult) resultKind {
 // write-ahead hook (one fsync for the batch); only then does anything
 // reach the merger.
 func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
-	var req ResultRequest
-	if !readJSON(w, r, &req) {
+	if r.Method != http.MethodPost {
+		http.Error(w, "POST required", http.StatusMethodNotAllowed)
+		return
+	}
+	body, err := transport.ReadAll(r.Body, r.ContentLength, 64<<20)
+	if err != nil {
+		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
+		return
+	}
+	req, err := DecodeResult(body)
+	if err != nil {
+		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
 		return
 	}
 	key := r.Header.Get(transport.IdempotencyKeyHeader)
@@ -684,7 +709,7 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 		kinds[i] = c.classifyLocked(it)
 		if kinds[i] == resultComplete {
 			c.shards[it.Shard].status = shardDecided
-			decided = append(decided, search.ShardDoneRec{Shard: it.Shard, Report: it.Report})
+			decided = append(decided, search.ShardDoneRec{Shard: it.Shard, Report: it.Report, Raw: it.raw})
 		}
 	}
 	if len(decided) > 0 && c.cfg.OnShardDone != nil {

@@ -15,6 +15,7 @@ import (
 	"fairmc/internal/dist"
 	"fairmc/internal/dist/jobs"
 	"fairmc/internal/engine"
+	"fairmc/internal/por"
 	"fairmc/internal/search"
 	"fairmc/internal/syncmodel"
 )
@@ -220,26 +221,52 @@ func TestDistMatchesLocal(t *testing.T) {
 	}
 }
 
-// postJSON is a minimal protocol client for fault injection.
-func postJSON(t *testing.T, url string, in, out any) {
+// wire is in as the protocol sends it: a result post as its frame, a
+// lease request — naming this build's codec unless it names one — and
+// anything else as JSON.
+func wire(t testing.TB, in any) []byte {
 	t.Helper()
-	body, err := json.Marshal(in)
+	var body []byte
+	var err error
+	switch v := in.(type) {
+	case dist.ResultRequest:
+		body, err = v.Encode(nil)
+	case dist.LeaseRequest:
+		if v.Codec == 0 {
+			v.Codec = por.CodecVersion
+		}
+		body, err = json.Marshal(v)
+	default:
+		body, err = json.Marshal(in)
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Post(url, "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatalf("POST %s: %v", url, err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode/100 != 2 {
-		t.Fatalf("POST %s: %s", url, resp.Status)
-	}
-	if out != nil {
-		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-			t.Fatal(err)
+	return body
+}
+
+// unwire decodes a response body into out: a lease answer from its
+// frame, anything else from JSON.
+func unwire(t testing.TB, data []byte, out any) {
+	t.Helper()
+	var err error
+	if lr, ok := out.(*dist.LeaseResponse); ok {
+		var got *dist.LeaseResponse
+		if got, err = dist.DecodeLease(data); err == nil {
+			*lr = *got
 		}
+	} else {
+		err = json.Unmarshal(data, out)
 	}
+	if err != nil {
+		t.Fatalf("decoding %q: %v", data, err)
+	}
+}
+
+// postJSON is a minimal protocol client for fault injection.
+func postJSON(t *testing.T, url string, in, out any) {
+	t.Helper()
+	postJSONKey(t, url, "", in, out)
 }
 
 // leaseWork asks the service for work as workerID, requires a grant of

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -186,15 +187,16 @@ func (a leaseAnswer) woken(event time.Time) bool {
 // askLease sends one lease call as worker, gives it a moment to park
 // (the service has nothing it could grant at once in any caller's
 // scenario), and returns the channel its answer arrives on.
-func askLease(url, worker string) <-chan leaseAnswer {
+func askLease(t *testing.T, url, worker string) <-chan leaseAnswer {
 	out := make(chan leaseAnswer, 1)
+	body := wire(t, dist.LeaseRequest{WorkerID: worker})
 	go func() {
 		a := leaseAnswer{sent: time.Now()}
-		body, _ := json.Marshal(dist.LeaseRequest{WorkerID: worker})
 		resp, err := http.Post(url+dist.PathLease, "application/json", bytes.NewReader(body))
 		if err == nil {
 			a.code = resp.StatusCode
-			json.NewDecoder(resp.Body).Decode(&a.lr)
+			data, _ := io.ReadAll(resp.Body)
+			unwire(data, &a.lr)
 			resp.Body.Close()
 		}
 		a.at = time.Now()
@@ -233,7 +235,7 @@ func TestServiceLeaseFollowsWork(t *testing.T) {
 		}
 	}
 
-	x, y := askLease(srv.URL, "x"), askLease(srv.URL, "y")
+	x, y := askLease(t, srv.URL, "x"), askLease(t, srv.URL, "y")
 	mounting := time.Now()
 	id1 := submitJob(t, srv.URL, "racy", dporJobOpts, 2)
 	var first leaseAnswer
@@ -263,8 +265,11 @@ func TestServiceLeaseFollowsWork(t *testing.T) {
 
 	// Everything planned is leased: a third call parks, until the first
 	// worker's result grows j1's plan.
-	z := askLease(srv.URL, "z")
-	opts := *first.lr.Spec
+	z := askLease(t, srv.URL, "z")
+	var opts search.Options
+	if err := json.Unmarshal(first.lr.Spec, &opts); err != nil {
+		t.Fatal(err)
+	}
 	g := first.lr.Grants[0]
 	growing := time.Now()
 	postProto(t, srv.URL+first.lr.Path+dist.PathResult, dist.ResultRequest{WorkerID: "x-or-y", Results: []dist.ShardResult{
@@ -275,7 +280,7 @@ func TestServiceLeaseFollowsWork(t *testing.T) {
 	}
 
 	// And a fourth, until the service closes.
-	c := askLease(srv.URL, "c")
+	c := askLease(t, srv.URL, "c")
 	closing := time.Now()
 	go s.Close()
 	if a := await("service closes", c); !a.woken(closing) || a.lr.Status != dist.LeaseDone {

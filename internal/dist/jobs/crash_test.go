@@ -141,8 +141,8 @@ func auditLedger(t *testing.T, dir string) {
 	for _, r := range rec.Records {
 		switch r.Type {
 		case search.RecShardDone:
-			var sd search.ShardDoneRec
-			if err := json.Unmarshal(r.Data, &sd); err != nil {
+			sd, err := search.DecodeShardDone(r.Data)
+			if err != nil {
 				t.Fatalf("audit: seq %d: %v", r.Seq, err)
 			}
 			done[key{sd.Job, sd.Shard}] = true

@@ -152,8 +152,9 @@ func fuzzService(t *testing.T, program string, opts search.Options) (*Server, st
 // — of a one-job service, straight into its handler, so a panic fails
 // the target. Whatever arrives, the service never panics or answers
 // 500, and the job's status still answers. The seeds are the bodies real
-// workers sent, captured here, and a DPOR report the merge would choke
-// on.
+// workers sent, captured here — the lease requests, heartbeats and
+// events as JSON, the result posts as the binary frames their encoder
+// wrote — and a DPOR report the merge would choke on.
 func FuzzWorkerRoutes(f *testing.F) {
 	for job, fj := range fuzzJobs {
 		s, err := New(Config{Dir: f.TempDir(), Lookup: testLookup, Logf: func(string, ...any) {}})
@@ -187,9 +188,9 @@ func FuzzWorkerRoutes(f *testing.F) {
 	f.Add(uint8(1), uint8(3), []byte("{}\n"))
 	root, _ := search.PlanShards(testProgs["boundedbuffer"], boundedbufferOpts, 2)
 	sh := root.Shards[0]
-	bad, _ := json.Marshal(dist.ResultRequest{WorkerID: "w", Results: []dist.ShardResult{{
+	bad, _ := (&dist.ResultRequest{WorkerID: "w", Results: []dist.ShardResult{{
 		Shard: 0, Report: malformedDporReport(sh, search.RunShard(testProgs["boundedbuffer"], boundedbufferOpts, sh, nil)),
-	}}})
+	}}}).Encode(nil)
 	f.Add(uint8(1), uint8(2), bad)
 
 	f.Fuzz(func(t *testing.T, job, route uint8, body []byte) {

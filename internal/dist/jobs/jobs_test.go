@@ -19,6 +19,7 @@ import (
 	"fairmc/internal/engine"
 	"fairmc/internal/ledger"
 	"fairmc/internal/obs"
+	"fairmc/internal/por"
 	"fairmc/internal/search"
 	"fairmc/internal/syncmodel"
 	"fairmc/internal/wm"
@@ -480,15 +481,47 @@ func TestJobsOneJobRun(t *testing.T) {
 	}
 }
 
+// wire is in as the protocol sends it: a result post as its frame, a
+// lease request — naming this build's codec unless it names one — and
+// anything else as JSON.
+func wire(t testing.TB, in any) []byte {
+	var body []byte
+	var err error
+	switch v := in.(type) {
+	case dist.ResultRequest:
+		body, err = v.Encode(nil)
+	case dist.LeaseRequest:
+		if v.Codec == 0 {
+			v.Codec = por.CodecVersion
+		}
+		body, err = json.Marshal(v)
+	default:
+		body, err = json.Marshal(in)
+	}
+	if err != nil {
+		t.Error(err)
+	}
+	return body
+}
+
+// unwire decodes a response body into out: a lease answer from its
+// frame, anything else from JSON.
+func unwire(data []byte, out any) error {
+	if lr, ok := out.(*dist.LeaseResponse); ok {
+		got, err := dist.DecodeLease(data)
+		if err == nil {
+			*lr = *got
+		}
+		return err
+	}
+	return json.Unmarshal(data, out)
+}
+
 // postProto is a minimal protocol client for driving a job's
 // coordinator by hand.
 func postProto(t *testing.T, url string, in, out any) {
 	t.Helper()
-	body, err := json.Marshal(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Post(url, "application/json", bytes.NewReader(body))
+	resp, err := http.Post(url, "application/octet-stream", bytes.NewReader(wire(t, in)))
 	if err != nil {
 		t.Fatalf("POST %s: %v", url, err)
 	}
@@ -496,10 +529,12 @@ func postProto(t *testing.T, url string, in, out any) {
 	if resp.StatusCode/100 != 2 {
 		t.Fatalf("POST %s: %s", url, resp.Status)
 	}
-	if out != nil {
-		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-			t.Fatal(err)
-		}
+	data, err := io.ReadAll(resp.Body)
+	if err == nil && out != nil {
+		err = unwire(data, out)
+	}
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -727,9 +762,9 @@ func TestJobsOldShapeSubmissionRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := led.AppendAll(
-		ledger.Entry{Type: recSubmitted, Value: json.RawMessage(`{"job":"j1","spec":` + oldSpec + `,"refParallelism":2,"confirmRuns":3}`)},
-		ledger.Entry{Type: recSubmitted, Value: json.RawMessage(`{"job":"j2","spec":` + oldSpec + `,"refParallelism":1}`)},
-		ledger.Entry{Type: recDone, Value: doneRec{Job: "j2", State: StateDone, RunReport: []byte("{}\n")}},
+		ledger.Entry{Type: recSubmitted, Data: []byte(`{"job":"j1","spec":` + oldSpec + `,"refParallelism":2,"confirmRuns":3}`)},
+		ledger.Entry{Type: recSubmitted, Data: []byte(`{"job":"j2","spec":` + oldSpec + `,"refParallelism":1}`)},
+		ledger.Entry{Type: recDone, Data: jsonOf(doneRec{Job: "j2", State: StateDone, RunReport: []byte("{}\n")})},
 	); err != nil {
 		t.Fatal(err)
 	}
@@ -794,8 +829,8 @@ func TestJobsPlanHashSkewFailsJob(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := led.AppendAll(
-		ledger.Entry{Type: recSubmitted, Value: submittedRec{Job: "j1", Spec: opts, RefParallelism: 2}},
-		ledger.Entry{Type: search.RecPlan, Value: search.PlanRec{Job: "j1", OptionsHash: plan.OptionsHash, Plan: plan}},
+		ledger.Entry{Type: recSubmitted, Data: jsonOf(submittedRec{Job: "j1", Spec: opts, RefParallelism: 2})},
+		planEntry(t, &search.PlanRec{Job: "j1", OptionsHash: plan.OptionsHash, Plan: plan}),
 	); err != nil {
 		t.Fatal(err)
 	}

@@ -152,9 +152,9 @@ func rebuild(records []ledger.Record) *replayState {
 				st.maxJob = n
 			}
 		case search.RecPlan:
-			var rec search.PlanRec
-			if err := json.Unmarshal(r.Data, &rec); err != nil {
-				st.unreadable(r, err)
+			rec, err := search.DecodePlanRec(r.Data)
+			if err != nil {
+				st.unreadable(r, rec.Job, err)
 				continue
 			}
 			if j := st.jobs[rec.Job]; j != nil {
@@ -164,13 +164,13 @@ func rebuild(records []ledger.Record) *replayState {
 		case recGrant:
 			// Audit only.
 		case search.RecShardDone:
-			var rec search.ShardDoneRec
-			if err := json.Unmarshal(r.Data, &rec); err != nil {
-				st.unreadable(r, err)
+			rec, err := search.DecodeShardDone(r.Data)
+			if err != nil {
+				st.unreadable(r, rec.Job, err)
 				continue
 			}
 			if j := st.jobs[rec.Job]; j != nil {
-				j.Done = append(j.Done, rec)
+				j.Done = append(j.Done, *rec)
 			}
 		case recDone:
 			var rec doneRec
@@ -196,13 +196,18 @@ func (st *replayState) bad(r ledger.Record, err error) {
 }
 
 // unreadable reports a plan or shard_done record that does not decode,
-// and refuses its job: the job's progress is another version's, and a
-// job planned or run again over it would mix two builds' records.
-func (st *replayState) unreadable(r ledger.Record, err error) {
+// and refuses its job — the one its header names, or, for another
+// version's JSON record, its "job" key: the job's progress is another
+// version's, and a job planned or run again over it would mix two
+// builds' records.
+func (st *replayState) unreadable(r ledger.Record, job string, err error) {
 	st.bad(r, err)
-	var rec struct{ Job string }
-	_ = json.Unmarshal(r.Data, &rec) // what does not decode names no job
-	if j := st.jobs[rec.Job]; j != nil && j.Unreadable == "" {
+	if job == "" {
+		var rec struct{ Job string }
+		_ = json.Unmarshal(r.Data, &rec) // what does not decode names no job
+		job = rec.Job
+	}
+	if j := st.jobs[job]; j != nil && j.Unreadable == "" {
 		j.Unreadable = fmt.Sprintf("the %s record at seq %d does not decode: %v (ledger written by another version)", r.Type, r.Seq, err)
 	}
 }

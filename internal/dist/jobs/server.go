@@ -29,6 +29,7 @@ import (
 	"io"
 	"net/http"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -41,6 +42,7 @@ import (
 	"fairmc/internal/fsx"
 	"fairmc/internal/ledger"
 	"fairmc/internal/obs"
+	"fairmc/internal/por"
 	"fairmc/internal/search"
 )
 
@@ -227,7 +229,7 @@ func New(cfg Config) (*Server, error) {
 				js.ID, len(j.Done), j.shardCount())
 		}
 	}
-	if err := led.AppendAll(ledger.Entry{Type: recServerStart, Value: serverStartRec{Jobs: len(pend)}}); err != nil {
+	if err := led.AppendAll(ledger.Entry{Type: recServerStart, Data: jsonOf(serverStartRec{Jobs: len(pend)})}); err != nil {
 		led.Close()
 		return nil, fmt.Errorf("jobs: recording server start: %w", err)
 	}
@@ -239,7 +241,7 @@ func New(cfg Config) (*Server, error) {
 
 // commit appends WAL records as one group — every frame, then a single
 // fsync — with the crash hook around and inside it. points names the
-// entries' commit points, one each.
+// entries' commit points, one each; only the hook reads them.
 func (s *Server) commit(points []string, entries ...ledger.Entry) error {
 	h := s.cfg.crashHook
 	if h == nil {
@@ -269,11 +271,11 @@ func (s *Server) commit(points []string, entries ...ledger.Entry) error {
 
 // audit appends an audit-trail record: unsynced (it rides along with
 // the next fsync) and its loss is harmless.
-func (s *Server) audit(point, typ string, v any) {
+func (s *Server) audit(point, typ string, data []byte) {
 	if h := s.cfg.crashHook; h != nil && h("pre:"+point) {
 		s.led.Freeze()
 	}
-	s.led.Append(typ, v, false) // an unrecorded grant changes nothing
+	s.led.Append(typ, data, false) // an unrecorded grant changes nothing
 	if h := s.cfg.crashHook; h != nil && h("post:"+point) {
 		s.led.Freeze()
 	}
@@ -295,8 +297,14 @@ func (s *Server) wakeAll() {
 }
 
 // commit1 is commit for a group of one.
-func (s *Server) commit1(point, typ string, v any) error {
-	return s.commit([]string{point}, ledger.Entry{Type: typ, Value: v})
+func (s *Server) commit1(point, typ string, data []byte) error {
+	return s.commit([]string{point}, ledger.Entry{Type: typ, Data: data})
+}
+
+// jsonOf is the JSON of one of the service's own records.
+func jsonOf(v any) []byte {
+	data, _ := json.Marshal(v) // plain data: cannot fail
+	return data
 }
 
 // scheduleLocked promotes queued jobs into the free active slots.
@@ -372,9 +380,11 @@ func (s *Server) runJob(j *job) {
 			s.failJob(j, fmt.Sprintf("planning: %v", err))
 			return
 		}
-		if err := s.commit1("plan:"+id, search.RecPlan, search.PlanRec{
-			Job: id, OptionsHash: plan.OptionsHash, Plan: plan,
-		}); err != nil {
+		data, err := (&search.PlanRec{Job: id, OptionsHash: plan.OptionsHash, Plan: plan}).Encode(nil)
+		if err == nil {
+			err = s.commit1("plan:"+id, search.RecPlan, data)
+		}
+		if err != nil {
 			s.abortIncarnation(j, fmt.Errorf("committing plan: %w", err))
 			return
 		}
@@ -395,21 +405,35 @@ func (s *Server) runJob(j *job) {
 		Prior:            j.prior(),
 		OnShardGrant: func(shards []int, worker string) {
 			s.audit(fmt.Sprintf("grant:%s#%d", id, shards[0]), recGrant,
-				grantRec{Job: id, Shards: shards, Worker: worker})
+				jsonOf(grantRec{Job: id, Shards: shards, Worker: worker}))
 		},
 		OnWake: s.wakeAll,
 		OnShardDone: func(decided []search.ShardDoneRec) error {
 			// THE commit point: shard decisions reach the merger only
 			// after they are durable — every shard_done frame of the
 			// batch, then one fsync. An error here vetoes them all in
-			// the coordinator.
-			points := make([]string, len(decided))
+			// the coordinator. A posted report goes into its record as
+			// the bytes it arrived as, and the batch's records into one
+			// buffer.
+			var points []string
 			entries := make([]ledger.Entry, len(decided))
+			size := 0
+			for i := range decided {
+				size += 64 + len(id) + len(decided[i].Raw)
+			}
+			buf := make([]byte, 0, size)
 			for i := range decided {
 				d := &decided[i]
 				d.Job, d.OptionsHash = id, j.OptionsHash
-				points[i] = fmt.Sprintf("shard_done:%s#%d", id, d.Shard)
-				entries[i] = ledger.Entry{Type: search.RecShardDone, Value: *d}
+				start := len(buf)
+				var err error
+				if buf, err = d.Encode(buf); err != nil {
+					return err
+				}
+				if s.cfg.crashHook != nil {
+					points = append(points, fmt.Sprintf("shard_done:%s#%d", id, d.Shard))
+				}
+				entries[i] = ledger.Entry{Type: search.RecShardDone, Data: buf[start:]}
 			}
 			if err := s.commit(points, entries...); err != nil {
 				return err
@@ -489,9 +513,9 @@ func (s *Server) finishJob(j *job, rep *search.Report, state, errMsg string) {
 			runReport = data
 		}
 	}
-	if err := s.commit1("done:"+id, recDone, doneRec{
+	if err := s.commit1("done:"+id, recDone, jsonOf(doneRec{
 		Job: id, State: state, Error: errMsg, Report: rep, RunReport: runReport,
-	}); err != nil {
+	})); err != nil {
 		s.abortIncarnation(j, fmt.Errorf("committing terminal state: %w", err))
 		return
 	}
@@ -732,9 +756,9 @@ func (s *Server) submit(req SubmitRequest) (id string, code int, err error) {
 	// The submission is acknowledged only after it is durable; the
 	// ledger append happens under s.mu so replayed submission order
 	// always matches s.order.
-	if err := s.commit1("submit:"+id, recSubmitted, submittedRec{
+	if err := s.commit1("submit:"+id, recSubmitted, jsonOf(submittedRec{
 		Job: id, Spec: req.Spec, RefParallelism: req.RefParallelism,
-	}); err != nil {
+	})); err != nil {
 		s.mu.Unlock()
 		return "", http.StatusServiceUnavailable, fmt.Errorf("cannot record submission: %w", err)
 	}
@@ -829,7 +853,7 @@ func (s *Server) handleCancel(w http.ResponseWriter, j *job) {
 		writeJSON(w, CancelResponse{JobID: j.ID, State: st})
 		return
 	case qi >= 0: // still waiting for a slot
-		if err := s.commit1("done:"+j.ID, recDone, doneRec{Job: j.ID, State: StateCancelled}); err != nil {
+		if err := s.commit1("done:"+j.ID, recDone, jsonOf(doneRec{Job: j.ID, State: StateCancelled})); err != nil {
 			s.mu.Unlock()
 			http.Error(w, "cannot record cancellation: "+err.Error(), http.StatusServiceUnavailable)
 			return
@@ -879,6 +903,12 @@ func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
 		return
 	}
+	if req.Codec != por.CodecVersion {
+		// Another build's worker: it could decode no grant of this one.
+		http.Error(w, fmt.Sprintf("the worker speaks codec version %d, this service %d (another build)",
+			req.Codec, por.CodecVersion), http.StatusBadRequest)
+		return
+	}
 	type mount struct {
 		id    string
 		coord *dist.Coordinator
@@ -906,7 +936,7 @@ func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 		s.rr++
 		s.mu.Unlock()
 		if closed {
-			writeJSON(w, dist.LeaseResponse{Status: dist.LeaseDone})
+			writeLease(w, dist.LeaseDone)
 			return
 		}
 		for _, m := range mounted {
@@ -918,15 +948,23 @@ func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 			s.mu.Lock()
 			s.out[req.WorkerID] = struct{}{}
 			s.mu.Unlock()
-			w.Header().Set("Content-Type", "application/json")
+			w.Header().Set("Content-Type", "application/octet-stream")
+			w.Header().Set("Content-Length", strconv.Itoa(len(data)))
 			w.Write(data)
 			return
 		}
 		if !held.wait(r, wake) {
-			writeJSON(w, dist.LeaseResponse{Status: dist.LeaseWait})
+			writeLease(w, dist.LeaseWait)
 			return
 		}
 	}
+}
+
+// writeLease answers a lease call that grants nothing with status.
+func writeLease(w http.ResponseWriter, status string) {
+	data, _ := (&dist.LeaseResponse{Status: status}).Encode(nil) // no shard: cannot fail
+	w.Header().Set("Content-Type", "application/octet-stream")
+	w.Write(data)
 }
 
 // handleJobProxy routes /job/<id>/... into that job's coordinator. A

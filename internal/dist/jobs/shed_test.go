@@ -2,7 +2,7 @@ package jobs
 
 import (
 	"bytes"
-	"encoding/json"
+	"io"
 	"net/http"
 	"sync"
 	"sync/atomic"
@@ -41,7 +41,7 @@ func TestDistLeaseLongPoll(t *testing.T) {
 	const parked = 200
 	answers := make(chan leaseAnswer, parked+1)
 	var answered atomic.Int64
-	body, _ := json.Marshal(dist.LeaseRequest{WorkerID: worker})
+	body := wire(t, dist.LeaseRequest{WorkerID: worker})
 	tr := &http.Transport{MaxConnsPerHost: parked}
 	defer tr.CloseIdleConnections()
 	client := &http.Client{Transport: tr}
@@ -50,7 +50,8 @@ func TestDistLeaseLongPoll(t *testing.T) {
 		resp, err := client.Post(srv.URL+dist.PathLease, "application/json", bytes.NewReader(body))
 		if err == nil {
 			a.code = resp.StatusCode
-			json.NewDecoder(resp.Body).Decode(&a.lr)
+			data, _ := io.ReadAll(resp.Body)
+			unwire(data, &a.lr)
 			resp.Body.Close()
 		}
 		a.at = time.Now()

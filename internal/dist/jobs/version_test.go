@@ -1,10 +1,15 @@
 package jobs
 
 import (
-	"encoding/json"
+	"bytes"
+	"io"
+	"net/http"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
+	"fairmc/internal/dist"
 	"fairmc/internal/ledger"
 	"fairmc/internal/search"
 )
@@ -81,7 +86,16 @@ func writeLedger(t *testing.T, entries ...ledger.Entry) string {
 
 // raw is a ledger entry of the recorded bytes data.
 func raw(typ, data string) ledger.Entry {
-	return ledger.Entry{Type: typ, Value: json.RawMessage(data)}
+	return ledger.Entry{Type: typ, Data: []byte(data)}
+}
+
+// planEntry is a ledger entry of rec.
+func planEntry(t *testing.T, rec *search.PlanRec) ledger.Entry {
+	data, err := rec.Encode(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ledger.Entry{Type: search.RecPlan, Data: data}
 }
 
 // TestParentDporRecordsRefused: a plan or shard_done record this build
@@ -97,8 +111,8 @@ func TestParentDporRecordsRefused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	submitted := ledger.Entry{Type: recSubmitted, Value: submittedRec{Job: "j1", Spec: parentOpts, RefParallelism: 1}}
-	thisPlan := ledger.Entry{Type: search.RecPlan, Value: search.PlanRec{Job: "j1", OptionsHash: plan.OptionsHash, Plan: plan}}
+	submitted := ledger.Entry{Type: recSubmitted, Data: jsonOf(submittedRec{Job: "j1", Spec: parentOpts, RefParallelism: 1})}
+	thisPlan := planEntry(t, &search.PlanRec{Job: "j1", OptionsHash: plan.OptionsHash, Plan: plan})
 	for _, tc := range []struct {
 		name    string
 		entries []ledger.Entry
@@ -132,5 +146,98 @@ func TestParentDporRecordsRefused(t *testing.T) {
 				t.Fatalf("the directory holds %d records after the search, want the %d it held", len(rec.Records), len(tc.entries)-1)
 			}
 		})
+	}
+}
+
+// The one segment of the checkpoint directory the build before the binary
+// frames wrote for `check -prog litmus-mp -dpor -fair=false -cb -1
+// -maxexec 1`: a DPOR job_plan record and one shard_done record, JSON in
+// the ledger's FMCWAL01 frames.
+const parentSegment = "FMCWAL01\xc5\x01\x00\x00\x0b\xd2\x8c\xbb{\"seq\":1,\"type\":\"job_plan\",\"data\":{\"job\":\"\",\"optionsHash\":1432174036811510" +
+	"8963,\"plan\":{\"strategy\":\"dfs\",\"refParallelism\":2,\"optionsHash\":14321740368115108963,\"shard" +
+	"s\":[{\"index\":0,\"unit\":\"AQAAAAA=\"}]},\"spec\":{\"fair\":false,\"fairK\":1,\"contextBound\":-1,\"pctD" +
+	"epth\":3,\"maxSteps\":100000,\"memModel\":\"sc\",\"maxExecutions\":1,\"seed\":1,\"dpor\":true,\"divergen" +
+	"ceRetries\":2,\"confirmRuns\":3,\"watchdog\":30000000000,\"program\":\"litmus-mp\",\"checkpointInter" +
+	"val\":30000000000}}}\xfe\x05\x00\x00\x9ek)={\"seq\":2,\"type\":\"shard_done\",\"data\":{\"job\":\"\",\"optionsHash\":143" +
+	"21740368115108963,\"shard\":0,\"report\":{\"Executions\":1,\"TotalSteps\":13,\"MaxDepth\":13,\"Yields" +
+	"\":1,\"EdgeAdds\":0,\"EdgeErases\":0,\"FairBlocked\":0,\"BufferedStores\":0,\"Flushes\":0,\"Fences\":0," +
+	"\"Forwards\":0,\"NonTerminating\":0,\"PrunedVisited\":0,\"PrunedSleep\":0,\"Deadlocks\":0,\"Violation" +
+	"s\":0,\"Wedges\":0,\"Quarantined\":0,\"Skipped\":0,\"FirstBug\":null,\"FirstBugExecution\":0,\"Diverge" +
+	"nce\":null,\"DivergenceExecution\":0,\"FirstWedge\":null,\"FirstWedgeExecution\":0,\"Nondeterminis" +
+	"m\":null,\"BugReproducibility\":null,\"DivergenceReproducibility\":null,\"Exhausted\":true,\"Timed" +
+	"Out\":false,\"ExecBounded\":false,\"Interrupted\":false,\"WorkerFailures\":null,\"CheckpointError\"" +
+	":\"\",\"Dpor\":\"AQ0AAAAAAAAAAAAAAAAADQABAAEAAQIBAgECAQIBBAEEAQQBBAEAAQABDddwcDxGA7JwAAVzdGFydA" +
+	"EA0qxiInp3aKcABXNwYXduAQJY1Qs7D9j+NwAFc3Bhd24BBBf6gf3Jo0sPAgVzdGFydAEABuTed9rfdN0CCHdtLndy" +
+	"aXRlAAAgATh39SgbeQIId20ud3JpdGUAAtNx4DDaLr6mAgZ3Zy5hZGQCAXt0SmJaYXOUBAVzdGFydAEAWF5nIsV1uz" +
+	"oEB3dtLnJlYWQAAr5hZyLFd7s6BAd3bS5yZWFkAADd45f36PeTXQQGd2cuYWRkAgEL649qgtJbQwAHd2cud2FpdAIA" +
+	"uWWn7etEgicACHdtLmRyYWluAAAKDwRY1Qs7D9j+NwIAAQABBXNwYXduAQQCAQIBBXN0YXJ0AQAC0qxiInp3aKcBAA" +
+	"EAAQVzcGF3bgECANdwcDxGA7JwAQABAAEFc3RhcnQBAAYX+oH9yaNLDwICAQIBBXN0YXJ0AQAEAQQBBXN0YXJ0AQAK" +
+	"IAE4d/UoG3kCAgECAQh3bS53cml0ZQACBAEEAQVzdGFydAEACAbk3nfa33TdAgIBAgEId20ud3JpdGUAAAQBBAEFc3" +
+	"RhcnQBAAzTceAw2i6+pgICAQIBBndnLmFkZAIBBAEEAQVzdGFydAEAFN3jl/fo95NdAQQBBAEGd2cuYWRkAgESvmFn" +
+	"IsV3uzoBBAEEAQd3bS5yZWFkAAAQWF5nIsV1uzoBBAEEAQd3bS5yZWFkAAIOBAICAAAABgIEAAoCCAIMAhQADAASAB" +
+	"AACgAIAA==\",\"Elapsed\":577551}}}"
+
+// TestParentLedgerRefused: a ledger directory of the build before —
+// a WAL, or a checkpoint directory — is another version's. Opening it
+// fails naming that, and nothing in it is renamed, truncated or added:
+// the service refuses to start on it, and a search over it (ReadPlan,
+// what check reads first; check exits 2 on its error) refuses it,
+// instead of quarantining the segment and planning the search again.
+func TestParentLedgerRefused(t *testing.T) {
+	dir := t.TempDir()
+	seg := filepath.Join(dir, "wal-00000000.seg")
+	if err := os.WriteFile(seg, []byte(parentSegment), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := New(Config{Dir: dir, Lookup: testLookup}); err == nil || !strings.Contains(err.Error(), "written by another version") {
+		t.Fatalf("New = %v, want the ledger refused as another version's", err)
+	}
+	if rec, err := search.ReadPlan(dir); err == nil || !strings.Contains(err.Error(), "written by another version") {
+		t.Fatalf("ReadPlan = %+v, %v; want the directory refused as another version's", rec, err)
+	}
+	opts := parentOpts
+	opts.CheckpointPath, opts.MaxExecutions = dir, 1
+	if rep := search.Explore(catalog("litmus-mp"), opts); !strings.Contains(rep.CheckpointError, "written by another version") {
+		t.Fatalf("a search over the directory: CheckpointError %q, want the ledger refused", rep.CheckpointError)
+	}
+	names, _ := filepath.Glob(filepath.Join(dir, "*"))
+	data, _ := os.ReadFile(seg)
+	if len(names) != 1 || !bytes.Equal(data, []byte(parentSegment)) {
+		t.Fatalf("the directory holds %v after being refused, its segment changed: %v", names, !bytes.Equal(data, []byte(parentSegment)))
+	}
+}
+
+// leaseRequestOf is a transport that sends every lease request as body
+// says, as a worker of another build would.
+type leaseRequestOf string
+
+func (body leaseRequestOf) RoundTrip(req *http.Request) (*http.Response, error) {
+	if strings.HasSuffix(req.URL.Path, dist.PathLease) {
+		req.Body = io.NopCloser(strings.NewReader(string(body)))
+		req.ContentLength = int64(len(body))
+	}
+	return http.DefaultTransport.RoundTrip(req)
+}
+
+// TestOtherBuildWorkerRefused: a lease request that names no codec
+// version (the build before) or another one is answered with a 4xx
+// naming both versions, and a worker that gets that answer exits naming
+// it, rather than retrying until its join timeout.
+func TestOtherBuildWorkerRefused(t *testing.T) {
+	_, srv := startService(t, Config{Dir: t.TempDir()})
+	for _, body := range []string{`{"workerId":"old"}`, `{"workerId":"new","codec":3}`} {
+		resp, err := http.Post(srv.URL+dist.PathLease, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode/100 != 4 || !strings.Contains(string(msg), "codec version") {
+			t.Fatalf("lease request %s: HTTP %d %s, want a 4xx naming the versions", body, resp.StatusCode, msg)
+		}
+	}
+	err := dist.RunWorker(dist.WorkerConfig{URL: srv.URL, Lookup: testLookup, Transport: leaseRequestOf(`{"workerId":"old"}`)})
+	if err == nil || !strings.Contains(err.Error(), "codec version 0") || !strings.Contains(err.Error(), "HTTP 400") {
+		t.Fatalf("RunWorker = %v, want it to exit on the refusal", err)
 	}
 }

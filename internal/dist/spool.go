@@ -2,7 +2,7 @@ package dist
 
 import (
 	"encoding/binary"
-	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -10,13 +10,17 @@ import (
 	"sort"
 
 	"fairmc/internal/fsx"
+	"fairmc/internal/por"
 	"fairmc/internal/search"
 )
 
-// spoolVersion guards the spool file format. Version 2 added the CRC32C
-// footer; v1 entries (no footer) are reported as corrupt, which is the
-// honest verdict — they were never checksummed.
-const spoolVersion = 2
+// A spool entry is one completed shard report persisted to -workdir
+// while its job is unreachable: the shard_done record the service would
+// write for it (search.ShardDoneRec), its Job naming the program, since
+// the options hash leaves the program out. The record's version byte,
+// OptionsHash and program tie the entry to the search it belongs to, so
+// a stale spool from another build or another run is skipped at replay
+// instead of corrupting the merge. A CRC32C footer follows the record.
 
 // spoolFooterMagic opens the 12-byte spool footer:
 // "SPCK" + u32 LE payload length + u32 LE CRC32C(payload).
@@ -25,24 +29,6 @@ const spoolFooterMagic = "SPCK"
 const spoolFooterLen = 12
 
 var spoolCRCTable = crc32.MakeTable(crc32.Castagnoli)
-
-// spoolEntry is one completed shard report persisted to -workdir while
-// the coordinator is unreachable. OptionsHash ties the entry to the
-// search it belongs to, so a stale spool from a different run is
-// rejected at replay instead of corrupting the merge.
-type spoolEntry struct {
-	spoolHead
-	Shard  int            `json:"shard"`
-	Report *search.Report `json:"report"`
-}
-
-// spoolHead names the search a spool entry belongs to. It is read before
-// the report: another build's report need not decode in this one.
-type spoolHead struct {
-	Version     int    `json:"version"`
-	OptionsHash uint64 `json:"optionsHash"`
-	Program     string `json:"program"`
-}
 
 // spoolCorrupt reports one spool file whose footer or checksum failed:
 // a torn write or silent corruption, surfaced to the coordinator as a
@@ -54,7 +40,7 @@ type spoolCorrupt struct {
 }
 
 func spoolPath(dir string, shard int) string {
-	return filepath.Join(dir, fmt.Sprintf("spool-shard-%04d.json", shard))
+	return filepath.Join(dir, fmt.Sprintf("spool-shard-%04d.rec", shard))
 }
 
 // spoolShardFromName recovers the shard index from a spool filename, so
@@ -62,13 +48,13 @@ func spoolPath(dir string, shard int) string {
 // shard it belonged to.
 func spoolShardFromName(name string) int {
 	var shard int
-	if _, err := fmt.Sscanf(filepath.Base(name), "spool-shard-%04d.json", &shard); err != nil {
+	if _, err := fmt.Sscanf(filepath.Base(name), "spool-shard-%04d.rec", &shard); err != nil {
 		return -1
 	}
 	return shard
 }
 
-// spoolFrame appends the CRC32C footer to a JSON payload.
+// spoolFrame appends the CRC32C footer to a payload.
 func spoolFrame(payload []byte) []byte {
 	out := make([]byte, len(payload)+spoolFooterLen)
 	copy(out, payload)
@@ -103,9 +89,8 @@ func spoolUnframe(data []byte) (payload []byte, reason string) {
 // spoolWrite persists a completed shard report atomically, with a
 // CRC32C footer so replay can tell a good entry from a torn or
 // corrupted one.
-func spoolWrite(fsys fsx.FS, dir string, e spoolEntry) error {
-	e.Version = spoolVersion
-	payload, err := json.Marshal(e)
+func spoolWrite(fsys fsx.FS, dir string, e *search.ShardDoneRec) error {
+	payload, err := e.Encode(nil)
 	if err != nil {
 		return fmt.Errorf("spool shard %d: %w", e.Shard, err)
 	}
@@ -117,8 +102,8 @@ func spoolWrite(fsys fsx.FS, dir string, e spoolEntry) error {
 // returned in corrupt (the caller surfaces them as WorkerFailures);
 // entries that belong to a different search are skipped — they are
 // someone else's work, not ours to replay or delete.
-func spoolList(fsys fsx.FS, dir string, optionsHash uint64, program string) (entries []spoolEntry, corrupt []spoolCorrupt, skipped []string, err error) {
-	names, err := fsys.Glob(filepath.Join(dir, "spool-shard-*.json"))
+func spoolList(fsys fsx.FS, dir string, optionsHash uint64, program string) (entries []*search.ShardDoneRec, corrupt []spoolCorrupt, skipped []string, err error) {
+	names, err := fsys.Glob(filepath.Join(dir, "spool-shard-*.rec"))
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -131,20 +116,20 @@ func spoolList(fsys fsx.FS, dir string, optionsHash uint64, program string) (ent
 		}
 		payload, reason := spoolUnframe(data)
 		if reason == "" {
-			var head spoolHead
-			var e spoolEntry
-			if jerr := json.Unmarshal(payload, &head); jerr != nil {
-				reason = fmt.Sprintf("checksummed payload is not valid JSON: %v", jerr)
-			} else if head != (spoolHead{spoolVersion, optionsHash, program}) {
-				skipped = append(skipped, fmt.Sprintf("%s: different search (version=%d hash=%#x program=%s)",
-					filepath.Base(name), head.Version, head.OptionsHash, head.Program))
+			e, derr := search.DecodeShardDone(payload)
+			switch {
+			case errors.Is(derr, por.ErrVersion):
+				skipped = append(skipped, fmt.Sprintf("%s: another version's entry", filepath.Base(name)))
 				continue
-			} else if jerr := json.Unmarshal(payload, &e); jerr != nil || e.Report == nil {
+			case derr != nil:
+				reason = fmt.Sprintf("checksummed payload does not decode: %v", derr)
+			case e.OptionsHash != optionsHash || e.Job != program:
+				skipped = append(skipped, fmt.Sprintf("%s: different search (hash=%#x program=%s)",
+					filepath.Base(name), e.OptionsHash, e.Job))
+				continue
+			case e.Report == nil:
 				reason = "checksummed payload holds no report"
-				if jerr != nil {
-					reason = fmt.Sprintf("checksummed payload does not decode: %v", jerr)
-				}
-			} else {
+			default:
 				entries = append(entries, e)
 				continue
 			}

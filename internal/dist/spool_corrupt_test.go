@@ -61,7 +61,7 @@ func TestDistCorruptSpoolEntryAdvisory(t *testing.T) {
 
 	// Corrupt one entry: flip a payload bit under the intact footer.
 	spool := filepath.Join(workDir, a.id)
-	names, _ := filepath.Glob(filepath.Join(spool, "spool-shard-*.json"))
+	names, _ := filepath.Glob(filepath.Join(spool, "spool-shard-*.rec"))
 	if len(names) != shardCount {
 		t.Fatalf("spooled files = %v, want %d", names, shardCount)
 	}
@@ -108,7 +108,7 @@ func TestDistCorruptSpoolEntryAdvisory(t *testing.T) {
 	if advisory.Attempt != 0 {
 		t.Fatalf("advisory failure charged an attempt: %+v", advisory)
 	}
-	if left, _ := filepath.Glob(filepath.Join(spool, "spool-shard-*.json")); len(left) != 0 {
+	if left, _ := filepath.Glob(filepath.Join(spool, "spool-shard-*.rec")); len(left) != 0 {
 		t.Fatalf("spool not cleaned up (incl. the corrupt entry): %v", left)
 	}
 

@@ -17,10 +17,11 @@ import (
 
 func writeTestSpool(t *testing.T, fsys fsx.FS, dir string, shard int, hash uint64) {
 	t.Helper()
-	err := spoolWrite(fsys, dir, spoolEntry{
-		spoolHead: spoolHead{OptionsHash: hash, Program: "prog"},
-		Shard:     shard,
-		Report:    &search.Report{Counters: search.Counters{Executions: 1}},
+	err := spoolWrite(fsys, dir, &search.ShardDoneRec{
+		Job:         "prog",
+		OptionsHash: hash,
+		Shard:       shard,
+		Report:      &search.Report{Counters: search.Counters{Executions: 1}},
 	})
 	if err != nil {
 		t.Fatalf("spoolWrite shard %d: %v", shard, err)
@@ -120,11 +121,10 @@ func TestSpoolDifferentSearchSkippedNotCorrupt(t *testing.T) {
 	}
 }
 
-// TestSpoolParentEntrySkipped: an entry the build before the DPOR unit
-// codec spooled holds a report whose DPOR payload this build cannot
-// decode. It names another search (the codec version is in the options
-// hash), so it is skipped as one — not reported as corrupt, which would
-// charge this search a worker failure.
+// TestSpoolParentEntrySkipped: an entry an earlier build spooled is JSON,
+// not this build's record. It is another version's, so it is skipped as
+// another search's is — not reported as corrupt, which would charge this
+// search a worker failure.
 func TestSpoolParentEntrySkipped(t *testing.T) {
 	dir := t.TempDir()
 	payload := `{"version":2,"optionsHash":11163948880166998460,"program":"prog","shard":0,` +
@@ -181,10 +181,10 @@ func TestSpoolReadCorruptionCaught(t *testing.T) {
 }
 
 func TestSpoolShardFromName(t *testing.T) {
-	if got := spoolShardFromName(filepath.Join("x", "spool-shard-0012.json")); got != 12 {
+	if got := spoolShardFromName(filepath.Join("x", "spool-shard-0012.rec")); got != 12 {
 		t.Fatalf("parsed %d, want 12", got)
 	}
-	if got := spoolShardFromName("garbage.json"); got != -1 {
+	if got := spoolShardFromName("garbage.rec"); got != -1 {
 		t.Fatalf("parsed %d, want -1", got)
 	}
 }

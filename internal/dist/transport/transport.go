@@ -4,10 +4,12 @@
 // idempotency keys, and a per-peer circuit breaker with half-open
 // probes.
 //
-// Every remote interaction in internal/dist goes through Client.PostJSON
-// so the failure behavior is uniform: transient failures (network
-// errors, 5xx, 429, garbled responses) are retried under the policy;
-// terminal failures (other 4xx) surface immediately as *StatusError.
+// Every remote interaction in internal/dist goes through Client.Post,
+// whose caller encodes the body and decodes the response, so the failure
+// behavior is uniform: transient failures (network errors, 5xx, 429,
+// garbled responses) are retried under the policy; terminal failures
+// (other 4xx, a response in another version's encoding) surface
+// immediately.
 // A 429 with Retry-After overrides the computed backoff, which is how
 // workers honor coordinator load shedding.
 package transport
@@ -15,7 +17,6 @@ package transport
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -125,10 +126,15 @@ func (e *StatusError) Error() string {
 // without touching the network.
 var ErrCircuitOpen = errors.New("transport: circuit open")
 
+// ErrTerminal marks a decode error no retry can fix: a response in
+// another version's encoding.
+var ErrTerminal = errors.New("transport: not retryable")
+
 // Classify reports whether an error from one attempt is worth retrying.
 // Network-level failures, 5xx, 429 (shed), and garbled/truncated
-// responses are retryable; other 4xx are terminal (the request itself
-// is wrong, a retry cannot fix it).
+// responses are retryable; other 4xx, and a decode error that wraps
+// ErrTerminal, are terminal (the request itself is wrong, or the peer is
+// another build; a retry cannot fix it).
 func Classify(err error) (retryable bool) {
 	if err == nil {
 		return false
@@ -144,12 +150,11 @@ func Classify(err error) (retryable bool) {
 			return false
 		}
 	}
-	if errors.Is(err, ErrCircuitOpen) {
+	if errors.Is(err, ErrCircuitOpen) || errors.Is(err, ErrTerminal) {
 		return false
 	}
-	// Everything else — net errors, injected faults, JSON decode errors
-	// from truncated bodies — is transient as far as the caller can
-	// tell.
+	// Everything else — net errors, injected faults, decode errors from
+	// truncated bodies — is transient as far as the caller can tell.
 	return true
 }
 
@@ -280,7 +285,7 @@ func (b *Breaker) Open() bool {
 	return b.state == breakerOpen && b.now().Sub(b.openedAt) < b.cooldown()
 }
 
-// Call tunes one PostJSON invocation.
+// Call tunes one Post invocation.
 type Call struct {
 	// Key, when non-empty, is sent as the idempotency key header on
 	// every attempt so server-side dedup collapses retries.
@@ -297,7 +302,7 @@ type Call struct {
 	NoBreaker bool
 }
 
-// Client issues retried JSON POSTs against one peer.
+// Client issues retried POSTs against one peer.
 type Client struct {
 	// Base is the peer URL prefix, e.g. "http://host:9000".
 	Base string
@@ -378,17 +383,18 @@ func (c *Client) deadline(path string) time.Duration {
 
 var errStopped = errors.New("transport: stopped")
 
-// PostJSON POSTs in as JSON to path and decodes the response into out
-// (out may be nil), retrying retryable failures under the policy. The
-// returned error is the last attempt's error, or a wrapped
-// ErrCircuitOpen if the breaker refused the call.
-func (c *Client) PostJSON(path string, in, out any, call Call) error {
+// Post POSTs body to path and hands the response body to decode,
+// retrying retryable failures under the policy — a decode error among
+// them, unless it wraps ErrTerminal. The returned error is the last
+// attempt's error, or a wrapped ErrCircuitOpen if the breaker refused
+// the call.
+func (c *Client) Post(path string, body []byte, decode func([]byte) error, call Call) error {
 	if c.Breaker != nil && !call.NoBreaker {
 		if !c.Breaker.Allow() {
 			return fmt.Errorf("%s: %w", path, ErrCircuitOpen)
 		}
 	}
-	err := c.postRetry(path, in, out, call)
+	err := c.postRetry(path, body, decode, call)
 	if c.Breaker != nil && !call.NoBreaker {
 		// Shed (429) responses are the coordinator protecting itself,
 		// not the peer being down — they don't trip the breaker.
@@ -402,7 +408,7 @@ func isShed(err error) bool {
 	return errors.As(err, &se) && se.StatusCode == http.StatusTooManyRequests
 }
 
-func (c *Client) postRetry(path string, in, out any, call Call) error {
+func (c *Client) postRetry(path string, body []byte, decode func([]byte) error, call Call) error {
 	policy := c.Policy.withDefaults()
 	attempts := policy.MaxAttempts
 	if call.MaxAttempts > 0 {
@@ -414,10 +420,6 @@ func (c *Client) postRetry(path string, in, out any, call Call) error {
 	maxElapsed := policy.MaxElapsed
 	if call.MaxElapsed > 0 {
 		maxElapsed = call.MaxElapsed
-	}
-	body, err := json.Marshal(in)
-	if err != nil {
-		return fmt.Errorf("%s: encode: %w", path, err)
 	}
 	start := time.Now()
 	var lastErr error
@@ -436,7 +438,7 @@ func (c *Client) postRetry(path string, in, out any, call Call) error {
 				return fmt.Errorf("%s: %w", path, errStopped)
 			}
 		}
-		lastErr = c.postOnce(path, body, out, call.Key)
+		lastErr = c.postOnce(path, body, decode, call.Key)
 		if lastErr == nil {
 			return nil
 		}
@@ -456,14 +458,13 @@ func (c *Client) postRetry(path string, in, out any, call Call) error {
 	return lastErr
 }
 
-func (c *Client) postOnce(path string, body []byte, out any, key string) error {
+func (c *Client) postOnce(path string, body []byte, decode func([]byte) error, key string) error {
 	ctx, cancel := context.WithTimeout(c.ctx(), c.deadline(path))
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.Base+path, bytes.NewReader(body))
 	if err != nil {
 		return err
 	}
-	req.Header.Set("Content-Type", "application/json")
 	if key != "" {
 		req.Header.Set(IdempotencyKeyHeader, key)
 	}
@@ -476,7 +477,7 @@ func (c *Client) postOnce(path string, body []byte, out any, key string) error {
 		return err
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 16<<20))
+	data, err := ReadAll(resp.Body, resp.ContentLength, 16<<20)
 	if err != nil {
 		return fmt.Errorf("%s: read: %w", path, err)
 	}
@@ -493,12 +494,21 @@ func (c *Client) postOnce(path string, body []byte, out any, key string) error {
 		}
 		return se
 	}
-	if out != nil {
-		if err := json.Unmarshal(data, out); err != nil {
-			return fmt.Errorf("%s: decode: %w", path, err)
-		}
+	if err := decode(data); err != nil {
+		return fmt.Errorf("%s: decode: %w", path, err)
 	}
 	return nil
+}
+
+// ReadAll reads r to its end, at most limit bytes, into one buffer of
+// size bytes when size, an HTTP body's length, is known (not negative).
+func ReadAll(r io.Reader, size, limit int64) ([]byte, error) {
+	if size < 0 || size > limit {
+		return io.ReadAll(io.LimitReader(r, limit))
+	}
+	buf := make([]byte, size)
+	_, err := io.ReadFull(r, buf)
+	return buf, err
 }
 
 func truncate(s string, n int) string {

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"encoding/json"
 	"errors"
 	"net/http"
 	"net/http/httptest"
@@ -53,6 +54,44 @@ func TestClassify(t *testing.T) {
 	for _, c := range cases {
 		if got := Classify(c.err); got != c.want {
 			t.Errorf("Classify(%v) = %v, want %v", c.err, got, c.want)
+		}
+	}
+}
+
+// PostJSON is Post with in's JSON as the body and the response decoded
+// as JSON into out (nil: ignored): how the tests below post.
+func (c *Client) PostJSON(path string, in, out any, call Call) error {
+	body, err := json.Marshal(in)
+	if err != nil {
+		return err
+	}
+	return c.Post(path, body, func(data []byte) error {
+		if out == nil {
+			return nil
+		}
+		return json.Unmarshal(data, out)
+	}, call)
+}
+
+// TestTerminalDecodeErrorNoRetry: a response whose decode error wraps
+// ErrTerminal — another version's encoding — is not retried, while a
+// garbled one is.
+func TestTerminalDecodeErrorNoRetry(t *testing.T) {
+	var calls int32
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		atomic.AddInt32(&calls, 1)
+		w.Write([]byte("?"))
+	}))
+	defer srv.Close()
+	c := &Client{Base: srv.URL, HTTP: srv.Client(), Policy: Policy{MaxAttempts: 3}, Sleep: func(time.Duration) {}}
+	for _, tc := range []struct {
+		err   error
+		calls int32
+	}{{ErrTerminal, 1}, {errors.New("garbled"), 3}} {
+		atomic.StoreInt32(&calls, 0)
+		err := c.Post("/v1/x", nil, func([]byte) error { return tc.err }, Call{})
+		if !errors.Is(err, tc.err) || atomic.LoadInt32(&calls) != tc.calls {
+			t.Fatalf("decode error %v: %v after %d calls, want %d", tc.err, err, calls, tc.calls)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package dist
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -125,6 +126,7 @@ type workerJob struct {
 	name    string // the job's, for logs
 	tc      *transport.Client
 	hash    uint64
+	spec    []byte // the grant's spec, as it came
 	opts    search.Options
 	prog    func(*engine.T)
 	ttl     time.Duration
@@ -133,6 +135,9 @@ type workerJob struct {
 	// gone is set when the job's path answered 404: whatever the worker
 	// still holds of it is dropped, not posted and not spooled.
 	gone atomic.Bool
+	// frameHint is about the largest result frame so far: the next one
+	// is encoded into a buffer that size.
+	frameHint atomic.Int64
 }
 
 // RunWorker is the one worker loop: lease from the jobs service at
@@ -244,14 +249,12 @@ func (w *worker) slot(pool *engine.Pool) error {
 	failures, down := 0, time.Time{} // the current run of failed lease calls, and when it began
 	for !w.over() {
 		asked := time.Now()
-		resp := &LeaseResponse{}
-		err := w.tc.PostJSON(PathLease, LeaseRequest{WorkerID: w.id}, resp,
-			transport.Call{NoBreaker: true, MaxAttempts: 1})
+		resp, err := w.lease()
 		if w.over() {
 			break
 		}
 		if err != nil {
-			if errors.Is(err, por.ErrCodec) {
+			if errors.Is(err, por.ErrVersion) {
 				return fmt.Errorf("dist: a grant written by another version: %w", err)
 			}
 			if !transport.Classify(err) {
@@ -299,18 +302,36 @@ func (w *worker) slot(pool *engine.Pool) error {
 	return nil
 }
 
+// lease makes one lease call. An answer in another version's encoding
+// is not retried.
+func (w *worker) lease() (*LeaseResponse, error) {
+	body, _ := json.Marshal(LeaseRequest{WorkerID: w.id, Codec: por.CodecVersion}) // plain data: cannot fail
+	var resp *LeaseResponse
+	err := w.tc.Post(PathLease, body, func(data []byte) (err error) {
+		if resp, err = DecodeLease(data); errors.Is(err, por.ErrVersion) {
+			err = fmt.Errorf("%w: %w", transport.ErrTerminal, err)
+		}
+		return err
+	}, transport.Call{NoBreaker: true, MaxAttempts: 1})
+	return resp, err
+}
+
 // job returns what the worker knows about the job a grant names,
-// building it on a miss: the spec's options verified against the plan's
-// hash, the program resolved, the job's directory made and its spool
-// replayed (replayed: the shards that was done for).
+// building it on a miss: the spec's options decoded and verified against
+// the plan's hash, the program resolved, the job's directory made and
+// its spool replayed (replayed: the shards that was done for).
 // The cache is keyed by where the job is served and what it searches,
-// so a path reused for another search is a miss.
+// so a path reused for another search is a miss; a grant whose spec
+// bytes are the cached job's reuses its options.
 func (w *worker) job(resp *LeaseResponse) (j *workerJob, replayed map[int]bool, err error) {
 	key := resp.Path + "#" + strconv.FormatUint(resp.OptionsHash, 16)
 	cached := func() *workerJob {
 		w.mu.Lock()
 		defer w.mu.Unlock()
-		return w.jobs[key]
+		if j := w.jobs[key]; j != nil && bytes.Equal(j.spec, resp.Spec) {
+			return j
+		}
+		return nil
 	}
 	if j = cached(); j != nil {
 		return j, nil, nil
@@ -320,16 +341,16 @@ func (w *worker) job(resp *LeaseResponse) (j *workerJob, replayed map[int]bool, 
 	if j = cached(); j != nil {
 		return j, nil, nil
 	}
-	if resp.Spec == nil || !filepath.IsLocal(resp.Job) {
-		return nil, nil, fmt.Errorf("dist: malformed grant (job %q, spec %v)", resp.Job, resp.Spec != nil)
-	}
 	tc := *w.tc
 	tc.Base += resp.Path
 	j = &workerJob{
 		w: w, key: key, name: resp.Job, tc: &tc,
 		hash: resp.OptionsHash,
-		opts: *resp.Spec,
+		spec: bytes.Clone(resp.Spec),
 		ttl:  time.Duration(resp.LeaseTTLMS) * time.Millisecond,
+	}
+	if err := json.Unmarshal(resp.Spec, &j.opts); err != nil || !filepath.IsLocal(resp.Job) {
+		return nil, nil, fmt.Errorf("dist: malformed grant (job %q, spec: %v)", resp.Job, err)
 	}
 	if j.ttl <= 0 {
 		j.ttl = DefaultLeaseTTL
@@ -445,7 +466,7 @@ func (j *workerJob) replaySpool() (replayed map[int]bool) {
 			Failure: fmt.Sprintf("corrupt spool entry %s: %s", bad.Name, bad.Reason),
 		}}}
 		key := fmt.Sprintf("res-%s-spoolbad-%s", w.id, bad.Name)
-		if err := j.tc.PostJSON(PathResult, req, &ResultResponse{}, transport.Call{Key: key}); err != nil {
+		if err := j.postResults(&req, &ResultResponse{}, key); err != nil {
 			logf("dist: reporting corrupt spool entry %s: %v", bad.Name, err)
 			continue // keep the file; a later replay re-reports
 		}
@@ -459,7 +480,7 @@ func (j *workerJob) replaySpool() (replayed map[int]bool) {
 		resp := &ResultResponse{}
 		req := ResultRequest{WorkerID: w.id, Results: []ShardResult{{LeaseID: "spool-replay", Shard: e.Shard, Report: e.Report}}}
 		key := fmt.Sprintf("res-%s-spool-%d", w.id, e.Shard)
-		if err := j.tc.PostJSON(PathResult, req, resp, transport.Call{Key: key}); err != nil {
+		if err := j.postResults(&req, resp, key); err != nil {
 			logf("dist: replaying spooled shard %d: %v", e.Shard, err)
 			continue // still spooled; a later replay retries
 		}
@@ -543,7 +564,8 @@ func (j *workerJob) heartbeat(v *wave) {
 	key := fmt.Sprintf("hb-%s-%d", w.id, w.hbSeq.Add(1))
 	delta := w.takeDelta()
 	resp := &HeartbeatResponse{}
-	err := j.tc.PostJSON(PathHeartbeat, HeartbeatRequest{WorkerID: w.id, LeaseIDs: ids, Metrics: delta}, resp,
+	body, _ := json.Marshal(HeartbeatRequest{WorkerID: w.id, LeaseIDs: ids, Metrics: delta}) // plain data: cannot fail
+	err := j.tc.Post(PathHeartbeat, body, func(data []byte) error { return json.Unmarshal(data, resp) },
 		transport.Call{Key: key, MaxAttempts: 2})
 	if err != nil {
 		w.giveBack(delta)
@@ -611,7 +633,7 @@ func (j *workerJob) runWave(pool *engine.Pool, grants []Grant) {
 	resp := &ResultResponse{}
 	delta := w.takeDelta()
 	key := fmt.Sprintf("res-%s-%s", w.id, results[0].LeaseID)
-	if err := j.tc.PostJSON(PathResult, ResultRequest{WorkerID: w.id, Results: results, Metrics: delta}, resp, transport.Call{Key: key}); err != nil {
+	if err := j.postResults(&ResultRequest{WorkerID: w.id, Results: results, Metrics: delta}, resp, key); err != nil {
 		w.giveBack(delta)
 		if j.lost(err) {
 			return
@@ -623,6 +645,19 @@ func (j *workerJob) runWave(pool *engine.Pool, grants []Grant) {
 	if resp.Done {
 		j.forget()
 	}
+}
+
+// postResults posts a result batch, encoded once into one frame, under
+// the idempotency key key and decodes the acknowledgement into resp.
+func (j *workerJob) postResults(req *ResultRequest, resp *ResultResponse, key string) error {
+	body, err := req.Encode(make([]byte, 0, j.frameHint.Load()))
+	if err != nil {
+		return err
+	}
+	if n := int64(len(body)); n > j.frameHint.Load() {
+		j.frameHint.Store(n)
+	}
+	return j.tc.Post(PathResult, body, func(data []byte) error { return json.Unmarshal(data, resp) }, transport.Call{Key: key})
 }
 
 // spool persists the completed reports of a batch that could not be
@@ -639,8 +674,8 @@ func (j *workerJob) spool(results []ShardResult) {
 		if res.Report == nil {
 			continue
 		}
-		e := spoolEntry{spoolHead: spoolHead{OptionsHash: j.hash, Program: j.opts.ProgramName}, Shard: res.Shard, Report: res.Report}
-		if err := spoolWrite(w.cfg.FS, j.workDir, e); err != nil {
+		e := search.ShardDoneRec{Job: j.opts.ProgramName, OptionsHash: j.hash, Shard: res.Shard, Report: res.Report}
+		if err := spoolWrite(w.cfg.FS, j.workDir, &e); err != nil {
 			w.cfg.Logf("dist: spooling shard %d: %v", res.Shard, err)
 			continue
 		}

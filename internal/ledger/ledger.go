@@ -7,7 +7,8 @@
 // Design, in order of what it defends against:
 //
 //   - Process crash mid-append: every record is framed as
-//     [u32 length][u32 CRC32C][payload]; a crash can only tear the
+//     [u32 length][u32 CRC32C][payload], the payload being [uvarint
+//     seq][uvarint type length][type][data]; a crash can only tear the
 //     LAST record of the LAST segment, and recovery truncates that
 //     torn tail so appends continue on a clean boundary. The frame
 //     is written with a single Write call, so the tail is a prefix.
@@ -20,23 +21,26 @@
 //     segment is sealed aside (renamed *.quar), the loss is reported
 //     structurally in Recovery.Quarantined, and replay continues with
 //     later segments. Never a panic, never a silent skip.
+//   - Another build's ledger: a segment that opens with another
+//     version's magic fails Open, and nothing is renamed or truncated;
+//     its records are that build's to read.
 //
 // The ledger knows nothing about jobs or shards: records are
-// (seq, type, JSON payload) triples, and the jobs layer owns the
-// schema. Sequence numbers are assigned by the ledger and strictly
-// increase across restarts, so replay order is total and duplicated
-// appends are detectable by the layer above.
+// (seq, type, data) triples, the data opaque bytes, and the layer
+// above owns the schema. Sequence numbers are assigned by the ledger and
+// strictly increase across restarts, so replay order is total and
+// duplicated appends are detectable by the layer above.
 package ledger
 
 import (
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 
@@ -45,7 +49,14 @@ import (
 )
 
 // segMagic is the 8-byte header of every segment file.
-const segMagic = "FMCWAL01"
+const segMagic = "FMCWAL02"
+
+// oldMagics are the headers of the segments other versions wrote.
+var oldMagics = []string{"FMCWAL01"}
+
+// ErrVersion is what Open returns, wrapped, for a directory holding a
+// segment another version of the ledger wrote.
+var ErrVersion = errors.New("ledger: written by another version")
 
 // maxRecordLen bounds a single record frame. A length field above this
 // is treated as corruption (a garbage frame would otherwise make
@@ -62,11 +73,11 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 type Record struct {
 	// Seq is the ledger-assigned sequence number, strictly increasing
 	// across segments and restarts.
-	Seq uint64 `json:"seq"`
+	Seq uint64
 	// Type names the record schema (owned by the layer above).
-	Type string `json:"type"`
-	// Data is the record payload, opaque to the ledger.
-	Data json.RawMessage `json:"data,omitempty"`
+	Type string
+	// Data is the record payload, opaque to the ledger (nil: none).
+	Data []byte
 }
 
 // QuarantineReport describes one segment sealed aside during recovery
@@ -124,6 +135,7 @@ type Ledger struct {
 	segIdx  int      // index of the current segment
 	segSize int64    // bytes written to the current segment
 	nextSeq uint64
+	frame   []byte // the frame being written, reused
 	frozen  bool
 	// freezeIn, when positive, counts the frames still to be written
 	// before the ledger freezes (FreezeAfter).
@@ -207,6 +219,8 @@ func (l *Ledger) replay() (*Recovery, error) {
 		if idx >= l.segIdx {
 			l.segIdx = idx
 		}
+		// Another version's segment fails the read, and a directory is
+		// one version's: the first segment refuses it untouched.
 		records, badOff, badReason, err := readSegment(l.fs, seg)
 		if err != nil {
 			return nil, err
@@ -286,7 +300,12 @@ func readSegment(fsys fsx.FS, path string) (records []Record, badOff int64, badR
 	if len(data) < len(segMagic) {
 		return nil, 0, "missing segment magic", nil
 	}
-	if string(data[:len(segMagic)]) != segMagic {
+	if magic := string(data[:len(segMagic)]); magic != segMagic {
+		for _, old := range oldMagics {
+			if magic == old {
+				return nil, 0, "", fmt.Errorf("%w: segment %s opens with %s, this build's with %s", ErrVersion, path, old, segMagic)
+			}
+		}
 		return nil, 0, "bad segment magic", nil
 	}
 	off := int64(len(segMagic))
@@ -307,14 +326,30 @@ func readSegment(fsys fsx.FS, path string) (records []Record, badOff int64, badR
 		if crc32.Checksum(payload, crcTable) != sum {
 			return records, off, "crc mismatch", nil
 		}
-		var r Record
-		if jerr := json.Unmarshal(payload, &r); jerr != nil {
-			return records, off, fmt.Sprintf("bad record json: %v", jerr), nil
+		r, ok := decodePayload(payload)
+		if !ok {
+			return records, off, "bad record header", nil
 		}
 		records = append(records, r)
 		off += 8 + int64(length)
 	}
 	return records, 0, "", nil
+}
+
+// decodePayload reads a frame's payload, [uvarint seq][uvarint type
+// length][type][data]. The record's data is a sub-slice of the payload.
+func decodePayload(p []byte) (r Record, ok bool) {
+	seq, k := binary.Uvarint(p)
+	n, m := binary.Uvarint(p[max(k, 0):])
+	if k <= 0 || m <= 0 || n > uint64(len(p)-k-m) {
+		return Record{}, false
+	}
+	p = p[k+m:]
+	r.Seq, r.Type = seq, string(p[:n])
+	if len(p) > int(n) {
+		r.Data = p[n:]
+	}
+	return r, true
 }
 
 // openTail opens the last segment for appending (creating the first
@@ -363,20 +398,27 @@ func (l *Ledger) newSegmentLocked() error {
 	return nil
 }
 
-// Entry is one record of an AppendAll group: its type and the value
-// JSON-encoded into the record's data field (nil: no data).
+// Entry is one record of an AppendAll group: its type and its data
+// (nil: none).
 type Entry struct {
-	Type  string
-	Value any
+	Type string
+	Data []byte
 }
 
-// Append durably adds a record. The payload v is JSON-encoded into the
-// record's data field; sync forces an fsync before returning (commit
-// points — job state transitions — must sync; advisory records like
-// grants may ride along with the next sync). The assigned sequence
+// Append adds a record whose data is v: a []byte as it is, nil as none,
+// and any other value as its JSON. sync forces an fsync before returning
+// (commit points — job state transitions — must sync; advisory records
+// like grants may ride along with the next sync). The assigned sequence
 // number is returned.
 func (l *Ledger) Append(recType string, v any, sync bool) (uint64, error) {
-	return l.appendAll(sync, Entry{recType, v})
+	data, ok := v.([]byte)
+	if !ok && v != nil {
+		var err error
+		if data, err = json.Marshal(v); err != nil {
+			return 0, fmt.Errorf("ledger: marshal %s: %w", recType, err)
+		}
+	}
+	return l.appendAll(sync, Entry{recType, data})
 }
 
 // AppendAll adds the entries as one group commit: every frame is
@@ -392,32 +434,18 @@ func (l *Ledger) AppendAll(entries ...Entry) error {
 
 // appendAll returns the sequence number of the first entry.
 func (l *Ledger) appendAll(sync bool, entries ...Entry) (uint64, error) {
-	datas := make([][]byte, len(entries))
-	for i, e := range entries {
-		if e.Value == nil {
-			continue
-		}
-		b, err := json.Marshal(e.Value)
-		if err != nil {
-			return 0, fmt.Errorf("ledger: marshal %s: %w", e.Type, err)
-		}
-		datas[i] = b
-	}
-
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	first := l.nextSeq
-	for i, e := range entries {
+	for _, e := range entries {
 		if l.frozen {
 			return 0, fmt.Errorf("ledger: frozen")
 		}
 		if l.f == nil {
 			return 0, fmt.Errorf("ledger: closed")
 		}
-		frame, err := encodeFrame(l.nextSeq, e.Type, datas[i])
-		if err != nil {
-			return 0, err
-		}
+		l.frame = encodeFrame(l.frame[:0], l.nextSeq, e.Type, e.Data)
+		frame := l.frame
 		// One Write call per frame: a crash mid-write leaves a prefix of
 		// the frame, which recovery recognizes as a torn tail.
 		if _, err := l.f.Write(frame); err != nil {
@@ -454,30 +482,18 @@ func (l *Ledger) appendAll(sync bool, entries ...Entry) (uint64, error) {
 	return first, nil
 }
 
-// encodeFrame builds [u32 length][u32 CRC32C][payload] around the
-// already-encoded data in one pass. The payload is byte-for-byte what
-// json.Marshal(Record{seq, recType, data}) produces — json.Marshal
-// output is compact and HTML-escaped already, so embedding it needs no
-// second validating pass.
-func encodeFrame(seq uint64, recType string, data []byte) ([]byte, error) {
-	typ, err := json.Marshal(recType)
-	if err != nil {
-		return nil, fmt.Errorf("ledger: marshal record type: %w", err)
-	}
-	frame := make([]byte, 8, 8+len(`{"seq":,"type":,"data":}`)+20+len(typ)+len(data))
-	frame = append(frame, `{"seq":`...)
-	frame = strconv.AppendUint(frame, seq, 10)
-	frame = append(frame, `,"type":`...)
-	frame = append(frame, typ...)
-	if len(data) > 0 {
-		frame = append(frame, `,"data":`...)
-		frame = append(frame, data...)
-	}
-	frame = append(frame, '}')
-	payload := frame[8:]
-	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(payload, crcTable))
-	return frame, nil
+// encodeFrame appends to dst [u32 length][u32 CRC32C][payload] around
+// the record, in one pass.
+func encodeFrame(dst []byte, seq uint64, recType string, data []byte) []byte {
+	start := len(dst)
+	frame := append(dst, make([]byte, 8)...)
+	frame = binary.AppendUvarint(frame, seq)
+	frame = binary.AppendUvarint(frame, uint64(len(recType)))
+	frame = append(append(frame, recType...), data...)
+	head, payload := frame[start:start+8], frame[start+8:]
+	binary.LittleEndian.PutUint32(head[0:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(head[4:8], crc32.Checksum(payload, crcTable))
+	return frame
 }
 
 // rotateLocked seals the current segment (fsync) and starts the next.

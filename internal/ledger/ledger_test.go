@@ -17,6 +17,12 @@ import (
 	"fairmc/internal/obs"
 )
 
+// jsonOf is v's JSON.
+func jsonOf(v any) []byte {
+	b, _ := json.Marshal(v)
+	return b
+}
+
 type payload struct {
 	N int    `json:"n"`
 	S string `json:"s,omitempty"`
@@ -415,41 +421,25 @@ func TestCrashAtEveryAppendBoundary(t *testing.T) {
 	}
 }
 
-// TestFrameGolden pins the frame bytes: the one-pass encoder must write
-// exactly what marshaling a Record around the marshaled payload wrote —
-// same key order, same compaction and HTML escaping, data omitted for a
-// nil value — so logs written before and after it replay alike.
+// TestFrameGolden pins the frame bytes: [u32 length][u32 CRC32C] around
+// [uvarint seq][uvarint type length][type][data], the data as it was
+// given — bytes that replay alike whatever wrote them.
 func TestFrameGolden(t *testing.T) {
-	type rich struct {
-		Job  string         `json:"job"`
-		HTML string         `json:"html"`
-		Raw  map[string]int `json:"raw,omitempty"`
-		Ptr  *payload       `json:"ptr"`
-	}
 	cases := []struct {
-		typ string
-		v   any
+		typ  string
+		data []byte
 	}{
-		{"shard_done", rich{Job: "j1", HTML: "<a href=\"x\">& </a>", Raw: map[string]int{"b": 2, "a": 1}}},
-		{"server_start", payload{N: 3}},
+		{"shard_done", []byte{2, 0, 0xff, 0x80}},
+		{"server_start", []byte(`{"jobs":3}`)},
 		{"bare", nil},
-		{"null-pointer", (*payload)(nil)},
-		{"odd \"type\" <&>", payload{S: "é\n"}},
+		{"odd \"type\" <&>", []byte("é\n")},
 	}
 	for i, c := range cases {
 		seq := uint64(i*1000 + 7)
-		var data []byte
-		if c.v != nil {
-			data, _ = json.Marshal(c.v)
-		}
-		got, err := encodeFrame(seq, c.typ, data)
-		if err != nil {
-			t.Fatalf("%s: %v", c.typ, err)
-		}
-		payload, err := json.Marshal(Record{Seq: seq, Type: c.typ, Data: data})
-		if err != nil {
-			t.Fatal(err)
-		}
+		got := encodeFrame(nil, seq, c.typ, c.data)
+		payload := binary.AppendUvarint(nil, seq)
+		payload = binary.AppendUvarint(payload, uint64(len(c.typ)))
+		payload = append(append(payload, c.typ...), c.data...)
 		want := make([]byte, 8+len(payload))
 		binary.LittleEndian.PutUint32(want[0:4], uint32(len(payload)))
 		binary.LittleEndian.PutUint32(want[4:8], crc32.Checksum(payload, crcTable))
@@ -457,11 +447,15 @@ func TestFrameGolden(t *testing.T) {
 		if !bytes.Equal(got, want) {
 			t.Fatalf("%s: frame\n%q\nwant\n%q", c.typ, got, want)
 		}
+		r, ok := decodePayload(got[8:])
+		if !ok || r.Seq != seq || r.Type != c.typ || !bytes.Equal(r.Data, c.data) {
+			t.Fatalf("%s: frame decodes to %+v (%v)", c.typ, r, ok)
+		}
 	}
 	// And one literal, so the reference above cannot drift with it.
-	frame, _ := encodeFrame(42, "job_done", []byte(`{"job":"j1"}`))
-	if got, want := string(frame[8:]), `{"seq":42,"type":"job_done","data":{"job":"j1"}}`; got != want {
-		t.Fatalf("payload %s, want %s", got, want)
+	frame := encodeFrame(nil, 42, "job_done", []byte(`{"job":"j1"}`))
+	if got, want := string(frame[8:]), "\x2a\x08job_done"+`{"job":"j1"}`; got != want {
+		t.Fatalf("payload %q, want %q", got, want)
 	}
 }
 
@@ -497,7 +491,7 @@ func TestAppendAllGroupCommit(t *testing.T) {
 	before := syncs
 	var group []Entry
 	for i := 0; i < 5; i++ {
-		group = append(group, Entry{Type: "grouped", Value: payload{N: i}})
+		group = append(group, Entry{Type: "grouped", Data: jsonOf(payload{N: i})})
 	}
 	if err := l.AppendAll(group...); err != nil {
 		t.Fatalf("AppendAll: %v", err)
@@ -539,7 +533,7 @@ func TestFreezeAfterCutsGroup(t *testing.T) {
 		appendN(t, l, 1, "before")
 		var group []Entry
 		for i := 0; i < n; i++ {
-			group = append(group, Entry{Type: "grouped", Value: payload{N: i}})
+			group = append(group, Entry{Type: "grouped", Data: jsonOf(payload{N: i})})
 		}
 		l.FreezeAfter(cut)
 		if err := l.AppendAll(group...); err == nil {

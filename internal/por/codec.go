@@ -1,21 +1,21 @@
 package por
 
-// This file is the one binary encoding of the DPOR payloads that leave a
-// process: a Unit, and through the Codec the unit report's payload
-// (search.DporResult, whose layout sits beside its type). MarshalJSON
-// carries an encoding as one base64 string, so every JSON envelope that
-// holds one — a lease grant, a result post, a ledger record, a spool
-// entry — uses the codec without code of its own. docs/DPOR.md ("Wire
-// format") describes the format. In short: a version byte, varints
-// (zigzag when signed), 8-byte hashes and length-prefixed op kinds; a
-// decoder checks every length against the bytes left before it
-// allocates, allocates per slice rather than per element, and refuses
-// trailing bytes and non-minimal varints, so what it accepts re-encodes
-// to the same bytes.
+// This file is the one binary encoding of everything that leaves a
+// process in bulk: a Unit here, and through the Codec the layouts that
+// sit beside their types in internal/search (a unit report's payload, a
+// Report, a Shard, a Plan and the two checkpoint records) and
+// internal/dist (a lease grant, a result post). docs/DPOR.md ("Wire
+// format") describes the format. In short: a version byte opens every
+// encoding, then varints (zigzag when signed), 8-byte hashes and
+// length-prefixed strings and sections; a decoder checks every length
+// against the bytes left before it allocates, allocates per slice rather
+// than per element, and refuses trailing bytes and non-minimal varints,
+// so what it accepts re-encodes to the same bytes.
 
 import (
-	"encoding/base64"
+	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -28,16 +28,22 @@ import (
 // changes it, and with it the DPOR enumeration's options hash
 // (search.OptionsHash), so another build's plans, ledgers and workers are
 // refused by the hash checks.
-const CodecVersion = 1
+const CodecVersion = 2
 
 // ErrCodec is what a decoder returns, wrapped with the reason, for bytes
 // that are not this build's encoding.
-var ErrCodec = errors.New("por: not this build's DPOR payload encoding")
+var ErrCodec = errors.New("por: not this build's encoding")
+
+// ErrVersion is what Decode returns, wrapped, for bytes that do not open
+// with this build's version byte: another build's encoding, which no
+// retry can fix.
+var ErrVersion = fmt.Errorf("%w: written by another version", ErrCodec)
 
 // The fewest bytes an element encodes to, for Codec.Len.
 const (
 	MinAlt  = 2
-	MinMove = MinAlt + 3
+	MinOp   = 3
+	MinMove = MinAlt + MinOp
 	// A digest is a hash and a move without its Arg.
 	MinDigest = 8 + MinMove - 1
 )
@@ -79,7 +85,8 @@ func (c *Codec) uvarint(v uint64) uint64 {
 	return v
 }
 
-func (c *Codec) int64(p *int64) {
+// Int64 codes a signed 64-bit value.
+func (c *Codec) Int64(p *int64) {
 	u := c.uvarint(uint64(*p<<1) ^ uint64(*p>>63))
 	*p = int64(u>>1) ^ -int64(u&1)
 }
@@ -87,7 +94,7 @@ func (c *Codec) int64(p *int64) {
 // Int codes a signed value.
 func (c *Codec) Int(p *int) {
 	v := int64(*p)
-	c.int64(&v)
+	c.Int64(&v)
 	if int64(int(v)) != v {
 		c.Fail("an integer out of range")
 	}
@@ -139,17 +146,18 @@ func (c *Codec) Alt(p *engine.Alt) {
 func (c *Codec) Move(p *Move) {
 	c.Int((*int)(&p.Tid))
 	c.Int(&p.Arg)
-	c.op(&p.Info)
+	c.Op(&p.Info)
 }
 
 // Digest codes a conformance digest.
 func (c *Codec) Digest(p *engine.StepDigest) {
 	c.Hash(&p.Hash)
 	c.Int((*int)(&p.Tid))
-	c.op(&p.Op)
+	c.Op(&p.Op)
 }
 
-func (c *Codec) op(p *engine.OpInfo) {
+// Op codes a pending op's identity; a decoded kind is interned.
+func (c *Codec) Op(p *engine.OpInfo) {
 	n := c.Len(len(p.Kind), 1)
 	if c.decode {
 		p.Kind, c.buf = intern(c.buf[:n]), c.buf[n:]
@@ -157,11 +165,159 @@ func (c *Codec) op(p *engine.OpInfo) {
 		c.buf = append(c.buf, p.Kind...)
 	}
 	obj := int64(p.Obj)
-	c.int64(&obj)
+	c.Int64(&obj)
 	if p.Obj = engine.ObjID(obj); int64(p.Obj) != obj {
 		c.Fail("an object id out of range")
 	}
-	c.int64(&p.Aux)
+	c.Int64(&p.Aux)
+}
+
+// Bool codes a flag as one byte, 0 or 1.
+func (c *Codec) Bool(p *bool) {
+	v := 0
+	if *p {
+		v = 1
+	}
+	if c.Uint(&v); v > 1 {
+		c.Fail("a flag that is neither 0 nor 1")
+	}
+	*p = v == 1
+}
+
+// Bytes codes a length-prefixed run of bytes. A decoded run is a
+// sub-slice of the input, nil when empty.
+func (c *Codec) Bytes(p *[]byte) {
+	n := c.Len(len(*p), 1)
+	switch {
+	case !c.decode:
+		c.buf = append(c.buf, *p...)
+	case n == 0:
+		*p = nil
+	default:
+		*p, c.buf = c.buf[:n:n], c.buf[n:]
+	}
+}
+
+// String codes a length-prefixed string.
+func (c *Codec) String(p *string) {
+	n := c.Len(len(*p), 1)
+	if c.decode {
+		*p, c.buf = string(c.buf[:n]), c.buf[n:]
+	} else {
+		c.buf = append(c.buf, *p...)
+	}
+}
+
+// Section codes a length-prefixed run that layout describes. Decoding
+// sets *raw to the run's bytes; encoding writes *raw as it is when it is
+// set — bytes decoded earlier, spliced in rather than encoded again —
+// and layout's encoding otherwise.
+func (c *Codec) Section(raw *[]byte, layout func(*Codec)) {
+	if c.decode {
+		if c.Bytes(raw); c.err != nil {
+			return
+		}
+		rest := c.buf
+		c.buf = *raw
+		layout(c)
+		if c.end(); c.err == nil {
+			c.buf = rest
+		}
+		return
+	}
+	if *raw != nil {
+		c.Bytes(raw)
+		return
+	}
+	// Encode in place, then move the run up past its length.
+	start := len(c.buf)
+	layout(c)
+	n := len(c.buf) - start
+	var pre [binary.MaxVarintLen64]byte
+	k := binary.PutUvarint(pre[:], uint64(n))
+	c.buf = append(c.buf, pre[:k]...)
+	copy(c.buf[start+k:], c.buf[start:start+n])
+	copy(c.buf[start:], pre[:k])
+}
+
+// JSON codes *p as a length-prefixed section holding its JSON, empty
+// for nil: how a cold or foreign value rides in a binary layout. A
+// decoder accepts only the bytes the encoder writes for what they decode
+// to.
+func JSON[T any](c *Codec, p **T) {
+	var data []byte
+	if !c.decode && *p != nil {
+		var err error
+		if data, err = json.Marshal(*p); err != nil {
+			c.Fail(err.Error())
+		}
+	}
+	if c.Bytes(&data); !c.decode || data == nil {
+		return
+	}
+	v := new(T)
+	if err := json.Unmarshal(data, v); err != nil {
+		c.Fail("JSON that does not decode: " + err.Error())
+		return
+	}
+	if again, err := json.Marshal(v); err != nil || !bytes.Equal(again, data) {
+		c.Fail("JSON not as this build writes it")
+		return
+	}
+	*p = v
+}
+
+// end refuses bytes a decoding left over.
+func (c *Codec) end() {
+	if c.decode && c.err == nil && len(c.buf) > 0 {
+		c.Fail(fmt.Sprintf("%d trailing bytes", len(c.buf)))
+	}
+}
+
+// Encode appends to buf the version byte and layout's encoding.
+func Encode(buf []byte, layout func(*Codec)) ([]byte, error) {
+	return run(Codec{buf: append(buf, CodecVersion)}, layout)
+}
+
+// Decode decodes data, which Encode wrote, with layout: ErrVersion for
+// another version byte, ErrCodec for anything else that is not the
+// layout's encoding, trailing bytes included.
+func Decode(data []byte, layout func(*Codec)) error {
+	if len(data) == 0 || data[0] != CodecVersion {
+		return fmt.Errorf("%w (first byte %.1x, this build's %02x)", ErrVersion, data, CodecVersion)
+	}
+	_, err := run(Codec{buf: data[1:], decode: true}, layout)
+	return err
+}
+
+// codecs recycles the codecs run hands layouts: a layout is a function
+// value, so the codec it is handed escapes.
+var codecs = sync.Pool{New: func() any { return new(Codec) }}
+
+// run runs layout with a codec from the pool that starts as c0.
+func run(c0 Codec, layout func(*Codec)) ([]byte, error) {
+	c := codecs.Get().(*Codec)
+	*c = c0
+	layout(c)
+	c.end()
+	buf, err := c.buf, c.err
+	*c = Codec{}
+	codecs.Put(c)
+	return buf, err
+}
+
+// Optional codes whether *p is set, then *p with code. A decoded value
+// is fresh.
+func Optional[T any](c *Codec, p **T, code func(*T, *Codec)) {
+	has := *p != nil
+	if c.Bool(&has); !has {
+		*p = nil
+		return
+	}
+	if c.decode {
+		*p = new(T)
+	}
+	code(*p, c)
 }
 
 // Slice codes the length of *s and its elements with elem, which encode
@@ -215,10 +371,10 @@ func intern(b []byte) string {
 	return s
 }
 
-// code is the unit's layout: Path, Sched and Digs, then Sleep — its
+// Code is the unit's layout: Path, Sched and Digs, then Sleep — its
 // length, the total number of moves in it, and per entry its length plus
 // one (0 for a nil entry) and its moves.
-func (u *Unit) code(c *Codec) {
+func (u *Unit) Code(c *Codec) {
 	if c.decode {
 		*u = Unit{}
 	}
@@ -256,65 +412,4 @@ func (u *Unit) code(c *Codec) {
 	if c.decode && len(moves) != total {
 		c.Fail("sleep entries short of their total")
 	}
-}
-
-// MarshalJSON carries the unit's encoding as one base64 string.
-func (u Unit) MarshalJSON() ([]byte, error) { return MarshalJSON(u.code) }
-
-// UnmarshalJSON decodes the base64 string MarshalJSON writes.
-func (u *Unit) UnmarshalJSON(data []byte) error { return UnmarshalJSON(data, u.code) }
-
-// scratch holds a payload's binary form on its way to or from its JSON
-// string; values never keep it.
-var scratch = sync.Pool{New: func() any { return new([]byte) }}
-
-// MarshalJSON encodes a payload with layout, after the version byte, and
-// returns the bytes as a JSON string of base64.
-func MarshalJSON(layout func(*Codec)) ([]byte, error) {
-	buf := scratch.Get().(*[]byte)
-	defer scratch.Put(buf)
-	c := Codec{buf: append((*buf)[:0], CodecVersion)}
-	layout(&c)
-	if *buf = c.buf; c.err != nil {
-		return nil, c.err
-	}
-	out := make([]byte, base64.StdEncoding.EncodedLen(len(c.buf))+2)
-	out[0], out[len(out)-1] = '"', '"'
-	base64.StdEncoding.Encode(out[1:], c.buf)
-	return out, nil
-}
-
-// strict refuses base64 whose padding bits are not zero: two strings
-// never decode to the same bytes.
-var strict = base64.StdEncoding.Strict()
-
-// UnmarshalJSON decodes data, the JSON string of base64 MarshalJSON
-// writes, with layout; JSON null decodes nothing. A string with escapes,
-// which MarshalJSON never writes, is refused.
-func UnmarshalJSON(data []byte, layout func(*Codec)) error {
-	if string(data) == "null" {
-		return nil
-	}
-	n := len(data) - 2
-	if n < 0 || data[0] != '"' || data[n+1] != '"' {
-		return fmt.Errorf("%w: not a JSON string", ErrCodec)
-	}
-	buf := scratch.Get().(*[]byte)
-	defer scratch.Put(buf)
-	if c := base64.StdEncoding.DecodedLen(n); cap(*buf) < c {
-		*buf = make([]byte, c)
-	}
-	b := (*buf)[:cap(*buf)]
-	m, err := strict.Decode(b, data[1:n+1])
-	switch {
-	case err != nil:
-		return fmt.Errorf("%w: %v", ErrCodec, err)
-	case m == 0 || b[0] != CodecVersion:
-		return fmt.Errorf("%w: not codec version %d", ErrCodec, CodecVersion)
-	}
-	c := Codec{buf: b[1:m], decode: true}
-	if layout(&c); c.err == nil && len(c.buf) > 0 {
-		c.Fail(fmt.Sprintf("%d trailing bytes", len(c.buf)))
-	}
-	return c.err
 }

@@ -42,24 +42,27 @@ const (
 // re-derived: a resumed search runs exactly the shards the original
 // planning produced.
 type PlanRec struct {
-	Job         string `json:"job"`
-	OptionsHash uint64 `json:"optionsHash"`
-	Plan        *Plan  `json:"plan"`
+	Job         string
+	OptionsHash uint64
+	Plan        *Plan
 	// Spec is the search a checkpoint directory belongs to (the service
 	// records its jobs' in their submissions). A later plan record with no
 	// Plan starts a run that planned a random search's unmerged ranges
 	// again, against Spec's budget (replan).
-	Spec *Options `json:"spec,omitempty"`
+	Spec *Options
 }
 
 // ShardDoneRec records one decided shard: a completed report, or an
 // abandonment (Report nil, Abandoned the reason).
 type ShardDoneRec struct {
-	Job         string  `json:"job"`
-	OptionsHash uint64  `json:"optionsHash"`
-	Shard       int     `json:"shard"`
-	Report      *Report `json:"report,omitempty"`
-	Abandoned   string  `json:"abandoned,omitempty"`
+	Job         string
+	OptionsHash uint64
+	Shard       int
+	Report      *Report
+	Abandoned   string
+	// Raw is Report's encoding as a worker posted it, when it was posted:
+	// the record splices it in instead of encoding the report again.
+	Raw []byte
 }
 
 // defaultCheckpointInterval is used when CheckpointPath is set but
@@ -152,11 +155,9 @@ func ReadPlan(dir string) (*PlanRec, error) {
 func decodeRecord(r ledger.Record) (pr *PlanRec, d *ShardDoneRec, err error) {
 	switch r.Type {
 	case RecPlan:
-		pr = new(PlanRec)
-		err = json.Unmarshal(r.Data, pr)
+		pr, err = DecodePlanRec(r.Data)
 	case RecShardDone:
-		d = new(ShardDoneRec)
-		err = json.Unmarshal(r.Data, d)
+		d, err = DecodeShardDone(r.Data)
 	}
 	if err != nil {
 		return nil, nil, fmt.Errorf("search: the checkpoint's %s record %d does not decode (written by another version): %v", r.Type, r.Seq, err)
@@ -385,7 +386,7 @@ func openCheckpoint(opts *Options, plan func() *Plan) (*ShardMerger, *checkpoint
 	spec := opts.Spec()
 	if m == nil {
 		m = NewShardMerger(*opts, plan())
-		ck.append(RecPlan, PlanRec{OptionsHash: ck.hash, Plan: m.plan, Spec: &spec})
+		ck.append(RecPlan, &PlanRec{OptionsHash: ck.hash, Plan: m.plan, Spec: &spec})
 		return m, ck
 	}
 	if sink := opts.EventSink; sink != nil {
@@ -396,7 +397,7 @@ func openCheckpoint(opts *Options, plan func() *Plan) (*ShardMerger, *checkpoint
 	}
 	m.replan(opts.MaxExecutions)
 	if opts.random() {
-		ck.append(RecPlan, PlanRec{OptionsHash: ck.hash, Spec: &spec})
+		ck.append(RecPlan, &PlanRec{OptionsHash: ck.hash, Spec: &spec})
 	}
 	return m, ck
 }
@@ -415,11 +416,15 @@ func (m *ShardMerger) replan(limit int64) {
 
 // append adds a record to the ledger, unsynced: the next sync makes it
 // durable.
-func (c *checkpoint) append(typ string, v any) {
+func (c *checkpoint) append(typ string, rec interface{ Encode([]byte) ([]byte, error) }) {
 	if c.led == nil {
 		return
 	}
-	if _, err := c.led.Append(typ, v, false); err != nil {
+	data, err := rec.Encode(nil)
+	if err == nil {
+		_, err = c.led.Append(typ, data, false)
+	}
+	if err != nil {
 		c.fail(err)
 	} else if checkpointHook != nil {
 		checkpointHook("append", c.led)
@@ -446,7 +451,7 @@ func (c *checkpoint) done(res *shardResult, sh *Shard, elapsed time.Duration) {
 		rec.TimedOut, rec.Interrupted, rec.ExecBounded, rec.Elapsed = false, false, false, elapsed
 		d.Report = &rec
 	}
-	c.append(RecShardDone, d)
+	c.append(RecShardDone, &d)
 }
 
 // sync makes the records appended so far durable — a checkpoint, due or

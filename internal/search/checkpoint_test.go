@@ -2,6 +2,7 @@ package search_test
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"os"
@@ -185,11 +186,11 @@ func records(tb testing.TB, dir string) (*search.PlanRec, []search.ShardDoneRec)
 	for _, r := range rec.Records {
 		switch {
 		case r.Type == search.RecPlan && plan == nil:
-			plan = &search.PlanRec{}
-			err = json.Unmarshal(r.Data, plan)
+			plan, err = search.DecodePlanRec(r.Data)
 		case r.Type == search.RecShardDone:
-			done = append(done, search.ShardDoneRec{})
-			err = json.Unmarshal(r.Data, &done[len(done)-1])
+			var d *search.ShardDoneRec
+			d, err = search.DecodeShardDone(r.Data)
+			done = append(done, *d)
 		}
 		if err != nil {
 			tb.Fatal(err)
@@ -257,7 +258,7 @@ func TestResumeValidationPosition(t *testing.T) {
 }
 
 // segMagic is the header internal/ledger starts every segment with.
-const segMagic = "FMCWAL01"
+const segMagic = "FMCWAL02"
 
 // segment is the first segment of the ledger in dir.
 func segment(tb testing.TB, dir string) []byte {
@@ -271,7 +272,8 @@ func segment(tb testing.TB, dir string) []byte {
 
 // openSegments writes segs as the segments of a ledger in a new
 // directory and opens it; it returns the directory and what recovery
-// found there.
+// found there: nil for segments another version of the ledger wrote,
+// which it refuses.
 func openSegments(t *testing.T, segs ...[]byte) (string, *ledger.Recovery) {
 	t.Helper()
 	dir := t.TempDir()
@@ -281,6 +283,9 @@ func openSegments(t *testing.T, segs ...[]byte) (string, *ledger.Recovery) {
 		}
 	}
 	led, rec, err := ledger.Open(dir, ledger.Options{})
+	if errors.Is(err, ledger.ErrVersion) {
+		return dir, nil
+	}
 	if err != nil {
 		t.Fatalf("opening the ledger: %v", err)
 	}
@@ -289,7 +294,8 @@ func openSegments(t *testing.T, segs ...[]byte) (string, *ledger.Recovery) {
 }
 
 // FuzzCheckpoint holds a checkpoint directory's ledger to its contract,
-// for any bytes as its segment: opening and folding never panic; a tail
+// for any bytes as its segment: opening and folding never panic; another
+// version's segment is refused; a tail
 // torn at any byte recovers to records the whole segment holds; a
 // flipped bit in a segment that opens clean quarantines it once a later
 // segment seals it; and a directory that opens resumes a five-execution
@@ -311,6 +317,9 @@ func FuzzCheckpoint(f *testing.F) {
 	f.Add(segment(f, rerun.CheckpointPath), uint(1000))
 	f.Fuzz(func(t *testing.T, data []byte, at uint) {
 		whole, rec := openSegments(t, data)
+		if rec == nil {
+			return // another version's segment, refused
+		}
 		torn, got := openSegments(t, data[:at%uint(len(data)+1)])
 		have := map[string]int{}
 		for _, r := range rec.Records {

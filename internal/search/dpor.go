@@ -46,7 +46,8 @@ import (
 // carries back to the merge: how the unit's execution continued past
 // its prefix, and the race reversals its trace proposes. It rides on
 // Report only for unit runs (shards with Shard.Unit); merged reports
-// never carry one. It travels in por's binary codec (MarshalJSON).
+// never carry one. It travels in por's binary codec (code), inside the
+// report's layout.
 type DporResult struct {
 	// ContIdx are the filtered-candidate indices chosen at the steps
 	// past the unit's prefix, and Cont the corresponding alternatives;
@@ -79,13 +80,6 @@ type DporNodeRec struct {
 	// conformance is disabled).
 	Hash uint64
 }
-
-// MarshalJSON carries the result's encoding as one base64 string (por's
-// codec).
-func (d DporResult) MarshalJSON() ([]byte, error) { return por.MarshalJSON(d.code) }
-
-// UnmarshalJSON decodes the base64 string MarshalJSON writes.
-func (d *DporResult) UnmarshalJSON(data []byte) error { return por.UnmarshalJSON(data, d.code) }
 
 // code is the result's layout: ContIdx, Cont and ContDigs; then Nodes —
 // their count, their alternatives' total, and per node its Pos, Hash and

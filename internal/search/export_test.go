@@ -1,6 +1,9 @@
 package search
 
-import "fairmc/internal/ledger"
+import (
+	"fairmc/internal/ledger"
+	"fairmc/internal/por"
+)
 
 // SetWorkerFaultHook installs (or, with nil, removes) the fault-
 // injection hook run at the start of every parallel work unit. Test
@@ -28,3 +31,9 @@ func FoldCheck(opts Options, plan *PlanRec, done []ShardDoneRec) error {
 	}
 	return nil
 }
+
+// CodeForTest is the payload's layout, for the codec tests.
+func (d *DporResult) CodeForTest(c *por.Codec) { d.code(c) }
+
+// CodeForTest is the plan's layout, for the codec tests.
+func (p *Plan) CodeForTest(c *por.Codec) { p.code(c) }

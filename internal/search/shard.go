@@ -100,28 +100,28 @@ type LaterAlts struct {
 	Ops  []engine.OpInfo `json:"ops,omitempty"`
 }
 
-// Plan is the full, ordered shard list for one search. It is
-// JSON-serializable so the jobs service and a checkpoint directory can
-// record it and a coordinator can hand shards to remote workers.
+// Plan is the full, ordered shard list for one search. It has a binary
+// layout (codec.go), so the jobs service and a checkpoint directory can
+// record it.
 type Plan struct {
 	// Strategy is the canonical strategy name (StrategyName).
-	Strategy string `json:"strategy"`
+	Strategy string
 	// RefParallelism is the local Parallelism the plan mirrors: the
 	// merged report is byte-identical to a local run with
 	// Parallelism=RefParallelism.
-	RefParallelism int `json:"refParallelism"`
+	RefParallelism int
 	// OptionsHash fingerprints the semantic options the plan was built
 	// from (see OptionsHash); workers recompute it from their own
 	// options and refuse to run a plan that does not match.
-	OptionsHash uint64  `json:"optionsHash"`
-	Shards      []Shard `json:"shards"`
+	OptionsHash uint64
+	Shards      []Shard
 	// Serial marks the local driver's plan at Parallelism 1, other than
 	// DPOR's: its shards run one at a time in the merge loop, each
 	// numbering its executions on from the merged ones, and one that
 	// stops early after running anything — paused for a checkpoint, or
 	// cut — merges what it ran, its report naming the shard for the rest
 	// of it (Report.Rest), which the merge splices in after it.
-	Serial bool `json:"serial,omitempty"`
+	Serial bool
 }
 
 // PlanShards splits the search defined by opts into distributable
