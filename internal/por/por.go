@@ -40,154 +40,173 @@ func MoveOf(e *engine.Engine, alt engine.Alt) Move {
 	return Move{Tid: alt.Tid, Arg: alt.Arg, Info: snap.Pending}
 }
 
-// readOnly reports operations that never modify shared state.
-func readOnly(kind string) bool {
-	switch kind {
-	case "load", "any.load", "arr.get":
-		return true
-	}
-	return false
-}
+// kind is an op kind as the oracle reads it: one code per kind whose
+// independence rules differ, kOther for every kind that conflicts with
+// any other access to its object.
+type kind uint8
 
-// localOnly reports operations with no effect on shared state or on
-// other threads' enabledness (valid only under unfair scheduling,
-// where yields carry no scheduler state).
-func localOnly(kind string) bool {
-	switch kind {
-	case "yield", "sleep", "choose":
-		return true
-	}
-	return false
-}
+const (
+	kOther  kind = iota
+	kRead        // load, any.load: never modifies shared state
+	kArrGet      // read-only, and commutes with accesses to other elements
+	kArrSet
+	kYield // yield, sleep: local, and wakes every sleeper (Set.Step)
+	kChoose
+	kSpawnJoin // lifecycle: the spawned or joined thread is Aux
+	kStart     // lifecycle: the starting thread itself
+	kWMRead
+	kWMWrite
+	kWMBuf
+	kWMBuf1 // a thread's first TSO store: allocates a thread id (wm.go)
+	kWMFlush
+	kWMFence
+	kWMDrain
+)
 
-// lifecycleTarget reports whether the move is a thread-lifecycle
-// operation (spawn/join/start) and which thread it concerns: the
-// spawned/joined thread, or the starting thread itself.
-func lifecycleTarget(m Move) (tidset.Tid, bool) {
-	switch m.Info.Kind {
+func kindOf(k string) kind {
+	switch k {
+	case "load", "any.load":
+		return kRead
+	case "arr.get":
+		return kArrGet
+	case "arr.set":
+		return kArrSet
+	case "yield", "sleep":
+		return kYield
+	case "choose":
+		return kChoose
 	case "spawn", "join":
-		return tidset.Tid(m.Info.Aux), true
+		return kSpawnJoin
 	case "start":
-		return m.Tid, true
+		return kStart
+	case "wm.read":
+		return kWMRead
+	case "wm.write":
+		return kWMWrite
+	case "wm.buf":
+		return kWMBuf
+	case "wm.buf1":
+		return kWMBuf1
+	case "wm.flush":
+		return kWMFlush
+	case "wm.fence":
+		return kWMFence
+	case "wm.drain":
+		return kWMDrain
 	}
-	return tidset.None, false
+	return kOther
 }
 
-// tidAlloc reports moves that allocate a thread id as a side effect: a
-// thread's first TSO store creates its store buffer and registers the
-// buffer's flush agent. Like the lifecycle operations, two of these
-// never commute (ids are assigned in execution order), and neither do
-// a tid-allocating move and a lifecycle move.
-func tidAlloc(kind string) bool { return kind == "wm.buf1" }
+func (k kind) readOnly() bool  { return k == kRead || k == kArrGet }
+func (k kind) localOnly() bool { return k == kYield || k == kChoose }
+func (k kind) isWM() bool      { return k >= kWMRead }
 
-// isWM reports operations of the weak-memory subsystem (internal/wm).
-// All wm ops on one Memory share its ObjID; variable- and buffer-level
-// granularity lives in wmIndependent.
-func isWM(kind string) bool {
-	switch kind {
-	case "wm.read", "wm.write", "wm.buf", "wm.buf1", "wm.flush", "wm.fence", "wm.drain":
-		return true
-	}
-	return false
+// class is a move as the independence oracle reads it, derived once per
+// move and never encoded. target is the thread a lifecycle operation
+// (spawn/join/start) concerns — the spawned or joined thread, or the
+// starting thread itself — and tidset.None for any other move. ids
+// reports the moves that allocate thread ids: the lifecycle operations
+// and a thread's first TSO store, which creates its store buffer and
+// registers the buffer's flush agent. Two of these never commute (ids
+// are assigned in execution order).
+type class struct {
+	tid, target tidset.Tid
+	aux         int64
+	obj         engine.ObjID
+	kind        kind
+	ids         bool
 }
 
-// wmVar returns the variable a wm memory access concerns.
-func wmVar(m Move) int64 { return m.Info.Aux }
+func classify(m Move) class {
+	c := class{tid: m.Tid, target: tidset.None, obj: m.Info.Obj, aux: m.Info.Aux, kind: kindOf(m.Info.Kind)}
+	switch c.kind {
+	case kSpawnJoin:
+		c.target = tidset.Tid(c.aux)
+	case kStart:
+		c.target = c.tid
+	}
+	c.ids = c.target != tidset.None || c.kind == kWMBuf1
+	return c
+}
 
 // flushParts decodes a "wm.flush" move: the buffer's owning thread and
 // the variable the next flush writes (ok = false for an empty buffer,
 // which cannot be scheduled but can linger as a stale sleep-set entry).
-func flushParts(m Move) (owner tidset.Tid, v int64, ok bool) {
-	owner = tidset.Tid(m.Info.Aux >> wm.AuxOwnerShift)
-	hv := m.Info.Aux & (1<<wm.AuxOwnerShift - 1)
+func (c *class) flushParts() (owner tidset.Tid, v int64, ok bool) {
+	owner = tidset.Tid(c.aux >> wm.AuxOwnerShift)
+	hv := c.aux & (1<<wm.AuxOwnerShift - 1)
 	return owner, hv - 1, hv != 0
 }
 
 // wmIndependent is the independence oracle for two wm moves on the
-// same Memory (different threads). The TSO structure gives finer
-// commutativity than plain shared variables: a buffered store touches
-// only the issuing thread's private buffer, so it is invisible to — and
-// independent of — everything except its own buffer's flushes, while a
-// flush writes memory on the owner's behalf and so conflicts like a
-// store by the owner would. Conservative: dependent when unsure.
-func wmIndependent(a, b Move) bool {
-	ka, kb := a.Info.Kind, b.Info.Kind
-	// Drain observes every buffer: conservatively dependent with all
-	// wm moves.
-	if ka == "wm.drain" || kb == "wm.drain" {
-		return false
-	}
-	if ka == "wm.flush" {
-		return flushIndependent(a, b)
-	}
-	if kb == "wm.flush" {
-		return flushIndependent(b, a)
-	}
+// same Memory (different threads). All wm ops on one Memory share its
+// ObjID; the variable a memory access concerns is its Aux. The TSO
+// structure gives finer commutativity than plain shared variables: a
+// buffered store touches only the issuing thread's private buffer, so
+// it is invisible to — and independent of — everything except its own
+// buffer's flushes, while a flush writes memory on the owner's behalf
+// and so conflicts like a store by the owner would. Conservative:
+// dependent when unsure.
+func wmIndependent(a, b *class) bool {
+	ka, kb := a.kind, b.kind
 	switch {
-	case ka == "wm.read" && kb == "wm.read":
+	case ka == kWMDrain || kb == kWMDrain:
+		// Drain observes every buffer: conservatively dependent with all
+		// wm moves.
+		return false
+	case ka == kWMFlush:
+		return flushIndependent(a, b)
+	case kb == kWMFlush:
+		return flushIndependent(b, a)
+	case ka == kWMRead && kb == kWMRead:
 		return true
-	case ka == "wm.fence" || kb == "wm.fence":
+	case ka == kWMFence || kb == kWMFence:
 		// A fence waits on its own buffer only; the moves that change
 		// that buffer are the owner's stores (same tid, already
 		// dependent) and its flushes (handled above).
 		return true
-	case ka == "wm.buf" || ka == "wm.buf1":
+	case ka == kWMBuf || ka == kWMBuf1 || kb == kWMBuf || kb == kWMBuf1:
 		// A buffered store is invisible outside its own buffer; the
 		// other move is by a different thread (same-tid pairs never get
 		// here) and is not this buffer's flush.
-		return kb == "wm.buf" || kb == "wm.buf1" || kb == "wm.read" || kb == "wm.write"
-	case kb == "wm.buf" || kb == "wm.buf1":
-		return wmIndependent(b, a)
-	case ka == "wm.write" && kb == "wm.write":
-		return wmVar(a) != wmVar(b)
-	case ka == "wm.write" || kb == "wm.write":
-		// write vs read: conflict on the same variable.
-		return wmVar(a) != wmVar(b)
+		return true
 	}
-	return false
+	// write vs write or read: conflict on the same variable.
+	return a.aux != b.aux
 }
 
 // flushIndependent reports whether flush move f commutes with wm move
 // o (f is "wm.flush"; o is any wm move except drain).
-func flushIndependent(f, o Move) bool {
-	owner, v, ok := flushParts(f)
-	if !ok {
-		// Empty-buffer flush: stale, schedulable never; treat as
-		// dependent so it wakes (and is dropped) promptly.
+func flushIndependent(f, o *class) bool {
+	owner, v, ok := f.flushParts()
+	// An empty-buffer flush is stale, schedulable never: treat it as
+	// dependent so it wakes (and is dropped) promptly. The owner's own
+	// moves reorder buffer content, enable fences, and race the head
+	// entry: dependent.
+	if !ok || o.tid == owner {
 		return false
 	}
-	// The owner's own moves reorder buffer content, enable fences, and
-	// race the head entry: dependent.
-	if o.Tid == owner {
-		return false
-	}
-	switch o.Info.Kind {
-	case "wm.flush":
-		oOwner, ov, oOK := flushParts(o)
-		if !oOK {
-			return false
-		}
+	switch o.kind {
+	case kWMFlush:
 		// Two flushes of different buffers commute unless both write
-		// the same variable next.
-		return oOwner != owner && ov != v
-	case "wm.read", "wm.write":
+		// the same variable next, or one's thread owns the other's
+		// buffer.
+		oOwner, ov, oOK := o.flushParts()
+		return oOK && oOwner != owner && ov != v && f.tid != oOwner
+	case kWMRead, kWMWrite:
 		// The flush writes v to memory: memory accesses to other
 		// variables commute.
-		return wmVar(o) != v
-	case "wm.buf", "wm.buf1":
-		// Another thread's buffered store touches only that thread's
-		// private buffer.
-		return true
-	case "wm.fence":
-		// A fence waits on its own buffer; this flush drains another's.
-		return true
+		return o.aux != v
 	}
-	return false
+	// Another thread's buffered store touches only that thread's private
+	// buffer, and a fence waits on its own buffer; this flush drains
+	// another's.
+	return true
 }
 
 // Independent reports whether the two moves commute: executing them in
 // either order reaches a behaviorally identical state, and neither
-// enables or disables the other.
+// enables or disables the other. The relation is symmetric.
 //
 // Lifecycle operations are dependent with each other (thread ids are
 // allocated in creation order) and with any move of the thread they
@@ -199,48 +218,41 @@ func flushIndependent(f, o Move) bool {
 // (StatefulPrune) do not combine with the reductions using this
 // oracle.
 func Independent(a, b Move) bool {
-	if a.Tid == b.Tid {
-		return false
-	}
-	aAlloc := tidAlloc(a.Info.Kind)
-	bAlloc := tidAlloc(b.Info.Kind)
-	ta, la := lifecycleTarget(a)
-	tb, lb := lifecycleTarget(b)
-	// Any two id-allocating transitions (lifecycle ops and first TSO
-	// stores) are mutually dependent: reordering them permutes thread
-	// ids.
-	if (la || aAlloc) && (lb || bAlloc) {
-		return false
-	}
+	ca, cb := classify(a), classify(b)
+	return independent(&ca, &cb)
+}
+
+// independent is Independent on classified moves.
+func independent(a, b *class) bool {
 	switch {
-	case la:
-		return b.Tid != ta
-	case lb:
-		return a.Tid != tb
-	}
-	if localOnly(a.Info.Kind) || localOnly(b.Info.Kind) {
+	case a.tid == b.tid:
+		return false
+	case a.ids && b.ids:
+		// Reordering two id-allocating transitions permutes thread ids.
+		return false
+	case a.target != tidset.None:
+		return b.tid != a.target
+	case b.target != tidset.None:
+		return a.tid != b.target
+	case a.kind.localOnly() || b.kind.localOnly() || a.obj != b.obj:
+		// Local-only moves have no effect on shared state or on other
+		// threads' enabledness (valid only under unfair scheduling,
+		// where yields carry no scheduler state).
 		return true
 	}
-	if a.Info.Obj != b.Info.Obj {
+	// Same object: reads commute; array accesses to different elements
+	// commute (Aux carries the element index); weak-memory moves get the
+	// store/flush/load race semantics of wmIndependent.
+	ka, kb := a.kind, b.kind
+	switch {
+	case ka.readOnly() && kb.readOnly():
 		return true
-	}
-	// Same object: reads commute; array accesses to different
-	// elements commute (Aux carries the element index); weak-memory
-	// moves get the store/flush/load race semantics of wmIndependent.
-	if readOnly(a.Info.Kind) && readOnly(b.Info.Kind) {
-		return true
-	}
-	if isArrayOp(a.Info.Kind) && isArrayOp(b.Info.Kind) && a.Info.Aux != b.Info.Aux {
-		return true
-	}
-	if isWM(a.Info.Kind) && isWM(b.Info.Kind) {
+	case (ka == kArrGet || ka == kArrSet) && (kb == kArrGet || kb == kArrSet):
+		return a.aux != b.aux
+	case ka.isWM() && kb.isWM():
 		return wmIndependent(a, b)
 	}
 	return false
-}
-
-func isArrayOp(kind string) bool {
-	return kind == "arr.get" || kind == "arr.set"
 }
 
 // Set is a sleep set: the moves proven redundant at the current state.
@@ -290,13 +302,14 @@ func (s *Set) Contains(e *engine.Engine, alt engine.Alt) bool {
 // it says its thread waits for another (the paper adds {t} × H to P),
 // and others kept asleep across it would starve. Dropping prunes less.
 func (s *Set) Step(chosen Move) {
-	if k := chosen.Info.Kind; k == "yield" || k == "sleep" {
+	c := classify(chosen)
+	if c.kind == kYield {
 		s.Reset()
 		return
 	}
 	out := s.moves[:0]
 	for _, m := range s.moves {
-		if Independent(m, chosen) {
+		if cm := classify(m); independent(&cm, &c) {
 			out = append(out, m)
 		}
 	}

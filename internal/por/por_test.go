@@ -1,6 +1,7 @@
 package por_test
 
 import (
+	"hash/fnv"
 	"testing"
 
 	"fairmc/internal/engine"
@@ -9,6 +10,7 @@ import (
 	"fairmc/internal/state"
 	"fairmc/internal/syncmodel"
 	"fairmc/internal/tidset"
+	"fairmc/internal/wm"
 )
 
 func mv(tid int, kind string, obj int, aux int64) por.Move {
@@ -232,4 +234,77 @@ func TestSleepSetsWithFairPanics(t *testing.T) {
 		}
 	}()
 	search.Explore(parallelWriters(2), search.Options{Fair: true, SleepSets: true})
+}
+
+// pinnedKinds is every op kind internal/engine, internal/syncmodel and
+// internal/wm emit.
+var pinnedKinds = []string{
+	// internal/engine
+	"start", "spawn", "join", "yield", "sleep", "choose",
+	// internal/syncmodel
+	"load", "store", "add", "cas", "swap", "arr.get", "arr.set", "any.load", "any.store",
+	"lock", "trylock", "locktimeout", "unlock", "rlock", "runlock", "wlock", "wunlock",
+	"chan.send", "chan.trysend", "chan.recv", "chan.tryrecv", "chan.close",
+	"cond.wait", "cond.reacquire", "cond.signal", "cond.broadcast",
+	"event.wait", "event.timeout", "event.set", "event.reset",
+	"sem.acquire", "sem.release", "sem.try", "sem.timeout",
+	"wg.add", "wg.wait", "once.begin", "once.complete", "barrier.arrive", "barrier.wait",
+	// internal/wm
+	"wm.read", "wm.write", "wm.buf", "wm.buf1", "wm.flush", "wm.fence", "wm.drain",
+}
+
+// TestIndependenceRelationPinned folds Independent over every ordered
+// pair of a fixed move domain — every op kind, three threads, objects
+// {-1, 0, 1}, aux {0, 1, 2} and wm.flush aux values with owner bits set
+// — into one hash, pinned to the relation as it stood before the oracle
+// classified moves. A change to the relation moves the hash; the test
+// also checks that the relation is symmetric. The pinned relation is the
+// older one made conservative where it was not: it called two flushes of
+// different buffers independent in one order and dependent in the other
+// when one flush's thread owned the other's buffer — a pair no program
+// makes, since a flush agent owns no buffer — and it reads dependent.
+func TestIndependenceRelationPinned(t *testing.T) {
+	auxes, flushAux := []int64{0, 1, 2}, []int64{0, 1, 2}
+	for owner := int64(1); owner < 3; owner++ {
+		for hv := int64(0); hv < 3; hv++ {
+			flushAux = append(flushAux, owner<<wm.AuxOwnerShift|hv)
+		}
+	}
+	var dom []por.Move
+	for _, k := range pinnedKinds {
+		ax := auxes
+		if k == "wm.flush" {
+			ax = flushAux
+		}
+		for tid := 0; tid < 3; tid++ {
+			for obj := -1; obj <= 1; obj++ {
+				for _, a := range ax {
+					dom = append(dom, mv(tid, k, obj, a))
+				}
+			}
+		}
+	}
+	rel := make([]byte, 0, len(dom)*len(dom))
+	for _, a := range dom {
+		for _, b := range dom {
+			ind := por.Independent(a, b)
+			if ind != por.Independent(b, a) {
+				t.Fatalf("Independent(thread %d %v, thread %d %v) = %v, but not swapped", a.Tid, a.Info, b.Tid, b.Info, ind)
+			}
+			rel = append(rel, b2u(ind))
+		}
+	}
+	h := fnv.New64a()
+	h.Write(rel)
+	const want = 0xeb0160dc07682f03
+	if got := h.Sum64(); got != want {
+		t.Fatalf("independence relation over %d moves hashes to %#x, want %#x", len(dom), got, uint64(want))
+	}
+}
+
+func b2u(b bool) byte {
+	if b {
+		return 1
+	}
+	return 0
 }

@@ -85,36 +85,56 @@ type Proposal struct {
 // has no awake alternative there, conservatively every awake
 // alternative at p (the classic fallback when the racing thread was
 // not directly schedulable at the earlier state).
+//
+// Analyze sizes its scratch to the trace; Analyzer.Analyze reuses it.
 func Analyze(branch int, steps []ExecStep) []Proposal {
-	var out []Proposal
+	var a Analyzer
+	return a.Analyze(branch, steps)
+}
+
+// Analyzer is Analyze's scratch, kept from trace to trace by a caller
+// that analyzes many: each step's class, and which alternatives already
+// received a proposal. The zero value is ready to use.
+type Analyzer struct {
+	cls []class
 	// proposed[off[p]+i] records that alternative i of step p is already
 	// in out: two flat arrays, linear in the trace however many pairs race.
-	off := make([]int, len(steps)+1)
+	off      []int
+	proposed []bool
+	out      []Proposal
+}
+
+// Analyze is the package's Analyze on a's scratch. The proposals it
+// returns are a's until its next call.
+func (a *Analyzer) Analyze(branch int, steps []ExecStep) []Proposal {
+	a.cls, a.off = resize(a.cls, len(steps)), resize(a.off, len(steps)+1)
 	for p := range steps {
-		off[p+1] = off[p] + len(steps[p].Alts)
+		a.cls[p] = classify(steps[p].Chosen)
+		a.off[p+1] = a.off[p] + len(steps[p].Alts)
 	}
-	proposed := make([]bool, off[len(steps)])
+	a.proposed = resize(a.proposed, a.off[len(steps)])
+	clear(a.proposed)
+	a.out = a.out[:0]
 	propose := func(pos, idx int) {
-		if k := off[pos] + idx; !proposed[k] {
-			proposed[k] = true
-			out = append(out, Proposal{Pos: pos, Idx: idx})
+		if k := a.off[pos] + idx; !a.proposed[k] {
+			a.proposed[k] = true
+			a.out = append(a.out, Proposal{Pos: pos, Idx: idx})
 		}
 	}
-	lo := branch
-	if lo < 0 {
-		lo = 0
-	}
-	for q := lo; q < len(steps); q++ {
-		mq := steps[q].Chosen
+	for q := max(branch, 0); q < len(steps); q++ {
+		cq := &a.cls[q]
+		tq, oq, iq := cq.tid, cq.obj, cq.ids
 		for p := q - 1; p >= 0; p-- {
-			mp := steps[p].Chosen
-			if mp.Tid == mq.Tid || Independent(mp, mq) {
+			// Most pairs are moves of two threads on two objects, none of
+			// them allocating thread ids: independent without the oracle.
+			cp := &a.cls[p]
+			if cp.tid == tq || !cp.ids && !iq && cp.obj != oq || independent(cp, cq) {
 				continue
 			}
 			st := &steps[p]
 			added := false
 			for i := range st.Alts {
-				if st.Moves[i].Tid == mq.Tid && st.Awake[i] {
+				if st.Moves[i].Tid == tq && st.Awake[i] {
 					propose(p, i)
 					added = true
 				}
@@ -128,5 +148,14 @@ func Analyze(branch int, steps []ExecStep) []Proposal {
 			}
 		}
 	}
-	return out
+	return a.out
+}
+
+// resize returns s at length n, reallocated at exactly n when its
+// capacity is short. The elements are left as they were.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }

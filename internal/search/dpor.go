@@ -136,7 +136,8 @@ func (d *DporResult) code(c *por.Codec) {
 // schedule under digest verification, then extends the execution with
 // leftmost-awake choices, recording the per-step candidate landscape
 // por.Analyze consumes. Choosers are recycled through chooserPool, so
-// in the steady state a run's record costs no allocation.
+// in the steady state a run's record and its race analysis cost no
+// allocation.
 type unitChooser struct {
 	opts *Options
 	unit *por.Unit
@@ -158,6 +159,11 @@ type unitChooser struct {
 
 	div        *engine.DivergenceError
 	abortSleep bool
+
+	// The race analysis's scratch and buildDporResult's marks: a unit's
+	// result allocates only what it reports.
+	analyzer por.Analyzer
+	have     []bool
 }
 
 var chooserPool = sync.Pool{New: func() any { return new(unitChooser) }}
@@ -169,7 +175,7 @@ func (c *unitChooser) reset(opts *Options, unit *por.Unit) {
 		opts: opts, unit: unit,
 		steps: c.steps[:0], alts: c.alts[:0], moves: c.moves[:0], awake: c.awake[:0],
 		hashes: c.hashes[:0], contIdx: c.contIdx[:0], cont: c.cont[:0], contDigs: c.contDigs[:0],
-		sleep: c.sleep,
+		sleep: c.sleep, analyzer: c.analyzer, have: c.have,
 	}
 	c.sleep.Reset()
 }
@@ -305,9 +311,9 @@ func runDporUnit(prog func(*engine.T), opts *Options, pool *engine.Pool, unit *p
 
 // buildDporResult runs the race analysis over the unit's trace and
 // packages the result for the merge, copying what it reports out of the
-// chooser's recycled buffers.
+// chooser's recycled buffers, each at its exact size.
 func buildDporResult(opts *Options, unit *por.Unit, c *unitChooser) *DporResult {
-	props := por.Analyze(len(unit.Sched)-1, c.steps)
+	props := c.analyzer.Analyze(len(unit.Sched)-1, c.steps)
 	if m := opts.Metrics; m != nil && len(props) > 0 {
 		m.DporRaces.Add(int64(len(props)))
 	}
@@ -319,26 +325,33 @@ func buildDporResult(opts *Options, unit *por.Unit, c *unitChooser) *DporResult 
 	if len(props) == 0 {
 		return d
 	}
-	// The steps that received a proposal, in first-proposal order, then
-	// their landscapes copied out into one backing array each.
-	d.Proposals = props
-	have := make([]bool, len(c.steps))
-	width := 0
+	d.Proposals = append([]por.Proposal(nil), props...)
+	// The steps that received a proposal, in first-proposal order, their
+	// landscapes copied out into one backing array each: counted first,
+	// then recorded, the second pass clearing the marks the first set.
+	if cap(c.have) < len(c.steps) {
+		c.have = make([]bool, len(c.steps))
+	}
+	have, nodes, width := c.have[:len(c.steps)], 0, 0
 	for _, pr := range props {
 		if !have[pr.Pos] {
 			have[pr.Pos] = true
-			d.Nodes = append(d.Nodes, DporNodeRec{Pos: pr.Pos})
+			nodes++
 			width += len(c.steps[pr.Pos].Alts)
 		}
 	}
+	d.Nodes = make([]DporNodeRec, 0, nodes)
 	alts, moves := make([]engine.Alt, 0, width), make([]por.Move, 0, width)
-	for i := range d.Nodes {
-		n := &d.Nodes[i]
-		lo := len(alts)
-		alts, moves = append(alts, c.steps[n.Pos].Alts...), append(moves, c.steps[n.Pos].Moves...)
-		n.Alts, n.Moves = alts[lo:], moves[lo:]
-		if n.Pos < len(c.hashes) {
-			n.Hash = c.hashes[n.Pos]
+	for _, pr := range props {
+		if have[pr.Pos] {
+			have[pr.Pos] = false
+			st, lo := &c.steps[pr.Pos], len(alts)
+			alts, moves = append(alts, st.Alts...), append(moves, st.Moves...)
+			n := DporNodeRec{Pos: pr.Pos, Alts: alts[lo:], Moves: moves[lo:]}
+			if n.Pos < len(c.hashes) {
+				n.Hash = c.hashes[n.Pos]
+			}
+			d.Nodes = append(d.Nodes, n)
 		}
 	}
 	return d
@@ -374,18 +387,24 @@ func (t *pathTrie) add(n int32, l int) (int32, bool) {
 	return id, true
 }
 
-// childOf returns the first n elements of a followed by b, then last,
-// in a fresh slice: a child unit's prefix, cut from its parent's prefix
-// and continuation.
-func childOf[T any](a, b []T, n int, last T) []T {
-	out := make([]T, 0, n+1)
+// cutChild appends to *arena the first n elements of a followed by b,
+// then last, and returns them as a slice of its own: a child unit's
+// prefix, cut from its parent's prefix and continuation.
+func cutChild[T any](arena *[]T, a, b []T, n int, last T) []T {
+	s, lo := *arena, len(*arena)
 	if n <= len(a) {
-		out = append(out, a[:n]...)
+		s = append(s, a[:n]...)
 	} else {
-		out = append(append(out, a...), b[:n-len(a)]...)
+		s = append(append(s, a...), b[:n-len(a)]...)
 	}
-	return append(out, last)
+	s = append(s, last)
+	*arena = s
+	return s[lo:len(s):len(s)]
 }
+
+// spawnRec is one child a report spawns: the index of its proposal, and
+// where its covered siblings end in the merger's asleep scratch.
+type spawnRec struct{ prop, asleep int }
 
 // spawn follows the merge of one consumed unit's report r (nil: skipped
 // after repeated crashes): it adds the unit's full path to the dedup
@@ -393,6 +412,9 @@ func childOf[T any](a, b []T, n int, last T) []T {
 // reversal the report proposes that no unit has covered yet, in
 // canonical (proposal-discovery) order. The plan's growth is a pure
 // function of the reports merged so far.
+//
+// The walk runs on the merger's scratch; what it allocates is the
+// children, each kind of their slices cut from one allocation per report.
 func (m *ShardMerger) spawn(unit *por.Unit, r *Report) {
 	if r == nil || r.Dpor == nil {
 		// Skipped, quarantined or stopped on a divergence: the unit
@@ -406,55 +428,84 @@ func (m *ShardMerger) spawn(unit *por.Unit, r *Report) {
 	// child probe at at[p]. The taken path goes in first: proposals
 	// matching a step the unit itself took (or any already-spawned
 	// sibling) are redundant.
-	at := make([]int32, 1, 1+len(unit.Path)+len(d.ContIdx))
+	at := append(m.at[:0], 0)
 	for _, part := range [2][]int{unit.Path, d.ContIdx} {
 		for _, l := range part {
 			n, _ := m.seen.add(at[len(at)-1], l)
 			at = append(at, n)
 		}
 	}
+	m.at = at
 	if m.stopped {
 		return
 	}
+	// nodeAt[p] is 1 + the index of step p's node in d.Nodes, 0 for none.
 	steps := len(at) - 1
-	nodeAt := make([]*DporNodeRec, steps)
+	if cap(m.nodeAt) < steps {
+		m.nodeAt = make([]int32, steps)
+	}
+	nodeAt := m.nodeAt[:steps]
+	clear(nodeAt)
 	for i := range d.Nodes {
 		if p := d.Nodes[i].Pos; p >= 0 && p < steps {
-			nodeAt[p] = &d.Nodes[i]
+			nodeAt[p] = int32(i) + 1
 		}
 	}
-	for _, pr := range d.Proposals {
-		if pr.Pos < 0 || pr.Pos >= steps || nodeAt[pr.Pos] == nil ||
-			pr.Idx < 0 || pr.Idx >= len(nodeAt[pr.Pos].Alts) {
+	// First pass: the proposals that spawn a child, and the siblings each
+	// child puts to sleep at its branch point — those covered by then.
+	// Spawn order makes the covered-by relation acyclic, which is what
+	// keeps the reduction sound.
+	kids, asleep, prefix := m.kids[:0], m.asleep[:0], 0
+	for i, pr := range d.Proposals {
+		if pr.Pos < 0 || pr.Pos >= steps || nodeAt[pr.Pos] == 0 ||
+			pr.Idx < 0 || pr.Idx >= len(d.Nodes[nodeAt[pr.Pos]-1].Alts) {
 			continue // malformed payload (defensive; never produced by runDporUnit)
 		}
-		node := nodeAt[pr.Pos]
 		if _, fresh := m.seen.add(at[pr.Pos], pr.Idx); !fresh {
 			if mt := m.opts.Metrics; mt != nil {
 				mt.DporUnitsPruned.Inc()
 			}
 			continue
 		}
-		child := &por.Unit{
-			Path:  childOf(unit.Path, d.ContIdx, pr.Pos, pr.Idx),
-			Sched: childOf(unit.Sched, d.Cont, pr.Pos, node.Alts[pr.Idx]),
-			Sleep: make([][]por.Move, pr.Pos+1),
-		}
-		if !m.opts.DisableConformance && len(unit.Digs)+len(d.ContDigs) >= pr.Pos {
-			child.Digs = childOf(unit.Digs, d.ContDigs, pr.Pos,
-				engine.StepDigest{Hash: node.Hash, Tid: node.Alts[pr.Idx].Tid, Op: node.Moves[pr.Idx].Info})
-		}
-		// The child inherits the parent's installed sleep entries along
-		// the shared prefix, and at the branch point puts every
-		// already-covered sibling to sleep. Spawn order makes the
-		// covered-by relation acyclic, which is what keeps the reduction
-		// sound.
-		copy(child.Sleep[:pr.Pos], unit.Sleep)
+		node := &d.Nodes[nodeAt[pr.Pos]-1]
 		for j := range node.Alts {
 			if j != pr.Idx && m.seen.find(at[pr.Pos], j) != 0 {
-				child.Sleep[pr.Pos] = append(child.Sleep[pr.Pos], node.Moves[j])
+				asleep = append(asleep, node.Moves[j])
 			}
 		}
+		kids = append(kids, spawnRec{prop: i, asleep: len(asleep)})
+		prefix += pr.Pos + 1
+	}
+	m.kids, m.asleep = kids, asleep
+	if len(kids) == 0 {
+		return
+	}
+	// Second pass: the children. Each inherits the parent's installed
+	// sleep entries along the shared prefix.
+	units := make([]por.Unit, len(kids))
+	paths, scheds := make([]int, 0, prefix), make([]engine.Alt, 0, prefix)
+	sleeps, sleeping := make([][]por.Move, prefix), append([]por.Move(nil), asleep...)
+	var digs []engine.StepDigest
+	if !m.opts.DisableConformance {
+		digs = make([]engine.StepDigest, 0, prefix)
+	}
+	lo := 0
+	for k, kid := range kids {
+		pr := d.Proposals[kid.prop]
+		node := &d.Nodes[nodeAt[pr.Pos]-1]
+		child := &units[k]
+		child.Path = cutChild(&paths, unit.Path, d.ContIdx, pr.Pos, pr.Idx)
+		child.Sched = cutChild(&scheds, unit.Sched, d.Cont, pr.Pos, node.Alts[pr.Idx])
+		if digs != nil && len(unit.Digs)+len(d.ContDigs) >= pr.Pos {
+			child.Digs = cutChild(&digs, unit.Digs, d.ContDigs, pr.Pos,
+				engine.StepDigest{Hash: node.Hash, Tid: node.Alts[pr.Idx].Tid, Op: node.Moves[pr.Idx].Info})
+		}
+		child.Sleep, sleeps = sleeps[:pr.Pos+1:pr.Pos+1], sleeps[pr.Pos+1:]
+		copy(child.Sleep[:pr.Pos], unit.Sleep)
+		if kid.asleep > lo {
+			child.Sleep[pr.Pos] = sleeping[lo:kid.asleep:kid.asleep]
+		}
+		lo = kid.asleep
 		m.plan.Shards = append(m.plan.Shards, Shard{Index: len(m.plan.Shards), Unit: child})
 	}
 }

@@ -302,6 +302,12 @@ type ShardMerger struct {
 	// owner reads it again: the driver and a coordinator hand out only
 	// unmerged shards.
 	seen pathTrie
+
+	// spawn's scratch, kept from unit to unit (see spawn).
+	at     []int32
+	nodeAt []int32
+	kids   []spawnRec
+	asleep []por.Move
 }
 
 // NewShardMerger prepares a merger for the given plan. opts must be
