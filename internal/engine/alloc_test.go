@@ -8,28 +8,26 @@ import (
 )
 
 // The allocation budgets are regression gates, not targets: the
-// measured figure plus 2. A pooled spinloop execution allocates 3
-// objects, all three the program's: its IntVar and the closures of its
-// two thread bodies. Everything the engine needs per step or per
-// execution — ops (OpSlot), thread records with their T and Handle,
+// measured figure plus 2. A pooled spinloop execution allocates 2
+// objects, both the program's: the closures of its two thread bodies.
+// Everything else it needs per step or per execution — ops (OpSlot),
+// its IntVar (ObjSlab), thread records with their T and Handle,
 // coroutines, step buffers, the Result — is reused from the execution
-// before.
+// before. It allocated 3 while the IntVar was the program's.
 //
 // A single-use engine.Run has no execution before, so it makes all of
-// that once: 79 objects. 47 of them are its three worker coroutines:
-// iter.Pull allocates 7 or 8 per coroutine (its closures and the
-// variables they capture), the runtime 6 more that the memory profile
-// does not attribute (the coroutine's g and coro), and newWorker 2 (the
-// worker and its loop closure) — against two for a go statement and a
-// resume channel before threads were coroutines. The other 32 are the
-// program's three, the engine and its Result, the fair scheduler's
+// that once: 73 objects, most of them its three worker coroutines
+// (iter.Pull allocates 7 or 8 per coroutine, the runtime 6 more that
+// the memory profile does not attribute, newWorker 2). The rest are the
+// program's closures, the engine and its Result, the fair scheduler's
 // state, three thread records with their slot tables and first ops, the
-// bit sets and the step buffers, each made once at a size that fits a
-// short execution. That is the price of a replay or confirmation run,
-// not of the search loop, which runs pooled.
+// IntVar's store (its table, chunk list and first chunk: 2 more than a
+// heap IntVar), the bit sets and the step buffers, each made once at a
+// size that fits a short execution. That is the price of a replay or
+// confirmation run, not of the search loop, which runs pooled.
 const (
 	spinloopAllocBudget       = 81
-	spinloopAllocBudgetPooled = 5
+	spinloopAllocBudgetPooled = 4
 )
 
 func spinloopCfg() engine.Config {

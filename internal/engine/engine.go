@@ -194,6 +194,7 @@ type Engine struct {
 	idleWorkers []*worker
 	objects     []Object
 	objMeta     []ObjMeta
+	slabs       []slabStore // per ObjSlab: the model objects, kept across pooled runs
 	// aborting is read by model threads at scheduling points to unwind
 	// themselves. It is atomic because after a wedge the stuck thread
 	// runs concurrently with the caller's teardown and may observe the
@@ -976,20 +977,6 @@ func (e *Engine) result(outcome Outcome) *Result {
 		}
 	}
 	return r
-}
-
-// RegisterObjectBy records a shared object created by t during the
-// execution and returns its id. Called by the syncmodel constructors.
-// The object is tagged with t and its per-thread creation sequence
-// number, the stable identity heap canonicalization (internal/canon)
-// keys on.
-func (e *Engine) RegisterObjectBy(t *T, obj Object) ObjID {
-	id := ObjID(len(e.objects))
-	e.objects = append(e.objects, obj)
-	th := t.th
-	e.objMeta = append(e.objMeta, ObjMeta{Creator: th.id, Seq: th.objSeq})
-	th.objSeq++
-	return id
 }
 
 // ObjMeta is the creation identity of a registered object.

@@ -162,7 +162,10 @@ type ObjID int32
 const NoObj ObjID = -1
 
 // Object is a registered shared object: a sync primitive or shared
-// variable. Objects expose their state for fingerprinting.
+// variable. Objects expose their state for fingerprinting. An object
+// lives in its engine's store for its type (ObjSlab), so it belongs to
+// the execution that created it: under a Pool it is valid until the
+// next Pool.Run, which recycles it.
 type Object interface {
 	// ObjectInfo returns the object's id, kind and name.
 	ObjectInfo() (ObjID, string, string)

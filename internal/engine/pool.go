@@ -24,6 +24,8 @@ type Pool struct {
 // PerThread and Blocked slices are the pooled engine's own buffers,
 // valid until the next Run on this pool, which overwrites them. A
 // caller that keeps a result longer — a finding — keeps r.Clone().
+// Model objects are valid until the next Run too: it recycles them
+// (ObjSlab).
 func (p *Pool) Run(body func(*T), chooser Chooser, cfg Config) *Result {
 	normalize(&cfg)
 	e := p.free
@@ -92,6 +94,9 @@ func (e *Engine) reset(chooser Chooser, cfg Config) {
 	}
 	e.objects = e.objects[:0]
 	e.objMeta = e.objMeta[:0]
+	for i := range e.slabs {
+		e.slabs[i].used = 0
+	}
 	e.aborting.Store(false)
 	e.violation = nil
 	e.deadlineHit = false

@@ -183,7 +183,7 @@ func TestStepAllocatesNothing(t *testing.T) {
 		"handoff": {ring(25, 40), 0},
 		"inline":  {ring(1, 1000), 0},
 		"wide":    {wide(26, 40), 0},
-		"blocked": {blocked(26, 200), 1},
+		"blocked": {blocked(26, 200), 0},
 	} {
 		run, stop := pooledRunner(t, c.p)
 		if allocs := testing.AllocsPerRun(20, func() { run() }); allocs != c.own {

@@ -225,6 +225,6 @@ func (t *T) Failf(format string, args ...any) {
 	panic(killSentinel{}) // unreachable: fail panics; kept for clarity
 }
 
-// Engine returns the engine running this thread, for object
-// registration by the syncmodel package.
+// Engine returns the engine running this thread, for the engine
+// services model objects use: the memory model, agents, telemetry.
 func (t *T) Engine() *Engine { return t.e }

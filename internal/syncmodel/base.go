@@ -10,6 +10,11 @@
 // enabled(t) predicate comes from — and encodes its state canonically
 // for fingerprinting.
 //
+// An object belongs to the execution that created it. Its constructor
+// takes it from the engine's store for its type (engine.ObjSlab), so
+// under an engine.Pool it is valid until the next Pool.Run, which
+// recycles it: a program must not keep an object across executions.
+//
 // Operations with finite timeouts (AcquireTimeout, WaitTimeout, …) are
 // yielding transitions, per the paper's yield-inference rule (§4):
 // "every synchronization operation with a finite timeout and every
@@ -43,7 +48,12 @@ func appendVarint(buf []byte, v int64) []byte {
 	return binary.AppendVarint(buf, v)
 }
 
-func appendTid(buf []byte, t tidset.Tid) []byte {
+// appendTid appends t renamed by mapTid, a CanonicalObject's thread
+// renaming; AppendState passes nil, which renames nothing.
+func appendTid(buf []byte, t tidset.Tid, mapTid func(tidset.Tid) tidset.Tid) []byte {
+	if mapTid != nil {
+		t = mapTid(t)
+	}
 	return binary.AppendVarint(buf, int64(t))
 }
 
@@ -54,10 +64,10 @@ func appendBool(buf []byte, b bool) []byte {
 	return append(buf, 0)
 }
 
-func appendTidSlice(buf []byte, ts []tidset.Tid) []byte {
+func appendTidSlice(buf []byte, ts []tidset.Tid, mapTid func(tidset.Tid) tidset.Tid) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(ts)))
 	for _, t := range ts {
-		buf = appendTid(buf, t)
+		buf = appendTid(buf, t, mapTid)
 	}
 	return buf
 }

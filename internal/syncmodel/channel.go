@@ -10,6 +10,7 @@ var (
 	recvSlot    = engine.NewOpSlot[recvOp]()
 	tryRecvSlot = engine.NewOpSlot[tryRecvOp]()
 	closeSlot   = engine.NewOpSlot[closeOp]()
+	channelSlab = engine.NewObjSlab[Channel]()
 )
 
 // Channel is a FIFO channel of int64 values with a fixed capacity.
@@ -40,8 +41,9 @@ func NewChannel(t *engine.T, name string, capacity int) *Channel {
 	if capacity < 0 {
 		t.Failf("channel %q: negative capacity %d", name, capacity)
 	}
-	c := &Channel{base: base{kind: "chan", name: name}, capacity: capacity}
-	c.id = t.Engine().RegisterObjectBy(t, c)
+	c, id := channelSlab.New(t)
+	*c = Channel{base: base{id: id, kind: "chan", name: name}, capacity: capacity,
+		buf: c.buf[:0], recvQ: c.recvQ[:0]}
 	return c
 }
 
@@ -83,20 +85,7 @@ func (c *Channel) Close(t *engine.T) {
 }
 
 // AppendState implements engine.Object.
-func (c *Channel) AppendState(buf []byte) []byte {
-	buf = appendBool(buf, c.closed)
-	buf = appendVarint(buf, int64(len(c.buf)))
-	for _, v := range c.buf {
-		buf = appendVarint(buf, v)
-	}
-	buf = appendVarint(buf, int64(len(c.recvQ)))
-	for _, w := range c.recvQ {
-		buf = appendTid(buf, w.tid)
-		buf = appendBool(buf, w.delivered)
-		buf = appendVarint(buf, w.val)
-	}
-	return buf
-}
+func (c *Channel) AppendState(buf []byte) []byte { return c.AppendStateMapped(buf, nil) }
 
 // undeliveredReceiver returns the first parked receiver that has not
 // been handed a value yet, or nil.
@@ -174,9 +163,9 @@ func (o *recvOp) Execute() engine.Op {
 	switch {
 	case o.w.delivered:
 		o.val, o.ok = o.w.val, true
-	case len(o.c.buf) > 0:
+	case len(o.c.buf) > 0: // shift down: the buffer keeps its capacity
 		o.val, o.ok = o.c.buf[0], true
-		o.c.buf = o.c.buf[1:]
+		o.c.buf = o.c.buf[:copy(o.c.buf, o.c.buf[1:])]
 	default: // closed and empty
 		o.val, o.ok = 0, false
 	}
@@ -208,7 +197,7 @@ func (o *tryRecvOp) Execute() engine.Op {
 	o.open = !o.c.closed
 	if len(o.c.buf) > 0 {
 		o.val, o.got = o.c.buf[0], true
-		o.c.buf = o.c.buf[1:]
+		o.c.buf = o.c.buf[:copy(o.c.buf, o.c.buf[1:])]
 	}
 	return nil
 }
@@ -243,7 +232,7 @@ func (c *Channel) AppendStateMapped(buf []byte, mapTid func(tidset.Tid) tidset.T
 	}
 	buf = appendVarint(buf, int64(len(c.recvQ)))
 	for _, w := range c.recvQ {
-		buf = appendTid(buf, mapTid(w.tid))
+		buf = appendTid(buf, w.tid, mapTid)
 		buf = appendBool(buf, w.delivered)
 		buf = appendVarint(buf, w.val)
 	}

@@ -9,6 +9,7 @@ var (
 	condWaitSlot      = engine.NewOpSlot[condWaitOp]()
 	condReacquireSlot = engine.NewOpSlot[condReacquireOp]()
 	condSignalSlot    = engine.NewOpSlot[condSignalOp]()
+	condSlab          = engine.NewObjSlab[Cond]()
 )
 
 // Cond is a condition variable bound to a Mutex. Wait atomically
@@ -28,8 +29,8 @@ type condWaiter struct {
 
 // NewCond creates a condition variable using m as its lock.
 func NewCond(t *engine.T, name string, m *Mutex) *Cond {
-	c := &Cond{base: base{kind: "cond", name: name}, m: m}
-	c.id = t.Engine().RegisterObjectBy(t, c)
+	c, id := condSlab.New(t)
+	*c = Cond{base: base{id: id, kind: "cond", name: name}, m: m, waiters: c.waiters[:0]}
 	return c
 }
 
@@ -57,14 +58,7 @@ func (c *Cond) Broadcast(t *engine.T) {
 func (c *Cond) NumWaiters() int { return len(c.waiters) }
 
 // AppendState implements engine.Object.
-func (c *Cond) AppendState(buf []byte) []byte {
-	buf = appendVarint(buf, int64(len(c.waiters)))
-	for _, w := range c.waiters {
-		buf = appendTid(buf, w.tid)
-		buf = appendBool(buf, w.signaled)
-	}
-	return buf
-}
+func (c *Cond) AppendState(buf []byte) []byte { return c.AppendStateMapped(buf, nil) }
 
 // condWaitOp is phase one: release the mutex and enter the wait queue.
 type condWaitOp struct {
@@ -138,7 +132,7 @@ func (o *condSignalOp) Info() engine.OpInfo {
 func (c *Cond) AppendStateMapped(buf []byte, mapTid func(tidset.Tid) tidset.Tid) []byte {
 	buf = appendVarint(buf, int64(len(c.waiters)))
 	for _, w := range c.waiters {
-		buf = appendTid(buf, mapTid(w.tid))
+		buf = appendTid(buf, w.tid, mapTid)
 		buf = appendBool(buf, w.signaled)
 	}
 	return buf

@@ -6,6 +6,7 @@ var (
 	eventWaitSlot    = engine.NewOpSlot[eventWaitOp]()
 	eventTimeoutSlot = engine.NewOpSlot[eventTimeoutOp]()
 	eventSetSlot     = engine.NewOpSlot[eventSetOp]()
+	eventSlab        = engine.NewObjSlab[Event]()
 )
 
 // Event is a Win32-style event object. A manual-reset event stays
@@ -20,8 +21,8 @@ type Event struct {
 
 // NewEvent creates an event. manual selects manual-reset semantics.
 func NewEvent(t *engine.T, name string, manual, signaled bool) *Event {
-	e := &Event{base: base{kind: "event", name: name}, manual: manual, signaled: signaled}
-	e.id = t.Engine().RegisterObjectBy(t, e)
+	e, id := eventSlab.New(t)
+	*e = Event{base: base{id: id, kind: "event", name: name}, manual: manual, signaled: signaled}
 	return e
 }
 

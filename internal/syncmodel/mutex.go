@@ -13,6 +13,8 @@ var (
 	wUnlockSlot = engine.NewOpSlot[wUnlockOp]()
 	rLockSlot   = engine.NewOpSlot[rLockOp]()
 	rUnlockSlot = engine.NewOpSlot[rUnlockOp]()
+	mutexSlab   = engine.NewObjSlab[Mutex]()
+	rwMutexSlab = engine.NewObjSlab[RWMutex]()
 )
 
 // Mutex is a non-reentrant mutual-exclusion lock. A thread blocked in
@@ -25,10 +27,11 @@ type Mutex struct {
 }
 
 // NewMutex creates and registers a mutex. Like all model objects it
-// belongs to the current execution only.
+// belongs to the current execution only: it is valid until the next
+// Pool.Run, which recycles it.
 func NewMutex(t *engine.T, name string) *Mutex {
-	m := &Mutex{base: base{kind: "mutex", name: name}, owner: tidset.None}
-	m.id = t.Engine().RegisterObjectBy(t, m)
+	m, id := mutexSlab.New(t)
+	*m = Mutex{base: base{id: id, kind: "mutex", name: name}, owner: tidset.None}
 	return m
 }
 
@@ -73,9 +76,7 @@ func (m *Mutex) Unlock(t *engine.T) {
 }
 
 // AppendState implements engine.Object.
-func (m *Mutex) AppendState(buf []byte) []byte {
-	return appendTid(buf, m.owner)
-}
+func (m *Mutex) AppendState(buf []byte) []byte { return m.AppendStateMapped(buf, nil) }
 
 type lockOp struct {
 	m *Mutex
@@ -140,8 +141,8 @@ type RWMutex struct {
 
 // NewRWMutex creates and registers a reader/writer lock.
 func NewRWMutex(t *engine.T, name string) *RWMutex {
-	m := &RWMutex{base: base{kind: "rwmutex", name: name}, writer: tidset.None}
-	m.id = t.Engine().RegisterObjectBy(t, m)
+	m, id := rwMutexSlab.New(t)
+	*m = RWMutex{base: base{id: id, kind: "rwmutex", name: name}, writer: tidset.None, readers: m.readers[:0]}
 	return m
 }
 
@@ -194,10 +195,7 @@ func (m *RWMutex) RUnlock(t *engine.T) {
 }
 
 // AppendState implements engine.Object.
-func (m *RWMutex) AppendState(buf []byte) []byte {
-	buf = appendTid(buf, m.writer)
-	return appendTidSlice(buf, m.readers)
-}
+func (m *RWMutex) AppendState(buf []byte) []byte { return m.AppendStateMapped(buf, nil) }
 
 type wLockOp struct {
 	m *RWMutex
@@ -264,15 +262,10 @@ func (o *rUnlockOp) Info() engine.OpInfo {
 
 // AppendStateMapped implements engine.CanonicalObject.
 func (m *Mutex) AppendStateMapped(buf []byte, mapTid func(tidset.Tid) tidset.Tid) []byte {
-	return appendTid(buf, mapTid(m.owner))
+	return appendTid(buf, m.owner, mapTid)
 }
 
 // AppendStateMapped implements engine.CanonicalObject.
 func (m *RWMutex) AppendStateMapped(buf []byte, mapTid func(tidset.Tid) tidset.Tid) []byte {
-	buf = appendTid(buf, mapTid(m.writer))
-	mapped := make([]tidset.Tid, len(m.readers))
-	for i, r := range m.readers {
-		mapped[i] = mapTid(r)
-	}
-	return appendTidSlice(buf, mapped)
+	return appendTidSlice(appendTid(buf, m.writer, mapTid), m.readers, mapTid)
 }

@@ -10,6 +10,8 @@ var (
 	onceCompleteSlot  = engine.NewOpSlot[onceCompleteOp]()
 	barrierArriveSlot = engine.NewOpSlot[barrierArriveOp]()
 	barrierWaitSlot   = engine.NewOpSlot[barrierWaitOp]()
+	onceSlab          = engine.NewObjSlab[Once]()
+	barrierSlab       = engine.NewObjSlab[Barrier]()
 )
 
 // Once is a one-time initialization gate, like sync.Once: the first
@@ -26,8 +28,8 @@ type Once struct {
 
 // NewOnce creates an idle Once.
 func NewOnce(t *engine.T, name string) *Once {
-	o := &Once{base: base{kind: "once", name: name}, winner: tidset.None}
-	o.id = t.Engine().RegisterObjectBy(t, o)
+	o, id := onceSlab.New(t)
+	*o = Once{base: base{id: id, kind: "once", name: name}, winner: tidset.None}
 	return o
 }
 
@@ -60,15 +62,12 @@ func (o *Once) Do(t *engine.T, f func(*engine.T)) {
 }
 
 // AppendState implements engine.Object.
-func (o *Once) AppendState(buf []byte) []byte {
-	buf = appendVarint(buf, o.state)
-	return appendTid(buf, o.winner)
-}
+func (o *Once) AppendState(buf []byte) []byte { return o.AppendStateMapped(buf, nil) }
 
 // AppendStateMapped implements engine.CanonicalObject.
 func (o *Once) AppendStateMapped(buf []byte, mapTid func(tidset.Tid) tidset.Tid) []byte {
 	buf = appendVarint(buf, o.state)
-	return appendTid(buf, mapTid(o.winner))
+	return appendTid(buf, o.winner, mapTid)
 }
 
 type onceBeginOp struct {
@@ -121,8 +120,8 @@ func NewBarrier(t *engine.T, name string, parties int64) *Barrier {
 	if parties < 1 {
 		t.Failf("barrier %q: parties = %d", name, parties)
 	}
-	b := &Barrier{base: base{kind: "barrier", name: name}, parties: parties}
-	b.id = t.Engine().RegisterObjectBy(t, b)
+	b, id := barrierSlab.New(t)
+	*b = Barrier{base: base{id: id, kind: "barrier", name: name}, parties: parties}
 	return b
 }
 

@@ -6,6 +6,7 @@ var (
 	semAcquireSlot = engine.NewOpSlot[semAcquireOp]()
 	semTrySlot     = engine.NewOpSlot[semTryOp]()
 	semReleaseSlot = engine.NewOpSlot[semReleaseOp]()
+	semaphoreSlab  = engine.NewObjSlab[Semaphore]()
 )
 
 // Semaphore is a counting semaphore with an optional maximum count.
@@ -21,8 +22,8 @@ func NewSemaphore(t *engine.T, name string, initial, max int64) *Semaphore {
 	if initial < 0 || (max > 0 && initial > max) {
 		t.Failf("semaphore %q: bad initial count %d (max %d)", name, initial, max)
 	}
-	s := &Semaphore{base: base{kind: "sem", name: name}, count: initial, max: max}
-	s.id = t.Engine().RegisterObjectBy(t, s)
+	s, id := semaphoreSlab.New(t)
+	*s = Semaphore{base: base{id: id, kind: "sem", name: name}, count: initial, max: max}
 	return s
 }
 

@@ -2,6 +2,7 @@ package syncmodel
 
 import (
 	"fmt"
+	"slices"
 
 	"fairmc/internal/engine"
 )
@@ -19,6 +20,9 @@ var (
 	arrSetSlot   = engine.NewOpSlot[arrSetOp]()
 	anyLoadSlot  = engine.NewOpSlot[anyLoadOp]()
 	anyStoreSlot = engine.NewOpSlot[anyStoreOp]()
+	intVarSlab   = engine.NewObjSlab[IntVar]()
+	intArraySlab = engine.NewObjSlab[IntArray]()
+	anyVarSlab   = engine.NewObjSlab[AnyVar]()
 )
 
 // IntVar is a shared integer variable. Every access is a scheduling
@@ -34,8 +38,8 @@ type IntVar struct {
 // NewIntVar creates a shared integer variable with the given initial
 // value.
 func NewIntVar(t *engine.T, name string, initial int64) *IntVar {
-	v := &IntVar{base: base{kind: "int", name: name}, v: initial}
-	v.id = t.Engine().RegisterObjectBy(t, v)
+	v, id := intVarSlab.New(t)
+	*v = IntVar{base: base{id: id, kind: "int", name: name}, v: initial}
 	return v
 }
 
@@ -170,8 +174,10 @@ func NewIntArray(t *engine.T, name string, n int) *IntArray {
 	if n < 0 {
 		t.Failf("intarray %q: negative length %d", name, n)
 	}
-	a := &IntArray{base: base{kind: "array", name: name}, elems: make([]int64, n)}
-	a.id = t.Engine().RegisterObjectBy(t, a)
+	a, id := intArraySlab.New(t)
+	elems := slices.Grow(a.elems[:0], n)[:n]
+	clear(elems)
+	*a = IntArray{base: base{id: id, kind: "array", name: name}, elems: elems}
 	return a
 }
 
@@ -244,8 +250,8 @@ type AnyVar struct {
 
 // NewAnyVar creates a shared variable holding initial.
 func NewAnyVar(t *engine.T, name string, initial any) *AnyVar {
-	v := &AnyVar{base: base{kind: "any", name: name}, v: initial}
-	v.id = t.Engine().RegisterObjectBy(t, v)
+	v, id := anyVarSlab.New(t)
+	*v = AnyVar{base: base{id: id, kind: "any", name: name}, v: initial}
 	return v
 }
 

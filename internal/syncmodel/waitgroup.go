@@ -3,8 +3,9 @@ package syncmodel
 import "fairmc/internal/engine"
 
 var (
-	wgAddSlot  = engine.NewOpSlot[wgAddOp]()
-	wgWaitSlot = engine.NewOpSlot[wgWaitOp]()
+	wgAddSlot     = engine.NewOpSlot[wgAddOp]()
+	wgWaitSlot    = engine.NewOpSlot[wgWaitOp]()
+	waitGroupSlab = engine.NewObjSlab[WaitGroup]()
 )
 
 // WaitGroup counts outstanding work, like sync.WaitGroup.
@@ -18,8 +19,8 @@ func NewWaitGroup(t *engine.T, name string, initial int64) *WaitGroup {
 	if initial < 0 {
 		t.Failf("waitgroup %q: negative initial count %d", name, initial)
 	}
-	w := &WaitGroup{base: base{kind: "wg", name: name}, count: initial}
-	w.id = t.Engine().RegisterObjectBy(t, w)
+	w, id := waitGroupSlab.New(t)
+	*w = WaitGroup{base: base{id: id, kind: "wg", name: name}, count: initial}
 	return w
 }
 

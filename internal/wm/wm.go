@@ -28,6 +28,7 @@ package wm
 
 import (
 	"encoding/binary"
+	"slices"
 
 	"fairmc/internal/core"
 	"fairmc/internal/engine"
@@ -42,6 +43,7 @@ var (
 	tsoStoreSlot = engine.NewOpSlot[tsoStoreOp]()
 	fenceSlot    = engine.NewOpSlot[fenceOp]()
 	drainSlot    = engine.NewOpSlot[drainOp]()
+	memorySlab   = engine.NewObjSlab[Memory]()
 )
 
 // AuxOwnerShift is the bit position of the owner tid in a "wm.flush"
@@ -101,8 +103,10 @@ func NewWithModel(t *engine.T, name string, n int, mod core.MemModel, cap int) *
 	if cap < 0 {
 		t.Failf("wm %q: negative buffer capacity %d", name, cap)
 	}
-	m := &Memory{name: name, mod: mod, cap: cap, mem: make([]int64, n), e: t.Engine()}
-	m.id = t.Engine().RegisterObjectBy(t, m)
+	m, id := memorySlab.New(t)
+	mem := slices.Grow(m.mem[:0], n)[:n]
+	clear(mem)
+	*m = Memory{id: id, name: name, mod: mod, cap: cap, mem: mem, bufs: m.bufs[:0], e: t.Engine()}
 	return m
 }
 
